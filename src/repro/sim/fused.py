@@ -85,7 +85,7 @@ class _FusedContext(_PlanContext):
     "earlier game" order of turbo's conflict walk, now per tournament).
     """
 
-    __slots__ = ("n_seats",)
+    __slots__ = ("n_seats", "n_tournaments")
 
     def __init__(
         self,
@@ -96,18 +96,23 @@ class _FusedContext(_PlanContext):
         n_tournaments: int,
         n_seats: int,
     ):
-        super().__init__(plan, slate, m, csn_lookup)
+        # read by the _scope_walk hook the base constructor calls
+        self.n_tournaments = n_tournaments
         self.n_seats = n_seats
+        super().__init__(plan, slate, m, csn_lookup)
+
+    def _scope_walk(self) -> None:
+        m = self.m
         self.pair_off = np.repeat(
-            np.arange(n_tournaments, dtype=np.int64) * (m * m), n_seats
+            np.arange(self.n_tournaments, dtype=np.int64) * (m * m),
+            self.n_seats,
         )
         self.walk_pos = np.tile(
-            np.arange(n_seats, dtype=np.int64), n_tournaments
+            np.arange(self.n_seats, dtype=np.int64), self.n_tournaments
         )
-        self.walk_fill = n_seats
         # one private pair-code block per tournament (+1 spill slot, as in
         # the base context)
-        self.writer_buf = np.empty(n_tournaments * m * m + 1, dtype=np.int64)
+        self._alloc_writer(self.n_tournaments * m * m + 1, self.n_seats)
 
 
 class FusedEngine(TurboEngine):
@@ -363,13 +368,10 @@ class FusedEngine(TurboEngine):
         read_off = np.repeat(pair_off, n_dec)
         r1 = ctx.scope(cells_dec[decided], read_off)
         r2 = ctx.scope((src_g[:, None] * m + jc)[decided], read_off)
-        first_writer = ctx.writer_buf
-        kern.first_writer(
-            first_writer, ctx.walk_fill, w_scoped, np.repeat(pos, w_counts)
+        conflict_read = ctx.walk_conflicts(
+            kern, w_scoped, np.repeat(pos, w_counts), r1, r2,
+            np.repeat(pos, n_dec),
         )
-        pos_read = np.repeat(pos, n_dec)
-        conflict_read = first_writer[r1] < pos_read
-        conflict_read |= first_writer[r2] < pos_read
         keep2 = np.ones(n_sub, dtype=bool)
         keep2[np.repeat(np.arange(n_sub), n_dec)[conflict_read]] = False
 

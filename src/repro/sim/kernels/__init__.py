@@ -17,6 +17,21 @@ compiled backend can replace them without touching engine logic:
   the backend is held to the engines' *statistical* equivalence contract
   (KS / Mann-Whitney / Fig.-4 band), not bit-identity.
 
+Two op contracts carry the engines' per-round cost, and both backends
+keep them, so a round's state work is O(cells it touches) — independent of
+the matrix order ``m``, which grows with the stack width of the stacked
+engine:
+
+* ``first_writer(buf, codes, pos)`` writes only ``buf[codes]``.  The
+  buffer holds the walk's fill value everywhere *between* calls: the
+  caller fills it once when it allocates it and, after reading the
+  result, restores the codes it wrote.  No call re-fills the buffer.
+* ``commit(state, pairs, pf_pairs)`` scatter-adds the pairs (duplicates
+  allowed) into ``ps``/``pf`` and updates the ``known``/``pf_sum`` caches
+  incrementally on the touched rows; afterwards ``known`` equals the
+  nonzero count of each ``ps`` row and ``pf_sum`` each ``pf`` row sum,
+  exactly.
+
 Selection is by name: ``numpy``, ``numba``, or ``auto`` (numba when
 importable, else numpy) — via ``ExperimentConfig(kernel=...)`` and the CLI
 ``--kernel`` flag.  :class:`TimedKernel` wraps any backend with per-op
@@ -153,9 +168,9 @@ class TimedKernel:
                 state, jc, valid, cells_dec, trust, unknown, fwd, decided, success
             )
 
-    def first_writer(self, buf, fill, codes, pos):
+    def first_writer(self, buf, codes, pos):
         with self._walk.time():
-            self._inner.first_writer(buf, fill, codes, pos)
+            self._inner.first_writer(buf, codes, pos)
 
     def commit(self, state, pairs, pf_pairs):
         with self._commit.time():

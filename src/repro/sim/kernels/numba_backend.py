@@ -110,28 +110,23 @@ def _decide(
 
 
 @njit(cache=True)
-def _first_writer(buf, fill, codes, pos):
-    buf[:] = fill
+def _first_writer(buf, codes, pos):
     for i in range(len(codes) - 1, -1, -1):
         buf[codes[i]] = pos[i]
 
 
 @njit(cache=True)
-def _commit(ps, pf, ps_flat, pf_flat, known, pf_sum, pairs, pf_pairs):
+def _commit(ps_flat, pf_flat, known, pf_sum, pairs, pf_pairs):
+    m = known.shape[0]
     for i in range(len(pairs)):
-        ps_flat[pairs[i]] += 1
+        cell = pairs[i]
+        if ps_flat[cell] == 0:
+            known[cell // m] += 1
+        ps_flat[cell] += 1
     for i in range(len(pf_pairs)):
-        pf_flat[pf_pairs[i]] += 1
-    m = ps.shape[0]
-    for u in range(m):
-        k = 0
-        s = 0
-        for j in range(m):
-            if ps[u, j] != 0:
-                k += 1
-            s += pf[u, j]
-        known[u] = k
-        pf_sum[u] = s
+        cell = pf_pairs[i]
+        pf_flat[cell] += 1
+        pf_sum[cell // m] += 1
 
 
 @njit(cache=True)
@@ -300,13 +295,11 @@ class NumbaKernel:
             success,
         )
 
-    def first_writer(self, buf, fill, codes, pos):
-        _first_writer(buf, fill, codes, pos)
+    def first_writer(self, buf, codes, pos):
+        _first_writer(buf, codes, pos)
 
     def commit(self, state, pairs, pf_pairs):
         _commit(
-            state.ps,
-            state.pf,
             state.ps_flat,
             state.pf_flat,
             state.known,

@@ -6,7 +6,7 @@ expressions, same evaluation order), so this backend is **bit-identical**
 to the pre-kernel engines on pinned seeds — the parity suite in
 ``tests/test_sim_kernels.py`` holds it to that.
 
-Two deliberate unifications, both proven exact:
+Three deliberate unifications, all proven exact:
 
 * ``decide`` maps forwarding rates to trust levels with three vectorized
   comparisons instead of ``np.searchsorted(bounds, rate, side="left")``.
@@ -16,7 +16,11 @@ Two deliberate unifications, both proven exact:
 * ``first_writer`` replaces turbo's ``np.minimum.at`` with a reversed
   scatter-assign.  Callers pass write positions in ascending order, so
   assigning in reverse leaves the *minimum* position per code — identical
-  output, without ufunc.at's per-element dispatch.
+  output, without ufunc.at's per-element dispatch.  It writes only the
+  given codes; callers keep the buffer filled between calls.
+* ``commit`` updates the ``known``/``pf_sum`` caches incrementally on the
+  touched rows instead of recomputing them from the whole matrices.  The
+  state is integer, so the caches come out equal to the recompute.
 """
 
 from __future__ import annotations
@@ -87,29 +91,45 @@ class NumpyKernel:
         success[:] = prefix[:, -1]
         return decided.sum(axis=1)
 
-    def first_writer(self, buf, fill, codes, pos):
+    def first_writer(self, buf, codes, pos):
         """Scatter the minimum write position per code into ``buf``.
 
         Requires ``pos`` ascending (per duplicate code) — the reversed
         assignment then leaves the first writer, matching minimum.at.
+        ``buf`` must hold the caller's fill value everywhere on entry; the
+        caller restores ``buf[codes]`` once it has read the result, so a
+        walk costs O(codes), not O(len(buf)).
         """
-        buf.fill(fill)
         buf[codes[::-1]] = pos[::-1]
 
     def commit(self, state, pairs, pf_pairs):
         """Fold accepted observation pairs into the reputation matrices.
 
         ``pairs`` are flattened (observer, subject) codes of all accepted
-        packets-seen updates, ``pf_pairs`` the forwarded subset.  The
-        known/pf_sum caches are recomputed wholesale — cheaper than
-        tracking which cells crossed zero.
+        packets-seen updates, ``pf_pairs`` the forwarded subset; both may
+        repeat codes.  The known/pf_sum caches are updated incrementally
+        over the touched cells only — ``known[row]`` grows by the distinct
+        cells of the row whose ``ps`` was zero before the batch, ``pf_sum``
+        by the forwarded pairs of the row — so a commit costs O(pairs + m),
+        not O(m^2).  All state is integer, so the result equals the dense
+        recompute exactly, whatever the order.
         """
-        ps_flat, pf_flat = state.ps_flat, state.pf_flat
-        mm = ps_flat.size
-        ps_flat += np.bincount(pairs, minlength=mm)
-        pf_flat += np.bincount(pf_pairs, minlength=mm)
-        state.known[:] = np.count_nonzero(state.ps, axis=1)
-        state.pf_sum[:] = state.pf.sum(axis=1)
+        ps_flat, known, pf_sum = state.ps_flat, state.known, state.pf_sum
+        m = known.size
+        fresh = pairs[ps_flat.take(pairs) == 0]
+        if fresh.size:
+            # one survivor per distinct zero cell: scatter-assign a 1-based
+            # tag per occurrence and keep the occurrence whose tag stuck
+            # (whichever one did — only the count matters), then put the
+            # zeros back before the scatter-add
+            tag = np.arange(1, fresh.size + 1)
+            ps_flat[fresh] = tag
+            crossed = fresh[ps_flat.take(fresh) == tag]
+            ps_flat[fresh] = 0
+            known += np.bincount(crossed // m, minlength=m)
+        np.add.at(ps_flat, pairs, 1)
+        np.add.at(state.pf_flat, pf_pairs, 1)
+        pf_sum += np.bincount(pf_pairs // m, minlength=m)
 
     def replay_decide(self, state, source, nodes, lens, req, delivered, csn_free):
         """Exact scalar replay of one conflicted game against live state.

@@ -22,8 +22,12 @@ statistically equivalent — pinned by ``tests/test_sim_stacked.py``):
 * The conflict walk scopes pair codes per ``(replication, tournament)``
   through :meth:`_StackedContext.scope`, reproducing the fused engine's
   per-tournament walk inside each replication's slate slice.
-* The ``known``/``pf_sum`` wholesale recomputes in ``commit`` are exact per
-  block because off-block cells are identically zero.
+* ``commit`` updates ``known``/``pf_sum`` only on the rows its pairs touch,
+  and a replication's pairs only name cells of its own block, so each
+  block's caches evolve exactly as they would alone.  Together with the
+  conflict walk resetting only the codes it wrote, a round's state work is
+  O(cells the round touches), never O((R * block)^2): stack width costs
+  nothing per round.
 * Statistics counters are routed per replication (``(R, 9)``/``(R, 4)``
   accumulator matrices); float payoff accumulators are per *node* and the
   per-node fold order within a replication matches the fused engine's, so
@@ -54,7 +58,6 @@ from repro.game.stats import TournamentStats
 from repro.paths.vector import GamePlanArrays
 from repro.sim.fused import FusedEngine, _FusedContext
 from repro.sim.kernels import TimedKernel
-from repro.sim.turbo import _PlanContext
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["StackedFusedEngine"]
@@ -73,7 +76,7 @@ class _StackedContext(_FusedContext):
     ``[t_global * block^2, (t_global + 1) * block^2)``.
     """
 
-    __slots__ = ("block", "rep_slate")
+    __slots__ = ("block", "rep_slate", "n_replications")
 
     def __init__(
         self,
@@ -86,28 +89,30 @@ class _StackedContext(_FusedContext):
         n_seats: int,
         block: int,
     ):
-        # deliberately skip _FusedContext.__init__: its per-tournament pair
-        # blocks would be sized m^2 = (R * block)^2 each; the compact
-        # scoping below replaces all of its slot fills
-        _PlanContext.__init__(self, plan, slate, m, csn_lookup)
-        self.n_seats = n_seats
+        # read by the _scope_walk hook the base constructor calls
+        self.n_replications = n_replications
         self.block = block
         self.rep_slate = n_tournaments * n_seats
-        total_t = n_replications * n_tournaments
-        t_global = np.repeat(np.arange(total_t, dtype=np.int64), n_seats)
+        super().__init__(plan, slate, m, csn_lookup, n_tournaments, n_seats)
+
+    def _scope_walk(self) -> None:
+        block = self.block
+        total_t = self.n_replications * self.n_tournaments
+        t_global = np.repeat(
+            np.arange(total_t, dtype=np.int64), self.n_seats
+        )
         rep = np.repeat(
-            np.arange(n_replications, dtype=np.int64), self.rep_slate
+            np.arange(self.n_replications, dtype=np.int64), self.rep_slate
         )
         # scope(): a global pair code obs * m + subj with obs = r*block + o,
         # subj = r*block + s projects to (obs * block + subj) + off
         # = t_global * block^2 + o * block + s once off absorbs both
         # r*block terms — one private block^2 window per (rep, tournament)
         self.pair_off = t_global * (block * block) - rep * block * (block + 1)
-        self.walk_pos = np.tile(np.arange(n_seats, dtype=np.int64), total_t)
-        self.walk_fill = n_seats
-        self.writer_buf = np.empty(
-            total_t * block * block + 1, dtype=np.int64
+        self.walk_pos = np.tile(
+            np.arange(self.n_seats, dtype=np.int64), total_t
         )
+        self._alloc_writer(total_t * block * block + 1, self.n_seats)
 
     def scope(self, vals: np.ndarray, off: np.ndarray) -> np.ndarray:
         return (vals // self.m) * self.block + (vals % self.m) + off

@@ -91,9 +91,10 @@ class _PlanContext:
     state, precomputed once so the per-round pass is pure gathers and ufuncs.
 
     The conflict-walk scoping attributes (``pair_off`` / ``walk_pos`` /
-    ``walk_fill``) let one round pass serve turbo (one tournament, no
-    scoping), fused (T stacked tournaments, per-tournament pair spaces) and
-    stacked (R replications x T tournaments, block-diagonal pair spaces):
+    ``walk_fill`` / ``writer_buf``), filled by the :meth:`_scope_walk`
+    hook, let one round pass serve turbo (one tournament, no scoping),
+    fused (T stacked tournaments, per-tournament pair spaces) and stacked
+    (R replications x T tournaments, block-diagonal pair spaces):
     ``pair_off is None`` selects the unscoped fast path.
     """
 
@@ -178,11 +179,7 @@ class _PlanContext:
         h = nodes.shape[1]
         self.hrange = np.arange(h)
         self.grange = np.arange(games_per_round, dtype=np.int64)
-        # conflict-walk scoping: turbo shares one pair space per round
-        self.pair_off = None
-        self.walk_pos = self.grange
-        self.walk_fill = games_per_round
-        self.writer_buf = np.empty(m * m + 1, dtype=np.int64)
+        self._scope_walk()
         self.ratings_buf = np.empty(
             (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
         )
@@ -200,9 +197,37 @@ class _PlanContext:
         self.success_b = np.zeros(n_games, dtype=bool)
         self.keep_b = np.ones(n_games, dtype=bool)
 
+    def _scope_walk(self) -> None:
+        """Fill the conflict-walk scoping slots (a subclass hook; turbo
+        shares one pair space per round)."""
+        self.pair_off = None
+        self.walk_pos = self.grange
+        self._alloc_writer(self.m * self.m + 1, self.games_per_round)
+
+    def _alloc_writer(self, size: int, fill: int) -> None:
+        """The conflict walk's first-writer buffer, filled once here.  Every
+        walk leaves it holding ``fill`` everywhere again
+        (:meth:`walk_conflicts` resets just the codes it wrote), so no pass
+        re-fills it."""
+        self.walk_fill = fill
+        self.writer_buf = np.full(size, fill, dtype=np.int64)
+
     def scope(self, vals: np.ndarray, off: np.ndarray) -> np.ndarray:
         """Map base pair codes into the scoped writer-buffer space."""
         return vals + off
+
+    def walk_conflicts(self, kern, w_codes, w_pos, r1, r2, pos_read):
+        """The conflict walk: for each read, whether its pair (scoped codes
+        ``r1`` or ``r2``) was first written at a position before
+        ``pos_read``.  Resets just the written codes afterwards, so the
+        buffer holds ``walk_fill`` everywhere between walks and a walk
+        costs O(writes + reads), however wide the pair space."""
+        buf = self.writer_buf
+        kern.first_writer(buf, w_codes, w_pos)
+        conflict = buf[r1] < pos_read
+        conflict |= buf[r2] < pos_read
+        buf[w_codes] = self.walk_fill
+        return conflict
 
 
 class TurboEngine:
@@ -559,10 +584,7 @@ class TurboEngine:
             r1 = ctx.scope(r1, read_off)
             r2 = ctx.scope(r2, read_off)
             g_read = np.repeat(ctx.grange, n_dec)
-        first_writer = ctx.writer_buf
-        kern.first_writer(first_writer, ctx.walk_fill, w_scoped, w_pos)
-        conflict = first_writer[r1] < pos_read
-        conflict |= first_writer[r2] < pos_read
+        conflict = ctx.walk_conflicts(kern, w_scoped, w_pos, r1, r2, pos_read)
         keep = ctx.keep_b[g0:g1]
         keep[g_read[conflict]] = False
 

@@ -31,6 +31,7 @@ from repro.experiments.replication import run_replication
 from repro.sim import make_engine
 from repro.sim.kernels import (
     KERNEL_NAMES,
+    KernelState,
     TimedKernel,
     available_backends,
     numba_available,
@@ -127,11 +128,12 @@ class TestTimedKernel:
         timed = TimedKernel(NumpyKernel(), registry)
         assert timed.name == "numpy"
         assert timed.compiled is False
+        # contract: the caller keeps the buffer filled between walks
         buf = np.full(7, 99, dtype=np.int64)
         # contract: pos ascending (game order), so the first writer wins
         codes = np.array([2, 2, 5], dtype=np.int64)
         pos = np.array([0, 1, 2], dtype=np.int64)
-        timed.first_writer(buf, 99, codes, pos)
+        timed.first_writer(buf, codes, pos)
         expected = np.full(7, 99, dtype=np.int64)
         np.minimum.at(expected, codes, pos)
         np.testing.assert_array_equal(buf, expected)
@@ -143,21 +145,234 @@ class TestFirstWriterParity:
     """The conflict walk is the one op with a non-obvious vectorization
     (reversed scatter-assign standing in for ``minimum.at`` on ascending
     positions) — pin it directly against the obvious semantics on both
-    backends."""
+    backends, under the no-fill contract: the buffer holds the fill value
+    between walks, the op writes only the given codes, and the caller's
+    reset of those codes restores the fill everywhere."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 7, 991])
     def test_matches_minimum_at(self, backend, seed):
         kernel = resolve_kernel(backend)
         rng = np.random.default_rng(seed)
-        n_codes, n_events = 50, 200
-        codes = rng.integers(0, n_codes, size=n_events).astype(np.int64)
-        pos = np.sort(rng.integers(0, 10_000, size=n_events)).astype(np.int64)
-        buf = np.empty(n_codes, dtype=np.int64)
-        kernel.first_writer(buf, 1 << 60, codes, pos)
-        expected = np.full(n_codes, 1 << 60, dtype=np.int64)
-        np.minimum.at(expected, codes, pos)
-        np.testing.assert_array_equal(buf, expected)
+        n_codes, n_events, fill = 50, 200, 1 << 60
+        buf = np.full(n_codes, fill, dtype=np.int64)
+        # several walks through one buffer, as successive rounds make them
+        for _ in range(3):
+            codes = rng.integers(0, n_codes, size=n_events).astype(np.int64)
+            pos = np.sort(rng.integers(0, 10_000, size=n_events)).astype(np.int64)
+            kernel.first_writer(buf, codes, pos)
+            expected = np.full(n_codes, fill, dtype=np.int64)
+            np.minimum.at(expected, codes, pos)
+            np.testing.assert_array_equal(buf, expected)
+            buf[codes] = fill
+            np.testing.assert_array_equal(buf, fill)
+
+
+def dense_commit(ps, pf, pairs, pf_pairs):
+    """The pre-incremental commit, kept as the oracle: dense scatter-add,
+    then ``known``/``pf_sum`` recomputed from the whole matrices."""
+    ps, pf = ps.copy(), pf.copy()
+    mm = ps.size
+    ps.reshape(-1)[:] += np.bincount(pairs, minlength=mm)
+    pf.reshape(-1)[:] += np.bincount(pf_pairs, minlength=mm)
+    return ps, pf, np.count_nonzero(ps, axis=1), pf.sum(axis=1)
+
+
+def commit_state(ps: np.ndarray, pf: np.ndarray) -> KernelState:
+    """A kernel state over ``ps``/``pf`` with exact caches; commit reads
+    nothing else, so the remaining fields are inert placeholders."""
+    m = ps.shape[0]
+    zeros_f = np.zeros(m, dtype=np.float64)
+    zeros_i = np.zeros(m, dtype=np.int64)
+    return KernelState(
+        ps=ps,
+        pf=pf,
+        ps_flat=ps.reshape(-1),
+        pf_flat=pf.reshape(-1),
+        known=np.count_nonzero(ps, axis=1),
+        pf_sum=pf.sum(axis=1),
+        strat_flat=np.zeros(m * 13, dtype=np.int8),
+        csn_lookup=np.zeros(m, dtype=bool),
+        b0=0.25,
+        b1=0.5,
+        b2=0.75,
+        band=0.2,
+        fwd_pay=np.zeros(4),
+        disc_pay=np.zeros(4),
+        default_trust=1,
+        src_success=1.0,
+        src_failure=0.0,
+        send_pay=zeros_f,
+        n_sent=zeros_i,
+        fwd_pay_acc=zeros_f,
+        n_fwd=zeros_i,
+        disc_pay_acc=zeros_f,
+        n_disc=zeros_i,
+    )
+
+
+def prior_state(rng, m, density):
+    """Reputation matrices with roughly ``density`` of the cells seen."""
+    ps = np.zeros((m, m), dtype=np.int64)
+    mask = rng.random((m, m)) < density
+    ps[mask] = rng.integers(1, 40, size=int(mask.sum()))
+    pf = np.floor(ps * rng.random((m, m))).astype(np.int64)
+    return ps, pf
+
+
+def forwarded(rng, pairs):
+    return pairs[rng.random(pairs.size) < 0.6]
+
+
+def duplicate_heavy(rng, m):
+    # a code pool of m cells for 12 m pairs, so most codes repeat; three
+    # successive batches, each meeting the previous one's output
+    ps, pf = prior_state(rng, m, density=0.3)
+    pool = rng.integers(0, m * m, size=m)
+    batches = []
+    for _ in range(3):
+        pairs = rng.choice(pool, size=12 * m).astype(np.int32)
+        batches.append((pairs, forwarded(rng, pairs)))
+    return ps, pf, batches
+
+
+def crossing_zero(rng, m):
+    # every code is a zero cell, each repeated 1-4 times, interleaved
+    ps, pf = prior_state(rng, m, density=0.2)
+    codes = rng.choice(np.flatnonzero(ps.reshape(-1) == 0), size=3 * m, replace=False)
+    pairs = np.repeat(codes, rng.integers(1, 5, size=codes.size))
+    pairs = rng.permutation(pairs).astype(np.int32)
+    return ps, pf, [(pairs, forwarded(rng, pairs))]
+
+
+def empty_forwarded(rng, m):
+    ps, pf = prior_state(rng, m, density=0.1)
+    pairs = rng.integers(0, m * m, size=4 * m).astype(np.int32)
+    return ps, pf, [(pairs, pairs[:0])]
+
+
+def empty_batch(rng, m):
+    ps, pf = prior_state(rng, m, density=0.1)
+    empty = np.zeros(0, dtype=np.int32)
+    return ps, pf, [(empty, empty)]
+
+
+def top_codes(rng, m):
+    # the last two rows, the final cell m^2 - 1 several times over
+    ps, pf = prior_state(rng, m, density=0.5)
+    pairs = (m * m - 1 - rng.integers(0, 2 * m, size=6 * m)).astype(np.int32)
+    pairs[:5] = m * m - 1
+    return ps, pf, [(pairs, forwarded(rng, pairs))]
+
+
+def from_zero_state(rng, m):
+    # an empty generation filling up batch by batch, as rounds do
+    ps = np.zeros((m, m), dtype=np.int64)
+    batches = []
+    for _ in range(10):
+        pairs = rng.integers(0, m * m // 8, size=2 * m).astype(np.int32)
+        batches.append((pairs, forwarded(rng, pairs)))
+    return ps, ps.copy(), batches
+
+
+COMMIT_CASES = {
+    "duplicate_heavy": duplicate_heavy,
+    "crossing_zero": crossing_zero,
+    "empty_forwarded": empty_forwarded,
+    "empty_batch": empty_batch,
+    "top_codes": top_codes,
+    "from_zero_state": from_zero_state,
+}
+
+
+class TestCommitParity:
+    """``commit`` updates ``known``/``pf_sum`` incrementally; the dense
+    recompute it replaced is the oracle.  Both matrix orders the engines
+    run at: one block (m = 130, turbo and unstacked fused) and a 4-wide
+    stack (m = 520)."""
+
+    ORDERS = [130, 520]
+
+    @staticmethod
+    def check(backend, case, m):
+        ps, pf, batches = COMMIT_CASES[case](np.random.default_rng(m), m)
+        state = commit_state(ps, pf)
+        kernel = resolve_kernel(backend)
+        for pairs, pf_pairs in batches:
+            want = dense_commit(state.ps, state.pf, pairs, pf_pairs)
+            kernel.commit(state, pairs, pf_pairs)
+            for got, expected in zip(
+                (state.ps, state.pf, state.known, state.pf_sum), want
+            ):
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("case", sorted(COMMIT_CASES))
+    def test_matches_dense_recompute(self, case, m):
+        self.check("numpy", case, m)
+
+    @needs_numba
+    def test_numba_matches_dense_recompute(self):
+        # one visible skip for the whole matrix when numba is absent
+        for case in COMMIT_CASES:
+            for m in self.ORDERS:
+                self.check("numba", case, m)
+
+
+class TestRoundStateInvariants:
+    """Over a real stacked run, after every round pass and every
+    second-chance pass: the incremental ``known``/``pf_sum`` caches equal
+    the dense recompute, and the conflict walk's writer buffer is back to
+    its fill value everywhere.  A stale first-writer entry would leak into
+    the next round as a phantom conflict — a trajectory change the
+    per-replication digests alone might not localize."""
+
+    def test_caches_and_writer_buffer_after_every_pass(self, monkeypatch):
+        import repro.sim.turbo as turbo_mod
+        from repro.experiments.replication import run_replications_stacked
+        from repro.sim.stacked import StackedFusedEngine
+
+        def assert_caches(ps, pf, known, pf_sum):
+            np.testing.assert_array_equal(known, np.count_nonzero(ps, axis=1))
+            np.testing.assert_array_equal(pf_sum, pf.sum(axis=1))
+
+        class CheckedKernel(NumpyKernel):
+            commits = 0
+
+            def commit(self, state, pairs, pf_pairs):
+                super().commit(state, pairs, pf_pairs)
+                CheckedKernel.commits += 1
+                assert_caches(state.ps, state.pf, state.known, state.pf_sum)
+
+        passes = {"round": 0, "second_chance": 0}
+
+        def checked(name, method):
+            def wrapper(self, ctx, *args):
+                method(self, ctx, *args)
+                passes[name] += 1
+                assert_caches(self.ps, self.pf, self.known, self.pf_sum)
+                np.testing.assert_array_equal(ctx.writer_buf, ctx.walk_fill)
+
+            return wrapper
+
+        monkeypatch.setattr(turbo_mod, "resolve_kernel", lambda name: CheckedKernel())
+        for name, attr in (
+            ("round", "_process_round"),
+            ("second_chance", "_second_chance"),
+        ):
+            monkeypatch.setattr(
+                StackedFusedEngine,
+                attr,
+                checked(name, getattr(StackedFusedEngine, attr)),
+            )
+        config = ExperimentConfig.for_case(
+            "case3", scale="smoke", engine="fused", seed=7, replications=4,
+            generations=1, kernel="numpy",
+        )
+        run_replications_stacked(config)
+        assert passes["round"] > 0
+        assert passes["second_chance"] > 0, "no second-chance pass exercised"
+        assert CheckedKernel.commits >= passes["round"]
 
 
 class TestNumpyBitIdentity:

@@ -63,6 +63,17 @@ class TestBitIdentity:
             assert stacked[r].replication == r
             assert digest(stacked[r]) == digest(sequential), f"rep {r}"
 
+    def test_matches_sequential_fused_at_width_8(self):
+        # the reputation commit and the conflict walk cost O(touched
+        # cells) whatever the stack width; a wide stack is where a leak
+        # between replications' blocks or a stale walk entry would show
+        config = smoke_config("case3", 7, replications=8)
+        stacked = run_replications_stacked(config)
+        for r in range(config.replications):
+            assert digest(stacked[r]) == digest(run_replication(config, r)), (
+                f"rep {r}"
+            )
+
     def test_matches_sequential_on_mobile_topology(self):
         # per-replication oracles replay the same mobility epochs and route
         # recomputations they would have seen alone
