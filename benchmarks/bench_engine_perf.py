@@ -11,7 +11,7 @@ once under the default ``exact`` route-cache policy and once under
 exist.
 
 Three ``*_stacked`` rows measure the cross-replication stacked evaluation
-path (:class:`repro.sim.stacked.StackedFusedEngine`): ``STACK_REPS``
+path (``FusedEngine(n_replications=STACK_REPS)``): ``STACK_REPS``
 replications x ``FUSED_STACK`` tournaments planned and executed as one
 mega-slate, amortized per game across the whole R x T block.  The random
 stacked row carries the kernel-backend throughput target: >= 1M games/s
@@ -57,7 +57,6 @@ from repro.paths.vector import plan_generation_arrays, stack_replication_plans
 from repro.sim import BIT_IDENTICAL_ENGINES, ENGINES, make_engine
 from repro.sim.fused import FusedEngine
 from repro.sim.kernels import numba_available, resolve_kernel
-from repro.sim.stacked import StackedFusedEngine
 from repro.telemetry import Timer
 from repro.utils.tables import format_table
 
@@ -285,21 +284,20 @@ def run_stacked_generation(oracle_kind: str, oracles=None) -> list[TournamentSta
     Mirrors :func:`run_fused_generation`'s accounting — engine
     construction, strategy upload and *all* plan drawing stay inside the
     timed call — then executes the whole R x T block as one mega-slate via
-    :meth:`StackedFusedEngine.run_generation_stacked`.  Per-replication
+    :meth:`FusedEngine.run_generation_stacked`.  Per-replication
     plans are drawn from per-replication oracles and shifted into private
     node-id blocks by :func:`stack_replication_plans`, exactly as the
     experiment layer's stacked path does.
     """
     rng = np.random.default_rng(0)
-    engine = StackedFusedEngine(N_NORMAL, N_CSN, n_replications=STACK_REPS)
+    engine = FusedEngine(N_NORMAL, N_CSN, n_replications=STACK_REPS)
     engine.set_strategies([Strategy.random(rng) for _ in range(N_NORMAL)])
     participants = list(range(N_NORMAL)) + engine.selfish_ids(N_CSN)
     if oracles is None:
         oracles = make_stacked_oracles(oracle_kind)
     plans = []
     for oracle in oracles:
-        share = FusedEngine._share_route_tables(oracle)
-        try:
+        with FusedEngine.route_sharing(oracle):
             plans.append(
                 plan_generation_arrays(
                     oracle,
@@ -308,8 +306,6 @@ def run_stacked_generation(oracle_kind: str, oracles=None) -> list[TournamentSta
                     on_tournament_end=getattr(oracle, "on_tournament_end", None),
                 )
             )
-        finally:
-            FusedEngine._restore_route_policy(oracle, share)
     plan = stack_replication_plans(plans, ROUNDS, SEATS)
     stats = [TournamentStats() for _ in range(STACK_REPS)]
     engine.reset_generation()

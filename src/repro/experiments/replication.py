@@ -36,11 +36,14 @@ from repro.paths.vector import plan_generation_arrays, stack_replication_plans
 from repro.reputation.activity import ActivityClassifier
 from repro.reputation.trust import TrustTable
 from repro.sim import make_engine
+from repro.sim.fused import FusedEngine
 from repro.telemetry.harvest import harvest_oracle
 from repro.telemetry.manifest import config_hash
 from repro.telemetry.runtime import get_telemetry, telemetry_session
-from repro.tournament.evaluation import evaluate_generation
-from repro.tournament.scheduler import iter_seatings
+from repro.tournament.evaluation import draw_seatings, evaluate_generation
+# not called here (draw_seatings draws through evaluation's import); kept
+# because perfbench's seating probe patches this module attribute
+from repro.tournament.scheduler import iter_seatings  # noqa: F401
 from repro.utils.rng import derive_generator
 
 __all__ = [
@@ -105,6 +108,44 @@ class ReplicationResult:
             telemetry=data.get("telemetry"),
             checkpoint=data.get("checkpoint"),
         )
+
+
+def _start_replication(
+    config: ExperimentConfig, replication: int, ga: GeneticAlgorithm
+) -> tuple[np.random.Generator, PathOracle, list]:
+    """A fresh replication's generator, oracle and initial population —
+    the oracle first, then the population, from its own stream."""
+    sim = config.sim
+    rng = derive_generator(config.seed, (replication,))
+    if sim.mobility.enabled:
+        # a moving unit-disk network over every node that can ever play
+        node_ids = list(range(config.ga.population_size + config.case.max_selfish))
+        oracle = build_oracle(sim.mobility, node_ids, rng)
+    else:
+        oracle = RandomPathOracle(rng, HOP_MODES[sim.path_mode])
+    return rng, oracle, ga.initial_population(STRATEGY_LENGTH, rng)
+
+
+def _generation_record(
+    generation: int,
+    per_env: dict[str, TournamentStats],
+    overall: TournamentStats,
+    fitness: np.ndarray,
+    strategies: list[Strategy],
+) -> GenerationRecord:
+    """One evaluated generation's history entry."""
+    return GenerationRecord(
+        generation=generation,
+        cooperation=overall.cooperation_level,
+        cooperation_per_env={
+            name: stats.cooperation_level for name, stats in per_env.items()
+        },
+        mean_fitness=float(np.mean(fitness)),
+        best_fitness=float(np.max(fitness)),
+        mean_forwarding_fraction=float(
+            np.mean([s.forwarding_fraction() for s in strategies])
+        ),
+    )
 
 
 def run_replication(
@@ -208,14 +249,7 @@ def _run_replication(
             tel.registry.merge(state["telemetry_metrics"])
             tel.count("checkpoint.resumes")
     else:
-        rng = derive_generator(config.seed, (replication,))
-        if sim.mobility.enabled:
-            # a moving unit-disk network over every node that can ever play
-            node_ids = list(range(config.ga.population_size + config.case.max_selfish))
-            oracle = build_oracle(sim.mobility, node_ids, rng)
-        else:
-            oracle = RandomPathOracle(rng, HOP_MODES[sim.path_mode])
-        population = ga.initial_population(STRATEGY_LENGTH, rng)
+        rng, oracle, population = _start_replication(config, replication, ga)
         history = History()
         start_generation = 0
 
@@ -233,18 +267,12 @@ def _run_replication(
             exchange=sim.exchange,
         )
         history.append(
-            GenerationRecord(
-                generation=generation,
-                cooperation=result.cooperation_level,
-                cooperation_per_env={
-                    name: stats.cooperation_level
-                    for name, stats in result.per_environment.items()
-                },
-                mean_fitness=float(np.mean(result.fitness)),
-                best_fitness=float(np.max(result.fitness)),
-                mean_forwarding_fraction=float(
-                    np.mean([s.forwarding_fraction() for s in strategies])
-                ),
+            _generation_record(
+                generation,
+                result.per_environment,
+                result.overall,
+                result.fitness,
+                strategies,
             )
         )
         last_per_env = result.per_environment
@@ -311,7 +339,7 @@ def stacked_unsupported_reason(
     """Why this run cannot take the stacked path (``None`` when it can).
 
     The stacked path evaluates all replications as one in-process
-    block-diagonal pass (:class:`repro.sim.stacked.StackedFusedEngine`), so
+    block-diagonal pass (``FusedEngine(n_replications=R)``), so
     it requires a generation-fusing engine and is incompatible with
     per-replication execution machinery: worker pools, shards, checkpoints,
     per-replication telemetry sessions, and the reputation exchange (which
@@ -355,25 +383,19 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
     (r,))``), oracle, population and statistics counters, consumed in
     exactly the sequential construction order — only the game *execution*
     is merged, through block-diagonal engine state that provably cannot
-    couple replications (see :mod:`repro.sim.stacked` and
-    ``tests/test_sim_stacked.py``).
-
-    What stacking buys: the per-round vectorized pass amortizes its fixed
-    numpy dispatch cost over ``R`` replications' slates at once — the
-    ``random_stacked`` row of ``benchmarks/bench_engine_perf.py`` gates the
-    resulting throughput.
+    couple replications (see :mod:`repro.sim.fused` and
+    ``tests/test_sim_stacked.py``).  Stacking amortizes the per-round
+    vectorized pass's fixed numpy dispatch cost over ``R`` replications'
+    slates at once.
     """
     reason = stacked_unsupported_reason(config)
     if reason is not None:
         raise ValueError(f"config cannot run stacked: {reason}")
-    from repro.sim.fused import FusedEngine
-    from repro.sim.stacked import StackedFusedEngine
 
     sim = config.sim
     n_rep = config.replications
     pop_size = config.ga.population_size
-    block = pop_size + config.case.max_selfish
-    engine = StackedFusedEngine(
+    engine = FusedEngine(
         n_population=pop_size,
         max_selfish=config.case.max_selfish,
         trust_table=TrustTable(bounds=sim.trust_bounds),
@@ -383,28 +405,11 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
         n_replications=n_rep,
     )
     ga = GeneticAlgorithm(config.ga)
-
-    # per-replication setup, consuming each stream exactly as the
-    # sequential _run_replication does: oracle first, then the initial
-    # population
-    rngs = [derive_generator(config.seed, (r,)) for r in range(n_rep)]
-    oracles: list[PathOracle] = []
-    node_ids = list(range(block))
-    for rng in rngs:
-        if sim.mobility.enabled:
-            oracles.append(build_oracle(sim.mobility, node_ids, rng))
-        else:
-            oracles.append(RandomPathOracle(rng, HOP_MODES[sim.path_mode]))
-    populations = np.stack(
-        [
-            np.array(ga.initial_population(STRATEGY_LENGTH, rng), dtype=np.int8)
-            for rng in rngs
-        ]
+    rngs, oracles, populations = zip(
+        *(_start_replication(config, r, ga) for r in range(n_rep))
     )
-
+    populations = np.array(populations, dtype=np.int8)
     histories = [History() for _ in range(n_rep)]
-    last_per_env: list[dict[str, TournamentStats]] = [{} for _ in range(n_rep)]
-    last_overall = [TournamentStats() for _ in range(n_rep)]
     population_ids = list(range(pop_size))
 
     for generation in range(config.generations):
@@ -418,24 +423,13 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
                     f"{env.name} needs {env.n_normal} normal players,"
                     f" population has {pop_size}"
                 )
-            csn = [pop_size + k for k in range(env.n_selfish)]
+            csn = engine.selfish_ids(env.n_selfish)
             plans = []
-            n_tournaments = 0
-            n_seats = 0
-            for r in range(n_rep):
-                rng = rngs[r]
-                oracle = oracles[r]
-                seatings = []
-                for seating in iter_seatings(
-                    population_ids, env.n_normal, sim.plays_per_environment, rng
-                ):
-                    participants = seating + csn
-                    order = rng.permutation(len(participants))
-                    seatings.append([participants[int(i)] for i in order])
-                # same generation-scoped route sharing as the fused engine
-                # applies around its own plan drawing
-                share = FusedEngine._share_route_tables(oracle)
-                try:
+            for rng, oracle in zip(rngs, oracles):
+                seatings = draw_seatings(
+                    population_ids, csn, env.n_normal, sim.plays_per_environment, rng
+                )
+                with FusedEngine.route_sharing(oracle):
                     plans.append(
                         plan_generation_arrays(
                             oracle,
@@ -446,14 +440,13 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
                             ),
                         )
                     )
-                finally:
-                    FusedEngine._restore_route_policy(oracle, share)
-                n_tournaments = len(seatings)
-                n_seats = len(seatings[0])
             env_stats = [TournamentStats() for _ in range(n_rep)]
-            stacked_plan = stack_replication_plans(plans, sim.rounds, block)
             engine.run_generation_stacked(
-                stacked_plan, sim.rounds, n_tournaments, n_seats, env_stats
+                stack_replication_plans(plans, sim.rounds, engine.block),
+                sim.rounds,
+                len(seatings),
+                len(seatings[0]),
+                env_stats,
             )
             for r in range(n_rep):
                 per_env[r][env.name] = env_stats[r]
@@ -465,22 +458,10 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
                 Strategy(tuple(int(b) for b in row)) for row in populations[r]
             ]
             histories[r].append(
-                GenerationRecord(
-                    generation=generation,
-                    cooperation=overall[r].cooperation_level,
-                    cooperation_per_env={
-                        name: stats.cooperation_level
-                        for name, stats in per_env[r].items()
-                    },
-                    mean_fitness=float(np.mean(fitness[r])),
-                    best_fitness=float(np.max(fitness[r])),
-                    mean_forwarding_fraction=float(
-                        np.mean([s.forwarding_fraction() for s in strategies])
-                    ),
+                _generation_record(
+                    generation, per_env[r], overall[r], fitness[r], strategies
                 )
             )
-            last_per_env[r] = per_env[r]
-            last_overall[r] = overall[r]
         if generation < config.generations - 1:
             populations = next_generation_tensor(
                 populations, fitness, config.ga, rngs
@@ -494,8 +475,8 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
                 Strategy(tuple(int(b) for b in row)).to_int()
                 for row in populations[r]
             ],
-            final_per_env=last_per_env[r],
-            final_overall=last_overall[r],
+            final_per_env=per_env[r],
+            final_overall=overall[r],
         )
         for r in range(n_rep)
     ]

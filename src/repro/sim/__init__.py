@@ -1,6 +1,7 @@
 """Simulation engines.
 
-Five interchangeable implementations of the tournament semantics:
+Five implementations of the tournament semantics, registered in
+:data:`ENGINES` under their ``--engine`` names:
 
 * :class:`repro.sim.reference.ReferenceEngine` — object-oriented, built from
   the auditable :mod:`repro.game` / :mod:`repro.core` pieces, supports event
@@ -18,22 +19,24 @@ Five interchangeable implementations of the tournament semantics:
   as one stacked round-major pass (same statistical contract, one more
   tolerated relaxation: cross-tournament round lockstep).
   :func:`repro.tournament.evaluation.evaluate_generation` dispatches to its
-  ``run_generation`` entry point via ``supports_generation_fusion``.
+  ``run_generation`` entry point via ``supports_generation_fusion``.  With
+  ``n_replications=R`` it evaluates R replications as one block-diagonal
+  stack, each bit-identical to its sequential fused run
+  (:func:`repro.experiments.replication.run_replications_stacked`).
 
 All engines support every path oracle (random/topology/mobile) and the
 second-hand reputation-exchange extension.  The engines named in
 :data:`BIT_IDENTICAL_ENGINES` consume randomness through the shared path
 oracle and scheduler only and produce bit-identical trajectories under
-identical seeds (see ``tests/test_engine_equivalence.py``); ``turbo``
-reproduces the same outcome *distributions* (cooperation, fitness, Tables
-5-9 aggregates) without replaying the same trajectories.
+identical seeds (see ``tests/test_engine_equivalence.py``); ``turbo`` and
+``fused`` reproduce the same outcome *distributions* (cooperation, fitness,
+Tables 5-9 aggregates) without replaying the same trajectories.
 """
 
 from repro.sim.batch import BatchEngine
 from repro.sim.fast import FastEngine
 from repro.sim.fused import FusedEngine
 from repro.sim.reference import ReferenceEngine
-from repro.sim.stacked import StackedFusedEngine
 from repro.sim.turbo import TurboEngine
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "BatchEngine",
     "TurboEngine",
     "FusedEngine",
-    "StackedFusedEngine",
     "ENGINES",
     "BIT_IDENTICAL_ENGINES",
     "make_engine",

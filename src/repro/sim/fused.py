@@ -53,76 +53,162 @@ the per-tournament turbo path when the exchange is enabled (bit-identical
 to driving turbo from the sequential generation loop).  ``run_tournament``
 is inherited unchanged, so outside the fused entry point the engine *is*
 turbo.
+
+Cross-replication stacking
+--------------------------
+``FusedEngine(n_replications=R)`` widens the slate one more axis: **R
+independent replications** of the same experiment evaluate as one
+mega-slate — stacked game ``round * (R * T * n) + rep * (T * n) +
+tournament * n + seat`` — against block-diagonal reputation state, one
+``(R * block)``-order matrix whose ``r``-th diagonal block is replication
+``r``'s private state (``block = n_population + max_selfish``).
+:func:`repro.experiments.replication.run_replications_stacked` drives it
+through :meth:`FusedEngine.run_generation_stacked`; ``run_generation`` is
+the ``R = 1`` case of the same pass.  Stacking is *exact* — each
+replication bit-identical to its sequential fused run, not merely
+statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
+
+* Replications are causally independent by construction: a replication is a
+  pure function of ``(config, replication_index)`` with its own rng stream.
+  :func:`repro.paths.vector.stack_replication_plans` shifts each
+  replication's node ids into its private block, so no stacked game can
+  ever read or write another replication's cells — every kernel op
+  (gather, commit scatter, scalar replay) decomposes block-diagonally.
+* The conflict walk scopes pair codes per ``(replication, tournament)``
+  (the plan context's ``scope``), reproducing the per-tournament walk
+  inside each replication's slate slice.
+* ``commit`` updates ``known``/``pf_sum`` only on the rows its pairs touch,
+  and a replication's pairs only name cells of its own block, so each
+  block's caches evolve exactly as they would alone.  Together with the
+  conflict walk resetting only the codes it wrote, a round's state work is
+  O(cells the round touches), never O((R * block)^2): stack width costs
+  nothing per round.
+* Statistics counters are routed per replication (``(R, 9)``/``(R, 4)``
+  accumulator rows); float payoff accumulators are per *node* and the
+  per-node fold order within a replication matches the unstacked pass, so
+  even the float sums agree bitwise.
+* The scalar-fallback threshold of the conflict pass (< 10 conflicted games
+  per round replay directly; more take the vectorized second chance) is
+  part of each replication's trajectory, so it is evaluated on each
+  replication's own conflict count.  Replications over the threshold then
+  share one merged second-chance pass, which block-diagonal state keeps
+  exact.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.strategy import STRATEGY_LENGTH
 from repro.game.stats import TournamentStats
 from repro.network.provider import ApproxPolicy
 from repro.paths.oracle import PathOracle
 from repro.paths.vector import GamePlanArrays, plan_generation_arrays
 from repro.reputation.exchange import ExchangeConfig
-from repro.sim.kernels import TimedKernel
-from repro.sim.turbo import TurboEngine, _PlanContext
+from repro.sim.turbo import TurboEngine, _PlanContext, timed
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["FusedEngine"]
 
 
-class _FusedContext(_PlanContext):
-    """A :class:`_PlanContext` over a stacked generation plan.
-
-    ``games_per_round`` *is* the slate width (``T * n``), so every
-    inherited precomputation (relative path rows, source order, fold
-    buffers) works verbatim; the conflict-walk scoping slots are filled so
-    the inherited round pass scopes per tournament: ``pair_off[g]`` shifts
-    game ``g``'s pair codes into its tournament's private ``m * m`` block
-    and ``walk_pos[g]`` is its seat position within that tournament (the
-    "earlier game" order of turbo's conflict walk, now per tournament).
-    """
-
-    __slots__ = ("n_seats", "n_tournaments")
-
-    def __init__(
-        self,
-        plan: GamePlanArrays,
-        slate: int,
-        m: int,
-        csn_lookup: np.ndarray,
-        n_tournaments: int,
-        n_seats: int,
-    ):
-        # read by the _scope_walk hook the base constructor calls
-        self.n_tournaments = n_tournaments
-        self.n_seats = n_seats
-        super().__init__(plan, slate, m, csn_lookup)
-
-    def _scope_walk(self) -> None:
-        m = self.m
-        self.pair_off = np.repeat(
-            np.arange(self.n_tournaments, dtype=np.int64) * (m * m),
-            self.n_seats,
-        )
-        self.walk_pos = np.tile(
-            np.arange(self.n_seats, dtype=np.int64), self.n_tournaments
-        )
-        # one private pair-code block per tournament (+1 spill slot, as in
-        # the base context)
-        self._alloc_writer(self.n_tournaments * m * m + 1, self.n_seats)
-
-
 class FusedEngine(TurboEngine):
-    """Turbo's speculative slate kernel, widened to a whole generation."""
+    """Turbo's speculative slate kernel, widened to a whole generation and,
+    with ``n_replications > 1``, to ``R`` block-diagonal replications
+    (exact per-replication equivalence to sequential runs)."""
 
     name = "fused"
     #: :func:`repro.tournament.evaluation.evaluate_generation` dispatches
     #: on this flag to hand the engine all of an environment's seatings at
     #: once instead of one tournament at a time.
     supports_generation_fusion = True
+
+    def __init__(
+        self,
+        n_population: int,
+        max_selfish: int,
+        trust_table=None,
+        activity=None,
+        payoffs=None,
+        kernel: str = "auto",
+        n_replications: int = 1,
+    ):
+        if n_replications < 1:
+            raise ValueError(
+                f"n_replications must be >= 1, got {n_replications}"
+            )
+        # consumed by the _matrix_order/_build_csn_lookup/_rebuild hooks
+        # that the base constructor calls, so they must exist first
+        self.n_replications = n_replications
+        self.block = n_population + max_selfish
+        self._strategy_tensor: np.ndarray | None = None
+        super().__init__(
+            n_population, max_selfish, trust_table, activity, payoffs, kernel
+        )
+
+    # -- stacking hooks -------------------------------------------------------
+
+    def _matrix_order(self) -> int:
+        return self.n_replications * self.block
+
+    def _build_csn_lookup(self) -> np.ndarray:
+        return (np.arange(self.m) % self.block) >= self.n_population
+
+    def _rebuild_strategy_table(self) -> None:
+        table = np.zeros(self.m * STRATEGY_LENGTH, dtype=np.int8)
+        view = table.reshape(self.n_replications, self.block, STRATEGY_LENGTH)
+        if self._strategy_tensor is None:
+            # base-class construction / scalar set_strategies: every
+            # replication carries the same population
+            view[:, : self.n_population] = np.array(
+                self._strategies, dtype=np.int8
+            )
+        else:
+            view[:, : self.n_population] = self._strategy_tensor
+        self._strat_flat = table
+
+    # -- per-replication population -------------------------------------------
+
+    def set_strategies(self, strategies) -> None:
+        self._strategy_tensor = None
+        super().set_strategies(strategies)
+
+    def set_strategies_tensor(self, tensor: np.ndarray) -> None:
+        """Install each replication's population from an ``(R, P, L)``
+        bit tensor."""
+        tensor = np.asarray(tensor, dtype=np.int8)
+        expected = (self.n_replications, self.n_population, STRATEGY_LENGTH)
+        if tensor.shape != expected:
+            raise ValueError(
+                f"strategy tensor must have shape {expected},"
+                f" got {tensor.shape}"
+            )
+        if not (((tensor == 0) | (tensor == 1)).all()):
+            raise ValueError("strategy tensor entries must be 0/1 bits")
+        self._strategy_tensor = tensor.copy()
+        # keep the scalar introspection view (strategy_matrix) meaningful:
+        # it shows replication 0
+        self._strategies = [
+            tuple(int(b) for b in row) for row in tensor[0]
+        ]
+        self._rebuild_strategy_table()
+
+    def fitness_tensor(self) -> np.ndarray:
+        """Eq. (1) fitness as ``(R, n_population)`` — row ``r`` is exactly
+        what a sequential engine running replication ``r`` reports."""
+        shape = (self.n_replications, self.block)
+        pop = slice(0, self.n_population)
+        events = (self.n_sent + self.n_fwd + self.n_disc).reshape(shape)[:, pop]
+        totals = (self.send_pay + self.fwd_pay_acc + self.disc_pay_acc).reshape(
+            shape
+        )[:, pop]
+        out = np.zeros((self.n_replications, self.n_population), dtype=np.float64)
+        np.divide(totals, events, out=out, where=events > 0)
+        return out
+
+    # -- generation entry points ----------------------------------------------
 
     def run_generation(
         self,
@@ -170,63 +256,72 @@ class FusedEngine(TurboEngine):
                     hook()
             return
 
-        n_tournaments = len(seatings)
-        slate = n_tournaments * n_seats
-        share = self._share_route_tables(oracle)
-        try:
-            if tel is None:
-                plan = plan_generation_arrays(
-                    oracle, seatings, rounds, on_tournament_end=hook
-                )
-            else:
-                with tel.registry.timer("engine.plan_s").time():
-                    plan = plan_generation_arrays(
-                        oracle, seatings, rounds, on_tournament_end=hook
-                    )
-        finally:
-            self._restore_route_policy(oracle, share)
-        ctx = _FusedContext(
-            plan, slate, self.m, self._csn_lookup, n_tournaments, n_seats
+        with self.route_sharing(oracle), timed(tel, "engine.plan_s"):
+            plan = plan_generation_arrays(
+                oracle, seatings, rounds, on_tournament_end=hook
+            )
+        self.run_generation_stacked(
+            plan, rounds, len(seatings), n_seats, [stats]
         )
-        self._ks = self._kernel_state()
-        self._k = (
-            self._kernel if tel is None else TimedKernel(self._kernel, tel.registry)
+
+    def run_generation_stacked(
+        self,
+        plan: GamePlanArrays,
+        rounds: int,
+        n_tournaments: int,
+        n_seats: int,
+        stats: Sequence[TournamentStats],
+    ) -> None:
+        """Run one environment's generation for all ``R`` replications.
+
+        ``plan`` is round-major: one replication's plan from
+        :func:`repro.paths.vector.plan_generation_arrays`, or the mega-slate
+        :func:`repro.paths.vector.stack_replication_plans` builds from one
+        such plan per replication (each ``T = n_tournaments`` tournaments
+        of ``n_seats`` seats); ``stats[r]`` receives replication ``r``'s
+        merged counters.  Route sharing and plan drawing stay with the
+        caller — each replication plans against its *own* oracle and rng
+        stream.
+        """
+        n_rep = self.n_replications
+        if len(stats) != n_rep:
+            raise ValueError(
+                f"need one stats object per replication:"
+                f" {n_rep} replications, {len(stats)} stats"
+            )
+        slate = n_rep * n_tournaments * n_seats
+        if plan.n_games != rounds * slate:
+            raise ValueError(
+                f"stacked plan has {plan.n_games} games, expected"
+                f" {rounds} rounds x {slate} (= {n_rep} reps x"
+                f" {n_tournaments} tournaments x {n_seats} seats)"
+            )
+        tel = get_telemetry()
+        if not tel.enabled:
+            tel = None
+        ctx = _PlanContext(
+            plan, self._csn_lookup, n_rep, n_tournaments, n_seats, self.block
         )
-        req = np.zeros(9, dtype=np.int64)
-        delivered = np.zeros(4, dtype=np.int64)
-        csn_free = np.zeros(4, dtype=np.int64)
-        self._replayed_games = 0
-        self._second_chance_games = 0
-
-        for round_no in range(rounds):
-            round_span = tel.span("round") if tel is not None else None
-            if round_span is not None:
-                round_span.__enter__()
-            self._process_round(ctx, round_no, req, delivered, csn_free)
-            if round_span is not None:
-                round_span.__exit__(None, None, None)
-
-        if tel is None:
-            self._fold_tournament(ctx, req, delivered, csn_free)
-        else:
-            with tel.registry.timer("engine.fold_s").time():
-                self._fold_tournament(ctx, req, delivered, csn_free)
-            tel.count("engine.tournaments", n_tournaments)
-            tel.count("engine.rounds", rounds * n_tournaments)
-            tel.count("engine.games", rounds * slate)
-            tel.count("engine.turbo.replayed_games", self._replayed_games)
-            tel.count("engine.fused.generations")
-            tel.count("engine.fused.stacked_tournaments", n_tournaments)
+        req, delivered, csn_free = self._run_rounds(ctx, rounds, tel)
+        if tel is not None:
+            # one per replication per environment pass, so totals line up
+            # with what R sequential runs record
+            tel.count("engine.fused.env_passes", n_rep)
+            tel.count("engine.fused.stacked_tournaments", n_rep * n_tournaments)
             tel.count("engine.fused.games", rounds * slate)
             tel.count(
                 "engine.fused.second_chance_games", self._second_chance_games
             )
+        for r in range(n_rep):
+            self._merge_stats(stats[r], req[r], delivered[r], csn_free[r])
 
-        self._merge_stats(stats, req, delivered, csn_free)
+    # -- generation-scoped route sharing ----------------------------------------
 
     @staticmethod
-    def _share_route_tables(oracle: PathOracle):
-        """Enable generation-scoped route sharing on a dynamic provider.
+    @contextmanager
+    def route_sharing(oracle: PathOracle):
+        """Draw plans inside this block under generation-scoped route
+        sharing on a dynamic provider.
 
         While the stacked plan is drawn, the mobile oracle's route cache
         serves entries *across* the generation's topology epochs under
@@ -237,31 +332,29 @@ class FusedEngine(TurboEngine):
         "current-consistent routes computed earlier this generation" — a
         relaxation of route *preference*, not existence, in the same class
         as the approx cache policy the statistical tier already gates on
-        mobile scenarios.  Returns the policy to restore, or ``None`` when
-        the oracle has no swappable dynamic provider (random and static
-        topology oracles).
+        mobile scenarios.  The oracle's own policy is back in place on
+        exit, also when planning raises.  A no-op for oracles without a
+        swappable dynamic provider (random and static topology oracles)
+        and for approx providers, which already share more aggressively
+        than the generation scope would.
         """
         provider = getattr(oracle, "provider", None)
         set_policy = getattr(provider, "set_policy", None)
-        if set_policy is None:
-            return None
+        if set_policy is None or provider.policy.budget > 0:
+            yield
+            return
         previous = provider.policy
-        if previous.budget > 0:
-            # an approx provider already shares more aggressively than the
-            # generation scope would; leave it alone
-            return None
         set_policy(ApproxPolicy(0), revalidate=True)
-        return previous
+        try:
+            yield
+        finally:
+            set_policy(previous)
 
-    @staticmethod
-    def _restore_route_policy(oracle: PathOracle, previous) -> None:
-        """Undo :meth:`_share_route_tables` (no-op for ``None``)."""
-        if previous is not None:
-            oracle.provider.set_policy(previous)
+    # -- conflict resolution --------------------------------------------------
 
     def _resolve_conflicts(
         self,
-        ctx: _FusedContext,
+        ctx: _PlanContext,
         g0: int,
         rel_ids: np.ndarray,
         req: np.ndarray,
@@ -269,15 +362,23 @@ class FusedEngine(TurboEngine):
         csn_free: np.ndarray,
     ) -> None:
         """Below ~10 games the second-chance sub-pass's fixed dispatch cost
-        exceeds the scalar kernel; replay those directly."""
-        if len(rel_ids) < 10:
-            self._replay_ids(ctx, g0 + rel_ids, req, delivered, csn_free)
-        else:
-            self._second_chance(ctx, g0, rel_ids, req, delivered, csn_free)
+        exceeds the scalar kernel; replay those directly.  The cutoff is
+        part of each replication's trajectory, so it is evaluated on each
+        replication's own conflict count; the over-threshold replications
+        share one merged second-chance pass (block-diagonal state keeps the
+        merge exact — no replication can observe another's writes)."""
+        reps = rel_ids // ctx.rep_slate
+        small = np.bincount(reps, minlength=ctx.n_replications)[reps] < 10
+        if small.any():
+            self._replay_ids(ctx, g0 + rel_ids[small], req, delivered, csn_free)
+        if not small.all():
+            self._second_chance(
+                ctx, g0, rel_ids[~small], req, delivered, csn_free
+            )
 
     def _second_chance(
         self,
-        ctx: _FusedContext,
+        ctx: _PlanContext,
         g0: int,
         rel_ids: np.ndarray,
         req: np.ndarray,
@@ -341,48 +442,14 @@ class FusedEngine(TurboEngine):
             ks, jc, valid, cells_dec, trust, unknown, fwd, decided, success
         )
 
-        # -- conflict walk among the subset's own writes, per tournament -----
-        upd_ok = decided & (
-            success[:, None] | (ctx.hrange[:hmax] < (n_dec - 1)[:, None])
-        )
-        jc32 = jc.astype(np.int32)
+        # -- conflict walk among the subset's own writes, per tournament, --
+        # then commit and re-buffer the accepted games
         obs = np.empty((n_sub, hmax + 1), dtype=np.int32)
         obs[:, 0] = src_g
-        np.copyto(obs[:, 1:], jc32)
-        np.copyto(obs[:, 1:], np.int32(m), where=~upd_ok)
-        subj = np.where(decided, jc32, np.int32(m * m))
-        pair = obs[:, :, None] * np.int32(m) + subj[:, None, :]
-        if ctx.diag_only:
-            pair.reshape(n_sub, -1)[:, hmax :: hmax + 1] = m * m
-        else:
-            pair[obs[:, :, None] == subj[:, None, :]] = m * m
-        pair2 = pair.reshape(n_sub, -1)
-        w_ok = pair2 < m * m
-        w_counts = w_ok.sum(axis=1)
-        w_vals = pair2[w_ok]
-        pair_off = ctx.pair_off[rel_ids]
-        pos = ctx.walk_pos[rel_ids]
-        # offsets applied to the compressed per-pair vectors, as in the
-        # slate pass — same scoped codes, no full-grid temporaries
-        w_scoped = ctx.scope(w_vals, np.repeat(pair_off, w_counts))
-        read_off = np.repeat(pair_off, n_dec)
-        r1 = ctx.scope(cells_dec[decided], read_off)
-        r2 = ctx.scope((src_g[:, None] * m + jc)[decided], read_off)
-        conflict_read = ctx.walk_conflicts(
-            kern, w_scoped, np.repeat(pos, w_counts), r1, r2,
-            np.repeat(pos, n_dec),
+        keep2 = self._commit_unconflicted(
+            ctx, rel_ids, obs, src_g * m, jc, cells_dec, decided, fwd, success, n_dec
         )
-        keep2 = np.ones(n_sub, dtype=bool)
-        keep2[np.repeat(np.arange(n_sub), n_dec)[conflict_read]] = False
-
-        # -- commit and re-buffer the accepted games -------------------------
         if keep2.any():
-            k_pairs = keep2.repeat(w_counts)
-            pairs = w_vals[k_pairs]
-            w_fwd = np.broadcast_to(
-                fwd[:, None, :], pair.shape
-            ).reshape(n_sub, -1)[w_ok]
-            kern.commit(ks, pairs, pairs[w_fwd[k_pairs]])
             ga = g[keep2]
             # full-row reset first: the re-chosen path's hmax may be
             # narrower than the first pass wrote

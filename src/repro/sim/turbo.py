@@ -61,6 +61,11 @@ games), so the engine splits work by *when its inputs bind*:
   until the tournament ends) is buffered per round and folded in one
   vectorized pass per tournament.
 
+The plan context, round loop, replay and fold are shared with the fused
+engine (:mod:`repro.sim.fused`), whose slates stack tournaments and
+replications; a turbo tournament is the one-replication, one-tournament
+slate.
+
 Like every engine, turbo supports all path oracles and the second-hand
 exchange; non-random oracles (topology, mobile, scripted) are planned through
 the sequential :func:`plan_games` path and only the game loop is speculated.
@@ -68,7 +73,8 @@ the sequential :func:`plan_games` path and only the game loop is speculated.
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import nullcontext
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,22 +92,35 @@ from repro.telemetry.runtime import get_telemetry
 __all__ = ["TurboEngine"]
 
 
-class _PlanContext:
-    """Everything about a tournament plan that does not depend on reputation
-    state, precomputed once so the per-round pass is pure gathers and ufuncs.
+def timed(tel, name: str):
+    """The ``name`` timer of an enabled recorder, else a no-op context."""
+    return tel.registry.timer(name).time() if tel is not None else nullcontext()
 
-    The conflict-walk scoping attributes (``pair_off`` / ``walk_pos`` /
-    ``walk_fill`` / ``writer_buf``), filled by the :meth:`_scope_walk`
-    hook, let one round pass serve turbo (one tournament, no scoping),
-    fused (T stacked tournaments, per-tournament pair spaces) and stacked
-    (R replications x T tournaments, block-diagonal pair spaces):
-    ``pair_off is None`` selects the unscoped fast path.
+
+class _PlanContext:
+    """Everything about a plan that does not depend on reputation state,
+    precomputed once so the per-round pass is pure gathers and ufuncs.
+
+    One context serves every round pass: ``n_replications`` stacked
+    replications (each a ``block``-order diagonal block of the reputation
+    matrices) of ``n_tournaments`` tournaments of ``n_seats`` seats, laid
+    out round-major — a round's slate is ``R * T * n`` games.  Turbo is the
+    ``(1, 1, n, m)`` case and fused the ``(1, T, n, m)`` one.
+
+    The conflict walk is scoped per (replication, tournament):
+    ``pair_off[g]`` moves game ``g``'s pair codes into its tournament's
+    private ``block^2`` window of ``writer_buf`` (via :meth:`scope`) and
+    ``walk_pos[g]`` is its seat, the "earlier game" order of the walk.
     """
 
     __slots__ = (
         "plan",
         "games_per_round",
         "m",
+        "n_replications",
+        "n_tournaments",
+        "rep_slate",
+        "block",
         "pg_rel",
         "cells_rate",
         "pad_path",
@@ -134,12 +153,20 @@ class _PlanContext:
     def __init__(
         self,
         plan: GamePlanArrays,
-        games_per_round: int,
-        m: int,
         csn_lookup: np.ndarray,
+        n_replications: int,
+        n_tournaments: int,
+        n_seats: int,
+        block: int,
     ):
         self.plan = plan
+        self.n_replications = n_replications
+        self.n_tournaments = n_tournaments
+        self.rep_slate = n_tournaments * n_seats
+        self.block = block
+        games_per_round = n_replications * self.rep_slate
         self.games_per_round = games_per_round
+        m = n_replications * block
         self.m = m
         src_of_path = plan.src[plan.path_game]
         nodes = plan.path_nodes
@@ -179,7 +206,24 @@ class _PlanContext:
         h = nodes.shape[1]
         self.hrange = np.arange(h)
         self.grange = np.arange(games_per_round, dtype=np.int64)
-        self._scope_walk()
+        # conflict-walk scope: tournament t_global = rep * T + t owns the
+        # window [t_global * block^2, (t_global + 1) * block^2); a global
+        # code obs * m + subj with obs = rep * block + o, subj = rep * block
+        # + s lands at o * block + s + pair_off once pair_off absorbs both
+        # rep * block terms (see scope)
+        total_t = n_replications * n_tournaments
+        t_global = np.repeat(np.arange(total_t, dtype=np.int64), n_seats)
+        rep = np.repeat(
+            np.arange(n_replications, dtype=np.int64), self.rep_slate
+        )
+        self.pair_off = t_global * (block * block) - rep * block * (block + 1)
+        self.walk_pos = np.tile(np.arange(n_seats, dtype=np.int64), total_t)
+        # filled once: every walk resets just the codes it wrote (the
+        # +1 slot spills the out-of-range sentinel codes)
+        self.walk_fill = n_seats
+        self.writer_buf = np.full(
+            total_t * block * block + 1, n_seats, dtype=np.int64
+        )
         self.ratings_buf = np.empty(
             (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
         )
@@ -187,7 +231,7 @@ class _PlanContext:
         # the memory traffic of the widest per-round intermediate
         self.obs_buf = np.empty((games_per_round, h + 1), dtype=np.int32)
         self.obs_buf[:, 0] = src_round
-        # per-game speculative outcomes, buffered for the tournament-end
+        # per-game speculative outcomes, buffered for the end-of-plan
         # fold; the round pass computes straight into slices of these
         self.decided_b = np.zeros((n_games, h), dtype=bool)
         self.fwd_b = np.zeros((n_games, h), dtype=bool)
@@ -197,37 +241,36 @@ class _PlanContext:
         self.success_b = np.zeros(n_games, dtype=bool)
         self.keep_b = np.ones(n_games, dtype=bool)
 
-    def _scope_walk(self) -> None:
-        """Fill the conflict-walk scoping slots (a subclass hook; turbo
-        shares one pair space per round)."""
-        self.pair_off = None
-        self.walk_pos = self.grange
-        self._alloc_writer(self.m * self.m + 1, self.games_per_round)
-
-    def _alloc_writer(self, size: int, fill: int) -> None:
-        """The conflict walk's first-writer buffer, filled once here.  Every
-        walk leaves it holding ``fill`` everywhere again
-        (:meth:`walk_conflicts` resets just the codes it wrote), so no pass
-        re-fills it."""
-        self.walk_fill = fill
-        self.writer_buf = np.full(size, fill, dtype=np.int64)
-
     def scope(self, vals: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Map base pair codes into the scoped writer-buffer space."""
+        """Map global pair codes into the scoped writer-buffer space.  With
+        one replication ``m == block`` and the projection is the identity,
+        so only the offset is added."""
+        if self.n_replications > 1:
+            vals = (vals // self.m) * self.block + (vals % self.m)
         return vals + off
 
-    def walk_conflicts(self, kern, w_codes, w_pos, r1, r2, pos_read):
-        """The conflict walk: for each read, whether its pair (scoped codes
-        ``r1`` or ``r2``) was first written at a position before
-        ``pos_read``.  Resets just the written codes afterwards, so the
-        buffer holds ``walk_fill`` everywhere between walks and a walk
+    def conflicted(self, kern, w_vals, w_counts, r1, r2, n_dec, rows=None):
+        """The conflict walk over a set of slate games (``rows``, ascending
+        slate positions; all of them by default): per game, whether one of
+        its read pairs ``r1``/``r2`` (``n_dec`` per game) was first written
+        (``w_vals``, ``w_counts`` per game) by a strictly earlier game of
+        its scope.  Every game's writes count, kept or not — exactly the
+        sequential walk's written-set.  Resets just the codes it wrote, so
+        the buffer holds ``walk_fill`` everywhere between walks and a walk
         costs O(writes + reads), however wide the pair space."""
+        off = self.pair_off if rows is None else self.pair_off[rows]
+        pos = self.walk_pos if rows is None else self.walk_pos[rows]
         buf = self.writer_buf
-        kern.first_writer(buf, w_codes, w_pos)
-        conflict = buf[r1] < pos_read
-        conflict |= buf[r2] < pos_read
+        w_codes = self.scope(w_vals, np.repeat(off, w_counts))
+        kern.first_writer(buf, w_codes, np.repeat(pos, w_counts))
+        read_off = np.repeat(off, n_dec)
+        pos_read = np.repeat(pos, n_dec)
+        conflict = buf[self.scope(r1, read_off)] < pos_read
+        conflict |= buf[self.scope(r2, read_off)] < pos_read
         buf[w_codes] = self.walk_fill
-        return conflict
+        hit = np.zeros(len(n_dec), dtype=bool)
+        hit[np.repeat(np.arange(len(n_dec)), n_dec)[conflict]] = True
+        return hit
 
 
 class TurboEngine:
@@ -276,9 +319,11 @@ class TurboEngine:
             (1,) * STRATEGY_LENGTH for _ in range(n_population)
         ]
         self._rebuild_strategy_table()
-        #: games replayed through the exact kernel in the last tournament —
+        #: games replayed through the exact kernel, and (fused only) games
+        #: accepted by the second-chance pass, in the last round loop —
         #: instrumentation for tests and the perf bench
         self._replayed_games = 0
+        self._second_chance_games = 0
         self._alloc()
         self._ks = self._kernel_state()
 
@@ -390,7 +435,7 @@ class TurboEngine:
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         participants = list(participants)
-        games_per_round = len(participants)
+        n_seats = len(participants)
         # telemetry seam: one enabled check per tournament; the speculative
         # round kernel below never touches the recorder (zero-overhead
         # contract)
@@ -402,55 +447,64 @@ class TurboEngine:
         # instead of interleaving at round boundaries — a stream reordering
         # the statistical contract tolerates (the bit-identical engines must
         # plan per round here).
-        if tel is None:
+        with timed(tel, "engine.plan_s"):
             plan = plan_tournament_arrays(
                 oracle, participants * rounds, participants
             )
-            ctx = _PlanContext(plan, games_per_round, self.m, self._csn_lookup)
-        else:
-            with tel.registry.timer("engine.plan_s").time():
-                plan = plan_tournament_arrays(
-                    oracle, participants * rounds, participants
-                )
-                ctx = _PlanContext(
-                    plan, games_per_round, self.m, self._csn_lookup
-                )
+            ctx = _PlanContext(plan, self._csn_lookup, 1, 1, n_seats, self.m)
+
+        def gossip(round_no: int) -> None:
+            if (round_no + 1) % exchange.interval == 0:
+                with timed(tel, "engine.exchange_s"):
+                    self._run_exchange(participants, exchange, rng)
+
+        req, delivered, csn_free = self._run_rounds(
+            ctx, rounds, tel, gossip if do_exchange else None
+        )
+        self._merge_stats(stats, req[0], delivered[0], csn_free[0])
+
+    def _run_rounds(
+        self,
+        ctx: _PlanContext,
+        rounds: int,
+        tel,
+        after_round: Callable[[int], None] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The round loop over a planned slate, then the end-of-plan fold.
+
+        Returns the statistics accumulators ``(req, delivered, csn_free)``
+        with one ``(9,)``/``(4,)``/``(4,)`` row per replication of the
+        context.  ``after_round(round_no)`` runs between rounds (turbo's
+        gossip step).
+        """
         self._ks = self._kernel_state()
         self._k = (
             self._kernel if tel is None else TimedKernel(self._kernel, tel.registry)
         )
         # replay contributions accumulate here; speculative outcomes are
-        # folded vectorized at the end (dead state during the tournament)
-        req = np.zeros(9, dtype=np.int64)
-        delivered = np.zeros(4, dtype=np.int64)
-        csn_free = np.zeros(4, dtype=np.int64)
+        # folded vectorized at the end (dead state during the plan)
+        n_rep = ctx.n_replications
+        req = np.zeros((n_rep, 9), dtype=np.int64)
+        delivered = np.zeros((n_rep, 4), dtype=np.int64)
+        csn_free = np.zeros((n_rep, 4), dtype=np.int64)
         self._replayed_games = 0
+        self._second_chance_games = 0
 
         for round_no in range(rounds):
-            round_span = tel.span("round") if tel is not None else None
-            if round_span is not None:
-                round_span.__enter__()
-            self._process_round(ctx, round_no, req, delivered, csn_free)
-            if round_span is not None:
-                round_span.__exit__(None, None, None)
-            if do_exchange and (round_no + 1) % exchange.interval == 0:
-                if tel is None:
-                    self._run_exchange(participants, exchange, rng)
-                else:
-                    with tel.registry.timer("engine.exchange_s").time():
-                        self._run_exchange(participants, exchange, rng)
+            with tel.span("round") if tel is not None else nullcontext():
+                self._process_round(ctx, round_no, req, delivered, csn_free)
+            if after_round is not None:
+                after_round(round_no)
 
-        if tel is None:
+        with timed(tel, "engine.fold_s"):
             self._fold_tournament(ctx, req, delivered, csn_free)
-        else:
-            with tel.registry.timer("engine.fold_s").time():
-                self._fold_tournament(ctx, req, delivered, csn_free)
-            tel.count("engine.tournaments")
-            tel.count("engine.rounds", rounds)
-            tel.count("engine.games", rounds * games_per_round)
+        if tel is not None:
+            tournaments = n_rep * ctx.n_tournaments
+            tel.count("engine.tournaments", tournaments)
+            tel.count("engine.rounds", rounds * tournaments)
+            tel.count("engine.games", rounds * ctx.games_per_round)
             tel.count("engine.turbo.replayed_games", self._replayed_games)
-
-        self._merge_stats(stats, req, delivered, csn_free)
+        return req, delivered, csn_free
 
     @staticmethod
     def _merge_stats(
@@ -459,7 +513,7 @@ class TurboEngine:
         delivered: np.ndarray,
         csn_free: np.ndarray,
     ) -> None:
-        """Fold the accumulator arrays into the caller's stats object."""
+        """Fold one replication's accumulator rows into a stats object."""
         stats.nn_originated += int(delivered[0] + delivered[1])
         stats.nn_delivered += int(delivered[1])
         stats.csn_originated += int(delivered[2] + delivered[3])
@@ -494,7 +548,6 @@ class TurboEngine:
         g1 = g0 + ctx.games_per_round
         p0 = int(plan.game_path_start[g0])
         p1 = int(plan.game_path_start[g1])
-        n_games = g1 - g0
 
         # -- speculative path ratings from round-start state ----------------
         # every pass below is sliced to the round's real maximum path width
@@ -514,18 +567,17 @@ class TurboEngine:
         np.add(plan.game_path_start[g0:g1], buf.argmax(axis=1), out=chosen)
 
         # -- speculative sequential decisions, vectorized over games --------
-        # computed straight into the tournament-fold buffers where possible;
-        # the fold buffers beyond this round's hmax stay zero-initialised,
-        # which reads as "not decided / not forwarded" — exactly right
+        # computed straight into the fold buffers where possible; the fold
+        # buffers beyond this round's hmax stay zero-initialised, which
+        # reads as "not decided / not forwarded" — exactly right
         hmax = int(plan.path_len[chosen].max())
-        valid = ctx.valid[chosen, :hmax]
         jc = ctx.jc[chosen, :hmax]
         cells_dec = jc * m
         cells_dec += ctx.src_round[:, None]
         n_dec = kern.decide(
             ks,
             jc,
-            valid,
+            ctx.valid[chosen, :hmax],
             cells_dec,
             ctx.trust_b[g0:g1, :hmax],
             ctx.unknown_b[g0:g1, :hmax],
@@ -533,11 +585,43 @@ class TurboEngine:
             ctx.decided_b[g0:g1, :hmax],
             ctx.success_b[g0:g1],
         )
-        decided = ctx.decided_b[g0:g1, :hmax]
-        fwd = ctx.fwd_b[g0:g1, :hmax]
-        success = ctx.success_b[g0:g1]
 
-        # -- conflict pass: pair-granular reads vs earlier writes ------------
+        # -- conflict walk, then one batched commit of the kept games -------
+        keep = ctx.keep_b[g0:g1]
+        keep[:] = self._commit_unconflicted(
+            ctx,
+            None,
+            ctx.obs_buf[:, : hmax + 1],
+            ctx.src_round_m,
+            jc,
+            cells_dec,
+            ctx.decided_b[g0:g1, :hmax],
+            ctx.fwd_b[g0:g1, :hmax],
+            ctx.success_b[g0:g1],
+            n_dec,
+        )
+
+        # -- resolve conflicting games against live state --------------------
+        if not keep.all():
+            self._resolve_conflicts(
+                ctx, g0, np.flatnonzero(~keep), req, delivered, csn_free
+            )
+
+    def _commit_unconflicted(
+        self, ctx, rows, obs, src_m, jc, cells_dec, decided, fwd, success, n_dec
+    ) -> np.ndarray:
+        """Walk speculated games for conflicts and commit the rest.
+
+        The games are slate ``rows`` (all of the slate for ``None``) with
+        chosen-path nodes ``jc`` and decisions ``decided``/``fwd``/
+        ``success``; ``obs`` is an ``(n, hmax + 1)`` int32 buffer whose
+        column 0 holds the sources, ``src_m`` the sources times ``m``.
+        Returns the per-game keep mask: a game conflicts iff one of its read
+        pairs was (speculatively) written by a strictly earlier game of its
+        scope.  Only the kept games' watchdog writes are committed.
+        """
+        m = ctx.m
+        n, hmax = jc.shape
         # watchdog write pairs (observer, subject) with out-of-range
         # sentinels: invalid entries land at >= m*m and are filtered out.
         # The observer sentinel is m (pair = m*m + subj >= m*m); the subject
@@ -547,17 +631,16 @@ class TurboEngine:
             success[:, None] | (ctx.hrange[:hmax] < (n_dec - 1)[:, None])
         )
         jc32 = jc.astype(np.int32)
-        obs = ctx.obs_buf[:, : hmax + 1]  # column 0 is the source id
         np.copyto(obs[:, 1:], jc32)
         np.copyto(obs[:, 1:], np.int32(m), where=~upd_ok)
         subj = np.where(decided, jc32, np.int32(m * m))
         pair = obs[:, :, None] * np.int32(m) + subj[:, None, :]
         if ctx.diag_only:
             # observer == subject can only land on the (i+1, i) diagonal
-            pair.reshape(n_games, -1)[:, hmax :: hmax + 1] = m * m
+            pair.reshape(n, -1)[:, hmax :: hmax + 1] = m * m
         else:
             pair[obs[:, :, None] == subj[:, None, :]] = m * m
-        pair2 = pair.reshape(n_games, -1)
+        pair2 = pair.reshape(n, -1)
         w_ok = pair2 < m * m
         w_counts = w_ok.sum(axis=1)
         w_vals = pair2[w_ok]
@@ -565,42 +648,13 @@ class TurboEngine:
         # (s, j) cover the decided prefix of the chosen path (staleness on
         # nodes past a drop only perturbs already-tolerated path ratings)
         r1 = cells_dec[decided]
-        r2 = (ctx.src_round_m[:, None] + jc)[decided]
-
-        # -- vectorized walk: a game conflicts iff one of its read pairs was
-        # (speculatively) written by a strictly earlier game in its pair
-        # scope (turbo: the round; fused/stacked: its own tournament, via
-        # per-tournament offsets).  first_writer[pair] = earliest position
-        # writing it; every game's writes count, kept or not — exactly the
-        # sequential walk's written-set.
-        w_pos = np.repeat(ctx.walk_pos, w_counts)
-        pos_read = np.repeat(ctx.walk_pos, n_dec)
-        if ctx.pair_off is None:
-            w_scoped = w_vals
-            g_read = pos_read
-        else:
-            w_scoped = ctx.scope(w_vals, np.repeat(ctx.pair_off, w_counts))
-            read_off = np.repeat(ctx.pair_off, n_dec)
-            r1 = ctx.scope(r1, read_off)
-            r2 = ctx.scope(r2, read_off)
-            g_read = np.repeat(ctx.grange, n_dec)
-        conflict = ctx.walk_conflicts(kern, w_scoped, w_pos, r1, r2, pos_read)
-        keep = ctx.keep_b[g0:g1]
-        keep[g_read[conflict]] = False
-
-        # -- commit the non-conflicting games' watchdog writes in one batch --
+        r2 = (src_m[:, None] + jc)[decided]
+        keep = ~ctx.conflicted(self._k, w_vals, w_counts, r1, r2, n_dec, rows)
         k_pairs = keep.repeat(w_counts)
         pairs = w_vals[k_pairs]
-        w_fwd = np.broadcast_to(
-            fwd[:, None, :], pair.shape
-        ).reshape(n_games, -1)[w_ok]
-        kern.commit(ks, pairs, pairs[w_fwd[k_pairs]])
-
-        # -- resolve conflicting games against live state --------------------
-        if not keep.all():
-            self._resolve_conflicts(
-                ctx, g0, np.flatnonzero(~keep), req, delivered, csn_free
-            )
+        w_fwd = np.broadcast_to(fwd[:, None, :], pair.shape).reshape(n, -1)[w_ok]
+        self._k.commit(self._ks, pairs, pairs[w_fwd[k_pairs]])
+        return keep
 
     def _resolve_conflicts(
         self,
@@ -616,29 +670,6 @@ class TurboEngine:
         pass in front (see the override)."""
         self._replay_ids(ctx, g0 + rel_ids, req, delivered, csn_free)
 
-    def _replay_one(
-        self,
-        ctx: _PlanContext,
-        g: int,
-        req: np.ndarray,
-        delivered: np.ndarray,
-        csn_free: np.ndarray,
-    ) -> None:
-        plan = ctx.plan
-        lo = int(plan.game_path_start[g])
-        hi = int(plan.game_path_start[g + 1])
-        source = ctx.src_list[g]
-        deciders, flags, success = self._k.replay_decide(
-            self._ks,
-            source,
-            plan.path_nodes[lo:hi],
-            plan.path_len[lo:hi],
-            req,
-            delivered,
-            csn_free,
-        )
-        self._k.watchdog(self._ks, source, deciders, flags, success)
-
     def _replay_ids(
         self,
         ctx: _PlanContext,
@@ -648,10 +679,28 @@ class TurboEngine:
         csn_free: np.ndarray,
     ) -> None:
         """Replay games (absolute plan indices, ascending) one at a time
-        through the exact scalar kernel against the live matrices."""
+        through the exact scalar kernel against the live matrices, routing
+        the statistics counters to each game's replication row."""
         self._replayed_games += len(ids)
+        plan = ctx.plan
+        starts = plan.game_path_start
+        slate = ctx.games_per_round
+        rep_slate = ctx.rep_slate
         for g in ids.tolist():
-            self._replay_one(ctx, g, req, delivered, csn_free)
+            r = (g % slate) // rep_slate
+            lo = int(starts[g])
+            hi = int(starts[g + 1])
+            source = ctx.src_list[g]
+            deciders, flags, success = self._k.replay_decide(
+                self._ks,
+                source,
+                plan.path_nodes[lo:hi],
+                plan.path_len[lo:hi],
+                req[r],
+                delivered[r],
+                csn_free[r],
+            )
+            self._k.watchdog(self._ks, source, deciders, flags, success)
 
     def _fold_tournament(
         self,
@@ -661,8 +710,10 @@ class TurboEngine:
         csn_free: np.ndarray,
     ) -> None:
         """Fold the buffered speculative outcomes of all kept games into the
-        payoff accumulators and statistics counters (dead state during the
-        tournament, so one vectorized pass suffices)."""
+        payoff accumulators and each replication's statistics counters
+        (dead state during the plan, so one vectorized pass suffices)."""
+        m = self.m
+        n_rep = ctx.n_replications
         keep = ctx.keep_b
         chosen = ctx.chosen_b
         decided = ctx.decided_b
@@ -670,35 +721,30 @@ class TurboEngine:
         success = ctx.success_b
         src_sel = ctx.src_sel
         is_csn = ctx.is_csn[chosen]
-
-        delivered += np.bincount((src_sel * 2 + success)[keep], minlength=4)
-        csn_free += np.bincount(
-            (src_sel * 2 + ctx.has_csn[chosen])[keep], minlength=4
+        rounds = ctx.plan.n_games // ctx.games_per_round
+        rep_of = np.tile(
+            np.repeat(np.arange(n_rep, dtype=np.int64), ctx.rep_slate), rounds
         )
-        req += np.bincount(
+
+        delivered += np.bincount(
+            (rep_of * 4 + src_sel * 2 + success)[keep], minlength=4 * n_rep
+        ).reshape(n_rep, 4)
+        csn_free += np.bincount(
+            (rep_of * 4 + src_sel * 2 + ctx.has_csn[chosen])[keep],
+            minlength=4 * n_rep,
+        ).reshape(n_rep, 4)
+        counts = np.bincount(
             np.where(
                 decided & keep[:, None],
-                src_sel[:, None] * 4 + is_csn * 2 + fwd,
-                8,
+                (rep_of * 8 + src_sel * 4)[:, None] + is_csn * 2 + fwd,
+                8 * n_rep,
             ).ravel(),
-            minlength=9,
+            minlength=8 * n_rep + 1,
         )
-        self._fold_payoffs(ctx, keep, chosen, is_csn)
+        req[:, :8] += counts[: 8 * n_rep].reshape(n_rep, 8)
 
-    def _fold_payoffs(
-        self,
-        ctx: _PlanContext,
-        keep: np.ndarray,
-        chosen: np.ndarray,
-        is_csn: np.ndarray,
-    ) -> None:
-        """Fold per-node payoff contributions of all kept games — shared by
-        the statistics folds of every engine variant (the stacked engine's
-        per-replication statistics differ, its payoff fold does not)."""
-        m = self.m
-        decided = ctx.decided_b
-        fwd = ctx.fwd_b
-        success = ctx.success_b
+        # per-node payoffs: the float accumulators fold in game order, so a
+        # replication's sums match what it would accumulate alone
         ksrc = ctx.plan.src[keep]
         self.send_pay += np.bincount(
             ksrc,

@@ -34,7 +34,12 @@ from repro.telemetry.runtime import get_telemetry
 from repro.tournament.environment import TournamentEnvironment
 from repro.tournament.scheduler import iter_seatings
 
-__all__ = ["SimulationEngine", "EvaluationResult", "evaluate_generation"]
+__all__ = [
+    "SimulationEngine",
+    "EvaluationResult",
+    "draw_seatings",
+    "evaluate_generation",
+]
 
 
 class SimulationEngine(Protocol):
@@ -84,6 +89,24 @@ class EvaluationResult:
         return self.overall.cooperation_level
 
 
+def draw_seatings(
+    population: Sequence[int],
+    csn: list[int],
+    n_normal: int,
+    plays_per_environment: int,
+    rng: np.random.Generator,
+) -> list[list[int]]:
+    """All of one environment's seatings up front, each joined by the
+    environment's CSN and shuffled — the batched seating and shuffle draws
+    a generation-fusing engine consumes."""
+    seatings = []
+    for seating in iter_seatings(population, n_normal, plays_per_environment, rng):
+        participants = seating + csn
+        order = rng.permutation(len(participants))
+        seatings.append([participants[int(i)] for i in order])
+    return seatings
+
+
 def evaluate_generation(
     engine: SimulationEngine,
     environments: Sequence[TournamentEnvironment],
@@ -126,13 +149,9 @@ def evaluate_generation(
         csn = engine.selfish_ids(env.n_selfish)
         env_stats = TournamentStats()
         if fused:
-            seatings = []
-            for seating in iter_seatings(
-                population, env.n_normal, plays_per_environment, rng
-            ):
-                participants = seating + csn
-                order = rng.permutation(len(participants))
-                seatings.append([participants[int(i)] for i in order])
+            seatings = draw_seatings(
+                population, csn, env.n_normal, plays_per_environment, rng
+            )
             # the engine owns the per-tournament clocking hook on this path
             # (it must fire between tournament *plans*, which the engine
             # interleaves); spans stay at generation granularity

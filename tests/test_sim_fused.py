@@ -176,7 +176,8 @@ class TestStackedPass:
             run_generation(engine, n_tournaments=6, rounds=10)
             counters = tel.snapshot()["counters"]
         n_seats = engine.n_population + engine.max_selfish
-        assert counters["engine.fused.generations"] == 1
+        assert counters["engine.fused.env_passes"] == 1
+        assert "engine.fused.generations" not in counters
         assert counters["engine.fused.stacked_tournaments"] == 6
         assert counters["engine.fused.games"] == 10 * 6 * n_seats
         assert counters["engine.games"] == 10 * 6 * n_seats
@@ -236,7 +237,7 @@ class TestExchangeFallback:
             )
             counters = tel.snapshot()["counters"]
         assert counters["engine.fused.fallback_tournaments"] == 3
-        assert "engine.fused.generations" not in counters
+        assert "engine.fused.env_passes" not in counters
         assert oracle.tournament_ends == 3
 
 
@@ -261,24 +262,25 @@ class TestRoutePolicyScoping:
 
     def test_share_is_noop_for_approx_and_static_oracles(self):
         approx = make_mobile_oracle(policy="approx")
-        assert approx.provider.policy.budget > 0
-        assert FusedEngine._share_route_tables(approx) is None
-        assert approx.provider.policy.name == "approx"
+        before = approx.provider.policy
+        assert before.budget > 0
+        with FusedEngine.route_sharing(approx):
+            assert approx.provider.policy is before
+        assert approx.provider.policy is before
         random_oracle = RandomPathOracle(
             np.random.default_rng(0), SHORTER_PATHS
         )
-        assert FusedEngine._share_route_tables(random_oracle) is None
+        with FusedEngine.route_sharing(random_oracle):
+            pass
 
     def test_share_swaps_exact_to_zero_budget_revalidation(self):
         oracle = make_mobile_oracle()
-        previous = FusedEngine._share_route_tables(oracle)
-        try:
-            assert previous is not None and previous.name == "exact"
+        previous = oracle.provider.policy
+        assert previous.name == "exact"
+        with FusedEngine.route_sharing(oracle):
             assert isinstance(oracle.provider.policy, ApproxPolicy)
             assert oracle.provider.policy.budget == 0
             assert oracle.provider._revalidate is True
-        finally:
-            FusedEngine._restore_route_policy(oracle, previous)
         assert oracle.provider.policy is previous
         assert oracle.provider._revalidate is False
 

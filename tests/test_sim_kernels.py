@@ -320,31 +320,32 @@ class TestCommitParity:
 
 
 class TestRoundStateInvariants:
-    """Over a real stacked run, after every round pass and every
-    second-chance pass: the incremental ``known``/``pf_sum`` caches equal
-    the dense recompute, and the conflict walk's writer buffer is back to
-    its fill value everywhere.  A stale first-writer entry would leak into
-    the next round as a phantom conflict — a trajectory change the
-    per-replication digests alone might not localize."""
+    """Over real runs, after every round pass and every second-chance
+    pass: the incremental ``known``/``pf_sum`` caches equal the dense
+    recompute, and the conflict walk's writer buffer is back to its fill
+    value everywhere.  A stale first-writer entry would leak into the next
+    round as a phantom conflict — a trajectory change the per-replication
+    digests alone might not localize."""
 
-    def test_caches_and_writer_buffer_after_every_pass(self, monkeypatch):
+    @staticmethod
+    def install_checks(monkeypatch):
+        """Check the invariants through a checking kernel and wrapped
+        round passes; returns the pass counters."""
         import repro.sim.turbo as turbo_mod
-        from repro.experiments.replication import run_replications_stacked
-        from repro.sim.stacked import StackedFusedEngine
+        from repro.sim.fused import FusedEngine
+        from repro.sim.turbo import TurboEngine
 
         def assert_caches(ps, pf, known, pf_sum):
             np.testing.assert_array_equal(known, np.count_nonzero(ps, axis=1))
             np.testing.assert_array_equal(pf_sum, pf.sum(axis=1))
 
         class CheckedKernel(NumpyKernel):
-            commits = 0
-
             def commit(self, state, pairs, pf_pairs):
                 super().commit(state, pairs, pf_pairs)
-                CheckedKernel.commits += 1
+                passes["commit"] += 1
                 assert_caches(state.ps, state.pf, state.known, state.pf_sum)
 
-        passes = {"round": 0, "second_chance": 0}
+        passes = {"round": 0, "second_chance": 0, "commit": 0}
 
         def checked(name, method):
             def wrapper(self, ctx, *args):
@@ -356,15 +357,22 @@ class TestRoundStateInvariants:
             return wrapper
 
         monkeypatch.setattr(turbo_mod, "resolve_kernel", lambda name: CheckedKernel())
-        for name, attr in (
-            ("round", "_process_round"),
-            ("second_chance", "_second_chance"),
-        ):
-            monkeypatch.setattr(
-                StackedFusedEngine,
-                attr,
-                checked(name, getattr(StackedFusedEngine, attr)),
-            )
+        monkeypatch.setattr(
+            TurboEngine,
+            "_process_round",
+            checked("round", TurboEngine._process_round),
+        )
+        monkeypatch.setattr(
+            FusedEngine,
+            "_second_chance",
+            checked("second_chance", FusedEngine._second_chance),
+        )
+        return passes
+
+    def test_caches_and_writer_buffer_after_every_pass(self, monkeypatch):
+        from repro.experiments.replication import run_replications_stacked
+
+        passes = self.install_checks(monkeypatch)
         config = ExperimentConfig.for_case(
             "case3", scale="smoke", engine="fused", seed=7, replications=4,
             generations=1, kernel="numpy",
@@ -372,7 +380,19 @@ class TestRoundStateInvariants:
         run_replications_stacked(config)
         assert passes["round"] > 0
         assert passes["second_chance"] > 0, "no second-chance pass exercised"
-        assert CheckedKernel.commits >= passes["round"]
+        assert passes["commit"] >= passes["round"]
+
+    def test_turbo_walk_leaves_writer_buffer_filled(self, monkeypatch):
+        # turbo walks through the same scoped path, as the (1, 1, n, m) case
+        passes = self.install_checks(monkeypatch)
+        config = ExperimentConfig.for_case(
+            "case3", scale="smoke", engine="turbo", seed=7, generations=1,
+            kernel="numpy",
+        )
+        run_replication(config, 0)
+        assert passes["round"] > 0
+        assert passes["second_chance"] == 0
+        assert passes["commit"] >= passes["round"]
 
 
 class TestNumpyBitIdentity:

@@ -1,4 +1,4 @@
-"""Cross-replication stacked evaluation (:mod:`repro.sim.stacked`).
+"""Cross-replication stacked evaluation (``FusedEngine(n_replications=R)``).
 
 The load-bearing claim — stated in the module docstring and relied on by
 ``run_experiment``'s auto-dispatch — is **bit-identity**: evaluating R
@@ -28,7 +28,10 @@ from repro.experiments.replication import (
     stacked_unsupported_reason,
 )
 from repro.experiments.runner import run_experiment
-from repro.sim.stacked import StackedFusedEngine
+from repro.game.stats import TournamentStats
+from repro.paths.distributions import SHORTER_PATHS
+from repro.paths.oracle import RandomPathOracle
+from repro.sim.fused import FusedEngine
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.runtime import telemetry_session
 
@@ -91,15 +94,23 @@ class TestBitIdentity:
             run_replications_stacked(config)
             snap = tel.registry.snapshot()
         counters = snap["counters"]
-        assert counters["engine.fused.stacked_replications"] == pytest.approx(
-            2 * config.generations
-        )
-        # per-replication counting, so totals line up with what R sequential
-        # fused runs would have recorded
-        assert counters["engine.fused.generations"] == pytest.approx(
-            2 * config.generations
-        )
+        # one per replication per environment pass (case1 has one
+        # environment), so totals line up with what R sequential fused runs
+        # would have recorded
+        assert counters["engine.fused.env_passes"] == 2 * config.generations
+        assert "engine.fused.generations" not in counters
+        assert "engine.fused.stacked_replications" not in counters
         assert snap["timers"]["kernel.decision_s"]["count"] > 0
+
+    def test_env_passes_count_every_environment_of_case3(self):
+        config = smoke_config("case3", 7, replications=2)
+        with telemetry_session(TelemetryConfig(enabled=True)) as tel:
+            run_replications_stacked(config)
+            counters = tel.registry.snapshot()["counters"]
+        assert len(config.case.environments) == 4
+        assert counters["engine.fused.env_passes"] == (
+            4 * config.generations * config.replications
+        )
 
 
 class TestEligibility:
@@ -191,9 +202,11 @@ class TestRunnerDispatch:
 
 class TestEngineValidation:
     def _engine(self, n_replications=2, n_population=10, max_selfish=2):
-        return StackedFusedEngine(
-            n_population, max_selfish, n_replications=n_replications
-        )
+        return FusedEngine(n_population, max_selfish, n_replications=n_replications)
+
+    def test_needs_at_least_one_replication(self):
+        with pytest.raises(ValueError, match="n_replications must be >= 1"):
+            self._engine(n_replications=0)
 
     def test_strategy_tensor_shape_checked(self):
         engine = self._engine()
@@ -216,3 +229,20 @@ class TestEngineValidation:
         fitness = engine.fitness_tensor()
         assert fitness.shape == (2, 10)
         np.testing.assert_array_equal(fitness, 0.0)
+
+    def test_single_replication_tensor_row_is_fitness(self):
+        # R = 1 is the plain fused engine: its one tensor row is fitness()
+        from repro.core.strategy import Strategy
+
+        rng = np.random.default_rng(3)
+        engine = self._engine(n_replications=1)
+        engine.set_strategies([Strategy.random(rng) for _ in range(10)])
+        seatings = [
+            [int(v) for v in rng.permutation(10)] + [10, 11] for _ in range(3)
+        ]
+        oracle = RandomPathOracle(np.random.default_rng(5), SHORTER_PATHS)
+        engine.reset_generation()
+        engine.run_generation(seatings, 6, oracle, TournamentStats())
+        fitness = engine.fitness()
+        assert fitness.any()
+        np.testing.assert_array_equal(engine.fitness_tensor()[0], fitness)
