@@ -259,10 +259,10 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         const=True,
         default=None,
         help=(
-            "evaluate all replications as one stacked slate (requires a"
-            " fusing engine, no sharding/checkpointing, telemetry off);"
-            " bit-identical to the per-replication path.  Default: auto"
-            " when eligible and --processes 1"
+            "run replications as one stack per in-process run or shard"
+            " (requires a fusing engine, no exchange or checkpointing, and"
+            " --processes 1 unless sharded); bit-identical to unstacked."
+            "  Default: auto when eligible and in-process or sharded"
         ),
     )
     parser.add_argument(

@@ -1,13 +1,21 @@
-"""One independent replication: random initial strategies evolved for G
-generations, with full per-generation bookkeeping.
+"""Replications, run as stacks of ``W`` members through one generation loop.
 
 A replication is a pure function of ``(config, replication_index)``: its
 generator is derived from the master seed and the index via
 ``SeedSequence(seed, spawn_key=(index,))``, so results do not depend on
-worker count or execution order (see :mod:`repro.parallel`).
+worker count, execution order or which replications share a stack (see
+:mod:`repro.parallel`).
 
-With a ``checkpoint_dir``, the replication snapshots its complete state at
-every generation boundary (population, rng, oracle, history, last
+:func:`run_stack` is the only unit of execution.  Its members keep their
+own generator, oracle, population and statistics; a generation-fusing
+engine evaluates all of them as one block-diagonal pass
+(``FusedEngine(n_replications=W)``), bit-identical, member by member, to
+running each alone.  Every other engine, the reputation exchange and
+checkpointing run stacks of one (:func:`stacked_unsupported_reason`).
+:func:`run_replication` is the ``W = 1`` call.
+
+With a ``checkpoint_dir``, the loop snapshots each member's complete state
+at every generation boundary (population, rng, oracle, history, last
 generation's statistics, telemetry registry) through
 :class:`repro.experiments.checkpoint.CheckpointStore`, and — unless
 ``resume=False`` — continues from the newest intact checkpoint instead of
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
+from typing import Sequence
 
 import numpy as np
 
@@ -32,24 +41,24 @@ from repro.ga.vector import next_generation_tensor
 from repro.mobility import build_oracle
 from repro.paths.distributions import HOP_MODES
 from repro.paths.oracle import PathOracle, RandomPathOracle
-from repro.paths.vector import plan_generation_arrays, stack_replication_plans
+# not called here (FusedEngine.run_stack plans and stacks, and seatings are
+# drawn through evaluation's import); kept because perfbench's probes patch
+# these module attributes
+from repro.paths.vector import plan_generation_arrays, stack_replication_plans  # noqa: F401
 from repro.reputation.activity import ActivityClassifier
 from repro.reputation.trust import TrustTable
 from repro.sim import make_engine
-from repro.sim.fused import FusedEngine
 from repro.telemetry.harvest import harvest_oracle
 from repro.telemetry.manifest import config_hash
 from repro.telemetry.runtime import get_telemetry, telemetry_session
-from repro.tournament.evaluation import draw_seatings, evaluate_generation
-# not called here (draw_seatings draws through evaluation's import); kept
-# because perfbench's seating probe patches this module attribute
-from repro.tournament.scheduler import iter_seatings  # noqa: F401
+from repro.tournament.evaluation import evaluate_stack
+from repro.tournament.scheduler import iter_seatings  # noqa: F401  (probed, as above)
 from repro.utils.rng import derive_generator
 
 __all__ = [
     "ReplicationResult",
     "run_replication",
-    "run_replications_stacked",
+    "run_stack",
     "stacked_unsupported_reason",
 ]
 
@@ -63,10 +72,10 @@ class ReplicationResult:
     final_population: list[int]  # strategies of the last *evaluated* generation
     final_per_env: dict[str, TournamentStats]  # last generation's stats
     final_overall: TournamentStats
-    #: telemetry export for this replication (``None`` unless the config
-    #: enabled telemetry): ``{"metrics": ..., "events": ...,
-    #: "dropped_events": ..., "wall_s": ...}`` — picklable, so workers ship
-    #: it back to the parent for experiment-wide aggregation
+    #: telemetry export of a :func:`run_replication` call (``None`` unless
+    #: the config enabled telemetry): ``{"metrics": ..., "events": ...,
+    #: "dropped_events": ..., "wall_s": ...}``; the runner ships one export
+    #: per stack instead
     telemetry: dict | None = field(default=None, compare=False)
     #: checkpoint provenance (``None`` unless the run had a checkpoint_dir):
     #: ``{"config_hash": ..., "resumed_from_generation": int|None,
@@ -155,178 +164,14 @@ def run_replication(
     checkpoint_every: int = 1,
     resume: bool = True,
 ) -> ReplicationResult:
-    """Run one full replication of ``config``.
-
-    The population is evaluated ``config.generations`` times with
-    ``config.generations - 1`` GA steps in between, so the reported final
-    statistics and final population describe the same (last evaluated)
-    generation.
-
-    With a ``checkpoint_dir``, state is persisted every ``checkpoint_every``
-    generation boundaries (the final boundary always, so a finished run can
-    be reconstituted without re-simulation); ``resume=True`` continues from
-    the newest intact checkpoint.  Resumed trajectories are bit-identical to
-    uninterrupted ones.
-
-    With telemetry enabled in the config, the replication runs inside its
-    own :func:`telemetry_session` (each worker process records
-    independently), harvests the oracle stack's layer counters at the end,
-    and ships the picklable export on ``result.telemetry``.
-    """
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if not config.telemetry.enabled:
-        result, _oracle = _run_replication(
-            config, replication, checkpoint_dir, checkpoint_every, resume
-        )
-        return result
-    t0 = perf_counter()
-    with telemetry_session(config.telemetry) as tel:
-        result, oracle = _run_replication(
-            config, replication, checkpoint_dir, checkpoint_every, resume
-        )
-        harvest_oracle(tel, oracle)
-        export = tel.export()
-    export["wall_s"] = perf_counter() - t0
+    """Run one full replication of ``config``: a stack of one
+    (:func:`run_stack`), with the stack's telemetry export (``None``
+    unless the config enables telemetry) on ``result.telemetry``."""
+    (result,), export = run_stack(
+        config, [replication], checkpoint_dir, checkpoint_every, resume
+    )
     result.telemetry = export
     return result
-
-
-def _run_replication(
-    config: ExperimentConfig,
-    replication: int,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int = 1,
-    resume: bool = True,
-) -> tuple[ReplicationResult, PathOracle]:
-    store = (
-        CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
-    )
-    restored = (
-        store.load_latest(config, replication)
-        if store is not None and resume
-        else None
-    )
-    sim = config.sim
-    trust_table = TrustTable(bounds=sim.trust_bounds)
-    activity = ActivityClassifier(band=sim.activity_band)
-    engine = make_engine(
-        config.engine,
-        n_population=config.ga.population_size,
-        max_selfish=config.case.max_selfish,
-        trust_table=trust_table,
-        activity=activity,
-        payoffs=sim.payoffs,
-        kernel=config.kernel,
-    )
-    ga = GeneticAlgorithm(config.ga)
-    # the fused engine pairs with the phase-vectorized GA step — same
-    # statistical contract, gated together in the equivalence tier; every
-    # other engine keeps the scalar, stream-pinned loop
-    vector_ga = getattr(engine, "supports_generation_fusion", False)
-    tel = get_telemetry()
-    if not tel.enabled:
-        tel = None
-
-    last_per_env: dict[str, TournamentStats] | None = None
-    last_overall: TournamentStats | None = None
-    if restored is not None:
-        # the single-blob pickle preserved the rng/oracle object sharing, so
-        # the restored pair consumes the random stream exactly as the
-        # original would have
-        state = restored.state
-        rng = state["rng"]
-        oracle: PathOracle = state["oracle"]
-        population = state["population"]
-        history: History = state["history"]
-        last_per_env = state["last_per_env"]
-        last_overall = state["last_overall"]
-        start_generation = restored.generation + 1
-        if tel is not None and state.get("telemetry_metrics"):
-            # carry the interrupted run's counters so the resumed session
-            # reports whole-logical-run totals (oracle-layer counters ride
-            # inside the pickled oracle and are harvested once, at the end)
-            tel.registry.merge(state["telemetry_metrics"])
-            tel.count("checkpoint.resumes")
-    else:
-        rng, oracle, population = _start_replication(config, replication, ga)
-        history = History()
-        start_generation = 0
-
-    checkpoints_written = 0
-    for generation in range(start_generation, config.generations):
-        strategies = [Strategy(bits) for bits in population]
-        engine.set_strategies(strategies)
-        result = evaluate_generation(
-            engine,
-            config.case.environments,
-            rounds=sim.rounds,
-            plays_per_environment=sim.plays_per_environment,
-            oracle=oracle,
-            rng=rng,
-            exchange=sim.exchange,
-        )
-        history.append(
-            _generation_record(
-                generation,
-                result.per_environment,
-                result.overall,
-                result.fitness,
-                strategies,
-            )
-        )
-        last_per_env = result.per_environment
-        last_overall = result.overall
-        if generation < config.generations - 1:
-            population = (
-                ga.next_generation_vectorized(population, result.fitness, rng)
-                if vector_ga
-                else ga.next_generation(population, result.fitness, rng)
-            )
-        if store is not None and (
-            (generation + 1) % checkpoint_every == 0
-            or generation == config.generations - 1
-        ):
-            store.save(
-                config,
-                replication,
-                generation,
-                {
-                    "population": population,
-                    "rng": rng,
-                    "oracle": oracle,
-                    "history": history,
-                    "last_per_env": last_per_env,
-                    "last_overall": last_overall,
-                    "telemetry_metrics": (
-                        tel.snapshot() if tel is not None else None
-                    ),
-                },
-            )
-            checkpoints_written += 1
-            if tel is not None:
-                tel.count("checkpoint.saves")
-
-    assert last_per_env is not None and last_overall is not None
-    result = ReplicationResult(
-        replication=replication,
-        history=history,
-        final_population=[Strategy(bits).to_int() for bits in population],
-        final_per_env=last_per_env,
-        final_overall=last_overall,
-    )
-    if store is not None:
-        result.checkpoint = {
-            "config_hash": config_hash(config.describe()),
-            "resumed_from_generation": (
-                restored.generation if restored is not None else None
-            ),
-            "checkpoints_written": checkpoints_written,
-        }
-    return result, oracle
-
-
-# -- cross-replication stacked evaluation -------------------------------------
 
 
 def stacked_unsupported_reason(
@@ -336,14 +181,16 @@ def stacked_unsupported_reason(
     shards: int | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> str | None:
-    """Why this run cannot take the stacked path (``None`` when it can).
+    """Why this run's replications cannot share a stack (``None`` when
+    they can).
 
-    The stacked path evaluates all replications as one in-process
-    block-diagonal pass (``FusedEngine(n_replications=R)``), so
-    it requires a generation-fusing engine and is incompatible with
-    per-replication execution machinery: worker pools, shards, checkpoints,
-    per-replication telemetry sessions, and the reputation exchange (which
-    already forces the fused engine back to per-tournament execution).
+    A stack of more than one member is one block-diagonal pass
+    (``FusedEngine(n_replications=W)``), so it needs a generation-fusing
+    engine and no reputation exchange (which forces the fused engine back
+    to per-tournament execution); checkpoints snapshot one replication;
+    and an unsharded worker pool runs one replication per task.  Telemetry
+    and shards do not matter: a stack records one telemetry session, and
+    a shard runs its replications as one stack.
     """
     from repro.sim import ENGINES
 
@@ -353,130 +200,205 @@ def stacked_unsupported_reason(
             f"engine {config.engine!r} does not fuse generations"
             " (stacking requires --engine fused)"
         )
-    if config.replications < 2:
-        return "stacking needs at least 2 replications"
     if config.sim.exchange.enabled:
         return (
             "the reputation exchange interleaves gossip with each"
             " tournament's round stream, which stacking cannot reorder"
         )
-    if config.telemetry.enabled:
-        return (
-            "per-replication telemetry sessions cannot share one stacked"
-            " engine"
-        )
-    if processes not in (None, 1):
-        return "stacked evaluation runs in-process (processes=1)"
-    if shards is not None:
-        return "sharded dispatch is per-replication"
     if checkpoint_dir is not None:
         return "checkpointing snapshots per-replication state"
+    if shards is None and processes not in (None, 1):
+        return "an unsharded worker pool runs one replication per task (processes > 1)"
     return None
 
 
-def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult]:
-    """Run *every* replication of ``config`` as one stacked evaluation.
+def run_stack(
+    config: ExperimentConfig,
+    replications: Sequence[int],
+    checkpoint_dir: str | Path | None = None,
+    checkpoint_every: int = 1,
+    resume: bool = True,
+) -> tuple[list[ReplicationResult], dict | None]:
+    """Run the given replications of ``config`` as one stack.
 
-    Per-replication results are **bit-identical** to the sequential path
-    (``run_replication(config, r)`` for each ``r`` with the fused engine):
-    each replication keeps its own generator (``derive_generator(seed,
-    (r,))``), oracle, population and statistics counters, consumed in
-    exactly the sequential construction order — only the game *execution*
-    is merged, through block-diagonal engine state that provably cannot
-    couple replications (see :mod:`repro.sim.fused` and
-    ``tests/test_sim_stacked.py``).  Stacking amortizes the per-round
-    vectorized pass's fixed numpy dispatch cost over ``R`` replications'
-    slates at once.
+    The population is evaluated ``config.generations`` times with
+    ``config.generations - 1`` GA steps in between, so the reported final
+    statistics and final population describe the same (last evaluated)
+    generation.
+
+    With a ``checkpoint_dir`` (stacks of one only), state is persisted
+    every ``checkpoint_every`` generation boundaries (the final boundary
+    always, so a finished run can be reconstituted without re-simulation);
+    ``resume=True`` continues from the newest intact checkpoint.  Resumed
+    trajectories are bit-identical to uninterrupted ones.
+
+    Returns the members' results, in ``replications`` order, and the
+    stack's telemetry export: ``None`` unless the config enables
+    telemetry, else one picklable ``{"metrics", "events",
+    "dropped_events", "wall_s"}`` from one session around the whole stack,
+    with every member's oracle layer counters harvested into it.
     """
-    reason = stacked_unsupported_reason(config)
-    if reason is not None:
-        raise ValueError(f"config cannot run stacked: {reason}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    replications = list(replications)
+    if not replications:
+        raise ValueError("a stack needs at least one replication")
+    if len(replications) > 1:
+        reason = stacked_unsupported_reason(config, checkpoint_dir=checkpoint_dir)
+        if reason is not None:
+            raise ValueError(f"replications cannot share a stack: {reason}")
+    store = CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
+    if not config.telemetry.enabled:
+        return _generation_loop(config, replications, store, checkpoint_every, resume), None
+    t0 = perf_counter()
+    with telemetry_session(config.telemetry) as tel:
+        results = _generation_loop(config, replications, store, checkpoint_every, resume)
+        export = tel.export()
+    export["wall_s"] = perf_counter() - t0
+    return results, export
 
+
+def _generation_loop(
+    config: ExperimentConfig,
+    replications: list[int],
+    store: CheckpointStore | None,
+    checkpoint_every: int,
+    resume: bool,
+) -> list[ReplicationResult]:
+    """The one generation loop: start or restore every member, then per
+    generation evaluate, record, step the GA and checkpoint."""
     sim = config.sim
-    n_rep = config.replications
-    pop_size = config.ga.population_size
-    engine = FusedEngine(
-        n_population=pop_size,
+    width = len(replications)
+    engine = make_engine(
+        config.engine,
+        n_population=config.ga.population_size,
         max_selfish=config.case.max_selfish,
         trust_table=TrustTable(bounds=sim.trust_bounds),
         activity=ActivityClassifier(band=sim.activity_band),
         payoffs=sim.payoffs,
         kernel=config.kernel,
-        n_replications=n_rep,
+        n_replications=width,
     )
     ga = GeneticAlgorithm(config.ga)
-    rngs, oracles, populations = zip(
-        *(_start_replication(config, r, ga) for r in range(n_rep))
-    )
-    populations = np.array(populations, dtype=np.int8)
-    histories = [History() for _ in range(n_rep)]
-    population_ids = list(range(pop_size))
+    # the fused engine pairs with the phase-vectorized GA step — same
+    # statistical contract, gated together in the equivalence tier; every
+    # other engine keeps the scalar, stream-pinned loop
+    fuses = getattr(engine, "supports_generation_fusion", False)
+    tel = get_telemetry()
+    if not tel.enabled:
+        tel = None
 
-    for generation in range(config.generations):
-        engine.set_strategies_tensor(populations)
-        engine.reset_generation()
-        per_env: list[dict[str, TournamentStats]] = [{} for _ in range(n_rep)]
-        overall = [TournamentStats() for _ in range(n_rep)]
-        for env in config.case.environments:
-            if env.n_normal > pop_size:
-                raise ValueError(
-                    f"{env.name} needs {env.n_normal} normal players,"
-                    f" population has {pop_size}"
-                )
-            csn = engine.selfish_ids(env.n_selfish)
-            plans = []
-            for rng, oracle in zip(rngs, oracles):
-                seatings = draw_seatings(
-                    population_ids, csn, env.n_normal, sim.plays_per_environment, rng
-                )
-                with FusedEngine.route_sharing(oracle):
-                    plans.append(
-                        plan_generation_arrays(
-                            oracle,
-                            seatings,
-                            sim.rounds,
-                            on_tournament_end=getattr(
-                                oracle, "on_tournament_end", None
-                            ),
-                        )
-                    )
-            env_stats = [TournamentStats() for _ in range(n_rep)]
-            engine.run_generation_stacked(
-                stack_replication_plans(plans, sim.rounds, engine.block),
-                sim.rounds,
-                len(seatings),
-                len(seatings[0]),
-                env_stats,
-            )
-            for r in range(n_rep):
-                per_env[r][env.name] = env_stats[r]
-                overall[r].merge(env_stats[r])
-
-        fitness = engine.fitness_tensor()
-        for r in range(n_rep):
-            strategies = [
-                Strategy(tuple(int(b) for b in row)) for row in populations[r]
-            ]
-            histories[r].append(
-                _generation_record(
-                    generation, per_env[r], overall[r], fitness[r], strategies
-                )
-            )
-        if generation < config.generations - 1:
-            populations = next_generation_tensor(
-                populations, fitness, config.ga, rngs
-            )
-
-    return [
-        ReplicationResult(
-            replication=r,
-            history=histories[r],
-            final_population=[
-                Strategy(tuple(int(b) for b in row)).to_int()
-                for row in populations[r]
-            ],
-            final_per_env=per_env[r],
-            final_overall=overall[r],
+    # each member's state is its checkpoint payload: population, rng,
+    # oracle, history and the last generation's statistics
+    states: list[dict] = []
+    restored_from: list[int | None] = []
+    for replication in replications:
+        restored = (
+            store.load_latest(config, replication)
+            if store is not None and resume
+            else None
         )
-        for r in range(n_rep)
-    ]
+        if restored is None:
+            rng, oracle, population = _start_replication(config, replication, ga)
+            states.append(
+                {"population": population, "rng": rng, "oracle": oracle,
+                 "history": History()}
+            )
+            restored_from.append(None)
+            continue
+        # the single-blob pickle preserved the rng/oracle object sharing, so
+        # the restored pair consumes the random stream exactly as the
+        # original would have
+        states.append(restored.state)
+        restored_from.append(restored.generation)
+        if tel is not None and restored.state.get("telemetry_metrics"):
+            # carry the interrupted run's counters so the resumed session
+            # reports whole-logical-run totals (oracle-layer counters ride
+            # inside the pickled oracle and are harvested once, at the end)
+            tel.registry.merge(restored.state["telemetry_metrics"])
+            tel.count("checkpoint.resumes")
+    # (W, P, L) bits; a stack's members share a start (checkpointed stacks
+    # have one member)
+    populations = np.array([state["population"] for state in states], dtype=np.int8)
+    rngs = [state["rng"] for state in states]
+    start_generation = 0 if restored_from[0] is None else restored_from[0] + 1
+
+    checkpoints_written = 0
+    for generation in range(start_generation, config.generations):
+        bits = [[tuple(row) for row in pop] for pop in populations.tolist()]
+        strategies = [[Strategy(b) for b in pop] for pop in bits]
+        if fuses:
+            engine.set_strategies_tensor(populations)
+        else:
+            engine.set_strategies(strategies[0])
+        results = evaluate_stack(
+            engine,
+            config.case.environments,
+            rounds=sim.rounds,
+            plays_per_environment=sim.plays_per_environment,
+            oracles=[state["oracle"] for state in states],
+            rngs=rngs,
+            exchange=sim.exchange,
+        )
+        for state, result, member_strategies in zip(states, results, strategies):
+            state["history"].append(
+                _generation_record(
+                    generation,
+                    result.per_environment,
+                    result.overall,
+                    result.fitness,
+                    member_strategies,
+                )
+            )
+            state["last_per_env"] = result.per_environment
+            state["last_overall"] = result.overall
+        if generation < config.generations - 1:
+            if fuses:
+                t0 = perf_counter()
+                populations = next_generation_tensor(
+                    populations,
+                    np.array([result.fitness for result in results]),
+                    config.ga,
+                    rngs,
+                )
+                if tel is not None:
+                    tel.timer_add("ga.vector_step_s", perf_counter() - t0)
+                    tel.count("ga.generations", width)
+            else:
+                populations = np.array(
+                    [ga.next_generation(bits[0], results[0].fitness, rngs[0])],
+                    dtype=np.int8,
+                )
+        for state, pop in zip(states, populations.tolist()):
+            state["population"] = [tuple(row) for row in pop]
+        if store is not None and (
+            (generation + 1) % checkpoint_every == 0
+            or generation == config.generations - 1
+        ):
+            for replication, state in zip(replications, states):
+                state["telemetry_metrics"] = tel.snapshot() if tel is not None else None
+                store.save(config, replication, generation, state)
+                if tel is not None:
+                    tel.count("checkpoint.saves")
+            checkpoints_written += 1
+
+    if config.telemetry.enabled:
+        for state in states:
+            harvest_oracle(tel, state["oracle"])
+    results = []
+    for replication, state, resumed in zip(replications, states, restored_from):
+        result = ReplicationResult(
+            replication=replication,
+            history=state["history"],
+            final_population=[Strategy(bits).to_int() for bits in state["population"]],
+            final_per_env=state["last_per_env"],
+            final_overall=state["last_overall"],
+        )
+        if store is not None:
+            result.checkpoint = {
+                "config_hash": config_hash(config.describe()),
+                "resumed_from_generation": resumed,
+                "checkpoints_written": checkpoints_written,
+            }
+        results.append(result)
+    return results

@@ -33,7 +33,8 @@ class ExperimentResult:
     replications: list[ReplicationResult]
     #: experiment-wide aggregated telemetry (``None`` unless the run was
     #: telemetry-enabled): ``{"metrics": <merged registry snapshot>,
-    #: "events": [...], "dropped_events": ..., "wall_s": ...}``
+    #: "events": [...], "dropped_events": ..., "wall_s": ...,
+    #: "stack_width": ..., "stack_reason": ...}``
     telemetry: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:

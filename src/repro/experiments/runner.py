@@ -1,43 +1,44 @@
-"""Experiment runner: replications in parallel, results aggregated.
+"""Experiment runner: replications grouped into tasks and stacks, results
+aggregated.
 
 ``run_experiment`` is the single entry point used by the CLI, the benchmark
 harnesses and the examples.  Replication ``i`` always sees the random stream
 derived from ``(config.seed, i)``, so the outcome is independent of the
-worker count — and of the shard count: with ``shards=N`` the replication set
-is split into deterministic contiguous groups (:func:`repro.parallel.shard.
-plan_shards`) that each run serially inside one worker, which amortises
-process dispatch for large replication counts and buys work-stealing
-recovery from dead or straggling workers, while producing bit-identical
-:class:`ReplicationResult`\\ s for every shard count (pinned by
-``tests/test_parallel_shard.py`` and the CI shard-invariance gate).
+worker count, of the shard count and of which replications share a stack.
 
-``checkpoint_dir``/``resume`` thread straight through to
-:func:`repro.experiments.replication.run_replication`, so an interrupted
-experiment — sharded or not — continues from each replication's newest
-intact checkpoint.
+:func:`plan_stacks` makes the one dispatch decision for every execution
+mode.  It groups the replications into tasks — the in-process call, one
+pool task per replication, or one task per shard
+(:func:`repro.parallel.shard.plan_shards`: deterministic contiguous groups
+run through the work-stealing scheduler, which amortises process dispatch
+and buys recovery from dead or straggling workers) — and each task into
+stacks for :func:`repro.experiments.replication.run_stack`.  Every grouping
+yields bit-identical :class:`ReplicationResult`\\ s (pinned by
+``tests/test_parallel_shard.py``, ``tests/test_sim_stacked.py`` and the CI
+shard-invariance gate).
 
-With telemetry enabled in the config, each replication records inside its
-own session (worker processes included) and ships a picklable export back on
-``ReplicationResult.telemetry``; the runner opens a parent session of its
-own to capture pool-level metrics and merges every export into it.  In
-sharded mode the folding is hierarchical: each shard worker merges its
-replications' registries into one shard-level view
-(``MetricsRegistry.merge``), and the parent merges only the shard exports —
-same totals, one merge per shard instead of one per replication crossing
-the process boundary.
+``checkpoint_dir``/``resume`` thread straight through to ``run_stack``, so
+an interrupted experiment — sharded or not — continues from each
+replication's newest intact checkpoint.
+
+With telemetry enabled in the config, each stack records inside its own
+session (worker processes included) and ships back one picklable export;
+the runner merges one export per stack into a parent session of its own,
+which also captures the pool-level metrics.  The aggregated export records the dispatch:
+``stack_width`` (the widest stack) and ``stack_reason`` (why replications
+did not share a stack, ``"none"`` when they did).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import (
     ReplicationResult,
-    run_replication,
-    run_replications_stacked,
+    run_stack,
     stacked_unsupported_reason,
 )
 from repro.experiments.results import ExperimentResult
@@ -45,66 +46,65 @@ from repro.parallel.pool import parallel_map
 from repro.parallel.shard import plan_shards, sharded_map
 from repro.telemetry.runtime import telemetry_session
 
-__all__ = ["run_experiment"]
+__all__ = ["plan_stacks", "run_experiment"]
+
+
+def plan_stacks(
+    config: ExperimentConfig,
+    *,
+    processes: int | None = None,
+    shards: int | None = None,
+    checkpoint_dir: str | Path | None = None,
+    stacked: bool | None = None,
+) -> tuple[list[list[list[int]]], str]:
+    """Group the replication indices into tasks, each a list of stacks.
+
+    Returns the tasks and why replications do not share stacks (``"none"``
+    when they do).  ``stacked=None`` stacks whenever
+    :func:`stacked_unsupported_reason` allows it and the run is in-process
+    (``processes=1``) or sharded; ``True`` demands stacking (``ValueError``
+    when ineligible) and ``False`` never stacks.
+    """
+    indices = list(range(config.replications))
+    if shards is None:
+        groups = [indices]
+    else:
+        groups = [
+            list(shard.task_indices)
+            for shard in plan_shards(config.replications, shards)
+        ]
+    if stacked is False:
+        reason = "stacking disabled by request"
+    else:
+        reason = stacked_unsupported_reason(
+            config, processes=processes, shards=shards, checkpoint_dir=checkpoint_dir
+        )
+        if stacked and reason is not None:
+            raise ValueError(f"stacked evaluation unavailable: {reason}")
+        if reason is None and stacked is None and shards is None and processes is None:
+            reason = "the default worker pool runs one replication per task"
+    if reason is None:
+        return [[group] for group in groups], "none"
+    if shards is None:
+        return [[[i]] for i in indices], reason
+    return [[[i] for i in group] for group in groups], reason
 
 
 def _task(
-    args: tuple[ExperimentConfig, int, str | None, bool],
-) -> ReplicationResult:
-    """Module-level task wrapper (must be picklable for the process pool)."""
-    config, replication, checkpoint_dir, resume = args
-    return run_replication(
-        config, replication, checkpoint_dir=checkpoint_dir, resume=resume
-    )
-
-
-def _shard_task(
-    args: tuple[ExperimentConfig, Sequence[int], str | None, bool],
+    args: tuple[ExperimentConfig, list[list[int]], str | None, bool],
 ) -> dict:
-    """Run one shard's replications serially inside a worker.
-
-    Returns ``{"results": [ReplicationResult, ...], "telemetry": export|None}``
-    where the export is the shard-level fold of every replication registry
-    (plus ``shard.runs``/``shard.replications`` counters), so the parent
-    merges one registry per shard rather than one per replication.
-    """
-    config, indices, checkpoint_dir, resume = args
-    if not config.telemetry.enabled:
-        return {
-            "results": [
-                run_replication(
-                    config, i, checkpoint_dir=checkpoint_dir, resume=resume
-                )
-                for i in indices
-            ],
-            "telemetry": None,
-        }
-    t0 = perf_counter()
-    with telemetry_session(config.telemetry) as tel:
-        results = [
-            run_replication(
-                config, i, checkpoint_dir=checkpoint_dir, resume=resume
-            )
-            for i in indices
-        ]
-        tel.count("shard.runs")
-        tel.count("shard.replications", len(results))
-        events: list[dict] = list(tel.events)
-        dropped = tel.dropped_events
-        for rep in results:
-            export = rep.telemetry
-            if not export:
-                continue
-            tel.registry.merge(export.get("metrics", {}))
-            events.extend(export.get("events", []))
-            dropped += export.get("dropped_events", 0)
-        shard_export = {
-            "metrics": tel.snapshot(),
-            "events": events,
-            "dropped_events": dropped,
-        }
-    shard_export["wall_s"] = perf_counter() - t0
-    return {"results": results, "telemetry": shard_export}
+    """Run one task's stacks in order (module-level, so the process pool
+    can pickle it): ``{"results": [ReplicationResult, ...], "telemetry":
+    [one export per stack]}``."""
+    config, stacks, checkpoint_dir, resume = args
+    runs = [
+        run_stack(config, stack, checkpoint_dir=checkpoint_dir, resume=resume)
+        for stack in stacks
+    ]
+    return {
+        "results": [rep for reps, _ in runs for rep in reps],
+        "telemetry": [export for _, export in runs if export is not None],
+    }
 
 
 def run_experiment(
@@ -129,10 +129,10 @@ def run_experiment(
         Optional ``(done, total)`` callback; counts replications when
         unsharded, completed shards when sharded.
     shards:
-        ``None`` dispatches one pool task per replication (the default);
-        ``N >= 1`` groups replications into at most ``N`` deterministic
-        contiguous shards run through the work-stealing scheduler.  Any
-        shard count yields bit-identical results.
+        ``None`` dispatches unsharded (the default); ``N >= 1`` groups
+        replications into at most ``N`` deterministic contiguous shards
+        run through the work-stealing scheduler.  Any shard count yields
+        bit-identical results.
     checkpoint_dir:
         Root of the checkpoint store; ``None`` disables checkpointing.
     resume:
@@ -144,114 +144,80 @@ def run_experiment(
         keeps each scheduler's default — fail fast unsharded, one recovery
         when sharded.
     stacked:
-        ``None`` (the default) evaluates all replications as one stacked
-        slate (:func:`repro.experiments.replication.run_replications_stacked`)
-        whenever the run is eligible — a fusing engine, serial in-process
-        execution, no sharding or checkpointing, telemetry off — and falls
-        back to the per-replication path otherwise.  ``True`` demands
-        stacking (``ValueError`` when ineligible); ``False`` never stacks.
-        Stacked results are bit-identical to the sequential path, so the
-        choice is purely an execution-plan knob.
+        ``None`` (the default) runs replications that may share a stack as
+        one (:func:`plan_stacks`): all of them in-process, or each shard's
+        in its worker.  ``True`` demands stacking (``ValueError`` when
+        ineligible); ``False`` never stacks.  Stacked results are
+        bit-identical to unstacked ones, so the choice is purely an
+        execution-plan knob.
     """
     if shards is not None and shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-
-    if stacked is None:
-        use_stacked = (
-            processes == 1
-            and shards is None
-            and checkpoint_dir is None
-            and stacked_unsupported_reason(config) is None
-        )
-    elif stacked:
-        reason = stacked_unsupported_reason(
-            config,
-            processes=processes,
-            shards=shards,
-            checkpoint_dir=checkpoint_dir,
-        )
-        if reason is not None:
-            raise ValueError(f"stacked evaluation unavailable: {reason}")
-        use_stacked = True
-    else:
-        use_stacked = False
-    if use_stacked:
-        replications = run_replications_stacked(config)
-        if progress is not None:
-            progress(len(replications), len(replications))
-        return ExperimentResult(
-            config=config.describe(), replications=replications
-        )
+    tasks, reason = plan_stacks(
+        config,
+        processes=processes,
+        shards=shards,
+        checkpoint_dir=checkpoint_dir,
+        stacked=stacked,
+    )
     ckpt = str(checkpoint_dir) if checkpoint_dir is not None else None
+    items = [(config, task, ckpt, resume) for task in tasks]
+    n_reps = config.replications
 
     if shards is None:
-        tasks = [(config, i, ckpt, resume) for i in range(config.replications)]
-        redispatch = 0 if max_redispatch is None else max_redispatch
-
-        def run_all() -> list[ReplicationResult]:
-            return parallel_map(
-                _task,
-                tasks,
-                processes=processes,
-                progress=progress,
-                max_redispatch=redispatch,
-            )
+        mapper, redispatch, task_progress = parallel_map, 0, progress
+        if progress is not None:
+            # unsharded tasks are one replication each or one stack of all
+            def task_progress(done: int, total: int) -> None:
+                progress(done * n_reps // total, n_reps)
 
     else:
-        plan = plan_shards(config.replications, shards)
-        shard_items = [
-            (config, shard.task_indices, ckpt, resume) for shard in plan
-        ]
-        redispatch = 1 if max_redispatch is None else max_redispatch
+        mapper, redispatch, task_progress = sharded_map, 1, progress
 
-        def run_all() -> list[ReplicationResult]:
-            shard_outs = sharded_map(
-                _shard_task,
-                shard_items,
-                processes=processes,
-                progress=progress,
-                max_redispatch=redispatch,
-            )
-            # contiguous ascending shards concatenate back into replication
-            # order; the sort is a guard, not a requirement
-            flat: list[ReplicationResult] = []
-            exports: list[dict] = []
-            for out in shard_outs:
-                flat.extend(out["results"])
-                if out["telemetry"]:
-                    exports.append(out["telemetry"])
-            flat.sort(key=lambda rep: rep.replication)
-            run_all.exports = exports  # type: ignore[attr-defined]
-            return flat
+    def run_all() -> list[dict]:
+        return mapper(
+            _task,
+            items,
+            processes=processes,
+            progress=task_progress,
+            max_redispatch=redispatch if max_redispatch is None else max_redispatch,
+        )
+
+    def replications(outs: list[dict]) -> list[ReplicationResult]:
+        # tasks are contiguous and ascending; the sort is a guard
+        flat = [rep for out in outs for rep in out["results"]]
+        return sorted(flat, key=lambda rep: rep.replication)
 
     if not config.telemetry.enabled:
-        replications = run_all()
-        return ExperimentResult(config=config.describe(), replications=replications)
+        return ExperimentResult(
+            config=config.describe(), replications=replications(run_all())
+        )
 
-    # parent session: the pool captures it at entry, so each task's own
-    # nested session (the serial path) cannot steal its pool metrics;
-    # replication (or shard-level) registries merge in afterwards
+    # parent session: the pool captures it at entry, so each stack's own
+    # nested session (the serial path) cannot steal its pool metrics; one
+    # export per stack merges in afterwards
     t0 = perf_counter()
     with telemetry_session(config.telemetry) as tel:
-        replications = run_all()
+        outs = run_all()
+        if shards is not None:
+            tel.count("shard.runs", len(tasks))
+            tel.count("shard.replications", n_reps)
         events: list[dict] = list(tel.events)
         dropped = tel.dropped_events
-        if shards is None:
-            exports = [rep.telemetry for rep in replications if rep.telemetry]
-        else:
-            exports = getattr(run_all, "exports", [])
-        for export in exports:
-            tel.registry.merge(export.get("metrics", {}))
-            events.extend(export.get("events", []))
-            dropped += export.get("dropped_events", 0)
+        for export in (export for out in outs for export in out["telemetry"]):
+            tel.registry.merge(export["metrics"])
+            events.extend(export["events"])
+            dropped += export["dropped_events"]
         aggregated = {
             "metrics": tel.snapshot(),
             "events": events,
             "dropped_events": dropped,
             "wall_s": perf_counter() - t0,
         }
+    aggregated["stack_width"] = max(len(stack) for task in tasks for stack in task)
+    aggregated["stack_reason"] = reason
     return ExperimentResult(
         config=config.describe(),
-        replications=replications,
+        replications=replications(outs),
         telemetry=aggregated,
     )

@@ -26,7 +26,9 @@ Topology stepping is clocked in one of three ways (``step_every``):
   (each participant draws exactly once per round, and both engines call
   ``draw`` in the same order, so the step schedule is engine-independent);
 * ``"tournament"`` — once per tournament, via the ``on_tournament_end`` hook
-  called by :func:`repro.tournament.evaluation.evaluate_generation`;
+  called after each tournament by
+  :func:`repro.tournament.evaluation.evaluate_stack` (or, on the fused
+  engine, after each tournament's plan by ``FusedEngine.run_stack``);
 * an integer ``n`` — once every ``n`` draws.
 """
 

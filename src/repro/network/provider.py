@@ -227,7 +227,7 @@ class RouteProvider:
         every served route is verified to exist on the *current* graph, and
         only pairs whose cached routes all broke pay a full search.  The
         caller restores the previous policy afterwards, so the swap is
-        scoped to one ``run_generation`` call.
+        scoped to the planning of one ``FusedEngine.run_stack`` call.
         """
         previous = self.policy
         self.policy = policy

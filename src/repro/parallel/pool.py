@@ -3,8 +3,8 @@
 Design notes (per the HPC guides: parallelise at the outermost independent
 level, keep workers coarse-grained):
 
-* one task = one full replication (minutes of work), so inter-process
-  overhead is negligible;
+* one task = one or more full replications (minutes of work), so
+  inter-process overhead is negligible;
 * tasks are submitted to a ``ProcessPoolExecutor`` and collected
   as-completed, but returned **in index order** — determinism does not depend
   on scheduling;

@@ -659,7 +659,7 @@ def plan_generation_arrays(
     the sequential generation loop drives them — and interleaved into the
     stacked layout; ``on_tournament_end``, when given, fires after each
     tournament's plan (the per-tournament topology clocking hook that
-    ``evaluate_generation`` owns on the unfused path).
+    ``evaluate_stack`` owns on the unfused path).
     """
     seatings = [list(s) for s in seatings]
     if not seatings:
@@ -841,6 +841,8 @@ def stack_replication_plans(
         )
     if any(p.n_games != n_games for p in plans):
         raise ValueError("all replication plans must be the same size")
+    if len(plans) == 1:
+        return plans[0]  # one replication already sits in block 0
     slate = n_games // rounds
     shifted = [_offset_plan_ids(p, r * block) for r, p in enumerate(plans)]
     return _interleave_plans(shifted, rounds, slate)

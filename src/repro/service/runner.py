@@ -153,8 +153,8 @@ class JobRunner:
                 config = config.with_(telemetry=TelemetryConfig(enabled=True))
             checkpoint_dir = resolved.checkpoint_dir or self.store.checkpoint_dir
             # stacked=resolved.stacked: an explicit stacked request fails
-            # loudly here (service jobs always checkpoint + record telemetry,
-            # which stacking forgoes) instead of being silently dropped
+            # loudly here (service jobs always checkpoint, which keeps every
+            # stack at one replication) instead of being silently dropped
             result = run_experiment(
                 config,
                 processes=resolved.processes,

@@ -18,11 +18,11 @@ Five implementations of the tournament semantics, registered in
   whole generation: all tournaments of a generation are planned and executed
   as one stacked round-major pass (same statistical contract, one more
   tolerated relaxation: cross-tournament round lockstep).
-  :func:`repro.tournament.evaluation.evaluate_generation` dispatches to its
-  ``run_generation`` entry point via ``supports_generation_fusion``.  With
-  ``n_replications=R`` it evaluates R replications as one block-diagonal
-  stack, each bit-identical to its sequential fused run
-  (:func:`repro.experiments.replication.run_replications_stacked`).
+  :func:`repro.tournament.evaluation.evaluate_stack` dispatches to its
+  ``run_stack`` entry point via ``supports_generation_fusion``.  With
+  ``n_replications=W`` it evaluates a stack of W replications as one
+  block-diagonal pass, each bit-identical to a stack of one
+  (:func:`repro.experiments.replication.run_stack`).
 
 All engines support every path oracle (random/topology/mobile) and the
 second-hand reputation-exchange extension.  The engines named in
@@ -73,6 +73,7 @@ def make_engine(
     activity=None,
     payoffs=None,
     kernel: str = "auto",
+    n_replications: int = 1,
 ):
     """Factory: build an engine by name (``"reference"``, ``"fast"``,
     ``"batch"``, ``"turbo"`` or ``"fused"``).
@@ -81,7 +82,8 @@ def make_engine(
     ops through :mod:`repro.sim.kernels` (``supports_kernel_backends``).
     Engines with a fixed implementation ignore ``"auto"``/``"numpy"``
     (their native code *is* the numpy reference) but reject an explicit
-    ``"numba"`` request they cannot honour.
+    ``"numba"`` request they cannot honour.  ``n_replications > 1`` stacks
+    replications, which only a generation-fusing engine accepts.
     """
     from repro.core.payoff import PayoffConfig
     from repro.reputation.activity import ActivityClassifier
@@ -95,14 +97,12 @@ def make_engine(
         raise ValueError(
             f"unknown engine {name!r} (expected one of {sorted(ENGINES)})"
         )
+    options = {"n_replications": n_replications} if n_replications != 1 else {}
     if getattr(cls, "supports_kernel_backends", False):
-        return cls(
-            n_population, max_selfish, trust_table, activity, payoffs,
-            kernel=kernel,
-        )
-    if kernel == "numba":
+        options["kernel"] = kernel
+    elif kernel == "numba":
         raise ValueError(
             f"engine {name!r} does not support kernel backends;"
             " --kernel numba requires --engine turbo or fused"
         )
-    return cls(n_population, max_selfish, trust_table, activity, payoffs)
+    return cls(n_population, max_selfish, trust_table, activity, payoffs, **options)

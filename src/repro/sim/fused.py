@@ -48,7 +48,7 @@ holds fused to the same KS / Mann-Whitney / Fig.-4-band gates as turbo, and
 fallback, per-tournament hooks).
 
 The second-hand exchange interleaves gossip with each tournament's round
-stream, which fusion cannot reorder away — ``run_generation`` falls back to
+stream, which fusion cannot reorder away — ``run_stack`` falls back to
 the per-tournament turbo path when the exchange is enabled (bit-identical
 to driving turbo from the sequential generation loop).  ``run_tournament``
 is inherited unchanged, so outside the fused entry point the engine *is*
@@ -62,10 +62,10 @@ mega-slate — stacked game ``round * (R * T * n) + rep * (T * n) +
 tournament * n + seat`` — against block-diagonal reputation state, one
 ``(R * block)``-order matrix whose ``r``-th diagonal block is replication
 ``r``'s private state (``block = n_population + max_selfish``).
-:func:`repro.experiments.replication.run_replications_stacked` drives it
-through :meth:`FusedEngine.run_generation_stacked`; ``run_generation`` is
-the ``R = 1`` case of the same pass.  Stacking is *exact* — each
-replication bit-identical to its sequential fused run, not merely
+:func:`repro.experiments.replication.run_stack` drives it at every stack
+width through :meth:`FusedEngine.run_stack` (``run_generation`` is its
+one-member call).  Stacking is *exact* — each replication bit-identical to
+its run in a stack of one, not merely
 statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
 
 * Replications are causally independent by construction: a replication is a
@@ -106,7 +106,11 @@ from repro.core.strategy import STRATEGY_LENGTH
 from repro.game.stats import TournamentStats
 from repro.network.provider import ApproxPolicy
 from repro.paths.oracle import PathOracle
-from repro.paths.vector import GamePlanArrays, plan_generation_arrays
+from repro.paths.vector import (
+    GamePlanArrays,
+    plan_generation_arrays,
+    stack_replication_plans,
+)
 from repro.reputation.exchange import ExchangeConfig
 from repro.sim.turbo import TurboEngine, _PlanContext, timed
 from repro.telemetry.runtime import get_telemetry
@@ -120,9 +124,9 @@ class FusedEngine(TurboEngine):
     (exact per-replication equivalence to sequential runs)."""
 
     name = "fused"
-    #: :func:`repro.tournament.evaluation.evaluate_generation` dispatches
-    #: on this flag to hand the engine all of an environment's seatings at
-    #: once instead of one tournament at a time.
+    #: :func:`repro.tournament.evaluation.evaluate_stack` dispatches on
+    #: this flag to hand the engine all of an environment's seatings at
+    #: once (:meth:`run_stack`) instead of one tournament at a time.
     supports_generation_fusion = True
 
     def __init__(
@@ -219,49 +223,71 @@ class FusedEngine(TurboEngine):
         exchange: ExchangeConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        """Run every seating's tournament as one fused stacked pass.
+        """Run every seating's tournament as one fused stacked pass: the
+        one-member :meth:`run_stack`."""
+        self.run_stack([seatings], rounds, [oracle], [stats], exchange, [rng])
 
-        All seatings must be the same size (the scheduler guarantees this
-        within one environment).  ``stats`` receives the merged counters of
-        the whole stack — identical bookkeeping to merging per-tournament
-        stats, since the accumulators are pure sums.
+    def run_stack(
+        self,
+        seatings: Sequence[Sequence[Sequence[int]]],
+        rounds: int,
+        oracles: Sequence[PathOracle],
+        stats: Sequence[TournamentStats],
+        exchange: ExchangeConfig | None = None,
+        rngs: Sequence[np.random.Generator | None] = (None,),
+    ) -> None:
+        """Run one environment's generation for every stack member.
+
+        Member ``r`` brings its seatings (all the same size; the scheduler
+        guarantees this within one environment), its oracle and
+        ``stats[r]``, which receives the merged counters of its
+        tournaments — identical bookkeeping to merging per-tournament stats,
+        since the accumulators are pure sums.  Each member's plan is drawn
+        from its own oracle under :meth:`route_sharing`; the plans are
+        stacked into one mega-slate for :meth:`run_generation_stacked`.
         """
-        do_exchange = exchange is not None and exchange.enabled
-        if do_exchange and rng is None:
-            raise ValueError("reputation exchange requires an rng")
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
-        seatings = [list(s) for s in seatings]
-        if not seatings:
+        seatings = [[list(s) for s in member] for member in seatings]
+        if not all(seatings):
             raise ValueError("need at least one seating")
-        n_seats = len(seatings[0])
-        if any(len(s) != n_seats for s in seatings):
+        n_seats = len(seatings[0][0])
+        if any(len(s) != n_seats for member in seatings for s in member):
             raise ValueError(
                 "all seatings of one fused generation must be the same size"
             )
-        hook = getattr(oracle, "on_tournament_end", None)
         tel = get_telemetry()
         if not tel.enabled:
             tel = None
-        if do_exchange:
+        if exchange is not None and exchange.enabled:
             # gossip interleaves with each tournament's round stream; that
             # ordering cannot be fused away, so fall back to the inherited
             # per-tournament turbo path (bit-identical to driving turbo
-            # from the sequential generation loop)
+            # from the sequential generation loop) — one member only
+            (member,), (oracle,), (rng,) = seatings, oracles, rngs
+            if rng is None:
+                raise ValueError("reputation exchange requires an rng")
+            hook = getattr(oracle, "on_tournament_end", None)
             if tel is not None:
-                tel.count("engine.fused.fallback_tournaments", len(seatings))
-            for seating in seatings:
-                self.run_tournament(seating, rounds, oracle, stats, exchange, rng)
+                tel.count("engine.fused.fallback_tournaments", len(member))
+            for seating in member:
+                self.run_tournament(seating, rounds, oracle, stats[0], exchange, rng)
                 if hook is not None:
                     hook()
             return
-
-        with self.route_sharing(oracle), timed(tel, "engine.plan_s"):
-            plan = plan_generation_arrays(
-                oracle, seatings, rounds, on_tournament_end=hook
-            )
+        plans = []
+        for member, oracle in zip(seatings, oracles):
+            hook = getattr(oracle, "on_tournament_end", None)
+            with self.route_sharing(oracle), timed(tel, "engine.plan_s"):
+                plans.append(
+                    plan_generation_arrays(oracle, member, rounds, on_tournament_end=hook)
+                )
         self.run_generation_stacked(
-            plan, rounds, len(seatings), n_seats, [stats]
+            stack_replication_plans(plans, rounds, self.block),
+            rounds,
+            len(seatings[0]),
+            n_seats,
+            stats,
         )
 
     def run_generation_stacked(

@@ -124,7 +124,8 @@ def write_run_manifest(
     ``telemetry`` is the aggregated payload attached to an
     :class:`~repro.experiments.results.ExperimentResult` by a
     telemetry-enabled run: ``{"metrics": <registry snapshot>,
-    "events": [...], "wall_s": ...}``.
+    "events": [...], "wall_s": ..., "stack_width": ...,
+    "stack_reason": ...}``; the dispatch keys join the ``run`` block.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -147,7 +148,10 @@ def write_run_manifest(
         metrics,
         wall_s=telemetry.get("wall_s", 0.0),
         events_file=events_name,
-        run_extra=run_extra,
+        run_extra={
+            **{k: telemetry[k] for k in ("stack_width", "stack_reason") if k in telemetry},
+            **(run_extra or {}),
+        },
     )
     path = out_dir / f"{name}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

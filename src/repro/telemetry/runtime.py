@@ -19,11 +19,11 @@ so a disabled run performs O(1) telemetry work per tournament and allocates
 nothing (see ``tests/test_telemetry_overhead.py``).
 
 Enabling installs a :class:`Telemetry` recorder for the current process —
-worker processes each enable their own inside ``run_replication`` and ship
-back a picklable snapshot.  :func:`telemetry_session` scopes a recorder and
-restores whatever was active before, so sessions nest safely (e.g. the
-serial ``processes=1`` path, where the pool's parent session surrounds each
-replication's own).
+each stack of replications enables its own inside ``run_stack`` (worker
+processes included) and ships back one picklable snapshot.
+:func:`telemetry_session` scopes a recorder and restores whatever was
+active before, so sessions nest safely (e.g. the serial ``processes=1``
+path, where the runner's parent session surrounds each stack's own).
 """
 
 from __future__ import annotations

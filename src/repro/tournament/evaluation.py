@@ -39,6 +39,7 @@ __all__ = [
     "EvaluationResult",
     "draw_seatings",
     "evaluate_generation",
+    "evaluate_stack",
 ]
 
 
@@ -116,15 +117,47 @@ def evaluate_generation(
     rng: np.random.Generator,
     exchange: ExchangeConfig | None = None,
 ) -> EvaluationResult:
-    """Evaluate the engine's current population across ``environments``."""
+    """Evaluate the engine's current population across ``environments``:
+    the one-member :func:`evaluate_stack`."""
+    return evaluate_stack(
+        engine, environments, rounds, plays_per_environment, [oracle], [rng], exchange
+    )[0]
+
+
+def evaluate_stack(
+    engine: SimulationEngine,
+    environments: Sequence[TournamentEnvironment],
+    rounds: int,
+    plays_per_environment: int,
+    oracles: Sequence[PathOracle],
+    rngs: Sequence[np.random.Generator],
+    exchange: ExchangeConfig | None = None,
+) -> list[EvaluationResult]:
+    """Evaluate each stack member's current population across
+    ``environments``; member ``r`` draws from ``oracles[r]`` and
+    ``rngs[r]`` and gets result ``r``.  A generation-fusing engine
+    evaluates all members at once (``FusedEngine(n_replications=W)``);
+    every other engine evaluates exactly one."""
     if not environments:
         raise ValueError("need at least one tournament environment")
+    # a fusing engine takes all of an environment's seatings at once (one
+    # stacked plan, one slate kernel per round); the seating and shuffle
+    # draws are then batched up front, a stream reordering of the same
+    # distributions — part of the fused engine's statistical contract
+    fused = getattr(engine, "supports_generation_fusion", False)
+    if not fused and len(oracles) != 1:
+        raise ValueError(
+            f"engine {type(engine).__name__} evaluates one member,"
+            f" got {len(oracles)}"
+        )
     engine.reset_generation()
     population = list(engine.population_ids)
-    per_env: dict[str, TournamentStats] = {}
-    overall = TournamentStats()
-    # mobility-aware oracles advance the topology between tournaments when
-    # clocked per-tournament; oracles without the hook are left alone
+    per_env: list[dict[str, TournamentStats]] = [{} for _ in oracles]
+    overall = [TournamentStats() for _ in oracles]
+    # the per-tournament path (below) evaluates one member; mobility-aware
+    # oracles advance the topology between tournaments when clocked
+    # per-tournament; oracles without the hook are left alone
+    oracle, rng = oracles[0], rngs[0]
     on_tournament_end = getattr(oracle, "on_tournament_end", None)
     # telemetry seam: one enabled check per generation
     tel = get_telemetry()
@@ -134,12 +167,6 @@ def evaluate_generation(
     if gen_span is not None:
         gen_span.__enter__()
 
-    # a fusing engine takes all of an environment's seatings at once (one
-    # stacked plan, one slate kernel per round); the seating and shuffle
-    # draws are then batched up front, a stream reordering of the same
-    # distributions — part of the fused engine's statistical contract
-    fused = getattr(engine, "supports_generation_fusion", False)
-
     for env in environments:
         if env.n_normal > len(population):
             raise ValueError(
@@ -147,17 +174,16 @@ def evaluate_generation(
                 f" population has {len(population)}"
             )
         csn = engine.selfish_ids(env.n_selfish)
-        env_stats = TournamentStats()
+        env_stats = [TournamentStats() for _ in oracles]
         if fused:
-            seatings = draw_seatings(
-                population, csn, env.n_normal, plays_per_environment, rng
-            )
             # the engine owns the per-tournament clocking hook on this path
             # (it must fire between tournament *plans*, which the engine
             # interleaves); spans stay at generation granularity
-            engine.run_generation(
-                seatings, rounds, oracle, env_stats, exchange, rng
-            )
+            seatings = [
+                draw_seatings(population, csn, env.n_normal, plays_per_environment, r)
+                for r in rngs
+            ]
+            engine.run_stack(seatings, rounds, oracles, env_stats, exchange, rngs)
         else:
             for seating in iter_seatings(
                 population, env.n_normal, plays_per_environment, rng
@@ -177,22 +203,27 @@ def evaluate_generation(
                         engine.run_tournament(
                             participants, rounds, oracle, stats, exchange, rng
                         )
-                env_stats.merge(stats)
+                env_stats[0].merge(stats)
                 if on_tournament_end is not None:
                     on_tournament_end()
-        per_env[env.name] = env_stats
-        overall.merge(env_stats)
+        for member, stats in enumerate(env_stats):
+            per_env[member][env.name] = stats
+            overall[member].merge(stats)
 
     if gen_span is not None:
         gen_span.__exit__(None, None, None)
     if tel is not None:
-        tel.count("evaluation.generations")
+        tel.count("evaluation.generations", len(oracles))
         # ground truth for the engine.games reconciliation: every game is
         # counted exactly once as NN- or CSN-originated by the stats layer
         tel.count(
-            "evaluation.games", overall.nn_originated + overall.csn_originated
+            "evaluation.games",
+            sum(o.nn_originated + o.csn_originated for o in overall),
         )
 
-    return EvaluationResult(
-        fitness=engine.fitness(), per_environment=per_env, overall=overall
-    )
+    fitness = engine.fitness_tensor() if fused else [engine.fitness()]
+    return [
+        EvaluationResult(fitness=f, per_environment=p, overall=o)
+        for f, p, o in zip(fitness, per_env, overall)
+    ]
+

@@ -127,7 +127,13 @@ class TestCheckpointStore:
 class TestResumeBitIdentity:
     @pytest.mark.parametrize(
         "case, engine",
-        [("case1", "fast"), ("case1", "turbo"), ("mobile_waypoint", "batch")],
+        [
+            ("case1", "fast"),
+            ("case1", "turbo"),
+            ("mobile_waypoint", "batch"),
+            # the fused engine's GA step is next_generation_tensor at W = 1
+            ("case3", "fused"),
+        ],
     )
     def test_resume_matches_uninterrupted(self, tmp_path, case, engine):
         cfg = ExperimentConfig.for_case(

@@ -35,10 +35,12 @@ class TestRunExperiment:
     def test_task_wrapper_is_picklable(self):
         import pickle
 
-        blob = pickle.dumps((_task, (smoke(), 0, None, True)))
+        # a task is a list of stacks: here one stack of replication 0
+        blob = pickle.dumps((_task, (smoke(), [[0]], None, True)))
         fn, args = pickle.loads(blob)
-        result = fn(args)
-        assert result.replication == 0
+        out = fn(args)
+        assert [rep.replication for rep in out["results"]] == [0]
+        assert out["telemetry"] == []
 
 
 class TestFailureInjection:

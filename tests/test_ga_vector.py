@@ -244,8 +244,8 @@ class TestGenerationStep:
 class TestGenerationTensor:
     """The stacked (R, P, L) step replays each replication's matrix step.
 
-    Contract (load-bearing for stacked evaluation,
-    ``repro.experiments.replication.run_replications_stacked``): row ``r``
+    Contract (load-bearing for the fused engine's GA step at every stack
+    width, ``repro.experiments.replication.run_stack``): row ``r``
     of ``next_generation_tensor`` is bit-identical to
     ``next_generation_matrix(populations[r], fitness[r], cfg, rngs[r])``
     with a fresh generator on the same stream — per-replication rng

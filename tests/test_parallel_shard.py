@@ -220,3 +220,10 @@ class TestShardInvariance:
             assert pc.get(key) == sc.get(key), key
         assert sc["shard.runs"] == 2
         assert sc["shard.replications"] == cfg.replications
+
+
+class TestShardInvarianceFused(TestShardInvariance):
+    """The same contract on the fused engine, where each shard runs its
+    replications as one stack (the unsharded pool runs one per task)."""
+
+    CONFIG = TestShardInvariance.CONFIG.with_(engine="fused")

@@ -247,6 +247,17 @@ class TestJobRunnerLifecycle:
             runner.store.checkpoint_dir
         )
 
+    def test_manifest_records_the_checkpointed_dispatch(self, tmp_path):
+        # service jobs always checkpoint, which keeps every stack at width 1
+        # even on the fused engine; the manifest says so and why
+        runner = JobRunner(tmp_path)
+        record, _ = runner.submit(smoke_payload(engine="fused", replications=2))
+        runner.run_pending()
+        record = runner.store.load_record(record["job_id"])
+        run = runner.store.load_manifest(record)["run"]
+        assert run["stack_width"] == 1
+        assert "checkpoint" in run["stack_reason"]
+
     def test_distinct_scenarios_get_distinct_jobs(self, tmp_path):
         runner = JobRunner(tmp_path)
         rec1, _ = runner.submit(smoke_payload(seed=1))

@@ -370,14 +370,14 @@ class TestRoundStateInvariants:
         return passes
 
     def test_caches_and_writer_buffer_after_every_pass(self, monkeypatch):
-        from repro.experiments.replication import run_replications_stacked
+        from repro.experiments.replication import run_stack
 
         passes = self.install_checks(monkeypatch)
         config = ExperimentConfig.for_case(
             "case3", scale="smoke", engine="fused", seed=7, replications=4,
             generations=1, kernel="numpy",
         )
-        run_replications_stacked(config)
+        run_stack(config, range(config.replications))
         assert passes["round"] > 0
         assert passes["second_chance"] > 0, "no second-chance pass exercised"
         assert passes["commit"] >= passes["round"]

@@ -1,16 +1,16 @@
 """Cross-replication stacked evaluation (``FusedEngine(n_replications=R)``).
 
 The load-bearing claim — stated in the module docstring and relied on by
-``run_experiment``'s auto-dispatch — is **bit-identity**: evaluating R
-replications as one stacked mega-slate produces, replication by
-replication, exactly the :class:`ReplicationResult` the sequential fused
-path produces.  The replications live in block-diagonal reputation blocks,
-every conflict walk is scoped per (replication, tournament), and each
-replication's rng stream sees precisely the draws it would have seen
-alone, so stacking is an execution plan, never a semantics change.  These
-tests pin that equality end-to-end (random paths, all environment
-classes, mobile topologies), plus the eligibility rules and the engine's
-own validation.
+``run_experiment``'s dispatch — is **bit-identity**: evaluating R
+replications as one stack of R members produces, replication by
+replication, exactly the :class:`ReplicationResult` a stack of one produces.
+The replications live in block-diagonal reputation blocks, every conflict
+walk is scoped per (replication, tournament), and each replication's rng
+stream sees precisely the draws it would have seen alone, so stacking is an
+execution plan, never a semantics change.  These tests pin that equality
+end-to-end (random paths, all environment classes, mobile topologies), the
+eligibility rules, the dispatch (which telemetry does not change) and the
+engine's own validation.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import (
     run_replication,
-    run_replications_stacked,
+    run_stack,
     stacked_unsupported_reason,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import plan_stacks, run_experiment
 from repro.game.stats import TournamentStats
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
 from repro.sim.fused import FusedEngine
+from repro.telemetry import write_run_manifest
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.runtime import telemetry_session
 
@@ -47,6 +48,27 @@ def smoke_config(case: str, seed: int, replications: int = 3) -> ExperimentConfi
     )
 
 
+def run_stacked(config: ExperimentConfig):
+    results, _export = run_stack(config, range(config.replications))
+    return results
+
+
+@pytest.fixture
+def stack_widths(monkeypatch):
+    """The width of every stack the runner runs (in-process runs only)."""
+    import repro.experiments.runner as runner_mod
+
+    widths = []
+    real = runner_mod.run_stack
+
+    def spy(config, replications, **kwargs):
+        widths.append(len(replications))
+        return real(config, replications, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_stack", spy)
+    return widths
+
+
 class TestBitIdentity:
     """Stacked == sequential, replication by replication."""
 
@@ -59,7 +81,7 @@ class TestBitIdentity:
     )
     def test_matches_sequential_fused(self, case, seed):
         config = smoke_config(case, seed)
-        stacked = run_replications_stacked(config)
+        stacked = run_stacked(config)
         assert len(stacked) == config.replications
         for r in range(config.replications):
             sequential = run_replication(config, r)
@@ -71,7 +93,7 @@ class TestBitIdentity:
         # cells) whatever the stack width; a wide stack is where a leak
         # between replications' blocks or a stale walk entry would show
         config = smoke_config("case3", 7, replications=8)
-        stacked = run_replications_stacked(config)
+        stacked = run_stacked(config)
         for r in range(config.replications):
             assert digest(stacked[r]) == digest(run_replication(config, r)), (
                 f"rep {r}"
@@ -81,17 +103,16 @@ class TestBitIdentity:
         # per-replication oracles replay the same mobility epochs and route
         # recomputations they would have seen alone
         config = smoke_config("mobile_gauss", seed=7, replications=2)
-        stacked = run_replications_stacked(config)
+        stacked = run_stacked(config)
         for r in range(2):
             assert digest(stacked[r]) == digest(run_replication(config, r))
 
     def test_telemetry_counters_attribute_the_stacking(self):
-        # config-driven telemetry is ineligible (per-replication sessions),
-        # but an *ambient* session — the profiler's mode — must see the
-        # stacked engine's attribution counters
+        # an *ambient* session — the profiler's mode — sees the stacked
+        # engine's attribution counters
         config = smoke_config("case1", 1234, replications=2)
         with telemetry_session(TelemetryConfig(enabled=True)) as tel:
-            run_replications_stacked(config)
+            run_stacked(config)
             snap = tel.registry.snapshot()
         counters = snap["counters"]
         # one per replication per environment pass (case1 has one
@@ -105,7 +126,7 @@ class TestBitIdentity:
     def test_env_passes_count_every_environment_of_case3(self):
         config = smoke_config("case3", 7, replications=2)
         with telemetry_session(TelemetryConfig(enabled=True)) as tel:
-            run_replications_stacked(config)
+            run_stacked(config)
             counters = tel.registry.snapshot()["counters"]
         assert len(config.case.environments) == 4
         assert counters["engine.fused.env_passes"] == (
@@ -122,11 +143,6 @@ class TestEligibility:
         [
             (lambda c: c.with_(engine="batch"), "does not fuse"),
             (lambda c: c.with_(engine="turbo"), "does not fuse"),
-            (lambda c: c.with_(replications=1), "at least 2 replications"),
-            (
-                lambda c: c.with_(telemetry=TelemetryConfig(enabled=True)),
-                "telemetry",
-            ),
         ],
     )
     def test_config_reasons(self, mutate, fragment):
@@ -143,49 +159,46 @@ class TestEligibility:
 
     def test_execution_option_reasons(self):
         config = smoke_config("case1", 1)
-        assert "shard" in stacked_unsupported_reason(config, shards=4)
         assert "checkpoint" in stacked_unsupported_reason(
             config, checkpoint_dir="ckpt"
         )
         assert "processes" in stacked_unsupported_reason(config, processes=8)
+        # a shard runs its replications as one stack, whatever the pool
+        assert stacked_unsupported_reason(config, processes=8, shards=2) is None
+        # telemetry and a single replication are no reason either
+        traced = config.with_(telemetry=TelemetryConfig(enabled=True))
+        assert stacked_unsupported_reason(traced) is None
+        assert stacked_unsupported_reason(config.with_(replications=1)) is None
 
-    def test_run_replications_stacked_raises_when_ineligible(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            run_replications_stacked(smoke_config("case1", 1, replications=1))
+    def test_run_stack_raises_when_ineligible(self, tmp_path):
+        batch = smoke_config("case1", 1).with_(engine="batch")
+        with pytest.raises(ValueError, match="does not fuse"):
+            run_stack(batch, [0, 1])
+        run_stack(batch, [1])  # a stack of one runs on any engine
+        with pytest.raises(ValueError, match="checkpoint"):
+            run_stack(smoke_config("case1", 1), [0, 1], checkpoint_dir=tmp_path)
 
 
 class TestRunnerDispatch:
-    def test_auto_stacks_when_eligible(self, monkeypatch):
-        import repro.experiments.runner as runner_mod
-
-        calls = []
-        real = runner_mod.run_replications_stacked
-
-        def spy(config):
-            calls.append(config)
-            return real(config)
-
-        monkeypatch.setattr(runner_mod, "run_replications_stacked", spy)
+    def test_auto_stacks_when_eligible(self, stack_widths):
         config = smoke_config("case1", 1234, replications=2)
         result = run_experiment(config, processes=1)
-        assert len(calls) == 1
+        assert stack_widths == [2]
         assert len(result.replications) == 2
 
-    def test_auto_falls_back_without_serial_processes(self, monkeypatch):
-        import repro.experiments.runner as runner_mod
-
-        def boom(config):  # pragma: no cover - must not be reached
-            raise AssertionError("stacked path taken")
-
-        monkeypatch.setattr(runner_mod, "run_replications_stacked", boom)
+    def test_auto_falls_back_without_serial_processes(self, stack_widths):
         config = smoke_config("case1", 1234, replications=2)
         run_experiment(config, processes=1, stacked=False)
-        run_experiment(config)  # processes=None -> parallel per-rep path
+        assert stack_widths == [1, 1]
+        # processes=None -> the default pool, one replication per task
+        tasks, reason = plan_stacks(config)
+        assert tasks == [[[0]], [[1]]]
+        assert "pool" in reason
 
     def test_explicit_request_raises_when_ineligible(self):
         config = smoke_config("case1", 1234, replications=2)
         with pytest.raises(ValueError, match="stacked evaluation unavailable"):
-            run_experiment(config, stacked=True, shards=4)
+            run_experiment(config, stacked=True, processes=2)
         with pytest.raises(ValueError, match="stacked evaluation unavailable"):
             run_experiment(config.with_(engine="batch"), stacked=True)
 
@@ -198,6 +211,50 @@ class TestRunnerDispatch:
             auto.replications, forced.replications, sequential.replications
         ):
             assert digest(a) == digest(b) == digest(c)
+
+    def test_shards_run_as_stacks(self):
+        tasks, reason = plan_stacks(smoke_config("case1", 1, 5), shards=2)
+        assert tasks == [[[0, 1, 2]], [[3, 4]]] and reason == "none"
+        tasks, reason = plan_stacks(
+            smoke_config("case1", 1, 5).with_(engine="batch"), shards=2
+        )
+        assert tasks == [[[0], [1], [2]], [[3], [4]]]
+        assert "does not fuse" in reason
+
+
+class TestTelemetryOnStack:
+    """Turning telemetry on changes neither the dispatch nor the results."""
+
+    CONFIG = smoke_config("case3", 7, replications=3)
+    TRACED = CONFIG.with_(telemetry=TelemetryConfig(enabled=True))
+
+    def test_same_stack_width_and_results(self, stack_widths):
+        plain = run_experiment(self.CONFIG, processes=1)
+        traced = run_experiment(self.TRACED, processes=1)
+        assert stack_widths == [3, 3]
+        assert traced.replications == plain.replications
+        assert traced.telemetry["stack_width"] == 3
+        assert traced.telemetry["stack_reason"] == "none"
+
+    def test_games_reconcile_with_engine_counters(self):
+        result = run_experiment(self.TRACED, processes=1)
+        counters = result.telemetry["metrics"]["counters"]
+        assert counters["evaluation.games"] > 0
+        assert counters["evaluation.games"] == counters["engine.games"]
+        assert counters["evaluation.games"] == counters["engine.fused.games"]
+        assert counters["evaluation.generations"] == (
+            self.CONFIG.generations * self.CONFIG.replications
+        )
+        assert counters["ga.generations"] == (
+            (self.CONFIG.generations - 1) * self.CONFIG.replications
+        )
+
+    def test_manifest_records_the_dispatch(self, tmp_path):
+        result = run_experiment(self.TRACED, processes=1)
+        path = write_run_manifest(tmp_path, "stacked", result.config, result.telemetry)
+        run = json.loads(path.read_text())["run"]
+        assert run["stack_width"] == 3
+        assert run["stack_reason"] == "none"
 
 
 class TestEngineValidation:

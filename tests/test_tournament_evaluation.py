@@ -131,15 +131,18 @@ class TestFusedDispatch:
         return engine
 
     def test_dispatches_through_run_generation(self):
+        # run_generation is the one-member run_stack; evaluation calls the
+        # stack entry for every stack width
         calls = []
         engine = self.make_fused()
-        original = engine.run_generation
+        original = engine.run_stack
 
         def spy(seatings, rounds, *args, **kwargs):
-            calls.append((len(seatings), rounds))
+            assert len(seatings) == 1  # one member
+            calls.append((len(seatings[0]), rounds))
             return original(seatings, rounds, *args, **kwargs)
 
-        engine.run_generation = spy
+        engine.run_stack = spy
         envs = [
             TournamentEnvironment("A", 8, 2),
             TournamentEnvironment("B", 8, 0),
