@@ -14,10 +14,8 @@ Three ``*_stacked`` rows measure the cross-replication stacked evaluation
 path (``FusedEngine(n_replications=STACK_REPS)``): ``STACK_REPS``
 replications x ``FUSED_STACK`` tournaments planned and executed as one
 mega-slate, amortized per game across the whole R x T block.  The random
-stacked row carries the kernel-backend throughput target: >= 1M games/s
-with the compiled (numba) kernel — asserted only when that backend is
-active — and a soft 600k games/s target on the always-available numpy
-kernel, recorded in the ledger either way.
+stacked row carries a soft 600k games/s throughput target, recorded in the
+ledger whether or not it is met.
 
 The per-round-mobility rows are measured **block-averaged**: each timed
 sample is ``FUSED_STACK`` consecutive tournaments on the live oracle,
@@ -56,7 +54,6 @@ from repro.paths.oracle import RandomPathOracle
 from repro.paths.vector import plan_generation_arrays, stack_replication_plans
 from repro.sim import BIT_IDENTICAL_ENGINES, ENGINES, make_engine
 from repro.sim.fused import FusedEngine
-from repro.sim.kernels import numba_available, resolve_kernel
 from repro.telemetry import Timer
 from repro.utils.tables import format_table
 
@@ -138,14 +135,11 @@ STACKED_ORACLES = ("random", "topology", "mobile")
 #: the topology and mobile rows (the committed ledger posts >= 2.1x on
 #: each; 1.5 absorbs shared-runner noise).
 MIN_STACKED_VS_BATCH_ROUTED = 1.5
-#: Kernel-backend throughput targets on the random stacked row, amortized
-#: per game across the whole R x T block (planning included).  The
-#: compiled target is asserted only when the numba backend is active; the
-#: numpy target is a *soft* gate — recorded in the ledger and warned
-#: about, never failed — because the reference backend's ceiling is an
-#: honest number worth tracking, not a promise.
-STACKED_TARGET_COMPILED = 1_000_000
-STACKED_TARGET_NUMPY = 600_000
+#: Throughput target on the random stacked row, amortized per game across
+#: the whole R x T block (planning included).  A *soft* gate — recorded in
+#: the ledger and warned about, never failed — because the kernel's
+#: ceiling is an honest number worth tracking, not a promise.
+STACKED_TARGET = 600_000
 #: Rows measured block-averaged (see the module docstring): per-round
 #: mobility churns the route state tournament over tournament, so a
 #: single-tournament best-of measures a lucky window, not the workload.
@@ -499,9 +493,6 @@ def test_engine_matrix_report(session):
 
     random_walls = walls["random"]
     stacked_random_gps = GAMES / stacked_walls["random"]
-    # which kernel backend the stacked engine actually ran on this machine —
-    # recorded so a ledger number is attributable to numpy vs compiled
-    kernel = resolve_kernel("auto")
     ledger_walls = {
         oracle_kind: dict(engine_walls)
         for oracle_kind, engine_walls in walls.items()
@@ -519,11 +510,6 @@ def test_engine_matrix_report(session):
             "games_per_tournament": GAMES,
             "stack_replications": STACK_REPS,
             "stack_tournaments": FUSED_STACK,
-        },
-        "kernel": {
-            "backend": kernel.name,
-            "compiled": kernel.compiled,
-            "numba_available": numba_available(),
         },
         "wall_s": {
             oracle_kind: {
@@ -585,20 +571,9 @@ def test_engine_matrix_report(session):
                 random_walls["fused"] / stacked_walls["random"], 3
             ),
             "stacked_random_games_per_s": round(stacked_random_gps, 1),
-            "stacked_random_target": (
-                STACKED_TARGET_COMPILED
-                if kernel.compiled
-                else STACKED_TARGET_NUMPY
-            ),
+            "stacked_random_target": STACKED_TARGET,
             # 1/0, not a bool: the report schema's metrics tree is numeric
-            "stacked_random_target_met": int(
-                stacked_random_gps
-                >= (
-                    STACKED_TARGET_COMPILED
-                    if kernel.compiled
-                    else STACKED_TARGET_NUMPY
-                )
-            ),
+            "stacked_random_target_met": int(stacked_random_gps >= STACKED_TARGET),
         },
         "git_sha": git_sha(),
     }
@@ -637,17 +612,11 @@ def test_engine_matrix_report(session):
         assert (
             walls[o]["batch"] / stacked_walls[o] >= MIN_STACKED_VS_BATCH_ROUTED
         ), f"cross-replication stacking lost its >= 2x edge vs batch on {o}"
-    # the kernel-backend throughput target on the random stacked row: hard
-    # when the compiled backend is active, soft (recorded + warned) on numpy
-    if kernel.compiled:
-        assert stacked_random_gps >= STACKED_TARGET_COMPILED, (
-            f"compiled kernel posted {stacked_random_gps:,.0f} games/s on the"
-            f" random stacked row (target {STACKED_TARGET_COMPILED:,})"
-        )
-    elif stacked_random_gps < STACKED_TARGET_NUMPY:
+    # the soft throughput target on the random stacked row (recorded + warned)
+    if stacked_random_gps < STACKED_TARGET:
         warnings.warn(
-            f"numpy kernel posted {stacked_random_gps:,.0f} games/s on the"
-            f" random stacked row (soft target {STACKED_TARGET_NUMPY:,});"
+            f"the stacked engine posted {stacked_random_gps:,.0f} games/s on the"
+            f" random stacked row (soft target {STACKED_TARGET:,});"
             " recorded in BENCH_ENGINE.json, not a failure",
             stacklevel=2,
         )

@@ -17,13 +17,12 @@ per-(source, destination) route caches to quantify what they save).
 For the kernel-backed engines (turbo/fused) the same telemetry session
 captures the per-op kernel timers (``kernel.decision_s`` /
 ``kernel.replay_s`` / ``kernel.watchdog_s`` / ...) that
-:class:`repro.sim.kernels.TimedKernel` records, so a backend swap
-(``--kernel numpy|numba``) shows up as a per-op before/after, not just a
-total.
+:class:`repro.sim.kernels.TimedKernel` records, so a change to one op
+shows up as a per-op before/after, not just a total.
 
 Run:
     python scripts/profile_engine.py [rounds] [--oracle random|topology|mobile]
-        [--engines reference,fast,turbo,fused] [--kernel auto|numpy|numba]
+        [--engines reference,fast,turbo,fused]
         [--route-cache exact|approx] [--drift-budget N] [--no-path-cache]
 """
 
@@ -44,7 +43,6 @@ from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
 from repro.sim import ENGINES, make_engine
-from repro.sim.kernels import KERNEL_NAMES
 from repro.telemetry import TelemetryConfig, harvest_oracle, telemetry_session
 
 N_NORMAL, N_CSN = 40, 10
@@ -106,15 +104,14 @@ def _layer_breakdown(snapshot: dict, draw_s: float) -> list[tuple[str, float]]:
     ]
 
 
-def _print_kernel_breakdown(snapshot: dict, engine) -> None:
-    """Per-op kernel timers for the kernel-backed engines.
+def _print_kernel_breakdown(snapshot: dict) -> None:
+    """Per-op kernel timers for the kernel-backed engines (turbo/fused).
 
-    The engine installs :class:`TimedKernel` around its backend whenever an
-    ambient telemetry session is active, so the profiled tournament already
-    paid for these numbers — this only formats them.
+    Those engines install :class:`TimedKernel` around their kernel whenever
+    an ambient telemetry session is active, so the profiled tournament
+    already paid for these numbers — this only formats them, and prints
+    nothing for engines that record no ``kernel.*`` timers.
     """
-    if not getattr(engine, "supports_kernel_backends", False):
-        return
     timers = snapshot["timers"]
     rows = [
         (name.removeprefix("kernel.").removesuffix("_s"), timer)
@@ -123,7 +120,7 @@ def _print_kernel_breakdown(snapshot: dict, engine) -> None:
     ]
     if not rows:
         return
-    print(f"\nkernel ops (backend: {engine._kernel.name}):")
+    print("\nkernel ops:")
     for op, timer in rows:
         print(
             f"  {op:10s} {timer['total_s'] * 1e3:8.1f} ms"
@@ -161,10 +158,9 @@ def profile_engine(
     cache: bool,
     route_cache: str,
     drift_budget: int,
-    kernel: str = "auto",
 ) -> None:
     rng = np.random.default_rng(0)
-    engine = make_engine(name, N_NORMAL, N_CSN, kernel=kernel)
+    engine = make_engine(name, N_NORMAL, N_CSN)
     engine.set_strategies([Strategy.random(rng) for _ in range(N_NORMAL)])
     participants = list(range(N_NORMAL)) + engine.selfish_ids(N_CSN)
     oracle = make_oracle(oracle_kind, cache, route_cache, drift_budget)
@@ -194,7 +190,7 @@ def profile_engine(
     print("\noracle layers (wall time inside the profiled tournament):")
     for layer, seconds in _layer_breakdown(snapshot, draw_s):
         print(f"  {layer:14s} {seconds * 1e3:8.1f} ms")
-    _print_kernel_breakdown(snapshot, engine)
+    _print_kernel_breakdown(snapshot)
     _print_cache_stats(snapshot)
 
 
@@ -227,13 +223,6 @@ def main() -> None:
         help="comma-separated engines to profile"
         f" (available: {','.join(ENGINES)})",
     )
-    parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=KERNEL_NAMES,
-        help="kernel backend for the turbo/fused engines; the per-op"
-        " breakdown makes a backend swap attributable op by op",
-    )
     args = parser.parse_args()
     if args.drift_budget < 0:
         parser.error(f"--drift-budget must be >= 0, got {args.drift_budget}")
@@ -249,7 +238,6 @@ def main() -> None:
             not args.no_path_cache,
             args.route_cache,
             args.drift_budget,
-            kernel=args.kernel,
         )
 
 

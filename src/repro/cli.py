@@ -107,16 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8000)
     p_serve.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "fastapi", "stdlib"),
-        help=(
-            "HTTP backend: fastapi (OpenAPI docs, needs the service extra)"
-            " or the dependency-free stdlib server; auto picks fastapi when"
-            " installed"
-        ),
-    )
-    p_serve.add_argument(
         "--scenarios",
         type=Path,
         default=Path("scenarios"),
@@ -160,7 +150,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
     # make_engine / make_cache_policy and the config layer
     from repro.config.mobility import ROUTE_CACHE_POLICIES
     from repro.sim import ENGINES
-    from repro.sim.kernels import KERNEL_NAMES
 
     parser.add_argument("--seed", type=int, default=2007 if defaults else None)
     parser.add_argument(
@@ -172,17 +161,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
             " turbo and fused are statistically equivalent (different"
             " trajectories under the same seed; fused stacks a whole"
             " generation per pass and is fastest)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        default="auto" if defaults else None,
-        choices=tuple(KERNEL_NAMES),
-        help=(
-            "compute-kernel backend for turbo/fused engines: 'numpy' is the"
-            " always-available bit-pinned reference, 'numba' the optional"
-            " compiled backend (pip install .[kernels]; statistical"
-            " equivalence contract), 'auto' picks numba when installed"
         ),
     )
     parser.add_argument("--processes", type=int, default=None)
@@ -337,7 +315,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "route_cache": args.route_cache,
         "drift_budget": args.drift_budget,
         "telemetry": args.telemetry,
-        "kernel": args.kernel,
     }
 
 
@@ -388,15 +365,6 @@ def _execute_resolved(
     from repro.experiments.runner import run_experiment
     from repro.parallel.progress import ProgressPrinter
 
-    if resolved.config.kernel == "numba":
-        # fail before any replication runs, with the install hint intact
-        from repro.sim.kernels import resolve_kernel
-
-        try:
-            resolve_kernel("numba")
-        except RuntimeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     checkpoint_dir = resolved.checkpoint_dir
     if resolved.resume and checkpoint_dir is None:
         checkpoint_dir = DEFAULT_CHECKPOINT_DIR
@@ -512,7 +480,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         engine=args.engine,
-        kernel=args.kernel,
         processes=args.processes,
         cache_dir=args.out,
         verbose=True,
@@ -549,31 +516,14 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.app import fastapi_available, run_service
+    from repro.service.app import run_service
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "fastapi" if fastapi_available() else "stdlib"
     scenarios = args.scenarios if args.scenarios.is_dir() else None
-    print(
-        f"serving on http://{args.host}:{args.port}"
-        f" (backend: {backend}, store: {args.root})"
-    )
-    if backend == "fastapi":
-        print(f"OpenAPI docs: http://{args.host}:{args.port}/docs")
+    print(f"serving on http://{args.host}:{args.port} (store: {args.root})")
     try:
-        run_service(
-            args.root,
-            host=args.host,
-            port=args.port,
-            backend=backend,
-            scenarios_dir=scenarios,
-        )
+        run_service(args.root, host=args.host, port=args.port, scenarios_dir=scenarios)
     except KeyboardInterrupt:
         pass
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     return 0
 
 

@@ -44,12 +44,9 @@ class ExperimentConfig:
     replications: int = 4
     seed: int = 2007  # the paper's publication year, for flavour
     engine: str = "fast"
-    #: compute-kernel backend for engines that support pluggable kernels
-    #: (turbo/fused/stacked): "numpy" is the always-available bit-pinned
-    #: reference, "numba" the optional compiled backend (``.[kernels]``
-    #: extra, statistical-equivalence contract), "auto" picks numba when
-    #: installed.  Pin "numpy" when cross-machine bit-reproducibility
-    #: matters — "auto" resolves per machine.
+    #: compute-kernel name: "auto" and "numpy" both resolve to the one numpy
+    #: kernel (:func:`repro.sim.kernels.resolve_kernel`).  Kept because it
+    #: is part of every ``config_hash`` (checkpoint and job addresses).
     kernel: str = "auto"
     ga: GAConfig = field(default_factory=GAConfig)
     sim: SimulationConfig = field(default_factory=SimulationConfig)
@@ -72,13 +69,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"kernel must be one of {sorted(KERNEL_NAMES)},"
                 f" got {self.kernel!r}"
-            )
-        if self.kernel == "numba" and not getattr(
-            ENGINES[self.engine], "supports_kernel_backends", False
-        ):
-            raise ValueError(
-                f"engine {self.engine!r} does not support kernel backends;"
-                " kernel='numba' requires engine 'turbo' or 'fused'"
             )
         if self.sim.path_mode != self.case.path_mode:
             # keep sim in line with the case definition

@@ -17,7 +17,7 @@ from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import run_experiment
 from repro.parallel.progress import ProgressPrinter
-from repro.telemetry.manifest import write_run_manifest
+from repro.telemetry.manifest import config_hash, write_run_manifest
 
 __all__ = ["ARTEFACTS", "ArtefactSpec", "ReproductionSession"]
 
@@ -43,7 +43,6 @@ class ReproductionSession:
         scale: str = "default",
         seed: int = 2007,
         engine: str = "fast",
-        kernel: str | None = None,
         processes: int | None = None,
         cache_dir: str | Path | None = None,
         verbose: bool = False,
@@ -60,9 +59,6 @@ class ReproductionSession:
         self.scale = scale
         self.seed = seed
         self.engine = engine
-        # kernel backend for turbo/fused engines (None keeps the config
-        # default, "auto")
-        self.kernel = kernel
         self.processes = processes
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.verbose = verbose
@@ -103,7 +99,6 @@ class ReproductionSession:
             overrides={
                 "seed": self.seed,
                 "engine": self.engine,
-                "kernel": self.kernel,
                 "route_cache": self.route_cache,
                 "drift_budget": self.drift_budget,
                 "telemetry": True if self.telemetry else None,
@@ -111,30 +106,21 @@ class ReproductionSession:
         )
         return resolve_scenario(payload).config
 
-    def _cache_path(self, case_name: str) -> Path | None:
+    def cache_path(self, case_name: str) -> Path | None:
+        """Where ``result_for`` caches a case's result (``None`` without a
+        ``cache_dir``).  The name carries the telemetry-excluded config
+        hash, so every setting that changes results (engine, seed, route
+        cache, budget, ...) gets its own file."""
         if self.cache_dir is None:
             return None
-        if self.route_cache in (None, "exact"):
-            suffix = ""
-        else:
-            # the budget changes the results: a budget-8 run must never be
-            # served a cached budget-240 result (or vice versa)
-            budget = "" if self.drift_budget is None else f"{self.drift_budget}"
-            suffix = f"_{self.route_cache}{budget}"
-        if self.kernel not in (None, "auto", "numpy"):
-            # a compiled-kernel run is only statistically equivalent — never
-            # serve it from (or into) the reference-kernel cache slot
-            suffix += f"_{self.kernel}"
-        return (
-            self.cache_dir
-            / f"{case_name}_{self.scale}_seed{self.seed}{suffix}.json"
-        )
+        digest = config_hash(self.config_for(case_name).describe())[:16]
+        return self.cache_dir / f"{case_name}_{self.scale}_{digest}.json"
 
     def result_for(self, case_name: str) -> ExperimentResult:
         """The experiment result for a case, computed/loaded at most once."""
         if case_name in self._results:
             return self._results[case_name]
-        cache = self._cache_path(case_name)
+        cache = self.cache_path(case_name)
         if cache is not None and cache.exists():
             result = ExperimentResult.load(cache)
         else:

@@ -276,7 +276,6 @@ def _generation_loop(
         trust_table=TrustTable(bounds=sim.trust_bounds),
         activity=ActivityClassifier(band=sim.activity_band),
         payoffs=sim.payoffs,
-        kernel=config.kernel,
         n_replications=width,
     )
     ga = GeneticAlgorithm(config.ga)

@@ -13,10 +13,8 @@ scenario DSL (:mod:`repro.scenarios`) with the CLI:
   payload — there is no second reporting path), checkpoints into a shared
   store, and resumes from intact checkpoints after a crash bit-identically.
 * :class:`~repro.service.endpoints.Service` — the framework-neutral HTTP
-  surface (submit/status/result/stream/scenarios), wrapped either by the
-  FastAPI app (``create_app``, OpenAPI docs at ``/docs``) when fastapi is
-  installed, or by a stdlib ``http.server`` fallback — ``repro serve``
-  picks whichever is available.
+  surface (submit/status/result/stream/scenarios), served by a stdlib
+  ``http.server`` skin (:mod:`repro.service.app`, behind ``repro serve``).
 """
 
 from repro.service.endpoints import Service

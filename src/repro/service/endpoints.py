@@ -1,10 +1,8 @@
 """Framework-neutral service endpoints.
 
-Every endpoint is a plain method returning ``(status_code, payload)`` —
-the FastAPI app and the stdlib fallback server in
-:mod:`repro.service.app` are interchangeable skins over this one class,
-so the HTTP surface behaves identically whichever backend ``repro serve``
-picks.
+Every endpoint is a plain method returning ``(status_code, payload)``;
+the stdlib server in :mod:`repro.service.app` is a thin HTTP skin over
+this one class, so the wire contract lives here, not in the transport.
 
 The status payload for a finished job embeds its schema-validated
 telemetry run manifest (written by

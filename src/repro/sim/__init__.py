@@ -24,6 +24,9 @@ Five implementations of the tournament semantics, registered in
   block-diagonal pass, each bit-identical to a stack of one
   (:func:`repro.experiments.replication.run_stack`).
 
+Turbo and fused run their hot ops through the one numpy kernel in
+:mod:`repro.sim.kernels`, whose op boundary exists for per-op telemetry.
+
 All engines support every path oracle (random/topology/mobile) and the
 second-hand reputation-exchange extension.  The engines named in
 :data:`BIT_IDENTICAL_ENGINES` consume randomness through the shared path
@@ -72,18 +75,13 @@ def make_engine(
     trust_table=None,
     activity=None,
     payoffs=None,
-    kernel: str = "auto",
     n_replications: int = 1,
 ):
     """Factory: build an engine by name (``"reference"``, ``"fast"``,
     ``"batch"``, ``"turbo"`` or ``"fused"``).
 
-    ``kernel`` selects the compute backend for engines that route their hot
-    ops through :mod:`repro.sim.kernels` (``supports_kernel_backends``).
-    Engines with a fixed implementation ignore ``"auto"``/``"numpy"``
-    (their native code *is* the numpy reference) but reject an explicit
-    ``"numba"`` request they cannot honour.  ``n_replications > 1`` stacks
-    replications, which only a generation-fusing engine accepts.
+    ``n_replications > 1`` stacks replications, which only a
+    generation-fusing engine accepts.
     """
     from repro.core.payoff import PayoffConfig
     from repro.reputation.activity import ActivityClassifier
@@ -98,11 +96,4 @@ def make_engine(
             f"unknown engine {name!r} (expected one of {sorted(ENGINES)})"
         )
     options = {"n_replications": n_replications} if n_replications != 1 else {}
-    if getattr(cls, "supports_kernel_backends", False):
-        options["kernel"] = kernel
-    elif kernel == "numba":
-        raise ValueError(
-            f"engine {name!r} does not support kernel backends;"
-            " --kernel numba requires --engine turbo or fused"
-        )
     return cls(n_population, max_selfish, trust_table, activity, payoffs, **options)

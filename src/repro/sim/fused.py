@@ -136,7 +136,6 @@ class FusedEngine(TurboEngine):
         trust_table=None,
         activity=None,
         payoffs=None,
-        kernel: str = "auto",
         n_replications: int = 1,
     ):
         if n_replications < 1:
@@ -148,9 +147,7 @@ class FusedEngine(TurboEngine):
         self.n_replications = n_replications
         self.block = n_population + max_selfish
         self._strategy_tensor: np.ndarray | None = None
-        super().__init__(
-            n_population, max_selfish, trust_table, activity, payoffs, kernel
-        )
+        super().__init__(n_population, max_selfish, trust_table, activity, payoffs)
 
     # -- stacking hooks -------------------------------------------------------
 

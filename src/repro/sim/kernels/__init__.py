@@ -1,26 +1,17 @@
-"""Pluggable compute kernels for the speculative engines.
+"""The compute kernel of the speculative engines.
 
-The turbo/fused/stacked engines are numpy-orchestrated, but their inner
-loops fall into five narrow, state-free *ops* — path rating, the per-round
-decision gather/scatter, the first-writer conflict walk, the batched
-reputation commit, and the exact scalar conflict-replay with its watchdog
-recurrence.  This package carves those ops behind a small interface so a
-compiled backend can replace them without touching engine logic:
+The turbo/fused engines are numpy-orchestrated, but their inner loops fall
+into five narrow, state-free *ops* — path rating, the per-round decision
+gather/scatter, the first-writer conflict walk, the batched reputation
+commit, and the exact scalar conflict-replay with its watchdog recurrence.
+:class:`~repro.sim.kernels.numpy_backend.NumpyKernel` implements them; it
+*is* the pre-kernel engine code, moved, and its results are bit-identical
+to the historical inline implementation (pinned by
+``tests/test_sim_kernels.py``).
 
-* :class:`~repro.sim.kernels.numpy_backend.NumpyKernel` — the reference
-  backend, always available.  It *is* the pre-kernel engine code, moved:
-  results are bit-identical to the historical inline implementation
-  (pinned by ``tests/test_sim_kernels.py``).
-* ``NumbaKernel`` — optional ``@njit``-compiled backend behind the
-  ``.[kernels]`` extra (``pip install -e .[dev,kernels]``).  Same op
-  semantics; float reductions may associate differently under fusion, so
-  the backend is held to the engines' *statistical* equivalence contract
-  (KS / Mann-Whitney / Fig.-4 band), not bit-identity.
-
-Two op contracts carry the engines' per-round cost, and both backends
-keep them, so a round's state work is O(cells it touches) — independent of
-the matrix order ``m``, which grows with the stack width of the stacked
-engine:
+Two op contracts carry the engines' per-round cost, so a round's state
+work is O(cells it touches) — independent of the matrix order ``m``, which
+grows with the stack width of a stacked fused engine:
 
 * ``first_writer(buf, codes, pos)`` writes only ``buf[codes]``.  The
   buffer holds the walk's fill value everywhere *between* calls: the
@@ -32,18 +23,17 @@ engine:
   nonzero count of each ``ps`` row and ``pf_sum`` each ``pf`` row sum,
   exactly.
 
-Selection is by name: ``numpy``, ``numba``, or ``auto`` (numba when
-importable, else numpy) — via ``ExperimentConfig(kernel=...)`` and the CLI
-``--kernel`` flag.  :class:`TimedKernel` wraps any backend with per-op
-telemetry timers (``kernel.decision_s`` / ``kernel.replay_s`` /
-``kernel.watchdog_s`` / ...) so kernel wins stay attributable in
-``scripts/profile_engine.py``; engines only apply it when telemetry is
-enabled, preserving the zero-overhead contract.
+The op boundary exists for attribution: :class:`TimedKernel` wraps the
+kernel with per-op telemetry timers (``kernel.decision_s`` /
+``kernel.replay_s`` / ``kernel.watchdog_s`` / ...), which
+``scripts/profile_engine.py`` and the benchmark's layer split read; engines
+only apply it when telemetry is enabled, preserving the zero-overhead
+contract.  ``ExperimentConfig.kernel`` still names the kernel (it is part
+of every ``config_hash``), but both spellings resolve to numpy.
 """
 
 from __future__ import annotations
 
-from importlib import util as _importlib_util
 from typing import NamedTuple
 
 import numpy as np
@@ -52,13 +42,11 @@ __all__ = [
     "KERNEL_NAMES",
     "KernelState",
     "TimedKernel",
-    "available_backends",
-    "numba_available",
     "resolve_kernel",
 ]
 
-#: Valid ``kernel=`` / ``--kernel`` spellings.
-KERNEL_NAMES = ("auto", "numpy", "numba")
+#: Valid ``ExperimentConfig.kernel`` spellings; both resolve to numpy.
+KERNEL_NAMES = ("auto", "numpy")
 
 
 class KernelState(NamedTuple):
@@ -95,47 +83,19 @@ class KernelState(NamedTuple):
     n_disc: np.ndarray
 
 
-def numba_available() -> bool:
-    """Whether the optional compiled backend's dependency is importable."""
-    return _importlib_util.find_spec("numba") is not None
-
-
-def available_backends() -> dict[str, bool]:
-    """Availability by backend name (``auto`` excluded — it is a policy)."""
-    return {"numpy": True, "numba": numba_available()}
-
-
 def resolve_kernel(name: str = "auto"):
-    """Instantiate the kernel backend for ``name``.
-
-    ``auto`` prefers the compiled backend when its dependency is
-    installed and falls back to numpy otherwise; asking for ``numba``
-    explicitly raises a descriptive error when it is not installed
-    (fail fast at engine construction, not mid-run).
-    """
+    """The kernel for ``name`` — :class:`NumpyKernel` for every valid name."""
     if name not in KERNEL_NAMES:
         raise ValueError(
             f"unknown kernel backend {name!r} (expected one of {KERNEL_NAMES})"
         )
-    if name == "auto":
-        name = "numba" if numba_available() else "numpy"
-    if name == "numba":
-        if not numba_available():
-            raise RuntimeError(
-                "kernel backend 'numba' requested but numba is not"
-                " installed; install the extra (pip install -e"
-                " '.[kernels]') or use --kernel numpy"
-            )
-        from repro.sim.kernels.numba_backend import NumbaKernel
-
-        return NumbaKernel()
     from repro.sim.kernels.numpy_backend import NumpyKernel
 
     return NumpyKernel()
 
 
 class TimedKernel:
-    """Per-op telemetry timing around any kernel backend.
+    """Per-op telemetry timing around a kernel.
 
     One timer per op, named ``kernel.<op>_s``; engines install the wrapper
     only when telemetry is enabled, so the disabled path never pays it.
@@ -153,10 +113,6 @@ class TimedKernel:
     @property
     def name(self) -> str:
         return self._inner.name
-
-    @property
-    def compiled(self) -> bool:
-        return self._inner.compiled
 
     def rate_paths(self, state, cells, pad):
         with self._rate.time():

@@ -1,8 +1,8 @@
-"""Reference kernel backend: the pre-kernel engine code, moved.
+"""The numpy kernel: the pre-kernel engine code, moved.
 
 Every op here is the historical inline implementation from
 ``sim/turbo.py`` / ``sim/fused.py`` lifted out verbatim (same float
-expressions, same evaluation order), so this backend is **bit-identical**
+expressions, same evaluation order), so this kernel is **bit-identical**
 to the pre-kernel engines on pinned seeds — the parity suite in
 ``tests/test_sim_kernels.py`` holds it to that.
 
@@ -33,10 +33,9 @@ __all__ = ["NumpyKernel"]
 
 
 class NumpyKernel:
-    """Always-available numpy reference implementation of the kernel ops."""
+    """The numpy implementation of the kernel ops."""
 
     name = "numpy"
-    compiled = False
 
     def rate_paths(self, state, cells, pad):
         """Product-of-forwarding-rates rating for a block of path rows.

@@ -14,8 +14,6 @@ __all__ = [
     "drift_budget_error",
     "shards_error",
     "BENCH_REPORT_KEYS",
-    "BENCH_REPORT_OPTIONAL_KEYS",
-    "BENCH_KERNEL_KEYS",
     "validate_bench_report",
     "RUN_MANIFEST_KEYS",
     "validate_run_manifest",
@@ -96,14 +94,6 @@ def shards_error(shards: int | None, label: str = "--shards") -> str | None:
 #: The exact key set of every machine-readable bench report
 #: (``results/bench_reports/*.json`` and the repo-root ``BENCH_ENGINE.json``).
 BENCH_REPORT_KEYS = frozenset({"bench", "scale", "wall_s", "metrics", "git_sha"})
-#: Optional extra keys a report may carry.  ``kernel`` is the engine
-#: ledger's kernel-backend record — which backend produced the timed
-#: numbers (``backend``/``compiled``) and whether the compiled one was even
-#: installable (``numba_available``), so a throughput figure is always
-#: attributable to numpy vs numba.
-BENCH_REPORT_OPTIONAL_KEYS = frozenset({"kernel"})
-#: The exact key set of the ``kernel`` record when present.
-BENCH_KERNEL_KEYS = frozenset({"backend", "compiled", "numba_available"})
 
 
 def _check_numeric_tree(value: Any, path: str) -> None:
@@ -135,10 +125,7 @@ def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
     ``benchmarks/conftest.emit_report`` and over the committed artefacts by
     ``tests/test_bench_report_schema.py``):
 
-    * exactly the keys ``{bench, scale, wall_s, metrics, git_sha}``, plus
-      optionally ``kernel`` (the engine ledger's kernel-backend record:
-      ``backend`` a non-empty string, ``compiled``/``numba_available``
-      booleans),
+    * exactly the keys ``{bench, scale, wall_s, metrics, git_sha}``,
     * ``bench`` and ``git_sha`` are non-empty strings,
     * ``scale`` is a string or a string-keyed mapping of numbers,
     * ``wall_s`` is a non-negative number, ``null`` (a bench that did not
@@ -153,29 +140,12 @@ def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
         raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
     keys = set(payload)
     missing = sorted(BENCH_REPORT_KEYS - keys)
-    extra = sorted(keys - BENCH_REPORT_KEYS - BENCH_REPORT_OPTIONAL_KEYS)
+    extra = sorted(keys - BENCH_REPORT_KEYS)
     if missing or extra:
         raise ValueError(
             f"{name} keys mismatch: missing {missing or 'none'},"
             f" unexpected {extra or 'none'}"
         )
-    kernel = payload.get("kernel")
-    if kernel is not None:
-        if not isinstance(kernel, Mapping) or set(kernel) != BENCH_KERNEL_KEYS:
-            raise ValueError(
-                f"{name}: 'kernel' must be a mapping with exactly the keys"
-                f" {sorted(BENCH_KERNEL_KEYS)}"
-            )
-        if not isinstance(kernel["backend"], str) or not kernel["backend"]:
-            raise ValueError(
-                f"{name}: kernel 'backend' must be a non-empty string"
-            )
-        for flag in ("compiled", "numba_available"):
-            if not isinstance(kernel[flag], bool):
-                raise ValueError(
-                    f"{name}: kernel {flag!r} must be a boolean,"
-                    f" got {kernel[flag]!r}"
-                )
     for field in ("bench", "git_sha"):
         if not isinstance(payload[field], str) or not payload[field]:
             raise ValueError(f"{name}: {field!r} must be a non-empty string")
@@ -388,7 +358,6 @@ SCENARIO_OVERRIDE_KEYS = frozenset(
         "route_cache",
         "drift_budget",
         "telemetry",
-        "kernel",
     }
 )
 
@@ -488,7 +457,7 @@ def validate_scenario(payload: Any, name: str = "scenario") -> dict:
             _check_optional_int(
                 overrides[key], f"{name}: override {key!r}", minimum
             )
-    for key in ("engine", "mobility", "route_cache", "kernel"):
+    for key in ("engine", "mobility", "route_cache"):
         if key in overrides:
             _check_nonempty_str(overrides[key], f"{name}: override {key!r}")
     for key in ("speed", "pause"):

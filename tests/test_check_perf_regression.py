@@ -174,7 +174,7 @@ class TestDegenerateInputs:
 
     def test_stacked_rows_are_gated(self, gate):
         """The cross-replication stacked rows must stay in the gate list —
-        dropping one silently un-gates the kernel-backend throughput
+        dropping one silently un-gates the stacked kernel throughput
         trajectory."""
         for row in ("random_stacked", "topology_stacked", "mobile_stacked"):
             assert row in gate.GATED_ORACLES

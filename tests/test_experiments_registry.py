@@ -64,11 +64,23 @@ class TestReproductionSession:
     def test_disk_cache_roundtrip(self, tmp_path):
         session = ReproductionSession(scale="smoke", processes=1, cache_dir=tmp_path)
         first = session.result_for("case1")
-        assert (tmp_path / "case1_smoke_seed2007.json").exists()
+        assert session.cache_path("case1").exists()
         # a fresh session loads from disk instead of re-simulating
         session2 = ReproductionSession(scale="smoke", processes=1, cache_dir=tmp_path)
         second = session2.result_for("case1")
         assert second.to_dict() == first.to_dict()
+
+    def test_disk_cache_is_keyed_by_engine(self, tmp_path):
+        # a cached fast result must never be served to a fused session
+        fast = ReproductionSession(
+            scale="smoke", engine="fast", processes=1, cache_dir=tmp_path
+        )
+        fast.result_for("case1")
+        fused = ReproductionSession(
+            scale="smoke", engine="fused", processes=1, cache_dir=tmp_path
+        )
+        assert fused.cache_path("case1") != fast.cache_path("case1")
+        assert fused.result_for("case1").config["engine"] == "fused"
 
     def test_config_for(self):
         session = ReproductionSession(scale="smoke", seed=1, engine="reference")

@@ -1,10 +1,6 @@
-"""HTTP-layer tests for the service: stdlib backend always, fastapi when
-installed.
-
-Both backends are skins over the same
-:class:`~repro.service.endpoints.Service`, so the round trips here are
-deliberately parallel: whichever backend ``repro serve`` picks, the wire
-behavior is identical.
+"""HTTP-layer tests for the service's stdlib server, a skin over
+:class:`~repro.service.endpoints.Service`: the wire behavior of
+``repro serve`` end to end.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.app import build_httpd, build_service, fastapi_available
+from repro.service.app import build_httpd, build_service
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO_ROOT / "scenarios"
@@ -110,52 +106,3 @@ class TestStdlibBackend:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request, timeout=30)
         assert exc.value.code == 400
-
-
-@pytest.mark.skipif(not fastapi_available(), reason="service extra not installed")
-class TestFastAPIBackend:
-    @pytest.fixture()
-    def client(self, tmp_path):
-        from fastapi.testclient import TestClient
-
-        from repro.service.app import create_app
-
-        service = build_service(tmp_path / "store", scenarios_dir=SCENARIOS_DIR)
-        try:
-            yield TestClient(create_app(service))
-        finally:
-            service.runner.stop()
-
-    def test_full_round_trip_with_dedupe(self, client):
-        assert client.get("/healthz").status_code == 200
-        assert any(
-            s["library"] == "fig4_smoke"
-            for s in client.get("/scenarios").json()["scenarios"]
-        )
-        first = client.post("/jobs", json={"library": "fig4_smoke"})
-        assert first.status_code == 201
-        job_id = first.json()["job_id"]
-        duplicate = client.post("/jobs", json={"library": "fig4_smoke"})
-        assert duplicate.status_code == 200
-        assert duplicate.json()["job_id"] == job_id
-
-        with client.stream("GET", f"/jobs/{job_id}/stream") as stream:
-            snapshots = [json.loads(line) for line in stream.iter_lines()]
-        assert snapshots[-1]["state"] == "done"
-
-        from repro.utils.validation import validate_run_manifest
-
-        status = client.get(f"/jobs/{job_id}")
-        assert status.status_code == 200
-        assert validate_run_manifest(status.json()["manifest"])
-        result = client.get(f"/jobs/{job_id}/result")
-        assert result.status_code == 200 and result.json()["replications"]
-
-    def test_openapi_documents_the_surface(self, client):
-        spec = client.get("/openapi.json").json()
-        for route in ("/jobs", "/jobs/{job_id}", "/jobs/{job_id}/result"):
-            assert route in spec["paths"]
-
-    def test_error_paths(self, client):
-        assert client.get(f"/jobs/{'f' * 64}").status_code == 404
-        assert client.post("/jobs", json={"library": "nope"}).status_code == 400

@@ -1,21 +1,15 @@
-"""Kernel backend contract (:mod:`repro.sim.kernels`).
+"""Kernel contract (:mod:`repro.sim.kernels`).
 
 Three layers of pinning:
 
-* **Selection** — ``resolve_kernel`` policy (``auto`` prefers the compiled
-  backend, explicit ``numba`` fails fast with the install hint), config and
-  factory validation, the ``TimedKernel`` telemetry wrapper.
-* **Bit-identity of the numpy backend** — the kernel refactor moved the
+* **Selection** — ``resolve_kernel`` maps every valid name to the numpy
+  kernel, config validation, the ``TimedKernel`` telemetry wrapper.
+* **Bit-identity of the numpy kernel** — the kernel refactor moved the
   engines' inline hot loops behind the op interface; the pinned digests
   below were recorded on the pre-kernel scalar code, so any drift in the
-  reference backend is a test failure, not a re-pin.
-* **Cross-backend parity** — every test that exercises op semantics is
-  parametrized over the installed backends.  When numba is absent (the
-  default container; the ``.[kernels]`` extra is optional) its parameter
-  *skips visibly* rather than silently narrowing the suite; the compiled
-  backend itself is held to the statistical-equivalence tier
-  (``compare_samples``), not bit-identity — float reductions may associate
-  differently under fusion.
+  kernel is a test failure, not a re-pin.
+* **Op semantics** — the non-obvious vectorizations (the first-writer
+  walk, the incremental commit) against their obvious dense oracles.
 """
 
 from __future__ import annotations
@@ -33,23 +27,9 @@ from repro.sim.kernels import (
     KERNEL_NAMES,
     KernelState,
     TimedKernel,
-    available_backends,
-    numba_available,
     resolve_kernel,
 )
 from repro.sim.kernels.numpy_backend import NumpyKernel
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(),
-    reason="numba not installed (optional .[kernels] extra) — compiled"
-    " backend untested on this machine",
-)
-
-#: Both backends when installed; the numba parameter skips *visibly*.
-BACKENDS = [
-    "numpy",
-    pytest.param("numba", marks=needs_numba),
-]
 
 
 def replication_digest(config: ExperimentConfig, replication: int = 0) -> str:
@@ -60,64 +40,25 @@ def replication_digest(config: ExperimentConfig, replication: int = 0) -> str:
 
 class TestSelection:
     def test_kernel_names(self):
-        assert KERNEL_NAMES == ("auto", "numpy", "numba")
-
-    def test_available_backends(self):
-        avail = available_backends()
-        assert avail["numpy"] is True
-        assert set(avail) == {"numpy", "numba"}
+        assert KERNEL_NAMES == ("auto", "numpy")
 
     def test_numpy_always_resolves(self):
-        kernel = resolve_kernel("numpy")
-        assert kernel.name == "numpy"
-        assert kernel.compiled is False
+        assert resolve_kernel("numpy").name == "numpy"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_kernel("fortran")
 
-    def test_auto_prefers_compiled_when_available(self):
-        kernel = resolve_kernel("auto")
-        if numba_available():
-            assert kernel.name == "numba"
-            assert kernel.compiled is True
-        else:
-            assert kernel.name == "numpy"
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed; the fail-fast path is moot"
-    )
-    def test_explicit_numba_fails_fast_with_install_hint(self):
-        with pytest.raises(RuntimeError, match=r"\.\[kernels\]"):
-            resolve_kernel("numba")
+    def test_auto_resolves_to_numpy(self):
+        assert resolve_kernel("auto").name == "numpy"
 
     def test_config_validates_kernel_name(self):
         with pytest.raises(ValueError, match="kernel must be one of"):
             ExperimentConfig.for_case("case1", scale="smoke", kernel="fortran")
 
-    def test_config_rejects_numba_on_non_kernel_engine(self):
-        with pytest.raises(ValueError, match="does not support kernel"):
-            ExperimentConfig.for_case(
-                "case1", scale="smoke", engine="batch", kernel="numba"
-            )
-
-    def test_factory_rejects_numba_on_non_kernel_engine(self):
-        with pytest.raises(ValueError, match="does not support kernel"):
-            make_engine("batch", 10, 2, kernel="numba")
-
-    def test_factory_threads_kernel_to_capable_engines(self):
+    def test_speculative_engines_run_the_numpy_kernel(self):
         for name in ("turbo", "fused"):
-            engine = make_engine(name, 10, 2, kernel="numpy")
-            assert engine.supports_kernel_backends
-            assert engine.kernel_name == "numpy"
-            assert engine._kernel.name == "numpy"
-
-    def test_non_kernel_engines_tolerate_the_defaults(self):
-        # "auto"/"numpy" mean "the reference semantics", which fixed
-        # engines natively implement — only an explicit numba is an error
-        for kernel in ("auto", "numpy"):
-            engine = make_engine("batch", 10, 2, kernel=kernel)
-            assert not getattr(engine, "supports_kernel_backends", False)
+            assert isinstance(make_engine(name, 10, 2)._kernel, NumpyKernel)
 
 
 class TestTimedKernel:
@@ -127,7 +68,6 @@ class TestTimedKernel:
         registry = MetricsRegistry()
         timed = TimedKernel(NumpyKernel(), registry)
         assert timed.name == "numpy"
-        assert timed.compiled is False
         # contract: the caller keeps the buffer filled between walks
         buf = np.full(7, 99, dtype=np.int64)
         # contract: pos ascending (game order), so the first writer wins
@@ -144,15 +84,15 @@ class TestTimedKernel:
 class TestFirstWriterParity:
     """The conflict walk is the one op with a non-obvious vectorization
     (reversed scatter-assign standing in for ``minimum.at`` on ascending
-    positions) — pin it directly against the obvious semantics on both
-    backends, under the no-fill contract: the buffer holds the fill value
+    positions) — pin it directly against the obvious semantics for every
+    kernel name, under the no-fill contract: the buffer holds the fill value
     between walks, the op writes only the given codes, and the caller's
     reset of those codes restores the fill everywhere."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
     @pytest.mark.parametrize("seed", [0, 7, 991])
-    def test_matches_minimum_at(self, backend, seed):
-        kernel = resolve_kernel(backend)
+    def test_matches_minimum_at(self, name, seed):
+        kernel = resolve_kernel(name)
         rng = np.random.default_rng(seed)
         n_codes, n_events, fill = 50, 200, 1 << 60
         buf = np.full(n_codes, fill, dtype=np.int64)
@@ -294,10 +234,10 @@ class TestCommitParity:
     ORDERS = [130, 520]
 
     @staticmethod
-    def check(backend, case, m):
+    def check(case, m):
         ps, pf, batches = COMMIT_CASES[case](np.random.default_rng(m), m)
         state = commit_state(ps, pf)
-        kernel = resolve_kernel(backend)
+        kernel = NumpyKernel()
         for pairs, pf_pairs in batches:
             want = dense_commit(state.ps, state.pf, pairs, pf_pairs)
             kernel.commit(state, pairs, pf_pairs)
@@ -309,14 +249,7 @@ class TestCommitParity:
     @pytest.mark.parametrize("m", ORDERS)
     @pytest.mark.parametrize("case", sorted(COMMIT_CASES))
     def test_matches_dense_recompute(self, case, m):
-        self.check("numpy", case, m)
-
-    @needs_numba
-    def test_numba_matches_dense_recompute(self):
-        # one visible skip for the whole matrix when numba is absent
-        for case in COMMIT_CASES:
-            for m in self.ORDERS:
-                self.check("numba", case, m)
+        self.check(case, m)
 
 
 class TestRoundStateInvariants:
@@ -356,7 +289,7 @@ class TestRoundStateInvariants:
 
             return wrapper
 
-        monkeypatch.setattr(turbo_mod, "resolve_kernel", lambda name: CheckedKernel())
+        monkeypatch.setattr(turbo_mod, "NumpyKernel", CheckedKernel)
         monkeypatch.setattr(
             TurboEngine,
             "_process_round",
@@ -396,7 +329,7 @@ class TestRoundStateInvariants:
 
 
 class TestNumpyBitIdentity:
-    """The numpy backend IS the pre-kernel engine code: digests recorded on
+    """The numpy kernel IS the pre-kernel engine code: digests recorded on
     the inline implementation before the refactor must keep verifying."""
 
     PINNED = [
@@ -417,32 +350,9 @@ class TestNumpyBitIdentity:
         )
         assert replication_digest(config) == expected
 
-    def test_auto_is_numpy_when_numba_absent(self):
-        if numba_available():
-            pytest.skip("numba installed; auto resolves to the compiled backend")
+    def test_auto_is_numpy(self):
         config = ExperimentConfig.for_case(
             "case1", scale="smoke", engine="fused", seed=1234
         )
         assert config.kernel == "auto"
         assert replication_digest(config) == "5d931f9d1726a965"
-
-
-@needs_numba
-class TestNumbaStatisticalEquivalence:
-    """Gate the compiled backend on the same distributional tier that
-    admits turbo/fused: KS + Mann-Whitney on cooperation and fitness
-    samples, numpy-kernel vs numba-kernel ensembles."""
-
-    def test_distributions_match(self):
-        from repro.analysis.equivalence import (
-            collect_engine_samples,
-            compare_samples,
-        )
-
-        config = ExperimentConfig.for_case(
-            "case3", scale="smoke", seed=424243, engine="fused"
-        )
-        reference = collect_engine_samples(config.with_(kernel="numpy"), 20)
-        compiled = collect_engine_samples(config.with_(kernel="numba"), 20)
-        report = compare_samples(reference[0], compiled[0], alpha=0.01)
-        assert report.equivalent, report

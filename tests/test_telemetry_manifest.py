@@ -56,6 +56,20 @@ class TestConfigHash:
     def test_deterministic(self, config_summary):
         assert config_hash(config_summary) == config_hash(config_summary)
 
+    @pytest.mark.parametrize(
+        "case,engine,expected",
+        [
+            ("case3", "fast", "2ccff64afe579d06"),
+            ("case3", "fused", "21252dfee2e61a1d"),
+            ("case4", "fast", "54dee2013885eda3"),
+        ],
+    )
+    def test_pinned_content_addresses(self, case, engine, expected):
+        # checkpoint directories and service job ids are these digests:
+        # a change here orphans every stored checkpoint and job result
+        config = ExperimentConfig.for_case(case, scale="default", engine=engine)
+        assert config_hash(config.describe())[:16] == expected
+
 
 class TestBuildManifest:
     def test_exact_keys(self, config_summary):
