@@ -303,32 +303,19 @@ def _flag_error(args: argparse.Namespace) -> str | None:
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     """The scenario ``overrides`` block for a flag namespace (``None``
     values are dropped downstream, so unset flags defer to the scenario)."""
-    return {
-        "seed": args.seed,
-        "engine": args.engine,
-        "generations": getattr(args, "generations", None),
-        "rounds": getattr(args, "rounds", None),
-        "replications": getattr(args, "replications", None),
-        "mobility": getattr(args, "mobility", None),
-        "speed": getattr(args, "speed", None),
-        "pause": getattr(args, "pause", None),
-        "route_cache": args.route_cache,
-        "drift_budget": args.drift_budget,
-        "telemetry": args.telemetry,
-    }
+    from repro.utils.validation import SCENARIO_OVERRIDE_KEYS
+
+    return {key: getattr(args, key, None) for key in sorted(SCENARIO_OVERRIDE_KEYS)}
 
 
 def _run_block_from_args(args: argparse.Namespace) -> dict:
     """The scenario ``run`` block (execution options) for a flag namespace."""
-    return {
-        "processes": args.processes,
-        "shards": args.shards,
-        "checkpoint_dir": (
-            str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
-        ),
-        "resume": args.resume,
-        "stacked": args.stacked,
-    }
+    from repro.utils.validation import SCENARIO_RUN_KEYS
+
+    run = {key: getattr(args, key, None) for key in sorted(SCENARIO_RUN_KEYS)}
+    if run["checkpoint_dir"] is not None:
+        run["checkpoint_dir"] = str(run["checkpoint_dir"])
+    return run
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

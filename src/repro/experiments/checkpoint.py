@@ -12,11 +12,10 @@ into a content-addressed layout keyed by the run's ``config_hash``::
     <root>/<config_hash[:16]>/rep0003/gen000042.pkl    # pickled state blob
     <root>/<config_hash[:16]>/rep0003/gen000042.json   # manifest (validated)
 
-The manifest is an exact-key contract
-(:func:`repro.utils.validation.validate_checkpoint_manifest`) carrying the
-blob's sha256, so a torn write or bit rot is detected *before* unpickling;
-corrupt or partial checkpoints are skipped in favour of the newest intact
-one.  Both files are written to a temporary name and atomically renamed —
+The manifest is an exact-key document (the ``checkpoint`` schema of
+:data:`repro.utils.validation.SCHEMAS`) carrying the blob's sha256, so a
+torn write or bit rot is detected *before* unpickling; corrupt or partial
+checkpoints are skipped in favour of the newest intact one.  Both files are written to a temporary name and atomically renamed —
 the manifest last — so a crash mid-write can never produce a manifest that
 points at a missing or half-written blob.
 

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         from repro.sim import ENGINES
 
         if self.engine not in ENGINES:

@@ -1,10 +1,10 @@
 """Declarative scenario layer: one file describes one experiment run.
 
-A *scenario* is a small YAML/JSON document — schema-validated by
-:func:`repro.utils.validation.validate_scenario` under the same exact-key
-discipline as bench reports and checkpoint manifests — that names a paper
-case, a scale preset, and the overrides/execution options the CLI exposes
-as flags.  :func:`resolve_scenario` turns a validated payload into a
+A *scenario* is a small YAML/JSON document — checked against the
+``scenario`` schema of :data:`repro.utils.validation.SCHEMAS`, the one
+table bench reports and checkpoint manifests are checked against too —
+that names a paper case, a scale preset, and the overrides/execution
+options the CLI exposes as flags.  :func:`resolve_scenario` turns a validated payload into a
 :class:`ResolvedScenario`: the fully-built
 :class:`~repro.experiments.config.ExperimentConfig` (mobility preset,
 engine, route-cache policy) plus the execution options (processes, shards,

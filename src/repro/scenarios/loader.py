@@ -1,8 +1,8 @@
 """Scenario file I/O: load, build, override, and re-serialize payloads.
 
-Everything returned here is a *validated* scenario payload (see
-:func:`repro.utils.validation.validate_scenario`); resolution into an
-:class:`~repro.experiments.config.ExperimentConfig` lives in
+Everything returned here is a *validated* scenario payload (the
+``scenario`` schema of :data:`repro.utils.validation.SCHEMAS`); resolution
+into an :class:`~repro.experiments.config.ExperimentConfig` lives in
 :mod:`repro.scenarios.resolve` so this module stays import-light.
 """
 

@@ -12,9 +12,8 @@ The job id *is* the run's full telemetry-excluded ``config_hash``
 (:func:`repro.telemetry.manifest.config_hash`): two submissions that
 resolve to the same experiment share one directory, one execution, one
 result — dedupe is a filesystem property, not a bookkeeping table.  Job
-records are exact-key validated
-(:func:`repro.utils.validation.validate_job_record`) at write *and* read
-time, and written atomically so a crash can never leave a torn record.
+records are checked against the ``job_record`` schema of
+:data:`repro.utils.validation.SCHEMAS` at write *and* read time, and written atomically so a crash can never leave a torn record.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ A run emits two files next to each other:
 
 * ``<name>_manifest.json`` — the aggregated view: provenance (config hash,
   git sha, engine/oracle/policy), total wall seconds, and the full merged
-  metric registry as a numeric tree.  Validated at write *and* read time by
-  :func:`repro.utils.validation.validate_run_manifest` — the same exact-key
-  contract the bench reports live under.
+  metric registry as a numeric tree.  Validated at write *and* read time
+  against the ``run_manifest`` schema of
+  :data:`repro.utils.validation.SCHEMAS` — the one table every document
+  kind, bench reports included, is checked against.
 * ``<name>_metrics.jsonl`` — the event stream: one JSON object per line
   (span events per replication, then one ``metric`` line per aggregated
   counter/gauge/timer/histogram), for consumers that want the raw dump.

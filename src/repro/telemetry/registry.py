@@ -3,9 +3,9 @@
 Primitives are deliberately tiny (``__slots__``, plain attribute
 arithmetic): they live on the hot side of the telemetry boundary and are
 only ever touched when telemetry is enabled.  Every snapshot is a plain
-string-keyed tree bottoming out in finite numbers, so the run-manifest
-schema can reuse the bench-report numeric-tree validator
-(:func:`repro.utils.validation._check_numeric_tree`).
+string-keyed tree bottoming out in finite numbers: the run manifest's
+``metrics`` row in :data:`repro.utils.validation.SCHEMAS` is the same
+finite-number-tree rule as the bench reports'.
 
 Snapshots from different processes merge associatively
 (:meth:`MetricsRegistry.merge`), which is how per-replication worker

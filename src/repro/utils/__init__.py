@@ -13,12 +13,7 @@ from repro.utils.bitstring import (
 )
 from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 from repro.utils.tables import ascii_lineplot, format_table
-from repro.utils.validation import (
-    check_fraction,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_probability
 
 __all__ = [
     "as_generator",
@@ -31,8 +26,5 @@ __all__ = [
     "hamming_distance",
     "format_table",
     "ascii_lineplot",
-    "check_fraction",
-    "check_non_negative",
-    "check_positive",
     "check_probability",
 ]

@@ -1,18 +1,27 @@
-"""Tiny argument-validation helpers shared by configuration dataclasses,
-plus the machine-readable bench-report schema contract."""
+"""Argument-validation helpers for the configuration dataclasses, plus the
+declarative schemas of every machine-readable document the repo writes.
+
+:data:`SCHEMAS` holds one table per document kind (bench report, run
+manifest, checkpoint manifest, scenario, service job record) with one row
+per document key, mapping the key to a rule from a small vocabulary
+(integer 1, string, 64-char hex, integer >= n, finite number, optional,
+finite-number tree, one-of, nested object with exact or subset keys).
+:func:`check` is the one checker; the ``validate_*`` functions are its
+named entry points and the ``*_KEYS`` constants are read off the table.
+Every error names the document and the dotted path of the offending key.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "check_probability",
-    "check_fraction",
-    "check_positive",
-    "check_non_negative",
     "drift_budget_error",
     "shards_error",
+    "SCHEMAS",
+    "check",
     "BENCH_REPORT_KEYS",
     "validate_bench_report",
     "RUN_MANIFEST_KEYS",
@@ -37,28 +46,6 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_fraction(value: float, name: str) -> float:
-    """Validate ``value`` lies in (0, 1]; returns it for chaining."""
-    value = float(value)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1], got {value}")
-    return value
-
-
-def check_positive(value: float, name: str) -> float:
-    """Validate ``value`` is strictly positive; returns it for chaining."""
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    return value
-
-
-def check_non_negative(value: float, name: str) -> float:
-    """Validate ``value`` is >= 0; returns it for chaining."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 def drift_budget_error(
     route_cache: str | None,
     drift_budget: int | None,
@@ -70,8 +57,8 @@ def drift_budget_error(
     A budget without the approx policy would be range-checked and then
     silently ignored (the exact policy hardcodes budget 0) — reject it so
     a misconfigured benchmark or scenario cannot masquerade as a
-    drift-budgeted run.  Shared by the CLI flags, the scenario loader and
-    the service layer; the labels parametrize the error message so each
+    drift-budgeted run.  Shared by the CLI flags and the scenario schema's
+    cross-key rule; the labels parametrize the error message so each
     surface reports in its own vocabulary.
     """
     if drift_budget is None:
@@ -91,531 +78,327 @@ def shards_error(shards: int | None, label: str = "--shards") -> str | None:
     return None
 
 
-#: The exact key set of every machine-readable bench report
-#: (``results/bench_reports/*.json`` and the repo-root ``BENCH_ENGINE.json``).
-BENCH_REPORT_KEYS = frozenset({"bench", "scale", "wall_s", "metrics", "git_sha"})
+# -- rule vocabulary ---------------------------------------------------------
 
+#: A rule checks one value at ``path`` (dotted, ``""`` for the document
+#: itself) of the document ``name``, raising :class:`ValueError` that names
+#: both when the value breaks it.
+Rule = Callable[[Any, str, str], None]
 
-def _check_numeric_tree(value: Any, path: str) -> None:
-    """Finite numbers, or string-keyed mappings that bottom out in them."""
-    if isinstance(value, bool):
-        raise ValueError(f"{path} must be numeric, got a bool")
-    if isinstance(value, (int, float)):
-        # NaN poisons comparisons silently; +/-inf serializes as the
-        # non-RFC-8259 token ``Infinity`` that strict JSON consumers reject
-        if not math.isfinite(value):
-            raise ValueError(f"{path} is not finite ({value!r})")
-        return
-    if isinstance(value, Mapping):
-        for key, sub in value.items():
-            if not isinstance(key, str):
-                raise ValueError(f"{path} has a non-string key {key!r}")
-            _check_numeric_tree(sub, f"{path}[{key!r}]")
-        return
-    raise ValueError(
-        f"{path} must be a number or a nested mapping of numbers,"
-        f" got {type(value).__name__}"
-    )
-
-
-def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
-    """Validate one bench-report JSON payload against the pipeline contract.
-
-    The contract (README "Verifying", enforced at write time by
-    ``benchmarks/conftest.emit_report`` and over the committed artefacts by
-    ``tests/test_bench_report_schema.py``):
-
-    * exactly the keys ``{bench, scale, wall_s, metrics, git_sha}``,
-    * ``bench`` and ``git_sha`` are non-empty strings,
-    * ``scale`` is a string or a string-keyed mapping of numbers,
-    * ``wall_s`` is a non-negative number, ``null`` (a bench that did not
-      time itself), or a nested mapping of numbers (the engine ledger's
-      per-oracle/per-engine matrix),
-    * ``metrics`` is a string-keyed mapping bottoming out in finite numbers.
-
-    Returns the payload for chaining; raises :class:`ValueError` with the
-    offending path otherwise.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
-    keys = set(payload)
-    missing = sorted(BENCH_REPORT_KEYS - keys)
-    extra = sorted(keys - BENCH_REPORT_KEYS)
-    if missing or extra:
-        raise ValueError(
-            f"{name} keys mismatch: missing {missing or 'none'},"
-            f" unexpected {extra or 'none'}"
-        )
-    for field in ("bench", "git_sha"):
-        if not isinstance(payload[field], str) or not payload[field]:
-            raise ValueError(f"{name}: {field!r} must be a non-empty string")
-    scale = payload["scale"]
-    if isinstance(scale, str):
-        if not scale:
-            raise ValueError(f"{name}: 'scale' string must be non-empty")
-    else:
-        _check_numeric_tree(scale, f"{name}: scale")
-    wall = payload["wall_s"]
-    if wall is not None:
-        _check_numeric_tree(wall, f"{name}: wall_s")
-        if isinstance(wall, (int, float)) and wall < 0:
-            raise ValueError(f"{name}: wall_s must be >= 0, got {wall}")
-    metrics = payload["metrics"]
-    if not isinstance(metrics, Mapping):
-        raise ValueError(f"{name}: 'metrics' must be a mapping")
-    _check_numeric_tree(metrics, f"{name}: metrics")
-    return dict(payload)
-
-
-#: The exact key set of every telemetry run manifest
-#: (``<name>_manifest.json``, written by ``repro.telemetry.manifest``).
-RUN_MANIFEST_KEYS = frozenset(
-    {
-        "manifest_version",
-        "name",
-        "git_sha",
-        "config_hash",
-        "run",
-        "wall_s",
-        "metrics",
-        "events_file",
-    }
-)
-
-
-def validate_run_manifest(payload: Any, name: str = "run manifest") -> dict:
-    """Validate one telemetry run-manifest payload against its contract.
-
-    The contract (README "Observability", enforced at write time by
-    ``repro.telemetry.manifest.build_run_manifest`` and at read time by
-    ``repro stats``):
-
-    * exactly the keys ``{manifest_version, name, git_sha, config_hash,
-      run, wall_s, metrics, events_file}``,
-    * ``manifest_version`` is the integer ``1``,
-    * ``name``, ``git_sha`` and ``config_hash`` are non-empty strings,
-    * ``run`` is a string-keyed mapping of scalars (strings or finite
-      numbers) — the engine/oracle/policy provenance block,
-    * ``wall_s`` is a non-negative finite number,
-    * ``metrics`` is a string-keyed mapping bottoming out in finite
-      numbers (the aggregated registry snapshot),
-    * ``events_file`` is ``null`` or a non-empty string naming the
-      sibling JSONL event dump.
-
-    Returns the payload for chaining; raises :class:`ValueError` with the
-    offending path otherwise.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
-    keys = set(payload)
-    if keys != RUN_MANIFEST_KEYS:
-        missing = sorted(RUN_MANIFEST_KEYS - keys)
-        extra = sorted(keys - RUN_MANIFEST_KEYS)
-        raise ValueError(
-            f"{name} keys mismatch: missing {missing or 'none'},"
-            f" unexpected {extra or 'none'}"
-        )
-    version = payload["manifest_version"]
-    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
-        raise ValueError(
-            f"{name}: 'manifest_version' must be the integer 1, got {version!r}"
-        )
-    for field in ("name", "git_sha", "config_hash"):
-        if not isinstance(payload[field], str) or not payload[field]:
-            raise ValueError(f"{name}: {field!r} must be a non-empty string")
-    run = payload["run"]
-    if not isinstance(run, Mapping):
-        raise ValueError(f"{name}: 'run' must be a mapping")
-    for key, value in run.items():
-        if not isinstance(key, str):
-            raise ValueError(f"{name}: run has a non-string key {key!r}")
-        if isinstance(value, str):
-            continue
-        _check_numeric_tree(value, f"{name}: run[{key!r}]")
-        if isinstance(value, Mapping):
-            raise ValueError(f"{name}: run[{key!r}] must be a scalar")
-    wall = payload["wall_s"]
-    _check_numeric_tree(wall, f"{name}: wall_s")
-    if not isinstance(wall, (int, float)) or wall < 0:
-        raise ValueError(f"{name}: wall_s must be a number >= 0, got {wall!r}")
-    metrics = payload["metrics"]
-    if not isinstance(metrics, Mapping):
-        raise ValueError(f"{name}: 'metrics' must be a mapping")
-    _check_numeric_tree(metrics, f"{name}: metrics")
-    events_file = payload["events_file"]
-    if events_file is not None and (
-        not isinstance(events_file, str) or not events_file
-    ):
-        raise ValueError(
-            f"{name}: 'events_file' must be null or a non-empty string"
-        )
-    return dict(payload)
-
-
-#: The exact key set of every checkpoint manifest
-#: (``gen*.json``, written by ``repro.experiments.checkpoint``).
-CHECKPOINT_KEYS = frozenset(
-    {
-        "checkpoint_version",
-        "config_hash",
-        "replication",
-        "generation",
-        "state_file",
-        "state_sha256",
-    }
-)
-
-
-def _check_exact_int(value: Any, name: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def validate_checkpoint_manifest(payload: Any, name: str = "checkpoint") -> dict:
-    """Validate one checkpoint-manifest payload against its contract.
-
-    The contract (README "Fault tolerance", enforced at write time by
-    ``repro.experiments.checkpoint.CheckpointStore.save`` and again at load
-    time before the state blob is unpickled):
-
-    * exactly the keys ``{checkpoint_version, config_hash, replication,
-      generation, state_file, state_sha256}``,
-    * ``checkpoint_version`` is the integer ``1``,
-    * ``config_hash`` is a non-empty string (the content address — the same
-      sha256 :func:`repro.telemetry.manifest.config_hash` produces),
-    * ``replication`` and ``generation`` are integers >= 0,
-    * ``state_file`` is a non-empty string naming the sibling pickle blob,
-    * ``state_sha256`` is a 64-character lowercase hex digest of that blob.
-
-    Returns the payload for chaining; raises :class:`ValueError` with the
-    offending field otherwise.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
-    keys = set(payload)
-    if keys != CHECKPOINT_KEYS:
-        missing = sorted(CHECKPOINT_KEYS - keys)
-        extra = sorted(keys - CHECKPOINT_KEYS)
-        raise ValueError(
-            f"{name} keys mismatch: missing {missing or 'none'},"
-            f" unexpected {extra or 'none'}"
-        )
-    version = payload["checkpoint_version"]
-    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
-        raise ValueError(
-            f"{name}: 'checkpoint_version' must be the integer 1, got {version!r}"
-        )
-    if not isinstance(payload["config_hash"], str) or not payload["config_hash"]:
-        raise ValueError(f"{name}: 'config_hash' must be a non-empty string")
-    _check_exact_int(payload["replication"], f"{name}: 'replication'")
-    _check_exact_int(payload["generation"], f"{name}: 'generation'")
-    if not isinstance(payload["state_file"], str) or not payload["state_file"]:
-        raise ValueError(f"{name}: 'state_file' must be a non-empty string")
-    digest = payload["state_sha256"]
-    if (
-        not isinstance(digest, str)
-        or len(digest) != 64
-        or any(c not in "0123456789abcdef" for c in digest)
-    ):
-        raise ValueError(
-            f"{name}: 'state_sha256' must be a 64-char lowercase hex digest"
-        )
-    return dict(payload)
-
-
-# -- scenario files ----------------------------------------------------------
-
-#: The exact top-level key set of every scenario file (``scenarios/*.yaml``,
-#: loaded by :mod:`repro.scenarios`).  All keys are required: a scenario is a
-#: complete, explicit description of one experiment run.
-SCENARIO_KEYS = frozenset(
-    {
-        "scenario_version",
-        "name",
-        "description",
-        "case",
-        "scale",
-        "overrides",
-        "run",
-    }
-)
-
-#: Allowed keys of a scenario's ``overrides`` block — the same knobs the CLI
-#: exposes as flags on ``run-case``.  Absent keys keep the case defaults.
-SCENARIO_OVERRIDE_KEYS = frozenset(
-    {
-        "seed",
-        "engine",
-        "generations",
-        "rounds",
-        "replications",
-        "mobility",
-        "speed",
-        "pause",
-        "route_cache",
-        "drift_budget",
-        "telemetry",
-    }
-)
-
-#: Allowed keys of a scenario's ``run`` block — execution options that never
-#: change simulation results (and therefore never enter the config hash).
-#: ``stacked`` qualifies because stacked evaluation is bit-identical to the
-#: per-replication path (``tests/test_sim_stacked.py``).
-SCENARIO_RUN_KEYS = frozenset(
-    {"processes", "shards", "checkpoint_dir", "resume", "stacked"}
-)
-
+_HEX_CHARS = frozenset("0123456789abcdef")
 #: Characters allowed in a scenario name (it names manifest/result files).
 _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 )
 
 
-def _check_optional_int(value: Any, name: str, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+def _label(name: str, path: str) -> str:
+    return f"{name}: {path!r}" if path else name
 
 
-def _check_nonempty_str(value: Any, name: str) -> None:
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{name} must be a non-empty string")
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_scenario(payload: Any, name: str = "scenario") -> dict:
-    """Validate one scenario payload against the DSL contract.
+def _expect(ok: Callable[[Any], bool], what: str) -> Rule:
+    """Rule: ``ok(value)`` holds; the error says the value must be ``what``."""
 
-    The contract (README "Serving layer", enforced at load time by
-    :func:`repro.scenarios.load_scenario`, over the committed library by
-    ``tests/test_scenarios.py`` and in CI by ``repro validate-scenarios``):
+    def expect(value: Any, name: str, path: str) -> None:
+        if not ok(value):
+            raise ValueError(f"{_label(name, path)} must be {what}, got {value!r}")
 
-    * exactly the top-level keys ``{scenario_version, name, description,
-      case, scale, overrides, run}``,
-    * ``scenario_version`` is the integer ``1``,
-    * ``name`` is a non-empty filename-safe string
-      (``[A-Za-z0-9._-]+``), ``description`` a string,
-    * ``case`` and ``scale`` are non-empty strings (membership in the case
-      registry and scale table is checked at *resolve* time, which owns
-      those imports),
-    * ``overrides`` is a mapping whose keys are a subset of
-      :data:`SCENARIO_OVERRIDE_KEYS` with type/range-checked values
-      (``speed``/``pause`` require ``mobility``; ``drift_budget`` requires
-      ``route_cache: approx``),
-    * ``run`` is a mapping whose keys are a subset of
-      :data:`SCENARIO_RUN_KEYS` (execution options; ``null`` means
-      default).
+    return expect
 
-    Returns a normalized deep copy (``overrides``/``run`` as plain dicts);
-    raises :class:`ValueError` with the offending field otherwise.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{name} must be a mapping, got {type(payload).__name__}")
-    keys = set(payload)
-    if keys != SCENARIO_KEYS:
-        missing = sorted(SCENARIO_KEYS - keys)
-        extra = sorted(keys - SCENARIO_KEYS)
+
+_VERSION = _expect(lambda v: _is_int(v) and v == 1, "the integer 1")
+_TEXT = _expect(lambda v: isinstance(v, str), "a string")
+_STR = _expect(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_BOOL = _expect(lambda v: isinstance(v, bool), "a boolean")
+_HEX64 = _expect(
+    lambda v: isinstance(v, str) and len(v) == 64 and set(v) <= _HEX_CHARS,
+    "a 64-char lowercase hex digest",
+)
+_NAME = _expect(
+    lambda v: isinstance(v, str) and v != "" and set(v) <= _NAME_CHARS,
+    "a non-empty string of [A-Za-z0-9._-]",
+)
+
+
+def _integer(minimum: int) -> Rule:
+    """Rule: an integer >= ``minimum`` (a bool is not an integer here)."""
+    return _expect(lambda v: _is_int(v) and v >= minimum, f"an integer >= {minimum}")
+
+
+def _choice(choices: tuple) -> Rule:
+    """Rule: one of the values ``choices``."""
+    return _expect(lambda v: isinstance(v, str) and v in choices, f"one of {choices}")
+
+
+def _optional(rule: Rule) -> Rule:
+    """Rule: ``null``, or a value passing ``rule``."""
+
+    def optional(value: Any, name: str, path: str) -> None:
+        if value is not None:
+            rule(value, name, path)
+
+    return optional
+
+
+def _either(*rules: Rule) -> Rule:
+    """Rule: a value passing one of ``rules`` (the error lists every miss)."""
+
+    def either(value: Any, name: str, path: str) -> None:
+        errors = []
+        for rule in rules:
+            try:
+                return rule(value, name, path)
+            except ValueError as exc:
+                errors.append(str(exc))
+        raise ValueError("; or ".join(errors))
+
+    return either
+
+
+def _number(minimum: float | None = None, what: str = "a finite number") -> Rule:
+    """Rule: a finite number (not a bool), >= ``minimum`` when given."""
+
+    def number(value: Any, name: str, path: str) -> None:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            kind = type(value).__name__
+            raise ValueError(f"{_label(name, path)} must be {what}, got {kind}")
+        # NaN poisons comparisons silently; +/-inf serializes as the
+        # non-RFC-8259 token ``Infinity`` that strict JSON consumers reject
+        if not math.isfinite(value):
+            raise ValueError(f"{_label(name, path)} is not finite ({value!r})")
+        if minimum is not None and value < minimum:
+            label = _label(name, path)
+            raise ValueError(f"{label} must be >= {minimum}, got {value!r}")
+
+    return number
+
+
+def _require_mapping(value: Any, name: str, path: str) -> None:
+    if not isinstance(value, Mapping):
         raise ValueError(
-            f"{name} keys mismatch: missing {missing or 'none'},"
-            f" unexpected {extra or 'none'}"
+            f"{_label(name, path)} must be a mapping (JSON object),"
+            f" got {type(value).__name__}"
         )
-    version = payload["scenario_version"]
-    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
-        raise ValueError(
-            f"{name}: 'scenario_version' must be the integer 1, got {version!r}"
-        )
-    _check_nonempty_str(payload["name"], f"{name}: 'name'")
-    if not set(payload["name"]) <= _NAME_CHARS:
-        raise ValueError(
-            f"{name}: 'name' may only contain [A-Za-z0-9._-],"
-            f" got {payload['name']!r}"
-        )
-    if not isinstance(payload["description"], str):
-        raise ValueError(f"{name}: 'description' must be a string")
-    _check_nonempty_str(payload["case"], f"{name}: 'case'")
-    _check_nonempty_str(payload["scale"], f"{name}: 'scale'")
 
-    overrides = payload["overrides"]
-    if not isinstance(overrides, Mapping):
-        raise ValueError(f"{name}: 'overrides' must be a mapping")
-    unknown = sorted(set(overrides) - SCENARIO_OVERRIDE_KEYS)
-    if unknown:
-        raise ValueError(f"{name}: unknown override keys {unknown}")
-    for key in ("seed",):
-        if key in overrides:
-            value = overrides[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"{name}: override {key!r} must be an integer, got {value!r}"
-                )
-    for key, minimum in (("generations", 1), ("rounds", 1), ("replications", 1)):
-        if key in overrides:
-            _check_optional_int(
-                overrides[key], f"{name}: override {key!r}", minimum
+
+def _mapping(values: Rule) -> Rule:
+    """Rule: a string-keyed mapping whose every value passes ``values``."""
+
+    def mapping(value: Any, name: str, path: str) -> None:
+        _require_mapping(value, name, path)
+        for key, sub in value.items():
+            if not isinstance(key, str):
+                raise ValueError(f"{_label(name, path)} has a non-string key {key!r}")
+            values(sub, name, f"{path}.{key}")
+
+    return mapping
+
+
+def _numbers(minimum: float | None = None) -> Rule:
+    """Rule: a finite-number tree — a finite number (>= ``minimum`` when
+    given), or string-keyed mappings that bottom out in them."""
+    leaf = _number(minimum, "a number or a nested mapping of numbers")
+
+    def numbers(value: Any, name: str, path: str) -> None:
+        (branch if isinstance(value, Mapping) else leaf)(value, name, path)
+
+    branch = _mapping(numbers)
+    return numbers
+
+
+class _Object:
+    """Rule: a mapping whose keys are exactly ``rows`` (a subset of them
+    when ``exact`` is false), each value passing its row's rule, and then
+    the whole mapping passing the optional ``cross`` (cross-key) rule."""
+
+    def __init__(
+        self, rows: dict[str, Rule], exact: bool = True, cross: Rule | None = None
+    ) -> None:
+        self.rows = rows
+        self.exact = exact
+        self.cross = cross
+
+    def __call__(self, value: Any, name: str, path: str) -> None:
+        _require_mapping(value, name, path)
+        keys = set(value)
+        extra = sorted(keys - self.rows.keys(), key=str)
+        missing = sorted(self.rows.keys() - keys) if self.exact else []
+        if missing or extra:
+            if not self.exact:
+                raise ValueError(f"{name}: unknown {path} keys {extra}")
+            raise ValueError(
+                f"{_label(name, path)} keys mismatch: missing {missing or 'none'},"
+                f" unexpected {extra or 'none'}"
             )
-    for key in ("engine", "mobility", "route_cache"):
-        if key in overrides:
-            _check_nonempty_str(overrides[key], f"{name}: override {key!r}")
-    for key in ("speed", "pause"):
-        if key in overrides:
-            value = overrides[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"{name}: override {key!r} must be a number, got {value!r}"
-                )
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(
-                    f"{name}: override {key!r} must be >= 0 and finite,"
-                    f" got {value!r}"
-                )
-    if (
-        "speed" in overrides or "pause" in overrides
-    ) and "mobility" not in overrides:
+        for key, sub in value.items():
+            self.rows[key](sub, name, f"{path}.{key}" if path else key)
+        if self.cross is not None:
+            self.cross(value, name, path)
+
+
+def _scenario_pairs(payload: Mapping, name: str, path: str) -> None:
+    """Cross-key rule of a scenario's ``overrides``.
+
+    ``speed``/``pause`` need a mobility model other than ``none`` (under
+    ``none`` they would be ignored yet still move the config hash, giving
+    one run two content addresses), and ``drift_budget`` needs
+    ``route_cache: approx``.
+    """
+    overrides = payload["overrides"]
+    moving = overrides.get("mobility", "none") != "none"
+    if ("speed" in overrides or "pause" in overrides) and not moving:
         raise ValueError(
-            f"{name}: overrides 'speed'/'pause' require 'mobility'"
-        )
-    if "drift_budget" in overrides:
-        _check_optional_int(
-            overrides["drift_budget"], f"{name}: override 'drift_budget'", 0
+            f"{_label(name, path)}: overrides 'speed'/'pause' require 'mobility'"
+            " (a model other than 'none')"
         )
     error = drift_budget_error(
         overrides.get("route_cache"),
         overrides.get("drift_budget"),
-        route_cache_label="override 'route_cache':",
-        budget_label="override 'drift_budget'",
+        route_cache_label="'overrides.route_cache'",
+        budget_label="'overrides.drift_budget'",
     )
     if error is not None:
-        raise ValueError(f"{name}: {error}")
-    if "telemetry" in overrides and not isinstance(overrides["telemetry"], bool):
-        raise ValueError(f"{name}: override 'telemetry' must be a boolean")
-
-    run = payload["run"]
-    if not isinstance(run, Mapping):
-        raise ValueError(f"{name}: 'run' must be a mapping")
-    unknown = sorted(set(run) - SCENARIO_RUN_KEYS)
-    if unknown:
-        raise ValueError(f"{name}: unknown run keys {unknown}")
-    for key in ("processes", "shards"):
-        if key in run and run[key] is not None:
-            _check_optional_int(run[key], f"{name}: run {key!r}", 1)
-    if "checkpoint_dir" in run and run["checkpoint_dir"] is not None:
-        _check_nonempty_str(run["checkpoint_dir"], f"{name}: run 'checkpoint_dir'")
-    if "resume" in run and not isinstance(run["resume"], bool):
-        raise ValueError(f"{name}: run 'resume' must be a boolean")
-    if (
-        "stacked" in run
-        and run["stacked"] is not None
-        and not isinstance(run["stacked"], bool)
-    ):
-        raise ValueError(f"{name}: run 'stacked' must be a boolean or null")
-
-    normalized = dict(payload)
-    normalized["overrides"] = {k: overrides[k] for k in sorted(overrides)}
-    normalized["run"] = {k: run[k] for k in sorted(run)}
-    return normalized
+        raise ValueError(f"{_label(name, path)}: {error}")
 
 
-# -- service job records -----------------------------------------------------
+# -- the schema table --------------------------------------------------------
 
 #: The lifecycle states of a service job (``queued`` -> ``running`` ->
 #: ``done``/``failed``; a failed or orphaned job may be requeued).
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: The exact key set of every service job record (``job.json``, written by
-#: ``repro.service.store.ResultStore``).
-JOB_RECORD_KEYS = frozenset(
-    {
-        "job_version",
-        "job_id",
-        "name",
-        "state",
-        "scenario",
-        "submitted_s",
-        "started_s",
-        "finished_s",
-        "attempts",
-        "error",
-        "result_file",
-        "manifest_file",
-    }
-)
+_SCENARIO = _Object({
+    "scenario_version": _VERSION,
+    "name": _NAME,
+    "description": _TEXT,
+    # membership in the case registry and scale table (and of engine,
+    # mobility and route_cache below) is checked at resolve time
+    "case": _STR,
+    "scale": _STR,
+    # the knobs ``run-case`` exposes as flags; absent keys keep the defaults
+    "overrides": _Object({
+        "seed": _integer(0),
+        "engine": _STR,
+        "generations": _integer(1),
+        "rounds": _integer(1),
+        "replications": _integer(1),
+        "mobility": _STR,
+        "speed": _number(minimum=0),
+        "pause": _number(minimum=0),
+        "route_cache": _STR,
+        "drift_budget": _integer(0),
+        "telemetry": _BOOL,
+    }, exact=False),
+    # execution options that never change results (so never enter the
+    # config hash); ``null`` means default.  ``stacked`` qualifies because
+    # stacked evaluation is bit-identical (``tests/test_sim_stacked.py``)
+    "run": _Object({
+        "processes": _optional(_integer(1)),
+        "shards": _optional(_integer(1)),
+        "checkpoint_dir": _optional(_STR),
+        "resume": _BOOL,
+        "stacked": _optional(_BOOL),
+    }, exact=False),
+}, cross=_scenario_pairs)
+
+#: One exact-key schema per document kind; :func:`check` reads it.
+SCHEMAS: dict[str, _Object] = {
+    # results/bench_reports/*.json and the repo-root BENCH_ENGINE.json
+    "bench_report": _Object({
+        "bench": _STR,
+        "scale": _either(_STR, _numbers()),
+        # null for a bench that did not time itself; a tree for the
+        # engine ledger's per-oracle/per-engine matrix
+        "wall_s": _optional(_numbers(minimum=0)),
+        "metrics": _mapping(_numbers()),
+        "git_sha": _STR,
+    }),
+    # <name>_manifest.json, written by repro.telemetry.manifest
+    "run_manifest": _Object({
+        "manifest_version": _VERSION,
+        "name": _STR,
+        "git_sha": _STR,
+        "config_hash": _STR,
+        "run": _mapping(_either(_TEXT, _number())),  # engine/dispatch provenance
+        "wall_s": _number(minimum=0),
+        "metrics": _mapping(_numbers()),  # the aggregated registry snapshot
+        "events_file": _optional(_STR),  # the sibling JSONL event dump
+    }),
+    # gen*.json, written by repro.experiments.checkpoint
+    "checkpoint": _Object({
+        "checkpoint_version": _VERSION,
+        "config_hash": _STR,  # the content address
+        "replication": _integer(0),
+        "generation": _integer(0),
+        "state_file": _STR,  # the sibling pickle blob
+        "state_sha256": _HEX64,
+    }),
+    # scenarios/*.yaml, loaded by repro.scenarios
+    "scenario": _SCENARIO,
+    # job.json, written by repro.service.store.ResultStore
+    "job_record": _Object({
+        "job_version": _VERSION,
+        "job_id": _HEX64,  # the run's full config_hash: the dedupe address
+        "name": _STR,
+        "state": _choice(JOB_STATES),
+        "scenario": _SCENARIO,  # re-resolved on recovery
+        "submitted_s": _number(),
+        "started_s": _optional(_number()),
+        "finished_s": _optional(_number()),
+        "attempts": _integer(0),  # execution starts so far
+        "error": _optional(_STR),
+        "result_file": _optional(_STR),
+        "manifest_file": _optional(_STR),
+    }),
+}
+
+BENCH_REPORT_KEYS = frozenset(SCHEMAS["bench_report"].rows)
+RUN_MANIFEST_KEYS = frozenset(SCHEMAS["run_manifest"].rows)
+CHECKPOINT_KEYS = frozenset(SCHEMAS["checkpoint"].rows)
+SCENARIO_KEYS = frozenset(_SCENARIO.rows)
+SCENARIO_OVERRIDE_KEYS = frozenset(_SCENARIO.rows["overrides"].rows)
+SCENARIO_RUN_KEYS = frozenset(_SCENARIO.rows["run"].rows)
+JOB_RECORD_KEYS = frozenset(SCHEMAS["job_record"].rows)
+
+
+def check(kind: str, payload: Any, name: str | None = None) -> dict:
+    """Check ``payload`` against ``SCHEMAS[kind]``; returns a shallow copy.
+    ``name`` (default: the kind, spaced) prefixes every error message."""
+    SCHEMAS[kind](payload, kind.replace("_", " ") if name is None else name, "")
+    return dict(payload)
+
+
+def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
+    """A bench report (README "Verifying"); checked when written."""
+    return check("bench_report", payload, name)
+
+
+def validate_run_manifest(payload: Any, name: str = "run manifest") -> dict:
+    """A telemetry run manifest (README "Observability"); checked when
+    written and when ``repro stats`` or the service reads it."""
+    return check("run_manifest", payload, name)
+
+
+def validate_checkpoint_manifest(payload: Any, name: str = "checkpoint") -> dict:
+    """A checkpoint manifest (README "Fault tolerance"); checked when saved
+    and again before its state blob is unpickled."""
+    return check("checkpoint", payload, name)
+
+
+def validate_scenario(payload: Any, name: str = "scenario") -> dict:
+    """A scenario (README "Serving layer"), with its ``overrides``/``run``
+    blocks copied into key-sorted dicts."""
+    normalized = check("scenario", payload, name)
+    for block in ("overrides", "run"):
+        normalized[block] = {k: normalized[block][k] for k in sorted(normalized[block])}
+    return normalized
 
 
 def validate_job_record(payload: Any, name: str = "job record") -> dict:
-    """Validate one service job record against its contract.
-
-    The contract (README "Serving layer", enforced at write time by
-    ``repro.service.store.ResultStore.save_record`` and at read time before
-    a record is trusted):
-
-    * exactly the keys :data:`JOB_RECORD_KEYS`,
-    * ``job_version`` is the integer ``1``,
-    * ``job_id`` is the run's full 64-char ``config_hash`` (the dedupe
-      content address),
-    * ``state`` is one of :data:`JOB_STATES`,
-    * ``scenario`` is a valid scenario payload (re-resolved on recovery),
-    * ``submitted_s`` is a finite number; ``started_s``/``finished_s`` are
-      finite numbers or ``null``,
-    * ``attempts`` is an integer >= 0 (execution starts so far),
-    * ``error``, ``result_file`` and ``manifest_file`` are ``null`` or
-      non-empty strings.
-
-    Returns the payload for chaining; raises :class:`ValueError` otherwise.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
-    keys = set(payload)
-    if keys != JOB_RECORD_KEYS:
-        missing = sorted(JOB_RECORD_KEYS - keys)
-        extra = sorted(keys - JOB_RECORD_KEYS)
-        raise ValueError(
-            f"{name} keys mismatch: missing {missing or 'none'},"
-            f" unexpected {extra or 'none'}"
-        )
-    version = payload["job_version"]
-    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
-        raise ValueError(
-            f"{name}: 'job_version' must be the integer 1, got {version!r}"
-        )
-    job_id = payload["job_id"]
-    if (
-        not isinstance(job_id, str)
-        or len(job_id) != 64
-        or any(c not in "0123456789abcdef" for c in job_id)
-    ):
-        raise ValueError(
-            f"{name}: 'job_id' must be a 64-char lowercase hex config hash"
-        )
-    _check_nonempty_str(payload["name"], f"{name}: 'name'")
-    if payload["state"] not in JOB_STATES:
-        raise ValueError(
-            f"{name}: 'state' must be one of {JOB_STATES}, got {payload['state']!r}"
-        )
-    validate_scenario(payload["scenario"], name=f"{name}: scenario")
-    submitted = payload["submitted_s"]
-    if (
-        isinstance(submitted, bool)
-        or not isinstance(submitted, (int, float))
-        or not math.isfinite(submitted)
-    ):
-        raise ValueError(f"{name}: 'submitted_s' must be a finite number")
-    for key in ("started_s", "finished_s"):
-        value = payload[key]
-        if value is None:
-            continue
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
-            raise ValueError(f"{name}: {key!r} must be null or a finite number")
-    _check_exact_int(payload["attempts"], f"{name}: 'attempts'")
-    for key in ("error", "result_file", "manifest_file"):
-        value = payload[key]
-        if value is not None and (not isinstance(value, str) or not value):
-            raise ValueError(f"{name}: {key!r} must be null or a non-empty string")
-    return dict(payload)
+    """A service job record (README "Serving layer"); checked when written
+    and before a record read back from disk is trusted."""
+    return check("job_record", payload, name)

@@ -103,7 +103,7 @@ class TestValidator:
     def test_negative_wall_rejected(self):
         payload = good_payload()
         payload["wall_s"] = -0.1
-        with pytest.raises(ValueError, match="wall_s must be >= 0"):
+        with pytest.raises(ValueError, match="'wall_s' must be >= 0"):
             validate_bench_report(payload)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

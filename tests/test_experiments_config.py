@@ -60,6 +60,7 @@ class TestValidation:
             {"generations": 0},
             {"replications": 0},
             {"engine": "warp"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

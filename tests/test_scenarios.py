@@ -198,6 +198,13 @@ class TestSchemaRejections:
             (lambda p: p.update(overrides={"generations": 0}), "generations"),
             (lambda p: p.update(overrides={"speed": 0.1}), "require 'mobility'"),
             (
+                lambda p: p.update(
+                    overrides={"mobility": "none", "speed": 0.3, "pause": 5}
+                ),
+                "other than 'none'",
+            ),
+            (lambda p: p.update(overrides={"seed": -1}), "seed"),
+            (
                 lambda p: p.update(overrides={"drift_budget": 8}),
                 "route_cache",
             ),

@@ -271,6 +271,15 @@ class TestJobRunnerLifecycle:
             runner.submit({"case": "case1"})
         assert runner.store.list_records() == []
 
+    def test_negative_seed_is_rejected_at_submit(self, tmp_path):
+        """A seed numpy cannot take fails the submission, not the worker."""
+        runner = JobRunner(tmp_path)
+        payload = smoke_payload()
+        payload["overrides"]["seed"] = -1
+        with pytest.raises(ValueError, match="seed"):
+            runner.submit(payload)
+        assert runner.store.list_records() == []
+
     def test_failed_job_records_error_and_requeues(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
@@ -409,6 +418,9 @@ class TestServiceEndpoints:
         assert service.submit(["not", "a", "mapping"])[0] == 400
         assert service.submit({"case": "case1"})[0] == 400
         assert service.submit({"library": "nope"})[0] == 400
+        negative_seed = smoke_payload()
+        negative_seed["overrides"]["seed"] = -1
+        assert service.submit(negative_seed)[0] == 400
 
     def test_unknown_job_is_404(self, tmp_path):
         service = Service(JobRunner(tmp_path))

@@ -99,6 +99,14 @@ class TestStdlibBackend:
         code, payload = _post(f"{http_service}/jobs", {"bad": "scenario"})
         assert code == 400 and "error" in payload
 
+    def test_post_rejects_a_negative_seed(self, http_service):
+        from repro.scenarios import build_scenario_payload
+
+        payload = build_scenario_payload("case1", "smoke")
+        payload["overrides"]["seed"] = -1
+        code, body = _post(f"{http_service}/jobs", payload)
+        assert code == 400 and "'overrides.seed'" in body["error"]
+
     def test_post_rejects_invalid_json(self, http_service):
         request = urllib.request.Request(
             f"{http_service}/jobs", data=b"{broken", method="POST"

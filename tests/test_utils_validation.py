@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro.utils.validation import (
-    check_fraction,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import SCHEMAS, check, check_probability
 
 
 @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
@@ -21,35 +18,6 @@ def test_probability_accepts_unit_interval(value):
 def test_probability_rejects_outside(value):
     with pytest.raises(ValueError, match="p must be"):
         check_probability(value, "p")
-
-
-def test_fraction_rejects_zero():
-    with pytest.raises(ValueError):
-        check_fraction(0.0, "f")
-
-
-def test_fraction_accepts_one():
-    assert check_fraction(1.0, "f") == 1.0
-
-
-@pytest.mark.parametrize("value", [1e-9, 1, 100])
-def test_positive_accepts(value):
-    assert check_positive(value, "x") == value
-
-
-@pytest.mark.parametrize("value", [0, -1])
-def test_positive_rejects(value):
-    with pytest.raises(ValueError):
-        check_positive(value, "x")
-
-
-def test_non_negative_accepts_zero():
-    assert check_non_negative(0, "x") == 0
-
-
-def test_non_negative_rejects_negative():
-    with pytest.raises(ValueError):
-        check_non_negative(-0.5, "x")
 
 
 class TestCheckpointManifestSchema:
@@ -255,3 +223,92 @@ class TestJobRecordSchema:
         payload[field] = ""
         with pytest.raises(ValueError, match=field):
             validate_job_record(payload)
+
+
+def _scenario() -> dict:
+    return {
+        "scenario_version": 1,
+        "name": "fig4_smoke",
+        "description": "",
+        "case": "case1",
+        "scale": "smoke",
+        "overrides": {"seed": 0, "mobility": "waypoint", "speed": 0.5},
+        "run": {"processes": 1, "resume": False, "stacked": None},
+    }
+
+
+#: One valid document per schema kind (the table test below requires one).
+VALID = {
+    "bench_report": lambda: {
+        "bench": "probe",
+        "scale": {"seats": 50},
+        "wall_s": 0.5,
+        "metrics": {"games": 10, "nested": {"a": 0.5}},
+        "git_sha": "abc1234",
+    },
+    "run_manifest": lambda: {
+        "manifest_version": 1,
+        "name": "case1_smoke",
+        "git_sha": "abc1234",
+        "config_hash": "ab" * 32,
+        "run": {"engine": "fast", "stack_width": 1},
+        "wall_s": 1.5,
+        "metrics": {"counters": {"engine.games": 2400}},
+        "events_file": "case1_smoke_metrics.jsonl",
+    },
+    "checkpoint": TestCheckpointManifestSchema.valid,
+    "scenario": _scenario,
+    "job_record": lambda: dict(TestJobRecordSchema.valid(), scenario=_scenario()),
+}
+
+
+def _rows(rule, prefix=""):
+    """(dotted path, parent keys exact?) for every row under ``rule``."""
+    for key, sub in rule.rows.items():
+        path = f"{prefix}{key}"
+        yield path, rule.exact
+        if hasattr(sub, "rows"):
+            yield from _rows(sub, f"{path}.")
+
+
+def _at(payload: dict, path: str) -> tuple[dict, str]:
+    """The mapping holding ``path`` (nested blocks created as needed)."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        payload = payload.setdefault(parent, {})
+    return payload, key
+
+
+ROWS = [
+    (kind, path, exact)
+    for kind in sorted(SCHEMAS)
+    for path, exact in _rows(SCHEMAS[kind])
+]
+
+
+class TestSchemaTable:
+    """Every row of every schema rejects a missing key and a wrong type."""
+
+    def test_every_kind_has_a_valid_example(self):
+        assert set(VALID) == set(SCHEMAS)
+        for kind, example in VALID.items():
+            assert check(kind, example()) == example()
+
+    @pytest.mark.parametrize(
+        "kind, path",
+        [(kind, path) for kind, path, exact in ROWS if exact],
+    )
+    def test_dropping_a_key_is_a_mismatch(self, kind, path):
+        payload = VALID[kind]()
+        parent, key = _at(payload, path)
+        del parent[key]
+        with pytest.raises(ValueError, match=rf"keys mismatch: missing \['{key}'\]"):
+            check(kind, payload)
+
+    @pytest.mark.parametrize("kind, path", [(kind, path) for kind, path, _ in ROWS])
+    def test_wrong_typed_value_names_the_key(self, kind, path):
+        payload = VALID[kind]()
+        parent, key = _at(payload, path)
+        parent[key] = object()
+        with pytest.raises(ValueError, match=re.escape(f"'{path}'")):
+            check(kind, payload)
