@@ -15,6 +15,7 @@ onto game rounds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -82,12 +83,20 @@ class MobilityConfig:
             raise ValueError(f"pause_time must be >= 0, got {self.pause_time}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.mean_speed < 0.0 or self.speed_sigma < 0.0:
-            raise ValueError("mean_speed and speed_sigma must be >= 0")
+        if (
+            self.mean_speed < 0.0
+            or self.speed_sigma < 0.0
+            or self.direction_sigma < 0.0
+        ):
+            raise ValueError("mean_speed and sigmas must be >= 0")
         for name in ("churn_leave", "churn_return"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 < self.radio_range <= math.sqrt(2.0):
+            raise ValueError(
+                f"radio_range must be in (0, sqrt(2)], got {self.radio_range}"
+            )
         if self.tolerance < 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.max_paths < 1 or self.max_hops < 2:

@@ -5,7 +5,8 @@ derived :mod:`networkx` graph.  ``step()`` advances positions through the
 mobility model and repairs the graph *incrementally*: only nodes that moved
 more than ``tolerance`` since their edges were last computed (or whose churn
 state flipped) have their incident edges rebuilt — an O(moved x n) update
-instead of the O(n^2) full rebuild.
+instead of the O(n^2) full rebuild, done as one vectorised distance scan
+that keeps the edge insertion sequence (see :meth:`_rebuild_edges`).
 
 ``epoch`` is the edge-set version number: it increments only when the edge
 set actually changes, so consumers like
@@ -56,6 +57,7 @@ class DynamicTopology:
         self.radio_range = float(radio_range)
         self.node_ids = ids
         self._index = {nid: i for i, nid in enumerate(ids)}
+        self._id_array = np.array(ids)
         self.model = model
         self.rng = rng
         self.dt = float(dt)
@@ -69,10 +71,10 @@ class DynamicTopology:
         #: cumulative edge churn across epoch rebuilds
         self.edges_added = 0
         self.edges_removed = 0
-        #: (bfs_builds, queries, deviations_pruned) accumulated from
-        #: route-search snapshots already replaced by an epoch rebuild —
-        #: folded so counters survive the snapshot's retirement
-        self._ksp_retired = (0, 0, 0)
+        #: (bfs_builds, queries, deviations_pruned, build_s) accumulated
+        #: from route-search snapshots already replaced by an epoch rebuild
+        #: — folded so counters survive the snapshot's retirement
+        self._ksp_retired = (0, 0, 0, 0.0)
         # movement can disconnect the graph later (that is the point of the
         # subsystem), but starting connected avoids stillborn scenarios
         for _ in range(max_reset_attempts):
@@ -103,11 +105,12 @@ class DynamicTopology:
         if self._search is None or self._search_epoch != self.epoch:
             old = self._search
             if old is not None:
-                b, q, p = self._ksp_retired
+                b, q, p, t = self._ksp_retired
                 self._ksp_retired = (
                     b + old.bfs_builds,
                     q + old.queries,
                     p + old.deviations_pruned,
+                    t + old.build_s,
                 )
             self._search = PathSearch(self.graph)
             self._search_epoch = self.epoch
@@ -271,35 +274,39 @@ class DynamicTopology:
     def _rebuild_edges(self, dirty: np.ndarray) -> bool:
         """Recompute the incident edges of the ``dirty`` node indices.
 
-        Returns whether the graph's edge set changed.  The ``new_edges``
-        insertion sequence is load-bearing: edge-addition order sets the
-        graph's adjacency iteration order, which is the route-search tie
-        order — so it is kept exactly as the distance scan emits it.
+        Returns whether the graph's edge set changed.
+
+        Insertion-sequence contract: ``new_edges`` receives its edges in
+        row-major scan order — dirty rows in ``dirty`` order, each row's
+        in-range columns ascending, self-pairs dropped — exactly the
+        sequence a per-row ``set.add`` loop would feed it.  The set iterates
+        in hash-slot order, and the insertion sequence decides which of two
+        colliding edges takes the earlier slot; that order is the order of
+        ``added``, hence of each node's adjacency, which is the route-search
+        tie order.  Do not reorder it.  ``old_edges`` is only tested for
+        membership and equality, so its order is free.
         """
         ids = self.node_ids
-        adj = self.graph.adj
+        adj = self.graph._adj
         old_edges = {
             (a, b) if a < b else (b, a)
-            for i in dirty.tolist()
-            for a in (ids[i],)
+            for a in [ids[i] for i in dirty.tolist()]
             for b in adj[a]
         }
-        d2 = np.sum(
-            (self._pos[dirty, None, :] - self._pos[None, :, :]) ** 2, axis=-1
-        )
+        pos = self._pos
+        dx = pos[dirty, 0, None] - pos[None, :, 0]
+        dy = pos[dirty, 1, None] - pos[None, :, 1]
         within = (
-            (d2 <= self.radio_range**2)
+            (dx * dx + dy * dy <= self.radio_range**2)
             & self._active[dirty, None]
             & self._active[None, :]
         )
-        new_edges = set()
-        add_edge = new_edges.add
-        for row, i in enumerate(dirty.tolist()):
-            a = ids[i]
-            for j in np.flatnonzero(within[row]).tolist():
-                if j != i:
-                    b = ids[j]
-                    add_edge((a, b) if a < b else (b, a))
+        rows, cols = np.nonzero(within)  # row-major: the contract's order
+        heads = dirty[rows]
+        keep = cols != heads
+        a = self._id_array[heads[keep]]
+        b = self._id_array[cols[keep]]
+        new_edges = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
         if new_edges == old_edges:
             return False
         removed = old_edges - new_edges

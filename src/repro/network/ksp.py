@@ -1,13 +1,16 @@
 """Native K-shortest-paths engine — no networkx in the route hot loop.
 
 :class:`PathSearch` is a frozen snapshot of a :mod:`networkx` graph compiled
-to int-indexed adjacency arrays (CSR layout: ``indptr``/``indices``, plus the
-per-node neighbour lists materialised once for the scalar loops).  On top of
-it sit
+to int-indexed adjacency (per-node neighbour lists for the scalar loops, read
+straight from the graph's adjacency dicts, plus the same adjacency in CSR
+layout, ``indptr``/``indices``, for the vectorised sweep).  One snapshot is
+built per topology epoch, so its construction and hop-field sweep are the
+fixed cost of every epoch (:attr:`PathSearch.build_s`).  On top of it sit
 
-* all-pairs BFS hop-distance fields (one vectorised numpy level-sweep for
-  every destination at once), used to reject unreachable/too-far queries in
-  O(1) and to prune Yen spur searches that cannot fit under ``max_hops``, and
+* all-pairs BFS hop-distance fields (one level-sweep for every destination
+  at once, each level a float32 BLAS product), used to reject
+  unreachable/too-far queries in O(1) and to prune Yen spur searches that
+  cannot fit under ``max_hops``, and
 * a Yen/deviation-style enumeration of shortest simple paths that replicates
   ``networkx.shortest_simple_paths`` **exactly** — same path sets, same
   order, including ties.
@@ -45,6 +48,8 @@ the consumer stops anyway.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain
+from time import perf_counter
 from typing import Collection, Iterable, Sequence
 
 import networkx as nx
@@ -80,41 +85,51 @@ class PathSearch:
         "bfs_builds",
         "queries",
         "deviations_pruned",
+        "build_s",
     )
 
     def __init__(self, graph: nx.Graph):
+        start = perf_counter()
         ids = list(graph)
+        n = len(ids)
         self.node_ids = ids
         self.index = {nid: i for i, nid in enumerate(ids)}
-        index = self.index
-        # CSR adjacency in graph.adj iteration order (the order networkx's
-        # own BFS would visit neighbours in — load-bearing for tie order)
-        indptr = [0]
-        indices: list[int] = []
-        for nid in ids:
-            indices.extend(index[w] for w in graph.adj[nid])
-            indptr.append(len(indices))
-        self.indptr = indptr
-        self.indices = indices
-        self.neighbors = [
-            indices[indptr[i] : indptr[i + 1]] for i in range(len(ids))
-        ]
-        self.neighbor_sets = [set(nbrs) for nbrs in self.neighbors]
         #: ids == indices (nodes are 0..n-1 in order) — true for every
         #: topology this repo builds; lets queries skip id translation
-        self.identity_ids = ids == list(range(len(ids)))
+        self.identity_ids = ids == list(range(n))
+        # neighbours in graph.adj iteration order (the order networkx's own
+        # BFS would visit them in — load-bearing for tie order), read from
+        # the raw adjacency dicts rather than through the AtlasView layers
+        adj = graph._adj
+        if self.identity_ids:
+            neighbors = [list(adj[nid]) for nid in ids]
+        else:
+            index = self.index
+            neighbors = [[index[w] for w in adj[nid]] for nid in ids]
+        self.neighbors = neighbors
+        self.neighbor_sets = [set(nbrs) for nbrs in neighbors]
+        # the same adjacency in CSR layout, for the hop-field sweep
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum([len(nbrs) for nbrs in neighbors], out=indptr[1:])
+        self.indptr = indptr
+        self.indices = np.fromiter(
+            chain.from_iterable(neighbors), dtype=np.intp, count=int(indptr[-1])
+        )
         self._dist_rows: list[list[int]] | None = None
         self._dist_bound = -1
         self._dist_complete = False
         self._mask_scope: Collection[int] | None = None
         self._mask: bytearray | None = None
-        #: hop-field sweeps run (each is the O(n^2) matmul level sweep)
+        #: hop-field sweeps run (each is a float32 matmul per BFS level)
         self.bfs_builds = 0
         #: top-level path enumerations served by this snapshot
         self.queries = 0
         #: Yen spur searches skipped by the hop-field / beat bounds — work
         #: the pruning provably saved without changing any output
         self.deviations_pruned = 0
+        #: seconds spent building this snapshot and its hop-field sweeps —
+        #: the fixed per-epoch cost, apart from path enumeration
+        self.build_s = perf_counter() - start
 
     def __len__(self) -> int:
         return len(self.node_ids)
@@ -124,24 +139,26 @@ class PathSearch:
     def hop_fields(self, bound: int | None = None) -> list[list[int]]:
         """All-pairs BFS hop distances, ``rows[target][source]``.
 
-        Computed per snapshot as a vectorised level sweep: one boolean
-        frontier matrix advanced by adjacency matmul until no node is newly
-        reached — or until ``bound`` levels, since consumers pruning against
-        ``max_hops`` treat every distance beyond it as unreachable anyway.
-        Pairs beyond the sweep hold :data:`UNREACHABLE`.  The field is
-        cached; a later call with a larger bound extends it.  The graph is
-        undirected, so rows double as distance fields *from* every source.
+        Computed per snapshot as a vectorised level sweep: every node's BFS
+        frontier at once, advanced one level by a float32 0/1 adjacency
+        product (a BLAS ``sgemm``; each entry counts at most n ones, so it is
+        exact) thresholded at ``> 0`` — until no node is newly reached, or
+        until ``bound`` levels, since consumers pruning against ``max_hops``
+        treat every distance beyond it as unreachable anyway.  Pairs beyond
+        the sweep hold :data:`UNREACHABLE`.  The field is cached; a later
+        call with a larger bound re-runs the sweep to the new bound.  The
+        graph is undirected, so rows double as distance fields *from* every
+        source.
         """
         if self._dist_rows is None or (
             not self._dist_complete
             and (bound is None or bound > self._dist_bound)
         ):
+            start = perf_counter()
             self.bfs_builds += 1
             n = len(self.node_ids)
-            adj = np.zeros((n, n), dtype=bool)
-            for i, nbrs in enumerate(self.neighbors):
-                if nbrs:
-                    adj[i, nbrs] = True
+            adj = np.zeros((n, n), dtype=np.float32)
+            adj[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = 1
             dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
             np.fill_diagonal(dist, 0)
             reached = np.eye(n, dtype=bool)
@@ -151,13 +168,14 @@ class PathSearch:
                 if bound is not None and hops >= bound:
                     break
                 hops += 1
-                frontier = (frontier @ adj) & ~reached
+                frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
                 dist[frontier] = hops
                 reached |= frontier
             else:
                 self._dist_complete = True
             self._dist_bound = hops
             self._dist_rows = dist.tolist()
+            self.build_s += perf_counter() - start
         return self._dist_rows
 
     def hop_distance(self, source: int, target: int) -> int:

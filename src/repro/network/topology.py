@@ -105,9 +105,10 @@ class GeometricTopology:
         self.epoch = 0
         self._search: PathSearch | None = None
         self._search_edges = -1
-        #: (bfs_builds, queries, deviations_pruned) from retired snapshots,
-        #: folded before a rebuild so search counters survive invalidation
-        self._ksp_retired = (0, 0, 0)
+        #: (bfs_builds, queries, deviations_pruned, build_s) from retired
+        #: snapshots, folded before a rebuild so search counters survive
+        #: invalidation
+        self._ksp_retired = (0, 0, 0, 0.0)
 
     def path_search(self) -> PathSearch:
         """The native route-search snapshot of the current graph.
@@ -135,11 +136,12 @@ class GeometricTopology:
     def _retire_search(self) -> None:
         old = self._search
         if old is not None:
-            b, q, p = self._ksp_retired
+            b, q, p, t = self._ksp_retired
             self._ksp_retired = (
                 b + old.bfs_builds,
                 q + old.queries,
                 p + old.deviations_pruned,
+                t + old.build_s,
             )
 
     def _build_graph(self, positions: dict[int, tuple[float, float]]) -> nx.Graph:

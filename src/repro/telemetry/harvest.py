@@ -78,17 +78,24 @@ def _harvest_topology(tel, topology) -> None:
 
 
 def _harvest_ksp(tel, topology) -> None:
-    """Route-search counters: live snapshot + counts retired on rebuild."""
-    builds, queries, pruned = getattr(topology, "_ksp_retired", (0, 0, 0))
+    """Route-search counters: live snapshot + counts retired on rebuild.
+
+    ``ksp.snapshot_s`` is the fixed per-epoch cost — snapshot builds and
+    hop-field sweeps — apart from path enumeration; the provider's
+    ``route.<policy>.search_s`` times both together.
+    """
+    builds, queries, pruned, build_s = getattr(topology, "_ksp_retired", (0, 0, 0, 0.0))
     search = getattr(topology, "_search", None)
     if search is not None:
-        builds += getattr(search, "bfs_builds", 0)
-        queries += getattr(search, "queries", 0)
-        pruned += getattr(search, "deviations_pruned", 0)
+        builds += search.bfs_builds
+        queries += search.queries
+        pruned += search.deviations_pruned
+        build_s += search.build_s
     if builds or queries or pruned:
         tel.count("ksp.bfs_field_builds", builds)
         tel.count("ksp.queries", queries)
         tel.count("ksp.yen_deviations_pruned", pruned)
+        tel.count("ksp.snapshot_s", float(build_s))
 
 
 def _harvest_slot_cache(tel, cache) -> None:

@@ -114,6 +114,9 @@ class TestMobilityConfig:
             {"max_paths": 0},
             {"step_every": "sometimes"},
             {"step_every": 0},
+            {"model": "waypoint", "radio_range": 2.0},
+            {"model": "waypoint", "radio_range": 0.0},
+            {"model": "gauss-markov", "direction_sigma": -1.0},
         ],
     )
     def test_validation(self, kwargs):

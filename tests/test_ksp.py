@@ -159,19 +159,38 @@ class TestEdgeCases:
         ]
 
 
+def hop_field_cases():
+    """Graphs for the hop-field suite: connected, disconnected, relabelled."""
+    cases = [
+        pytest.param(geometric_graph(seed, n=30)[0], id=f"seed{seed}")
+        for seed in (11, 12, 13, 14)
+    ]
+    sparse, _ = geometric_graph(5, n=40, radius=0.12)
+    assert not nx.is_connected(sparse)
+    cases.append(pytest.param(sparse, id="disconnected"))
+    graph, _ = geometric_graph(11, n=30)
+    # ids that are not 0..n-1 (and not in ascending order)
+    relabelled = nx.relabel_nodes(graph, {v: 1000 - 7 * v for v in graph})
+    cases.append(pytest.param(relabelled, id="relabelled"))
+    return cases
+
+
 class TestHopFields:
-    def test_distances_match_networkx_bfs(self):
-        graph, _ = geometric_graph(11, n=30)
+    MAX_HOPS = 10
+
+    @pytest.mark.parametrize("graph", hop_field_cases())
+    @pytest.mark.parametrize("bound", [None, *range(1, MAX_HOPS + 1)])
+    def test_distances_match_networkx_bfs(self, graph, bound):
         search = PathSearch(graph)
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
+        rows = search.hop_fields(bound)
+        index = search.index
         for s in graph:
+            expected = nx.single_source_shortest_path_length(graph, s, cutoff=bound)
             for t in graph:
-                expected = lengths[s].get(t)
-                got = search.hop_distance(s, t)
-                if expected is None:
-                    assert got == UNREACHABLE
-                else:
-                    assert got == expected
+                got = rows[index[t]][index[s]]
+                assert got == expected.get(t, UNREACHABLE), (s, t, bound)
+                if bound is None:
+                    assert search.hop_distance(s, t) == got
 
     def test_bounded_field_extends_on_demand(self):
         graph = nx.path_graph(9)
@@ -181,6 +200,31 @@ class TestHopFields:
         assert rows[0][8] == UNREACHABLE  # beyond the sweep bound
         rows = search.hop_fields(bound=8)
         assert rows[0][8] == 8
+
+    def test_bfs_builds_count_every_sweep(self):
+        search = PathSearch(nx.path_graph(9))
+        assert search.bfs_builds == 0
+        counts = []
+        for bound in (3, 2, 3, 8, None, None, 12):
+            search.hop_fields(bound)
+            counts.append(search.bfs_builds)
+        # a smaller or equal bound reuses the field; a larger one re-sweeps;
+        # the sweep to bound 8 stops before it can see the graph is done
+        assert counts == [1, 1, 1, 2, 3, 3, 3]
+        search.hop_distance(0, 8)
+        assert search.bfs_builds == 3
+
+    def test_snapshot_times_its_builds(self):
+        graph, _ = geometric_graph(11, n=30)
+        search = PathSearch(graph)
+        built = search.build_s
+        assert built > 0
+        search.hop_fields(4)
+        assert search.build_s > built
+        swept = search.build_s
+        search.hop_fields(3)  # served from the cached field: no new sweep
+        search.intermediate_paths(0, 7, 3, 4)
+        assert search.build_s == swept
 
     def test_covers_all_detects_full_scope(self):
         graph = nx.cycle_graph(5)

@@ -94,6 +94,83 @@ class TestIncrementalRepair:
         assert topo.epoch > 0
 
 
+class ReferenceRepair(DynamicTopology):
+    """The per-row ``set.add`` repair loop the vectorised repair replaced.
+
+    Kept as the order oracle: route search breaks ties on each node's
+    adjacency iteration order, which the repair's edge insertion sequence
+    fixes — a sorted edge-set comparison cannot see it.
+    """
+
+    def _rebuild_edges(self, dirty):
+        ids = self.node_ids
+        adj = self.graph.adj
+        old_edges = {
+            (a, b) if a < b else (b, a)
+            for i in dirty.tolist()
+            for a in (ids[i],)
+            for b in adj[a]
+        }
+        d2 = np.sum((self._pos[dirty, None, :] - self._pos[None, :, :]) ** 2, axis=-1)
+        within = (
+            (d2 <= self.radio_range**2)
+            & self._active[dirty, None]
+            & self._active[None, :]
+        )
+        new_edges = set()
+        for row, i in enumerate(dirty.tolist()):
+            a = ids[i]
+            for j in np.flatnonzero(within[row]).tolist():
+                if j != i:
+                    b = ids[j]
+                    new_edges.add((a, b) if a < b else (b, a))
+        if new_edges == old_edges:
+            return False
+        removed = old_edges - new_edges
+        added = new_edges - old_edges
+        self.graph.remove_edges_from(removed)
+        self.graph.add_edges_from(added)
+        self.edges_removed += len(removed)
+        self.edges_added += len(added)
+        return True
+
+
+class TestAdjacencyOrder:
+    @pytest.mark.parametrize(
+        ("model_factory", "ids", "tolerance"),
+        [
+            (lambda: RandomWaypoint(0.01, 0.06, pause_time=1.0), range(N), 0.0),
+            (lambda: GaussMarkov(0.04), range(N), 0.0),
+            (lambda: NodeChurn(RandomWaypoint(0.02, 0.08), 0.15, 0.5), range(N), 0.0),
+            (lambda: RandomWaypoint(0.01, 0.06), range(N), 0.03),
+            # ids that are not 0..n-1 and not in ascending order
+            (lambda: GaussMarkov(0.04), [7 * k % 23 + 100 for k in range(N)], 0.0),
+        ],
+        ids=["waypoint", "gauss-markov", "churn", "tolerance", "relabelled"],
+    )
+    def test_repair_keeps_every_adjacency_order(self, model_factory, ids, tolerance):
+        topos = [
+            cls(
+                list(ids),
+                RADIO,
+                model_factory(),
+                np.random.default_rng(3),
+                tolerance=tolerance,
+            )
+            for cls in (DynamicTopology, ReferenceRepair)
+        ]
+        changes = 0
+        for _ in range(40):
+            changed = [topo.step() for topo in topos]
+            assert changed[0] == changed[1]
+            changes += changed[0]
+            got, want = (
+                [list(topo.graph.adj[v]) for v in topo.node_ids] for topo in topos
+            )
+            assert got == want
+        assert changes > 0
+
+
 class TestEpochs:
     def test_stationary_network_never_advances_epoch(self):
         topo = make_topology(RandomWaypoint(0.0, 0.0))

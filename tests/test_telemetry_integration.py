@@ -116,6 +116,14 @@ class TestOracleCounters:
         assert metrics["gauges"]["route.drift_budget"] == 8
         assert counters["mobility.steps"] > 0
         assert counters["ksp.queries"] > 0
+        # the per-epoch snapshot cost is reported apart from enumeration
+        assert counters["ksp.snapshot_s"] > 0
+        # ... and timing it perturbs nothing
+        plain = run_experiment(
+            config.with_(telemetry=TelemetryConfig(enabled=False)), processes=1
+        )
+        assert plain.telemetry is None
+        assert plain.replications == result.replications
 
     def test_turbo_replay_counter(self):
         config = telemetry_config("case1", engine="turbo")
