@@ -76,7 +76,8 @@ ORACLES = (
 LEDGER_PATH = Path(__file__).resolve().parent.parent / "BENCH_ENGINE.json"
 
 #: The batch engine's raison d'être, asserted where users will look for it.
-#: The measured margin is ~2.2x; 1.3x absorbs shared-runner noise in CI.
+#: The measured margin is ~5x since its draw decodes the PCG64 word stream
+#: (~2.2x before); 1.3x absorbs shared-runner noise in CI.
 MIN_BATCH_SPEEDUP = 1.3
 #: Every oracle row must show batch >= fast (the regression this bench once
 #: caught: batch *losing* to fast on the topology oracle).  0.93 absorbs
@@ -86,12 +87,16 @@ MIN_BATCH_VS_FAST = 0.93
 #: (measured margins are ~4x topology / ~2.3x mobile).
 MIN_TOPOLOGY_VS_REFERENCE = 2.0
 MIN_MOBILE_VS_REFERENCE = 1.4
-#: The turbo engine's tentpole claim: on the random oracle — where the
-#: sequential draw+watchdog recurrence, not route search, bounds the
+#: The statistical engines' claim on the random oracle — where the
+#: sequential watchdog recurrence, not route search, bounds the
 #: bit-identical engines — speculative round vectorization must beat the
-#: batch engine.  Measured margin is ~1.45x; 1.2 absorbs shared-runner
-#: noise in CI while the committed ledger posts the real >= 1.3x number.
-MIN_TURBO_VS_BATCH_RANDOM = 1.2
+#: batch engine.  Turbo carried it while batch drew each game through
+#: per-game RNG calls; since batch decodes the PCG64 word stream
+#: (``RandomPathOracle.draw_tournament``) it is faster than turbo there
+#: (~10 vs ~18 ms per tournament on a 2-core x86 VM), so the claim is held
+#: by fused, the form the statistical path runs in.  Measured margin is
+#: ~1.5-2.2x; 1.2 absorbs shared-runner noise in CI.
+MIN_FUSED_VS_BATCH_RANDOM = 1.2
 #: With native vectorized topology/mobile draws (PR 5), turbo contends on
 #: the route-table rows too: it must stay within noise of batch on the
 #: *better* of the topology/mobile rows (the committed ledger posts
@@ -582,8 +587,8 @@ def test_engine_matrix_report(session):
     # The tentpole claims, measured where users will see them.
     assert random_walls["fast"] / random_walls["batch"] >= MIN_BATCH_SPEEDUP
     assert (
-        random_walls["batch"] / random_walls["turbo"] >= MIN_TURBO_VS_BATCH_RANDOM
-    ), "turbo engine lost its speculative-vectorization edge on the random oracle"
+        random_walls["batch"] / random_walls["fused"] >= MIN_FUSED_VS_BATCH_RANDOM
+    ), "the fused engine lost its speculative-vectorization edge on the random oracle"
     assert (
         max(walls[o]["batch"] / walls[o]["turbo"] for o in ("topology", "mobile"))
         >= MIN_TURBO_VS_BATCH_ROUTED

@@ -48,7 +48,6 @@ def evolve(payoffs: PayoffConfig):
         generations=22,
         replications=1,
         seed=2007,
-        engine="fast",
         ga=GAConfig(population_size=32),
         sim=SimulationConfig(rounds=60, payoffs=payoffs),
     )

@@ -37,7 +37,6 @@ def sweep_point(n_csn: int):
         generations=20,
         replications=2,
         seed=42,
-        engine="fast",
         ga=GAConfig(population_size=POPULATION),
         sim=SimulationConfig(rounds=60),
     )

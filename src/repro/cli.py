@@ -149,12 +149,12 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
     # single sources of engine and cache-policy names shared with
     # make_engine / make_cache_policy and the config layer
     from repro.config.mobility import ROUTE_CACHE_POLICIES
-    from repro.sim import ENGINES
+    from repro.sim import DEFAULT_ENGINE, ENGINES
 
     parser.add_argument("--seed", type=int, default=2007 if defaults else None)
     parser.add_argument(
         "--engine",
-        default="fast" if defaults else None,
+        default=DEFAULT_ENGINE if defaults else None,
         choices=tuple(ENGINES),
         help=(
             "simulation engine; reference/fast/batch are bit-identical,"

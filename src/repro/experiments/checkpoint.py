@@ -50,12 +50,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.telemetry.manifest import config_hash
-from repro.utils.validation import validate_checkpoint_manifest
+from repro.utils.validation import CHECKPOINT_VERSION, validate_checkpoint_manifest
 
 __all__ = ["CheckpointStore", "Checkpoint", "CHECKPOINT_VERSION", "CRASH_ENV"]
-
-#: Checkpoint schema version (bump on any state-blob or manifest change).
-CHECKPOINT_VERSION = 1
 
 #: Environment variable enabling deterministic crash injection (see module
 #: docstring); counts checkpoints written by *this process*.
@@ -96,14 +93,19 @@ class CheckpointStore:
         return self.root / self.key_for(config) / f"rep{replication:04d}"
 
     def has_checkpoints(self, config) -> bool:
-        """Whether any replication of ``config`` left a checkpoint here.
+        """Whether any replication of ``config`` left a current-version
+        checkpoint here.
 
         The cheap existence probe behind the CLI's ``--resume`` guard: a
         resume against a store with nothing matching this config's hash is
         a misconfiguration (wrong directory, changed parameters), not a
-        quiet fresh start.
+        quiet fresh start.  A manifest :meth:`load_latest` would skip
+        (another ``CHECKPOINT_VERSION``, a schema failure) does not count.
         """
-        return any((self.root / self.key_for(config)).glob("rep*/gen*.json"))
+        return any(
+            _read_manifest(path) is not None
+            for path in (self.root / self.key_for(config)).glob("rep*/gen*.json")
+        )
 
     # -- write ----------------------------------------------------------------
 
@@ -188,14 +190,10 @@ class CheckpointStore:
     def _load_one(
         manifest_path: Path, expected_hash: str, replication: int
     ) -> Checkpoint | None:
-        try:
-            manifest = validate_checkpoint_manifest(
-                json.loads(manifest_path.read_text()), name=str(manifest_path)
-            )
-        except (OSError, json.JSONDecodeError, ValueError):
-            return None
+        manifest = _read_manifest(manifest_path)
         if (
-            manifest["config_hash"] != expected_hash
+            manifest is None
+            or manifest["config_hash"] != expected_hash
             or manifest["replication"] != replication
         ):
             return None
@@ -215,6 +213,17 @@ class CheckpointStore:
         return Checkpoint(
             generation=manifest["generation"], state=state, manifest=manifest
         )
+
+
+def _read_manifest(path: Path) -> dict[str, Any] | None:
+    """The manifest at ``path``, or None if it is unreadable or fails the
+    schema (another ``CHECKPOINT_VERSION`` included)."""
+    try:
+        return validate_checkpoint_manifest(
+            json.loads(path.read_text()), name=str(path)
+        )
+    except (OSError, json.JSONDecodeError, ValueError):
+        return None
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:

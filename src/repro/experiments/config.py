@@ -23,6 +23,7 @@ from typing import Any
 from repro.config.parameters import GAConfig, SimulationConfig
 from repro.config.presets import PAPER_GENERATIONS, PAPER_REPLICATIONS
 from repro.experiments.cases import EvaluationCase, get_case
+from repro.sim import DEFAULT_ENGINE
 from repro.telemetry.config import TelemetryConfig
 
 __all__ = ["ExperimentConfig", "SCALES"]
@@ -43,7 +44,7 @@ class ExperimentConfig:
     generations: int = 60
     replications: int = 4
     seed: int = 2007  # the paper's publication year, for flavour
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     #: compute-kernel name: "auto" and "numpy" both resolve to the one numpy
     #: kernel (:func:`repro.sim.kernels.resolve_kernel`).  Kept because it
     #: is part of every ``config_hash`` (checkpoint and job addresses).

@@ -17,6 +17,7 @@ from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import run_experiment
 from repro.parallel.progress import ProgressPrinter
+from repro.sim import DEFAULT_ENGINE
 from repro.telemetry.manifest import config_hash, write_run_manifest
 
 __all__ = ["ARTEFACTS", "ArtefactSpec", "ReproductionSession"]
@@ -42,7 +43,7 @@ class ReproductionSession:
         self,
         scale: str = "default",
         seed: int = 2007,
-        engine: str = "fast",
+        engine: str = DEFAULT_ENGINE,
         processes: int | None = None,
         cache_dir: str | Path | None = None,
         verbose: bool = False,

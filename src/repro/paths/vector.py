@@ -2,9 +2,11 @@
 
 The bit-identical engines draw game setups through the oracle's sequential
 RNG protocol (``draw`` / the stream-identical ``draw_tournament``), which
-pins every trajectory but caps throughput: profiling shows the per-game draw
-overhead — not the game kernel — dominates the batch engine on the random
-oracle (~9 of ~11 us/game at table-5 scale).
+pins every trajectory: every game must consume the generator exactly as a
+per-game ``draw`` would, and a game's scalar forwarding loop still runs per
+game.  (``RandomPathOracle.draw_tournament`` decodes the generator's word
+stream with numpy, so on the random oracle the draw itself is no longer the
+bottleneck of the batch engine.)
 
 The turbo engine's contract is *statistical* (distributional), not
 bit-identical, which unlocks a different sampler: draw the whole tournament's

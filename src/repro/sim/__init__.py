@@ -6,10 +6,11 @@ Five implementations of the tournament semantics, registered in
 * :class:`repro.sim.reference.ReferenceEngine` — object-oriented, built from
   the auditable :mod:`repro.game` / :mod:`repro.core` pieces, supports event
   observation;
-* :class:`repro.sim.fast.FastEngine` — flat-array hot loop for large
-  reproduction sweeps;
+* :class:`repro.sim.fast.FastEngine` — flat-array hot loop with per-game
+  drawing;
 * :class:`repro.sim.batch.BatchEngine` — struct-of-arrays numpy state with
-  batched tournament-schedule drawing, the fastest *bit-identical* engine;
+  batched tournament-schedule drawing, the fastest *bit-identical* engine
+  and :data:`DEFAULT_ENGINE`;
 * :class:`repro.sim.turbo.TurboEngine` — speculative round-vectorized engine
   under a **statistical** (distributional) equivalence contract: vectorized
   tournament draws and per-round game slates with conflict replay, validated
@@ -51,6 +52,7 @@ __all__ = [
     "ENGINES",
     "BIT_IDENTICAL_ENGINES",
     "make_engine",
+    "DEFAULT_ENGINE",
 ]
 
 #: Engine registry, keyed by the ``--engine`` selector name.
@@ -61,6 +63,10 @@ ENGINES = {
     "turbo": TurboEngine,
     "fused": FusedEngine,
 }
+
+#: The engine every entry point runs unless told otherwise: the fastest
+#: bit-identical one.
+DEFAULT_ENGINE = "batch"
 
 #: Engines guaranteed to produce identical trajectories under identical
 #: seeds.  ``turbo`` is deliberately absent: its contract is statistical

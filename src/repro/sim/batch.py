@@ -17,12 +17,15 @@ expressions over those arrays.
 
 What is (and is not) batched
 ----------------------------
-Profiling the fast engine at table-5 scale shows ~3/4 of the wall time goes
-to drawing game setups and their per-call overhead, not to playing games.
-Batching therefore concentrates there: the whole tournament schedule is drawn
-up front via :meth:`RandomPathOracle.draw_tournament` (stream-identical to
-per-game draws — see that method's contract) into raw struct-of-arrays
-friendly tuples, skipping per-game ``GameSetup`` construction entirely.
+Drawing game setups one RNG call at a time cost the fast engine ~3/4 of its
+wall time at table-5 scale, so batching starts there: the whole tournament
+schedule is drawn up front via :meth:`RandomPathOracle.draw_tournament`,
+which decodes the generator's PCG64 word stream with numpy (stream- and
+state-identical to per-game draws — see that method's contract) into raw
+tuples, skipping per-game RNG calls and ``GameSetup`` construction.  On a
+2-core x86 VM a 50-seat, 100-round schedule draws in ~4 us per game, about
+a quarter of the tournament (per-game RNG calls took ~13 us), so the game
+loop below is now most of it.
 
 The decision/watchdog recurrence itself is applied game-sequentially on
 purpose: within a round, game ``g``'s watchdog updates feed game ``g+1``'s
@@ -49,7 +52,7 @@ Invariants shared with the other engines (enforced by
   one generator and gossip draws interleave at round boundaries.
 
 Works with all path oracles, and every production oracle supplies a native
-batched fast path: ``RandomPathOracle.draw_tournament`` (inverse-CDF tables),
+batched fast path: ``RandomPathOracle.draw_tournament`` (the word-stream decoder),
 ``TopologyPathOracle.draw_tournament`` (scope-filtered route table over the
 native K-shortest-paths engine) and ``MobilePathOracle.draw_tournament``
 (stream-identical stepping + route cache) — each pinned stream-identical to

@@ -3,7 +3,8 @@
 Wraps :class:`~repro.core.node.Player` objects behind the
 :class:`~repro.tournament.evaluation.SimulationEngine` protocol so the
 generic evaluation loop can drive it.  This engine favours clarity over raw
-speed; use :class:`repro.sim.fast.FastEngine` for large sweeps.
+speed; use :class:`repro.sim.batch.BatchEngine` (the default) for large
+sweeps.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ __all__ = [
     "check_probability",
     "drift_budget_error",
     "shards_error",
+    "CHECKPOINT_VERSION",
     "SCHEMAS",
     "check",
     "BENCH_REPORT_KEYS",
@@ -111,6 +112,16 @@ def _expect(ok: Callable[[Any], bool], what: str) -> Rule:
 
 
 _VERSION = _expect(lambda v: _is_int(v) and v == 1, "the integer 1")
+
+#: Checkpoint layout version: bump on any change to the manifest or to the
+#: pickled state blob of :mod:`repro.experiments.checkpoint` (including the
+#: fields of the classes it pickles).  A manifest of any other version is
+#: skipped, never unpickled.
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = _expect(
+    lambda v: _is_int(v) and v == CHECKPOINT_VERSION,
+    f"the integer {CHECKPOINT_VERSION}",
+)
 _TEXT = _expect(lambda v: isinstance(v, str), "a string")
 _STR = _expect(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _BOOL = _expect(lambda v: isinstance(v, bool), "a boolean")
@@ -330,7 +341,7 @@ SCHEMAS: dict[str, _Object] = {
     }),
     # gen*.json, written by repro.experiments.checkpoint
     "checkpoint": _Object({
-        "checkpoint_version": _VERSION,
+        "checkpoint_version": _CHECKPOINT_VERSION,
         "config_hash": _STR,  # the content address
         "replication": _integer(0),
         "generation": _integer(0),

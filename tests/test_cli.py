@@ -46,7 +46,7 @@ class TestParser:
         args = build_parser().parse_args(["reproduce", "fig4"])
         assert args.artefact == "fig4"
         assert args.scale == "default"
-        assert args.engine == "fast"
+        assert args.engine == "batch"
 
     def test_run_case_options(self):
         args = build_parser().parse_args(
@@ -233,6 +233,34 @@ class TestFaultToleranceFlags:
         code = main(
             ["run-case", "case1", "--scale", "smoke", "--resume",
              "--checkpoint-dir", str(tmp_path / "empty")]
+        )
+        assert code == 4
+        assert "no checkpoints matching config hash" in capsys.readouterr().err
+
+    def test_resume_against_stale_layout_only_exits_4(self, capsys, tmp_path):
+        """Checkpoints of an older layout version do not count as
+        something to resume."""
+        import hashlib
+
+        from repro.experiments.config import ExperimentConfig
+        from repro.telemetry.manifest import config_hash
+
+        config = ExperimentConfig.for_case("case1", scale="smoke")
+        rep_dir = tmp_path / config_hash(config.describe())[:16] / "rep0000"
+        rep_dir.mkdir(parents=True)
+        (rep_dir / "gen000001.pkl").write_bytes(b"blob")
+        manifest = {
+            "checkpoint_version": 1,
+            "config_hash": config_hash(config.describe()),
+            "replication": 0,
+            "generation": 1,
+            "state_file": "gen000001.pkl",
+            "state_sha256": hashlib.sha256(b"blob").hexdigest(),
+        }
+        (rep_dir / "gen000001.json").write_text(json.dumps(manifest))
+        code = main(
+            ["run-case", "case1", "--scale", "smoke", "--resume",
+             "--checkpoint-dir", str(tmp_path)]
         )
         assert code == 4
         assert "no checkpoints matching config hash" in capsys.readouterr().err

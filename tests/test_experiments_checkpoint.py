@@ -8,8 +8,10 @@ sharing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,12 +26,31 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import run_replication
+from repro.telemetry.manifest import config_hash
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def smoke_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig.for_case("case1", scale="smoke", **overrides)
+
+
+def write_stale_checkpoint(store: CheckpointStore, config, replication, generation):
+    """Hand-write a previous-layout (version 1) checkpoint pair: a manifest
+    that is intact in every other respect and a blob it names."""
+    rep_dir = store.replication_dir(config, replication)
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    blob = pickle.dumps({"from": "an older layout"})
+    (rep_dir / f"gen{generation:06d}.pkl").write_bytes(blob)
+    manifest = {
+        "checkpoint_version": 1,
+        "config_hash": config_hash(config.describe()),
+        "replication": replication,
+        "generation": generation,
+        "state_file": f"gen{generation:06d}.pkl",
+        "state_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    (rep_dir / f"gen{generation:06d}.json").write_text(json.dumps(manifest))
 
 
 def delete_newest_checkpoint(store: CheckpointStore, config, replication) -> int:
@@ -116,6 +137,17 @@ class TestCheckpointStore:
         (store.replication_dir(cfg, 0) / "gen000002.pkl").unlink()
         assert store.load_latest(cfg, 0).generation == 1
 
+    def test_other_layout_version_is_skipped(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        cfg = smoke_config()
+        write_stale_checkpoint(store, cfg, 0, 2)
+        assert CHECKPOINT_VERSION != 1
+        assert store.load_latest(cfg, 0) is None
+        assert not store.has_checkpoints(cfg)  # --resume finds nothing
+        store.save(cfg, 0, 1, {"g": 1})
+        assert store.has_checkpoints(cfg)
+        assert store.load_latest(cfg, 0).generation == 1
+
     def test_save_rejects_bad_args(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError):
@@ -149,6 +181,15 @@ class TestResumeBitIdentity:
         assert resumed == control
         assert resumed.checkpoint["resumed_from_generation"] == survivor
         assert survivor < cfg.generations - 1  # genuinely resumed mid-run
+
+    def test_stale_layout_checkpoint_starts_fresh(self, tmp_path):
+        cfg = ExperimentConfig.for_case("mobile_waypoint", scale="smoke", generations=3)
+        control = run_replication(cfg, 0)
+        write_stale_checkpoint(CheckpointStore(tmp_path), cfg, 0, 1)
+        resumed = run_replication(cfg, 0, checkpoint_dir=tmp_path, resume=True)
+        assert resumed == control
+        assert resumed.checkpoint["resumed_from_generation"] is None
+        assert resumed.checkpoint["checkpoints_written"] == cfg.generations
 
     def test_resume_false_starts_fresh(self, tmp_path):
         cfg = smoke_config(generations=4)

@@ -21,7 +21,7 @@ class TestRunExperiment:
     def test_config_summary_attached(self):
         result = run_experiment(smoke(), processes=1)
         assert result.config["case"] == "case1"
-        assert result.config["engine"] == "fast"
+        assert result.config["engine"] == "batch"
 
     def test_progress_called_per_replication(self):
         calls = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.paths.oracle as oracle_module
 from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
 from repro.paths.oracle import (
     GameSetup,
@@ -104,6 +105,39 @@ class TestScriptedPathOracle:
             oracle.draw(5, [0, 1, 2, 5])
 
 
+def _per_game_plan(oracle, sources, participants):
+    """The reference: one draw() per source, as PlannedGame tuples."""
+    return [
+        (setup.source, setup.destination, [list(p) for p in setup.paths])
+        for setup in (oracle.draw(source, participants) for source in sources)
+    ]
+
+
+def _as_lists(plan):
+    return [(source, dest, [list(p) for p in paths]) for source, dest, paths in plan]
+
+
+def _oracle_pair(hop_dist, state):
+    """Two oracles whose generators start in the same ``state``."""
+    pair = []
+    for _ in range(2):
+        oracle = RandomPathOracle(np.random.default_rng(), hop_dist)
+        oracle.rng.bit_generator.state = state
+        pair.append(oracle)
+    return pair
+
+
+_PLANS = {
+    "50-seat-100-rounds": (list(range(50)) * 100, list(range(50))),
+    "3-games": ([4, 0, 49], list(range(50))),
+    # runs of outside and inside sources: the pool size changes mid-plan
+    "source-outside": ([99] * 20 + list(range(6)) + [77], list(range(6))),
+    # hop draws above the pool clamp k to the pool
+    "tiny-pool": ([0, 1, 2, 3] * 25, [0, 1, 2, 3]),
+    "pool-of-one": ([0, 1, 2] * 10, [0, 1, 2]),
+}
+
+
 class TestDrawTournament:
     """The batched draw path must be stream-identical to per-game draws."""
 
@@ -160,6 +194,104 @@ class TestDrawTournament:
         # every participant is reachable as a destination
         assert destinations == set(participants)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    @pytest.mark.parametrize("plan", sorted(_PLANS))
+    @pytest.mark.parametrize("entry", ["buffer-empty", "buffer-full", "buffer-spent"])
+    @pytest.mark.parametrize(
+        "hop_dist", [SHORTER_PATHS, LONGER_PATHS], ids=["shorter", "longer"]
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2007])
+    def test_plan_and_state_equal_per_game_draws(self, seed, hop_dist, entry, plan):
+        """The PCG64 word-stream decoder: every plan, and the whole
+        bit-generator state after it, equal per-game draw() calls."""
+        rng = np.random.default_rng(seed)
+        # 0, 1 or 2 scalar draws leave has_uint32 0, 1, or 0 with a stale
+        # uinteger
+        for _ in range(["buffer-empty", "buffer-full", "buffer-spent"].index(entry)):
+            rng.integers(5)
+        sources, participants = _PLANS[plan]
+        batched, sequential = _oracle_pair(hop_dist, rng.bit_generator.state)
+        got = batched.draw_tournament(sources, participants)
+        assert _as_lists(got) == _per_game_plan(sequential, sources, participants)
+        assert batched.rng.bit_generator.state == sequential.rng.bit_generator.state
+
+    def test_lemire_rejection_on_the_entry_buffer(self):
+        # integers(49) rejects a half below 2**32 mod 49 = 39: a buffered 0
+        # is rejected and the draw pulls a fresh word
+        state = np.random.default_rng(3).bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        probe = np.random.default_rng()
+        probe.bit_generator.state = state
+        probe.integers(49)
+        assert probe.bit_generator.state["has_uint32"] == 1  # pulled a word
+
+        participants = list(range(50))
+        batched, sequential = _oracle_pair(LONGER_PATHS, state)
+        sources = participants * 4
+        got = batched.draw_tournament(sources, participants)
+        assert _as_lists(got) == _per_game_plan(sequential, sources, participants)
+        assert batched.rng.bit_generator.state == sequential.rng.bit_generator.state
+
+    def test_lemire_rejection_mid_plan(self):
+        # craft the next word: low half 12345 (game 0 accepts it), high
+        # half 0, which game 1 takes from the buffer and rejects.  PCG64's
+        # output of a state whose halves are h and h ^ w, with the top six
+        # bits of h zero, is w; stepping back one draw makes it the next.
+        word = 12345
+        high = 0x0123456789ABCDEF
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        state["state"]["state"] = (high << 64) | (high ^ word)
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(-1)
+        state = rng.bit_generator.state
+        assert rng.bit_generator.random_raw() == word
+
+        participants = list(range(50))
+        batched, sequential = _oracle_pair(SHORTER_PATHS, state)
+        sources = participants * 3
+        got = batched.draw_tournament(sources, participants)
+        assert _as_lists(got) == _per_game_plan(sequential, sources, participants)
+        assert batched.rng.bit_generator.state == sequential.rng.bit_generator.state
+
+    def test_no_sources_draws_nothing(self):
+        oracle = RandomPathOracle(np.random.default_rng(4), SHORTER_PATHS)
+        state = oracle.rng.bit_generator.state
+        assert oracle.draw_tournament([], list(range(10))) == []
+        assert plan_games(oracle, [], list(range(10))) == []
+        assert oracle.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("entry", ["buffer-empty", "buffer-full"])
+    def test_many_small_windows(self, monkeypatch, entry):
+        """Games straddling window ends carry the half-word buffer across
+        windows of either parity."""
+        monkeypatch.setattr(oracle_module, "_WINDOW_WORDS", 64)
+        rng = np.random.default_rng(21)
+        if entry == "buffer-full":
+            rng.integers(5)
+        participants = list(range(50))
+        sources = participants * 4
+        batched, sequential = _oracle_pair(LONGER_PATHS, rng.bit_generator.state)
+        got = batched.draw_tournament(sources, participants)
+        assert _as_lists(got) == _per_game_plan(sequential, sources, participants)
+        assert batched.rng.bit_generator.state == sequential.rng.bit_generator.state
+
+    def test_other_bit_generators_draw_per_game(self):
+        participants = list(range(10))
+        sources = participants * 3
+        plans, states = [], []
+        for batched in (True, False):
+            oracle = RandomPathOracle(
+                np.random.Generator(np.random.Philox(9)), LONGER_PATHS
+            )
+            plans.append(
+                _as_lists(oracle.draw_tournament(sources, participants))
+                if batched
+                else _per_game_plan(oracle, sources, participants)
+            )
+            states.append(oracle.rng.bit_generator.state)
+        assert plans[0] == plans[1]
+        assert repr(states[0]) == repr(states[1])
 
 
 class TestPlanGames:

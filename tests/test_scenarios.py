@@ -95,13 +95,13 @@ class TestFlagEquivalence:
     def test_fig4_smoke_matches_run_case_flags(self):
         """The acceptance pair: scenarios/fig4_smoke.yaml versus
         `run-case case1 --scale smoke` (whose flag defaults are
-        seed 2007 / engine fast)."""
+        seed 2007 / engine batch)."""
         from_file = resolve_scenario(
             load_scenario(SCENARIOS_DIR / "fig4_smoke.yaml")
         )
         from_flags = resolve_scenario(
             build_scenario_payload(
-                "case1", "smoke", overrides={"seed": 2007, "engine": "fast"}
+                "case1", "smoke", overrides={"seed": 2007, "engine": "batch"}
             )
         )
         assert from_file.describe() == from_flags.describe()

@@ -62,6 +62,8 @@ class TestConfigHash:
             ("case3", "fast", "2ccff64afe579d06"),
             ("case3", "fused", "21252dfee2e61a1d"),
             ("case4", "fast", "54dee2013885eda3"),
+            ("case3", "batch", "93ec224f7e66005a"),
+            ("case4", "batch", "22416ef244165912"),
         ],
     )
     def test_pinned_content_addresses(self, case, engine, expected):
@@ -69,6 +71,26 @@ class TestConfigHash:
         # a change here orphans every stored checkpoint and job result
         config = ExperimentConfig.for_case(case, scale="default", engine=engine)
         assert config_hash(config.describe())[:16] == expected
+
+    def test_every_entry_point_defaults_to_batch(self):
+        """The config, the CLI, the reproduction registry and a scenario
+        all take their engine from one default, so the default
+        content addresses are the batch rows above."""
+        from pathlib import Path
+
+        from repro.cli import build_parser
+        from repro.experiments.cases import get_case
+        from repro.experiments.registry import ReproductionSession
+        from repro.scenarios import load_scenario, resolve_scenario
+
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "case4.yaml"
+        engines = {
+            ExperimentConfig(case=get_case("case4")).engine,
+            build_parser().parse_args(["run-case", "case4"]).engine,
+            ReproductionSession().engine,
+            resolve_scenario(load_scenario(scenario)).config.engine,
+        }
+        assert engines == {"batch"}
 
 
 class TestBuildManifest:

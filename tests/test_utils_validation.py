@@ -6,7 +6,12 @@ import re
 
 import pytest
 
-from repro.utils.validation import SCHEMAS, check, check_probability
+from repro.utils.validation import (
+    CHECKPOINT_VERSION,
+    SCHEMAS,
+    check,
+    check_probability,
+)
 
 
 @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
@@ -26,7 +31,7 @@ class TestCheckpointManifestSchema:
     @staticmethod
     def valid() -> dict:
         return {
-            "checkpoint_version": 1,
+            "checkpoint_version": CHECKPOINT_VERSION,
             "config_hash": "ab" * 32,
             "replication": 3,
             "generation": 42,
@@ -59,7 +64,17 @@ class TestCheckpointManifestSchema:
         with pytest.raises(ValueError, match="keys mismatch"):
             validate_checkpoint_manifest(payload)
 
-    @pytest.mark.parametrize("version", [0, 2, "1", True, None])
+    @pytest.mark.parametrize(
+        "version",
+        [
+            0,
+            CHECKPOINT_VERSION - 1,
+            CHECKPOINT_VERSION + 1,
+            str(CHECKPOINT_VERSION),
+            True,
+            None,
+        ],
+    )
     def test_rejects_wrong_version(self, version):
         from repro.utils.validation import validate_checkpoint_manifest
 
