@@ -95,12 +95,6 @@ class GamePlanArrays:
     path_nodes: np.ndarray  # (P, H) int64 — intermediates, -1 padded
     path_len: np.ndarray  # (P,) int64 — intermediates per path
     max_paths: int  # max candidates in any game (column count for ratings)
-    #: every path's intermediates are pairwise distinct and exclude the
-    #: source — true for the native samplers (pool draws without
-    #: replacement; simple routes), unknowable for scripted plans.  The
-    #: speculative engines' conflict pass uses the guarantee to replace a
-    #: full-grid (observer == subject) mask with a diagonal assignment.
-    distinct_nodes: bool = False
 
     def paths_of(self, game: int) -> list[list[int]]:
         """The candidate paths of one game as plain lists (replay kernel)."""
@@ -500,7 +494,6 @@ def _arrays_from_slots(
         path_nodes=slot_rows[row_idx],
         path_len=slot_path_len[row_idx],
         max_paths=int(n_paths.max()) if n_games else 0,
-        distinct_nodes=True,
     )
 
 
@@ -634,7 +627,6 @@ def _random_arrays_core(
         path_nodes=path_nodes,
         path_len=k_path,
         max_paths=int(n_paths.max()),
-        distinct_nodes=True,
     )
 
 
@@ -785,7 +777,6 @@ def _interleave_plans(
         path_nodes=all_nodes[row_idx],
         path_len=all_len[row_idx],
         max_paths=int(n_paths.max()) if n_games else 0,
-        distinct_nodes=all(p.distinct_nodes for p in plans),
     )
 
 
@@ -810,7 +801,6 @@ def _offset_plan_ids(plan: GamePlanArrays, offset: int) -> GamePlanArrays:
         path_nodes=nodes,
         path_len=plan.path_len,
         max_paths=plan.max_paths,
-        distinct_nodes=plan.distinct_nodes,
     )
 
 

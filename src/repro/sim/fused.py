@@ -376,13 +376,7 @@ class FusedEngine(TurboEngine):
     # -- conflict resolution --------------------------------------------------
 
     def _resolve_conflicts(
-        self,
-        ctx: _PlanContext,
-        g0: int,
-        rel_ids: np.ndarray,
-        req: np.ndarray,
-        delivered: np.ndarray,
-        csn_free: np.ndarray,
+        self, ctx: _PlanContext, g0: int, rel_ids: np.ndarray, counters: list
     ) -> None:
         """Below ~10 games the second-chance sub-pass's fixed dispatch cost
         exceeds the scalar kernel; replay those directly.  The cutoff is
@@ -393,20 +387,12 @@ class FusedEngine(TurboEngine):
         reps = rel_ids // ctx.rep_slate
         small = np.bincount(reps, minlength=ctx.n_replications)[reps] < 10
         if small.any():
-            self._replay_ids(ctx, g0 + rel_ids[small], req, delivered, csn_free)
+            self._replay_ids(ctx, g0 + rel_ids[small], counters)
         if not small.all():
-            self._second_chance(
-                ctx, g0, rel_ids[~small], req, delivered, csn_free
-            )
+            self._second_chance(ctx, g0, rel_ids[~small], counters)
 
     def _second_chance(
-        self,
-        ctx: _PlanContext,
-        g0: int,
-        rel_ids: np.ndarray,
-        req: np.ndarray,
-        delivered: np.ndarray,
-        csn_free: np.ndarray,
+        self, ctx: _PlanContext, g0: int, rel_ids: np.ndarray, counters: list
     ) -> None:
         """Re-speculate the slate's conflicted games against live state.
 
@@ -467,10 +453,8 @@ class FusedEngine(TurboEngine):
 
         # -- conflict walk among the subset's own writes, per tournament, --
         # then commit and re-buffer the accepted games
-        obs = np.empty((n_sub, hmax + 1), dtype=np.int32)
-        obs[:, 0] = src_g
         keep2 = self._commit_unconflicted(
-            ctx, rel_ids, obs, src_g * m, jc, cells_dec, decided, fwd, success, n_dec
+            ctx, rel_ids, src_g, jc, decided, fwd, success, n_dec
         )
         if keep2.any():
             ga = g[keep2]
@@ -491,4 +475,4 @@ class FusedEngine(TurboEngine):
 
         # -- scalar tail: games that conflicted twice ------------------------
         if not keep2.all():
-            self._replay_ids(ctx, g[~keep2], req, delivered, csn_free)
+            self._replay_ids(ctx, g[~keep2], counters)

@@ -9,9 +9,10 @@ commit, and the exact scalar conflict-replay with its watchdog recurrence.
 to the historical inline implementation (pinned by
 ``tests/test_sim_kernels.py``).
 
-Two op contracts carry the engines' per-round cost, so a round's state
+Three op contracts carry the engines' per-round cost, so a round's state
 work is O(cells it touches) — independent of the matrix order ``m``, which
-grows with the stack width of a stacked fused engine:
+grows with the stack width of a stacked fused engine, and of the padding of
+the plan arrays:
 
 * ``first_writer(buf, codes, pos)`` writes only ``buf[codes]``.  The
   buffer holds the walk's fill value everywhere *between* calls: the
@@ -22,6 +23,13 @@ grows with the stack width of a stacked fused engine:
   incrementally on the touched rows; afterwards ``known`` equals the
   nonzero count of each ``ps`` row and ``pf_sum`` each ``pf`` row sum,
   exactly.
+* ``replay_decide(state, source, paths, req, delivered, csn_free)`` and
+  ``watchdog(state, source, deciders, flags, success)`` replay one game
+  as plain Python over ``state.views`` — flat memoryviews of the live
+  arrays (:class:`ReplayViews`), built once per state bundle — so an
+  element access is a Python number, not a boxed numpy scalar.  Candidate
+  paths arrive as lists of node ids, the counters as writable integer
+  rows (memoryviews or arrays); deciders and flags travel as lists.
 
 The op boundary exists for attribution: :class:`TimedKernel` wraps the
 kernel with per-op telemetry timers (``kernel.decision_s`` /
@@ -41,6 +49,7 @@ import numpy as np
 __all__ = [
     "KERNEL_NAMES",
     "KernelState",
+    "ReplayViews",
     "TimedKernel",
     "resolve_kernel",
 ]
@@ -49,13 +58,39 @@ __all__ = [
 KERNEL_NAMES = ("auto", "numpy")
 
 
+class ReplayViews(NamedTuple):
+    """Flat memoryviews of the state the scalar replay ops read and write.
+
+    Each view aliases the engine array it was made from, so a write lands
+    in place; reading one yields a Python ``int``/``float``/``bool``.
+    Matrix cells are addressed ``observer * m + subject``.
+    """
+
+    m: int
+    ps: memoryview  # (m*m,) int64
+    pf: memoryview
+    known: memoryview  # (m,) int64
+    pf_sum: memoryview
+    strat: memoryview  # (m * STRATEGY_LENGTH,) int8
+    csn: memoryview  # (m,) bool
+    fwd_pay: tuple  # (4,) Python floats — payoff by trust level
+    disc_pay: tuple
+    send_pay: memoryview  # (m,) float64 / int64 accumulators
+    n_sent: memoryview
+    fwd_pay_acc: memoryview
+    n_fwd: memoryview
+    disc_pay_acc: memoryview
+    n_disc: memoryview
+
+
 class KernelState(NamedTuple):
     """The engine state a kernel op may read or mutate, as one bundle.
 
     Array fields are *views* of the owning engine's arrays (mutated in
     place by ``commit`` / ``watchdog`` / ``replay_decide``); scalars are
     the engine's trust/activity/payoff parameters.  Engines rebuild the
-    bundle per entry point — allocation is a handful of references.
+    bundle per entry point — a handful of references plus the replay
+    views, which :meth:`with_views` makes once per bundle.
     """
 
     ps: np.ndarray  # (m, m) int64 — packets seen, observer x subject
@@ -81,6 +116,30 @@ class KernelState(NamedTuple):
     n_fwd: np.ndarray
     disc_pay_acc: np.ndarray
     n_disc: np.ndarray
+    #: the replay ops' memoryviews of the arrays above; ``None`` in a
+    #: bundle built only for the vectorised ops
+    views: ReplayViews | None = None
+
+    def with_views(self) -> "KernelState":
+        """This bundle with its :class:`ReplayViews` built."""
+        views = ReplayViews(
+            m=self.known.size,
+            ps=memoryview(self.ps_flat),
+            pf=memoryview(self.pf_flat),
+            known=memoryview(self.known),
+            pf_sum=memoryview(self.pf_sum),
+            strat=memoryview(self.strat_flat),
+            csn=memoryview(self.csn_lookup),
+            fwd_pay=tuple(self.fwd_pay.tolist()),
+            disc_pay=tuple(self.disc_pay.tolist()),
+            send_pay=memoryview(self.send_pay),
+            n_sent=memoryview(self.n_sent),
+            fwd_pay_acc=memoryview(self.fwd_pay_acc),
+            n_fwd=memoryview(self.n_fwd),
+            disc_pay_acc=memoryview(self.disc_pay_acc),
+            n_disc=memoryview(self.n_disc),
+        )
+        return self._replace(views=views)
 
 
 def resolve_kernel(name: str = "auto"):
@@ -132,10 +191,10 @@ class TimedKernel:
         with self._commit.time():
             self._inner.commit(state, pairs, pf_pairs)
 
-    def replay_decide(self, state, source, nodes, lens, req, delivered, csn_free):
+    def replay_decide(self, state, source, paths, req, delivered, csn_free):
         with self._replay.time():
             return self._inner.replay_decide(
-                state, source, nodes, lens, req, delivered, csn_free
+                state, source, paths, req, delivered, csn_free
             )
 
     def watchdog(self, state, source, deciders, flags, success):

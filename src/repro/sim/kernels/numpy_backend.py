@@ -6,7 +6,7 @@ expressions, same evaluation order), so this kernel is **bit-identical**
 to the pre-kernel engines on pinned seeds — the parity suite in
 ``tests/test_sim_kernels.py`` holds it to that.
 
-Three deliberate unifications, all proven exact:
+Four deliberate unifications, all proven exact:
 
 * ``decide`` maps forwarding rates to trust levels with three vectorized
   comparisons instead of ``np.searchsorted(bounds, rate, side="left")``.
@@ -21,6 +21,13 @@ Three deliberate unifications, all proven exact:
 * ``commit`` updates the ``known``/``pf_sum`` caches incrementally on the
   touched rows instead of recomputing them from the whole matrices.  The
   state is integer, so the caches come out equal to the recompute.
+* ``replay_decide`` / ``watchdog`` run their sequential recurrence in plain
+  Python over flat memoryviews of the live arrays instead of indexing
+  numpy scalars.  Integer cells come out as Python ints and the float
+  expressions and their order are unchanged, so every sum is the same
+  IEEE double; the decision and payoff updates of a decider are merged
+  into one pass (they touch disjoint accumulators).  The numpy-scalar
+  version is kept as the oracle in ``tests/test_sim_kernels.py``.
 """
 
 from __future__ import annotations
@@ -130,127 +137,116 @@ class NumpyKernel:
         np.add.at(state.pf_flat, pf_pairs, 1)
         pf_sum += np.bincount(pf_pairs // m, minlength=m)
 
-    def replay_decide(self, state, source, nodes, lens, req, delivered, csn_free):
+    def replay_decide(self, state, source, paths, req, delivered, csn_free):
         """Exact scalar replay of one conflicted game against live state.
 
-        ``nodes``/``lens`` are the game's path rows (padded) and lengths.
-        Mutates the request/delivery/csn counters and the per-node payoff
-        accumulators; returns ``(deciders, flags, success)`` for the
-        watchdog recurrence.
+        ``paths`` are the game's candidate paths as lists of node ids.
+        Reads and writes the live state through ``state.views`` (plain
+        Python arithmetic, the same float expressions in the same order as
+        the sequential engines).  Mutates the request/delivery/csn counters
+        and the per-node payoff accumulators; returns ``(deciders, flags,
+        success)`` for the watchdog recurrence.
         """
-        ps = state.ps
-        pf = state.pf
-        csn = state.csn_lookup
-        strat = state.strat_flat
-        source_selfish = bool(csn[source])
+        v = state.views
+        m = v.m
+        ps = v.ps
+        pf = v.pf
+        csn = v.csn
+        strat = v.strat
+        source_selfish = csn[source]
 
-        ps_s = ps[source]
-        pf_s = pf[source]
-        best_i = 0
+        base = source * m
+        best = paths[0]
         best_r = -1.0
-        for i in range(len(lens)):
-            row = nodes[i]
+        for path in paths:
             r = 1.0
-            for x in range(int(lens[i])):
-                node = int(row[x])
-                cell = int(ps_s[node])
-                r *= (int(pf_s[node]) / cell) if cell else 0.5
+            for node in path:
+                cell = ps[base + node]
+                r *= (pf[base + node] / cell) if cell else 0.5
             if r > best_r:
-                best_i = i
+                best = path
                 best_r = r
-        row = nodes[best_i]
-        path = [int(row[x]) for x in range(int(lens[best_i]))]
 
         contains_csn = False
-        for node in path:
+        for node in best:
             if csn[node]:
                 contains_csn = True
                 break
         csn_free[source_selfish * 2 + contains_csn] += 1
 
         req_base = 4 if source_selfish else 0
+        b0, b1, b2, band = state.b0, state.b1, state.b2, state.band
         deciders: list[int] = []
         flags: list[bool] = []
-        trusts: list[int] = []
         success = True
-        for j in path:
+        for j in best:
+            deciders.append(j)
             if csn[j]:
-                deciders.append(j)
+                # a selfish seat discards; its accumulators are dead state
                 flags.append(False)
-                trusts.append(-1)
                 req[req_base + 2] += 1
                 success = False
                 break
-            cell = int(ps[j, source])
+            c = j * m + source
+            cell = ps[c]
             if cell == 0:
-                trust = -1
-                forward = int(strat[j * STRATEGY_LENGTH + UNKNOWN_BIT]) == 1
+                level = state.default_trust
+                forward = strat[j * STRATEGY_LENGTH + UNKNOWN_BIT] == 1
             else:
-                rating = int(pf[j, source]) / cell
-                if rating > state.b2:
-                    trust = 3
-                elif rating > state.b1:
-                    trust = 2
-                elif rating > state.b0:
-                    trust = 1
+                seen_fwd = pf[c]
+                rating = seen_fwd / cell
+                if rating > b2:
+                    level = 3
+                elif rating > b1:
+                    level = 2
+                elif rating > b0:
+                    level = 1
                 else:
-                    trust = 0
-                av = int(state.pf_sum[j]) / int(state.known[j])
-                if int(pf[j, source]) < av - state.band * av:
+                    level = 0
+                av = v.pf_sum[j] / v.known[j]
+                if seen_fwd < av - band * av:
                     act = 0
-                elif int(pf[j, source]) > av + state.band * av:
+                elif seen_fwd > av + band * av:
                     act = 2
                 else:
                     act = 1
-                forward = int(strat[j * STRATEGY_LENGTH + trust * 3 + act]) == 1
-            deciders.append(j)
+                forward = strat[j * STRATEGY_LENGTH + level * 3 + act] == 1
             flags.append(forward)
-            trusts.append(trust)
-            req[req_base + (1 if forward else 0)] += 1
-            if not forward:
+            if forward:
+                req[req_base + 1] += 1
+                v.fwd_pay_acc[j] += v.fwd_pay[level]
+                v.n_fwd[j] += 1
+            else:
+                req[req_base] += 1
+                v.disc_pay_acc[j] += v.disc_pay[level]
+                v.n_disc[j] += 1
                 success = False
                 break
 
-        state.send_pay[source] += state.src_success if success else state.src_failure
-        state.n_sent[source] += 1
-        for j, forward, trust in zip(deciders, flags, trusts):
-            if csn[j]:
-                continue
-            level = state.default_trust if trust < 0 else trust
-            if forward:
-                state.fwd_pay_acc[j] += state.fwd_pay[level]
-                state.n_fwd[j] += 1
-            else:
-                state.disc_pay_acc[j] += state.disc_pay[level]
-                state.n_disc[j] += 1
-
+        v.send_pay[source] += state.src_success if success else state.src_failure
+        v.n_sent[source] += 1
         delivered[source_selfish * 2 + success] += 1
-        return (
-            np.asarray(deciders, dtype=np.int64),
-            np.asarray(flags, dtype=bool),
-            success,
-        )
+        return deciders, flags, success
 
     def watchdog(self, state, source, deciders, flags, success):
         """The watchdog recurrence: every observer of a (partial) relay
         records what each decider did.  On failure the last decider saw
         no downstream behaviour and observes nothing."""
-        ps = state.ps
-        pf = state.pf
-        known = state.known
-        pf_sum = state.pf_sum
-        n_decided = len(deciders)
-        n_upd = n_decided if success else n_decided - 1
-        for t in range(-1, n_upd):
-            u = source if t < 0 else int(deciders[t])
-            ps_u = ps[u]
-            pf_u = pf[u]
-            for idx in range(n_decided):
-                j = int(deciders[idx])
+        v = state.views
+        m = v.m
+        ps = v.ps
+        pf = v.pf
+        known = v.known
+        pf_sum = v.pf_sum
+        n_upd = len(deciders) if success else len(deciders) - 1
+        for u in [source, *deciders[:n_upd]]:
+            base = u * m
+            for j, forward in zip(deciders, flags):
                 if j != u:
-                    if ps_u[j] == 0:
+                    c = base + j
+                    if ps[c] == 0:
                         known[u] += 1
-                    ps_u[j] += 1
-                    if flags[idx]:
-                        pf_u[j] += 1
+                    ps[c] += 1
+                    if forward:
+                        pf[c] += 1
                         pf_sum[u] += 1

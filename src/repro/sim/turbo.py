@@ -61,6 +61,24 @@ games), so the engine splits work by *when its inputs bind*:
   until the tournament ends) is buffered per round and folded in one
   vectorized pass per tournament.
 
+Each per-round cost grows with the cells the round touches, not with the
+padding of the plan arrays:
+
+* **Commit.**  :func:`watchdog_pairs` lists only the real watchdog writes
+  of the speculated games — (observer, subject) pairs in game-major order,
+  observers the source and the first ``n_upd`` deciders, subjects the
+  ``n_dec`` deciders, observer == subject dropped — about 2.6 pairs per
+  game instead of a padded ``(hmax + 1) x hmax`` grid.  The conflict walk
+  and the batched commit consume them directly.
+* **Replay.**  A conflicted game is replayed by the kernel's
+  ``replay_decide`` / ``watchdog`` ops as plain Python over flat
+  memoryviews of the live state (built once per state bundle), with its
+  candidate paths as lists from one ``tolist`` per batch of replays, so a
+  replay pays no numpy scalar boxing.
+* **Fold.**  The end-of-plan fold gathers over the ``np.nonzero`` of the
+  kept games' decided hops once, in row-major order, so its weighted
+  ``bincount`` sums add in the same order as the masked version did.
+
 The plan context, round loop, replay and fold are shared with the fused
 engine (:mod:`repro.sim.fused`), whose slates stack tournaments and
 replications; a turbo tournament is the one-replication, one-tournament
@@ -98,6 +116,33 @@ def timed(tel, name: str):
     return tel.registry.timer(name).time() if tel is not None else nullcontext()
 
 
+def watchdog_pairs(src, jc, fwd, n_dec, success, m):
+    """The watchdog writes of a set of speculated games, compact.
+
+    Game ``i`` (source ``src[i]``) decided the first ``n_dec[i]`` hops of
+    its chosen path ``jc[i]``, with forward votes ``fwd[i]``.  Its
+    observers are the source and the first ``n_upd`` deciders — ``n_upd``
+    is ``n_dec``, or ``n_dec - 1`` when the packet was dropped (the last
+    decider saw nothing downstream) — and each observer records every
+    decider.  Returns the ``observer * m + subject`` codes of those pairs
+    with observer == subject dropped, each pair's game (ascending) and the
+    subject's forward vote, in the scalar watchdog's order: game-major,
+    then observer, then subject.  Costs O(pairs), not O(games * hmax^2).
+    """
+    n_upd = np.where(success, n_dec, n_dec - 1)
+    per = (n_upd + 1) * n_dec
+    game = np.repeat(np.arange(len(n_dec)), per)
+    k = np.arange(game.size) - np.repeat(np.cumsum(per) - per, per)
+    d = n_dec[game]
+    t = k // d  # observer: 0 is the source, t > 0 decider t - 1
+    s = k - t * d  # subject: decider s
+    subj = jc[game, s]
+    # t - 1 wraps to the last column on source rows, which the where drops
+    obs = np.where(t > 0, jc[game, t - 1], src[game])
+    real = obs != subj
+    return (obs * m + subj)[real], game[real], fwd[game, s][real]
+
+
 class _PlanContext:
     """Everything about a plan that does not depend on reputation state,
     precomputed once so the per-round pass is pure gathers and ufuncs.
@@ -131,17 +176,12 @@ class _PlanContext:
         "has_csn",
         "src_sel",
         "src_round",
-        "src_round_m",
         "src_list",
-        "diag_only",
-        "hrange",
-        "grange",
         "pair_off",
         "walk_pos",
         "walk_fill",
         "writer_buf",
         "ratings_buf",
-        "obs_buf",
         "decided_b",
         "fwd_b",
         "unknown_b",
@@ -193,20 +233,10 @@ class _PlanContext:
         self.src_sel = csn_lookup[plan.src]
         # every round's source order is the participants list, so the
         # round-constant pieces are hoisted once
-        src_round = plan.src[:games_per_round]
-        self.src_round = src_round
-        self.src_round_m = src_round * m
+        self.src_round = plan.src[:games_per_round]
         self.src_list = plan.src.tolist()
-        # sampler-built plans guarantee distinct intermediates excluding the
-        # source, so the only possible (observer == subject) cell in the
-        # conflict pair grid is the (writer i+1, subject i) diagonal — a
-        # strided assignment instead of a full-grid equality mask.  Scripted
-        # plans make no such promise and keep the mask.
-        self.diag_only = plan.distinct_nodes
         n_games = plan.n_games
         h = nodes.shape[1]
-        self.hrange = np.arange(h)
-        self.grange = np.arange(games_per_round, dtype=np.int64)
         # conflict-walk scope: tournament t_global = rep * T + t owns the
         # window [t_global * block^2, (t_global + 1) * block^2); a global
         # code obs * m + subj with obs = rep * block + o, subj = rep * block
@@ -228,10 +258,6 @@ class _PlanContext:
         self.ratings_buf = np.empty(
             (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
         )
-        # the pair grid runs in int32 (codes stay < 2 m^2 << 2^31), halving
-        # the memory traffic of the widest per-round intermediate
-        self.obs_buf = np.empty((games_per_round, h + 1), dtype=np.int32)
-        self.obs_buf[:, 0] = src_round
         # per-game speculative outcomes, buffered for the end-of-plan
         # fold; the round pass computes straight into slices of these
         self.decided_b = np.zeros((n_games, h), dtype=bool)
@@ -250,20 +276,20 @@ class _PlanContext:
             vals = (vals // self.m) * self.block + (vals % self.m)
         return vals + off
 
-    def conflicted(self, kern, w_vals, w_counts, r1, r2, n_dec, rows=None):
+    def conflicted(self, kern, w_vals, w_game, r1, r2, n_dec, rows=None):
         """The conflict walk over a set of slate games (``rows``, ascending
         slate positions; all of them by default): per game, whether one of
         its read pairs ``r1``/``r2`` (``n_dec`` per game) was first written
-        (``w_vals``, ``w_counts`` per game) by a strictly earlier game of
-        its scope.  Every game's writes count, kept or not — exactly the
-        sequential walk's written-set.  Resets just the codes it wrote, so
+        (``w_vals``, by game ``w_game``, ascending) by a strictly earlier
+        game of its scope.  Every game's writes count, kept or not —
+        exactly the sequential walk's written-set.  Resets just the codes it wrote, so
         the buffer holds ``walk_fill`` everywhere between walks and a walk
         costs O(writes + reads), however wide the pair space."""
         off = self.pair_off if rows is None else self.pair_off[rows]
         pos = self.walk_pos if rows is None else self.walk_pos[rows]
         buf = self.writer_buf
-        w_codes = self.scope(w_vals, np.repeat(off, w_counts))
-        kern.first_writer(buf, w_codes, np.repeat(pos, w_counts))
+        w_codes = self.scope(w_vals, off[w_game])
+        kern.first_writer(buf, w_codes, pos[w_game])
         read_off = np.repeat(off, n_dec)
         pos_read = np.repeat(pos, n_dec)
         conflict = buf[self.scope(r1, read_off)] < pos_read
@@ -340,9 +366,10 @@ class TurboEngine:
         self._strat_flat = table
 
     def _kernel_state(self) -> KernelState:
-        """Bundle the live state views the kernel ops operate on.  Rebuilt
-        at every entry point: ``_alloc`` and ``set_strategies`` replace the
-        underlying arrays, and the bundle is a handful of references."""
+        """Bundle the live state views the kernel ops operate on, with the
+        replay ops' memoryviews.  Rebuilt at every entry point: ``_alloc``
+        and ``set_strategies`` replace the underlying arrays, and the bundle
+        is a handful of references and views."""
         return KernelState(
             ps=self.ps,
             pf=self.pf,
@@ -367,7 +394,7 @@ class TurboEngine:
             n_fwd=self.n_fwd,
             disc_pay_acc=self.disc_pay_acc,
             n_disc=self.n_disc,
-        )
+        ).with_views()
 
     def _alloc(self) -> None:
         m = self.m
@@ -477,18 +504,23 @@ class TurboEngine:
         self._k = (
             self._kernel if tel is None else TimedKernel(self._kernel, tel.registry)
         )
-        # replay contributions accumulate here; speculative outcomes are
+        # replay contributions accumulate here, written through one
+        # memoryview triple per replication; speculative outcomes are
         # folded vectorized at the end (dead state during the plan)
         n_rep = ctx.n_replications
         req = np.zeros((n_rep, 9), dtype=np.int64)
         delivered = np.zeros((n_rep, 4), dtype=np.int64)
         csn_free = np.zeros((n_rep, 4), dtype=np.int64)
+        counters = [
+            (memoryview(req[r]), memoryview(delivered[r]), memoryview(csn_free[r]))
+            for r in range(n_rep)
+        ]
         self._replayed_games = 0
         self._second_chance_games = 0
 
         for round_no in range(rounds):
             with tel.span("round") if tel is not None else nullcontext():
-                self._process_round(ctx, round_no, req, delivered, csn_free)
+                self._process_round(ctx, round_no, counters)
             if after_round is not None:
                 after_round(round_no)
 
@@ -528,14 +560,7 @@ class TurboEngine:
         from_csn.rejected_by_csn += int(req[6])
         from_csn.accepted_by_csn += int(req[7])
 
-    def _process_round(
-        self,
-        ctx: _PlanContext,
-        round_no: int,
-        req: np.ndarray,
-        delivered: np.ndarray,
-        csn_free: np.ndarray,
-    ) -> None:
+    def _process_round(self, ctx: _PlanContext, round_no: int, counters: list) -> None:
         m = ctx.m
         plan = ctx.plan
         ks = self._ks
@@ -587,10 +612,8 @@ class TurboEngine:
         keep[:] = self._commit_unconflicted(
             ctx,
             None,
-            ctx.obs_buf[:, : hmax + 1],
-            ctx.src_round_m,
+            ctx.src_round,
             jc,
-            cells_dec,
             ctx.decided_b[g0:g1, :hmax],
             ctx.fwd_b[g0:g1, :hmax],
             ctx.success_b[g0:g1],
@@ -599,104 +622,74 @@ class TurboEngine:
 
         # -- resolve conflicting games against live state --------------------
         if not keep.all():
-            self._resolve_conflicts(
-                ctx, g0, np.flatnonzero(~keep), req, delivered, csn_free
-            )
+            self._resolve_conflicts(ctx, g0, np.flatnonzero(~keep), counters)
 
     def _commit_unconflicted(
-        self, ctx, rows, obs, src_m, jc, cells_dec, decided, fwd, success, n_dec
+        self, ctx, rows, src, jc, decided, fwd, success, n_dec
     ) -> np.ndarray:
         """Walk speculated games for conflicts and commit the rest.
 
         The games are slate ``rows`` (all of the slate for ``None``) with
-        chosen-path nodes ``jc`` and decisions ``decided``/``fwd``/
-        ``success``; ``obs`` is an ``(n, hmax + 1)`` int32 buffer whose
-        column 0 holds the sources, ``src_m`` the sources times ``m``.
+        sources ``src``, chosen-path nodes ``jc`` and decisions
+        ``decided``/``fwd``/``success`` (``n_dec`` decided hops each).
         Returns the per-game keep mask: a game conflicts iff one of its read
         pairs was (speculatively) written by a strictly earlier game of its
         scope.  Only the kept games' watchdog writes are committed.
         """
         m = ctx.m
-        n, hmax = jc.shape
-        # watchdog write pairs (observer, subject) with out-of-range
-        # sentinels: invalid entries land at >= m*m and are filtered out.
-        # The observer sentinel is m (pair = m*m + subj >= m*m); the subject
-        # sentinel must be m*m itself — a subject sentinel of m would fold
-        # into the valid pair (obs + 1, 0).
-        upd_ok = decided & (
-            success[:, None] | (ctx.hrange[:hmax] < (n_dec - 1)[:, None])
-        )
-        jc32 = jc.astype(np.int32)
-        np.copyto(obs[:, 1:], jc32)
-        np.copyto(obs[:, 1:], np.int32(m), where=~upd_ok)
-        subj = np.where(decided, jc32, np.int32(m * m))
-        pair = obs[:, :, None] * np.int32(m) + subj[:, None, :]
-        if ctx.diag_only:
-            # observer == subject can only land on the (i+1, i) diagonal
-            pair.reshape(n, -1)[:, hmax :: hmax + 1] = m * m
-        else:
-            pair[obs[:, :, None] == subj[:, None, :]] = m * m
-        pair2 = pair.reshape(n, -1)
-        w_ok = pair2 < m * m
-        w_counts = w_ok.sum(axis=1)
-        w_vals = pair2[w_ok]
+        w_vals, w_game, w_fwd = watchdog_pairs(src, jc, fwd, n_dec, success, m)
         # decision reads (j, s) are exactly the decided cells; rating reads
         # (s, j) cover the decided prefix of the chosen path (staleness on
         # nodes past a drop only perturbs already-tolerated path ratings)
-        r1 = cells_dec[decided]
-        r2 = (src_m[:, None] + jc)[decided]
-        keep = ~ctx.conflicted(self._k, w_vals, w_counts, r1, r2, n_dec, rows)
-        k_pairs = keep.repeat(w_counts)
+        subj = jc[decided]
+        src_d = src.repeat(n_dec)
+        r1 = subj * m + src_d
+        r2 = src_d * m + subj
+        keep = ~ctx.conflicted(self._k, w_vals, w_game, r1, r2, n_dec, rows)
+        k_pairs = keep[w_game]
         pairs = w_vals[k_pairs]
-        w_fwd = np.broadcast_to(fwd[:, None, :], pair.shape).reshape(n, -1)[w_ok]
         self._k.commit(self._ks, pairs, pairs[w_fwd[k_pairs]])
         return keep
 
     def _resolve_conflicts(
-        self,
-        ctx: _PlanContext,
-        g0: int,
-        rel_ids: np.ndarray,
-        req: np.ndarray,
-        delivered: np.ndarray,
-        csn_free: np.ndarray,
+        self, ctx: _PlanContext, g0: int, rel_ids: np.ndarray, counters: list
     ) -> None:
         """Handle this round's conflicted games.  Turbo replays each through
         the exact scalar kernel; fused layers a vectorized second-chance
         pass in front (see the override)."""
-        self._replay_ids(ctx, g0 + rel_ids, req, delivered, csn_free)
+        self._replay_ids(ctx, g0 + rel_ids, counters)
 
-    def _replay_ids(
-        self,
-        ctx: _PlanContext,
-        ids: np.ndarray,
-        req: np.ndarray,
-        delivered: np.ndarray,
-        csn_free: np.ndarray,
-    ) -> None:
+    def _replay_ids(self, ctx: _PlanContext, ids: np.ndarray, counters: list) -> None:
         """Replay games (absolute plan indices, ascending) one at a time
         through the exact scalar kernel against the live matrices, routing
-        the statistics counters to each game's replication row."""
+        the statistics counters to each game's replication row
+        (``counters[r]`` is replication ``r``'s ``(req, delivered,
+        csn_free)``).  The candidate paths of all the games come out of the
+        plan as Python lists in one pass."""
         self._replayed_games += len(ids)
         plan = ctx.plan
-        starts = plan.game_path_start
+        lo = plan.game_path_start[ids]
+        n_paths = plan.game_path_start[ids + 1] - lo
+        ends = np.cumsum(n_paths)
+        rows = np.arange(int(n_paths.sum())) + np.repeat(lo - (ends - n_paths), n_paths)
+        paths = [
+            row[:n]
+            for row, n in zip(
+                plan.path_nodes[rows].tolist(), plan.path_len[rows].tolist()
+            )
+        ]
+        kern = self._k
+        ks = self._ks
         slate = ctx.games_per_round
         rep_slate = ctx.rep_slate
-        for g in ids.tolist():
-            r = (g % slate) // rep_slate
-            lo = int(starts[g])
-            hi = int(starts[g + 1])
+        start = 0
+        for g, end in zip(ids.tolist(), ends.tolist()):
             source = ctx.src_list[g]
-            deciders, flags, success = self._k.replay_decide(
-                self._ks,
-                source,
-                plan.path_nodes[lo:hi],
-                plan.path_len[lo:hi],
-                req[r],
-                delivered[r],
-                csn_free[r],
+            deciders, flags, success = kern.replay_decide(
+                ks, source, paths[start:end], *counters[(g % slate) // rep_slate]
             )
-            self._k.watchdog(self._ks, source, deciders, flags, success)
+            kern.watchdog(ks, source, deciders, flags, success)
+            start = end
 
     def _fold_tournament(
         self,
@@ -712,11 +705,8 @@ class TurboEngine:
         n_rep = ctx.n_replications
         keep = ctx.keep_b
         chosen = ctx.chosen_b
-        decided = ctx.decided_b
-        fwd = ctx.fwd_b
         success = ctx.success_b
         src_sel = ctx.src_sel
-        is_csn = ctx.is_csn[chosen]
         rounds = ctx.plan.n_games // ctx.games_per_round
         rep_of = np.tile(
             np.repeat(np.arange(n_rep, dtype=np.int64), ctx.rep_slate), rounds
@@ -729,15 +719,15 @@ class TurboEngine:
             (rep_of * 4 + src_sel * 2 + ctx.has_csn[chosen])[keep],
             minlength=4 * n_rep,
         ).reshape(n_rep, 4)
-        counts = np.bincount(
-            np.where(
-                decided & keep[:, None],
-                (rep_of * 8 + src_sel * 4)[:, None] + is_csn * 2 + fwd,
-                8 * n_rep,
-            ).ravel(),
-            minlength=8 * n_rep + 1,
-        )
-        req[:, :8] += counts[: 8 * n_rep].reshape(n_rep, 8)
+        # every decided hop of a kept game, row-major: game order, then hop
+        gi, hi = np.nonzero(ctx.decided_b & keep[:, None])
+        path = chosen[gi]
+        is_csn = ctx.is_csn[path, hi]
+        fwd = ctx.fwd_b[gi, hi]
+        req[:, :8] += np.bincount(
+            rep_of[gi] * 8 + src_sel[gi] * 4 + is_csn * 2 + fwd,
+            minlength=8 * n_rep,
+        ).reshape(n_rep, 8)
 
         # per-node payoffs: the float accumulators fold in game order, so a
         # replication's sums match what it would accumulate alone
@@ -750,10 +740,10 @@ class TurboEngine:
         self.n_sent += np.bincount(ksrc, minlength=m)
         # intermediate payoffs: normal deciders only (CSN accumulators are
         # dead state, exactly as the batch engine skips them)
-        pay = decided & ~is_csn & keep[:, None]
-        jj = ctx.jc[chosen][pay]
-        ff = fwd[pay]
-        lvl = np.where(ctx.unknown_b, self._default_trust, ctx.trust_b)[pay]
+        pay = ~is_csn
+        gi, hi, ff = gi[pay], hi[pay], fwd[pay]
+        jj = ctx.jc[path[pay], hi]
+        lvl = np.where(ctx.unknown_b[gi, hi], self._default_trust, ctx.trust_b[gi, hi])
         self.fwd_pay_acc += np.bincount(
             jj[ff], weights=self._fwd_pay[lvl[ff]], minlength=m
         )

@@ -9,7 +9,8 @@ Three layers of pinning:
   below were recorded on the pre-kernel scalar code, so any drift in the
   kernel is a test failure, not a re-pin.
 * **Op semantics** — the non-obvious vectorizations (the first-writer
-  walk, the incremental commit) against their obvious dense oracles.
+  walk, the incremental commit) against their obvious dense oracles, and
+  the memoryview replay against the numpy-scalar replay it replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.strategy import STRATEGY_LENGTH, UNKNOWN_BIT
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import run_replication
 from repro.sim import make_engine
@@ -62,7 +64,20 @@ class TestSelection:
 
 
 class TestTimedKernel:
-    def test_wraps_and_times_ops(self):
+    """Every op goes through its own ``kernel.<op>_s`` timer: perfbench's
+    traced split reads the six rows, so an op whose wrapper stopped timing
+    would silently drop out of ``sim.kernel.*``."""
+
+    TIMERS = {
+        "rate_paths": "kernel.rate_s",
+        "decide": "kernel.decision_s",
+        "first_writer": "kernel.walk_s",
+        "commit": "kernel.commit_s",
+        "replay_decide": "kernel.replay_s",
+        "watchdog": "kernel.watchdog_s",
+    }
+
+    def test_first_writer_result_passes_through(self):
         from repro.telemetry.registry import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -77,8 +92,46 @@ class TestTimedKernel:
         expected = np.full(7, 99, dtype=np.int64)
         np.minimum.at(expected, codes, pos)
         np.testing.assert_array_equal(buf, expected)
-        snapshot = registry.snapshot()
-        assert snapshot["timers"]["kernel.walk_s"]["count"] == 1
+
+    def test_each_op_adds_one_count_to_its_timer(self):
+        from repro.telemetry.registry import MetricsRegistry
+
+        rng = np.random.default_rng(5)
+        ps, pf = prior_state(rng, 12, density=0.5)
+        state = commit_state(ps, pf).with_views()
+        registry = MetricsRegistry()
+        timed = TimedKernel(NumpyKernel(), registry)
+
+        def counts():
+            timers = registry.snapshot()["timers"]
+            return {
+                op: timers.get(timer, {}).get("count", 0)
+                for op, timer in self.TIMERS.items()
+            }
+
+        jc = np.array([[3, 4], [5, 0]], dtype=np.int64)
+        valid = np.array([[True, True], [True, False]])
+        outs = [np.empty((2, 2), dtype=t) for t in (np.int64, bool, bool, bool)]
+        calls = {
+            "rate_paths": lambda: timed.rate_paths(state, jc * 12, ~valid),
+            "decide": lambda: timed.decide(
+                state, jc, valid, jc * 12 + 1, *outs, np.empty(2, dtype=bool)
+            ),
+            "first_writer": lambda: timed.first_writer(
+                np.full(4, 9, dtype=np.int64), np.array([1]), np.array([0])
+            ),
+            "commit": lambda: timed.commit(state, np.array([13, 14]), np.array([13])),
+            "replay_decide": lambda: timed.replay_decide(
+                state, 1, [[3, 4], [5]], [0] * 9, [0] * 4, [0] * 4
+            ),
+            "watchdog": lambda: timed.watchdog(state, 1, [3, 4], [True, False], False),
+        }
+        for op, call in calls.items():
+            before = counts()
+            call()
+            after = counts()
+            assert after[op] == before[op] + 1, op
+            assert sum(after.values()) == sum(before.values()) + 1, op
 
 
 class TestFirstWriterParity:
@@ -250,6 +303,258 @@ class TestCommitParity:
     @pytest.mark.parametrize("case", sorted(COMMIT_CASES))
     def test_matches_dense_recompute(self, case, m):
         self.check(case, m)
+
+
+def scalar_replay_decide(state, source, nodes, lens, req, delivered, csn_free):
+    """The numpy-scalar replay the memoryview op replaced, kept verbatim
+    as the oracle: it indexes the 2-D matrices and reads numpy scalars."""
+    ps = state.ps
+    pf = state.pf
+    csn = state.csn_lookup
+    strat = state.strat_flat
+    source_selfish = bool(csn[source])
+
+    ps_s = ps[source]
+    pf_s = pf[source]
+    best_i = 0
+    best_r = -1.0
+    for i in range(len(lens)):
+        row = nodes[i]
+        r = 1.0
+        for x in range(int(lens[i])):
+            node = int(row[x])
+            cell = int(ps_s[node])
+            r *= (int(pf_s[node]) / cell) if cell else 0.5
+        if r > best_r:
+            best_i = i
+            best_r = r
+    row = nodes[best_i]
+    path = [int(row[x]) for x in range(int(lens[best_i]))]
+
+    contains_csn = False
+    for node in path:
+        if csn[node]:
+            contains_csn = True
+            break
+    csn_free[source_selfish * 2 + contains_csn] += 1
+
+    req_base = 4 if source_selfish else 0
+    deciders: list[int] = []
+    flags: list[bool] = []
+    trusts: list[int] = []
+    success = True
+    for j in path:
+        if csn[j]:
+            deciders.append(j)
+            flags.append(False)
+            trusts.append(-1)
+            req[req_base + 2] += 1
+            success = False
+            break
+        cell = int(ps[j, source])
+        if cell == 0:
+            trust = -1
+            forward = int(strat[j * STRATEGY_LENGTH + UNKNOWN_BIT]) == 1
+        else:
+            rating = int(pf[j, source]) / cell
+            if rating > state.b2:
+                trust = 3
+            elif rating > state.b1:
+                trust = 2
+            elif rating > state.b0:
+                trust = 1
+            else:
+                trust = 0
+            av = int(state.pf_sum[j]) / int(state.known[j])
+            if int(pf[j, source]) < av - state.band * av:
+                act = 0
+            elif int(pf[j, source]) > av + state.band * av:
+                act = 2
+            else:
+                act = 1
+            forward = int(strat[j * STRATEGY_LENGTH + trust * 3 + act]) == 1
+        deciders.append(j)
+        flags.append(forward)
+        trusts.append(trust)
+        req[req_base + (1 if forward else 0)] += 1
+        if not forward:
+            success = False
+            break
+
+    state.send_pay[source] += state.src_success if success else state.src_failure
+    state.n_sent[source] += 1
+    for j, forward, trust in zip(deciders, flags, trusts):
+        if csn[j]:
+            continue
+        level = state.default_trust if trust < 0 else trust
+        if forward:
+            state.fwd_pay_acc[j] += state.fwd_pay[level]
+            state.n_fwd[j] += 1
+        else:
+            state.disc_pay_acc[j] += state.disc_pay[level]
+            state.n_disc[j] += 1
+
+    delivered[source_selfish * 2 + success] += 1
+    return (
+        np.asarray(deciders, dtype=np.int64),
+        np.asarray(flags, dtype=bool),
+        success,
+    )
+
+
+def scalar_watchdog(state, source, deciders, flags, success):
+    """The numpy-scalar watchdog recurrence, kept verbatim as the oracle."""
+    ps = state.ps
+    pf = state.pf
+    known = state.known
+    pf_sum = state.pf_sum
+    n_decided = len(deciders)
+    n_upd = n_decided if success else n_decided - 1
+    for t in range(-1, n_upd):
+        u = source if t < 0 else int(deciders[t])
+        ps_u = ps[u]
+        pf_u = pf[u]
+        for idx in range(n_decided):
+            j = int(deciders[idx])
+            if j != u:
+                if ps_u[j] == 0:
+                    known[u] += 1
+                ps_u[j] += 1
+                if flags[idx]:
+                    pf_u[j] += 1
+                    pf_sum[u] += 1
+
+
+def replay_state(rng, m, n_csn):
+    """A random live state for the replay ops: small integer counts, so
+    rates land exactly on the trust bounds and activity band edges; about
+    a third of the cells unknown; uneven float payoff accumulators, so a
+    reordered sum would show in the last bit."""
+    ps, pf = prior_state(rng, m, density=0.65)
+    ps[ps > 0] = rng.integers(1, 9, size=int((ps > 0).sum()))
+    pf = np.floor(ps * rng.random((m, m)) * 1.2).astype(np.int64)
+    np.minimum(pf, ps, out=pf)
+    # mostly-forwarding strategies, so drops happen deep in paths too
+    strat = (rng.random(m * STRATEGY_LENGTH) < 0.8).astype(np.int8)
+    csn = np.zeros(m, dtype=bool)
+    csn[m - n_csn :] = True
+    strat.reshape(m, STRATEGY_LENGTH)[csn] = 0
+    return KernelState(
+        ps=ps,
+        pf=pf,
+        ps_flat=ps.reshape(-1),
+        pf_flat=pf.reshape(-1),
+        known=np.count_nonzero(ps, axis=1),
+        pf_sum=pf.sum(axis=1),
+        strat_flat=strat,
+        csn_lookup=csn,
+        b0=0.25,
+        b1=0.5,
+        b2=0.75,
+        band=0.25,
+        fwd_pay=rng.random(4) * 3,
+        disc_pay=rng.random(4) * 3,
+        default_trust=1,
+        src_success=5.0,
+        src_failure=0.1,
+        send_pay=rng.random(m) * 100,
+        n_sent=rng.integers(0, 50, size=m),
+        fwd_pay_acc=rng.random(m) * 100,
+        n_fwd=rng.integers(0, 50, size=m),
+        disc_pay_acc=rng.random(m) * 100,
+        n_disc=rng.integers(0, 50, size=m),
+    )
+
+
+def copy_state(state: KernelState) -> KernelState:
+    """An independent deep copy (fresh arrays, fresh flat views)."""
+    fields = {
+        k: (v.copy() if isinstance(v, np.ndarray) else v)
+        for k, v in state._asdict().items()
+        if k != "views"
+    }
+    fields["ps_flat"] = fields["ps"].reshape(-1)
+    fields["pf_flat"] = fields["pf"].reshape(-1)
+    return KernelState(**fields)
+
+
+ARRAY_FIELDS = (
+    "ps", "pf", "known", "pf_sum", "send_pay", "n_sent",
+    "fwd_pay_acc", "n_fwd", "disc_pay_acc", "n_disc",
+)
+
+
+class TestReplayParity:
+    """The memoryview ``replay_decide`` + ``watchdog`` against the
+    numpy-scalar pair they replaced: over a stream of games on a random
+    live state, every matrix, cache, payoff accumulator and counter row
+    must stay bitwise equal, game by game."""
+
+    @staticmethod
+    def random_game(rng, m, n_csn, source):
+        """A game's candidate paths: 1-4 paths of 1-5 distinct nodes (never
+        the source); sometimes a duplicated path (an exact rating tie) or a
+        path through a selfish seat."""
+        others = np.delete(np.arange(m), source)
+        paths = [
+            rng.choice(others, size=int(rng.integers(1, 6)), replace=False).tolist()
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        if rng.random() < 0.2:
+            paths.append(list(paths[0]))
+        if rng.random() < 0.3:
+            csn_node = int(rng.integers(m - n_csn, m))
+            if csn_node != source and csn_node not in paths[-1]:
+                paths[-1].insert(int(rng.integers(0, len(paths[-1]) + 1)), csn_node)
+        return paths
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_memoryview_ops_match_numpy_scalar_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n_csn = 24, 4
+        want = replay_state(rng, m, n_csn)
+        got = copy_state(want).with_views()
+        counters_want = [np.zeros(n, dtype=np.int64) for n in (9, 4, 4)]
+        counters_got = [np.zeros(n, dtype=np.int64) for n in (9, 4, 4)]
+        views = [memoryview(c) for c in counters_got]
+        kernel = NumpyKernel()
+        seen = {"unknown": 0, "tie": 0, "csn": 0, "full": 0}
+        drops = set()
+        for _ in range(600):
+            source = int(rng.integers(0, m))
+            paths = self.random_game(rng, m, n_csn, source)
+            width = max(len(p) for p in paths)
+            nodes = np.array([p + [-1] * (width - len(p)) for p in paths])
+            lens = np.array([len(p) for p in paths])
+            seen["tie"] += any(paths[0] == p for p in paths[1:])
+            seen["unknown"] += any(
+                want.ps[source, n] == 0 for p in paths for n in p
+            )
+            d_want, f_want, s_want = scalar_replay_decide(
+                want, source, nodes, lens, *counters_want
+            )
+            scalar_watchdog(want, source, d_want, f_want, s_want)
+            d_got, f_got, s_got = kernel.replay_decide(got, source, paths, *views)
+            kernel.watchdog(got, source, d_got, f_got, s_got)
+
+            assert d_got == d_want.tolist()
+            assert f_got == f_want.tolist()
+            assert s_got == s_want
+            seen["csn"] += bool(want.csn_lookup[d_want].any())
+            if s_want:
+                seen["full"] += 1
+            else:
+                drops.add(len(d_want) - 1)
+            for name in ARRAY_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b, err_msg=name, strict=True)
+                assert a.tobytes() == b.tobytes(), name
+            for a, b in zip(counters_got, counters_want):
+                np.testing.assert_array_equal(a, b)
+        # the stream covered what it is meant to
+        assert all(seen.values()), seen
+        assert {0, 1, 2, 3, 4} <= drops, drops
 
 
 class TestRoundStateInvariants:

@@ -259,3 +259,128 @@ class TestIntrospection:
     def test_fitness_zero_without_events(self):
         engine = build_engine()
         assert np.array_equal(engine.fitness(), np.zeros(16))
+
+
+def grid_pairs(src, jc, decided, fwd, success, n_dec, m):
+    """The padded ``(hmax + 1) x hmax`` write-pair grid the compact pairs
+    replaced, kept as the oracle: observer rows (source, then deciders
+    masked to the updating ones by an out-of-range sentinel) against
+    subject columns (decided hops), observer == subject cells dropped."""
+    n, hmax = jc.shape
+    obs = np.empty((n, hmax + 1), dtype=np.int32)
+    obs[:, 0] = src
+    upd_ok = decided & (success[:, None] | (np.arange(hmax) < (n_dec - 1)[:, None]))
+    jc32 = jc.astype(np.int32)
+    np.copyto(obs[:, 1:], jc32)
+    np.copyto(obs[:, 1:], np.int32(m), where=~upd_ok)
+    subj = np.where(decided, jc32, np.int32(m * m))
+    pair = obs[:, :, None] * np.int32(m) + subj[:, None, :]
+    pair[obs[:, :, None] == subj[:, None, :]] = m * m
+    pair2 = pair.reshape(n, -1)
+    w_ok = pair2 < m * m
+    w_fwd = np.broadcast_to(fwd[:, None, :], pair.shape).reshape(n, -1)[w_ok]
+    return pair2[w_ok], w_ok.sum(axis=1), w_fwd
+
+
+def random_slate(rng, n, hmax, m, n_csn, repeats):
+    """Speculated games as the round pass hands them over: chosen paths
+    ``jc`` (padding resolves to node 0), the decide op's prefix structure
+    for ``decided``/``fwd``/``success``, selfish seats that always drop.
+    ``repeats`` draws path nodes with replacement from a small pool that
+    includes the source, as a hand-built plan may."""
+    src = rng.integers(0, m, size=n)
+    lens = rng.integers(1, hmax + 1, size=n)
+    if repeats:
+        pool = rng.integers(0, m, size=(n, 4))
+        pool[:, 0] = src
+        jc = np.take_along_axis(pool, rng.integers(0, 4, size=(n, hmax)), axis=1)
+    else:
+        jc = np.stack(
+            [rng.choice(np.delete(np.arange(m), s), hmax, replace=False) for s in src]
+        )
+    valid = np.arange(hmax) < lens[:, None]
+    jc[~valid] = 0
+    votes = rng.random((n, hmax)) < 0.7
+    votes[rng.random(n) < 0.2, 0] = False  # first-hop drops
+    votes[rng.random(n) < 0.2] = True  # full deliveries (unless a CSN)
+    votes &= jc < m - n_csn
+    votes &= valid
+    prefix = np.logical_and.accumulate(votes | ~valid, axis=1)
+    decided = valid.copy()
+    decided[:, 1:] &= prefix[:, :-1]
+    # the round pass hands over strided column slices of its fold buffers
+    fwd = np.zeros((n, hmax + 3), dtype=bool)[:, :hmax]
+    fwd[:] = votes
+    return src, jc, decided, fwd, prefix[:, -1], decided.sum(axis=1)
+
+
+class TestWatchdogPairs:
+    """The compact write pairs equal the padded grid's output — codes,
+    per-game counts and forward flags, in the same game-major order."""
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_padded_grid(self, seed, repeats):
+        from repro.sim.turbo import watchdog_pairs
+
+        rng = np.random.default_rng(seed)
+        n, hmax, m, n_csn = 300, 7, 40, 6
+        src, jc, decided, fwd, success, n_dec = random_slate(
+            rng, n, hmax, m, n_csn, repeats
+        )
+        codes, game, flags = watchdog_pairs(src, jc, fwd, n_dec, success, m)
+        want_codes, want_counts, want_flags = grid_pairs(
+            src, jc, decided, fwd, success, n_dec, m
+        )
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_array_equal(np.bincount(game, minlength=n), want_counts)
+        np.testing.assert_array_equal(flags, want_flags)
+        assert (np.diff(game) >= 0).all()
+        # the slate holds every shape the pairs must get right
+        first_hop = decided[:, 0] & ~fwd[:, 0]
+        assert (first_hop & (n_dec == 1)).any()
+        assert (success & (n_dec >= 3)).any()
+        assert (decided & (jc >= m - n_csn)).any()
+        # beyond each decider meeting itself, observer == subject pairs
+        # (a repeated node, the source on its own path) exist only with
+        # repeats
+        n_upd = np.where(success, n_dec, n_dec - 1)
+        observers = np.concatenate([src[:, None], jc], axis=1)
+        t = np.arange(hmax + 1)[None, :, None]
+        s = np.arange(hmax)[None, None, :]
+        same = (
+            (observers[:, :, None] == jc[:, None, :])
+            & (t <= n_upd[:, None, None])
+            & decided[:, None, :]
+            & (t != s + 1)
+        )
+        assert same.any() == repeats
+
+    def test_engine_round_passes_match_padded_grid(self, monkeypatch):
+        # every call the engines make, on real plans and real decisions
+        import repro.sim.turbo as turbo_mod
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.replication import run_stack
+
+        real = turbo_mod.watchdog_pairs
+        calls = []
+
+        def checked(src, jc, fwd, n_dec, success, m):
+            out = real(src, jc, fwd, n_dec, success, m)
+            decided = np.arange(jc.shape[1]) < n_dec[:, None]
+            want = grid_pairs(src, jc, decided, fwd, success, n_dec, m)
+            np.testing.assert_array_equal(out[0], want[0])
+            np.testing.assert_array_equal(
+                np.bincount(out[1], minlength=len(n_dec)), want[1]
+            )
+            np.testing.assert_array_equal(out[2], want[2])
+            calls.append(len(n_dec))
+            return out
+
+        monkeypatch.setattr(turbo_mod, "watchdog_pairs", checked)
+        config = ExperimentConfig.for_case(
+            "case3", scale="smoke", engine="fused", seed=7, replications=2,
+            generations=1,
+        )
+        run_stack(config, range(config.replications))
+        assert len(calls) > config.sim.rounds
