@@ -87,21 +87,12 @@ MIN_BATCH_VS_FAST = 0.93
 #: (measured margins are ~4x topology / ~2.3x mobile).
 MIN_TOPOLOGY_VS_REFERENCE = 2.0
 MIN_MOBILE_VS_REFERENCE = 1.4
-#: The statistical engines' claim on the random oracle — where the
+#: The statistical engine's claim on the random oracle — where the
 #: sequential watchdog recurrence, not route search, bounds the
-#: bit-identical engines — speculative round vectorization must beat the
-#: batch engine.  Turbo carried it while batch drew each game through
-#: per-game RNG calls; since batch decodes the PCG64 word stream
-#: (``RandomPathOracle.draw_tournament``) it is faster than turbo there
-#: (~10 vs ~18 ms per tournament on a 2-core x86 VM), so the claim is held
-#: by fused, the form the statistical path runs in.  Measured margin is
-#: ~1.5-2.2x; 1.2 absorbs shared-runner noise in CI.
+#: bit-identical engines — speculative, generation-stacked round
+#: vectorization must beat the batch engine.  Measured margin is
+#: ~1.5-3.5x; 1.2 absorbs shared-runner noise in CI.
 MIN_FUSED_VS_BATCH_RANDOM = 1.2
-#: With native vectorized topology/mobile draws (PR 5), turbo contends on
-#: the route-table rows too: it must stay within noise of batch on the
-#: *better* of the topology/mobile rows (the committed ledger posts
-#: turbo >= batch on at least one; 0.9 absorbs shared-runner noise).
-MIN_TURBO_VS_BATCH_ROUTED = 0.9
 #: The approx route-cache policy's reason to exist: on the per-round
 #: mobility row it must post a large speedup over the exact policy on the
 #: same engine.  The committed ledger posts >= 2x; 1.5 absorbs CI noise.
@@ -111,11 +102,6 @@ MIN_APPROX_VS_EXACT = 1.5
 #: landed the engine showed per-tournament wall flat from 10 through 40, so
 #: the smallest realistic stack is the honest number.
 FUSED_STACK = 10
-#: The fused engine's tentpole claim: stacking a generation's tournaments
-#: into one mega-batch pass must beat re-entering turbo per tournament on
-#: the random row (where fixed numpy dispatch, not route search, bounds
-#: turbo).  The committed ledger posts >= 2x; 1.5 absorbs CI noise.
-MIN_FUSED_VS_TURBO_RANDOM = 1.5
 #: On the route-table rows the fusion also shares route tables and slot
 #: caches across the stack; it must beat the batch engine on both.  The
 #: committed ledger posts >= 1.3x on each; 1.1 absorbs CI noise.
@@ -364,7 +350,7 @@ def time_tournament(engine_name: str, oracle_kind: str, repeats: int = 7) -> flo
     drives tournaments in a replication, where one oracle serves every
     tournament of every generation.  A static topology therefore serves its
     warm route tables (their steady state, which the layered providers and
-    the turbo engine's draw caches reach after a couple of tournaments),
+    the fused engine's draw caches reach after a couple of tournaments),
     while the mobile topology keeps moving and re-routing between repeats
     just as it does between real tournaments.  Each engine gets its own
     identically seeded oracle, so engines see identical workloads.
@@ -393,7 +379,7 @@ def test_engine_tournament_throughput(benchmark, engine_name):
 def test_engines_equal_output_per_oracle(oracle_kind):
     """Guard: the timed configurations do identical work on every oracle.
 
-    The bit-identical trio must agree exactly; the turbo engine (statistical
+    The bit-identical trio must agree exactly; the fused engine (statistical
     contract) must play the same *workload* — same game count, sane delivery
     — with its distributional match gated by the dedicated suite in
     ``tests/test_engine_statistical.py``.
@@ -401,14 +387,15 @@ def test_engines_equal_output_per_oracle(oracle_kind):
     reference = run_tournament(BIT_IDENTICAL_ENGINES[0], oracle_kind).to_dict()
     for engine_name in BIT_IDENTICAL_ENGINES[1:]:
         assert run_tournament(engine_name, oracle_kind).to_dict() == reference
-    turbo = run_tournament("turbo", oracle_kind).to_dict()
+    # one tournament through the fused per-tournament loop (the exchange's)
+    looped = run_tournament("fused", oracle_kind).to_dict()
     assert (
-        turbo["nn_originated"] + turbo["csn_originated"]
+        looped["nn_originated"] + looped["csn_originated"]
         == reference["nn_originated"] + reference["csn_originated"]
         == GAMES
     )
-    assert turbo["nn_delivered"] <= turbo["nn_originated"]
-    assert turbo["nn_paths_chosen"] == reference["nn_paths_chosen"]
+    assert looped["nn_delivered"] <= looped["nn_originated"]
+    assert looped["nn_paths_chosen"] == reference["nn_paths_chosen"]
     # the fused engine's unit is a generation: its stacked pass must conserve
     # the whole stack's workload (structural counts scale by the stack size)
     fused = run_fused_generation(oracle_kind).to_dict()
@@ -537,23 +524,10 @@ def test_engine_matrix_report(session):
             "batch_speedup_vs_reference_random": round(
                 random_walls["reference"] / random_walls["batch"], 3
             ),
-            "turbo_speedup_vs_batch_random": round(
-                random_walls["batch"] / random_walls["turbo"], 3
-            ),
-            "turbo_vs_batch_best_routed": round(
-                max(
-                    walls[o]["batch"] / walls[o]["turbo"]
-                    for o in ("topology", "mobile")
-                ),
-                3,
-            ),
             "approx_speedup_vs_exact_highspeed": round(
                 walls["mobility_highspeed"]["batch"]
                 / walls["mobility_highspeed_approx"]["batch"],
                 3,
-            ),
-            "fused_speedup_vs_turbo_random": round(
-                random_walls["turbo"] / random_walls["fused"], 3
             ),
             "fused_vs_batch_topology": round(
                 walls["topology"]["batch"] / walls["topology"]["fused"], 3
@@ -590,17 +564,10 @@ def test_engine_matrix_report(session):
         random_walls["batch"] / random_walls["fused"] >= MIN_FUSED_VS_BATCH_RANDOM
     ), "the fused engine lost its speculative-vectorization edge on the random oracle"
     assert (
-        max(walls[o]["batch"] / walls[o]["turbo"] for o in ("topology", "mobile"))
-        >= MIN_TURBO_VS_BATCH_ROUTED
-    ), "turbo's native route-table draws lost their contention with batch"
-    assert (
         walls["mobility_highspeed"]["batch"]
         / walls["mobility_highspeed_approx"]["batch"]
         >= MIN_APPROX_VS_EXACT
     ), "the approx route-cache policy lost its edge on per-round mobility"
-    assert (
-        random_walls["turbo"] / random_walls["fused"] >= MIN_FUSED_VS_TURBO_RANDOM
-    ), "the fused engine lost its generation-stacking edge on the random oracle"
     for o in ("topology", "mobile"):
         assert (
             walls[o]["batch"] / walls[o]["fused"] >= MIN_FUSED_VS_BATCH_ROUTED

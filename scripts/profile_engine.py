@@ -14,7 +14,7 @@ extensions can be measured too; ``--route-cache``/``--drift-budget`` select
 the route-provider cache policy (``--no-path-cache`` disables the
 per-(source, destination) route caches to quantify what they save).
 
-For the kernel-backed engines (turbo/fused) the same telemetry session
+For the kernel-backed engine (fused) the same telemetry session
 captures the per-op kernel timers (``kernel.decision_s`` /
 ``kernel.replay_s`` / ``kernel.watchdog_s`` / ...) that
 :class:`repro.sim.kernels.TimedKernel` records, so a change to one op
@@ -22,7 +22,7 @@ shows up as a per-op before/after, not just a total.
 
 Run:
     python scripts/profile_engine.py [rounds] [--oracle random|topology|mobile]
-        [--engines reference,fast,turbo,fused]
+        [--engines reference,batch,fused]
         [--route-cache exact|approx] [--drift-budget N] [--no-path-cache]
 """
 
@@ -105,9 +105,9 @@ def _layer_breakdown(snapshot: dict, draw_s: float) -> list[tuple[str, float]]:
 
 
 def _print_kernel_breakdown(snapshot: dict) -> None:
-    """Per-op kernel timers for the kernel-backed engines (turbo/fused).
+    """Per-op kernel timers for the kernel-backed engine (fused).
 
-    Those engines install :class:`TimedKernel` around their kernel whenever
+    It installs :class:`TimedKernel` around its kernel whenever
     an ambient telemetry session is active, so the profiled tournament
     already paid for these numbers — this only formats them, and prints
     nothing for engines that record no ``kernel.*`` timers.
@@ -219,7 +219,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--engines",
-        default="reference,fast,turbo",
+        default="reference,batch,fused",
         help="comma-separated engines to profile"
         f" (available: {','.join(ENGINES)})",
     )

@@ -1,6 +1,6 @@
 """Statistical-equivalence testing between simulation engines.
 
-The turbo engine's contract is *distributional*: under the same experiment
+The fused engine's contract is *distributional*: under the same experiment
 configuration it must reproduce the outcome distributions of the
 bit-identical engines — cooperation levels, fitness, the shape of Fig.-4
 style curves — without replaying the same trajectories.  This module is the
@@ -326,7 +326,7 @@ def compare_engines(
     Runs ``n_replications`` seeded replications per engine (same master
     seed, same per-replication spawn keys) and compares the outcome
     distributions.  This is the entry point
-    ``tests/test_engine_statistical.py`` gates the turbo engine with.
+    ``tests/test_engine_statistical.py`` gates the fused engine with.
     """
     samples_a, curves_a = collect_engine_samples(
         config.with_(engine=engine_a), n_replications

@@ -158,9 +158,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         choices=tuple(ENGINES),
         help=(
             "simulation engine; reference/fast/batch are bit-identical,"
-            " turbo and fused are statistically equivalent (different"
-            " trajectories under the same seed; fused stacks a whole"
-            " generation per pass and is fastest)"
+            " fused is statistically equivalent (different trajectories"
+            " under the same seed; it stacks a whole generation per pass"
+            " and is fastest)"
         ),
     )
     parser.add_argument("--processes", type=int, default=None)

@@ -65,7 +65,7 @@ class MobilityConfig:
     # route-provider cache policy: "exact" serves cached routes only for the
     # epoch they were computed under (bit-identical, the default); "approx"
     # serves them while the topology has drifted at most drift_budget epochs
-    # (statistically equivalent, validated like the turbo engine)
+    # (statistically equivalent, validated like the fused engine)
     route_cache: str = "exact"
     drift_budget: int = 8
 

@@ -17,7 +17,7 @@ layers rather than a monolith:
   gated by ``tests/test_engine_statistical.py``);
 * the **draw planner** is :mod:`repro.paths.planner` (sequential and
   batched rejection-sampling destination draws) plus the vectorized
-  whole-tournament sampler in :mod:`repro.paths.vector` used by the turbo
+  whole-tournament sampler in :mod:`repro.paths.vector` used by the fused
   engine.
 
 Topology stepping is clocked in one of three ways (``step_every``):

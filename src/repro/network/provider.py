@@ -32,7 +32,7 @@ per-step route recomputation in dynamic-network GA work (arXiv:1107.1943);
 the resulting trajectories are *statistically equivalent*, not
 bit-identical, and are held to that claim by
 ``tests/test_engine_statistical.py`` through
-:mod:`repro.analysis.equivalence` — exactly the contract the turbo engine
+:mod:`repro.analysis.equivalence` — exactly the contract the fused engine
 already lives under.  A ``drift_budget`` of 0 disables both the staleness
 grace and revalidation, making ``approx`` bit-identical to ``exact`` by
 construction — pinned by the drift-budget boundary tests.

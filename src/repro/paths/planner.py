@@ -14,7 +14,7 @@ topology and mobile oracles:
   hook fired once per game for draw-count-clocked topology stepping.
 
 The vectorized face of this layer lives in :mod:`repro.paths.vector`
-(whole-tournament draws packed into ``GamePlanArrays`` for the turbo
+(whole-tournament draws packed into ``GamePlanArrays`` for the fused
 engine); :func:`repro.paths.oracle.plan_games` is the oracle-generic
 dispatch that picks an oracle's batched path when it has one.
 

@@ -1,4 +1,4 @@
-"""Vectorized tournament-plan sampling for the turbo engine.
+"""Vectorized tournament-plan sampling for the fused engine.
 
 The bit-identical engines draw game setups through the oracle's sequential
 RNG protocol (``draw`` / the stream-identical ``draw_tournament``), which
@@ -8,7 +8,7 @@ game.  (``RandomPathOracle.draw_tournament`` decodes the generator's word
 stream with numpy, so on the random oracle the draw itself is no longer the
 bottleneck of the batch engine.)
 
-The turbo engine's contract is *statistical* (distributional), not
+The fused engine's contract is *statistical* (distributional), not
 bit-identical, which unlocks a different sampler: draw the whole tournament's
 destinations, hop counts, path counts and intermediate sets as a handful of
 numpy array operations.  Every marginal and joint distribution matches the

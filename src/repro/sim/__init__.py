@@ -1,6 +1,6 @@
 """Simulation engines.
 
-Five implementations of the tournament semantics, registered in
+Four implementations of the tournament semantics, registered in
 :data:`ENGINES` under their ``--engine`` names:
 
 * :class:`repro.sim.reference.ReferenceEngine` — object-oriented, built from
@@ -11,29 +11,28 @@ Five implementations of the tournament semantics, registered in
 * :class:`repro.sim.batch.BatchEngine` — struct-of-arrays numpy state with
   batched tournament-schedule drawing, the fastest *bit-identical* engine
   and :data:`DEFAULT_ENGINE`;
-* :class:`repro.sim.turbo.TurboEngine` — speculative round-vectorized engine
-  under a **statistical** (distributional) equivalence contract: vectorized
-  tournament draws and per-round game slates with conflict replay, validated
-  by ``tests/test_engine_statistical.py`` rather than the bit-identity suite;
-* :class:`repro.sim.fused.FusedEngine` — turbo's slate kernel widened to a
-  whole generation: all tournaments of a generation are planned and executed
-  as one stacked round-major pass (same statistical contract, one more
-  tolerated relaxation: cross-tournament round lockstep).
+* :class:`repro.sim.fused.FusedEngine` — the statistical engine: all
+  tournaments of a generation are planned with vectorized draws and
+  executed as one stacked round-major pass of speculative per-round game
+  slates with conflict replay, under a **statistical** (distributional)
+  equivalence contract validated by ``tests/test_engine_statistical.py``
+  rather than the bit-identity suite.
   :func:`repro.tournament.evaluation.evaluate_stack` dispatches to its
   ``run_stack`` entry point via ``supports_generation_fusion``.  With
   ``n_replications=W`` it evaluates a stack of W replications as one
   block-diagonal pass, each bit-identical to a stack of one
-  (:func:`repro.experiments.replication.run_stack`).
+  (:func:`repro.experiments.replication.run_stack`).  With the reputation
+  exchange on it plays one tournament at a time (``run_tournament``).
 
-Turbo and fused run their hot ops through the one numpy kernel in
+Fused runs its hot ops through the one numpy kernel in
 :mod:`repro.sim.kernels`, whose op boundary exists for per-op telemetry.
 
 All engines support every path oracle (random/topology/mobile) and the
 second-hand reputation-exchange extension.  The engines named in
 :data:`BIT_IDENTICAL_ENGINES` consume randomness through the shared path
 oracle and scheduler only and produce bit-identical trajectories under
-identical seeds (see ``tests/test_engine_equivalence.py``); ``turbo`` and
-``fused`` reproduce the same outcome *distributions* (cooperation, fitness,
+identical seeds (see ``tests/test_engine_equivalence.py``); ``fused``
+reproduces the same outcome *distributions* (cooperation, fitness,
 Tables 5-9 aggregates) without replaying the same trajectories.
 """
 
@@ -41,13 +40,11 @@ from repro.sim.batch import BatchEngine
 from repro.sim.fast import FastEngine
 from repro.sim.fused import FusedEngine
 from repro.sim.reference import ReferenceEngine
-from repro.sim.turbo import TurboEngine
 
 __all__ = [
     "ReferenceEngine",
     "FastEngine",
     "BatchEngine",
-    "TurboEngine",
     "FusedEngine",
     "ENGINES",
     "BIT_IDENTICAL_ENGINES",
@@ -60,7 +57,6 @@ ENGINES = {
     "reference": ReferenceEngine,
     "fast": FastEngine,
     "batch": BatchEngine,
-    "turbo": TurboEngine,
     "fused": FusedEngine,
 }
 
@@ -69,7 +65,7 @@ ENGINES = {
 DEFAULT_ENGINE = "batch"
 
 #: Engines guaranteed to produce identical trajectories under identical
-#: seeds.  ``turbo`` is deliberately absent: its contract is statistical
+#: seeds.  ``fused`` is deliberately absent: its contract is statistical
 #: equivalence (same outcome distributions, different trajectories).
 BIT_IDENTICAL_ENGINES = ("reference", "fast", "batch")
 
@@ -84,7 +80,7 @@ def make_engine(
     n_replications: int = 1,
 ):
     """Factory: build an engine by name (``"reference"``, ``"fast"``,
-    ``"batch"``, ``"turbo"`` or ``"fused"``).
+    ``"batch"`` or ``"fused"``).
 
     ``n_replications > 1`` stacks replications, which only a
     generation-fusing engine accepts.

@@ -1,58 +1,84 @@
-"""Generation-fused "mega-batch" simulation engine.
+"""Speculative, generation-fused simulation engine.
 
-The fifth engine: a :class:`~repro.sim.turbo.TurboEngine` subclass that
-plans and executes **all tournaments of a generation as one stacked pass**
-instead of re-entering the engine per tournament.  Turbo vectorizes one
-tournament's round (a table-5 round is 50 games, so per-op numpy dispatch
-still dominates); fused widens every per-round pass to a *slate* — round
-``r`` of every stacked tournament at once (``T * n`` games) — amortizing
-the fixed dispatch cost across the whole stack while sharing one plan
-(:func:`repro.paths.vector.plan_generation_arrays`), one set of route
-tables / ``_RoutedSlotCache`` slots, and the generation's reputation state.
+The statistical engine, and the only one that relaxes the equivalence
+contract: ``fused`` is **statistically equivalent** to the reference
+trajectory distribution, not bit-identical to any single trajectory.  The
+relaxation buys back the costs that bound the bit-identical engines:
 
-Why this is sound: within a generation the reputation matrices persist
-*across* tournaments (``reset_generation`` fires once per generation), and
-tournaments of one generation are causally coupled only through those
-matrices.  The stacked layout is round-major, so the slate executes round
-``r`` of every tournament against the same round-start state — a round-level
-lockstep reordering of the sequential tournament-by-tournament schedule.
+* **Game setups** are drawn for the whole generation in a handful of numpy
+  operations (:func:`repro.paths.vector.plan_generation_arrays`) instead of
+  per-game RNG calls — distributionally identical to the sequential sampler,
+  but consuming the generator in a different order, so trajectories diverge.
+* **The game loop** is vectorized per round.  The bit-identical engines must
+  play a round's games sequentially because game ``g``'s watchdog updates
+  feed game ``g + 1``'s path ratings and forwarding decisions.  This engine
+  instead *speculates*: every game of a round is decided in one vectorized
+  pass from the round-start reputation matrices, then a **conflict pass**
+  walks the round in game order and flags games whose decision-relevant
+  reputation pairs — ``(intermediate, source)`` and ``(source,
+  intermediate)`` for the speculatively chosen path — were written by an
+  earlier game of the same tournament's round.  Non-conflicting games commit
+  their speculative outcome in one batched scatter; conflicting games are
+  re-speculated against live state (the second-chance pass) or **replayed**
+  through the exact per-game scalar kernel.
+* **Tournaments** of one generation run as one stacked pass: every per-round
+  pass covers a *slate* — round ``r`` of every stacked tournament at once
+  (``T * n`` games; a table-5 round alone is 50 games, so per-op numpy
+  dispatch would dominate) — sharing one plan, one set of route tables /
+  ``_RoutedSlotCache`` slots and the generation's reputation state.  Within
+  a generation the reputation matrices persist across tournaments
+  (``reset_generation`` fires once per generation), and tournaments are
+  causally coupled only through them, so the round-major slate is a
+  round-level lockstep reordering of the sequential schedule.
 
-What the fusion relaxes, on top of turbo's tolerated list:
+The contract: what may diverge
+------------------------------
+A non-conflicting game's decision inputs are untouched by its tournament's
+earlier writes in the round, so its speculative decisions equal the
+sequential ones *except* for these tolerated staleness/ordering effects,
+which are the entire statistical relaxation:
 
-* **Cross-tournament round lockstep.**  Sequentially, tournament ``t + 1``
-  starts against the matrices tournament ``t`` finished; fused, round ``r``
-  of every tournament reads the state left by round ``r - 1`` of every
-  tournament.  Evidence totals are identical — only the interleaving of
-  when each tournament's watchdog writes land changes.
-* **Cross-tournament slate staleness.**  The conflict pass scopes pair
-  codes *per tournament* (tournament-offset codes), exactly reproducing
-  turbo's within-round walk inside each tournament; a pair written by
-  another tournament in the same slate is tolerated staleness (same class
-  as turbo's activity-average staleness) rather than a replay trigger —
-  unscoped detection would replay nearly every game of a wide slate back
-  through the scalar kernel.
-* **Generation-scoped route-table sharing.**  While the stacked plan is
+* activity averages (``pf_sum / known``) are aggregates over a whole observer
+  row; they may lag intra-round writes that the pair-granular conflict pass
+  does not track,
+* ratings of *non-chosen* candidate paths may be stale (only the chosen
+  path's pairs are checked), which can flip near-tie path choices,
+* batched commits land before the round's replays, a reordering of writes
+  within the round,
+* the conflict pass records each game's *speculative* write pairs — a
+  replayed game's actual writes (it may choose a different path against
+  live state) are not re-checked against later games of the round, so a
+  later game can consume a pair a replay touched without itself replaying,
+* **cross-tournament round lockstep**: sequentially, tournament ``t + 1``
+  starts against the matrices tournament ``t`` finished; stacked, round
+  ``r`` of every tournament reads the state left by round ``r - 1`` of
+  every tournament.  Evidence totals are identical — only the interleaving
+  of when each tournament's watchdog writes land changes,
+* **cross-tournament slate staleness**: the conflict pass scopes pair codes
+  *per tournament*; a pair written by another tournament in the same slate
+  is tolerated staleness (the class of the activity-average staleness)
+  rather than a replay trigger — unscoped detection would replay nearly
+  every game of a wide slate back through the scalar kernel,
+* **generation-scoped route-table sharing**: while the stacked plan is
   drawn, a mobile oracle's route cache serves entries across the
-  generation's topology epochs under zero-budget lazy revalidation (every
-  served route is edge-checked against the current graph; only pairs whose
-  cached routes all broke pay a full search), then reverts to its exact
-  policy.  A relaxation of route *preference*, not existence — the same
-  class as the approx cache policy the statistical tier gates on mobile
-  scenarios.
+  generation's topology epochs under zero-budget lazy revalidation
+  (:meth:`FusedEngine.route_sharing`), a relaxation of route *preference*,
+  not existence — the class of the approx cache policy.
 
-Both are distribution-preserving perturbations of micro-outcome order, not
-of the paper's reported aggregates; ``tests/test_engine_statistical.py``
-holds fused to the same KS / Mann-Whitney / Fig.-4-band gates as turbo, and
-``tests/test_sim_fused.py`` pins the exact invariants (conservation,
-``pf <= ps``, aggregate consistency) and the contract edges (exchange
-fallback, per-tournament hooks).
+All of them perturb *which* of two near-equivalent micro-outcomes occurs,
+never the distributions the paper reports (cooperation level, fitness,
+Tables 5-9 aggregates).  ``tests/test_engine_statistical.py`` holds the
+engine to that claim with two-sample KS / Mann-Whitney / Fig.-4-band gates
+against a bit-identical engine over seeded replication ensembles;
+``tests/test_sim_fused.py`` and ``tests/test_properties_simulation.py`` pin
+the invariants that must stay *exact* (counter consistency, conservation,
+``pf <= ps``).
 
 The second-hand exchange interleaves gossip with each tournament's round
-stream, which fusion cannot reorder away — ``run_stack`` falls back to
-the per-tournament turbo path when the exchange is enabled (bit-identical
-to driving turbo from the sequential generation loop).  ``run_tournament``
-is inherited unchanged, so outside the fused entry point the engine *is*
-turbo.
+stream, which the stacked pass cannot reorder away: with the exchange on,
+``run_stack`` plays the generation's tournaments one at a time through
+:meth:`FusedEngine.run_tournament`, the ``(1, 1, n, m)`` slate with the
+gossip step between rounds.  That loop runs one stack member.
 
 Cross-replication stacking
 --------------------------
@@ -93,35 +119,265 @@ statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
   replication's own conflict count.  Replications over the threshold then
   share one merged second-chance pass, which block-diagonal state keeps
   exact.
+
+Implementation shape
+--------------------
+Per-op numpy dispatch dominates at round granularity, so the engine splits
+work by *when its inputs bind*:
+
+* bound at plan time — decision/rating gather indices, CSN masks, strategy
+  row bases — is precomputed once per plan (:class:`_PlanContext`);
+* bound at round start — reputation-dependent ratings, decisions, watchdog
+  writes — runs in the per-round vectorized pass;
+* bound at nothing (payoff accumulators, statistics counters: dead state
+  until the plan ends) is buffered per round and folded in one vectorized
+  pass per plan.
+
+Each per-round cost grows with the cells the round touches, not with the
+padding of the plan arrays:
+
+* **Commit.**  :func:`watchdog_pairs` lists only the real watchdog writes
+  of the speculated games — (observer, subject) pairs in game-major order,
+  observers the source and the first ``n_upd`` deciders, subjects the
+  ``n_dec`` deciders, observer == subject dropped — about 2.6 pairs per
+  game instead of a padded ``(hmax + 1) x hmax`` grid.  The conflict walk
+  and the batched commit consume them directly.
+* **Replay.**  A conflicted game is replayed by the kernel's
+  ``replay_decide`` / ``watchdog`` ops as plain Python over flat
+  memoryviews of the live state (built once per state bundle), with its
+  candidate paths as lists from one ``tolist`` per batch of replays, so a
+  replay pays no numpy scalar boxing.
+* **Fold.**  The end-of-plan fold gathers over the ``np.nonzero`` of the
+  kept games' decided hops once, in row-major order, so its weighted
+  ``bincount`` sums add in the same order as the masked version did.
+
+Every path oracle is supported; non-random oracles (topology, mobile,
+scripted) are planned through the sequential :func:`plan_games` path and
+only the game loop is speculated.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Sequence
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.strategy import STRATEGY_LENGTH
+from repro.core.payoff import PayoffConfig
+from repro.core.strategy import STRATEGY_LENGTH, Strategy
 from repro.game.stats import TournamentStats
 from repro.network.provider import ApproxPolicy
 from repro.paths.oracle import PathOracle
 from repro.paths.vector import (
     GamePlanArrays,
     plan_generation_arrays,
+    plan_tournament_arrays,
     stack_replication_plans,
 )
-from repro.reputation.exchange import ExchangeConfig
-from repro.sim.turbo import TurboEngine, _PlanContext, timed
+from repro.reputation.activity import ActivityClassifier
+from repro.reputation.exchange import ExchangeConfig, exchange_reputation_flat
+from repro.reputation.trust import TrustTable
+from repro.sim.kernels import KernelState, TimedKernel
+from repro.sim.kernels.numpy_backend import NumpyKernel
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["FusedEngine"]
 
 
-class FusedEngine(TurboEngine):
-    """Turbo's speculative slate kernel, widened to a whole generation and,
-    with ``n_replications > 1``, to ``R`` block-diagonal replications
-    (exact per-replication equivalence to sequential runs)."""
+def timed(tel, name: str):
+    """The ``name`` timer of an enabled recorder, else a no-op context."""
+    return tel.registry.timer(name).time() if tel is not None else nullcontext()
+
+
+def watchdog_pairs(src, jc, fwd, n_dec, success, m):
+    """The watchdog writes of a set of speculated games, compact.
+
+    Game ``i`` (source ``src[i]``) decided the first ``n_dec[i]`` hops of
+    its chosen path ``jc[i]``, with forward votes ``fwd[i]``.  Its
+    observers are the source and the first ``n_upd`` deciders — ``n_upd``
+    is ``n_dec``, or ``n_dec - 1`` when the packet was dropped (the last
+    decider saw nothing downstream) — and each observer records every
+    decider.  Returns the ``observer * m + subject`` codes of those pairs
+    with observer == subject dropped, each pair's game (ascending) and the
+    subject's forward vote, in the scalar watchdog's order: game-major,
+    then observer, then subject.  Costs O(pairs), not O(games * hmax^2).
+    """
+    n_upd = np.where(success, n_dec, n_dec - 1)
+    per = (n_upd + 1) * n_dec
+    game = np.repeat(np.arange(len(n_dec)), per)
+    k = np.arange(game.size) - np.repeat(np.cumsum(per) - per, per)
+    d = n_dec[game]
+    t = k // d  # observer: 0 is the source, t > 0 decider t - 1
+    s = k - t * d  # subject: decider s
+    subj = jc[game, s]
+    # t - 1 wraps to the last column on source rows, which the where drops
+    obs = np.where(t > 0, jc[game, t - 1], src[game])
+    real = obs != subj
+    return (obs * m + subj)[real], game[real], fwd[game, s][real]
+
+
+class _PlanContext:
+    """Everything about a plan that does not depend on reputation state,
+    precomputed once so the per-round pass is pure gathers and ufuncs.
+
+    One context serves every round pass: ``n_replications`` stacked
+    replications (each a ``block``-order diagonal block of the reputation
+    matrices) of ``n_tournaments`` tournaments of ``n_seats`` seats, laid
+    out round-major — a round's slate is ``R * T * n`` games.  The
+    exchange's per-tournament loop is the ``(1, 1, n, m)`` case and an
+    unstacked generation the ``(1, T, n, m)`` one.
+
+    The conflict walk is scoped per (replication, tournament):
+    ``pair_off[g]`` moves game ``g``'s pair codes into its tournament's
+    private ``block^2`` window of ``writer_buf`` (via :meth:`scope`) and
+    ``walk_pos[g]`` is its seat, the "earlier game" order of the walk.
+    """
+
+    __slots__ = (
+        "plan",
+        "games_per_round",
+        "m",
+        "n_replications",
+        "n_tournaments",
+        "rep_slate",
+        "block",
+        "pg_rel",
+        "cells_rate",
+        "pad_path",
+        "jc",
+        "valid",
+        "is_csn",
+        "has_csn",
+        "src_sel",
+        "src_round",
+        "src_list",
+        "pair_off",
+        "walk_pos",
+        "walk_fill",
+        "writer_buf",
+        "ratings_buf",
+        "decided_b",
+        "fwd_b",
+        "unknown_b",
+        "trust_b",
+        "chosen_b",
+        "success_b",
+        "keep_b",
+    )
+
+    def __init__(
+        self,
+        plan: GamePlanArrays,
+        csn_lookup: np.ndarray,
+        n_replications: int,
+        n_tournaments: int,
+        n_seats: int,
+        block: int,
+    ):
+        self.plan = plan
+        self.n_replications = n_replications
+        self.n_tournaments = n_tournaments
+        self.rep_slate = n_tournaments * n_seats
+        self.block = block
+        games_per_round = n_replications * self.rep_slate
+        self.games_per_round = games_per_round
+        m = n_replications * block
+        self.m = m
+        src_of_path = plan.src[plan.path_game]
+        nodes = plan.path_nodes
+        valid = nodes >= 0
+        self.pad_path = ~valid
+        node0 = np.where(valid, nodes, 0)
+        # rating reads: the source's opinion of each candidate-path node
+        self.cells_rate = src_of_path[:, None] * m + node0
+        # the game's path rows, relative to its round (for the ratings
+        # scatter; games per round is constant, so a modulo does it)
+        self.pg_rel = plan.path_game % games_per_round
+        # decision reads: each node's opinion of the source.  The per-cell
+        # index and strategy-base tables ((j * m + src), (j * STRATEGY_LEN))
+        # are *not* precomputed per path row — only the chosen path's row is
+        # ever read, so the round pass derives them from its (games, hmax)
+        # gather of ``jc``, which is cheaper than materialising (P, H).
+        self.jc = node0
+        self.valid = valid
+        # padding resolves to node 0, which is always a normal node, so the
+        # lookup needs no valid-mask
+        self.is_csn = csn_lookup[node0]
+        self.has_csn = self.is_csn.any(axis=1)
+        self.src_sel = csn_lookup[plan.src]
+        # every round's source order is the participants list, so the
+        # round-constant pieces are hoisted once
+        self.src_round = plan.src[:games_per_round]
+        self.src_list = plan.src.tolist()
+        n_games = plan.n_games
+        h = nodes.shape[1]
+        # conflict-walk scope: tournament t_global = rep * T + t owns the
+        # window [t_global * block^2, (t_global + 1) * block^2); a global
+        # code obs * m + subj with obs = rep * block + o, subj = rep * block
+        # + s lands at o * block + s + pair_off once pair_off absorbs both
+        # rep * block terms (see scope)
+        total_t = n_replications * n_tournaments
+        t_global = np.repeat(np.arange(total_t, dtype=np.int64), n_seats)
+        rep = np.repeat(
+            np.arange(n_replications, dtype=np.int64), self.rep_slate
+        )
+        self.pair_off = t_global * (block * block) - rep * block * (block + 1)
+        self.walk_pos = np.tile(np.arange(n_seats, dtype=np.int64), total_t)
+        # filled once: every walk resets just the codes it wrote (the
+        # +1 slot spills the out-of-range sentinel codes)
+        self.walk_fill = n_seats
+        self.writer_buf = np.full(
+            total_t * block * block + 1, n_seats, dtype=np.int64
+        )
+        self.ratings_buf = np.empty(
+            (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
+        )
+        # per-game speculative outcomes, buffered for the end-of-plan
+        # fold; the round pass computes straight into slices of these
+        self.decided_b = np.zeros((n_games, h), dtype=bool)
+        self.fwd_b = np.zeros((n_games, h), dtype=bool)
+        self.unknown_b = np.zeros((n_games, h), dtype=bool)
+        self.trust_b = np.zeros((n_games, h), dtype=np.int64)
+        self.chosen_b = np.zeros(n_games, dtype=np.int64)
+        self.success_b = np.zeros(n_games, dtype=bool)
+        self.keep_b = np.ones(n_games, dtype=bool)
+
+    def scope(self, vals: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Map global pair codes into the scoped writer-buffer space.  With
+        one replication ``m == block`` and the projection is the identity,
+        so only the offset is added."""
+        if self.n_replications > 1:
+            vals = (vals // self.m) * self.block + (vals % self.m)
+        return vals + off
+
+    def conflicted(self, kern, w_vals, w_game, r1, r2, n_dec, rows=None):
+        """The conflict walk over a set of slate games (``rows``, ascending
+        slate positions; all of them by default): per game, whether one of
+        its read pairs ``r1``/``r2`` (``n_dec`` per game) was first written
+        (``w_vals``, by game ``w_game``, ascending) by a strictly earlier
+        game of its scope.  Every game's writes count, kept or not —
+        exactly the sequential walk's written-set.  Resets just the codes it wrote, so
+        the buffer holds ``walk_fill`` everywhere between walks and a walk
+        costs O(writes + reads), however wide the pair space."""
+        off = self.pair_off if rows is None else self.pair_off[rows]
+        pos = self.walk_pos if rows is None else self.walk_pos[rows]
+        buf = self.writer_buf
+        w_codes = self.scope(w_vals, off[w_game])
+        kern.first_writer(buf, w_codes, pos[w_game])
+        read_off = np.repeat(off, n_dec)
+        pos_read = np.repeat(pos, n_dec)
+        conflict = buf[self.scope(r1, read_off)] < pos_read
+        conflict |= buf[self.scope(r2, read_off)] < pos_read
+        buf[w_codes] = self.walk_fill
+        hit = np.zeros(len(n_dec), dtype=bool)
+        hit[np.repeat(np.arange(len(n_dec)), n_dec)[conflict]] = True
+        return hit
+
+
+class FusedEngine:
+    """Speculative slate kernel over a whole generation and, with
+    ``n_replications > 1``, over ``R`` block-diagonal replications (exact
+    per-replication equivalence to sequential runs)."""
 
     name = "fused"
     #: :func:`repro.tournament.evaluation.evaluate_stack` dispatches on
@@ -133,36 +389,62 @@ class FusedEngine(TurboEngine):
         self,
         n_population: int,
         max_selfish: int,
-        trust_table=None,
-        activity=None,
-        payoffs=None,
+        trust_table: TrustTable | None = None,
+        activity: ActivityClassifier | None = None,
+        payoffs: PayoffConfig | None = None,
         n_replications: int = 1,
     ):
+        if n_population < 1:
+            raise ValueError(f"population must be >= 1, got {n_population}")
+        if max_selfish < 0:
+            raise ValueError(f"max_selfish must be >= 0, got {max_selfish}")
         if n_replications < 1:
             raise ValueError(
                 f"n_replications must be >= 1, got {n_replications}"
             )
-        # consumed by the _matrix_order/_build_csn_lookup/_rebuild hooks
-        # that the base constructor calls, so they must exist first
+        self.n_population = n_population
+        self.max_selfish = max_selfish
         self.n_replications = n_replications
+        self.trust_table = trust_table or TrustTable()
+        self.activity = activity or ActivityClassifier()
+        self.payoffs = payoffs or PayoffConfig()
+        if self.trust_table.n_levels != 4:
+            raise ValueError("FusedEngine is specialised to 4 trust levels")
+        # replication r owns the r-th diagonal block of every matrix
         self.block = n_population + max_selfish
+        self.m = n_replications * self.block
+        self._kernel = NumpyKernel()
+        self._k = self._kernel
+        # (m,) bool — which matrix ids are selfish seats, in every block
+        self._csn_lookup = (np.arange(self.m) % self.block) >= n_population
+        self._b0, self._b1, self._b2 = self.trust_table.bounds
+        self._band = self.activity.band
+        self._fwd_pay = np.asarray(self.payoffs.forward_by_trust, dtype=np.float64)
+        self._disc_pay = np.asarray(self.payoffs.discard_by_trust, dtype=np.float64)
+        self._default_trust = self.payoffs.default_trust
+        self._src_success = self.payoffs.source_success
+        self._src_failure = self.payoffs.source_failure
+        self._strategies: list[tuple[int, ...]] = [
+            (1,) * STRATEGY_LENGTH for _ in range(n_population)
+        ]
         self._strategy_tensor: np.ndarray | None = None
-        super().__init__(n_population, max_selfish, trust_table, activity, payoffs)
-
-    # -- stacking hooks -------------------------------------------------------
-
-    def _matrix_order(self) -> int:
-        return self.n_replications * self.block
-
-    def _build_csn_lookup(self) -> np.ndarray:
-        return (np.arange(self.m) % self.block) >= self.n_population
+        self._rebuild_strategy_table()
+        #: games replayed through the exact kernel, and games accepted by
+        #: the second-chance pass, in the last round loop — instrumentation
+        #: for tests and the perf bench
+        self._replayed_games = 0
+        self._second_chance_games = 0
+        self._alloc()
+        self._ks = self._kernel_state()
 
     def _rebuild_strategy_table(self) -> None:
+        # (m * STRATEGY_LENGTH,) int8: each block holds its population's
+        # strategies then zeros, so CSN gather rows read as "never forward"
+        # without masking
         table = np.zeros(self.m * STRATEGY_LENGTH, dtype=np.int8)
         view = table.reshape(self.n_replications, self.block, STRATEGY_LENGTH)
         if self._strategy_tensor is None:
-            # base-class construction / scalar set_strategies: every
-            # replication carries the same population
+            # set_strategies: every replication carries the same population
             view[:, : self.n_population] = np.array(
                 self._strategies, dtype=np.int8
             )
@@ -170,11 +452,73 @@ class FusedEngine(TurboEngine):
             view[:, : self.n_population] = self._strategy_tensor
         self._strat_flat = table
 
-    # -- per-replication population -------------------------------------------
+    def _kernel_state(self) -> KernelState:
+        """Bundle the live state views the kernel ops operate on, with the
+        replay ops' memoryviews.  Rebuilt at every entry point: ``_alloc``
+        and ``set_strategies`` replace the underlying arrays, and the bundle
+        is a handful of references and views."""
+        return KernelState(
+            ps=self.ps,
+            pf=self.pf,
+            ps_flat=self.ps.reshape(-1),
+            pf_flat=self.pf.reshape(-1),
+            known=self.known,
+            pf_sum=self.pf_sum,
+            strat_flat=self._strat_flat,
+            csn_lookup=self._csn_lookup,
+            b0=self._b0,
+            b1=self._b1,
+            b2=self._b2,
+            band=self._band,
+            fwd_pay=self._fwd_pay,
+            disc_pay=self._disc_pay,
+            default_trust=self._default_trust,
+            src_success=self._src_success,
+            src_failure=self._src_failure,
+            send_pay=self.send_pay,
+            n_sent=self.n_sent,
+            fwd_pay_acc=self.fwd_pay_acc,
+            n_fwd=self.n_fwd,
+            disc_pay_acc=self.disc_pay_acc,
+            n_disc=self.n_disc,
+        ).with_views()
 
-    def set_strategies(self, strategies) -> None:
+    def _alloc(self) -> None:
+        m = self.m
+        # canonical state: same layout as the batch engine, always numpy
+        self.ps = np.zeros((m, m), dtype=np.int64)
+        self.pf = np.zeros((m, m), dtype=np.int64)
+        self.known = np.zeros(m, dtype=np.int64)
+        self.pf_sum = np.zeros(m, dtype=np.int64)
+        self.send_pay = np.zeros(m, dtype=np.float64)
+        self.fwd_pay_acc = np.zeros(m, dtype=np.float64)
+        self.disc_pay_acc = np.zeros(m, dtype=np.float64)
+        self.n_sent = np.zeros(m, dtype=np.int64)
+        self.n_fwd = np.zeros(m, dtype=np.int64)
+        self.n_disc = np.zeros(m, dtype=np.int64)
+
+    # -- SimulationEngine protocol ------------------------------------------
+
+    @property
+    def population_ids(self) -> Sequence[int]:
+        return range(self.n_population)
+
+    def selfish_ids(self, n: int) -> list[int]:
+        if n > self.max_selfish:
+            raise ValueError(
+                f"environment needs {n} CSN, engine allocated {self.max_selfish}"
+            )
+        return [self.n_population + k for k in range(n)]
+
+    def set_strategies(self, strategies: Sequence[Strategy]) -> None:
+        """Install one population, shared by every replication."""
+        if len(strategies) != self.n_population:
+            raise ValueError(
+                f"expected {self.n_population} strategies, got {len(strategies)}"
+            )
+        self._strategies = [tuple(s.bits) for s in strategies]
         self._strategy_tensor = None
-        super().set_strategies(strategies)
+        self._rebuild_strategy_table()
 
     def set_strategies_tensor(self, tensor: np.ndarray) -> None:
         """Install each replication's population from an ``(R, P, L)``
@@ -196,18 +540,15 @@ class FusedEngine(TurboEngine):
         ]
         self._rebuild_strategy_table()
 
-    def fitness_tensor(self) -> np.ndarray:
-        """Eq. (1) fitness as ``(R, n_population)`` — row ``r`` is exactly
-        what a sequential engine running replication ``r`` reports."""
-        shape = (self.n_replications, self.block)
-        pop = slice(0, self.n_population)
-        events = (self.n_sent + self.n_fwd + self.n_disc).reshape(shape)[:, pop]
-        totals = (self.send_pay + self.fwd_pay_acc + self.disc_pay_acc).reshape(
-            shape
-        )[:, pop]
-        out = np.zeros((self.n_replications, self.n_population), dtype=np.float64)
-        np.divide(totals, events, out=out, where=events > 0)
-        return out
+    @property
+    def strategy_matrix(self) -> np.ndarray:
+        """The population's strategies as a ``(pop, STRATEGY_LENGTH)`` int8
+        matrix — derived from the kernel's bit tuples, so the two can never
+        drift apart."""
+        return np.array(self._strategies, dtype=np.int8)
+
+    def reset_generation(self) -> None:
+        self._alloc()
 
     # -- generation entry points ----------------------------------------------
 
@@ -242,6 +583,8 @@ class FusedEngine(TurboEngine):
         since the accumulators are pure sums.  Each member's plan is drawn
         from its own oracle under :meth:`route_sharing`; the plans are
         stacked into one mega-slate for :meth:`run_generation_stacked`.
+        With the exchange on, the one member's tournaments run one at a
+        time through :meth:`run_tournament` instead.
         """
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -258,9 +601,14 @@ class FusedEngine(TurboEngine):
             tel = None
         if exchange is not None and exchange.enabled:
             # gossip interleaves with each tournament's round stream; that
-            # ordering cannot be fused away, so fall back to the inherited
-            # per-tournament turbo path (bit-identical to driving turbo
-            # from the sequential generation loop) — one member only
+            # ordering cannot be stacked away, so the tournaments run one at
+            # a time, which needs one member on a one-replication engine
+            width = max(len(seatings), self.n_replications)
+            if width != 1:
+                raise ValueError(
+                    "the reputation exchange runs one stack member,"
+                    f" got a stack of width {width}"
+                )
             (member,), (oracle,), (rng,) = seatings, oracles, rngs
             if rng is None:
                 raise ValueError("reputation exchange requires an rng")
@@ -275,6 +623,8 @@ class FusedEngine(TurboEngine):
         plans = []
         for member, oracle in zip(seatings, oracles):
             hook = getattr(oracle, "on_tournament_end", None)
+            # through the module global, so a wrapper installed on
+            # ``repro.sim.fused.plan_generation_arrays`` sees every call
             with self.route_sharing(oracle), timed(tel, "engine.plan_s"):
                 plans.append(
                     plan_generation_arrays(oracle, member, rounds, on_tournament_end=hook)
@@ -338,6 +688,51 @@ class FusedEngine(TurboEngine):
         for r in range(n_rep):
             self._merge_stats(stats[r], req[r], delivered[r], csn_free[r])
 
+    def run_tournament(
+        self,
+        participants: Sequence[int],
+        rounds: int,
+        oracle: PathOracle,
+        stats: TournamentStats,
+        exchange: ExchangeConfig | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        """One tournament as the ``(1, 1, n, m)`` slate: the exchange's
+        per-tournament loop, with the gossip step between rounds."""
+        do_exchange = exchange is not None and exchange.enabled
+        if do_exchange and rng is None:
+            raise ValueError("reputation exchange requires an rng")
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        participants = list(participants)
+        n_seats = len(participants)
+        # telemetry seam: one enabled check per tournament; the speculative
+        # round kernel below never touches the recorder (zero-overhead
+        # contract)
+        tel = get_telemetry()
+        if not tel.enabled:
+            tel = None
+        # The whole tournament is pre-drawn even with the exchange enabled:
+        # gossip draws then trail the oracle draws on a shared generator
+        # instead of interleaving at round boundaries — a stream reordering
+        # the statistical contract tolerates (the bit-identical engines must
+        # plan per round here).
+        with timed(tel, "engine.plan_s"):
+            plan = plan_tournament_arrays(
+                oracle, participants * rounds, participants
+            )
+            ctx = _PlanContext(plan, self._csn_lookup, 1, 1, n_seats, self.m)
+
+        def gossip(round_no: int) -> None:
+            if (round_no + 1) % exchange.interval == 0:
+                with timed(tel, "engine.exchange_s"):
+                    self._run_exchange(participants, exchange, rng)
+
+        req, delivered, csn_free = self._run_rounds(
+            ctx, rounds, tel, gossip if do_exchange else None
+        )
+        self._merge_stats(stats, req[0], delivered[0], csn_free[0])
+
     # -- generation-scoped route sharing ----------------------------------------
 
     @staticmethod
@@ -373,7 +768,173 @@ class FusedEngine(TurboEngine):
         finally:
             set_policy(previous)
 
-    # -- conflict resolution --------------------------------------------------
+    # -- the round pass -------------------------------------------------------
+
+    def _run_rounds(
+        self,
+        ctx: _PlanContext,
+        rounds: int,
+        tel,
+        after_round: Callable[[int], None] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The round loop over a planned slate, then the end-of-plan fold.
+
+        Returns the statistics accumulators ``(req, delivered, csn_free)``
+        with one ``(9,)``/``(4,)``/``(4,)`` row per replication of the
+        context.  ``after_round(round_no)`` runs between rounds (the
+        exchange's gossip step).
+        """
+        self._ks = self._kernel_state()
+        self._k = (
+            self._kernel if tel is None else TimedKernel(self._kernel, tel.registry)
+        )
+        # replay contributions accumulate here, written through one
+        # memoryview triple per replication; speculative outcomes are
+        # folded vectorized at the end (dead state during the plan)
+        n_rep = ctx.n_replications
+        req = np.zeros((n_rep, 9), dtype=np.int64)
+        delivered = np.zeros((n_rep, 4), dtype=np.int64)
+        csn_free = np.zeros((n_rep, 4), dtype=np.int64)
+        counters = [
+            (memoryview(req[r]), memoryview(delivered[r]), memoryview(csn_free[r]))
+            for r in range(n_rep)
+        ]
+        self._replayed_games = 0
+        self._second_chance_games = 0
+
+        for round_no in range(rounds):
+            with tel.span("round") if tel is not None else nullcontext():
+                self._process_round(ctx, round_no, counters)
+            if after_round is not None:
+                after_round(round_no)
+
+        with timed(tel, "engine.fold_s"):
+            self._fold_tournament(ctx, req, delivered, csn_free)
+        if tel is not None:
+            tournaments = n_rep * ctx.n_tournaments
+            tel.count("engine.tournaments", tournaments)
+            tel.count("engine.rounds", rounds * tournaments)
+            tel.count("engine.games", rounds * ctx.games_per_round)
+            # the historical name; perfbench/child.py reads it
+            tel.count("engine.turbo.replayed_games", self._replayed_games)
+        return req, delivered, csn_free
+
+    @staticmethod
+    def _merge_stats(
+        stats: TournamentStats,
+        req: np.ndarray,
+        delivered: np.ndarray,
+        csn_free: np.ndarray,
+    ) -> None:
+        """Fold one replication's accumulator rows into a stats object."""
+        stats.nn_originated += int(delivered[0] + delivered[1])
+        stats.nn_delivered += int(delivered[1])
+        stats.csn_originated += int(delivered[2] + delivered[3])
+        stats.csn_delivered += int(delivered[3])
+        stats.nn_paths_chosen += int(csn_free[0] + csn_free[1])
+        stats.nn_csn_free_paths += int(csn_free[0])
+        stats.csn_paths_chosen += int(csn_free[2] + csn_free[3])
+        stats.csn_csn_free_paths += int(csn_free[2])
+        from_nn, from_csn = stats.requests_from_nn, stats.requests_from_csn
+        from_nn.rejected_by_nn += int(req[0])
+        from_nn.accepted_by_nn += int(req[1])
+        from_nn.rejected_by_csn += int(req[2])
+        from_nn.accepted_by_csn += int(req[3])
+        from_csn.rejected_by_nn += int(req[4])
+        from_csn.accepted_by_nn += int(req[5])
+        from_csn.rejected_by_csn += int(req[6])
+        from_csn.accepted_by_csn += int(req[7])
+
+    def _process_round(self, ctx: _PlanContext, round_no: int, counters: list) -> None:
+        m = ctx.m
+        plan = ctx.plan
+        ks = self._ks
+        kern = self._k
+        g0 = round_no * ctx.games_per_round
+        g1 = g0 + ctx.games_per_round
+        p0 = int(plan.game_path_start[g0])
+        p1 = int(plan.game_path_start[g1])
+
+        # -- speculative path ratings from round-start state ----------------
+        # every pass below is sliced to the round's real maximum path width
+        # (hmax columns) — the plan arrays are padded to the *plan's*
+        # longest path, which the route-table oracles can push to 2-3x the
+        # typical game's, and the padding columns are pure dead work
+        hmax_r = int(plan.path_len[p0:p1].max()) if p1 > p0 else 1
+        ratings = kern.rate_paths(
+            ks, ctx.cells_rate[p0:p1, :hmax_r], ctx.pad_path[p0:p1, :hmax_r]
+        )
+
+        # -- best path per game (first index wins ties, as the trio does) ---
+        buf = ctx.ratings_buf
+        buf.fill(-1.0)
+        buf[ctx.pg_rel[p0:p1], plan.path_col[p0:p1]] = ratings
+        chosen = ctx.chosen_b[g0:g1]
+        np.add(plan.game_path_start[g0:g1], buf.argmax(axis=1), out=chosen)
+
+        # -- speculative sequential decisions, vectorized over games --------
+        # computed straight into the fold buffers where possible; the fold
+        # buffers beyond this round's hmax stay zero-initialised, which
+        # reads as "not decided / not forwarded" — exactly right
+        hmax = int(plan.path_len[chosen].max())
+        jc = ctx.jc[chosen, :hmax]
+        cells_dec = jc * m
+        cells_dec += ctx.src_round[:, None]
+        n_dec = kern.decide(
+            ks,
+            jc,
+            ctx.valid[chosen, :hmax],
+            cells_dec,
+            ctx.trust_b[g0:g1, :hmax],
+            ctx.unknown_b[g0:g1, :hmax],
+            ctx.fwd_b[g0:g1, :hmax],
+            ctx.decided_b[g0:g1, :hmax],
+            ctx.success_b[g0:g1],
+        )
+
+        # -- conflict walk, then one batched commit of the kept games -------
+        keep = ctx.keep_b[g0:g1]
+        keep[:] = self._commit_unconflicted(
+            ctx,
+            None,
+            ctx.src_round,
+            jc,
+            ctx.decided_b[g0:g1, :hmax],
+            ctx.fwd_b[g0:g1, :hmax],
+            ctx.success_b[g0:g1],
+            n_dec,
+        )
+
+        # -- resolve conflicting games against live state --------------------
+        if not keep.all():
+            self._resolve_conflicts(ctx, g0, np.flatnonzero(~keep), counters)
+
+    def _commit_unconflicted(
+        self, ctx, rows, src, jc, decided, fwd, success, n_dec
+    ) -> np.ndarray:
+        """Walk speculated games for conflicts and commit the rest.
+
+        The games are slate ``rows`` (all of the slate for ``None``) with
+        sources ``src``, chosen-path nodes ``jc`` and decisions
+        ``decided``/``fwd``/``success`` (``n_dec`` decided hops each).
+        Returns the per-game keep mask: a game conflicts iff one of its read
+        pairs was (speculatively) written by a strictly earlier game of its
+        scope.  Only the kept games' watchdog writes are committed.
+        """
+        m = ctx.m
+        w_vals, w_game, w_fwd = watchdog_pairs(src, jc, fwd, n_dec, success, m)
+        # decision reads (j, s) are exactly the decided cells; rating reads
+        # (s, j) cover the decided prefix of the chosen path (staleness on
+        # nodes past a drop only perturbs already-tolerated path ratings)
+        subj = jc[decided]
+        src_d = src.repeat(n_dec)
+        r1 = subj * m + src_d
+        r2 = src_d * m + subj
+        keep = ~ctx.conflicted(self._k, w_vals, w_game, r1, r2, n_dec, rows)
+        k_pairs = keep[w_game]
+        pairs = w_vals[k_pairs]
+        self._k.commit(self._ks, pairs, pairs[w_fwd[k_pairs]])
+        return keep
 
     def _resolve_conflicts(
         self, ctx: _PlanContext, g0: int, rel_ids: np.ndarray, counters: list
@@ -396,14 +957,14 @@ class FusedEngine(TurboEngine):
     ) -> None:
         """Re-speculate the slate's conflicted games against live state.
 
-        Turbo replays every conflicted game through the scalar kernel; on a
-        wide slate that serial tail dominates the round.  This pass applies
-        the *same* speculate-commit-walk discipline to just the conflicted
-        subset: their ratings and decisions are recomputed against the
-        post-commit matrices, the per-tournament conflict walk reruns among
-        the subset's own writes, and only games that conflict *again*
-        (an earlier conflicted game of the same tournament wrote one of
-        their read pairs — rare, since conflicts are already sparse) fall
+        Replaying every conflicted game through the scalar kernel would
+        make that serial tail dominate a wide slate's round.  This pass
+        applies the *same* speculate-commit-walk discipline to just the
+        conflicted subset: their ratings and decisions are recomputed
+        against the post-commit matrices, the per-tournament conflict walk
+        reruns among the subset's own writes, and only games that conflict
+        *again* (an earlier conflicted game of the same tournament wrote one
+        of their read pairs — rare, since conflicts are already sparse) fall
         back to the scalar kernel.  No new relaxation class: it is the
         slate speculation applied iteratively, and accepted games re-enter
         the buffered fold exactly like first-pass games.
@@ -476,3 +1037,150 @@ class FusedEngine(TurboEngine):
         # -- scalar tail: games that conflicted twice ------------------------
         if not keep2.all():
             self._replay_ids(ctx, g[~keep2], counters)
+
+    def _replay_ids(self, ctx: _PlanContext, ids: np.ndarray, counters: list) -> None:
+        """Replay games (absolute plan indices, ascending) one at a time
+        through the exact scalar kernel against the live matrices, routing
+        the statistics counters to each game's replication row
+        (``counters[r]`` is replication ``r``'s ``(req, delivered,
+        csn_free)``).  The candidate paths of all the games come out of the
+        plan as Python lists in one pass."""
+        self._replayed_games += len(ids)
+        plan = ctx.plan
+        lo = plan.game_path_start[ids]
+        n_paths = plan.game_path_start[ids + 1] - lo
+        ends = np.cumsum(n_paths)
+        rows = np.arange(int(n_paths.sum())) + np.repeat(lo - (ends - n_paths), n_paths)
+        paths = [
+            row[:n]
+            for row, n in zip(
+                plan.path_nodes[rows].tolist(), plan.path_len[rows].tolist()
+            )
+        ]
+        kern = self._k
+        ks = self._ks
+        slate = ctx.games_per_round
+        rep_slate = ctx.rep_slate
+        start = 0
+        for g, end in zip(ids.tolist(), ends.tolist()):
+            source = ctx.src_list[g]
+            deciders, flags, success = kern.replay_decide(
+                ks, source, paths[start:end], *counters[(g % slate) // rep_slate]
+            )
+            kern.watchdog(ks, source, deciders, flags, success)
+            start = end
+
+    def _fold_tournament(
+        self,
+        ctx: _PlanContext,
+        req: np.ndarray,
+        delivered: np.ndarray,
+        csn_free: np.ndarray,
+    ) -> None:
+        """Fold the buffered speculative outcomes of all kept games into the
+        payoff accumulators and each replication's statistics counters
+        (dead state during the plan, so one vectorized pass suffices)."""
+        m = self.m
+        n_rep = ctx.n_replications
+        keep = ctx.keep_b
+        chosen = ctx.chosen_b
+        success = ctx.success_b
+        src_sel = ctx.src_sel
+        rounds = ctx.plan.n_games // ctx.games_per_round
+        rep_of = np.tile(
+            np.repeat(np.arange(n_rep, dtype=np.int64), ctx.rep_slate), rounds
+        )
+
+        delivered += np.bincount(
+            (rep_of * 4 + src_sel * 2 + success)[keep], minlength=4 * n_rep
+        ).reshape(n_rep, 4)
+        csn_free += np.bincount(
+            (rep_of * 4 + src_sel * 2 + ctx.has_csn[chosen])[keep],
+            minlength=4 * n_rep,
+        ).reshape(n_rep, 4)
+        # every decided hop of a kept game, row-major: game order, then hop
+        gi, hi = np.nonzero(ctx.decided_b & keep[:, None])
+        path = chosen[gi]
+        is_csn = ctx.is_csn[path, hi]
+        fwd = ctx.fwd_b[gi, hi]
+        req[:, :8] += np.bincount(
+            rep_of[gi] * 8 + src_sel[gi] * 4 + is_csn * 2 + fwd,
+            minlength=8 * n_rep,
+        ).reshape(n_rep, 8)
+
+        # per-node payoffs: the float accumulators fold in game order, so a
+        # replication's sums match what it would accumulate alone
+        ksrc = ctx.plan.src[keep]
+        self.send_pay += np.bincount(
+            ksrc,
+            weights=np.where(success[keep], self._src_success, self._src_failure),
+            minlength=m,
+        )
+        self.n_sent += np.bincount(ksrc, minlength=m)
+        # intermediate payoffs: normal deciders only (CSN accumulators are
+        # dead state, exactly as the batch engine skips them)
+        pay = ~is_csn
+        gi, hi, ff = gi[pay], hi[pay], fwd[pay]
+        jj = ctx.jc[path[pay], hi]
+        lvl = np.where(ctx.unknown_b[gi, hi], self._default_trust, ctx.trust_b[gi, hi])
+        self.fwd_pay_acc += np.bincount(
+            jj[ff], weights=self._fwd_pay[lvl[ff]], minlength=m
+        )
+        self.n_fwd += np.bincount(jj[ff], minlength=m)
+        self.disc_pay_acc += np.bincount(
+            jj[~ff], weights=self._disc_pay[lvl[~ff]], minlength=m
+        )
+        self.n_disc += np.bincount(jj[~ff], minlength=m)
+
+    def _run_exchange(
+        self,
+        participants: Sequence[int],
+        exchange: ExchangeConfig,
+        rng: np.random.Generator,
+    ) -> None:
+        """One gossip step via the shared flat implementation; state is
+        copied back in place so live views stay valid."""
+        ps_l = self.ps.tolist()
+        pf_l = self.pf.tolist()
+        known_l = self.known.tolist()
+        pf_sum_l = self.pf_sum.tolist()
+        exchange_reputation_flat(
+            ps_l, pf_l, known_l, pf_sum_l, participants, exchange, rng
+        )
+        self.ps[:] = ps_l
+        self.pf[:] = pf_l
+        self.known[:] = known_l
+        self.pf_sum[:] = pf_sum_l
+
+    # -- fitness and introspection ------------------------------------------
+
+    def fitness(self) -> np.ndarray:
+        """Eq. (1) fitness, vectorized — same expression order as the
+        other engines."""
+        pop = slice(0, self.n_population)
+        events = self.n_sent[pop] + self.n_fwd[pop] + self.n_disc[pop]
+        totals = self.send_pay[pop] + self.fwd_pay_acc[pop] + self.disc_pay_acc[pop]
+        out = np.zeros(self.n_population, dtype=np.float64)
+        np.divide(totals, events, out=out, where=events > 0)
+        return out
+
+    def fitness_tensor(self) -> np.ndarray:
+        """Eq. (1) fitness as ``(R, n_population)`` — row ``r`` is exactly
+        what a sequential engine running replication ``r`` reports."""
+        shape = (self.n_replications, self.block)
+        pop = slice(0, self.n_population)
+        events = (self.n_sent + self.n_fwd + self.n_disc).reshape(shape)[:, pop]
+        totals = (self.send_pay + self.fwd_pay_acc + self.disc_pay_acc).reshape(
+            shape
+        )[:, pop]
+        out = np.zeros((self.n_replications, self.n_population), dtype=np.float64)
+        np.divide(totals, events, out=out, where=events > 0)
+        return out
+
+    def payoff_matrix(self) -> np.ndarray:
+        """Reputation state as ``(M, M, 2)`` — same layout as the other
+        engines."""
+        out = np.empty((self.m, self.m, 2), dtype=np.int64)
+        out[:, :, 0] = self.ps
+        out[:, :, 1] = self.pf
+        return out

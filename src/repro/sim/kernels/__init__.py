@@ -1,6 +1,6 @@
-"""The compute kernel of the speculative engines.
+"""The compute kernel of the speculative engine.
 
-The turbo/fused engines are numpy-orchestrated, but their inner loops fall
+The fused engine is numpy-orchestrated, but its inner loops fall
 into five narrow, state-free *ops* — path rating, the per-round decision
 gather/scatter, the first-writer conflict walk, the batched reputation
 commit, and the exact scalar conflict-replay with its watchdog recurrence.
@@ -9,7 +9,7 @@ commit, and the exact scalar conflict-replay with its watchdog recurrence.
 to the historical inline implementation (pinned by
 ``tests/test_sim_kernels.py``).
 
-Three op contracts carry the engines' per-round cost, so a round's state
+Three op contracts carry the engine's per-round cost, so a round's state
 work is O(cells it touches) — independent of the matrix order ``m``, which
 grows with the stack width of a stacked fused engine, and of the padding of
 the plan arrays:

@@ -1,7 +1,7 @@
 """The numpy kernel: the pre-kernel engine code, moved.
 
 Every op here is the historical inline implementation from
-``sim/turbo.py`` / ``sim/fused.py`` lifted out verbatim (same float
+``sim/fused.py`` lifted out verbatim (same float
 expressions, same evaluation order), so this kernel is **bit-identical**
 to the pre-kernel engines on pinned seeds — the parity suite in
 ``tests/test_sim_kernels.py`` holds it to that.
@@ -13,7 +13,7 @@ Four deliberate unifications, all proven exact:
   For ascending bounds these agree exactly, boundary equality included:
   ``searchsorted(side="left")`` counts bounds strictly below the value,
   which is precisely ``(r > b0) + (r > b1) + (r > b2)``.
-* ``first_writer`` replaces turbo's ``np.minimum.at`` with a reversed
+* ``first_writer`` replaces the engine's former ``np.minimum.at`` with a reversed
   scatter-assign.  Callers pass write positions in ascending order, so
   assigning in reverse leaves the *minimum* position per code — identical
   output, without ufunc.at's per-element dispatch.  It writes only the

@@ -68,6 +68,7 @@ def run_probed(tmp_path, engine: str, replications: int) -> dict:
     "engine,replications",
     [
         ("fused", 2),  # stacked driver: FusedEngine(n_replications=2)
+        ("fused", 1),  # one-replication FusedEngine: run_generation, fitness
         ("fast", 1),  # per-replication driver
     ],
 )

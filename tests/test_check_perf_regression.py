@@ -38,7 +38,7 @@ def ledger(walls: dict) -> dict:
 
 
 BASE_WALLS = {
-    oracle: {"reference": 0.060, "fast": 0.040, "batch": 0.020, "turbo": 0.014}
+    oracle: {"reference": 0.060, "fast": 0.040, "batch": 0.020, "fused": 0.014}
     for oracle in ("random", "topology", "mobile")
 }
 
@@ -83,7 +83,7 @@ class TestRegressionTrips:
         """One engine 4x slower while the canary is flat -> normalized gate
         fires even though 4x < the absolute 6x failsafe."""
         walls = json.loads(json.dumps(BASE_WALLS))
-        walls["random"]["turbo"] = BASE_WALLS["random"]["turbo"] * 4.0
+        walls["random"]["fused"] = BASE_WALLS["random"]["fused"] * 4.0
         assert run_gate(gate, tmp_path, walls) == 1
 
     def test_shared_component_regression_trips_absolute(self, gate, tmp_path):
@@ -116,7 +116,7 @@ class TestDegenerateInputs:
         """An engine present only in the baseline is skipped, not crashed on
         (the row disappears from the comparison)."""
         walls = {
-            oracle: {k: v for k, v in w.items() if k != "turbo"}
+            oracle: {k: v for k, v in w.items() if k != "fused"}
             for oracle, w in BASE_WALLS.items()
         }
         assert run_gate(gate, tmp_path, walls) == 0

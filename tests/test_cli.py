@@ -48,6 +48,11 @@ class TestParser:
         assert args.scale == "default"
         assert args.engine == "batch"
 
+    def test_retired_turbo_engine_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run-case", "case1", "--engine", "turbo"])
+        assert "invalid choice: 'turbo'" in capsys.readouterr().err
+
     def test_run_case_options(self):
         args = build_parser().parse_args(
             ["run-case", "case3", "--generations", "5", "--rounds", "9"]

@@ -30,7 +30,7 @@ from repro.sim import BIT_IDENTICAL_ENGINES, make_engine
 from repro.tournament.environment import TournamentEnvironment
 from repro.tournament.evaluation import evaluate_generation
 
-# the turbo engine is deliberately absent: its contract is statistical
+# the fused engine is deliberately absent: its contract is statistical
 # equivalence (tests/test_engine_statistical.py), not bit-identity
 ENGINE_NAMES = BIT_IDENTICAL_ENGINES  # ("reference", "fast", "batch")
 ALT_ENGINES = ("fast", "batch")  # compared against the reference

@@ -1,8 +1,8 @@
 """Statistical-equivalence tier: every statistically-equivalent optimisation
 vs the bit-identical trio.
 
-Two relaxations live under this contract (see ``sim/turbo.py`` and
-``network/provider.py``): the turbo engine reproduces the *distributions*
+Two relaxations live under this contract (see ``sim/fused.py`` and
+``network/provider.py``): the fused engine reproduces the *distributions*
 of the paper's outcome metrics without replaying any single trajectory, and
 the ``approx`` route-cache policy serves drift-budgeted stale routes on
 mobile topologies.  This tier holds both to that claim with the harness in
@@ -64,74 +64,31 @@ APPROX_BUDGET = 240
 
 
 @pytest.fixture(scope="module")
-def ensembles():
-    """(fast samples/curves, turbo samples/curves) on the case-3 smoke
-    config — case 3 exercises every environment class TE1-TE4."""
+def fast_ensemble():
+    """Fast-engine (reference) samples/curves on the case-3 smoke config —
+    case 3 exercises every environment class TE1-TE4."""
     config = ExperimentConfig.for_case("case3", scale="smoke", seed=424243)
-    fast = collect_engine_samples(config.with_(engine="fast"), N_REPS)
-    turbo = collect_engine_samples(config.with_(engine="turbo"), N_REPS)
-    return fast, turbo
-
-
-class TestTurboStatisticalEquivalence:
-    def test_cooperation_and_fitness_distributions_match(self, ensembles):
-        (fast_samples, fast_curves), (turbo_samples, turbo_curves) = ensembles
-        report = compare_samples(
-            fast_samples,
-            turbo_samples,
-            alpha=ALPHA,
-            curves_a=fast_curves,
-            curves_b=turbo_curves,
-            min_overlap=0.8,
-        )
-        assert report.equivalent, (
-            "turbo deviates from the reference distribution: "
-            + "; ".join(report.failures())
-        )
-        # every gate individually, for a readable failure report
-        for metric, results in report.tests.items():
-            for result in results:
-                assert result.pvalue > ALPHA, (
-                    f"{metric}/{result.name} rejected: p={result.pvalue:.4g}"
-                )
-
-    def test_fig4_style_confidence_bands_overlap(self, ensembles):
-        (_, fast_curves), (_, turbo_curves) = ensembles
-        overlap = confidence_band_overlap(fast_curves, turbo_curves)
-        assert overlap >= 0.8, f"cooperation bands overlap only {overlap:.2f}"
-
-    def test_ensemble_means_close(self, ensembles):
-        """Belt and braces: ensemble means within a few ensemble SEMs."""
-        (fast_samples, _), (turbo_samples, _) = ensembles
-        for metric in fast_samples:
-            a, b = fast_samples[metric], turbo_samples[metric]
-            sem = float(
-                np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-            )
-            diff = abs(float(a.mean() - b.mean()))
-            assert diff <= max(4 * sem, 1e-9), (
-                f"{metric}: |mean diff| {diff:.4f} > 4*sem {4 * sem:.4f}"
-            )
+    return collect_engine_samples(config.with_(engine="fast"), N_REPS)
 
 
 @pytest.fixture(scope="module")
 def fused_ensemble():
-    """Fused-engine samples/curves on the same case-3 smoke config as the
-    turbo tier (same seed, so the reference ensemble is shared)."""
+    """Fused-engine samples/curves on the same case-3 smoke config and seed
+    as the reference ensemble."""
     config = ExperimentConfig.for_case("case3", scale="smoke", seed=424243)
     return collect_engine_samples(config.with_(engine="fused"), N_REPS)
 
 
 class TestFusedStatisticalEquivalence:
-    """The generation-fused engine rides two relaxations at once (turbo's
+    """The fused engine rides two relaxations at once (per-round
     speculation plus cross-tournament fusion, paired with the
-    phase-vectorized GA step) — it is held to exactly the gates turbo
-    passes, against the same bit-identical reference ensemble."""
+    phase-vectorized GA step) — it is held to KS / Mann-Whitney /
+    Fig.-4-band gates against a bit-identical reference ensemble."""
 
     def test_cooperation_and_fitness_distributions_match(
-        self, ensembles, fused_ensemble
+        self, fast_ensemble, fused_ensemble
     ):
-        (fast_samples, fast_curves), _ = ensembles
+        fast_samples, fast_curves = fast_ensemble
         fused_samples, fused_curves = fused_ensemble
         report = compare_samples(
             fast_samples,
@@ -151,14 +108,14 @@ class TestFusedStatisticalEquivalence:
                     f"{metric}/{result.name} rejected: p={result.pvalue:.4g}"
                 )
 
-    def test_fig4_style_confidence_bands_overlap(self, ensembles, fused_ensemble):
-        (_, fast_curves), _ = ensembles
+    def test_fig4_style_confidence_bands_overlap(self, fast_ensemble, fused_ensemble):
+        _, fast_curves = fast_ensemble
         _, fused_curves = fused_ensemble
         overlap = confidence_band_overlap(fast_curves, fused_curves)
         assert overlap >= 0.8, f"cooperation bands overlap only {overlap:.2f}"
 
-    def test_ensemble_means_close(self, ensembles, fused_ensemble):
-        (fast_samples, _), _ = ensembles
+    def test_ensemble_means_close(self, fast_ensemble, fused_ensemble):
+        fast_samples, _ = fast_ensemble
         fused_samples, _ = fused_ensemble
         for metric in fast_samples:
             a, b = fast_samples[metric], fused_samples[metric]
@@ -170,15 +127,16 @@ class TestFusedStatisticalEquivalence:
                 f"{metric}: |mean diff| {diff:.4f} > 4*sem {4 * sem:.4f}"
             )
 
-    def test_fused_actually_diverges_from_turbo(self, ensembles, fused_ensemble):
-        """Fusion + the phase-ordered GA step consume the stream in a
-        different order than turbo's per-tournament loop; identical samples
-        would mean the fused path silently wasn't exercised."""
-        _, (turbo_samples, _) = ensembles
+    def test_fused_actually_diverges_from_fast(self, fast_ensemble, fused_ensemble):
+        """Vectorized draws, fusion and the phase-ordered GA step consume
+        the stream in a different order than the bit-identical engines;
+        identical samples would mean the fused path silently wasn't
+        exercised."""
+        fast_samples, _ = fast_ensemble
         fused_samples, _ = fused_ensemble
         assert any(
-            not np.array_equal(turbo_samples[m], fused_samples[m])
-            for m in turbo_samples
+            not np.array_equal(fast_samples[m], fused_samples[m])
+            for m in fast_samples
         )
 
 
@@ -286,7 +244,7 @@ class TestSpeculationMachinery:
 
     def _run(self, hop_dist, seed, rounds=25, n_pop=20, n_csn=4):
         rng = np.random.default_rng(97)
-        engine = make_engine("turbo", n_pop, n_csn)
+        engine = make_engine("fused", n_pop, n_csn)
         engine.set_strategies([Strategy.random(rng) for _ in range(n_pop)])
         participants = list(range(n_pop)) + engine.selfish_ids(n_csn)
         oracle = RandomPathOracle(np.random.default_rng(seed), hop_dist)
@@ -323,14 +281,14 @@ class TestSpeculationMachinery:
             + stats.requests_from_csn.rejected_by_csn
         )
 
-    def test_turbo_not_bit_identical_but_same_scale(self):
-        """Documents the contract boundary: turbo diverges from the trio's
+    def test_fused_not_bit_identical_but_same_scale(self):
+        """Documents the contract boundary: fused diverges from the trio's
         trajectories (different draw stream) while landing on the same
         outcome scale."""
         rng = np.random.default_rng(11)
         strategies = [Strategy.random(rng) for _ in range(20)]
         outcomes = {}
-        for name in ("fast", "turbo"):
+        for name in ("fast", "fused"):
             engine = make_engine(name, 20, 4)
             engine.set_strategies(strategies)
             participants = list(range(20)) + engine.selfish_ids(4)
@@ -338,9 +296,9 @@ class TestSpeculationMachinery:
             stats = TournamentStats()
             engine.run_tournament(participants, 30, oracle, stats, None, None)
             outcomes[name] = stats.to_dict()
-        assert outcomes["fast"] != outcomes["turbo"]  # trajectories diverge
+        assert outcomes["fast"] != outcomes["fused"]  # trajectories diverge
         coop_fast = outcomes["fast"]["nn_delivered"]
-        coop_turbo = outcomes["turbo"]["nn_delivered"]
-        assert coop_fast > 0 and coop_turbo > 0
+        coop_fused = outcomes["fused"]["nn_delivered"]
+        assert coop_fast > 0 and coop_fused > 0
         # same scale: within a factor of 2 on a 30-round tournament
-        assert 0.5 <= coop_turbo / coop_fast <= 2.0
+        assert 0.5 <= coop_fused / coop_fast <= 2.0

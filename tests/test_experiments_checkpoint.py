@@ -161,7 +161,8 @@ class TestResumeBitIdentity:
         "case, engine",
         [
             ("case1", "fast"),
-            ("case1", "turbo"),
+            # the exchange's per-tournament gossip path
+            ("exchange_core", "fused"),
             ("mobile_waypoint", "batch"),
             # the fused engine's GA step is next_generation_tensor at W = 1
             ("case3", "fused"),

@@ -61,6 +61,7 @@ class TestValidation:
             {"replications": 0},
             {"engine": "warp"},
             {"seed": -1},
+            {"engine": "turbo"},  # retired: folded into the fused engine
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,4 +1,4 @@
-"""Tests for the vectorized tournament sampler behind the turbo engine.
+"""Tests for the vectorized tournament sampler behind the fused engine.
 
 The sampler's contract (``paths/vector.py``) is *distributional identity*
 with the sequential :meth:`RandomPathOracle.draw`: same destination law,

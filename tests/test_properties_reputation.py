@@ -1,8 +1,8 @@
 """Seeded property-based tests for reputation-state invariants, across
-random game traces on **all** engines (bit-identical trio + turbo).
+random game traces on **all** engines (bit-identical trio + fused).
 
 The trio's correctness is pinned trajectory-by-trajectory in
-``test_engine_equivalence.py``; the turbo engine's only in distribution.
+``test_engine_equivalence.py``; the fused engine's only in distribution.
 What every engine must guarantee *exactly*, on any trace, are the
 reputation-accounting invariants this file drives with hypothesis:
 
@@ -159,6 +159,78 @@ class TestExchangeInvariants:
         known, pf_sum = aggregates(engine)
         assert np.array_equal(known, (ps2 > 0).sum(axis=1))
         assert np.array_equal(pf_sum, pf2.sum(axis=1))
+
+
+class TestStackedPassInvariants:
+    """The fused engine's own entry point, the stacked pass
+    (:meth:`~repro.sim.fused.FusedEngine.run_stack`), on ``R`` replications
+    at once: every replication keeps the reputation invariants inside its
+    own diagonal block, and no evidence crosses into another's."""
+
+    @staticmethod
+    def run(engine, params, width, generation):
+        n_pop, n_csn = params["n_pop"], params["n_csn"]
+        rng = np.random.default_rng([params["seed"], generation])
+        hop_dist = LONGER_PATHS if params["longer"] else SHORTER_PATHS
+        seatings = [
+            [
+                [int(v) for v in rng.permutation(n_pop)] + engine.selfish_ids(n_csn)
+                for _ in range(3)
+            ]
+            for _ in range(width)
+        ]
+        oracles = [
+            RandomPathOracle(np.random.default_rng(rng.integers(2**32)), hop_dist)
+            for _ in range(width)
+        ]
+        engine.run_stack(
+            seatings,
+            params["rounds"],
+            oracles,
+            [TournamentStats() for _ in range(width)],
+        )
+
+    @staticmethod
+    def build(params, width):
+        rng = np.random.default_rng(params["seed"])
+        engine = make_engine(
+            "fused", params["n_pop"], params["n_csn"], n_replications=width
+        )
+        engine.set_strategies(
+            [Strategy.random(rng) for _ in range(params["n_pop"])]
+        )
+        return engine
+
+    @SETTINGS
+    @given(params=scenario, width=st.integers(1, 3))
+    def test_counters_sane_and_blocks_isolated(self, params, width):
+        engine = self.build(params, width)
+        self.run(engine, params, width, 0)
+        ps, pf = reputation_state(engine)
+        assert (ps >= 0).all() and (pf >= 0).all()
+        assert (pf <= ps).all(), "forwarded counts exceed observations"
+        known, pf_sum = aggregates(engine)
+        assert np.array_equal(known, (ps > 0).sum(axis=1))
+        assert np.array_equal(pf_sum, pf.sum(axis=1))
+        assert (np.diagonal(ps) == 0).all()
+        block = engine.block
+        owner = np.arange(engine.m) // block
+        cross = owner[:, None] != owner[None, :]
+        assert not ps[cross].any(), "evidence crossed replication blocks"
+
+    @SETTINGS
+    @given(params=scenario, width=st.integers(1, 3))
+    def test_counters_monotone_across_passes(self, params, width):
+        engine = self.build(params, width)
+        self.run(engine, params, width, 0)
+        ps1, pf1 = reputation_state(engine)
+        self.run(engine, params, width, 1)
+        ps2, pf2 = reputation_state(engine)
+        assert (ps2 >= ps1).all(), "ps decreased between passes"
+        assert (pf2 >= pf1).all(), "pf decreased between passes"
+        engine.reset_generation()
+        ps3, pf3 = reputation_state(engine)
+        assert not ps3.any() and not pf3.any()
 
 
 class TestFlatExchangeConservation:

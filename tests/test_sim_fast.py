@@ -141,7 +141,7 @@ class TestFactory:
     def test_make_engine_names(self):
         assert make_engine("fast", 4, 0).name == "fast"
         assert make_engine("reference", 4, 0).name == "reference"
-        assert make_engine("turbo", 4, 0).name == "turbo"
+        assert make_engine("fused", 4, 0).name == "fused"
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):

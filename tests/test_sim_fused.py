@@ -1,38 +1,57 @@
-"""Unit tests for the generation-fused engine's mechanics.
+"""Unit tests for the fused engine's mechanics.
 
-What's pinned here is the engine's own contract — conservation over the
-stacked pass, the reputation invariants, the exchange fallback's
-bit-identity to the sequential turbo loop, hook clocking, route-policy
-scoping, and the speculation bookkeeping (replays + second-chance pass).
-Distributional correctness against the exact engines lives in
-``tests/test_engine_statistical.py``.
+What's pinned here is the engine's own contract — construction and the
+engine protocol, conservation over the stacked pass and the per-tournament
+loop, the reputation invariants, the exchange path's bit-identity to an
+explicit per-seating ``run_tournament`` loop, oracle coverage, hook
+clocking, route-policy scoping, the speculation bookkeeping (replays +
+second-chance pass) and the compact watchdog write pairs.  Distributional
+correctness against the exact engines lives in
+``tests/test_engine_statistical.py``; cross-engine invariants in
+``tests/test_properties_reputation.py``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.config.mobility import MobilityConfig
-from repro.core.strategy import Strategy
+from repro.core.strategy import STRATEGY_LENGTH, Strategy
 from repro.game.stats import TournamentStats
 from repro.mobility import build_oracle
 from repro.network.provider import ApproxPolicy
-from repro.paths.distributions import SHORTER_PATHS
-from repro.paths.oracle import RandomPathOracle
+from repro.network.topology import GeometricTopology, TopologyPathOracle
+from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
+from repro.paths.oracle import GameSetup, RandomPathOracle, ScriptedPathOracle
 from repro.reputation.exchange import ExchangeConfig
 from repro.sim import BIT_IDENTICAL_ENGINES, ENGINES, make_engine
-from repro.sim.fused import FusedEngine
-from repro.sim.turbo import TurboEngine
+from repro.sim.fused import FusedEngine, watchdog_pairs
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.runtime import telemetry_session
 
 
-def build_engine(n_pop=16, n_csn=4, seed=7, name="fused"):
+def build_engine(n_pop=16, n_csn=4, seed=7):
     rng = np.random.default_rng(seed)
-    engine = make_engine(name, n_pop, n_csn)
+    engine = make_engine("fused", n_pop, n_csn)
     engine.set_strategies([Strategy.random(rng) for _ in range(n_pop)])
     return engine
+
+
+def play(engine, rounds=12, seed=3, participants=None):
+    """One tournament through the per-tournament loop."""
+    if participants is None:
+        participants = list(range(engine.n_population)) + engine.selfish_ids(
+            engine.max_selfish
+        )
+    oracle = RandomPathOracle(np.random.default_rng(seed), SHORTER_PATHS)
+    stats = TournamentStats()
+    engine.run_tournament(participants, rounds, oracle, stats, None, None)
+    return stats, participants
 
 
 def make_seatings(engine, n_tournaments, seed=3):
@@ -68,8 +87,42 @@ class TestConstruction:
     def test_registered(self):
         assert ENGINES["fused"] is FusedEngine
         assert FusedEngine.name == "fused"
-        assert issubclass(FusedEngine, TurboEngine)
         assert "fused" not in BIT_IDENTICAL_ENGINES
+        # the one statistical engine next to the bit-identical three
+        assert sorted(ENGINES) == ["batch", "fast", "fused", "reference"]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="population must be >= 1"):
+            FusedEngine(0, 0)
+        with pytest.raises(ValueError, match="max_selfish must be >= 0"):
+            FusedEngine(4, -1)
+
+    def test_selfish_ids_bounds(self):
+        engine = build_engine(10, 2)
+        assert engine.selfish_ids(2) == [10, 11]
+        with pytest.raises(ValueError, match="engine allocated 2"):
+            engine.selfish_ids(3)
+
+    def test_strategy_roundtrip_and_padding(self):
+        engine = build_engine(6, 3)
+        rng = np.random.default_rng(0)
+        strategies = [Strategy.random(rng) for _ in range(6)]
+        engine.set_strategies(strategies)
+        matrix = engine.strategy_matrix
+        assert matrix.shape == (6, STRATEGY_LENGTH)
+        for row, strategy in zip(matrix, strategies):
+            assert tuple(row.tolist()) == strategy.bits
+        # the CSN tail of the gather table always reads "never forward"
+        table = engine._strat_flat.reshape(engine.m, STRATEGY_LENGTH)
+        assert not table[6:].any()
+        with pytest.raises(ValueError, match="expected 6 strategies"):
+            engine.set_strategies(strategies[:3])
+
+    def test_wrong_trust_levels_rejected(self):
+        from repro.reputation.trust import TrustTable
+
+        with pytest.raises(ValueError, match="4 trust levels"):
+            FusedEngine(4, 0, trust_table=TrustTable(bounds=(0.5,)))
 
     def test_generation_fusion_flag(self):
         # evaluate_generation dispatches on this flag; only fused sets it
@@ -144,18 +197,18 @@ class TestStackedPass:
         assert engine2._second_chance_games == engine._second_chance_games
         assert engine2._replayed_games == engine._replayed_games
 
-    def test_matches_sequential_turbo_workload(self):
-        """Fused and per-tournament turbo play the same structural workload
-        (same games, same path-choice counts); outcome totals differ only
-        within the statistical contract."""
-        fused = build_engine(name="fused")
-        turbo = build_engine(name="turbo")
+    def test_matches_per_tournament_workload(self):
+        """The stacked pass and the per-tournament loop play the same
+        structural workload (same games, same path-choice counts); outcome
+        totals differ only within the statistical contract."""
+        fused = build_engine()
+        looped = build_engine()
         f_stats, seatings = run_generation(fused, n_tournaments=5, rounds=8)
         oracle = RandomPathOracle(np.random.default_rng(5), SHORTER_PATHS)
         t_stats = TournamentStats()
-        turbo.reset_generation()
+        looped.reset_generation()
         for seating in seatings:
-            turbo.run_tournament(seating, 8, oracle, t_stats, None, None)
+            looped.run_tournament(seating, 8, oracle, t_stats, None, None)
         f, t = f_stats.to_dict(), t_stats.to_dict()
         assert f["nn_originated"] == t["nn_originated"]
         assert f["csn_originated"] == t["csn_originated"]
@@ -193,9 +246,9 @@ class TestStackedPass:
 
 
 class TestExchangeFallback:
-    def test_exchange_falls_back_bit_identical_to_turbo_loop(self):
-        fused = build_engine(name="fused")
-        turbo = build_engine(name="turbo")
+    def test_exchange_is_bit_identical_to_per_seating_loop(self):
+        fused = build_engine()
+        looped = build_engine()
         seatings = make_seatings(fused, 4)
         config = ExchangeConfig(enabled=True, interval=3, fanout=2)
 
@@ -211,15 +264,42 @@ class TestExchangeFallback:
         )
 
         t_stats = TournamentStats()
-        turbo.reset_generation()
+        looped.reset_generation()
         oracle = RandomPathOracle(np.random.default_rng(5), SHORTER_PATHS)
         rng = np.random.default_rng(17)
         for seating in seatings:
-            turbo.run_tournament(seating, 9, oracle, t_stats, config, rng)
+            looped.run_tournament(seating, 9, oracle, t_stats, config, rng)
 
         assert f_stats.to_dict() == t_stats.to_dict()
-        assert np.array_equal(fused.payoff_matrix(), turbo.payoff_matrix())
-        assert np.array_equal(fused.fitness(), turbo.fitness())
+        assert np.array_equal(fused.payoff_matrix(), looped.payoff_matrix())
+        assert np.array_equal(fused.fitness(), looped.fitness())
+
+    @pytest.mark.parametrize(
+        "n_replications,n_members",
+        [(2, 2), (1, 2), (2, 1)],
+        ids=["wide-engine-and-stack", "two-members", "wide-engine"],
+    )
+    def test_exchange_refuses_a_wide_stack(self, n_replications, n_members):
+        """The exchange's per-tournament loop runs one stack member on a
+        one-replication engine; a wider engine or stack is refused by
+        name, with the width it got."""
+        engine = FusedEngine(8, 0, n_replications=n_replications)
+        seatings = [[list(range(8))] for _ in range(n_members)]
+        oracles = [
+            RandomPathOracle(np.random.default_rng(s), SHORTER_PATHS)
+            for s in range(n_members)
+        ]
+        with pytest.raises(
+            ValueError, match="exchange runs one stack member.*width 2"
+        ):
+            engine.run_stack(
+                seatings,
+                4,
+                oracles,
+                [TournamentStats() for _ in range(n_members)],
+                ExchangeConfig(enabled=True),
+                [np.random.default_rng(10 + s) for s in range(n_members)],
+            )
 
     def test_fallback_counts_in_telemetry_and_fires_hooks(self):
         engine = build_engine()
@@ -299,3 +379,369 @@ class TestRoutePolicyScoping:
         with pytest.raises(RuntimeError, match="planner exploded"):
             engine.run_generation(seatings, 4, oracle, TournamentStats())
         assert oracle.provider.policy is before
+
+
+class TestTournamentLoop:
+    """The per-tournament loop (``run_tournament``, the exchange's path)
+    on its own: the ``(1, 1, n, m)`` slate."""
+
+    def test_rounds_and_exchange_validation(self):
+        engine = build_engine()
+        oracle = RandomPathOracle(np.random.default_rng(0), SHORTER_PATHS)
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            engine.run_tournament([0, 1, 2], 0, oracle, TournamentStats(), None, None)
+        with pytest.raises(ValueError, match="requires an rng"):
+            engine.run_tournament(
+                [0, 1, 2],
+                2,
+                oracle,
+                TournamentStats(),
+                ExchangeConfig(enabled=True),
+                None,
+            )
+
+    def test_conservation_and_reset(self):
+        engine = build_engine()
+        stats, participants = play(engine, rounds=9)
+        assert (
+            stats.nn_originated + stats.csn_originated == 9 * len(participants)
+        )
+        assert int(engine.n_sent.sum()) == 9 * len(participants)
+        assert engine.fitness().shape == (16,)
+        assert np.isfinite(engine.fitness()).all()
+        engine.reset_generation()
+        assert not engine.ps.any() and not engine.send_pay.any()
+
+    def test_subset_seating(self):
+        """Tournaments routinely seat a strict subset of the population in
+        arbitrary order (the scheduler shuffles)."""
+        engine = build_engine(16, 4)
+        participants = [14, 3, 17, 7, 0, 9, 16, 5]
+        stats, _ = play(engine, rounds=6, participants=participants)
+        assert stats.nn_originated + stats.csn_originated == 6 * 8
+        # non-participants never gained payoffs or observations
+        outsiders = [pid for pid in range(20) if pid not in participants]
+        assert not engine.n_sent[outsiders].any()
+        assert not engine.ps[outsiders].any()
+        assert not engine.ps[:, outsiders].any()
+
+    def test_replay_instrumentation(self):
+        engine = build_engine()
+        play(engine, rounds=20)
+        first = engine._replayed_games
+        assert first > 0  # speculation conflicts do happen at this density
+        play(engine, rounds=1, seed=99)
+        assert engine._replayed_games < first  # counter resets per tournament
+
+    def test_payoff_accounting_matches_event_counts(self):
+        engine = build_engine()
+        stats, participants = play(engine, rounds=15)
+        n_pop = engine.n_population
+        accepted = (
+            stats.requests_from_nn.accepted_by_nn
+            + stats.requests_from_csn.accepted_by_nn
+        )
+        rejected_nn = (
+            stats.requests_from_nn.rejected_by_nn
+            + stats.requests_from_csn.rejected_by_nn
+        )
+        assert int(engine.n_fwd[:n_pop].sum()) == accepted
+        assert int(engine.n_disc[:n_pop].sum()) == rejected_nn
+        # CSN payoff accumulators are dead state, never touched
+        assert not engine.n_fwd[n_pop:].any()
+        assert not engine.n_disc[n_pop:].any()
+        assert not engine.fwd_pay_acc[n_pop:].any()
+
+    def test_all_selfish_population_delivers_nothing(self):
+        """With all-zero strategies nobody forwards: zero cooperation, all
+        discard payoffs — exercises the all-fail speculation path."""
+        engine = make_engine("fused", 8, 0)
+        engine.set_strategies(
+            [Strategy((0,) * STRATEGY_LENGTH) for _ in range(8)]
+        )
+        stats, _ = play(engine, rounds=5)
+        assert stats.nn_delivered == 0
+        assert int(engine.n_fwd.sum()) == 0
+
+    def test_all_altruist_population_delivers_everything(self):
+        engine = make_engine("fused", 8, 0)
+        engine.set_strategies(
+            [Strategy((1,) * STRATEGY_LENGTH) for _ in range(8)]
+        )
+        stats, _ = play(engine, rounds=5)
+        assert stats.nn_delivered == stats.nn_originated
+        assert int(engine.n_disc.sum()) == 0
+
+
+class TestTournamentLoopPins:
+    """Digests of the per-tournament loop, recorded before ``TurboEngine``
+    was folded into the fused engine: ``run_tournament`` (the exchange's
+    path) keeps every trajectory — with and without gossip, full and
+    subset seatings, both hop distributions — across the merge."""
+
+    PINNED = [
+        # (n_pop, n_csn, seated, rounds, seed, longer, gossip, digest)
+        (16, 4, 16, 12, 3, False, None, "8c8cb64c5f83ccca"),
+        (24, 0, 24, 8, 11, True, None, "4cad0da380a7cc08"),
+        (20, 3, 10, 10, 21, False, None, "64bbe8de22bac4f6"),
+        (12, 6, 12, 20, 5, False, (2, 2, 0.5, False), "1538a0806065d126"),
+        (10, 2, 10, 7, 9, True, (1, 3, 1.0, True), "2107bdf3a0649101"),
+    ]
+
+    @staticmethod
+    def digest(n_pop, n_csn, seated, rounds, seed, longer, gossip):
+        """Three tournaments on one engine, one generator for strategies,
+        seatings, path draws and gossip; hash the reputation state,
+        fitness and merged counters."""
+        rng = np.random.default_rng(seed)
+        engine = make_engine("fused", n_pop, n_csn)
+        engine.set_strategies([Strategy.random(rng) for _ in range(n_pop)])
+        oracle = RandomPathOracle(rng, LONGER_PATHS if longer else SHORTER_PATHS)
+        exchange = None
+        if gossip is not None:
+            interval, fanout, weight, positive_only = gossip
+            exchange = ExchangeConfig(
+                enabled=True,
+                interval=interval,
+                fanout=fanout,
+                weight=weight,
+                positive_only=positive_only,
+            )
+        stats = TournamentStats()
+        for _ in range(3):
+            seating = [
+                int(v) for v in rng.permutation(n_pop)[:seated]
+            ] + engine.selfish_ids(n_csn)
+            engine.run_tournament(seating, rounds, oracle, stats, exchange, rng)
+        blob = json.dumps(
+            [
+                engine.payoff_matrix().tolist(),
+                engine.fitness().tolist(),
+                dataclasses.asdict(stats),
+            ],
+            sort_keys=True,
+            default=float,
+        )
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "n_pop,n_csn,seated,rounds,seed,longer,gossip,expected",
+        PINNED,
+        ids=["full", "longer-no-csn", "subset", "gossip", "gossip-longer"],
+    )
+    def test_pinned_digest(
+        self, n_pop, n_csn, seated, rounds, seed, longer, gossip, expected
+    ):
+        got = self.digest(n_pop, n_csn, seated, rounds, seed, longer, gossip)
+        assert got == expected
+
+
+class TestOracleCoverage:
+    def test_scripted_oracle_runs_through_plan_fallback(self):
+        setups = []
+        for _ in range(2):  # 2 rounds
+            for source in range(5):
+                inter = [(source + 1) % 5, (source + 2) % 5]
+                setups.append(
+                    GameSetup(
+                        source=source,
+                        destination=(source + 3) % 5,
+                        paths=(tuple(inter),),
+                    )
+                )
+        oracle = ScriptedPathOracle(setups)
+        engine = make_engine("fused", 5, 0)
+        rng = np.random.default_rng(1)
+        engine.set_strategies([Strategy.random(rng) for _ in range(5)])
+        stats = TournamentStats()
+        engine.run_tournament(list(range(5)), 2, oracle, stats, None, None)
+        assert oracle.remaining == 0
+        assert stats.nn_originated == 10
+
+    def test_topology_oracle(self):
+        rng = np.random.default_rng(2)
+        topology = GeometricTopology(range(20), radio_range=0.5, rng=rng)
+        oracle = TopologyPathOracle(topology, rng)
+        engine = build_engine(16, 4)
+        stats = TournamentStats()
+        engine.run_tournament(list(range(20)), 8, oracle, stats, None, None)
+        assert stats.nn_originated + stats.csn_originated == 8 * 20
+
+    def test_mobile_oracle(self):
+        rng = np.random.default_rng(3)
+        oracle = build_oracle(
+            MobilityConfig(model="waypoint", radio_range=0.5), range(20), rng
+        )
+        engine = build_engine(16, 4)
+        stats = TournamentStats()
+        engine.run_tournament(list(range(20)), 6, oracle, stats, None, None)
+        assert stats.nn_originated + stats.csn_originated == 6 * 20
+
+
+class TestExchangePlumbing:
+    @pytest.mark.parametrize("shared_rng", [False, True])
+    def test_exchange_adds_evidence_and_stays_consistent(self, shared_rng):
+        engine = build_engine()
+        oracle_rng = np.random.default_rng(5)
+        oracle = RandomPathOracle(oracle_rng, SHORTER_PATHS)
+        rng = oracle_rng if shared_rng else np.random.default_rng(6)
+        participants = list(range(16)) + engine.selfish_ids(4)
+        config = ExchangeConfig(enabled=True, interval=3, fanout=2)
+        stats = TournamentStats()
+        engine.run_tournament(participants, 12, oracle, stats, config, rng)
+        assert np.array_equal(engine.known, (engine.ps > 0).sum(axis=1))
+        assert np.array_equal(engine.pf_sum, engine.pf.sum(axis=1))
+        assert (engine.pf <= engine.ps).all()
+
+    def test_disabled_exchange_is_inert(self):
+        a, b = build_engine(seed=7), build_engine(seed=7)
+        sa, _ = play(a, rounds=8, seed=13)
+        oracle = RandomPathOracle(np.random.default_rng(13), SHORTER_PATHS)
+        sb = TournamentStats()
+        b.run_tournament(
+            list(range(16)) + b.selfish_ids(4),
+            8,
+            oracle,
+            sb,
+            ExchangeConfig(enabled=False),
+            np.random.default_rng(1),
+        )
+        assert sa.to_dict() == sb.to_dict()
+        assert np.array_equal(a.payoff_matrix(), b.payoff_matrix())
+
+
+class TestIntrospection:
+    def test_payoff_matrix_layout(self):
+        engine = build_engine()
+        play(engine, rounds=5)
+        matrix = engine.payoff_matrix()
+        assert matrix.shape == (20, 20, 2)
+        assert np.array_equal(matrix[:, :, 0], engine.ps)
+        assert np.array_equal(matrix[:, :, 1], engine.pf)
+
+    def test_fitness_zero_without_events(self):
+        engine = build_engine()
+        assert np.array_equal(engine.fitness(), np.zeros(16))
+
+
+def grid_pairs(src, jc, decided, fwd, success, n_dec, m):
+    """The padded ``(hmax + 1) x hmax`` write-pair grid the compact pairs
+    replaced, kept as the oracle: observer rows (source, then deciders
+    masked to the updating ones by an out-of-range sentinel) against
+    subject columns (decided hops), observer == subject cells dropped."""
+    n, hmax = jc.shape
+    obs = np.empty((n, hmax + 1), dtype=np.int32)
+    obs[:, 0] = src
+    upd_ok = decided & (success[:, None] | (np.arange(hmax) < (n_dec - 1)[:, None]))
+    jc32 = jc.astype(np.int32)
+    np.copyto(obs[:, 1:], jc32)
+    np.copyto(obs[:, 1:], np.int32(m), where=~upd_ok)
+    subj = np.where(decided, jc32, np.int32(m * m))
+    pair = obs[:, :, None] * np.int32(m) + subj[:, None, :]
+    pair[obs[:, :, None] == subj[:, None, :]] = m * m
+    pair2 = pair.reshape(n, -1)
+    w_ok = pair2 < m * m
+    w_fwd = np.broadcast_to(fwd[:, None, :], pair.shape).reshape(n, -1)[w_ok]
+    return pair2[w_ok], w_ok.sum(axis=1), w_fwd
+
+
+def random_slate(rng, n, hmax, m, n_csn, repeats):
+    """Speculated games as the round pass hands them over: chosen paths
+    ``jc`` (padding resolves to node 0), the decide op's prefix structure
+    for ``decided``/``fwd``/``success``, selfish seats that always drop.
+    ``repeats`` draws path nodes with replacement from a small pool that
+    includes the source, as a hand-built plan may."""
+    src = rng.integers(0, m, size=n)
+    lens = rng.integers(1, hmax + 1, size=n)
+    if repeats:
+        pool = rng.integers(0, m, size=(n, 4))
+        pool[:, 0] = src
+        jc = np.take_along_axis(pool, rng.integers(0, 4, size=(n, hmax)), axis=1)
+    else:
+        jc = np.stack(
+            [rng.choice(np.delete(np.arange(m), s), hmax, replace=False) for s in src]
+        )
+    valid = np.arange(hmax) < lens[:, None]
+    jc[~valid] = 0
+    votes = rng.random((n, hmax)) < 0.7
+    votes[rng.random(n) < 0.2, 0] = False  # first-hop drops
+    votes[rng.random(n) < 0.2] = True  # full deliveries (unless a CSN)
+    votes &= jc < m - n_csn
+    votes &= valid
+    prefix = np.logical_and.accumulate(votes | ~valid, axis=1)
+    decided = valid.copy()
+    decided[:, 1:] &= prefix[:, :-1]
+    # the round pass hands over strided column slices of its fold buffers
+    fwd = np.zeros((n, hmax + 3), dtype=bool)[:, :hmax]
+    fwd[:] = votes
+    return src, jc, decided, fwd, prefix[:, -1], decided.sum(axis=1)
+
+
+class TestWatchdogPairs:
+    """The compact write pairs equal the padded grid's output — codes,
+    per-game counts and forward flags, in the same game-major order."""
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_padded_grid(self, seed, repeats):
+        rng = np.random.default_rng(seed)
+        n, hmax, m, n_csn = 300, 7, 40, 6
+        src, jc, decided, fwd, success, n_dec = random_slate(
+            rng, n, hmax, m, n_csn, repeats
+        )
+        codes, game, flags = watchdog_pairs(src, jc, fwd, n_dec, success, m)
+        want_codes, want_counts, want_flags = grid_pairs(
+            src, jc, decided, fwd, success, n_dec, m
+        )
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_array_equal(np.bincount(game, minlength=n), want_counts)
+        np.testing.assert_array_equal(flags, want_flags)
+        assert (np.diff(game) >= 0).all()
+        # the slate holds every shape the pairs must get right
+        first_hop = decided[:, 0] & ~fwd[:, 0]
+        assert (first_hop & (n_dec == 1)).any()
+        assert (success & (n_dec >= 3)).any()
+        assert (decided & (jc >= m - n_csn)).any()
+        # beyond each decider meeting itself, observer == subject pairs
+        # (a repeated node, the source on its own path) exist only with
+        # repeats
+        n_upd = np.where(success, n_dec, n_dec - 1)
+        observers = np.concatenate([src[:, None], jc], axis=1)
+        t = np.arange(hmax + 1)[None, :, None]
+        s = np.arange(hmax)[None, None, :]
+        same = (
+            (observers[:, :, None] == jc[:, None, :])
+            & (t <= n_upd[:, None, None])
+            & decided[:, None, :]
+            & (t != s + 1)
+        )
+        assert same.any() == repeats
+
+    def test_engine_round_passes_match_padded_grid(self, monkeypatch):
+        # every call the engine makes, on real plans and real decisions
+        import repro.sim.fused as fused_mod
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.replication import run_stack
+
+        real = fused_mod.watchdog_pairs
+        calls = []
+
+        def checked(src, jc, fwd, n_dec, success, m):
+            out = real(src, jc, fwd, n_dec, success, m)
+            decided = np.arange(jc.shape[1]) < n_dec[:, None]
+            want = grid_pairs(src, jc, decided, fwd, success, n_dec, m)
+            np.testing.assert_array_equal(out[0], want[0])
+            np.testing.assert_array_equal(
+                np.bincount(out[1], minlength=len(n_dec)), want[1]
+            )
+            np.testing.assert_array_equal(out[2], want[2])
+            calls.append(len(n_dec))
+            return out
+
+        monkeypatch.setattr(fused_mod, "watchdog_pairs", checked)
+        config = ExperimentConfig.for_case(
+            "case3", scale="smoke", engine="fused", seed=7, replications=2,
+            generations=1,
+        )
+        run_stack(config, range(config.replications))
+        assert len(calls) > config.sim.rounds

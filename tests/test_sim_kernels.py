@@ -59,8 +59,7 @@ class TestSelection:
             ExperimentConfig.for_case("case1", scale="smoke", kernel="fortran")
 
     def test_speculative_engines_run_the_numpy_kernel(self):
-        for name in ("turbo", "fused"):
-            assert isinstance(make_engine(name, 10, 2)._kernel, NumpyKernel)
+        assert isinstance(make_engine("fused", 10, 2)._kernel, NumpyKernel)
 
 
 class TestTimedKernel:
@@ -281,7 +280,7 @@ COMMIT_CASES = {
 class TestCommitParity:
     """``commit`` updates ``known``/``pf_sum`` incrementally; the dense
     recompute it replaced is the oracle.  Both matrix orders the engines
-    run at: one block (m = 130, turbo and unstacked fused) and a 4-wide
+    run at: one block (m = 130, unstacked fused) and a 4-wide
     stack (m = 520)."""
 
     ORDERS = [130, 520]
@@ -569,9 +568,8 @@ class TestRoundStateInvariants:
     def install_checks(monkeypatch):
         """Check the invariants through a checking kernel and wrapped
         round passes; returns the pass counters."""
-        import repro.sim.turbo as turbo_mod
+        import repro.sim.fused as fused_mod
         from repro.sim.fused import FusedEngine
-        from repro.sim.turbo import TurboEngine
 
         def assert_caches(ps, pf, known, pf_sum):
             np.testing.assert_array_equal(known, np.count_nonzero(ps, axis=1))
@@ -594,11 +592,11 @@ class TestRoundStateInvariants:
 
             return wrapper
 
-        monkeypatch.setattr(turbo_mod, "NumpyKernel", CheckedKernel)
+        monkeypatch.setattr(fused_mod, "NumpyKernel", CheckedKernel)
         monkeypatch.setattr(
-            TurboEngine,
+            FusedEngine,
             "_process_round",
-            checked("round", TurboEngine._process_round),
+            checked("round", FusedEngine._process_round),
         )
         monkeypatch.setattr(
             FusedEngine,
@@ -620,16 +618,16 @@ class TestRoundStateInvariants:
         assert passes["second_chance"] > 0, "no second-chance pass exercised"
         assert passes["commit"] >= passes["round"]
 
-    def test_turbo_walk_leaves_writer_buffer_filled(self, monkeypatch):
-        # turbo walks through the same scoped path, as the (1, 1, n, m) case
+    def test_exchange_walk_leaves_writer_buffer_filled(self, monkeypatch):
+        # the exchange's per-tournament loop walks through the same scoped
+        # path, as the (1, 1, n, m) case
         passes = self.install_checks(monkeypatch)
         config = ExperimentConfig.for_case(
-            "case3", scale="smoke", engine="turbo", seed=7, generations=1,
-            kernel="numpy",
+            "exchange_core", scale="smoke", engine="fused", seed=7,
+            generations=1, kernel="numpy",
         )
         run_replication(config, 0)
         assert passes["round"] > 0
-        assert passes["second_chance"] == 0
         assert passes["commit"] >= passes["round"]
 
 
@@ -638,10 +636,6 @@ class TestNumpyBitIdentity:
     the inline implementation before the refactor must keep verifying."""
 
     PINNED = [
-        ("turbo", "case1", 1234, "68970e5a3bb396ae"),
-        ("turbo", "case3", 1234, "fdd6e5abf8a9a80d"),
-        ("turbo", "exchange_core", 1234, "670a6c26e4788d12"),
-        ("turbo", "mobile_gauss", 7, "98d652ad93e77a57"),
         ("fused", "case1", 1234, "5d931f9d1726a965"),
         ("fused", "case3", 1234, "d3e38025ad52b233"),
         ("fused", "exchange_core", 1234, "2e6ad40dcbdf84a6"),

@@ -142,7 +142,7 @@ class TestEligibility:
         "mutate,fragment",
         [
             (lambda c: c.with_(engine="batch"), "does not fuse"),
-            (lambda c: c.with_(engine="turbo"), "does not fuse"),
+            (lambda c: c.with_(engine="reference"), "does not fuse"),
         ],
     )
     def test_config_reasons(self, mutate, fragment):

@@ -125,8 +125,8 @@ class TestOracleCounters:
         assert plain.telemetry is None
         assert plain.replications == result.replications
 
-    def test_turbo_replay_counter(self):
-        config = telemetry_config("case1", engine="turbo")
+    def test_fused_replay_counter(self):
+        config = telemetry_config("case1", engine="fused")
         result = run_experiment(config, processes=1)
         counters = result.telemetry["metrics"]["counters"]
         assert 0 <= counters["engine.turbo.replayed_games"]

@@ -93,6 +93,40 @@ class TestSeamIsPerTournament:
         assert reads_small <= 2
         assert recorder.recording_calls == 0
 
+    def test_stacked_pass_touches_are_per_pass(self, recorder):
+        """The fused engine's stacked pass (a whole generation of three
+        replications) touches the runtime per pass, never per round,
+        tournament or game."""
+
+        def run_stack(rounds: int) -> None:
+            rng = np.random.default_rng(0)
+            engine = make_engine("fused", N_NORMAL, N_CSN, n_replications=3)
+            engine.set_strategies([Strategy.random(rng) for _ in range(N_NORMAL)])
+            seatings = [
+                [list(rng.permutation(N_NORMAL)) + engine.selfish_ids(N_CSN)]
+                * 4
+                for _ in range(3)
+            ]
+            oracles = [
+                RandomPathOracle(np.random.default_rng(r), SHORTER_PATHS)
+                for r in range(3)
+            ]
+            engine.run_stack(
+                seatings, rounds, oracles, [TournamentStats() for _ in range(3)]
+            )
+
+        run_stack(rounds=4)
+        reads_small = recorder.enabled_reads
+        run_stack(rounds=24)
+        reads_large = recorder.enabled_reads - reads_small
+        assert reads_small == reads_large, (
+            f"stacked pass: telemetry touches scale with rounds"
+            f" ({reads_small} at 4 rounds vs {reads_large} at 24)"
+        )
+        # run_stack's seam and run_generation_stacked's
+        assert reads_small == 2
+        assert recorder.recording_calls == 0
+
     def test_disabled_replication_touches_scale_with_seams_only(self, recorder):
         """A whole disabled replication touches the runtime per
         generation/tournament/GA-step seam, never per game."""
