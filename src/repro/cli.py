@@ -207,7 +207,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         help=(
             "group replications into at most N deterministic shards run"
             " through the work-stealing scheduler; any shard count yields"
-            " bit-identical results (default: one pool task per replication)"
+            " bit-identical results"
         ),
     )
     parser.add_argument(
@@ -237,10 +237,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         const=True,
         default=None,
         help=(
-            "run replications as one stack per in-process run or shard"
-            " (requires a fusing engine, no exchange or checkpointing, and"
-            " --processes 1 unless sharded); bit-identical to unstacked."
-            "  Default: auto when eligible and in-process or sharded"
+            "run replications as one stack per shard or worker (requires a"
+            " fusing engine, no exchange and no checkpointing); bit-identical"
+            " to unstacked.  Default: auto when eligible"
         ),
     )
     parser.add_argument(

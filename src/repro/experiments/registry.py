@@ -73,8 +73,8 @@ class ReproductionSession:
         self.telemetry_dir = Path(
             telemetry_dir if telemetry_dir is not None else "results/telemetry"
         )
-        #: shard count handed to :func:`run_experiment` (None = one pool
-        #: task per replication)
+        #: shard count handed to :func:`run_experiment` (None = one stack
+        #: per worker)
         self.shards = shards
         #: checkpoint store root (None disables checkpoint/resume); with
         #: ``resume`` every fresh run continues from intact checkpoints

@@ -177,8 +177,6 @@ def run_replication(
 def stacked_unsupported_reason(
     config: ExperimentConfig,
     *,
-    processes: int | None = None,
-    shards: int | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> str | None:
     """Why this run's replications cannot share a stack (``None`` when
@@ -187,10 +185,9 @@ def stacked_unsupported_reason(
     A stack of more than one member is one block-diagonal pass
     (``FusedEngine(n_replications=W)``), so it needs a generation-fusing
     engine and no reputation exchange (which forces the fused engine back
-    to per-tournament execution); checkpoints snapshot one replication;
-    and an unsharded worker pool runs one replication per task.  Telemetry
-    and shards do not matter: a stack records one telemetry session, and
-    a shard runs its replications as one stack.
+    to per-tournament execution); and checkpoints snapshot one
+    replication.  Telemetry, shards and the worker pool do not matter: a
+    stack records one telemetry session and is one pool task.
     """
     from repro.sim import ENGINES
 
@@ -207,8 +204,6 @@ def stacked_unsupported_reason(
         )
     if checkpoint_dir is not None:
         return "checkpointing snapshots per-replication state"
-    if shards is None and processes not in (None, 1):
-        return "an unsharded worker pool runs one replication per task (processes > 1)"
     return None
 
 

@@ -1,18 +1,17 @@
 """Parallel execution of independent replications.
 
 The paper averages 60 independent evolutionary runs — an embarrassingly
-parallel workload.  :func:`repro.parallel.pool.parallel_map` distributes any
-indexed task set over a process pool; results are returned in index order and
-are bit-identical to a serial run because every task derives its own random
-stream from ``(master_seed, index)``.
+parallel workload.  :func:`repro.parallel.shard.sharded_map` is the one
+process-pool mapper: it runs any indexed task set (for experiments, one
+stack of replications per task, cut by :func:`plan_shards`) and returns
+the results in index order, bit-identical to a serial run because every
+replication derives its own random stream from ``(master_seed, index)``.
 """
 
-from repro.parallel.pool import parallel_map
 from repro.parallel.progress import ProgressPrinter
 from repro.parallel.shard import Shard, plan_shards, sharded_map
 
 __all__ = [
-    "parallel_map",
     "ProgressPrinter",
     "Shard",
     "plan_shards",

@@ -13,7 +13,9 @@ class ProgressPrinter:
     """Prints ``label: done/total (elapsed)`` lines as tasks complete.
 
     Usable directly as the ``progress`` callback of
-    :func:`repro.parallel.pool.parallel_map`.
+    :func:`repro.parallel.shard.sharded_map` and of
+    :func:`repro.experiments.runner.run_experiment`, which counts finished
+    replications.
     """
 
     def __init__(self, label: str, stream: TextIO | None = None):

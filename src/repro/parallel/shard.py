@@ -1,13 +1,20 @@
-"""Deterministic shard scheduler with work-stealing re-dispatch.
+"""Deterministic shard scheduler with work-stealing re-dispatch: the one
+process-pool mapper.
 
 A *shard* is a contiguous slice of an indexed task set that one worker
-processes as a unit.  Sharding exists for the replication sets and parameter
-sweeps of :mod:`repro.experiments`: grouping replications amortises per-task
-dispatch overhead, while determinism is preserved because every task derives
-its random stream from ``(master_seed, task_index)`` — the *shard* never
-enters the seed tree (see :mod:`repro.utils.rng`).  The same task set
-therefore produces bit-identical results under any shard count, pinned by
+processes as a unit.  Every experiment run goes through this scheduler:
+:mod:`repro.experiments.runner` cuts the replications into shards, each one
+stack for one pool task, which amortises per-task dispatch overhead, while
+determinism is preserved because every task derives its random stream from
+``(master_seed, task_index)`` — the *shard* never enters the seed tree (see
+:mod:`repro.utils.rng`).  The same task set therefore produces
+bit-identical results under any shard count, pinned by
 ``tests/test_parallel_shard.py`` and the CI shard-invariance gate.
+
+Results come back in index order, whatever the completion order;
+``processes=1`` (or a single task) runs a plain loop in the current
+process, which keeps tests fast and stack traces readable; a failing task
+cancels the queued ones and re-raises the original exception.
 
 Fault tolerance, in two layers:
 
@@ -21,14 +28,18 @@ Fault tolerance, in two layers:
   finisher wins and the loser is discarded, which is safe because shard
   functions are deterministic.
 
+The workers are joined before the call returns, so their CPU time and
+memory are already counted in the parent's ``RUSAGE_CHILDREN``; only a
+losing speculative duplicate may finish after the return.
+
 Both events land in telemetry (``parallel.redispatched``,
-``parallel.stolen``, ``parallel.pool_rebuilds``) next to the existing pool
-metrics, so re-dispatch decisions and their frequency are observable per
-run.
+``parallel.stolen``, ``parallel.pool_rebuilds``) next to the pool metrics,
+so re-dispatch decisions and their frequency are observable per run.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -36,13 +47,17 @@ from statistics import median
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar
 
-from repro.parallel.pool import _record_pool_metrics, _timed_call, default_processes
 from repro.telemetry.runtime import get_telemetry
 
-__all__ = ["Shard", "plan_shards", "sharded_map"]
+__all__ = ["Shard", "default_processes", "plan_shards", "sharded_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def default_processes(n_tasks: int) -> int:
+    """A sensible worker count: min(#tasks, #cores), at least 1."""
+    return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -89,15 +104,23 @@ def sharded_map(
     max_redispatch: int = 1,
     straggler_factor: float = 4.0,
     poll_s: float = 0.05,
+    weights: Sequence[int] | None = None,
 ) -> list[R]:
     """Apply deterministic ``fn`` to every item with work-stealing recovery.
 
-    Like :func:`repro.parallel.pool.parallel_map` but built for shard-sized
-    tasks: on top of in-order results and dead-executor re-dispatch it adds
-    speculative duplicates for stragglers (see module docstring).  ``fn``
-    **must** be deterministic — a speculative duplicate's result is used
-    interchangeably with the original's.
+    ``fn`` must be picklable (a module-level function or a
+    ``functools.partial`` of one) and **deterministic** — a speculative
+    duplicate's result is used interchangeably with the original's.
+    Returns the results in the order of ``items``.
 
+    ``processes`` is the worker count: ``None`` chooses
+    :func:`default_processes`, ``1`` runs serially in-process.
+    ``progress`` is an optional ``(done, total)`` callback invoked after
+    each completion; it counts ``weights[i]`` units for item ``i`` (one
+    each by default), so a caller whose items bundle several tasks can
+    report tasks.  ``max_redispatch`` is how many times a run may survive a
+    *worker death* by rebuilding the pool and resubmitting the unfinished
+    items; ordinary task exceptions always propagate.
     ``straggler_factor`` is the multiple of the median completed-shard
     duration a running shard must exceed (while a worker is idle) before a
     duplicate is submitted; ``None`` disables speculation.  ``poll_s`` is
@@ -117,21 +140,29 @@ def sharded_map(
         raise ValueError(
             f"straggler_factor must be > 1 (or None), got {straggler_factor}"
         )
+    weights = [1] * total if weights is None else list(weights)
+    if len(weights) != total:
+        raise ValueError(f"got {len(weights)} weights for {total} items")
+    total_units = sum(weights)
 
+    # telemetry: capture the recorder at entry, so tasks that open their own
+    # nested sessions (the serial path below) cannot steal the pool's records
     tel = get_telemetry()
     if not tel.enabled:
         tel = None
     t_start = perf_counter() if tel is not None else 0.0
     task_s: list[float] = []
+    done_units = 0
 
     if processes == 1 or total == 1:
         out_serial: list[R] = []
-        for i, item in enumerate(items):
+        for item, weight in zip(items, weights):
             t0 = perf_counter()
             out_serial.append(fn(item))
             task_s.append(perf_counter() - t0)
+            done_units += weight
             if progress is not None:
-                progress(i + 1, total)
+                progress(done_units, total_units)
         if tel is not None:
             _record_pool_metrics(tel, task_s, 1, perf_counter() - t_start)
         return out_serial
@@ -140,19 +171,21 @@ def sharded_map(
     completed = [False] * total
     done_count = 0
     redispatches_left = max_redispatch
-    stolen = 0
     durations: list[float] = []
 
     while done_count < total:
         pool = ProcessPoolExecutor(max_workers=processes)
         future_to_index: dict[Future, int] = {}
-        submitted_at: dict[Future, float] = {}
+        # when each task was first seen running, not when it was submitted:
+        # a task queued behind busy workers is waiting, not straggling
+        started_at: dict[Future, float] = {}
         in_flight: dict[int, list[Future]] = {}
 
         def submit(i: int) -> None:
+            # the wrapper times the task inside the worker, so task_s holds
+            # true compute durations (queueing behind busy workers excluded)
             future = pool.submit(_timed_call, fn, items[i])
             future_to_index[future] = i
-            submitted_at[future] = perf_counter()
             in_flight.setdefault(i, []).append(future)
 
         try:
@@ -165,9 +198,13 @@ def sharded_map(
                     timeout=poll_s,
                     return_when=FIRST_COMPLETED,
                 )
+                now = perf_counter()
+                for future in future_to_index:
+                    if future not in started_at and future.running():
+                        started_at[future] = now
                 for future in done:
                     i = future_to_index.pop(future)
-                    submitted_at.pop(future, None)
+                    started_at.pop(future, None)
                     in_flight[i] = [f for f in in_flight[i] if f is not future]
                     exc = future.exception()
                     if isinstance(exc, BrokenProcessPool):
@@ -184,8 +221,9 @@ def sharded_map(
                     out[i] = result
                     completed[i] = True
                     done_count += 1
+                    done_units += weights[i]
                     if progress is not None:
-                        progress(done_count, total)
+                        progress(done_units, total_units)
                 if (
                     straggler_factor is not None
                     and durations
@@ -196,7 +234,6 @@ def sharded_map(
                     # (only singly-in-flight ones — one backup per shard
                     # per executor generation)
                     cutoff = straggler_factor * median(durations)
-                    now = perf_counter()
                     budget = processes - len(future_to_index)
                     for i in range(total):
                         if budget <= 0:
@@ -204,9 +241,8 @@ def sharded_map(
                         flights = in_flight.get(i, [])
                         if completed[i] or len(flights) != 1:
                             continue
-                        if now - submitted_at.get(flights[0], now) > cutoff:
+                        if now - started_at.get(flights[0], now) > cutoff:
                             submit(i)
-                            stolen += 1
                             budget -= 1
                             if tel is not None:
                                 tel.count("parallel.stolen")
@@ -220,8 +256,39 @@ def sharded_map(
                 tel.count("parallel.redispatched", total - done_count)
                 tel.count("parallel.pool_rebuilds")
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # join the workers unless a losing speculative duplicate is
+            # still running: waiting for it would forfeit the speculation
+            loser_running = any(
+                completed[i] and not f.done() for f, i in future_to_index.items()
+            )
+            pool.shutdown(wait=not loser_running, cancel_futures=True)
 
     if tel is not None:
         _record_pool_metrics(tel, task_s, processes, perf_counter() - t_start)
     return out  # type: ignore[return-value]
+
+
+def _timed_call(fn: Callable[[T], R], item: T) -> tuple[float, R]:
+    """Run one task in the worker, returning (duration, result)."""
+    t0 = perf_counter()
+    result = fn(item)
+    return perf_counter() - t0, result
+
+
+def _record_pool_metrics(
+    tel, task_s: list[float], workers: int, span_s: float
+) -> None:
+    """Fold one map's task timings into the telemetry registry."""
+    for seconds in task_s:
+        tel.observe("parallel.task_s", seconds)
+    tel.count("parallel.maps")
+    tel.count("parallel.tasks", len(task_s))
+    tel.set_gauge("parallel.workers", workers)
+    tel.set_gauge("parallel.span_s", span_s)
+    if task_s and span_s > 0:
+        busy = sum(task_s)
+        tel.set_gauge("parallel.utilization", busy / (workers * span_s))
+        low, high = min(task_s), max(task_s)
+        tel.set_gauge(
+            "parallel.straggler_spread", high / low if low > 0 else 0.0
+        )

@@ -73,7 +73,7 @@ def drift_budget_error(
 
 def shards_error(shards: int | None, label: str = "--shards") -> str | None:
     """Validate a shard count (``None`` when fine; ``None`` input means
-    "one pool task per replication" and is always fine)."""
+    "one stack per worker" and is always fine)."""
     if shards is not None and shards < 1:
         return f"{label} must be >= 1, got {shards}"
     return None

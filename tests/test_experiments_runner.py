@@ -32,15 +32,34 @@ class TestRunExperiment:
         )
         assert calls == [(1, 2), (2, 2)]
 
+    @pytest.mark.parametrize(
+        "engine,expected",
+        [
+            # a stack of one per replication
+            ("batch", [(1, 4), (2, 4), (3, 4), (4, 4)]),
+            # two stacks of two
+            ("fused", [(2, 4), (4, 4)]),
+        ],
+    )
+    def test_sharded_progress_counts_replications(self, engine, expected):
+        calls = []
+        run_experiment(
+            smoke(replications=4, engine=engine),
+            processes=1,
+            shards=2,
+            progress=lambda d, t: calls.append((d, t)),
+        )
+        assert calls == expected
+
     def test_task_wrapper_is_picklable(self):
         import pickle
 
-        # a task is a list of stacks: here one stack of replication 0
-        blob = pickle.dumps((_task, (smoke(), [[0]], None, True)))
+        # a task is one stack: here the stack of replication 0
+        blob = pickle.dumps((_task, (smoke(), [0], None, True)))
         fn, args = pickle.loads(blob)
-        out = fn(args)
-        assert [rep.replication for rep in out["results"]] == [0]
-        assert out["telemetry"] == []
+        results, export = fn(args)
+        assert [rep.replication for rep in results] == [0]
+        assert export is None
 
 
 class TestFailureInjection:

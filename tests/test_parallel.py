@@ -7,156 +7,16 @@ serially or across processes, in any completion order.
 from __future__ import annotations
 
 import io
-import os
-import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-
-import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.parallel.pool import default_processes, parallel_map
 from repro.parallel.progress import ProgressPrinter
+from repro.parallel.shard import sharded_map
 
 
 def square(x: int) -> int:
     return x * x
-
-
-def boom(x: int) -> int:
-    if x == 2:
-        raise RuntimeError("task 2 exploded")
-    return x
-
-
-def boom_or_mark(args: tuple[str, int]) -> int:
-    """Fail instantly on task 0; otherwise sleep briefly and leave a marker."""
-    directory, x = args
-    if x == 0:
-        raise RuntimeError("task 0 exploded")
-    time.sleep(0.3)
-    Path(directory, f"ran-{x}").touch()
-    return x
-
-
-def sleepy_square(x: int) -> int:
-    time.sleep(0.05 * (4 - x))  # later items finish first
-    return x * x
-
-
-def die_once_then_square(args: tuple[str, int]) -> int:
-    """SIGKILL the worker on item 3's first attempt; succeed on the retry."""
-    directory, x = args
-    if x == 3:
-        marker = Path(directory, "died")
-        if not marker.exists():
-            marker.touch()
-            os.kill(os.getpid(), signal.SIGKILL)
-    return x * x
-
-
-class TestParallelMap:
-    def test_empty(self):
-        assert parallel_map(square, []) == []
-
-    def test_serial_path(self):
-        assert parallel_map(square, [1, 2, 3], processes=1) == [1, 4, 9]
-
-    def test_parallel_preserves_order(self):
-        out = parallel_map(square, list(range(20)), processes=2)
-        assert out == [x * x for x in range(20)]
-
-    def test_parallel_equals_serial(self):
-        items = list(range(12))
-        assert parallel_map(square, items, processes=2) == parallel_map(
-            square, items, processes=1
-        )
-
-    def test_exception_propagates_serial(self):
-        with pytest.raises(RuntimeError, match="task 2"):
-            parallel_map(boom, [1, 2, 3], processes=1)
-
-    def test_exception_propagates_parallel(self):
-        with pytest.raises(RuntimeError, match="task 2"):
-            parallel_map(boom, [1, 2, 3], processes=2)
-
-    def test_worker_exception_cancels_outstanding_futures(self, tmp_path):
-        """A failing task aborts the run without draining the queue.
-
-        Task 0 fails the moment a worker picks it up; the other tasks sleep
-        and then drop a marker file.  Only tasks already in flight when the
-        failure is observed may still run (running futures cannot be
-        cancelled) — the long tail of queued tasks must never start.
-        """
-        items = [(str(tmp_path), x) for x in range(12)]
-        with pytest.raises(RuntimeError, match="task 0"):
-            parallel_map(boom_or_mark, items, processes=2)
-        ran = list(tmp_path.glob("ran-*"))
-        assert len(ran) < 11  # queue not drained: some futures were cancelled
-
-    def test_original_exception_type_and_args_preserved(self):
-        with pytest.raises(RuntimeError) as excinfo:
-            parallel_map(boom, [2], processes=1)
-        assert excinfo.value.args == ("task 2 exploded",)
-
-    def test_order_preserved_under_out_of_order_completion(self):
-        """Items that complete last-to-first still come back in input order."""
-        items = [0, 1, 2, 3]
-        assert parallel_map(sleepy_square, items, processes=4) == [
-            0,
-            1,
-            4,
-            9,
-        ]
-
-    def test_invalid_processes(self):
-        with pytest.raises(ValueError):
-            parallel_map(square, [1], processes=0)
-
-    def test_progress_callback_serial(self):
-        calls = []
-        parallel_map(
-            square, [1, 2, 3], processes=1, progress=lambda d, t: calls.append((d, t))
-        )
-        assert calls == [(1, 3), (2, 3), (3, 3)]
-
-    def test_progress_callback_parallel(self):
-        calls = []
-        parallel_map(
-            square,
-            [1, 2, 3, 4],
-            processes=2,
-            progress=lambda d, t: calls.append((d, t)),
-        )
-        assert len(calls) == 4
-        assert calls[-1][0] == 4
-
-    def test_default_processes(self):
-        assert default_processes(0) == 1
-        assert default_processes(1) == 1
-        assert default_processes(1000) >= 1
-
-    def test_worker_death_propagates_by_default(self, tmp_path):
-        """A SIGKILLed worker breaks the executor; without a re-dispatch
-        budget the BrokenProcessPool must reach the caller."""
-        items = [(str(tmp_path), x) for x in range(6)]
-        with pytest.raises(BrokenProcessPool):
-            parallel_map(die_once_then_square, items, processes=2)
-
-    def test_worker_death_redispatch_recovers(self, tmp_path):
-        """With max_redispatch=1 the pool is rebuilt and the unfinished
-        tasks re-run; the dead worker's task succeeds on its second try."""
-        items = [(str(tmp_path), x) for x in range(6)]
-        out = parallel_map(
-            die_once_then_square, items, processes=2, max_redispatch=1
-        )
-        assert out == [x * x for x in range(6)]
-
-    def test_invalid_max_redispatch(self):
-        with pytest.raises(ValueError):
-            parallel_map(square, [1, 2], processes=2, max_redispatch=-1)
 
 
 class TestProgressPrinter:
@@ -187,10 +47,10 @@ class TestProgressPrinter:
         time.sleep(0.01)
         assert printer.finish() >= first
 
-    def test_usable_as_parallel_map_progress(self):
+    def test_usable_as_sharded_map_progress(self):
         stream = io.StringIO()
         printer = ProgressPrinter("map", stream=stream)
-        parallel_map(square, [1, 2], processes=1, progress=printer)
+        sharded_map(square, [1, 2], processes=1, progress=printer)
         out = stream.getvalue()
         assert "map: 1/2" in out
         assert "map: 2/2" in out

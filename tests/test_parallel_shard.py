@@ -7,7 +7,9 @@ the unsharded run (the shard never enters the seed tree).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import resource
 import signal
 import time
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.parallel.shard import Shard, plan_shards, sharded_map
+from repro.parallel.shard import Shard, default_processes, plan_shards, sharded_map
 
 
 def square(x: int) -> int:
@@ -27,6 +29,34 @@ def boom(x: int) -> int:
     if x == 2:
         raise RuntimeError("shard 2 exploded")
     return x
+
+
+def boom_or_mark(args: tuple[str, int]) -> int:
+    """Fail instantly on task 0; otherwise sleep briefly and leave a marker."""
+    directory, x = args
+    if x == 0:
+        raise RuntimeError("task 0 exploded")
+    time.sleep(0.3)
+    Path(directory, f"ran-{x}").touch()
+    return x
+
+
+def sleepy_square(x: int) -> int:
+    time.sleep(0.05 * (4 - x))  # later items finish first
+    return x * x
+
+
+def spin(seconds: float) -> float:
+    """Burn CPU (not sleep), so the worker's CPU time is measurable."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+    return seconds
+
+
+def nap(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
 
 
 def die_once_then_square(args: tuple[str, int]) -> int:
@@ -108,9 +138,61 @@ class TestShardedMap:
         out = sharded_map(square, list(range(12)), processes=2)
         assert out == [x * x for x in range(12)]
 
+    def test_parallel_equals_serial(self):
+        items = list(range(12))
+        assert sharded_map(square, items, processes=2) == sharded_map(
+            square, items, processes=1
+        )
+
+    def test_order_preserved_under_out_of_order_completion(self):
+        """Items that complete last-to-first still come back in input order."""
+        assert sharded_map(sleepy_square, [0, 1, 2, 3], processes=4) == [0, 1, 4, 9]
+
     def test_exception_propagates(self):
         with pytest.raises(RuntimeError, match="shard 2"):
             sharded_map(boom, [1, 2, 3], processes=2)
+
+    def test_exception_propagates_serial(self):
+        with pytest.raises(RuntimeError, match="shard 2"):
+            sharded_map(boom, [1, 2, 3], processes=1)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_original_exception_type_and_args_preserved(self, processes):
+        with pytest.raises(RuntimeError) as excinfo:
+            sharded_map(boom, [1, 2], processes=processes)
+        assert excinfo.value.args == ("shard 2 exploded",)
+
+    def test_worker_exception_cancels_outstanding_futures(self, tmp_path):
+        """A failing task aborts the run without draining the queue.
+
+        Task 0 fails the moment a worker picks it up; the other tasks sleep
+        and then drop a marker file.  Only tasks already in flight when the
+        failure is observed may still run (running futures cannot be
+        cancelled) — the long tail of queued tasks must never start.
+        """
+        items = [(str(tmp_path), x) for x in range(12)]
+        with pytest.raises(RuntimeError, match="task 0"):
+            sharded_map(boom_or_mark, items, processes=2)
+        ran = list(tmp_path.glob("ran-*"))
+        assert len(ran) < 11  # queue not drained: some futures were cancelled
+
+    def test_default_processes(self):
+        assert default_processes(0) == 1
+        assert default_processes(1) == 1
+        assert default_processes(1000) >= 1
+
+    def test_workers_reaped_before_return(self):
+        """No worker outlives the call, so its CPU time is already in the
+        parent's RUSAGE_CHILDREN when the call returns."""
+        before = set(multiprocessing.active_children())
+        cpu0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        out = sharded_map(spin, [0.3] * 4, processes=2)
+        cpu1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert out == [0.3] * 4
+        assert set(multiprocessing.active_children()) - before == set()
+        assert (cpu1.ru_utime + cpu1.ru_stime) - (
+            cpu0.ru_utime + cpu0.ru_stime
+        ) >= 1.0
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -130,6 +212,33 @@ class TestShardedMap:
         )
         assert len(calls) == 4
         assert calls[-1] == (4, 4)
+
+    def test_progress_callback_serial(self):
+        calls = []
+        sharded_map(
+            square, [1, 2, 3], processes=1, progress=lambda d, t: calls.append((d, t))
+        )
+        assert calls == [(1, 3), (2, 3), (3, 3)]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_progress_counts_weights(self, processes):
+        calls = []
+        sharded_map(
+            square,
+            [1, 2, 3],
+            processes=processes,
+            progress=lambda d, t: calls.append((d, t)),
+            weights=[2, 1, 3],
+        )
+        assert len(calls) == 3
+        assert all(total == 6 for _, total in calls)
+        assert calls[-1] == (6, 6)
+        if processes == 1:
+            assert calls == [(2, 6), (3, 6), (6, 6)]
+
+    def test_weights_must_match_items(self):
+        with pytest.raises(ValueError, match="weights"):
+            sharded_map(square, [1, 2], processes=1, weights=[1])
 
     def test_worker_death_propagates_without_redispatch(self, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
@@ -165,6 +274,20 @@ class TestShardedMap:
         assert elapsed < 6.0
         assert (tmp_path / "attempt0").exists()
 
+    def test_queued_tasks_are_not_stragglers(self):
+        """Eleven equal tasks on two workers: the last one waits in the
+        queue for five task durations and then runs while a worker idles,
+        which must not count as straggling."""
+        from repro.telemetry.config import TelemetryConfig
+        from repro.telemetry.runtime import telemetry_session
+
+        with telemetry_session(TelemetryConfig(enabled=True)) as tel:
+            out = sharded_map(nap, [0.2] * 11, processes=2)
+            counters = tel.snapshot()["counters"]
+        assert out == [0.2] * 11
+        assert counters["parallel.tasks"] == 11
+        assert "parallel.stolen" not in counters
+
     def test_speculation_disabled(self):
         out = sharded_map(
             square, list(range(6)), processes=2, straggler_factor=None
@@ -176,6 +299,9 @@ class TestShardInvariance:
     CONFIG = ExperimentConfig.for_case(
         "case1", scale="smoke", replications=5, generations=3
     )
+    #: stacks (pool tasks) at shards=2 or processes=2: a non-fusing engine
+    #: runs a stack of one per replication
+    SHARD_RUNS = 5
 
     def test_any_shard_count_matches_unsharded(self):
         base = run_experiment(self.CONFIG, processes=2)
@@ -218,12 +344,15 @@ class TestShardInvariance:
         assert engine_keys, "expected engine-level counters to compare"
         for key in engine_keys:
             assert pc.get(key) == sc.get(key), key
-        assert sc["shard.runs"] == 2
+        assert sc["shard.runs"] == self.SHARD_RUNS
         assert sc["shard.replications"] == cfg.replications
+        assert pc["shard.runs"] == self.SHARD_RUNS
+        assert pc["shard.replications"] == cfg.replications
 
 
 class TestShardInvarianceFused(TestShardInvariance):
     """The same contract on the fused engine, where each shard runs its
-    replications as one stack (the unsharded pool runs one per task)."""
+    replications as one stack (unsharded: one stack per worker)."""
 
     CONFIG = TestShardInvariance.CONFIG.with_(engine="fused")
+    SHARD_RUNS = 2

@@ -28,6 +28,7 @@ from repro.experiments.replication import (
     stacked_unsupported_reason,
 )
 from repro.experiments.runner import plan_stacks, run_experiment
+from repro.parallel.shard import default_processes, plan_shards
 from repro.game.stats import TournamentStats
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
@@ -162,9 +163,7 @@ class TestEligibility:
         assert "checkpoint" in stacked_unsupported_reason(
             config, checkpoint_dir="ckpt"
         )
-        assert "processes" in stacked_unsupported_reason(config, processes=8)
-        # a shard runs its replications as one stack, whatever the pool
-        assert stacked_unsupported_reason(config, processes=8, shards=2) is None
+        # a stack is one pool task, whatever the pool or shard count, and
         # telemetry and a single replication are no reason either
         traced = config.with_(telemetry=TelemetryConfig(enabled=True))
         assert stacked_unsupported_reason(traced) is None
@@ -190,17 +189,33 @@ class TestRunnerDispatch:
         config = smoke_config("case1", 1234, replications=2)
         run_experiment(config, processes=1, stacked=False)
         assert stack_widths == [1, 1]
-        # processes=None -> the default pool, one replication per task
-        tasks, reason = plan_stacks(config)
-        assert tasks == [[[0]], [[1]]]
-        assert "pool" in reason
+        # processes=None -> the default pool, one stack per worker
+        stacks, reason = plan_stacks(config.with_(replications=5))
+        workers = default_processes(5)
+        assert stacks == [list(s.task_indices) for s in plan_shards(5, workers)]
+        assert max(len(stack) for stack in stacks) == -(-5 // workers)
+        assert reason == "none"
 
-    def test_explicit_request_raises_when_ineligible(self):
+    def test_explicit_request_raises_when_ineligible(self, tmp_path):
         config = smoke_config("case1", 1234, replications=2)
-        with pytest.raises(ValueError, match="stacked evaluation unavailable"):
-            run_experiment(config, stacked=True, processes=2)
+        # a worker pool is no reason: each worker runs one stack
+        assert len(run_experiment(config, stacked=True, processes=2).replications) == 2
         with pytest.raises(ValueError, match="stacked evaluation unavailable"):
             run_experiment(config.with_(engine="batch"), stacked=True)
+        with pytest.raises(ValueError, match="stacked evaluation unavailable"):
+            run_experiment(config, stacked=True, checkpoint_dir=tmp_path)
+
+    def test_pool_stacks_per_worker(self):
+        config = smoke_config("case3", 7, replications=4).with_(
+            telemetry=TelemetryConfig(enabled=True)
+        )
+        pooled = run_experiment(config, processes=2)
+        assert pooled.telemetry["stack_width"] == 2
+        assert pooled.telemetry["stack_reason"] == "none"
+        sequential = run_experiment(config, processes=2, stacked=False)
+        assert sequential.telemetry["stack_width"] == 1
+        for a, b in zip(pooled.replications, sequential.replications, strict=True):
+            assert digest(a) == digest(b)
 
     def test_all_three_routes_agree(self):
         config = smoke_config("case1", 99, replications=2)
@@ -213,12 +228,13 @@ class TestRunnerDispatch:
             assert digest(a) == digest(b) == digest(c)
 
     def test_shards_run_as_stacks(self):
-        tasks, reason = plan_stacks(smoke_config("case1", 1, 5), shards=2)
-        assert tasks == [[[0, 1, 2]], [[3, 4]]] and reason == "none"
-        tasks, reason = plan_stacks(
+        stacks, reason = plan_stacks(smoke_config("case1", 1, 5), shards=2)
+        assert stacks == [[0, 1, 2], [3, 4]] and reason == "none"
+        # a non-fusing engine runs a stack of one per replication
+        stacks, reason = plan_stacks(
             smoke_config("case1", 1, 5).with_(engine="batch"), shards=2
         )
-        assert tasks == [[[0], [1], [2]], [[3], [4]]]
+        assert stacks == [[0], [1], [2], [3], [4]]
         assert "does not fuse" in reason
 
 
