@@ -63,7 +63,7 @@ def _pick_scale() -> str:
     if forced:
         return forced
     cached_session = ReproductionSession(
-        scale="default", seed=SEED, cache_dir=RESULTS_DIR
+        scale="default", overrides={"seed": SEED}, cache_dir=RESULTS_DIR
     )
     cached = all(
         cached_session.cache_path(case).exists()
@@ -78,8 +78,8 @@ def session() -> ReproductionSession:
     scale = _pick_scale()
     return ReproductionSession(
         scale=scale,
-        seed=SEED,
-        processes=1 if scale == "smoke" else None,
+        overrides={"seed": SEED},
+        run={"processes": 1 if scale == "smoke" else None},
         cache_dir=RESULTS_DIR if scale == "default" else None,
     )
 

@@ -74,12 +74,11 @@ def run_case(
 
 
 def canonical(path: Path) -> str:
-    """The raw-results JSON as a canonical string, checkpoint/telemetry
-    provenance stripped (both are compare=False metadata, not results)."""
+    """The raw-results JSON as a canonical string, checkpoint provenance
+    stripped (compare=False metadata, not results)."""
     data = json.loads(path.read_text())
     for rep in data.get("replications", []):
         rep.pop("checkpoint", None)
-        rep.pop("telemetry", None)
     return json.dumps(data, sort_keys=True, indent=None)
 
 

@@ -24,9 +24,11 @@ Serve the experiment core over HTTP (content-addressed job dedupe)::
     python -m repro serve --root results/service --port 8000
 
 ``run``, ``run-case``, ``reproduce``, and the service all resolve through
-the same scenario layer (:mod:`repro.scenarios`), so a scenario file, the
-equivalent flag invocation, and a REST submission share one
-``config_hash`` and produce bit-identical results.
+the same scenario layer (:mod:`repro.scenarios`) and run through its one
+executor, so a scenario file, the equivalent flag invocation, and a REST
+submission share one ``config_hash`` and produce bit-identical results.
+The scenario schema is the only validator of the flags: a bad value
+exits 2 with the schema's message before anything runs.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ __all__ = ["main", "build_parser", "EXIT_NO_CHECKPOINT"]
 #: Exit code for ``--resume`` against a store with no matching checkpoint —
 #: distinct from 2 (bad usage) so orchestration can tell the cases apart.
 EXIT_NO_CHECKPOINT = 4
-
-#: Default checkpoint store applied when ``--resume`` is given bare.
-DEFAULT_CHECKPOINT_DIR = Path("results/checkpoints")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,6 +148,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
     # single sources of engine and cache-policy names shared with
     # make_engine / make_cache_policy and the config layer
     from repro.config.mobility import ROUTE_CACHE_POLICIES
+    from repro.scenarios.resolve import DEFAULT_CHECKPOINT_DIR
     from repro.sim import DEFAULT_ENGINE, ENGINES
 
     parser.add_argument("--seed", type=int, default=2007 if defaults else None)
@@ -238,8 +238,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         default=None,
         help=(
             "run replications as one stack per shard or worker (requires a"
-            " fusing engine, no exchange and no checkpointing); bit-identical"
-            " to unstacked.  Default: auto when eligible"
+            " fusing engine, no exchange and no checkpointing; a request that"
+            " cannot be honoured exits 2 with the reason before anything"
+            " runs); bit-identical to unstacked.  Default: auto when eligible"
         ),
     )
     parser.add_argument(
@@ -276,26 +277,6 @@ def _add_case_override_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="waypoint pause time in steps on arrival (requires --mobility)",
-    )
-
-
-def _flag_error(args: argparse.Namespace) -> str | None:
-    """Validate the flag namespace before it becomes a scenario payload
-    (None when fine) — same messages the flags have always produced."""
-    from repro.utils.validation import drift_budget_error, shards_error
-
-    speed = getattr(args, "speed", None)
-    pause = getattr(args, "pause", None)
-    if (speed is not None or pause is not None) and getattr(
-        args, "mobility", None
-    ) is None:
-        return "--speed/--pause require --mobility"
-    if speed is not None and speed < 0:
-        return f"--speed must be >= 0, got {speed}"
-    if pause is not None and pause < 0:
-        return f"--pause must be >= 0, got {pause}"
-    return drift_budget_error(args.route_cache, args.drift_budget) or shards_error(
-        args.shards
     )
 
 
@@ -341,6 +322,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _missing_checkpoints(runs: list) -> str | None:
+    """Why ``--resume`` has nothing to continue: ``None`` when no run
+    resumes or some resuming run has a matching checkpoint."""
+    from repro.experiments.checkpoint import CheckpointStore
+
+    resuming = [r for r in runs if r.resume]
+    if not resuming or any(
+        CheckpointStore(r.checkpoint_store).has_checkpoints(r.config)
+        for r in resuming
+    ):
+        return None
+    hashes = ", ".join(f"{r.config_hash()[:16]} ({r.name})" for r in resuming)
+    stores = ", ".join(sorted({str(r.checkpoint_store) for r in resuming}))
+    return f"--resume: no checkpoints matching config hash {hashes} under {stores}"
+
+
 def _execute_resolved(
     resolved,
     out: Path | None,
@@ -348,30 +345,17 @@ def _execute_resolved(
 ) -> int:
     """Run a resolved scenario and report — the shared back half of
     ``run`` and ``run-case``."""
-    from repro.experiments.runner import run_experiment
     from repro.parallel.progress import ProgressPrinter
+    from repro.scenarios import execute_scenario
 
-    checkpoint_dir = resolved.checkpoint_dir
-    if resolved.resume and checkpoint_dir is None:
-        checkpoint_dir = DEFAULT_CHECKPOINT_DIR
-    if resolved.resume:
-        from repro.experiments.checkpoint import CheckpointStore
-
-        if not CheckpointStore(checkpoint_dir).has_checkpoints(resolved.config):
-            print(
-                f"--resume: no checkpoints matching config hash"
-                f" {resolved.config_hash()[:16]} under {checkpoint_dir}",
-                file=sys.stderr,
-            )
-            return EXIT_NO_CHECKPOINT
-    result = run_experiment(
-        resolved.config,
-        processes=resolved.processes,
+    error = _missing_checkpoints([resolved])
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_NO_CHECKPOINT
+    result, manifest = execute_scenario(
+        resolved,
         progress=ProgressPrinter(resolved.case),
-        shards=resolved.shards,
-        checkpoint_dir=checkpoint_dir,
-        resume=resolved.resume,
-        stacked=resolved.stacked,
+        manifest_dir=telemetry_dir,
     )
     mean, std = result.final_cooperation()
     print(
@@ -383,32 +367,14 @@ def _execute_resolved(
     if out is not None:
         path = result.save(out)
         print(f"raw results written to {path}")
-    if result.telemetry is not None:
-        from repro.telemetry import write_run_manifest
-
-        manifest = write_run_manifest(
-            telemetry_dir if telemetry_dir is not None else Path("results/telemetry"),
-            resolved.name,
-            result.config,
-            result.telemetry,
-            run_extra={
-                "checkpoint_dir": (
-                    str(checkpoint_dir) if checkpoint_dir is not None else "none"
-                )
-            },
-        )
+    if manifest is not None:
         print(f"telemetry manifest: {manifest}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import apply_overrides, load_scenario, resolve_scenario
-    from repro.utils.validation import shards_error
 
-    error = shards_error(args.shards)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     try:
         payload = load_scenario(args.scenario)
         payload = apply_overrides(
@@ -426,10 +392,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_case(args: argparse.Namespace) -> int:
     from repro.scenarios import build_scenario_payload, resolve_scenario
 
-    error = _flag_error(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     try:
         payload = build_scenario_payload(
             args.case,
@@ -452,43 +414,28 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown artefact(s): {unknown}; try 'repro list'", file=sys.stderr)
         return 2
-    error = _flag_error(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     telemetry_dir = args.telemetry_dir
     if telemetry_dir is None and args.out is not None:
         telemetry_dir = args.out / "telemetry"
-    checkpoint_dir = args.checkpoint_dir
-    if args.resume and checkpoint_dir is None:
-        checkpoint_dir = DEFAULT_CHECKPOINT_DIR
-    session = ReproductionSession(
-        scale=args.scale,
-        seed=args.seed,
-        engine=args.engine,
-        processes=args.processes,
-        cache_dir=args.out,
-        verbose=True,
-        route_cache=args.route_cache,
-        drift_budget=args.drift_budget,
-        telemetry=bool(args.telemetry),
-        telemetry_dir=telemetry_dir,
-        shards=args.shards,
-        checkpoint_dir=checkpoint_dir,
-        resume=bool(args.resume),
-    )
-    if args.resume:
-        from repro.experiments.checkpoint import CheckpointStore
-
-        store = CheckpointStore(checkpoint_dir)
-        cases = sorted({c for aid in ids for c in ARTEFACTS[aid].cases})
-        if not any(store.has_checkpoints(session.config_for(c)) for c in cases):
-            print(
-                f"--resume: no checkpoints for any of {cases}"
-                f" under {checkpoint_dir}",
-                file=sys.stderr,
-            )
-            return EXIT_NO_CHECKPOINT
+    cases = sorted({c for aid in ids for c in ARTEFACTS[aid].cases})
+    # every case resolves (and so is validated) before the first one runs
+    try:
+        session = ReproductionSession(
+            scale=args.scale,
+            overrides=_overrides_from_args(args),
+            run=_run_block_from_args(args),
+            cache_dir=args.out,
+            telemetry_dir=telemetry_dir,
+            verbose=True,
+        )
+        runs = [session.scenario_for(case) for case in cases]
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    error = _missing_checkpoints(runs)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_NO_CHECKPOINT
     for artefact_id in ids:
         report = session.render(artefact_id)
         print(f"\n===== {artefact_id} =====")

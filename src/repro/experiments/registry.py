@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 from repro.analysis import reporting
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import run_experiment
 from repro.parallel.progress import ProgressPrinter
-from repro.sim import DEFAULT_ENGINE
-from repro.telemetry.manifest import config_hash, write_run_manifest
+from repro.telemetry.manifest import config_hash
 
 __all__ = ["ARTEFACTS", "ArtefactSpec", "ReproductionSession"]
 
@@ -37,75 +35,58 @@ class ArtefactSpec:
 
 
 class ReproductionSession:
-    """Runs and caches the per-case experiments behind all artefacts."""
+    """Runs and caches the per-case experiments behind all artefacts.
+
+    Every case is the scenario ``build_scenario_payload(case, scale,
+    overrides, run)``: ``overrides`` and ``run`` are the scenario blocks of
+    the same names (``None`` values defer to the case defaults), so an
+    artefact case, ``repro run-case`` with the same flags and a service
+    submission resolve to one config and run through one executor
+    (:func:`repro.scenarios.execute_scenario`).  With ``cache_dir`` each
+    freshly run case is saved as raw results and later sessions load it
+    instead of re-running.  A fresh telemetry-enabled run leaves its
+    manifest in ``telemetry_dir``; a cache hit writes none, because
+    nothing ran.
+    """
 
     def __init__(
         self,
         scale: str = "default",
-        seed: int = 2007,
-        engine: str = DEFAULT_ENGINE,
-        processes: int | None = None,
+        overrides: Mapping[str, Any] | None = None,
+        run: Mapping[str, Any] | None = None,
         cache_dir: str | Path | None = None,
-        verbose: bool = False,
-        route_cache: str | None = None,
-        drift_budget: int | None = None,
-        telemetry: bool = False,
         telemetry_dir: str | Path | None = None,
-        shards: int | None = None,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = True,
+        verbose: bool = False,
     ):
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; available: {sorted(SCALES)}")
         self.scale = scale
-        self.seed = seed
-        self.engine = engine
-        self.processes = processes
+        self.overrides = dict(overrides or {})
+        self.run = dict(run or {})
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.verbose = verbose
-        # mobile-oracle route-cache overrides (None keeps the config default,
-        # i.e. the bit-identical exact policy)
-        self.route_cache = route_cache
-        self.drift_budget = drift_budget
-        #: when set, every freshly-run case records metrics and leaves a
-        #: schema-validated manifest + JSONL metric dump in telemetry_dir
-        self.telemetry = telemetry
         self.telemetry_dir = Path(
             telemetry_dir if telemetry_dir is not None else "results/telemetry"
         )
-        #: shard count handed to :func:`run_experiment` (None = one stack
-        #: per worker)
-        self.shards = shards
-        #: checkpoint store root (None disables checkpoint/resume); with
-        #: ``resume`` every fresh run continues from intact checkpoints
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        self.resume = resume
+        self.verbose = verbose
         #: manifest paths written this session, keyed by case name
         self.manifests: dict[str, Path] = {}
         self._results: dict[str, ExperimentResult] = {}
 
     # -- case execution -------------------------------------------------------
 
-    def config_for(self, case_name: str) -> ExperimentConfig:
-        # resolved through the scenario layer, so an artefact case, the
-        # equivalent scenario file, and a service submission can never
-        # diverge (same overrides order, same config_hash)
+    def scenario_for(self, case_name: str):
+        """The case's :class:`~repro.scenarios.ResolvedScenario`
+        (``ValueError`` for an invalid or unresolvable request)."""
         from repro.scenarios import build_scenario_payload, resolve_scenario
 
-        payload = build_scenario_payload(
-            case_name,
-            self.scale,
-            overrides={
-                "seed": self.seed,
-                "engine": self.engine,
-                "route_cache": self.route_cache,
-                "drift_budget": self.drift_budget,
-                "telemetry": True if self.telemetry else None,
-            },
+        return resolve_scenario(
+            build_scenario_payload(
+                case_name, self.scale, overrides=self.overrides, run=self.run
+            )
         )
-        return resolve_scenario(payload).config
+
+    def config_for(self, case_name: str) -> ExperimentConfig:
+        return self.scenario_for(case_name).config
 
     def cache_path(self, case_name: str) -> Path | None:
         """Where ``result_for`` caches a case's result (``None`` without a
@@ -119,6 +100,8 @@ class ReproductionSession:
 
     def result_for(self, case_name: str) -> ExperimentResult:
         """The experiment result for a case, computed/loaded at most once."""
+        from repro.scenarios import execute_scenario
+
         if case_name in self._results:
             return self._results[case_name]
         cache = self.cache_path(case_name)
@@ -128,30 +111,15 @@ class ReproductionSession:
             progress = (
                 ProgressPrinter(f"{case_name} [{self.scale}]") if self.verbose else None
             )
-            result = run_experiment(
-                self.config_for(case_name),
-                processes=self.processes,
+            result, manifest = execute_scenario(
+                self.scenario_for(case_name),
                 progress=progress,
-                shards=self.shards,
-                checkpoint_dir=self.checkpoint_dir,
-                resume=self.resume,
+                manifest_dir=self.telemetry_dir,
             )
+            if manifest is not None:
+                self.manifests[case_name] = manifest
             if cache is not None:
                 result.save(cache)
-        if result.telemetry is not None:
-            self.manifests[case_name] = write_run_manifest(
-                self.telemetry_dir,
-                f"{case_name}_{self.scale}",
-                result.config,
-                result.telemetry,
-                run_extra={
-                    "checkpoint_dir": (
-                        str(self.checkpoint_dir)
-                        if self.checkpoint_dir is not None
-                        else "none"
-                    )
-                },
-            )
         self._results[case_name] = result
         return result
 

@@ -75,7 +75,8 @@ class ReplicationResult:
     #: telemetry export of a :func:`run_replication` call (``None`` unless
     #: the config enabled telemetry): ``{"metrics": ..., "events": ...,
     #: "dropped_events": ..., "wall_s": ...}``; the runner ships one export
-    #: per stack instead
+    #: per stack instead.  Not serialized: :meth:`to_dict` writes results
+    #: and checkpoint provenance only
     telemetry: dict | None = field(default=None, compare=False)
     #: checkpoint provenance (``None`` unless the run had a checkpoint_dir):
     #: ``{"config_hash": ..., "resumed_from_generation": int|None,
@@ -97,8 +98,6 @@ class ReplicationResult:
             },
             "final_overall": self.final_overall.to_dict(),
         }
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry
         if self.checkpoint is not None:
             data["checkpoint"] = self.checkpoint
         return data
@@ -114,7 +113,6 @@ class ReplicationResult:
                 for name, stats in data["final_per_env"].items()
             },
             final_overall=TournamentStats.from_dict(data["final_overall"]),
-            telemetry=data.get("telemetry"),
             checkpoint=data.get("checkpoint"),
         )
 

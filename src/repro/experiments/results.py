@@ -34,7 +34,8 @@ class ExperimentResult:
     #: experiment-wide aggregated telemetry (``None`` unless the run was
     #: telemetry-enabled): ``{"metrics": <merged registry snapshot>,
     #: "events": [...], "dropped_events": ..., "wall_s": ...,
-    #: "stack_width": ..., "stack_reason": ...}``
+    #: "stack_width": ..., "stack_reason": ...}``.  The run manifest holds
+    #: it; :meth:`to_dict`/:meth:`save` write results only
     telemetry: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -108,13 +109,12 @@ class ExperimentResult:
     # -- persistence ------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = {
+        """The raw results document: config summary and replications (no
+        timings, so two runs of one config serialize byte-equal)."""
+        return {
             "config": self.config,
             "replications": [r.to_dict() for r in self.replications],
         }
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":
@@ -123,7 +123,6 @@ class ExperimentResult:
             replications=[
                 ReplicationResult.from_dict(r) for r in data["replications"]
             ],
-            telemetry=data.get("telemetry"),
         )
 
     def save(self, path: str | Path) -> Path:

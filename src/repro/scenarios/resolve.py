@@ -6,7 +6,10 @@ order the CLI historically did (generations/replications at construction,
 rounds, mobility + speed/pause, route-cache policy, telemetry) so a
 scenario file, the equivalent ``run-case`` flags, and a service submission
 build the *same* :class:`~repro.experiments.config.ExperimentConfig` —
-same ``config_hash``, bit-identical results.
+same ``config_hash``, bit-identical results.  A ``run.stacked: true``
+the run cannot honour is refused here, by the reason
+:func:`repro.experiments.replication.stacked_unsupported_reason` names, so
+every front door rejects it before anything runs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from typing import Any, Mapping
 
 from repro.utils.validation import validate_scenario
 
-__all__ = ["ResolvedScenario", "resolve_scenario"]
+__all__ = ["DEFAULT_CHECKPOINT_DIR", "ResolvedScenario", "resolve_scenario"]
+
+#: The checkpoint store of a bare ``resume`` (one without ``checkpoint_dir``).
+DEFAULT_CHECKPOINT_DIR = Path("results/checkpoints")
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,14 @@ class ResolvedScenario:
     @property
     def name(self) -> str:
         return self.payload["name"]
+
+    @property
+    def checkpoint_store(self) -> Path | None:
+        """The checkpoint store the run uses: ``run.checkpoint_dir``, else
+        :data:`DEFAULT_CHECKPOINT_DIR` under a bare resume, else ``None``."""
+        if self.checkpoint_dir is None and self.resume:
+            return DEFAULT_CHECKPOINT_DIR
+        return self.checkpoint_dir
 
     @property
     def case(self) -> str:
@@ -124,7 +138,7 @@ def resolve_scenario(payload: Mapping[str, Any]) -> ResolvedScenario:
         config = config.with_(telemetry=TelemetryConfig(enabled=True))
 
     checkpoint_dir = run.get("checkpoint_dir")
-    return ResolvedScenario(
+    resolved = ResolvedScenario(
         payload=payload,
         config=config,
         processes=run.get("processes"),
@@ -133,3 +147,14 @@ def resolve_scenario(payload: Mapping[str, Any]) -> ResolvedScenario:
         resume=bool(run.get("resume", False)),
         stacked=run.get("stacked"),
     )
+    if resolved.stacked:
+        from repro.experiments.replication import stacked_unsupported_reason
+
+        reason = stacked_unsupported_reason(
+            config, checkpoint_dir=resolved.checkpoint_store
+        )
+        if reason is not None:
+            raise ValueError(
+                f"{resolved.name}: 'run.stacked' cannot be honoured: {reason}"
+            )
+    return resolved

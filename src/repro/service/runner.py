@@ -8,12 +8,12 @@ moves jobs through ``queued → running → done/failed``:
   ``config_hash`` — a second submission of the same experiment (whatever
   file, flags, or HTTP body it came from) returns the existing record
   without a second execution.  Only a ``failed`` job is requeued.
-* **execution** forces telemetry on (hash-excluded, result-neutral), runs
-  through :func:`repro.experiments.runner.run_experiment` with
-  generation-boundary checkpoints in the store's shared checkpoint
-  directory, then persists the canonical result payload and the
-  schema-validated run manifest (the job's status payload — there is no
-  second reporting path).
+* **execution** forces telemetry on (hash-excluded, result-neutral) and
+  runs through :func:`repro.scenarios.execute_scenario`, the executor
+  every front door shares, with generation-boundary checkpoints in the
+  store's shared checkpoint directory; it writes the schema-validated run
+  manifest (the job's status payload — there is no second reporting
+  path), then the job persists the canonical result payload.
 * **recover** requeues any job found ``queued`` or ``running`` on startup;
   because checkpoints are content-addressed by the same hash and
   ``resume`` is always on, a job killed mid-run completes bit-identically
@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -130,9 +131,8 @@ class JobRunner:
         return done
 
     def _execute(self, job_id: str) -> None:
-        from repro.experiments.runner import run_experiment
+        from repro.scenarios import execute_scenario
         from repro.telemetry.config import TelemetryConfig
-        from repro.telemetry.manifest import write_run_manifest
 
         with self._lock:
             record = self.store.load_record(job_id)
@@ -147,30 +147,21 @@ class JobRunner:
             record = self.store.save_record(record)
         try:
             resolved = resolve_scenario(record["scenario"])
-            config = resolved.config
-            if not config.telemetry.enabled:
-                # hash-excluded and result-neutral: every job gets a manifest
-                config = config.with_(telemetry=TelemetryConfig(enabled=True))
-            checkpoint_dir = resolved.checkpoint_dir or self.store.checkpoint_dir
-            # stacked=resolved.stacked: an explicit stacked request fails
-            # loudly here (service jobs always checkpoint, which keeps every
-            # stack at one replication) instead of being silently dropped
-            result = run_experiment(
-                config,
-                processes=resolved.processes,
-                shards=resolved.shards,
-                checkpoint_dir=checkpoint_dir,
+            # the job policy: telemetry on (hash-excluded and result-neutral,
+            # so every job gets a manifest), checkpoints in the shared store
+            # unless the scenario names one, and always resume.  An explicit
+            # stacked request therefore fails loudly here (a checkpointing
+            # stack is refused) instead of being silently dropped
+            resolved = replace(
+                resolved,
+                config=resolved.config.with_(telemetry=TelemetryConfig(enabled=True)),
+                checkpoint_dir=resolved.checkpoint_dir or self.store.checkpoint_dir,
                 resume=True,
-                stacked=resolved.stacked,
+            )
+            result, manifest_path = execute_scenario(
+                resolved, manifest_dir=self.store.job_dir(job_id)
             )
             result_path = self.store.save_result(job_id, result.to_dict())
-            manifest_path = write_run_manifest(
-                self.store.job_dir(job_id),
-                record["name"],
-                result.config,
-                result.telemetry,
-                run_extra={"checkpoint_dir": str(checkpoint_dir)},
-            )
             record = dict(
                 record,
                 state="done",

@@ -190,18 +190,13 @@ class ResultStore:
         """Write the canonical result payload; returns the path.
 
         Canonical means compact, key-sorted JSON with the per-replication
-        ``checkpoint``/``telemetry`` provenance stripped (both are
-        ``compare=False`` metadata) — so a resumed run and an
-        uninterrupted one store byte-identical results.
+        ``checkpoint`` provenance stripped (``compare=False`` metadata) —
+        so a resumed run and an uninterrupted one store byte-identical
+        results.
         """
         data = dict(payload)
-        data.pop("telemetry", None)
         data["replications"] = [
-            {
-                k: v
-                for k, v in rep.items()
-                if k not in ("checkpoint", "telemetry")
-            }
+            {k: v for k, v in rep.items() if k != "checkpoint"}
             for rep in data.get("replications", [])
         ]
         path = self.result_path(job_id)

@@ -18,8 +18,6 @@ from typing import Any, Callable, Mapping
 
 __all__ = [
     "check_probability",
-    "drift_budget_error",
-    "shards_error",
     "CHECKPOINT_VERSION",
     "SCHEMAS",
     "check",
@@ -45,38 +43,6 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
-
-
-def drift_budget_error(
-    route_cache: str | None,
-    drift_budget: int | None,
-    route_cache_label: str = "--route-cache",
-    budget_label: str = "--drift-budget",
-) -> str | None:
-    """Validate a route-cache/drift-budget pair (``None`` when fine).
-
-    A budget without the approx policy would be range-checked and then
-    silently ignored (the exact policy hardcodes budget 0) — reject it so
-    a misconfigured benchmark or scenario cannot masquerade as a
-    drift-budgeted run.  Shared by the CLI flags and the scenario schema's
-    cross-key rule; the labels parametrize the error message so each
-    surface reports in its own vocabulary.
-    """
-    if drift_budget is None:
-        return None
-    if drift_budget < 0:
-        return f"{budget_label} must be >= 0, got {drift_budget}"
-    if route_cache != "approx":
-        return f"{budget_label} requires {route_cache_label} approx"
-    return None
-
-
-def shards_error(shards: int | None, label: str = "--shards") -> str | None:
-    """Validate a shard count (``None`` when fine; ``None`` input means
-    "one stack per worker" and is always fine)."""
-    if shards is not None and shards < 1:
-        return f"{label} must be >= 1, got {shards}"
-    return None
 
 
 # -- rule vocabulary ---------------------------------------------------------
@@ -257,7 +223,9 @@ def _scenario_pairs(payload: Mapping, name: str, path: str) -> None:
     ``speed``/``pause`` need a mobility model other than ``none`` (under
     ``none`` they would be ignored yet still move the config hash, giving
     one run two content addresses), and ``drift_budget`` needs
-    ``route_cache: approx``.
+    ``route_cache: approx`` (the exact policy hardcodes budget 0, so a
+    budget there would be silently ignored and a misconfigured run could
+    masquerade as a drift-budgeted one).
     """
     overrides = payload["overrides"]
     moving = overrides.get("mobility", "none") != "none"
@@ -266,14 +234,11 @@ def _scenario_pairs(payload: Mapping, name: str, path: str) -> None:
             f"{_label(name, path)}: overrides 'speed'/'pause' require 'mobility'"
             " (a model other than 'none')"
         )
-    error = drift_budget_error(
-        overrides.get("route_cache"),
-        overrides.get("drift_budget"),
-        route_cache_label="'overrides.route_cache'",
-        budget_label="'overrides.drift_budget'",
-    )
-    if error is not None:
-        raise ValueError(f"{_label(name, path)}: {error}")
+    if "drift_budget" in overrides and overrides.get("route_cache") != "approx":
+        raise ValueError(
+            f"{_label(name, path)}: override 'drift_budget' requires"
+            " 'route_cache: approx'"
+        )
 
 
 # -- the schema table --------------------------------------------------------

@@ -125,8 +125,10 @@ class TestMobilityFlags:
             build_parser().parse_args(["run-case", "case1", "--mobility", "warp"])
 
     def test_speed_requires_mobility(self, capsys):
+        # the scenario schema's cross-key rule, in its own wording
         assert main(["run-case", "case1", "--scale", "smoke", "--speed", "0.1"]) == 2
-        assert "--speed/--pause require --mobility" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "speed" in err and "mobility" in err
 
     def test_list_shows_extension_cases(self, capsys):
         assert main(["list"]) == 0
@@ -220,7 +222,8 @@ class TestFaultToleranceFlags:
             ["run-case", "case1", "--scale", "smoke", "--shards", "0"]
         )
         assert code == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "shards" in err and ">= 1" in err
 
     def test_resume_defaults_checkpoint_dir(self, capsys, monkeypatch, tmp_path):
         """Bare --resume implies the default store; with nothing matching
@@ -312,3 +315,93 @@ class TestFaultToleranceFlags:
         assert code == 0
         assert "table8" in capsys.readouterr().out
         assert list((tmp_path / "ckpt").glob("*/rep*/gen*.json"))
+
+
+class TestOneFrontDoor:
+    """``run``, ``run-case`` and ``reproduce`` resolve a scenario and run it
+    through one executor: the same run block reaches every door, the
+    schema and resolver refuse a bad request before anything runs, and the
+    raw results document carries results only."""
+
+    def test_reproduce_honours_stacked(self, capsys, tmp_path):
+        # batch cannot stack: refused by name before the first case runs
+        code = main(
+            ["reproduce", "table5", "--scale", "smoke", "--engine", "batch",
+             "--stacked", "--processes", "1", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "does not fuse generations" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reproduce_honours_no_stacked(self, capsys, tmp_path):
+        code = main(
+            ["reproduce", "table8", "--scale", "smoke", "--engine", "fused",
+             "--processes", "1", "--no-stacked", "--telemetry",
+             "--telemetry-dir", str(tmp_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        run = json.loads((tmp_path / "case3_smoke_manifest.json").read_text())["run"]
+        assert run["stack_reason"] == "stacking disabled by request"
+        assert run["stack_width"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["case3", "--engine", "batch"], "does not fuse generations"),
+            (["case1", "--engine", "fused", "--checkpoint-dir", "{tmp}"],
+             "checkpointing"),
+            # a bare --resume checkpoints into the default store
+            (["case1", "--engine", "fused", "--resume"], "checkpointing"),
+            (["exchange_core", "--engine", "fused"], "reputation exchange"),
+        ],
+        ids=["batch", "checkpoint-dir", "bare-resume", "exchange"],
+    )
+    def test_unhonourable_stack_request_exits_2(self, capsys, tmp_path, argv, reason):
+        argv = [a.replace("{tmp}", str(tmp_path / "ckpt")) for a in argv]
+        code = main(["run-case", *argv, "--scale", "smoke", "--stacked"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'run.stacked' cannot be honoured" in err
+        assert reason in err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_unhonourable_stack_request_in_scenario_exits_2(self, capsys):
+        code = main(
+            ["run", str(REPO_ROOT / "scenarios" / "fig4_smoke.yaml"),
+             "--engine", "batch", "--stacked"]
+        )
+        assert code == 2
+        assert "does not fuse generations" in capsys.readouterr().err
+
+    def test_telemetry_results_file_is_byte_stable(self, capsys, tmp_path):
+        """Timings live in the manifest, so two telemetry runs of one config
+        write byte-equal raw results."""
+        outs = []
+        for i in range(2):
+            out = tmp_path / f"run{i}.json"
+            code = main(
+                ["run-case", "case1", "--scale", "smoke", "--processes", "1",
+                 "--telemetry", "--telemetry-dir", str(tmp_path / f"tel{i}"),
+                 "--out", str(out)]
+            )
+            assert code == 0
+            outs.append(out.read_bytes())
+            assert (tmp_path / f"tel{i}" / "case1_smoke_manifest.json").exists()
+        capsys.readouterr()
+        assert outs[0] == outs[1]
+        assert "telemetry" not in json.loads(outs[0])
+
+    def test_reproduce_and_run_case_write_equal_results(self, capsys, tmp_path):
+        rep = tmp_path / "rep"
+        assert main(
+            ["reproduce", "table8", "--scale", "smoke", "--processes", "1",
+             "--out", str(rep)]
+        ) == 0
+        assert main(
+            ["run-case", "case3", "--scale", "smoke", "--processes", "1",
+             "--out", str(tmp_path / "case3.json")]
+        ) == 0
+        capsys.readouterr()
+        (cached,) = rep.glob("case3_smoke_*.json")
+        assert cached.read_bytes() == (tmp_path / "case3.json").read_bytes()

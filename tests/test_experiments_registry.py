@@ -51,40 +51,74 @@ class TestReproductionSession:
             session.render("fig99")
 
     def test_result_for_caches(self):
-        session = ReproductionSession(scale="smoke", processes=1)
+        session = ReproductionSession(scale="smoke", run={"processes": 1})
         a = session.result_for("case1")
         b = session.result_for("case1")
         assert a is b
 
     def test_render_artefact_smoke(self):
-        session = ReproductionSession(scale="smoke", processes=1)
+        session = ReproductionSession(scale="smoke", run={"processes": 1})
         out = session.render("table5")
         assert "Table 5" in out
 
     def test_disk_cache_roundtrip(self, tmp_path):
-        session = ReproductionSession(scale="smoke", processes=1, cache_dir=tmp_path)
+        session = ReproductionSession(
+            scale="smoke", run={"processes": 1}, cache_dir=tmp_path
+        )
         first = session.result_for("case1")
         assert session.cache_path("case1").exists()
         # a fresh session loads from disk instead of re-simulating
-        session2 = ReproductionSession(scale="smoke", processes=1, cache_dir=tmp_path)
+        session2 = ReproductionSession(
+            scale="smoke", run={"processes": 1}, cache_dir=tmp_path
+        )
         second = session2.result_for("case1")
         assert second.to_dict() == first.to_dict()
 
     def test_disk_cache_is_keyed_by_engine(self, tmp_path):
         # a cached fast result must never be served to a fused session
         fast = ReproductionSession(
-            scale="smoke", engine="fast", processes=1, cache_dir=tmp_path
+            scale="smoke",
+            overrides={"engine": "fast"},
+            run={"processes": 1},
+            cache_dir=tmp_path,
         )
         fast.result_for("case1")
         fused = ReproductionSession(
-            scale="smoke", engine="fused", processes=1, cache_dir=tmp_path
+            scale="smoke",
+            overrides={"engine": "fused"},
+            run={"processes": 1},
+            cache_dir=tmp_path,
         )
         assert fused.cache_path("case1") != fast.cache_path("case1")
         assert fused.result_for("case1").config["engine"] == "fused"
 
     def test_config_for(self):
-        session = ReproductionSession(scale="smoke", seed=1, engine="reference")
+        session = ReproductionSession(
+            scale="smoke", overrides={"seed": 1, "engine": "reference"}
+        )
         cfg = session.config_for("case2")
         assert cfg.seed == 1
         assert cfg.engine == "reference"
         assert cfg.case.name == "case2"
+
+    def test_invalid_request_fails_at_resolve(self):
+        session = ReproductionSession(scale="smoke", run={"shards": 0})
+        with pytest.raises(ValueError, match="shards"):
+            session.scenario_for("case1")
+
+    def test_cases_match_run_case_scenarios(self):
+        """A session case is the scenario ``run-case`` builds from flags."""
+        from repro.scenarios import build_scenario_payload, resolve_scenario
+
+        session = ReproductionSession(
+            scale="smoke", overrides={"engine": "fused"}, run={"shards": 2}
+        )
+        resolved = session.scenario_for("case3")
+        expected = resolve_scenario(
+            build_scenario_payload(
+                "case3", "smoke", overrides={"engine": "fused"}, run={"shards": 2}
+            )
+        )
+        assert resolved.to_payload() == expected.to_payload()
+        assert resolved.config_hash() == expected.config_hash()
+        assert resolved.shards == 2

@@ -59,17 +59,17 @@ class TestResultStore:
 
     def test_result_payload_is_canonical(self, tmp_path):
         store = ResultStore(tmp_path)
+        # ExperimentResult.to_dict()'s shape: results plus the
+        # per-replication checkpoint provenance, which is stripped
         payload = {
+            "replications": [{"history": [1, 2], "checkpoint": {"x": 1}}],
             "config": {"case": "case1"},
-            "telemetry": {"wall_s": 1.0},
-            "replications": [
-                {"history": [1, 2], "checkpoint": {"x": 1}, "telemetry": {}}
-            ],
         }
-        store.save_result("c" * 64, payload)
-        loaded = store.load_result("c" * 64)
-        assert "telemetry" not in loaded
-        assert loaded["replications"] == [{"history": [1, 2]}]
+        path = store.save_result("c" * 64, payload)
+        assert path.read_text() == (
+            '{"config":{"case":"case1"},"replications":[{"history":[1,2]}]}'
+        )
+        assert store.load_result("c" * 64)["replications"] == [{"history": [1, 2]}]
 
 
 class TestDoneResultReconciliation:
@@ -277,6 +277,17 @@ class TestJobRunnerLifecycle:
         payload = smoke_payload()
         payload["overrides"]["seed"] = -1
         with pytest.raises(ValueError, match="seed"):
+            runner.submit(payload)
+        assert runner.store.list_records() == []
+
+    def test_unhonourable_stack_request_is_rejected_at_submit(self, tmp_path):
+        """The resolver refuses a stack the engine cannot run, by name,
+        before a job exists (the HTTP surface answers 400)."""
+        runner = JobRunner(tmp_path)
+        payload = build_scenario_payload(
+            "case1", "smoke", overrides={"engine": "batch"}, run={"stacked": True}
+        )
+        with pytest.raises(ValueError, match="does not fuse generations"):
             runner.submit(payload)
         assert runner.store.list_records() == []
 

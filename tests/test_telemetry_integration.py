@@ -156,16 +156,23 @@ class TestNeutrality:
 
 
 class TestPersistence:
-    def test_experiment_result_round_trips_telemetry(self, smoke_result, tmp_path):
+    def test_saved_result_carries_results_only(self, smoke_result, tmp_path):
+        """The telemetry block lives in the run manifest, not the raw
+        results document, so a reload has results and no timings."""
+        import json
+
         path = smoke_result.save(tmp_path / "case1.json")
+        assert "telemetry" not in json.loads(path.read_text())
         loaded = ExperimentResult.load(path)
-        assert loaded.telemetry == smoke_result.telemetry
+        assert loaded.telemetry is None
+        assert loaded.to_dict() == smoke_result.to_dict()
+        assert loaded == smoke_result
 
     def test_session_writes_validated_manifest(self, tmp_path):
         session = ReproductionSession(
             scale="smoke",
-            processes=1,
-            telemetry=True,
+            overrides={"telemetry": True},
+            run={"processes": 1},
             telemetry_dir=tmp_path,
         )
         session.result_for("case1")
@@ -182,8 +189,28 @@ class TestPersistence:
 
     def test_session_without_telemetry_writes_nothing(self, tmp_path):
         session = ReproductionSession(
-            scale="smoke", processes=1, telemetry_dir=tmp_path
+            scale="smoke", run={"processes": 1}, telemetry_dir=tmp_path
         )
         session.result_for("case1")
         assert session.manifests == {}
         assert list(tmp_path.iterdir()) == []
+
+    def test_session_cache_hit_writes_no_manifest(self, tmp_path):
+        """Nothing runs on a cache hit, so there is nothing to report."""
+
+        def session(telemetry_dir):
+            return ReproductionSession(
+                scale="smoke",
+                overrides={"telemetry": True},
+                run={"processes": 1},
+                cache_dir=tmp_path / "cache",
+                telemetry_dir=telemetry_dir,
+            )
+
+        fresh = session(tmp_path / "fresh")
+        fresh.result_for("case1")
+        assert set(fresh.manifests) == {"case1"}
+        hit = session(tmp_path / "hit")
+        assert hit.result_for("case1") == fresh.result_for("case1")
+        assert hit.manifests == {}
+        assert not (tmp_path / "hit").exists()

@@ -87,7 +87,7 @@ class TestConfigHash:
         engines = {
             ExperimentConfig(case=get_case("case4")).engine,
             build_parser().parse_args(["run-case", "case4"]).engine,
-            ReproductionSession().engine,
+            ReproductionSession().config_for("case4").engine,
             resolve_scenario(load_scenario(scenario)).config.engine,
         }
         assert engines == {"batch"}

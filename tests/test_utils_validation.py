@@ -114,42 +114,64 @@ class TestCheckpointManifestSchema:
             validate_checkpoint_manifest(payload)
 
 
-class TestFlagValidators:
-    """drift_budget_error / shards_error — shared by CLI, scenarios, service."""
+class TestScenarioRunRules:
+    """The drift-budget and shard rules the CLI flags, scenario files and
+    service submissions share: rows of the ``scenario`` schema."""
 
-    def test_drift_budget_none_is_fine(self):
-        from repro.utils.validation import drift_budget_error
+    @staticmethod
+    def scenario(overrides=None, run=None) -> dict:
+        return {
+            "scenario_version": 1,
+            "name": "t",
+            "description": "",
+            "case": "case1",
+            "scale": "smoke",
+            "overrides": overrides or {},
+            "run": run or {},
+        }
 
-        assert drift_budget_error(None, None) is None
-        assert drift_budget_error("approx", None) is None
-        assert drift_budget_error("approx", 8) is None
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"route_cache": "approx"}, {"route_cache": "approx", "drift_budget": 8}],
+    )
+    def test_drift_budget_accepted(self, overrides):
+        from repro.utils.validation import validate_scenario
 
-    def test_drift_budget_requires_approx(self):
-        from repro.utils.validation import drift_budget_error
+        validate_scenario(self.scenario(overrides))
 
-        assert "requires --route-cache approx" in drift_budget_error(None, 8)
-        assert "requires --route-cache approx" in drift_budget_error("exact", 8)
+    @pytest.mark.parametrize(
+        "overrides", [{"drift_budget": 8}, {"route_cache": "exact", "drift_budget": 8}]
+    )
+    def test_drift_budget_requires_approx(self, overrides):
+        from repro.utils.validation import validate_scenario
+
+        with pytest.raises(
+            ValueError, match=re.escape("'drift_budget' requires 'route_cache: approx'")
+        ):
+            validate_scenario(self.scenario(overrides))
 
     def test_drift_budget_range(self):
-        from repro.utils.validation import drift_budget_error
+        from repro.utils.validation import validate_scenario
 
-        assert ">= 0" in drift_budget_error("approx", -1)
+        scenario = self.scenario({"route_cache": "approx", "drift_budget": -1})
+        message = "'overrides.drift_budget' must be an integer >= 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_scenario(scenario)
 
-    def test_drift_budget_custom_labels(self):
-        from repro.utils.validation import drift_budget_error
+    @pytest.mark.parametrize("shards", [None, 1, 4])
+    def test_shards_accepted(self, shards):
+        from repro.utils.validation import validate_scenario
 
-        message = drift_budget_error(
-            None, 8, route_cache_label="'route_cache':", budget_label="'drift_budget'"
-        )
-        assert message == "'drift_budget' requires 'route_cache': approx"
+        validate_scenario(self.scenario(run={"shards": shards}))
 
-    def test_shards_error(self):
-        from repro.utils.validation import shards_error
+    @pytest.mark.parametrize("shards", [0, -1, 1.5, True])
+    def test_shards_must_be_positive(self, shards):
+        from repro.utils.validation import validate_scenario
 
-        assert shards_error(None) is None
-        assert shards_error(1) is None
-        assert "--shards must be >= 1, got 0" == shards_error(0)
-        assert "shards=" in shards_error(0, label="shards=")
+        with pytest.raises(
+            ValueError, match=re.escape("'run.shards' must be an integer >= 1")
+        ):
+            validate_scenario(self.scenario(run={"shards": shards}))
 
 
 class TestJobRecordSchema:
