@@ -57,6 +57,14 @@ every tournament's games through one core call over per-tournament pools,
 while routed/fallback oracles are planned tournament by tournament (so the
 topology clock and slot cache advance exactly as the sequential generation
 loop drives them) and interleaved into the stacked layout.
+
+Every plan is *ragged*: candidate paths are CSR segments of one flat array
+of real hops (:class:`GamePlanArrays`), never rows padded to the plan's
+longest path.  The samplers write only real hops, the weave and the
+replication stacking concatenate whole runs of games' hops, and the fused
+engine's per-round and end-of-plan passes cost O(real hops) — the paper's
+"shorter" paths average under three intermediates against a longest path
+of seven.
 """
 
 from __future__ import annotations
@@ -78,11 +86,16 @@ __all__ = [
 
 @dataclass
 class GamePlanArrays:
-    """A whole tournament's game setups as padded struct-of-arrays.
+    """A whole tournament's game setups as a ragged struct-of-arrays.
 
-    ``path_nodes`` rows hold the intermediates of one candidate path in
-    forwarding order, right-padded with ``-1``; paths of game ``g`` occupy
-    rows ``game_path_start[g]:game_path_start[g + 1]`` in candidate order.
+    Three nested ranges, CSR style: game ``g`` owns the candidate-path rows
+    ``game_path_start[g]:game_path_start[g + 1]`` (in candidate order), and
+    path row ``p`` owns the flat hop slots
+    ``path_start[p]:path_start[p + 1]`` (``path_len[p]`` of them) of
+    ``hop_nodes``, its intermediates in forwarding order.  Only real hops
+    are stored: there is no padding, so every array is as long as the
+    count it describes, and the hops of one game (or of any run of
+    consecutive games) form one contiguous slice of ``hop_nodes``.
     """
 
     n_games: int
@@ -92,17 +105,46 @@ class GamePlanArrays:
     game_path_start: np.ndarray  # (G + 1,) int64 — path-row ranges per game
     path_game: np.ndarray  # (P,) int64 — owning game of each path row
     path_col: np.ndarray  # (P,) int64 — candidate index within the game
-    path_nodes: np.ndarray  # (P, H) int64 — intermediates, -1 padded
-    path_len: np.ndarray  # (P,) int64 — intermediates per path
+    path_start: np.ndarray  # (P + 1,) int64 — hop ranges per path row
+    path_len: np.ndarray  # (P,) int64 — intermediates per path (>= 1)
+    hop_nodes: np.ndarray  # (path_start[-1],) int64 — intermediates, flat
     max_paths: int  # max candidates in any game (column count for ratings)
 
     def paths_of(self, game: int) -> list[list[int]]:
         """The candidate paths of one game as plain lists (replay kernel)."""
         lo, hi = self.game_path_start[game], self.game_path_start[game + 1]
-        return [
-            row[: self.path_len[p]].tolist()
-            for p, row in zip(range(lo, hi), self.path_nodes[lo:hi])
-        ]
+        return split_hops(
+            self.hop_nodes[self.path_start[lo] : self.path_start[hi]].tolist(),
+            self.path_len[lo:hi].tolist(),
+        )
+
+
+def split_hops(hops: list[int], lens: list[int]) -> list[list[int]]:
+    """Cut a flat list of consecutive paths' hops into one list per path."""
+    out = []
+    pos = 0
+    for n in lens:
+        out.append(hops[pos : pos + n])
+        pos += n
+    return out
+
+
+def segment_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The flat positions ``starts[i] .. starts[i] + lens[i] - 1`` of every
+    segment ``i``, concatenated in segment order — the gather index of a
+    ragged selection."""
+    offs = np.cumsum(lens)
+    offs -= lens
+    idx = np.repeat(starts - offs, lens)
+    idx += np.arange(idx.size)
+    return idx
+
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """CSR offsets ``(len(lens) + 1,)`` of consecutive segments."""
+    out = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return out
 
 
 def plan_tournament_arrays(
@@ -137,7 +179,7 @@ def _is_routed_oracle(oracle) -> bool:
 
 
 def _arrays_from_plan(plan) -> GamePlanArrays:
-    """Pack a sequential :func:`plan_games` plan into padded arrays."""
+    """Pack a sequential :func:`plan_games` plan into ragged arrays."""
     n_games = len(plan)
     src = np.empty(n_games, dtype=np.int64)
     dst = np.empty(n_games, dtype=np.int64)
@@ -152,12 +194,19 @@ def _arrays_from_plan(plan) -> GamePlanArrays:
     path_len = np.fromiter(
         (len(p) for p in flat_paths), dtype=np.int64, count=total
     )
-    max_len = int(path_len.max()) if total else 1
-    path_nodes = np.full((total, max_len), -1, dtype=np.int64)
-    for row, path in enumerate(flat_paths):
-        path_nodes[row, : len(path)] = path
-    game_path_start = np.zeros(n_games + 1, dtype=np.int64)
-    np.cumsum(n_paths, out=game_path_start[1:])
+    if total and int(path_len.min()) < 1:
+        # a path segment of the flat layout must hold at least one hop
+        raise ValueError(
+            "the fused planner needs at least one intermediate on every"
+            " candidate path"
+        )
+    path_start = _offsets(path_len)
+    hop_nodes = np.fromiter(
+        (node for path in flat_paths for node in path),
+        dtype=np.int64,
+        count=int(path_start[-1]),
+    )
+    game_path_start = _offsets(n_paths)
     path_game = np.repeat(np.arange(n_games, dtype=np.int64), n_paths)
     path_col = np.arange(total, dtype=np.int64) - game_path_start[path_game]
     return GamePlanArrays(
@@ -168,8 +217,9 @@ def _arrays_from_plan(plan) -> GamePlanArrays:
         game_path_start=game_path_start,
         path_game=path_game,
         path_col=path_col,
-        path_nodes=path_nodes,
+        path_start=path_start,
         path_len=path_len,
+        hop_nodes=hop_nodes,
         max_paths=int(n_paths.max()) if n_games else 0,
     )
 
@@ -230,9 +280,11 @@ class _RoutedSlotCache:
         "slot_of_obj",
         "packed_count",
         "n_rows",
+        "n_hops",
         "_n_paths",
         "_row_start",
-        "_rows",
+        "_hop_start",
+        "_hops",
         "_path_len",
         "resolves",
         "rejects",
@@ -254,12 +306,14 @@ class _RoutedSlotCache:
         self.slots: list[Sequence[Sequence[int]]] = []
         self.slot_of_obj: dict[int, int] = {}
         # packed arrays grow append-only with amortized-doubling capacity;
-        # the first packed_count slots / n_rows rows are valid
+        # the first packed_count slots / n_rows rows / n_hops hops are valid
         self.packed_count = 0
         self.n_rows = 0
+        self.n_hops = 0
         self._n_paths = np.empty(64, dtype=np.int64)
         self._row_start = np.zeros(65, dtype=np.int64)
-        self._rows = np.full((256, 4), -1, dtype=np.int64)
+        self._hop_start = np.zeros(257, dtype=np.int64)
+        self._hops = np.empty(1024, dtype=np.int64)
         self._path_len = np.empty(256, dtype=np.int64)
 
     def invalidate(self, epoch: int, steps: int) -> None:
@@ -277,68 +331,61 @@ class _RoutedSlotCache:
         self.invalidations += 1
 
     def packed_slots(self) -> tuple:
-        """(n_paths, row_start, rows, path_len) arrays over all slots.
+        """(n_paths, row_start, hop_start, hops, path_len) over all slots.
 
-        Incremental: only slots appended since the last call are packed, so
-        a stable slot population (static topology, warm caches) pays
-        nothing here.
+        Slot ``i`` owns rows ``row_start[i]:row_start[i + 1]``, row ``p``
+        the hops ``hops[hop_start[p]:hop_start[p + 1]]``.  Incremental:
+        only slots appended since the last call are packed, so a stable
+        slot population (static topology, warm caches) pays nothing here.
         """
         slots = self.slots
         n_slots = len(slots)
         if self.packed_count < n_slots:
-            new_rows = sum(len(slots[i]) for i in range(self.packed_count, n_slots))
-            self._reserve(n_slots, self.n_rows + new_rows)
+            new = [slots[i] for i in range(self.packed_count, n_slots)]
+            new_rows = sum(len(paths) for paths in new)
+            new_hops = sum(len(p) for paths in new for p in paths)
+            self._reserve(n_slots, self.n_rows + new_rows, self.n_hops + new_hops)
             row = self.n_rows
-            rows_buf = self._rows
-            len_buf = self._path_len
-            for i in range(self.packed_count, n_slots):
-                paths = slots[i]
+            hop = self.n_hops
+            hops_buf = self._hops
+            for i, paths in enumerate(new, self.packed_count):
                 self._n_paths[i] = len(paths)
                 self._row_start[i + 1] = row + len(paths)
                 for path in paths:
-                    len_buf[row] = len(path)
-                    rows_buf[row, : len(path)] = path
+                    k = len(path)
+                    self._path_len[row] = k
+                    hops_buf[hop : hop + k] = path
+                    hop += k
                     row += 1
+                    self._hop_start[row] = hop
             self.packed_count = n_slots
             self.n_rows = row
+            self.n_hops = hop
         return (
             self._n_paths[:n_slots],
             self._row_start[: n_slots + 1],
-            self._rows[: self.n_rows],
+            self._hop_start[: self.n_rows + 1],
+            self._hops[: self.n_hops],
             self._path_len[: self.n_rows],
         )
 
-    def _reserve(self, n_slots: int, n_rows: int) -> None:
-        """Grow the packed buffers (doubling) to hold the new slots/rows."""
-        if n_slots > self._n_paths.shape[0]:
-            cap = max(2 * self._n_paths.shape[0], n_slots)
-            self._n_paths = np.concatenate(
-                [self._n_paths, np.empty(cap - self._n_paths.shape[0], np.int64)]
-            )
-            grown = np.zeros(cap + 1, dtype=np.int64)
-            grown[: self._row_start.shape[0]] = self._row_start
-            self._row_start = grown
-        width = max(
-            (
-                len(p)
-                for i in range(self.packed_count, n_slots)
-                for p in self.slots[i]
-            ),
-            default=0,
-        )
-        old_rows, old_width = self._rows.shape
-        new_width = max(old_width, width)
-        if n_rows > old_rows or new_width > old_width:
-            cap = max(2 * old_rows, n_rows)
-            rows = np.full((cap, new_width), -1, dtype=np.int64)
-            rows[: self.n_rows, :old_width] = self._rows[: self.n_rows]
-            self._rows = rows
-            self._path_len = np.concatenate(
-                [
-                    self._path_len,
-                    np.empty(cap - self._path_len.shape[0], np.int64),
-                ]
-            )
+    def _reserve(self, n_slots: int, n_rows: int, n_hops: int) -> None:
+        """Grow the packed buffers (doubling) to hold the new slots/rows/hops."""
+        self._n_paths = _grown(self._n_paths, n_slots)
+        self._row_start = _grown(self._row_start, n_slots + 1)
+        self._path_len = _grown(self._path_len, n_rows)
+        self._hop_start = _grown(self._hop_start, n_rows + 1)
+        self._hops = _grown(self._hops, n_hops)
+
+
+def _grown(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf`` if it holds ``size`` items, else a copy with doubled capacity
+    (at least ``size``) and the old contents in front."""
+    if size <= buf.shape[0]:
+        return buf
+    out = np.zeros(max(2 * buf.shape[0], size), dtype=buf.dtype)
+    out[: buf.shape[0]] = buf
+    return out
 
 
 def _slot_cache_for(oracle, provider, m1: int) -> _RoutedSlotCache:
@@ -471,18 +518,23 @@ def _arrays_from_slots(
 
     The per-path Python work is proportional to the number of *distinct*
     candidate-path sets (and amortizes to zero while the slot cache is
-    stable): each slot is packed once and every game gathers its rows with
-    one fancy index.
+    stable): each slot is packed once, and every game gathers its rows and
+    its one contiguous run of hops by index.
     """
     n_games = len(src)
-    slot_n_paths, slot_row_start, slot_rows, slot_path_len = cache.packed_slots()
+    slot_n_paths, slot_row_start, slot_hop_start, slot_hops, slot_path_len = (
+        cache.packed_slots()
+    )
     n_paths = slot_n_paths[game_slot] if n_games else np.zeros(0, dtype=np.int64)
-    game_path_start = np.zeros(n_games + 1, dtype=np.int64)
-    np.cumsum(n_paths, out=game_path_start[1:])
+    game_path_start = _offsets(n_paths)
     total = int(game_path_start[-1])
     path_game = np.repeat(np.arange(n_games, dtype=np.int64), n_paths)
     path_col = np.arange(total, dtype=np.int64) - game_path_start[path_game]
-    row_idx = slot_row_start[game_slot[path_game]] + path_col
+    first_row = slot_row_start[game_slot]
+    path_len = slot_path_len[first_row[path_game] + path_col]
+    # a slot's rows, hence its hops, are contiguous in the cache
+    hop_lo = slot_hop_start[first_row]
+    game_hops = slot_hop_start[slot_row_start[game_slot + 1]] - hop_lo
     return GamePlanArrays(
         n_games=n_games,
         src=src,
@@ -491,8 +543,9 @@ def _arrays_from_slots(
         game_path_start=game_path_start,
         path_game=path_game,
         path_col=path_col,
-        path_nodes=slot_rows[row_idx],
-        path_len=slot_path_len[row_idx],
+        path_start=_offsets(path_len),
+        path_len=path_len,
+        hop_nodes=slot_hops[segment_index(hop_lo, game_hops)],
         max_paths=int(n_paths.max()) if n_games else 0,
     )
 
@@ -551,23 +604,30 @@ def _random_arrays_core(
     hop_values = np.asarray(gen.hop_distribution.dist.values, dtype=np.int64)
     hop_cum = np.asarray(gen.hop_distribution.dist.cumulative)
     u = rng.random((n_games, 2))
-    hops = hop_values[np.searchsorted(hop_cum, u[:, 0], side="right")]
+    hop_idx = np.searchsorted(hop_cum, u[:, 0], side="right")
+    hops = hop_values[hop_idx]
     pool_size = n_others - 1  # others minus the destination
     k = np.minimum(hops - 1, pool_size)
     if (k < 1).any():
         raise ValueError("participant pool too small for any path")
-    n_paths = np.empty(n_games, dtype=np.int64)
-    for hv in np.unique(hops):
-        dist = gen.count_distribution.distribution_for(int(hv))
-        rows = hops == hv
-        idx = np.searchsorted(
-            np.asarray(dist.cumulative), u[rows, 1], side="right"
-        )
-        n_paths[rows] = np.asarray(dist.values, dtype=np.int64)[idx]
+    # the count pmf of every drawn hop value as one table row; a right
+    # bisection is the number of cumulative entries <= u (the +inf padding
+    # never counts), so one comparison pass does every game's lookup
+    drawn = np.flatnonzero(np.bincount(hop_idx, minlength=hop_values.size))
+    rows = [
+        gen.count_distribution.distribution_for(int(hop_values[h])) for h in drawn
+    ]
+    width = max(len(d.values) for d in rows)
+    cum_table = np.full((hop_values.size, width), np.inf)
+    value_table = np.zeros((hop_values.size, width), dtype=np.int64)
+    for h, dist in zip(drawn, rows):
+        cum_table[h, : len(dist.values)] = dist.cumulative
+        value_table[h, : len(dist.values)] = dist.values
+    count_idx = (cum_table[hop_idx] <= u[:, 1:]).sum(axis=1)
+    n_paths = value_table[hop_idx, count_idx]
 
     total = int(n_paths.sum())
-    game_path_start = np.zeros(n_games + 1, dtype=np.int64)
-    np.cumsum(n_paths, out=game_path_start[1:])
+    game_path_start = _offsets(n_paths)
     path_game = np.repeat(np.arange(n_games, dtype=np.int64), n_paths)
     path_col = np.arange(total, dtype=np.int64) - game_path_start[path_game]
 
@@ -585,25 +645,32 @@ def _random_arrays_core(
     # shuffling at step ``i`` a contiguous prefix (swaps past a path's own
     # k are dead — never read — so skipping them changes nothing).
     k_path = k[path_game]
+    path_start = _offsets(k_path)
     k_max = int(k_path.max())
     us = rng.random((total, k_max))
-    order = np.argsort(-k_path, kind="stable")
+    # stable, k descending: an ascending sort of k_max - k in the smallest
+    # dtype that holds it (a byte-wide key sorts by radix)
+    key = (k_max - k_path).astype(np.min_scalar_type(k_max))
+    order = np.argsort(key, kind="stable")
     alive = total - np.cumsum(np.bincount(k_path, minlength=k_max + 1))
-    row_base = src_rows[path_game][order] * n_others
+    game_o = path_game[order]
+    row_base = src_rows[game_o] * n_others
     flat = others.ravel()
-    dest_pos = pos_in_others[src_rows, dst][path_game][order]
+    dest_pos = pos_in_others[src_rows, dst][game_o]
     # the destination's slot is overwritten by the (otherwise dead) last
     # pool element before the shuffle, exactly as sample_distinct excludes
     # the destination from the candidate pool
     last = flat[row_base + pool_size]
-    us = us[order]
+    # step i writes hop i of every path still shuffling, so every real hop
+    # slot is written exactly once
+    hop_base = path_start[:-1][order]
 
-    path_nodes = np.empty((total, k_max), dtype=np.int64)
+    hop_nodes = np.empty(int(path_start[-1]), dtype=np.int64)
     j_cols: list[np.ndarray] = []
     disp: list[np.ndarray] = []
     for i in range(k_max):
         a = int(alive[i])  # rows with k > i: a prefix, by construction
-        j_i = i + (us[:a, i] * (pool_size - i)).astype(np.int64)
+        j_i = i + (us[order[:a], i] * (pool_size - i)).astype(np.int64)
         base = row_base[:a]
         held = np.where(dest_pos[:a] == i, last[:a], flat[base + i])
         drawn = np.where(j_i == dest_pos[:a], last[:a], flat[base + j_i])
@@ -613,8 +680,7 @@ def _random_arrays_core(
             np.copyto(drawn, disp[prior][:a], where=j_prior == j_i)
         j_cols.append(j_i)
         disp.append(held)
-        path_nodes[order[:a], i] = drawn
-    path_nodes[np.arange(k_max)[None, :] >= k_path[:, None]] = -1
+        hop_nodes[hop_base[:a] + i] = drawn
 
     return GamePlanArrays(
         n_games=n_games,
@@ -624,8 +690,9 @@ def _random_arrays_core(
         game_path_start=game_path_start,
         path_game=path_game,
         path_col=path_col,
-        path_nodes=path_nodes,
+        path_start=path_start,
         path_len=k_path,
+        hop_nodes=hop_nodes,
         max_paths=int(n_paths.max()),
     )
 
@@ -721,86 +788,55 @@ def _sample_random_stacked(
 
 
 def _interleave_plans(
-    plans: list[GamePlanArrays], rounds: int, n: int
+    plans: list[GamePlanArrays],
+    rounds: int,
+    n: int,
+    id_offsets: Sequence[int] | None = None,
 ) -> GamePlanArrays:
     """Weave per-tournament plans into the stacked round-major layout.
 
     Tournament ``t``'s local game ``r * n + k`` becomes stacked game
-    ``r * (T * n) + t * n + k``; path rows are gathered so each game's
-    candidates stay contiguous and in candidate order.
+    ``r * (T * n) + t * n + k``.  A (round, tournament) block of games owns
+    one contiguous run of path rows and one of hops in its plan, so the
+    weave concatenates whole runs; each game's candidates stay contiguous
+    and in candidate order.  With ``id_offsets``, plan ``t``'s node ids
+    (sources, destinations, hops) are shifted by ``id_offsets[t]`` on the
+    way in.
     """
-    n_tournaments = len(plans)
-    slate = n_tournaments * n
-    n_games = rounds * slate
-    src = np.empty(n_games, dtype=np.int64)
-    dst = np.empty(n_games, dtype=np.int64)
-    n_paths = np.empty(n_games, dtype=np.int64)
-    # each game's first path row in the concatenated per-plan row space
-    first_row_old = np.empty(n_games, dtype=np.int64)
-    width = max(int(p.path_nodes.shape[1]) for p in plans) if plans else 1
-    old_nodes = []
-    old_len = []
-    row_offset = 0
-    seat_cols = np.arange(n, dtype=np.int64)
-    round_rows = np.arange(rounds, dtype=np.int64) * slate
-    for t, plan in enumerate(plans):
-        idx = (round_rows[:, None] + t * n + seat_cols[None, :]).reshape(-1)
-        src[idx] = plan.src
-        dst[idx] = plan.dst
-        n_paths[idx] = plan.n_paths
-        first_row_old[idx] = row_offset + plan.game_path_start[:-1]
-        nodes = plan.path_nodes
-        if nodes.shape[1] < width:
-            pad = np.full(
-                (nodes.shape[0], width - nodes.shape[1]), -1, dtype=np.int64
-            )
-            nodes = np.concatenate([nodes, pad], axis=1)
-        old_nodes.append(nodes)
-        old_len.append(plan.path_len)
-        row_offset += nodes.shape[0]
-    all_nodes = np.concatenate(old_nodes)
-    all_len = np.concatenate(old_len)
-    game_path_start = np.zeros(n_games + 1, dtype=np.int64)
-    np.cumsum(n_paths, out=game_path_start[1:])
-    total = int(game_path_start[-1])
-    path_game = np.repeat(np.arange(n_games, dtype=np.int64), n_paths)
-    path_col = np.arange(total, dtype=np.int64) - game_path_start[path_game]
-    row_idx = first_row_old[path_game] + path_col
+    shifts = list(id_offsets) if id_offsets is not None else [0] * len(plans)
+
+    def weave(arrays: list[np.ndarray]) -> np.ndarray:
+        # per-game arrays: (rounds, n) per plan -> (rounds, T, n)
+        return np.stack([a.reshape(rounds, n) for a in arrays], axis=1).reshape(-1)
+
+    src = weave([p.src + shift for p, shift in zip(plans, shifts)])
+    dst = weave([p.dst + shift for p, shift in zip(plans, shifts)])
+    n_paths = weave([p.n_paths for p in plans])
+    hops = [p.hop_nodes + shift for p, shift in zip(plans, shifts)]
+    row_cuts = [p.game_path_start[::n] for p in plans]
+    hop_cuts = [p.path_start[cuts].tolist() for p, cuts in zip(plans, row_cuts)]
+    row_cuts = [cuts.tolist() for cuts in row_cuts]
+    lens, cols, runs = [], [], []
+    for r in range(rounds):
+        for t, plan in enumerate(plans):
+            r0, r1 = row_cuts[t][r], row_cuts[t][r + 1]
+            lens.append(plan.path_len[r0:r1])
+            cols.append(plan.path_col[r0:r1])
+            runs.append(hops[t][hop_cuts[t][r] : hop_cuts[t][r + 1]])
+    path_len = np.concatenate(lens)
+    n_games = src.size
     return GamePlanArrays(
         n_games=n_games,
         src=src,
         dst=dst,
         n_paths=n_paths,
-        game_path_start=game_path_start,
-        path_game=path_game,
-        path_col=path_col,
-        path_nodes=all_nodes[row_idx],
-        path_len=all_len[row_idx],
+        game_path_start=_offsets(n_paths),
+        path_game=np.repeat(np.arange(n_games, dtype=np.int64), n_paths),
+        path_col=np.concatenate(cols),
+        path_start=_offsets(path_len),
+        path_len=path_len,
+        hop_nodes=np.concatenate(runs),
         max_paths=int(n_paths.max()) if n_games else 0,
-    )
-
-
-def _offset_plan_ids(plan: GamePlanArrays, offset: int) -> GamePlanArrays:
-    """A copy of ``plan`` with every node id shifted by ``offset``.
-
-    ``path_nodes`` padding (``-1``) is preserved; all other arrays are
-    shared with the original (they carry positions, not ids).
-    """
-    if offset == 0:
-        return plan
-    nodes = plan.path_nodes + offset
-    nodes[plan.path_nodes < 0] = -1
-    return GamePlanArrays(
-        n_games=plan.n_games,
-        src=plan.src + offset,
-        dst=plan.dst + offset,
-        n_paths=plan.n_paths,
-        game_path_start=plan.game_path_start,
-        path_game=plan.path_game,
-        path_col=plan.path_col,
-        path_nodes=nodes,
-        path_len=plan.path_len,
-        max_paths=plan.max_paths,
     )
 
 
@@ -820,7 +856,8 @@ def stack_replication_plans(
     replications can never name the same node).
 
     Structurally each replication is "one very wide tournament" of ``S``
-    seats, so the weave is exactly :func:`_interleave_plans`.
+    seats, so the weave is exactly :func:`_interleave_plans`, which adds
+    each block offset while it concatenates the hops for its one gather.
     """
     if not plans:
         raise ValueError("need at least one replication plan")
@@ -836,5 +873,6 @@ def stack_replication_plans(
     if len(plans) == 1:
         return plans[0]  # one replication already sits in block 0
     slate = n_games // rounds
-    shifted = [_offset_plan_ids(p, r * block) for r, p in enumerate(plans)]
-    return _interleave_plans(shifted, rounds, slate)
+    return _interleave_plans(
+        list(plans), rounds, slate, [r * block for r in range(len(plans))]
+    )

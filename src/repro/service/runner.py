@@ -70,6 +70,20 @@ class JobRunner:
         :class:`ValueError` for an invalid or unresolvable scenario.
         """
         resolved = resolve_scenario(payload)
+        if resolved.stacked:
+            # the job policy (see _execute) always checkpoints, and a
+            # checkpointing run cannot stack: refuse before anything queues
+            from repro.experiments.replication import stacked_unsupported_reason
+
+            reason = stacked_unsupported_reason(
+                resolved.config,
+                checkpoint_dir=resolved.checkpoint_dir or self.store.checkpoint_dir,
+            )
+            if reason is not None:
+                raise ValueError(
+                    f"{resolved.name}: 'run.stacked' cannot be honoured by a"
+                    f" job: {reason}"
+                )
         job_id = resolved.config_hash()
         with self._lock:
             self.counters["submitted"] += 1
@@ -150,8 +164,8 @@ class JobRunner:
             # the job policy: telemetry on (hash-excluded and result-neutral,
             # so every job gets a manifest), checkpoints in the shared store
             # unless the scenario names one, and always resume.  An explicit
-            # stacked request therefore fails loudly here (a checkpointing
-            # stack is refused) instead of being silently dropped
+            # stacked request never gets here: submit refuses it, since a
+            # checkpointing run cannot stack
             resolved = replace(
                 resolved,
                 config=resolved.config.with_(telemetry=TelemetryConfig(enabled=True)),

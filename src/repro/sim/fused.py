@@ -101,7 +101,7 @@ statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
   ever read or write another replication's cells — every kernel op
   (gather, commit scatter, scalar replay) decomposes block-diagonally.
 * The conflict walk scopes pair codes per ``(replication, tournament)``
-  (the plan context's ``scope``), reproducing the per-tournament walk
+  (the plan context's ``pair_off``), reproducing the per-tournament walk
   inside each replication's slate slice.
 * ``commit`` updates ``known``/``pf_sum`` only on the rows its pairs touch,
   and a replication's pairs only name cells of its own block, so each
@@ -125,17 +125,29 @@ Implementation shape
 Per-op numpy dispatch dominates at round granularity, so the engine splits
 work by *when its inputs bind*:
 
-* bound at plan time — decision/rating gather indices, CSN masks, strategy
-  row bases — is precomputed once per plan (:class:`_PlanContext`);
+* bound at plan time — rating cells, CSN masks, conflict-walk scopes — is
+  precomputed once per plan (:class:`_PlanContext`);
 * bound at round start — reputation-dependent ratings, decisions, watchdog
   writes — runs in the per-round vectorized pass;
 * bound at nothing (payoff accumulators, statistics counters: dead state
   until the plan ends) is buffered per round and folded in one vectorized
   pass per plan.
 
-Each per-round cost grows with the cells the round touches, not with the
-padding of the plan arrays:
+Every layer runs on the plan's *ragged* hop layout
+(:class:`~repro.paths.vector.GamePlanArrays`): one flat array of real hops,
+path ``p`` the segment ``path_start[p]:path_start[p + 1]``, a game's
+candidates one contiguous run of segments.  Nothing is padded to the
+plan's longest path, so each cost grows with the real hops and cells a
+round touches:
 
+* **Rating.**  The context keeps one rating cell per plan hop; a round
+  rates its paths' contiguous run of hops with one segmented product
+  (``rate_paths``), left to right per path as the padded row product was.
+* **Decision.**  The chosen paths' hops are gathered back to back and
+  ``decide`` votes per hop, then finds each game's first discard per
+  segment: ``n_dec`` hops decide, and ``success`` means none discarded.
+  A decided hop's forward vote follows from those two (all but a dropped
+  packet's last decider forwarded), so no vote is buffered.
 * **Commit.**  :func:`watchdog_pairs` lists only the real watchdog writes
   of the speculated games — (observer, subject) pairs in game-major order,
   observers the source and the first ``n_upd`` deciders, subjects the
@@ -145,15 +157,19 @@ padding of the plan arrays:
 * **Replay.**  A conflicted game is replayed by the kernel's
   ``replay_decide`` / ``watchdog`` ops as plain Python over flat
   memoryviews of the live state (built once per state bundle), with its
-  candidate paths as lists from one ``tolist`` per batch of replays, so a
-  replay pays no numpy scalar boxing.
-* **Fold.**  The end-of-plan fold gathers over the ``np.nonzero`` of the
-  kept games' decided hops once, in row-major order, so its weighted
-  ``bincount`` sums add in the same order as the masked version did.
+  candidate paths as lists cut from one ``tolist`` of the replayed games'
+  hops, so a replay pays no numpy scalar boxing.
+* **Fold.**  Per game the plan buffers ``chosen``/``n_dec``/``success``/
+  ``keep``, per plan hop the trust level a decision was paid at (a
+  re-chosen path owns other hop slots, so nothing is reset).  The fold
+  walks the kept games' first ``n_dec`` hop slots in game order, then hop
+  order, so its weighted ``bincount`` sums add in the order the sequential
+  and padded passes did.
 
-Every path oracle is supported; non-random oracles (topology, mobile,
-scripted) are planned through the sequential :func:`plan_games` path and
-only the game loop is speculated.
+Every path oracle is supported: random and route-table oracles have native
+vectorized samplers, and every other oracle (scripted, third-party) is
+planned through the sequential :func:`plan_games` path and packed into the
+same layout; only the game loop is speculated.
 """
 
 from __future__ import annotations
@@ -172,6 +188,8 @@ from repro.paths.vector import (
     GamePlanArrays,
     plan_generation_arrays,
     plan_tournament_arrays,
+    segment_index,
+    split_hops,
     stack_replication_plans,
 )
 from repro.reputation.activity import ActivityClassifier
@@ -189,16 +207,17 @@ def timed(tel, name: str):
     return tel.registry.timer(name).time() if tel is not None else nullcontext()
 
 
-def watchdog_pairs(src, jc, fwd, n_dec, success, m):
+def watchdog_pairs(src, jc, starts, n_dec, success):
     """The watchdog writes of a set of speculated games, compact.
 
     Game ``i`` (source ``src[i]``) decided the first ``n_dec[i]`` hops of
-    its chosen path ``jc[i]``, with forward votes ``fwd[i]``.  Its
+    its chosen path, whose decider ids start at ``jc[starts[i]]``.  Its
     observers are the source and the first ``n_upd`` deciders — ``n_upd``
     is ``n_dec``, or ``n_dec - 1`` when the packet was dropped (the last
     decider saw nothing downstream) — and each observer records every
-    decider.  Returns the ``observer * m + subject`` codes of those pairs
-    with observer == subject dropped, each pair's game (ascending) and the
+    decider.  A decider forwarded unless it is the last one of a dropped
+    packet.  Returns the ``(observer, subject)`` ids of those pairs with
+    observer == subject dropped, each pair's game (ascending) and the
     subject's forward vote, in the scalar watchdog's order: game-major,
     then observer, then subject.  Costs O(pairs), not O(games * hmax^2).
     """
@@ -209,11 +228,15 @@ def watchdog_pairs(src, jc, fwd, n_dec, success, m):
     d = n_dec[game]
     t = k // d  # observer: 0 is the source, t > 0 decider t - 1
     s = k - t * d  # subject: decider s
-    subj = jc[game, s]
-    # t - 1 wraps to the last column on source rows, which the where drops
-    obs = np.where(t > 0, jc[game, t - 1], src[game])
+    base = starts[game]
+    subj = jc[base + s]
+    # t - 1 reads the previous game's last hop (or wraps) on source rows,
+    # which the where drops
+    obs = np.where(t > 0, jc[base + t - 1], src[game])
+    fwd = s < d - 1
+    fwd |= success[game]
     real = obs != subj
-    return (obs * m + subj)[real], game[real], fwd[game, s][real]
+    return obs[real], subj[real], game[real], fwd[real]
 
 
 class _PlanContext:
@@ -227,10 +250,16 @@ class _PlanContext:
     exchange's per-tournament loop is the ``(1, 1, n, m)`` case and an
     unstacked generation the ``(1, T, n, m)`` one.
 
-    The conflict walk is scoped per (replication, tournament):
-    ``pair_off[g]`` moves game ``g``'s pair codes into its tournament's
-    private ``block^2`` window of ``writer_buf`` (via :meth:`scope`) and
-    ``walk_pos[g]`` is its seat, the "earlier game" order of the walk.
+    Per-hop arrays run over the plan's flat hops (``plan.hop_nodes``):
+    ``cells_rate`` is the source's rating cell of each hop, ``is_csn``
+    whether the hop is a selfish seat, and ``level_b`` the fold's trust
+    level of each decided hop.
+
+    The conflict walk is scoped per (replication, tournament): a pair
+    ``(obs, subj)`` has the block code ``obs * block + subj``, and
+    ``pair_off[g]`` moves game ``g``'s block codes into its tournament's
+    private ``block^2`` window of ``writer_buf``; ``walk_pos[g]`` is its
+    seat, the "earlier game" order of the walk.
     """
 
     __slots__ = (
@@ -243,24 +272,18 @@ class _PlanContext:
         "block",
         "pg_rel",
         "cells_rate",
-        "pad_path",
-        "jc",
-        "valid",
         "is_csn",
         "has_csn",
         "src_sel",
         "src_round",
-        "src_list",
         "pair_off",
         "walk_pos",
         "walk_fill",
         "writer_buf",
         "ratings_buf",
-        "decided_b",
-        "fwd_b",
-        "unknown_b",
-        "trust_b",
+        "level_b",
         "chosen_b",
+        "ndec_b",
         "success_b",
         "keep_b",
     )
@@ -283,39 +306,33 @@ class _PlanContext:
         self.games_per_round = games_per_round
         m = n_replications * block
         self.m = m
-        src_of_path = plan.src[plan.path_game]
-        nodes = plan.path_nodes
-        valid = nodes >= 0
-        self.pad_path = ~valid
-        node0 = np.where(valid, nodes, 0)
+        hops = plan.hop_nodes
         # rating reads: the source's opinion of each candidate-path node
-        self.cells_rate = src_of_path[:, None] * m + node0
+        # (a game's hops are one contiguous run, so the source repeats per
+        # game)
+        game_hop_start = plan.path_start[plan.game_path_start]
+        self.cells_rate = np.repeat(plan.src * m, np.diff(game_hop_start))
+        self.cells_rate += hops
         # the game's path rows, relative to its round (for the ratings
         # scatter; games per round is constant, so a modulo does it)
         self.pg_rel = plan.path_game % games_per_round
-        # decision reads: each node's opinion of the source.  The per-cell
-        # index and strategy-base tables ((j * m + src), (j * STRATEGY_LEN))
-        # are *not* precomputed per path row — only the chosen path's row is
-        # ever read, so the round pass derives them from its (games, hmax)
-        # gather of ``jc``, which is cheaper than materialising (P, H).
-        self.jc = node0
-        self.valid = valid
-        # padding resolves to node 0, which is always a normal node, so the
-        # lookup needs no valid-mask
-        self.is_csn = csn_lookup[node0]
-        self.has_csn = self.is_csn.any(axis=1)
+        self.is_csn = csn_lookup[hops]
+        # a path holds a selfish hop iff the running CSN count grows over
+        # its segment
+        csn_count = np.zeros(hops.size + 1, dtype=np.int64)
+        np.cumsum(self.is_csn, out=csn_count[1:])
+        csn_count = csn_count[plan.path_start]
+        self.has_csn = csn_count[1:] > csn_count[:-1]
         self.src_sel = csn_lookup[plan.src]
         # every round's source order is the participants list, so the
         # round-constant pieces are hoisted once
         self.src_round = plan.src[:games_per_round]
-        self.src_list = plan.src.tolist()
         n_games = plan.n_games
-        h = nodes.shape[1]
         # conflict-walk scope: tournament t_global = rep * T + t owns the
-        # window [t_global * block^2, (t_global + 1) * block^2); a global
-        # code obs * m + subj with obs = rep * block + o, subj = rep * block
-        # + s lands at o * block + s + pair_off once pair_off absorbs both
-        # rep * block terms (see scope)
+        # window [t_global * block^2, (t_global + 1) * block^2); the block
+        # code obs * block + subj of obs = rep * block + o, subj = rep *
+        # block + s lands at o * block + s + pair_off once pair_off absorbs
+        # both rep * block terms
         total_t = n_replications * n_tournaments
         t_global = np.repeat(np.arange(total_t, dtype=np.int64), n_seats)
         rep = np.repeat(
@@ -332,46 +349,42 @@ class _PlanContext:
         self.ratings_buf = np.empty(
             (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
         )
-        # per-game speculative outcomes, buffered for the end-of-plan
-        # fold; the round pass computes straight into slices of these
-        self.decided_b = np.zeros((n_games, h), dtype=bool)
-        self.fwd_b = np.zeros((n_games, h), dtype=bool)
-        self.unknown_b = np.zeros((n_games, h), dtype=bool)
-        self.trust_b = np.zeros((n_games, h), dtype=np.int64)
+        # per-game speculative outcomes, buffered for the end-of-plan fold,
+        # and the trust level of every plan hop a kept game decided (a
+        # game's re-chosen path owns other hop slots, so nothing is reset)
+        self.level_b = np.zeros(hops.size, dtype=np.int8)
         self.chosen_b = np.zeros(n_games, dtype=np.int64)
+        self.ndec_b = np.zeros(n_games, dtype=np.int64)
         self.success_b = np.zeros(n_games, dtype=bool)
         self.keep_b = np.ones(n_games, dtype=bool)
 
-    def scope(self, vals: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Map global pair codes into the scoped writer-buffer space.  With
-        one replication ``m == block`` and the projection is the identity,
-        so only the offset is added."""
-        if self.n_replications > 1:
-            vals = (vals // self.m) * self.block + (vals % self.m)
-        return vals + off
-
-    def conflicted(self, kern, w_vals, w_game, r1, r2, n_dec, rows=None):
+    def conflicted(self, kern, w_codes, w_game, r1, r2, n_dec, rows=None):
         """The conflict walk over a set of slate games (``rows``, ascending
         slate positions; all of them by default): per game, whether one of
         its read pairs ``r1``/``r2`` (``n_dec`` per game) was first written
-        (``w_vals``, by game ``w_game``, ascending) by a strictly earlier
-        game of its scope.  Every game's writes count, kept or not —
-        exactly the sequential walk's written-set.  Resets just the codes it wrote, so
-        the buffer holds ``walk_fill`` everywhere between walks and a walk
-        costs O(writes + reads), however wide the pair space."""
+        (``w_codes``, by game ``w_game``, ascending) by a strictly earlier
+        game of its scope.  Codes are block codes (``obs * block +
+        subj``); ``r1``/``r2`` are consumed.  Every game's writes count,
+        kept or not — exactly the sequential walk's written-set.  Resets
+        just the codes it wrote, so the buffer holds ``walk_fill``
+        everywhere between walks and a walk costs O(writes + reads),
+        however wide the pair space."""
         off = self.pair_off if rows is None else self.pair_off[rows]
         pos = self.walk_pos if rows is None else self.walk_pos[rows]
         buf = self.writer_buf
-        w_codes = self.scope(w_vals, off[w_game])
+        w_codes = w_codes + off[w_game]
         kern.first_writer(buf, w_codes, pos[w_game])
         read_off = np.repeat(off, n_dec)
         pos_read = np.repeat(pos, n_dec)
-        conflict = buf[self.scope(r1, read_off)] < pos_read
-        conflict |= buf[self.scope(r2, read_off)] < pos_read
+        r1 += read_off
+        r2 += read_off
+        conflict = buf[r1] < pos_read
+        conflict |= buf[r2] < pos_read
         buf[w_codes] = self.walk_fill
-        hit = np.zeros(len(n_dec), dtype=bool)
-        hit[np.repeat(np.arange(len(n_dec)), n_dec)[conflict]] = True
-        return hit
+        # every game reads at least one pair: one segment per game
+        read_start = np.cumsum(n_dec)
+        read_start -= n_dec
+        return np.logical_or.reduceat(conflict, read_start)
 
 
 class FusedEngine:
@@ -421,6 +434,8 @@ class FusedEngine:
         self._band = self.activity.band
         self._fwd_pay = np.asarray(self.payoffs.forward_by_trust, dtype=np.float64)
         self._disc_pay = np.asarray(self.payoffs.discard_by_trust, dtype=np.float64)
+        # the fold's payoff by (vote, trust level): discards, then forwards
+        self._pay_by_vote = np.concatenate([self._disc_pay, self._fwd_pay])
         self._default_trust = self.payoffs.default_trust
         self._src_success = self.payoffs.source_success
         self._src_failure = self.payoffs.source_failure
@@ -846,7 +861,6 @@ class FusedEngine:
         from_csn.accepted_by_csn += int(req[7])
 
     def _process_round(self, ctx: _PlanContext, round_no: int, counters: list) -> None:
-        m = ctx.m
         plan = ctx.plan
         ks = self._ks
         kern = self._k
@@ -854,15 +868,14 @@ class FusedEngine:
         g1 = g0 + ctx.games_per_round
         p0 = int(plan.game_path_start[g0])
         p1 = int(plan.game_path_start[g1])
+        h0 = int(plan.path_start[p0])
 
         # -- speculative path ratings from round-start state ----------------
-        # every pass below is sliced to the round's real maximum path width
-        # (hmax columns) — the plan arrays are padded to the *plan's*
-        # longest path, which the route-table oracles can push to 2-3x the
-        # typical game's, and the padding columns are pure dead work
-        hmax_r = int(plan.path_len[p0:p1].max()) if p1 > p0 else 1
+        # the round's candidate paths are one contiguous run of plan hops
         ratings = kern.rate_paths(
-            ks, ctx.cells_rate[p0:p1, :hmax_r], ctx.pad_path[p0:p1, :hmax_r]
+            ks,
+            ctx.cells_rate[h0 : plan.path_start[p1]],
+            plan.path_start[p0:p1] - h0,
         )
 
         # -- best path per game (first index wins ties, as the trio does) ---
@@ -873,66 +886,82 @@ class FusedEngine:
         np.add(plan.game_path_start[g0:g1], buf.argmax(axis=1), out=chosen)
 
         # -- speculative sequential decisions, vectorized over games --------
-        # computed straight into the fold buffers where possible; the fold
-        # buffers beyond this round's hmax stay zero-initialised, which
-        # reads as "not decided / not forwarded" — exactly right
-        hmax = int(plan.path_len[chosen].max())
-        jc = ctx.jc[chosen, :hmax]
-        cells_dec = jc * m
-        cells_dec += ctx.src_round[:, None]
-        n_dec = kern.decide(
-            ks,
-            jc,
-            ctx.valid[chosen, :hmax],
-            cells_dec,
-            ctx.trust_b[g0:g1, :hmax],
-            ctx.unknown_b[g0:g1, :hmax],
-            ctx.fwd_b[g0:g1, :hmax],
-            ctx.decided_b[g0:g1, :hmax],
-            ctx.success_b[g0:g1],
-        )
-
-        # -- conflict walk, then one batched commit of the kept games -------
-        keep = ctx.keep_b[g0:g1]
-        keep[:] = self._commit_unconflicted(
-            ctx,
-            None,
-            ctx.src_round,
-            jc,
-            ctx.decided_b[g0:g1, :hmax],
-            ctx.fwd_b[g0:g1, :hmax],
-            ctx.success_b[g0:g1],
-            n_dec,
-        )
+        self._speculate(ctx, None, slice(g0, g1), chosen)
 
         # -- resolve conflicting games against live state --------------------
+        keep = ctx.keep_b[g0:g1]
         if not keep.all():
             self._resolve_conflicts(ctx, g0, np.flatnonzero(~keep), counters)
 
+    def _speculate(self, ctx, rows, games, chosen) -> np.ndarray:
+        """Decide the ``games`` along their ``chosen`` path rows against
+        live state, walk them for conflicts and commit the kept ones.  The
+        games are a whole round (``rows`` ``None``, ``games`` its slice of
+        the plan) or slate ``rows`` (``games`` their absolute plan ids,
+        ascending).  Buffers every game's trust levels, and the kept
+        games' outcomes, for the end-of-plan fold; returns the keep mask.
+        """
+        plan = ctx.plan
+        # the chosen paths' plan hop slots, back to back, and each path's
+        # start within them
+        lens = plan.path_len[chosen]
+        hop_idx = segment_index(plan.path_start[chosen], lens)
+        starts = np.cumsum(lens)
+        starts -= lens
+        jc = plan.hop_nodes[hop_idx]
+        src = ctx.src_round if rows is None else plan.src[games]
+        cells_dec = jc * ctx.m
+        cells_dec += np.repeat(src, lens)
+        trust, unknown, _fwd, n_dec, success = self._k.decide(
+            self._ks, jc, cells_dec, starts
+        )
+        # the level a decided hop is paid at; a conflicted game's slots are
+        # rewritten by whichever pass settles it, or never read (replayed)
+        np.copyto(trust, self._default_trust, where=unknown)
+        ctx.level_b[hop_idx] = trust
+        keep = self._commit_unconflicted(ctx, rows, src, jc, starts, n_dec, success)
+        if rows is None:
+            ctx.ndec_b[games] = n_dec
+            ctx.success_b[games] = success
+            ctx.keep_b[games] = keep
+        else:
+            ga = games[keep]
+            ctx.chosen_b[ga] = chosen[keep]
+            ctx.ndec_b[ga] = n_dec[keep]
+            ctx.success_b[ga] = success[keep]
+            ctx.keep_b[ga] = True
+        return keep
+
     def _commit_unconflicted(
-        self, ctx, rows, src, jc, decided, fwd, success, n_dec
+        self, ctx, rows, src, jc, starts, n_dec, success
     ) -> np.ndarray:
         """Walk speculated games for conflicts and commit the rest.
 
         The games are slate ``rows`` (all of the slate for ``None``) with
-        sources ``src``, chosen-path nodes ``jc`` and decisions
-        ``decided``/``fwd``/``success`` (``n_dec`` decided hops each).
-        Returns the per-game keep mask: a game conflicts iff one of its read
-        pairs was (speculatively) written by a strictly earlier game of its
-        scope.  Only the kept games' watchdog writes are committed.
+        sources ``src``, chosen-path deciders ``jc`` (game ``i``'s from
+        ``starts[i]``) and outcomes ``n_dec``/``success``.  Returns the
+        per-game keep mask: a game conflicts iff one of its read pairs was
+        (speculatively) written by a strictly earlier game of its scope.
+        Only the kept games' watchdog writes are committed.
         """
-        m = ctx.m
-        w_vals, w_game, w_fwd = watchdog_pairs(src, jc, fwd, n_dec, success, m)
+        block = ctx.block
+        obs, subj, w_game, w_fwd = watchdog_pairs(src, jc, starts, n_dec, success)
         # decision reads (j, s) are exactly the decided cells; rating reads
         # (s, j) cover the decided prefix of the chosen path (staleness on
         # nodes past a drop only perturbs already-tolerated path ratings)
-        subj = jc[decided]
+        decider = jc[segment_index(starts, n_dec)]
         src_d = src.repeat(n_dec)
-        r1 = subj * m + src_d
-        r2 = src_d * m + subj
-        keep = ~ctx.conflicted(self._k, w_vals, w_game, r1, r2, n_dec, rows)
+        keep = ~ctx.conflicted(
+            self._k,
+            obs * block + subj,
+            w_game,
+            decider * block + src_d,
+            src_d * block + decider,
+            n_dec,
+            rows,
+        )
         k_pairs = keep[w_game]
-        pairs = w_vals[k_pairs]
+        pairs = obs[k_pairs] * ctx.m + subj[k_pairs]
         self._k.commit(self._ks, pairs, pairs[w_fwd[k_pairs]])
         return keep
 
@@ -969,70 +998,34 @@ class FusedEngine:
         slate speculation applied iteratively, and accepted games re-enter
         the buffered fold exactly like first-pass games.
         """
-        m = ctx.m
         plan = ctx.plan
-        ks = self._ks
-        kern = self._k
         g = g0 + rel_ids  # absolute game ids, ascending = replay order
-        n_sub = len(g)
 
-        # candidate-path rows of the subset (each game's rows are contiguous
-        # at game_path_start[g], column-ordered)
-        starts = plan.game_path_start[g]
-        counts = plan.game_path_start[g + 1] - starts
-        total = int(counts.sum())
-        offs = np.cumsum(counts) - counts
-        prow = np.repeat(starts, counts) + (
-            np.arange(total) - np.repeat(offs, counts)
-        )
+        # candidate-path rows of the subset: each game's rows, and their
+        # hops, are one contiguous run of the plan
+        row_lo = plan.game_path_start[g]
+        counts = plan.game_path_start[g + 1] - row_lo
+        prow = segment_index(row_lo, counts)
+        lens = plan.path_len[prow]
+        seg = np.cumsum(lens)
+        seg -= lens
 
         # -- ratings + best path, against the live matrices ------------------
-        hmax_r = int(plan.path_len[prow].max()) if total else 1
-        ratings = kern.rate_paths(
-            ks, ctx.cells_rate[prow, :hmax_r], ctx.pad_path[prow, :hmax_r]
-        )
+        hop_lo = plan.path_start[row_lo]
+        cells = ctx.cells_rate[
+            segment_index(hop_lo, plan.path_start[row_lo + counts] - hop_lo)
+        ]
+        ratings = self._k.rate_paths(self._ks, cells, seg)
+        n_sub = len(g)
         buf = ctx.ratings_buf[:n_sub]
         buf.fill(-1.0)
         buf[np.repeat(np.arange(n_sub), counts), plan.path_col[prow]] = ratings
-        chosen = starts + buf.argmax(axis=1)
+        chosen = row_lo + buf.argmax(axis=1)
 
-        # -- decisions, mirroring the slate pass on the subset ---------------
-        hmax = int(plan.path_len[chosen].max())
-        valid = ctx.valid[chosen, :hmax]
-        jc = ctx.jc[chosen, :hmax]
-        src_g = plan.src[g]
-        cells_dec = jc * m
-        cells_dec += src_g[:, None]
-        trust = np.empty((n_sub, hmax), dtype=np.int64)
-        unknown = np.empty((n_sub, hmax), dtype=bool)
-        fwd = np.empty((n_sub, hmax), dtype=bool)
-        decided = np.empty((n_sub, hmax), dtype=bool)
-        success = np.empty(n_sub, dtype=bool)
-        n_dec = kern.decide(
-            ks, jc, valid, cells_dec, trust, unknown, fwd, decided, success
-        )
-
-        # -- conflict walk among the subset's own writes, per tournament, --
-        # then commit and re-buffer the accepted games
-        keep2 = self._commit_unconflicted(
-            ctx, rel_ids, src_g, jc, decided, fwd, success, n_dec
-        )
-        if keep2.any():
-            ga = g[keep2]
-            # full-row reset first: the re-chosen path's hmax may be
-            # narrower than the first pass wrote
-            ctx.decided_b[ga] = False
-            ctx.fwd_b[ga] = False
-            ctx.unknown_b[ga] = False
-            ctx.trust_b[ga] = 0
-            ctx.decided_b[ga, :hmax] = decided[keep2]
-            ctx.fwd_b[ga, :hmax] = fwd[keep2]
-            ctx.unknown_b[ga, :hmax] = unknown[keep2]
-            ctx.trust_b[ga, :hmax] = trust[keep2]
-            ctx.chosen_b[ga] = chosen[keep2]
-            ctx.success_b[ga] = success[keep2]
-            ctx.keep_b[ga] = True
-            self._second_chance_games += int(keep2.sum())
+        # -- decisions, the conflict walk among the subset's own writes (per
+        # tournament), commit and re-buffering, as in the slate pass --------
+        keep2 = self._speculate(ctx, rel_ids, g, chosen)
+        self._second_chance_games += int(keep2.sum())
 
         # -- scalar tail: games that conflicted twice ------------------------
         if not keep2.all():
@@ -1050,20 +1043,19 @@ class FusedEngine:
         lo = plan.game_path_start[ids]
         n_paths = plan.game_path_start[ids + 1] - lo
         ends = np.cumsum(n_paths)
-        rows = np.arange(int(n_paths.sum())) + np.repeat(lo - (ends - n_paths), n_paths)
-        paths = [
-            row[:n]
-            for row, n in zip(
-                plan.path_nodes[rows].tolist(), plan.path_len[rows].tolist()
-            )
+        hop_lo = plan.path_start[lo]
+        hops = plan.hop_nodes[
+            segment_index(hop_lo, plan.path_start[lo + n_paths] - hop_lo)
         ]
+        paths = split_hops(
+            hops.tolist(), plan.path_len[segment_index(lo, n_paths)].tolist()
+        )
         kern = self._k
         ks = self._ks
         slate = ctx.games_per_round
         rep_slate = ctx.rep_slate
         start = 0
-        for g, end in zip(ids.tolist(), ends.tolist()):
-            source = ctx.src_list[g]
+        for g, source, end in zip(ids.tolist(), plan.src[ids].tolist(), ends.tolist()):
             deciders, flags, success = kern.replay_decide(
                 ks, source, paths[start:end], *counters[(g % slate) // rep_slate]
             )
@@ -1082,35 +1074,42 @@ class FusedEngine:
         (dead state during the plan, so one vectorized pass suffices)."""
         m = self.m
         n_rep = ctx.n_replications
+        plan = ctx.plan
         keep = ctx.keep_b
         chosen = ctx.chosen_b
         success = ctx.success_b
         src_sel = ctx.src_sel
-        rounds = ctx.plan.n_games // ctx.games_per_round
+        rounds = plan.n_games // ctx.games_per_round
         rep_of = np.tile(
             np.repeat(np.arange(n_rep, dtype=np.int64), ctx.rep_slate), rounds
         )
+        # each game's (replication, source class) counter row base
+        row = rep_of * 2 + src_sel
 
         delivered += np.bincount(
-            (rep_of * 4 + src_sel * 2 + success)[keep], minlength=4 * n_rep
+            (row * 2 + success)[keep], minlength=4 * n_rep
         ).reshape(n_rep, 4)
         csn_free += np.bincount(
-            (rep_of * 4 + src_sel * 2 + ctx.has_csn[chosen])[keep],
-            minlength=4 * n_rep,
+            (row * 2 + ctx.has_csn[chosen])[keep], minlength=4 * n_rep
         ).reshape(n_rep, 4)
-        # every decided hop of a kept game, row-major: game order, then hop
-        gi, hi = np.nonzero(ctx.decided_b & keep[:, None])
-        path = chosen[gi]
-        is_csn = ctx.is_csn[path, hi]
-        fwd = ctx.fwd_b[gi, hi]
-        req[:, :8] += np.bincount(
-            rep_of[gi] * 8 + src_sel[gi] * 4 + is_csn * 2 + fwd,
-            minlength=8 * n_rep,
-        ).reshape(n_rep, 8)
+        # every decided hop of a kept game, in game order, then hop: the
+        # first n_dec plan hop slots of its chosen path
+        kept = np.flatnonzero(keep)
+        n_dec = ctx.ndec_b[kept]
+        hop = segment_index(plan.path_start[chosen[kept]], n_dec)
+        is_csn = ctx.is_csn[hop]
+        # every decider but a dropped packet's last one forwarded
+        last = np.cumsum(n_dec) - 1
+        fwd = np.ones(hop.size, dtype=bool)
+        fwd[last] = success[kept]
+        req_key = np.repeat(row[kept] * 4, n_dec)
+        req_key += is_csn * 2
+        req_key += fwd
+        req[:, :8] += np.bincount(req_key, minlength=8 * n_rep).reshape(n_rep, 8)
 
         # per-node payoffs: the float accumulators fold in game order, so a
         # replication's sums match what it would accumulate alone
-        ksrc = ctx.plan.src[keep]
+        ksrc = plan.src[keep]
         self.send_pay += np.bincount(
             ksrc,
             weights=np.where(success[keep], self._src_success, self._src_failure),
@@ -1118,19 +1117,20 @@ class FusedEngine:
         )
         self.n_sent += np.bincount(ksrc, minlength=m)
         # intermediate payoffs: normal deciders only (CSN accumulators are
-        # dead state, exactly as the batch engine skips them)
+        # dead state, exactly as the batch engine skips them).  Forwards
+        # bin at the decider's id, discards m past it: each bin still sums
+        # its hops in fold order
         pay = ~is_csn
-        gi, hi, ff = gi[pay], hi[pay], fwd[pay]
-        jj = ctx.jc[path[pay], hi]
-        lvl = np.where(ctx.unknown_b[gi, hi], self._default_trust, ctx.trust_b[gi, hi])
-        self.fwd_pay_acc += np.bincount(
-            jj[ff], weights=self._fwd_pay[lvl[ff]], minlength=m
-        )
-        self.n_fwd += np.bincount(jj[ff], minlength=m)
-        self.disc_pay_acc += np.bincount(
-            jj[~ff], weights=self._disc_pay[lvl[~ff]], minlength=m
-        )
-        self.n_disc += np.bincount(jj[~ff], minlength=m)
+        hop, ff = hop[pay], fwd[pay]
+        pay_bin = plan.hop_nodes[hop]
+        pay_bin[~ff] += m
+        lvl = ctx.level_b[hop] + ff * 4
+        sums = np.bincount(pay_bin, weights=self._pay_by_vote[lvl], minlength=2 * m)
+        events = np.bincount(pay_bin, minlength=2 * m)
+        self.fwd_pay_acc += sums[:m]
+        self.n_fwd += events[:m]
+        self.disc_pay_acc += sums[m:]
+        self.n_disc += events[m:]
 
     def _run_exchange(
         self,

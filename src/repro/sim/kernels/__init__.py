@@ -9,10 +9,23 @@ commit, and the exact scalar conflict-replay with its watchdog recurrence.
 to the historical inline implementation (pinned by
 ``tests/test_sim_kernels.py``).
 
-Three op contracts carry the engine's per-round cost, so a round's state
-work is O(cells it touches) — independent of the matrix order ``m``, which
-grows with the stack width of a stacked fused engine, and of the padding of
-the plan arrays:
+The vectorised ops take *ragged* hop runs, the fused plan's layout: the
+hops of several paths back to back in one flat array, plus the start of
+each path's segment (ascending; every segment non-empty).  A round's work
+is O(real hops and cells it touches) — independent of the matrix order
+``m``, which grows with the stack width of a stacked fused engine, and of
+the plan's longest path:
+
+* ``rate_paths(state, cells, starts)`` returns one rating per segment:
+  the left-to-right product of its hops' forwarding rates (``cells`` are
+  the flattened (source, hop) matrix indices; unknown cells rate 0.5).
+* ``decide(state, jc, cells_dec, starts)`` takes one chosen path per game
+  (decider ids ``jc``, their (decider, source) cells ``cells_dec``) and
+  returns per hop the ``trust`` level, ``unknown`` cell flag and forward
+  vote ``fwd``, and per game ``n_dec`` — hops up to and including the
+  first discard — and ``success`` (no discard).  Votes past a game's
+  first discard are computed but undecided.
+Three more op contracts keep the state work O(touched cells):
 
 * ``first_writer(buf, codes, pos)`` writes only ``buf[codes]``.  The
   buffer holds the walk's fill value everywhere *between* calls: the
@@ -173,15 +186,13 @@ class TimedKernel:
     def name(self) -> str:
         return self._inner.name
 
-    def rate_paths(self, state, cells, pad):
+    def rate_paths(self, state, cells, starts):
         with self._rate.time():
-            return self._inner.rate_paths(state, cells, pad)
+            return self._inner.rate_paths(state, cells, starts)
 
-    def decide(self, state, jc, valid, cells_dec, trust, unknown, fwd, decided, success):
+    def decide(self, state, jc, cells_dec, starts):
         with self._decision.time():
-            return self._inner.decide(
-                state, jc, valid, cells_dec, trust, unknown, fwd, decided, success
-            )
+            return self._inner.decide(state, jc, cells_dec, starts)
 
     def first_writer(self, buf, codes, pos):
         with self._walk.time():

@@ -6,7 +6,15 @@ expressions, same evaluation order), so this kernel is **bit-identical**
 to the pre-kernel engines on pinned seeds — the parity suite in
 ``tests/test_sim_kernels.py`` holds it to that.
 
-Four deliberate unifications, all proven exact:
+Five deliberate unifications, all proven exact:
+
+* ``rate_paths`` and ``decide`` run on ragged hop runs (flat hops plus
+  segment starts) instead of rows padded to the longest path.  A
+  segment's ``np.multiply.reduceat`` is the same left-to-right product
+  the padded ``prod(axis=1)`` formed (its padding factors were 1.0), and
+  a game's first discard per segment decides exactly the hops the padded
+  prefix scan did.  The padded ops are kept as the oracles in
+  ``tests/test_sim_kernels.py``.
 
 * ``decide`` maps forwarding rates to trust levels with three vectorized
   comparisons instead of ``np.searchsorted(bounds, rate, side="left")``.
@@ -44,35 +52,39 @@ class NumpyKernel:
 
     name = "numpy"
 
-    def rate_paths(self, state, cells, pad):
-        """Product-of-forwarding-rates rating for a block of path rows.
+    def rate_paths(self, state, cells, starts):
+        """Product-of-forwarding-rates rating for a run of paths.
 
-        ``cells`` is (P, hmax) flattened-matrix indices per hop, ``pad``
-        marks padding columns (rated 1.0); unknown cells rate 0.5.
+        ``cells`` holds the flattened-matrix index of every hop of the
+        paths, back to back; path ``i``'s hops start at ``starts[i]``
+        (ascending, every path non-empty).  Unknown cells rate 0.5.  Each
+        path's product runs left to right over its hops, as
+        ``prod(axis=1)`` ran over a row padded with 1.0.
         """
         counts = state.ps_flat.take(cells)
         zero = counts == 0
         np.maximum(counts, 1, out=counts)
         ratings = state.pf_flat.take(cells) / counts
         ratings[zero] = 0.5
-        ratings[pad] = 1.0
-        return ratings.prod(axis=1)
+        return np.multiply.reduceat(ratings, starts)
 
-    def decide(self, state, jc, valid, cells_dec, trust, unknown, fwd, decided, success):
-        """Speculative forwarding decisions for every hop of chosen paths.
+    def decide(self, state, jc, cells_dec, starts):
+        """Speculative forwarding decisions along the chosen paths.
 
-        ``jc`` is (G, hmax) decider ids (0-padded), ``valid`` the real-hop
-        mask, ``cells_dec`` the (decider, source) flattened-matrix indices.
-        Writes trust levels, unknown-cell mask, per-hop forward votes,
-        decided (hop actually reached) mask and end-to-end success into
-        the caller's arrays; returns decisions-per-game counts.
+        ``jc`` holds every chosen path's decider ids back to back, game
+        ``i``'s from ``starts[i]`` (ascending, non-empty paths);
+        ``cells_dec`` the (decider, source) flattened-matrix index of each
+        hop.  Returns per-hop ``trust`` levels, ``unknown`` cells and
+        forward votes ``fwd``, and per game the decided-hop count
+        ``n_dec`` (up to and including the first discard) and end-to-end
+        ``success`` (no discard on the path).
         """
         c2 = state.ps_flat.take(cells_dec)
         f2 = state.pf_flat.take(cells_dec)
-        np.equal(c2, 0, out=unknown)
+        unknown = c2 == 0
         np.maximum(c2, 1, out=c2)
         rate = f2 / c2
-        trust[:] = rate > state.b0
+        trust = (rate > state.b0).astype(np.int64)
         trust += rate > state.b1
         trust += rate > state.b2
 
@@ -86,16 +98,22 @@ class NumpyKernel:
         bit -= f2 < av - delta
         np.copyto(bit, UNKNOWN_BIT, where=unknown)
         bit += jc * STRATEGY_LENGTH
-        np.equal(state.strat_flat.take(bit), 1, out=fwd)
-        fwd &= valid
+        fwd = state.strat_flat.take(bit) == 1
 
-        # A hop decides only if every earlier real hop forwarded; padding
-        # columns are transparent to the prefix scan.
-        prefix = np.logical_and.accumulate(fwd | ~valid, axis=1)
-        np.copyto(decided, valid)
-        decided[:, 1:] &= prefix[:, :-1]
-        success[:] = prefix[:, -1]
-        return decided.sum(axis=1)
+        # A hop decides only if every earlier hop of its path forwarded:
+        # each game decides through its first discard.  Discards come in
+        # ascending order, so the reversed scatter leaves each game's first
+        # one; ``n`` marks a game without any.
+        n = jc.size
+        drops = np.flatnonzero(~fwd)
+        first = np.full(starts.size, n, dtype=np.int64)
+        first[np.searchsorted(starts, drops[::-1], side="right") - 1] = drops[::-1]
+        ends = np.empty_like(first)
+        ends[:-1] = starts[1:]
+        ends[-1:] = n
+        n_dec = np.minimum(first + 1, ends)
+        n_dec -= starts
+        return trust, unknown, fwd, n_dec, first == n
 
     def first_writer(self, buf, codes, pos):
         """Scatter the minimum write position per code into ``buf``.

@@ -19,6 +19,17 @@ from repro.paths.oracle import GameSetup, RandomPathOracle, ScriptedPathOracle
 from repro.paths.vector import GamePlanArrays, plan_tournament_arrays
 
 
+def assert_ragged(plan):
+    """The CSR invariants of a ragged plan: path rows tile the hop array
+    in order, every path holds at least one real (non-negative) id."""
+    assert plan.path_start.shape == (plan.path_len.size + 1,)
+    assert plan.path_start[0] == 0
+    assert plan.path_start[-1] == plan.hop_nodes.size
+    assert np.array_equal(np.diff(plan.path_start), plan.path_len)
+    assert (plan.path_len >= 1).all()
+    assert (plan.hop_nodes >= 0).all()
+
+
 def sample(n_rounds=40, seed=0, participants=None, hop_dist=SHORTER_PATHS):
     participants = participants or list(range(20))
     oracle = RandomPathOracle(np.random.default_rng(seed), hop_dist)
@@ -34,11 +45,12 @@ class TestStructure:
         assert plan.n_games == 40 * len(participants)
         assert plan.src.tolist() == participants * 40
         assert plan.game_path_start[0] == 0
-        assert plan.game_path_start[-1] == plan.path_nodes.shape[0]
+        assert plan.game_path_start[-1] == plan.path_len.size
         assert np.array_equal(np.diff(plan.game_path_start), plan.n_paths)
         assert np.array_equal(
             plan.path_game, np.repeat(np.arange(plan.n_games), plan.n_paths)
         )
+        assert_ragged(plan)
         # path_col counts candidates within each game from zero
         for g in (0, 7, plan.n_games - 1):
             lo, hi = plan.game_path_start[g], plan.game_path_start[g + 1]
@@ -56,12 +68,11 @@ class TestStructure:
                 assert src not in path and dst not in path
                 assert set(path) <= pset
 
-    def test_padding_is_minus_one_past_length(self):
-        plan, _ = sample(seed=5)
-        h = plan.path_nodes.shape[1]
-        cols = np.arange(h)[None, :]
-        assert (plan.path_nodes[cols >= plan.path_len[:, None]] == -1).all()
-        assert (plan.path_nodes[cols < plan.path_len[:, None]] >= 0).all()
+    def test_hops_are_real_ids_only(self):
+        plan, participants = sample(seed=5)
+        assert_ragged(plan)
+        assert set(plan.hop_nodes.tolist()) <= set(participants)
+        assert plan.hop_nodes.size == int(plan.path_len.sum())
 
     def test_hop_clamp_small_pool(self):
         """A 4-participant pool clamps every path to the 2 available
@@ -177,6 +188,15 @@ class TestPlanFallback:
         assert plan.max_paths == 2
         assert plan.path_len.tolist() == [2, 1, 1, 3]
 
+    def test_empty_path_rejected(self):
+        """A path segment of the flat hop layout holds at least one hop;
+        a scripted path with no intermediate is refused at packing."""
+        oracle = ScriptedPathOracle(
+            [GameSetup(source=0, destination=3, paths=((1, 2), ()))]
+        )
+        with pytest.raises(ValueError, match="at least one intermediate"):
+            plan_tournament_arrays(oracle, [0], list(range(5)))
+
     def test_source_outside_participants_uses_fallback(self):
         """A source not seated in the tournament falls back to the
         sequential path (the vectorized pool layout assumes seated
@@ -212,7 +232,7 @@ def make_mobile_oracle(seed=0, n=20, radio=0.45, **kwargs):
 
 class TestRoutedSamplerStructure:
     @pytest.mark.parametrize("kind", ["topology", "mobile"])
-    def test_shapes_and_padding(self, kind):
+    def test_shapes_and_offsets(self, kind):
         make = make_topology_oracle if kind == "topology" else make_mobile_oracle
         oracle = make()
         participants = list(range(20))
@@ -225,10 +245,8 @@ class TestRoutedSamplerStructure:
             plan.path_game, np.repeat(np.arange(plan.n_games), plan.n_paths)
         )
         assert (plan.n_paths >= 1).all()
-        cols = np.arange(plan.path_nodes.shape[1])[None, :]
-        valid = cols < plan.path_len[:, None]
-        assert (plan.path_nodes[valid] >= 0).all()
-        assert (plan.path_nodes[~valid] == -1).all()
+        assert plan.game_path_start[-1] == plan.path_len.size
+        assert_ragged(plan)
 
     @pytest.mark.parametrize("kind", ["topology", "mobile"])
     def test_games_are_valid_setups(self, kind):
@@ -492,11 +510,12 @@ class TestGenerationPlan:
             assert plan.src[r * slate : (r + 1) * slate].tolist() == slate_sources
         # offsets stay self-consistent after the interleave
         assert plan.game_path_start[0] == 0
-        assert plan.game_path_start[-1] == plan.path_nodes.shape[0]
+        assert plan.game_path_start[-1] == plan.path_len.size
         assert np.array_equal(np.diff(plan.game_path_start), plan.n_paths)
         assert np.array_equal(
             plan.path_game, np.repeat(np.arange(plan.n_games), plan.n_paths)
         )
+        assert_ragged(plan)
 
     def test_validation(self):
         from repro.paths.vector import plan_generation_arrays
@@ -510,3 +529,129 @@ class TestGenerationPlan:
             plan_generation_arrays(oracle, [[0, 1, 2, 3]], 0)
         with pytest.raises(ValueError, match="distinct participants"):
             plan_generation_arrays(oracle, [[0, 1, 1, 3]], 2)
+
+
+# -- plan content pinned across layouts ----------------------------------------
+
+
+def plan_digest(plan, oracles=()) -> str:
+    """Digest of everything a plan says about its games — sources,
+    destinations and every game's candidate paths via ``paths_of`` (so it
+    is independent of the array layout) — plus the state each oracle's
+    generator is left in."""
+    import hashlib
+    import json
+
+    payload = [
+        plan.n_games,
+        plan.src.tolist(),
+        plan.dst.tolist(),
+        [plan.paths_of(g) for g in range(plan.n_games)],
+        [o.rng.bit_generator.state for o in oracles if hasattr(o, "rng")],
+    ]
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def pin_seatings(n_tournaments, n, seed):
+    rng = np.random.default_rng(seed)
+    return [[int(v) for v in rng.permutation(n)] for _ in range(n_tournaments)]
+
+
+def random_oracle(seed, hop_dist=SHORTER_PATHS):
+    return RandomPathOracle(np.random.default_rng(seed), hop_dist)
+
+
+def scripted_oracle(seed, seatings, rounds):
+    """A scripted oracle holding exactly the games a generation plan of
+    ``seatings`` asks for (per tournament, ``seating * rounds``), drawn
+    sequentially from a random oracle — the fallback packer's input."""
+    source = random_oracle(seed)
+    return ScriptedPathOracle(
+        source.draw(s, seating)
+        for seating in seatings
+        for s in seating * rounds
+    )
+
+
+def tournament(oracle, n, rounds):
+    participants = list(range(n))
+    plan = plan_tournament_arrays(oracle, participants * rounds, participants)
+    return plan, [oracle]
+
+
+def generation(oracle, seatings, rounds):
+    from repro.paths.vector import plan_generation_arrays
+
+    return plan_generation_arrays(oracle, seatings, rounds), [oracle]
+
+
+def stack(make_oracle, n_reps, seatings, rounds, block):
+    """``n_reps`` replications, each planned on its own oracle, stacked."""
+    from repro.paths.vector import plan_generation_arrays, stack_replication_plans
+
+    oracles = [make_oracle(r) for r in range(n_reps)]
+    plans = [plan_generation_arrays(o, seatings, rounds) for o in oracles]
+    return stack_replication_plans(plans, rounds, block), oracles
+
+
+SEAT12 = pin_seatings(3, 12, seed=2)
+SEAT20 = pin_seatings(2, 20, seed=9)
+
+#: ``name -> builder() -> (plan, oracles)``
+PLAN_CASES = {
+    "random_tournament": lambda: tournament(random_oracle(31), 20, 6),
+    "random_longer": lambda: tournament(random_oracle(32, LONGER_PATHS), 16, 8),
+    "random_generation": lambda: generation(random_oracle(33), SEAT12, 5),
+    "random_stack_r1": lambda: stack(lambda r: random_oracle(34 + r), 1, SEAT12, 4, 16),
+    "random_stack_r3": lambda: stack(lambda r: random_oracle(34 + r), 3, SEAT12, 4, 16),
+    "topology_tournament": lambda: tournament(make_topology_oracle(seed=3), 20, 5),
+    "topology_generation": lambda: generation(make_topology_oracle(seed=4), SEAT20, 4),
+    "topology_stack_r1": lambda: stack(
+        lambda r: make_topology_oracle(seed=5 + r), 1, SEAT20, 3, 24
+    ),
+    "topology_stack_r3": lambda: stack(
+        lambda r: make_topology_oracle(seed=5 + r), 3, SEAT20, 3, 24
+    ),
+    "mobile_generation": lambda: generation(
+        make_mobile_oracle(seed=6, step_every=7), SEAT20, 4
+    ),
+    "mobile_stack_r3": lambda: stack(
+        lambda r: make_mobile_oracle(seed=7 + r, step_every="round"), 3, SEAT20, 3, 24
+    ),
+    "scripted_generation": lambda: generation(
+        scripted_oracle(41, SEAT12, 4), SEAT12, 4
+    ),
+    "scripted_stack_r3": lambda: stack(
+        lambda r: scripted_oracle(42 + r, SEAT12, 3), 3, SEAT12, 3, 16
+    ),
+}
+
+
+class TestPlanContentPins:
+    """Every sampler, the weave and the replication stacking produce the
+    same games as the padded layout they replaced: each digest was
+    recorded on the padded ``(P, H)`` plan (read through ``paths_of``, so
+    layout-free) and must keep verifying — a change of any path, of the
+    game order, of a block offset or of a generator draw shows."""
+
+    PINNED = {
+        "random_tournament": "e16b7050ec33a08d",
+        "random_longer": "8186c67576d754dc",
+        "random_generation": "ac0eff9244b6661d",
+        "random_stack_r1": "bd2415ee576d140c",
+        "random_stack_r3": "c3f07df671fa2ebd",
+        "topology_tournament": "4a33022fd4b1713d",
+        "topology_generation": "a0f499a3cdfcaaae",
+        "topology_stack_r1": "0725db518a6f10fc",
+        "topology_stack_r3": "ba624d1a1fedb4b1",
+        "mobile_generation": "9ee23c96fb474c12",
+        "mobile_stack_r3": "106bdff16fab3ac3",
+        "scripted_generation": "e535eec06ac10500",
+        "scripted_stack_r3": "d2e10acd50052fec",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_plan_matches_padded_layout(self, case):
+        plan, oracles = PLAN_CASES[case]()
+        assert plan_digest(plan, oracles) == self.PINNED[case]

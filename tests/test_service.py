@@ -291,6 +291,21 @@ class TestJobRunnerLifecycle:
             runner.submit(payload)
         assert runner.store.list_records() == []
 
+    def test_stack_request_on_a_checkpointing_job_is_rejected_at_submit(
+        self, tmp_path
+    ):
+        """A job always checkpoints, and a checkpointing run cannot stack:
+        a fused ``run.stacked: true`` submission is refused before a job
+        exists, instead of queueing a job that can only fail."""
+        runner = JobRunner(tmp_path)
+        payload = build_scenario_payload(
+            "case1", "smoke", overrides={"engine": "fused"}, run={"stacked": True}
+        )
+        with pytest.raises(ValueError, match="checkpointing"):
+            runner.submit(payload)
+        assert runner.store.list_records() == []
+        assert runner.run_pending() == 0
+
     def test_failed_job_records_error_and_requeues(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
@@ -425,13 +440,20 @@ class TestServiceEndpoints:
         assert len(runner.store.list_records()) == 1
 
     def test_submit_rejects_garbage(self, tmp_path):
-        service = Service(JobRunner(tmp_path))
+        runner = JobRunner(tmp_path)
+        service = Service(runner)
         assert service.submit(["not", "a", "mapping"])[0] == 400
         assert service.submit({"case": "case1"})[0] == 400
         assert service.submit({"library": "nope"})[0] == 400
         negative_seed = smoke_payload()
         negative_seed["overrides"]["seed"] = -1
         assert service.submit(negative_seed)[0] == 400
+        stacked_job = build_scenario_payload(
+            "case1", "smoke", overrides={"engine": "fused"}, run={"stacked": True}
+        )
+        code, body = service.submit(stacked_job)
+        assert code == 400 and "checkpointing" in body["error"]
+        assert runner.store.list_records() == []
 
     def test_unknown_job_is_404(self, tmp_path):
         service = Service(JobRunner(tmp_path))

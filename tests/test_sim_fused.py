@@ -674,7 +674,23 @@ def random_slate(rng, n, hmax, m, n_csn, repeats):
     # the round pass hands over strided column slices of its fold buffers
     fwd = np.zeros((n, hmax + 3), dtype=bool)[:, :hmax]
     fwd[:] = votes
-    return src, jc, decided, fwd, prefix[:, -1], decided.sum(axis=1)
+    return src, jc, decided, fwd, prefix[:, -1], decided.sum(axis=1), lens
+
+
+def flat_hops(jc, lens):
+    """The padded chosen paths as the round pass hands them over now:
+    every game's real hops back to back, and each game's start."""
+    starts = np.cumsum(lens) - lens
+    return jc[np.arange(jc.shape[1]) < lens[:, None]], starts
+
+
+def padded_hops(jc, starts, n):
+    """The inverse of :func:`flat_hops`, padded with node 0."""
+    lens = np.diff(np.append(starts, jc.size))
+    hmax = max(int(lens.max()), 1) if n else 1
+    out = np.zeros((n, hmax), dtype=jc.dtype)
+    out[np.arange(hmax) < lens[:, None]] = jc
+    return out
 
 
 class TestWatchdogPairs:
@@ -686,10 +702,12 @@ class TestWatchdogPairs:
     def test_matches_padded_grid(self, seed, repeats):
         rng = np.random.default_rng(seed)
         n, hmax, m, n_csn = 300, 7, 40, 6
-        src, jc, decided, fwd, success, n_dec = random_slate(
+        src, jc, decided, fwd, success, n_dec, lens = random_slate(
             rng, n, hmax, m, n_csn, repeats
         )
-        codes, game, flags = watchdog_pairs(src, jc, fwd, n_dec, success, m)
+        jc_flat, starts = flat_hops(jc, lens)
+        obs, subj, game, flags = watchdog_pairs(src, jc_flat, starts, n_dec, success)
+        codes = obs * m + subj
         want_codes, want_counts, want_flags = grid_pairs(
             src, jc, decided, fwd, success, n_dec, m
         )
@@ -726,15 +744,21 @@ class TestWatchdogPairs:
         real = fused_mod.watchdog_pairs
         calls = []
 
-        def checked(src, jc, fwd, n_dec, success, m):
-            out = real(src, jc, fwd, n_dec, success, m)
-            decided = np.arange(jc.shape[1]) < n_dec[:, None]
-            want = grid_pairs(src, jc, decided, fwd, success, n_dec, m)
-            np.testing.assert_array_equal(out[0], want[0])
+        def checked(src, jc, starts, n_dec, success):
+            obs, subj, game, flags = out = real(src, jc, starts, n_dec, success)
+            m = int(max(src.max(), jc.max())) + 1  # any code base past every id
+            grid = padded_hops(jc, starts, len(n_dec))
+            cols = np.arange(grid.shape[1])
+            decided = cols < n_dec[:, None]
+            # the decide op's votes on decided hops (pinned against the
+            # padded op in test_sim_kernels.py)
+            fwd = decided & ((cols < (n_dec - 1)[:, None]) | success[:, None])
+            want = grid_pairs(src, grid, decided, fwd, success, n_dec, m)
+            np.testing.assert_array_equal(obs * m + subj, want[0])
             np.testing.assert_array_equal(
-                np.bincount(out[1], minlength=len(n_dec)), want[1]
+                np.bincount(game, minlength=len(n_dec)), want[1]
             )
-            np.testing.assert_array_equal(out[2], want[2])
+            np.testing.assert_array_equal(flags, want[2])
             calls.append(len(n_dec))
             return out
 

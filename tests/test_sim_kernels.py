@@ -9,8 +9,9 @@ Three layers of pinning:
   below were recorded on the pre-kernel scalar code, so any drift in the
   kernel is a test failure, not a re-pin.
 * **Op semantics** — the non-obvious vectorizations (the first-writer
-  walk, the incremental commit) against their obvious dense oracles, and
-  the memoryview replay against the numpy-scalar replay it replaced.
+  walk, the incremental commit) against their obvious dense oracles, the
+  ragged rating and decision ops against the padded ops they replaced,
+  and the memoryview replay against the numpy-scalar replay it replaced.
 """
 
 from __future__ import annotations
@@ -108,14 +109,11 @@ class TestTimedKernel:
                 for op, timer in self.TIMERS.items()
             }
 
-        jc = np.array([[3, 4], [5, 0]], dtype=np.int64)
-        valid = np.array([[True, True], [True, False]])
-        outs = [np.empty((2, 2), dtype=t) for t in (np.int64, bool, bool, bool)]
+        jc = np.array([3, 4, 5], dtype=np.int64)
+        starts = np.array([0, 2], dtype=np.int64)
         calls = {
-            "rate_paths": lambda: timed.rate_paths(state, jc * 12, ~valid),
-            "decide": lambda: timed.decide(
-                state, jc, valid, jc * 12 + 1, *outs, np.empty(2, dtype=bool)
-            ),
+            "rate_paths": lambda: timed.rate_paths(state, jc * 12, starts),
+            "decide": lambda: timed.decide(state, jc, jc * 12 + 1, starts),
             "first_writer": lambda: timed.first_writer(
                 np.full(4, 9, dtype=np.int64), np.array([1]), np.array([0])
             ),
@@ -554,6 +552,177 @@ class TestReplayParity:
         # the stream covered what it is meant to
         assert all(seen.values()), seen
         assert {0, 1, 2, 3, 4} <= drops, drops
+
+
+def padded_rate_paths(state, cells, pad):
+    """The padded ``rate_paths`` the ragged op replaced, kept verbatim as
+    the oracle: ``(P, hmax)`` cells, padding columns rated 1.0."""
+    counts = state.ps_flat.take(cells)
+    zero = counts == 0
+    np.maximum(counts, 1, out=counts)
+    ratings = state.pf_flat.take(cells) / counts
+    ratings[zero] = 0.5
+    ratings[pad] = 1.0
+    return ratings.prod(axis=1)
+
+
+def padded_decide(state, jc, valid, cells_dec, trust, unknown, fwd, decided, success):
+    """The padded ``decide`` the ragged op replaced, kept verbatim as the
+    oracle: ``(G, hmax)`` deciders, a prefix scan over the votes."""
+    c2 = state.ps_flat.take(cells_dec)
+    f2 = state.pf_flat.take(cells_dec)
+    np.equal(c2, 0, out=unknown)
+    np.maximum(c2, 1, out=c2)
+    rate = f2 / c2
+    trust[:] = rate > state.b0
+    trust += rate > state.b1
+    trust += rate > state.b2
+
+    kn = state.known.take(jc)
+    np.maximum(kn, 1, out=kn)
+    av = state.pf_sum.take(jc) / kn
+    delta = state.band * av
+    bit = trust * 3
+    bit += 1
+    bit += f2 > av + delta
+    bit -= f2 < av - delta
+    np.copyto(bit, UNKNOWN_BIT, where=unknown)
+    bit += jc * STRATEGY_LENGTH
+    np.equal(state.strat_flat.take(bit), 1, out=fwd)
+    fwd &= valid
+
+    prefix = np.logical_and.accumulate(fwd | ~valid, axis=1)
+    np.copyto(decided, valid)
+    decided[:, 1:] &= prefix[:, :-1]
+    success[:] = prefix[:, -1]
+    return decided.sum(axis=1)
+
+
+def ragged_slate(rng, m, n_csn, n_games, hmax):
+    """Games with 1-4 candidate paths of 1-``hmax`` distinct nodes (never
+    the source), ragged: flat hop ids, per-path lengths and per-game path
+    counts.  Some games repeat a path (an exact rating tie) or put a
+    selfish seat on a path; a 1-hop and an ``hmax``-hop path always occur."""
+    src = rng.integers(0, m, size=n_games)
+    hops, lens, n_paths = [], [], []
+    for g, s in enumerate(src.tolist()):
+        others = np.delete(np.arange(m), s)
+        paths = [
+            rng.choice(others, size=int(rng.integers(1, hmax + 1)), replace=False)
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        if g == 0:
+            paths[0] = paths[0][:1]
+        if g == 1:
+            paths[0] = rng.choice(others, size=hmax, replace=False)
+        if rng.random() < 0.2:
+            paths.append(paths[0].copy())
+        if rng.random() < 0.3:
+            seat = int(rng.integers(m - n_csn, m))
+            if seat != s and seat not in paths[-1]:
+                at = int(rng.integers(0, len(paths[-1]) + 1))
+                paths[-1] = np.insert(paths[-1], at, seat)[:hmax]
+        n_paths.append(len(paths))
+        for p in paths:
+            hops.append(p)
+            lens.append(len(p))
+    return (
+        src,
+        np.concatenate(hops).astype(np.int64),
+        np.asarray(lens, dtype=np.int64),
+        np.asarray(n_paths, dtype=np.int64),
+    )
+
+
+def pad(flat, lens):
+    """Flat hops back into ``(P, max(lens))`` rows, 0-padded, and the
+    real-hop mask."""
+    valid = np.arange(int(lens.max()))[None, :] < lens[:, None]
+    out = np.zeros(valid.shape, dtype=flat.dtype)
+    out[valid] = flat
+    return out, valid
+
+
+class TestRaggedOpParity:
+    """The ragged ``rate_paths`` and ``decide`` against the padded ops
+    they replaced, bitwise: the flat hops of a random slate are padded
+    back into rows for the oracle, on live states with unknown cells,
+    selfish seats, trust-bound and activity-band edges."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ratings_and_choice_match_padded(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n_csn, hmax = 40, 5, 7
+        state = replay_state(rng, m, n_csn)
+        src, hops, lens, n_paths = ragged_slate(rng, m, n_csn, 300, hmax)
+        starts = np.cumsum(lens) - lens
+        path_game = np.repeat(np.arange(src.size), n_paths)
+        cells = np.repeat(src[path_game], lens) * m + hops
+        got = NumpyKernel().rate_paths(state, cells, starts)
+        grid, valid = pad(cells, lens)
+        want = padded_rate_paths(state, grid, ~valid)
+        assert got.tobytes() == want.tobytes()
+        # the best path per game, first index on ties
+        game_start = np.cumsum(n_paths) - n_paths
+        col = np.arange(lens.size) - game_start[path_game]
+        buf = np.full((src.size, int(n_paths.max())), -1.0)
+        buf[path_game, col] = got
+        chosen = buf.argmax(axis=1)
+        ties = 0
+        for g in range(src.size):
+            r = want[game_start[g] : game_start[g] + n_paths[g]]
+            assert chosen[g] == int(np.flatnonzero(r == r.max())[0])
+            ties += int((r == r.max()).sum() > 1)
+        assert ties > 0
+        assert {1, hmax} <= set(lens.tolist())
+        assert (state.ps_flat[cells] == 0).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_decisions_match_padded(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n_csn, hmax = 40, 5, 7
+        state = replay_state(rng, m, n_csn)
+        src, hops, lens, n_paths = ragged_slate(rng, m, n_csn, 300, hmax)
+        # one chosen path per game: its first candidate
+        first = np.cumsum(n_paths) - n_paths
+        starts_all = np.cumsum(lens) - lens
+        jc = np.concatenate(
+            [hops[starts_all[p] : starts_all[p] + lens[p]] for p in first]
+        )
+        glens = lens[first]
+        starts = np.cumsum(glens) - glens
+        cells_dec = jc * m + np.repeat(src, glens)
+        trust, unknown, fwd, n_dec, success = NumpyKernel().decide(
+            state, jc, cells_dec, starts
+        )
+
+        jc_g, valid = pad(jc, glens)
+        cells_g, _ = pad(cells_dec, glens)
+        shape = jc_g.shape
+        w_trust = np.zeros(shape, dtype=np.int64)
+        w_unknown, w_fwd, w_decided = (np.zeros(shape, dtype=bool) for _ in range(3))
+        w_success = np.zeros(src.size, dtype=bool)
+        w_n_dec = padded_decide(
+            state, jc_g, valid, cells_g, w_trust, w_unknown, w_fwd, w_decided,
+            w_success,
+        )
+        assert trust.tobytes() == w_trust[valid].tobytes()
+        assert unknown.tobytes() == w_unknown[valid].tobytes()
+        assert fwd.tobytes() == w_fwd[valid].tobytes()
+        np.testing.assert_array_equal(n_dec, w_n_dec, strict=True)
+        np.testing.assert_array_equal(success, w_success, strict=True)
+        # a decided hop's vote follows from n_dec and success, which is
+        # all the fold and the watchdog pairs keep of it
+        cols = np.arange(shape[1])
+        derived = w_decided & (
+            (cols < (n_dec - 1)[:, None]) | success[:, None]
+        )
+        np.testing.assert_array_equal(derived, w_fwd & w_decided)
+        # the slate covered what it is meant to
+        assert unknown.any() and state.csn_lookup[jc].any()
+        assert (~success & (n_dec == 1)).any(), "no drop at hop 0"
+        assert (success & (glens >= 3)).any()
+        assert {1, hmax} <= set(glens.tolist())
 
 
 class TestRoundStateInvariants:

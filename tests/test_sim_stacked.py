@@ -100,6 +100,24 @@ class TestBitIdentity:
                 f"rep {r}"
             )
 
+    def test_paper_geometry_pin(self):
+        # the paper's Table 5 workload at full scale (100 rounds, four
+        # environments, CSN seats) on a 4-wide stack, one generation: the
+        # digests were recorded on the padded plan layout, so any drift of
+        # a trajectory through the ragged plan, context, kernels or fold
+        # shows here
+        config = ExperimentConfig.for_case(
+            "case3", scale="default", engine="fused", seed=2007,
+            replications=4, generations=1,
+        )
+        stacked = run_stacked(config)
+        assert [digest(r) for r in stacked] == [
+            "145f67ebc042c8e2",
+            "1189cc6f5325e294",
+            "6abb8f6292cbeedc",
+            "eb7992926a61c692",
+        ]
+
     def test_matches_sequential_on_mobile_topology(self):
         # per-replication oracles replay the same mobility epochs and route
         # recomputations they would have seen alone
