@@ -29,7 +29,6 @@ def mini_config(activity_band: float) -> ExperimentConfig:
         generations=18,
         replications=1,
         seed=17,
-        engine="fast",
         ga=GAConfig(population_size=24),
         sim=SimulationConfig(rounds=40, activity_band=activity_band),
     )

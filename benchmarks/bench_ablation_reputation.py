@@ -30,7 +30,6 @@ def mini_config(payoffs: PayoffConfig) -> ExperimentConfig:
         generations=18,
         replications=1,
         seed=11,
-        engine="fast",
         ga=GAConfig(population_size=24),
         sim=SimulationConfig(rounds=40, payoffs=payoffs),
     )

@@ -32,7 +32,6 @@ def mini_config(selection: str) -> ExperimentConfig:
         generations=18,
         replications=1,
         seed=5,
-        engine="fast",
         ga=GAConfig(population_size=24, selection=selection),
         sim=SimulationConfig(rounds=40),
     )

@@ -52,7 +52,7 @@ from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
 from repro.paths.vector import plan_generation_arrays, stack_replication_plans
-from repro.sim import BIT_IDENTICAL_ENGINES, ENGINES, make_engine
+from repro.sim import BIT_IDENTICAL_ENGINES, make_engine
 from repro.sim.fused import FusedEngine
 from repro.telemetry import Timer
 from repro.utils.tables import format_table
@@ -75,14 +75,17 @@ ORACLES = (
 )
 LEDGER_PATH = Path(__file__).resolve().parent.parent / "BENCH_ENGINE.json"
 
-#: The batch engine's raison d'être, asserted where users will look for it.
-#: The measured margin is ~5x since its draw decodes the PCG64 word stream
-#: (~2.2x before); 1.3x absorbs shared-runner noise in CI.
-MIN_BATCH_SPEEDUP = 1.3
-#: Every oracle row must show batch >= fast (the regression this bench once
-#: caught: batch *losing* to fast on the topology oracle).  0.93 absorbs
-#: shared-runner noise; the committed ledger shows the real margins.
-MIN_BATCH_VS_FAST = 0.93
+#: The distinct engines timed per oracle row (``fast`` is an alias of batch).
+TIMED_ENGINES = (*BIT_IDENTICAL_ENGINES, "fused")
+
+#: The batch engine's raison d'être, asserted where users will look for it:
+#: reference/batch on the random oracle.  The committed margin is ~3.2x;
+#: 1.6x (half of it) absorbs shared-runner noise in CI.
+MIN_BATCH_SPEEDUP = 1.6
+#: Every oracle row must show batch >= 0.93 x reference (batch once *lost*
+#: to a scalar engine on the topology oracle).  0.93 absorbs shared-runner
+#: noise; the committed ledger shows the real margins.
+MIN_BATCH_VS_REFERENCE = 0.93
 #: Native-route targets on the committed ledger's workloads, with CI slack
 #: (measured margins are ~4x topology / ~2.3x mobile).
 MIN_TOPOLOGY_VS_REFERENCE = 2.0
@@ -365,7 +368,7 @@ def time_tournament(engine_name: str, oracle_kind: str, repeats: int = 7) -> flo
     return timer.min_s
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+@pytest.mark.parametrize("engine_name", TIMED_ENGINES)
 def test_engine_tournament_throughput(benchmark, engine_name):
     stats = benchmark.pedantic(
         run_tournament, args=(engine_name,), rounds=3, iterations=1, warmup_rounds=1
@@ -379,7 +382,7 @@ def test_engine_tournament_throughput(benchmark, engine_name):
 def test_engines_equal_output_per_oracle(oracle_kind):
     """Guard: the timed configurations do identical work on every oracle.
 
-    The bit-identical trio must agree exactly; the fused engine (statistical
+    The bit-identical pair must agree exactly; the fused engine (statistical
     contract) must play the same *workload* — same game count, sane delivery
     — with its distributional match gated by the dedicated suite in
     ``tests/test_engine_statistical.py``.
@@ -420,7 +423,7 @@ def test_engine_matrix_report(session):
     """Engines x oracles games/sec matrix; writes BENCH_ENGINE.json."""
     walls: dict[str, dict[str, float]] = {kind: {} for kind in ORACLES}
     for oracle_kind in ORACLES:
-        for engine_name in ENGINES:
+        for engine_name in TIMED_ENGINES:
             # the fused engine's unit of work is a whole generation; its
             # matrix cell is the per-tournament wall of one stacked pass.
             # The per-round-mobility rows use the block-averaged protocol
@@ -441,7 +444,7 @@ def test_engine_matrix_report(session):
     rows = []
     metrics: dict[str, float] = {}
     for oracle_kind in ORACLES:
-        for engine_name in ENGINES:
+        for engine_name in TIMED_ENGINES:
             wall = walls[oracle_kind][engine_name]
             gps = GAMES / wall
             metrics[f"games_per_s[{engine_name}/{oracle_kind}]"] = round(gps, 1)
@@ -518,9 +521,6 @@ def test_engine_matrix_report(session):
                 }
                 for oracle_kind, engine_walls in ledger_walls.items()
             },
-            "batch_speedup_vs_fast_random": round(
-                random_walls["fast"] / random_walls["batch"], 3
-            ),
             "batch_speedup_vs_reference_random": round(
                 random_walls["reference"] / random_walls["batch"], 3
             ),
@@ -559,7 +559,7 @@ def test_engine_matrix_report(session):
     LEDGER_PATH.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
 
     # The tentpole claims, measured where users will see them.
-    assert random_walls["fast"] / random_walls["batch"] >= MIN_BATCH_SPEEDUP
+    assert random_walls["reference"] / random_walls["batch"] >= MIN_BATCH_SPEEDUP
     assert (
         random_walls["batch"] / random_walls["fused"] >= MIN_FUSED_VS_BATCH_RANDOM
     ), "the fused engine lost its speculative-vectorization edge on the random oracle"
@@ -595,8 +595,9 @@ def test_engine_matrix_report(session):
     for oracle_kind in ORACLES:
         engine_walls = walls[oracle_kind]
         assert (
-            engine_walls["fast"] / engine_walls["batch"] >= MIN_BATCH_VS_FAST
-        ), f"batch engine regressed below fast on the {oracle_kind} oracle"
+            engine_walls["reference"] / engine_walls["batch"]
+            >= MIN_BATCH_VS_REFERENCE
+        ), f"batch engine regressed below reference on the {oracle_kind} oracle"
     assert (
         walls["topology"]["reference"] / walls["topology"]["batch"]
         >= MIN_TOPOLOGY_VS_REFERENCE

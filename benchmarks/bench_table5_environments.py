@@ -1,7 +1,7 @@
 """Table 5 — per-environment cooperation and CSN-free paths (cases 3-4).
 
 Timed kernel: one paper-sized generation evaluation of case 3 (four
-environments, 50-seat tournaments) on the fast engine.
+environments, 50-seat tournaments) on the default engine.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.config.presets import paper_environments
 from repro.core.strategy import Strategy
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
-from repro.sim.fast import FastEngine
+from repro.sim import DEFAULT_ENGINE, make_engine
 from repro.tournament.evaluation import evaluate_generation
 
 from benchmarks.conftest import emit_report
@@ -21,7 +21,7 @@ from benchmarks.conftest import emit_report
 
 def evaluate_case3_generation(rounds: int = 20) -> float:
     rng = np.random.default_rng(1)
-    engine = FastEngine(100, 30)
+    engine = make_engine(DEFAULT_ENGINE, 100, 30)
     engine.set_strategies([Strategy.random(rng) for _ in range(100)])
     oracle = RandomPathOracle(rng, SHORTER_PATHS)
     result = evaluate_generation(

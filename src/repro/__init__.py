@@ -67,7 +67,7 @@ from repro.paths.oracle import GameSetup, RandomPathOracle, ScriptedPathOracle
 from repro.reputation.activity import ActivityClassifier
 from repro.reputation.records import ReputationTable
 from repro.reputation.trust import TrustTable
-from repro.sim import FastEngine, ReferenceEngine, make_engine
+from repro.sim import BatchEngine, ReferenceEngine, make_engine
 from repro.tournament.environment import TournamentEnvironment
 from repro.tournament.evaluation import evaluate_generation
 
@@ -111,7 +111,7 @@ __all__ = [
     "ROUTE_CACHE_POLICIES",
     # simulation
     "ReferenceEngine",
-    "FastEngine",
+    "BatchEngine",
     "make_engine",
     "TournamentEnvironment",
     "evaluate_generation",

@@ -157,7 +157,8 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         default=DEFAULT_ENGINE if defaults else None,
         choices=tuple(ENGINES),
         help=(
-            "simulation engine; reference/fast/batch are bit-identical,"
+            "simulation engine; reference and batch are bit-identical"
+            " (fast is an alias of batch),"
             " fused is statistically equivalent (different trajectories"
             " under the same seed; it stacks a whole generation per pass"
             " and is fastest)"

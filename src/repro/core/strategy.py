@@ -144,7 +144,7 @@ class Strategy:
         return bits_to_string(self._bits, DISPLAY_GROUPS if grouped else 0)
 
     def as_array(self) -> np.ndarray:
-        """The bits as a ``uint8`` numpy array (used by the fast engine)."""
+        """The bits as a ``uint8`` numpy array."""
         return np.array(self._bits, dtype=np.uint8)
 
     # -- dunder ------------------------------------------------------------

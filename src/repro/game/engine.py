@@ -20,8 +20,8 @@ Game flow
      ``< k``, dropped for position ``k``).  Nodes after the drop saw nothing;
      the dropper itself records nothing.
 
-The fast engine (:mod:`repro.sim.fast`) reimplements exactly this function on
-flat arrays; ``tests/test_engine_equivalence.py`` proves the two agree
+The batch engine (:mod:`repro.sim.batch`) reimplements exactly this function
+on flat arrays; ``tests/test_engine_equivalence.py`` proves the two agree
 bit-for-bit on identical inputs.
 """
 

@@ -2,7 +2,7 @@
 
 Implements the path selection machinery of §3.1 and §6.1 (Tables 2 and 3).
 All randomness used by the simulation engines flows through the oracles in
-:mod:`repro.paths.oracle`, which is what makes the reference and fast engines
+:mod:`repro.paths.oracle`, which is what makes the reference and batch engines
 bit-identical under a shared seed.
 """
 

@@ -1,7 +1,7 @@
 """Path oracles — the single source of randomness for game setup.
 
 A *path oracle* answers, for each game, "who is the destination and which
-candidate paths exist?".  Both simulation engines (reference and fast) call
+candidate paths exist?".  Both exact engines (reference and batch) call
 the oracle in exactly the same order (round by round, source by source), so
 two engines sharing an identically-seeded oracle consume identical random
 streams and produce bit-identical trajectories — the property exploited by

@@ -18,11 +18,11 @@ The vectorized face of this layer lives in :mod:`repro.paths.vector`
 engine); :func:`repro.paths.oracle.plan_games` is the oracle-generic
 dispatch that picks an oracle's batched path when it has one.
 
-Both loops consume randomness *identically* to the per-game form —
-``others[int(rng.integers(len(others)))]`` per attempt, nothing else — so
+Both run the one rejection loop in :func:`draw_setup`, which consumes
+``others[int(rng.integers(len(others)))]`` per attempt and nothing else, so
 an engine interleaving sequential and batched drawing on a shared generator
 cannot change a trajectory.  That property is what keeps the
-reference/fast/batch trio bit-identical through this refactor, and it is
+reference/batch pair bit-identical through this refactor, and it is
 pinned by the stream-identity suites in ``tests/test_network_topology.py``
 and ``tests/test_mobility_oracle.py``.
 """
@@ -77,14 +77,14 @@ def plan_round(
 ) -> list[PlannedGame]:
     """Draw a whole round's (or tournament's) games in one batch.
 
-    Stream-identical to :func:`draw_setup` once per source; the speedup is
-    per-game overhead removal (cached ``others`` pools, no ``GameSetup``
+    Calls :func:`draw_setup` once per source, so the two share one
+    rejection loop and one failure site; the batched form only removes
+    per-game overhead (cached ``others`` pools, no ``GameSetup``
     construction).  ``tick``, when given, fires once per game *before* its
     destination draws — the hook draw-count-clocked topologies use to step
     (and possibly consume the shared generator) at exactly the same draw
     counts as the sequential form.
     """
-    integers = rng.integers
     others_cache: dict[int, list[int]] = {}
     cache_get = others_cache.get
     plan: list[PlannedGame] = []
@@ -98,16 +98,5 @@ def plan_round(
             raise ValueError("need at least one potential destination")
         if tick is not None:
             tick()
-        n_others = len(others)
-        for _ in range(max_draws):
-            destination = others[int(integers(n_others))]
-            paths = routes(source, destination)
-            if paths:
-                append((source, destination, paths))
-                break
-        else:
-            raise RuntimeError(
-                f"no routable destination found for source {source} after"
-                f" {max_draws} draws; topology too sparse for this game"
-            )
+        append((source, *draw_setup(rng, source, others, routes, max_draws)))
     return plan

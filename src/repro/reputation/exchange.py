@@ -122,7 +122,7 @@ def exchange_reputation_flat(
     config: ExchangeConfig,
     rng: np.random.Generator,
 ) -> int:
-    """One gossip step over flat reputation state (fast/batch engines).
+    """One gossip step over flat reputation state (batch engine).
 
     Semantically and stream-identically equivalent to
     :func:`exchange_reputation` over :class:`ReputationTable` objects: the

@@ -1,16 +1,15 @@
 """Simulation engines.
 
-Four implementations of the tournament semantics, registered in
+Three implementations of the tournament semantics, registered in
 :data:`ENGINES` under their ``--engine`` names:
 
 * :class:`repro.sim.reference.ReferenceEngine` — object-oriented, built from
   the auditable :mod:`repro.game` / :mod:`repro.core` pieces, supports event
   observation;
-* :class:`repro.sim.fast.FastEngine` — flat-array hot loop with per-game
-  drawing;
 * :class:`repro.sim.batch.BatchEngine` — struct-of-arrays numpy state with
-  batched tournament-schedule drawing, the fastest *bit-identical* engine
-  and :data:`DEFAULT_ENGINE`;
+  batched tournament-schedule drawing, the one bit-identical fast path and
+  :data:`DEFAULT_ENGINE`; ``fast`` is an alias of it (the retired flat-list
+  engine, kept so old configs, checkpoints and job addresses still resolve);
 * :class:`repro.sim.fused.FusedEngine` — the statistical engine: all
   tournaments of a generation are planned with vectorized draws and
   executed as one stacked round-major pass of speculative per-round game
@@ -37,13 +36,11 @@ Tables 5-9 aggregates) without replaying the same trajectories.
 """
 
 from repro.sim.batch import BatchEngine
-from repro.sim.fast import FastEngine
 from repro.sim.fused import FusedEngine
 from repro.sim.reference import ReferenceEngine
 
 __all__ = [
     "ReferenceEngine",
-    "FastEngine",
     "BatchEngine",
     "FusedEngine",
     "ENGINES",
@@ -55,19 +52,20 @@ __all__ = [
 #: Engine registry, keyed by the ``--engine`` selector name.
 ENGINES = {
     "reference": ReferenceEngine,
-    "fast": FastEngine,
+    # alias of batch; it and sim/fast.py go with ROADMAP item 7's benchmark PR
+    "fast": BatchEngine,
     "batch": BatchEngine,
     "fused": FusedEngine,
 }
 
-#: The engine every entry point runs unless told otherwise: the fastest
-#: bit-identical one.
+#: The engine every entry point runs unless told otherwise: the
+#: bit-identical fast path.
 DEFAULT_ENGINE = "batch"
 
 #: Engines guaranteed to produce identical trajectories under identical
 #: seeds.  ``fused`` is deliberately absent: its contract is statistical
 #: equivalence (same outcome distributions, different trajectories).
-BIT_IDENTICAL_ENGINES = ("reference", "fast", "batch")
+BIT_IDENTICAL_ENGINES = ("reference", "batch")
 
 
 def make_engine(
@@ -79,8 +77,8 @@ def make_engine(
     payoffs=None,
     n_replications: int = 1,
 ):
-    """Factory: build an engine by name (``"reference"``, ``"fast"``,
-    ``"batch"`` or ``"fused"``).
+    """Factory: build an engine by name (``"reference"``, ``"batch"`` or
+    ``"fused"``; ``"fast"`` builds a ``batch`` engine).
 
     ``n_replications > 1`` stacks replications, which only a
     generation-fusing engine accepts.

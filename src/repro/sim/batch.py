@@ -1,7 +1,9 @@
 """Batched struct-of-arrays simulation engine.
 
-The third engine implementation: canonical state lives in dense numpy arrays
-(struct-of-arrays instead of the reference engine's array-of-objects) —
+The one bit-identical fast path: the exact contract has two implementations,
+the auditable reference engine and this one (``--engine fast`` names it too;
+:mod:`repro.sim.fast` is an alias).  Canonical state lives in dense numpy
+arrays (struct-of-arrays instead of the reference engine's array-of-objects) —
 
 * the trust/watchdog reputation counters as dense ``(M, M)`` ``int64``
   matrices (row = observer, column = subject) with ``known``/``pf_sum``
@@ -17,7 +19,7 @@ expressions over those arrays.
 
 What is (and is not) batched
 ----------------------------
-Drawing game setups one RNG call at a time cost the fast engine ~3/4 of its
+Drawing game setups one RNG call at a time cost ~3/4 of a scalar engine's
 wall time at table-5 scale, so batching starts there: the whole tournament
 schedule is drawn up front via :meth:`RandomPathOracle.draw_tournament`,
 which decodes the generator's PCG64 word stream with numpy (stream- and

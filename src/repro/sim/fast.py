@@ -1,318 +1,12 @@
-"""Fast flat-array simulation engine.
+"""The retired flat-list engine: ``FastEngine`` is now ``BatchEngine``.
 
-Semantically identical to the reference engine (same decision logic, payoffs,
-watchdog updates and statistics), but the per-game hot loop runs over flat
-Python lists indexed by node id instead of ``Player`` objects with dict-backed
-reputation tables.
-
-Why lists and not numpy?  The workload is scalar: each game touches a handful
-of individual matrix cells (one decision per intermediate, one (observer,
-subject) pair per watchdog record).  Profiling — as the HPC guides insist,
-measure first — shows single-element access on Python lists is ~3x faster
-than on numpy arrays (no per-access scalar boxing), and the running
-``known``/``pf_sum`` aggregates make the activity average O(1).  Numpy still
-handles everything batchable (fitness extraction, state export).
-
-Invariants shared with the reference engine (enforced by the equivalence
-suite in ``tests/test_engine_equivalence.py``):
-
-* identical floating-point expression order in ratings, payoffs and fitness,
-* identical tie-breaking in best-path selection (first index wins),
-* identical consumption of the shared random stream (none in the game loop —
-  all randomness lives in the oracle and the scheduler; the optional
-  second-hand exchange consumes the caller's ``rng`` exactly as the
-  reference engine does, via
-  :func:`repro.reputation.exchange.exchange_reputation_flat`).
+``batch`` is bit-identical to the old flat-list game loop and faster, so the
+exact contract keeps two implementations (reference and batch); this name
+stays importable for existing callers.
 """
 
-from __future__ import annotations
-
-from typing import Sequence
-
-import numpy as np
-
-from repro.core.payoff import PayoffConfig
-from repro.core.strategy import STRATEGY_LENGTH, UNKNOWN_BIT, Strategy
-from repro.game.stats import TournamentStats
-from repro.paths.oracle import PathOracle
-from repro.reputation.activity import ActivityClassifier
-from repro.reputation.exchange import ExchangeConfig, exchange_reputation_flat
-from repro.reputation.trust import TrustTable
-from repro.telemetry.runtime import get_telemetry
+from repro.sim.batch import BatchEngine
 
 __all__ = ["FastEngine"]
 
-
-class FastEngine:
-    """Flat-array implementation of the tournament semantics."""
-
-    name = "fast"
-
-    def __init__(
-        self,
-        n_population: int,
-        max_selfish: int,
-        trust_table: TrustTable | None = None,
-        activity: ActivityClassifier | None = None,
-        payoffs: PayoffConfig | None = None,
-    ):
-        if n_population < 1:
-            raise ValueError(f"population must be >= 1, got {n_population}")
-        if max_selfish < 0:
-            raise ValueError(f"max_selfish must be >= 0, got {max_selfish}")
-        self.n_population = n_population
-        self.max_selfish = max_selfish
-        self.trust_table = trust_table or TrustTable()
-        self.activity = activity or ActivityClassifier()
-        self.payoffs = payoffs or PayoffConfig()
-        if self.trust_table.n_levels != 4:
-            raise ValueError("FastEngine is specialised to 4 trust levels")
-        self.m = n_population + max_selfish
-        # cached plain-Python parameters for the hot loop
-        self._b0, self._b1, self._b2 = self.trust_table.bounds
-        self._band = self.activity.band
-        self._fwd_pay = tuple(self.payoffs.forward_by_trust)
-        self._disc_pay = tuple(self.payoffs.discard_by_trust)
-        self._default_trust = self.payoffs.default_trust
-        self._src_success = self.payoffs.source_success
-        self._src_failure = self.payoffs.source_failure
-        self._strategies: list[tuple[int, ...]] = [
-            (1,) * STRATEGY_LENGTH for _ in range(n_population)
-        ]
-        self._alloc()
-
-    def _alloc(self) -> None:
-        m = self.m
-        # reputation state: row = observer, column = subject
-        self.ps = [[0] * m for _ in range(m)]
-        self.pf = [[0] * m for _ in range(m)]
-        self.known = [0] * m  # subjects with ps > 0, per observer
-        self.pf_sum = [0] * m  # sum of pf over subjects, per observer
-        # payoff accounting, per player id
-        self.send_pay = [0.0] * m
-        self.fwd_pay_acc = [0.0] * m
-        self.disc_pay_acc = [0.0] * m
-        self.n_sent = [0] * m
-        self.n_fwd = [0] * m
-        self.n_disc = [0] * m
-
-    # -- SimulationEngine protocol ------------------------------------------
-
-    @property
-    def population_ids(self) -> Sequence[int]:
-        return range(self.n_population)
-
-    def selfish_ids(self, n: int) -> list[int]:
-        if n > self.max_selfish:
-            raise ValueError(
-                f"environment needs {n} CSN, engine allocated {self.max_selfish}"
-            )
-        return [self.n_population + k for k in range(n)]
-
-    def set_strategies(self, strategies: Sequence[Strategy]) -> None:
-        if len(strategies) != self.n_population:
-            raise ValueError(
-                f"expected {self.n_population} strategies, got {len(strategies)}"
-            )
-        self._strategies = [tuple(s.bits) for s in strategies]
-
-    def reset_generation(self) -> None:
-        self._alloc()
-
-    def run_tournament(
-        self,
-        participants: Sequence[int],
-        rounds: int,
-        oracle: PathOracle,
-        stats: TournamentStats,
-        exchange: ExchangeConfig | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        do_exchange = exchange is not None and exchange.enabled
-        if do_exchange and rng is None:
-            raise ValueError("reputation exchange requires an rng")
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        # hot-loop local aliases
-        ps, pf = self.ps, self.pf
-        known, pf_sum = self.known, self.pf_sum
-        send_pay, n_sent = self.send_pay, self.n_sent
-        fwd_acc, n_fwd = self.fwd_pay_acc, self.n_fwd
-        disc_acc, n_disc = self.disc_pay_acc, self.n_disc
-        strategies = self._strategies
-        n_pop = self.n_population
-        b0, b1, b2 = self._b0, self._b1, self._b2
-        band = self._band
-        fwd_table, disc_table = self._fwd_pay, self._disc_pay
-        default_trust = self._default_trust
-        record_request = stats.record_request
-        record_game = stats.record_game
-        record_path_choice = stats.record_path_choice
-
-        # telemetry seam: one enabled check per tournament; the per-game hot
-        # loop below never touches the recorder (zero-overhead contract)
-        tel = get_telemetry()
-        if not tel.enabled:
-            tel = None
-
-        participants = list(participants)
-        selfish_set = frozenset(p for p in participants if p >= n_pop)
-
-        for round_no in range(rounds):
-            round_span = tel.span("round") if tel is not None else None
-            if round_span is not None:
-                round_span.__enter__()
-            for source in participants:
-                setup = oracle.draw(source, participants)
-                paths = setup.paths
-                source_selfish = source >= n_pop
-
-                # -- best-path selection (mirrors paths.rating exactly) -----
-                ps_s, pf_s = ps[source], pf[source]
-                best_i = 0
-                r = 1.0
-                for node in paths[0]:
-                    c = ps_s[node]
-                    r *= (pf_s[node] / c) if c else 0.5
-                best_r = r
-                for i in range(1, len(paths)):
-                    r = 1.0
-                    for node in paths[i]:
-                        c = ps_s[node]
-                        r *= (pf_s[node] / c) if c else 0.5
-                    if r > best_r:
-                        best_i, best_r = i, r
-                path = paths[best_i]
-
-                record_path_choice(
-                    source_selfish, any(node in selfish_set for node in path)
-                )
-
-                # -- sequential decisions -----------------------------------
-                deciders: list[int] = []
-                flags: list[bool] = []
-                trusts: list[int | None] = []
-                success = True
-                for j in deciders_path_iter(path):
-                    c = ps[j][source]
-                    if c == 0:
-                        trust: int | None = None
-                        forward = (
-                            False if j >= n_pop else strategies[j][UNKNOWN_BIT] == 1
-                        )
-                    else:
-                        rate = pf[j][source] / c
-                        trust = (
-                            3
-                            if rate > b2
-                            else 2
-                            if rate > b1
-                            else 1
-                            if rate > b0
-                            else 0
-                        )
-                        if j >= n_pop:
-                            forward = False
-                        else:
-                            fj = pf[j][source]
-                            av = pf_sum[j] / known[j]
-                            act = (
-                                0
-                                if fj < av - band * av
-                                else 2
-                                if fj > av + band * av
-                                else 1
-                            )
-                            forward = strategies[j][trust * 3 + act] == 1
-                    deciders.append(j)
-                    flags.append(forward)
-                    trusts.append(trust)
-                    record_request(source_selfish, j >= n_pop, forward)
-                    if not forward:
-                        success = False
-                        break
-
-                # -- payoffs (same accumulation order as the reference) -----
-                send_pay[source] += (
-                    self._src_success if success else self._src_failure
-                )
-                n_sent[source] += 1
-                for j, forward, trust in zip(deciders, flags, trusts):
-                    level = default_trust if trust is None else trust
-                    if forward:
-                        fwd_acc[j] += fwd_table[level]
-                        n_fwd[j] += 1
-                    else:
-                        disc_acc[j] += disc_table[level]
-                        n_disc[j] += 1
-
-                # -- watchdog reputation updates -----------------------------
-                if success:
-                    updaters = (source, *deciders)
-                else:
-                    updaters = (source, *deciders[:-1])
-                for u in updaters:
-                    ps_u, pf_u = ps[u], pf[u]
-                    ku, su = known[u], pf_sum[u]
-                    for j, forward in zip(deciders, flags):
-                        if j != u:
-                            if ps_u[j] == 0:
-                                ku += 1
-                            ps_u[j] += 1
-                            if forward:
-                                pf_u[j] += 1
-                                su += 1
-                    known[u], pf_sum[u] = ku, su
-
-                record_game(source_selfish, success)
-
-            if round_span is not None:
-                round_span.__exit__(None, None, None)
-            if do_exchange and (round_no + 1) % exchange.interval == 0:
-                if tel is None:
-                    exchange_reputation_flat(
-                        ps, pf, known, pf_sum, participants, exchange, rng
-                    )
-                else:
-                    with tel.registry.timer("engine.exchange_s").time():
-                        exchange_reputation_flat(
-                            ps, pf, known, pf_sum, participants, exchange, rng
-                        )
-        if tel is not None:
-            tel.count("engine.tournaments")
-            tel.count("engine.rounds", rounds)
-            tel.count("engine.games", rounds * len(participants))
-
-    def fitness(self) -> np.ndarray:
-        out = np.empty(self.n_population, dtype=float)
-        for pid in range(self.n_population):
-            events = self.n_sent[pid] + self.n_fwd[pid] + self.n_disc[pid]
-            if events == 0:
-                out[pid] = 0.0
-            else:
-                total = (
-                    self.send_pay[pid]
-                    + self.fwd_pay_acc[pid]
-                    + self.disc_pay_acc[pid]
-                )
-                out[pid] = total / events
-        return out
-
-    # -- introspection (tests, analysis) --------------------------------------
-
-    def payoff_matrix(self) -> np.ndarray:
-        """Reputation state as ``(M, M, 2)`` — same layout as the reference."""
-        out = np.zeros((self.m, self.m, 2), dtype=np.int64)
-        out[:, :, 0] = np.asarray(self.ps, dtype=np.int64)
-        out[:, :, 1] = np.asarray(self.pf, dtype=np.int64)
-        return out
-
-
-def deciders_path_iter(path: Sequence[int]):
-    """Iterate the intermediates of a path in forwarding order.
-
-    Exists as a named helper (rather than iterating ``path`` inline) so the
-    sequential-decision walk reads the same in both engines and profilers
-    attribute its cost distinctly.
-    """
-    return iter(path)
+FastEngine = BatchEngine

@@ -878,7 +878,7 @@ class FusedEngine:
             plan.path_start[p0:p1] - h0,
         )
 
-        # -- best path per game (first index wins ties, as the trio does) ---
+        # -- best path per game (first index wins ties, as the exact engines do)
         buf = ctx.ratings_buf
         buf.fill(-1.0)
         buf[ctx.pg_rel[p0:p1], plan.path_col[p0:p1]] = ratings

@@ -133,7 +133,7 @@ class ReferenceEngine:
         """(ps, pf) reputation state as a dense ``(M, M, 2)`` array.
 
         Row = observer, column = subject.  Used by the engine-equivalence
-        tests to compare against the fast engine's native matrices.
+        tests to compare against the batch engine's native matrices.
         """
         m = self.n_population + self.max_selfish
         out = np.zeros((m, m, 2), dtype=np.int64)

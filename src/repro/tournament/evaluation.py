@@ -10,7 +10,7 @@ sat in; fitness is Eq. (1) over those totals.
 
 The function is engine-agnostic: any object satisfying
 :class:`SimulationEngine` works (the reference engine over ``Player``
-objects, the flat-array fast engine, or the struct-of-arrays batch engine).
+objects, or the struct-of-arrays batch engine).
 All randomness — seating draws, participant shuffles, oracle draws — is
 consumed in an engine-independent order, which is what makes the engines
 bit-identical under a shared seed.  The one exception is an engine that

@@ -44,12 +44,15 @@ class TestCommittedArtefacts:
 
     def test_engine_ledger_has_all_engine_rows(self):
         """The committed perf ledger carries a row per registered engine on
-        every gated oracle (check_perf_regression gates them from here)."""
+        every gated oracle (check_perf_regression gates them from here);
+        an alias (a name its class does not carry, e.g. ``fast``) has none."""
         from repro.sim import ENGINES
 
+        engines = {name for name, cls in ENGINES.items() if cls.name == name}
+        assert engines == {"reference", "batch", "fused"}
         ledger = json.loads((REPO_ROOT / "BENCH_ENGINE.json").read_text())
         for oracle in ("random", "topology", "mobile"):
-            assert set(ledger["wall_s"][oracle]) == set(ENGINES), oracle
+            assert set(ledger["wall_s"][oracle]) == engines, oracle
         random_walls = ledger["wall_s"]["random"]
         assert (
             random_walls["batch"] / random_walls["fused"]

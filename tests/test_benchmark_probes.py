@@ -64,18 +64,28 @@ def run_probed(tmp_path, engine: str, replications: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+FUSED_LAYERS = ("sim.run", "paths.plan", "sim.fold", "ga.step")
+
+
 @pytest.mark.parametrize(
-    "engine,replications",
+    "engine,replications,layers",
     [
-        ("fused", 2),  # stacked driver: FusedEngine(n_replications=2)
-        ("fused", 1),  # one-replication FusedEngine: run_generation, fitness
-        ("fast", 1),  # per-replication driver
+        # stacked driver: FusedEngine(n_replications=2)
+        pytest.param("fused", 2, FUSED_LAYERS, id="fused-2"),
+        # one-replication FusedEngine: run_generation, fitness
+        pytest.param("fused", 1, FUSED_LAYERS, id="fused-1"),
+        # per-replication driver: the probes' ``FastEngine`` is batch, whose
+        # whole-tournament ``draw_tournament`` plan they do not time yet
+        pytest.param("fast", 1, ("sim.run", "sim.fold", "ga.step"), id="fast-1"),
+        # the per-game ``RandomPathOracle.draw`` probe, on the engine that
+        # still draws one game at a time
+        pytest.param("reference", 1, ("paths.plan", "ga.step"), id="reference-1"),
     ],
 )
-def test_probes_see_seatings_and_every_layer(tmp_path, engine, replications):
+def test_probes_see_seatings_and_every_layer(tmp_path, engine, replications, layers):
     seen = run_probed(tmp_path, engine, replications)
     # the games-conserved check counts seatings through this probe
     assert seen["seatings"], "the seating probe recorded nothing"
     assert all(drawn > 0 for _, drawn in seen["seatings"])
-    for layer in ("sim.run", "paths.plan", "sim.fold", "ga.step"):
+    for layer in layers:
         assert layer in seen["layers"], f"no {layer} span"

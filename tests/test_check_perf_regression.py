@@ -38,7 +38,7 @@ def ledger(walls: dict) -> dict:
 
 
 BASE_WALLS = {
-    oracle: {"reference": 0.060, "fast": 0.040, "batch": 0.020, "fused": 0.014}
+    oracle: {"reference": 0.060, "batch": 0.020, "fused": 0.014}
     for oracle in ("random", "topology", "mobile")
 }
 
@@ -271,7 +271,7 @@ class TestNamedRowErrors:
         # json.dumps/loads round-trip NaN, so the malformed ledger survives
         # the file hop exactly as a buggy bench would write it
         walls = json.loads(json.dumps(BASE_WALLS))
-        walls["mobile"]["fast"] = float("nan")
+        walls["mobile"]["batch"] = float("nan")
         assert run_gate(gate, tmp_path, walls) == 3
 
     def test_wall_table_not_a_mapping_errors(self, gate, tmp_path, capsys):

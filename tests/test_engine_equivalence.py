@@ -1,6 +1,6 @@
-"""Reference vs fast vs batch engine: bit-for-bit equivalence.
+"""Reference vs batch engine: bit-for-bit equivalence.
 
-All engines consume randomness exclusively through shared components (path
+Both engines consume randomness exclusively through shared components (path
 oracle, seating scheduler, GA, exchange), so under identical seeds they must
 produce identical decisions, payoffs, reputation matrices, statistics,
 fitness and — through a whole GA replication — identical evolved populations.
@@ -32,8 +32,7 @@ from repro.tournament.evaluation import evaluate_generation
 
 # the fused engine is deliberately absent: its contract is statistical
 # equivalence (tests/test_engine_statistical.py), not bit-identity
-ENGINE_NAMES = BIT_IDENTICAL_ENGINES  # ("reference", "fast", "batch")
-ALT_ENGINES = ("fast", "batch")  # compared against the reference
+ENGINE_NAMES = BIT_IDENTICAL_ENGINES  # ("reference", "batch")
 
 
 def build_engines(n_pop=16, max_csn=5, seed=77, names=ENGINE_NAMES):
@@ -73,54 +72,44 @@ def run_engine(
 class TestTournamentEquivalence:
     @pytest.mark.parametrize("oracle_seed", [0, 1, 2, 3])
     def test_stats_identical(self, oracle_seed):
-        ref, fast, batch = build_engines()
+        ref, batch = build_engines()
         participants = list(range(12)) + [16, 17, 18]  # 12 NN + 3 CSN
         s_ref = run_engine(ref, participants, 15, oracle_seed)
-        s_fast = run_engine(fast, participants, 15, oracle_seed)
         s_batch = run_engine(batch, participants, 15, oracle_seed)
-        assert s_ref.to_dict() == s_fast.to_dict()
         assert s_ref.to_dict() == s_batch.to_dict()
 
     @pytest.mark.parametrize("hop_dist", [SHORTER_PATHS, LONGER_PATHS])
     def test_reputation_matrices_identical(self, hop_dist):
-        ref, fast, batch = build_engines()
+        ref, batch = build_engines()
         participants = list(range(10)) + [16, 17]
-        for engine in (ref, fast, batch):
+        for engine in (ref, batch):
             run_engine(engine, participants, 12, 5, hop_dist)
-        assert np.array_equal(ref.payoff_matrix(), fast.payoff_matrix())
         assert np.array_equal(ref.payoff_matrix(), batch.payoff_matrix())
 
     def test_fitness_identical(self):
-        ref, fast, batch = build_engines()
+        ref, batch = build_engines()
         participants = list(range(14)) + [16]
-        for engine in (ref, fast, batch):
+        for engine in (ref, batch):
             run_engine(engine, participants, 10, 9)
-        assert np.array_equal(ref.fitness(), fast.fitness())
         assert np.array_equal(ref.fitness(), batch.fitness())
 
     def test_payoff_components_identical(self):
-        ref, fast, batch = build_engines()
+        ref, batch = build_engines()
         participants = list(range(16))
-        for engine in (ref, fast, batch):
+        for engine in (ref, batch):
             run_engine(engine, participants, 10, 11)
         for pid in range(16):
             acc = ref.player(pid).payoffs
-            assert acc.send_payoff == fast.send_pay[pid] == batch.send_pay[pid]
-            assert (
-                acc.forward_payoff == fast.fwd_pay_acc[pid] == batch.fwd_pay_acc[pid]
-            )
-            assert (
-                acc.discard_payoff
-                == fast.disc_pay_acc[pid]
-                == batch.disc_pay_acc[pid]
-            )
-            assert acc.n_sent == fast.n_sent[pid] == batch.n_sent[pid]
-            assert acc.n_forwarded == fast.n_fwd[pid] == batch.n_fwd[pid]
-            assert acc.n_discarded == fast.n_disc[pid] == batch.n_disc[pid]
+            assert acc.send_payoff == batch.send_pay[pid]
+            assert acc.forward_payoff == batch.fwd_pay_acc[pid]
+            assert acc.discard_payoff == batch.disc_pay_acc[pid]
+            assert acc.n_sent == batch.n_sent[pid]
+            assert acc.n_forwarded == batch.n_fwd[pid]
+            assert acc.n_discarded == batch.n_disc[pid]
 
 
 class TestExchangeEquivalence:
-    """The second-hand exchange runs identically on all three engines."""
+    """The second-hand exchange runs identically on both engines."""
 
     CONFIGS = [
         ExchangeConfig(enabled=True, interval=5, fanout=2, positive_only=True),
@@ -136,9 +125,9 @@ class TestExchangeEquivalence:
         """Separate rngs, and the hard case: exchange and oracle sharing one
         generator, where pre-drawing past a gossip step would skew the
         stream."""
-        ref, fast, batch = build_engines()
+        ref, batch = build_engines()
         participants = list(range(12)) + [16, 17, 18]
-        results = [
+        s_ref, s_batch = [
             run_engine(
                 engine,
                 participants,
@@ -147,14 +136,10 @@ class TestExchangeEquivalence:
                 exchange=config,
                 shared_rng=shared_rng,
             )
-            for engine in (ref, fast, batch)
+            for engine in (ref, batch)
         ]
-        s_ref, s_fast, s_batch = results
-        assert s_ref.to_dict() == s_fast.to_dict()
         assert s_ref.to_dict() == s_batch.to_dict()
-        assert np.array_equal(ref.payoff_matrix(), fast.payoff_matrix())
         assert np.array_equal(ref.payoff_matrix(), batch.payoff_matrix())
-        assert np.array_equal(ref.fitness(), fast.fitness())
         assert np.array_equal(ref.fitness(), batch.fitness())
 
 
@@ -176,20 +161,16 @@ class TestGenerationEquivalence:
                 rng=np.random.default_rng(22),
             )
             results.append(res)
-        a, b, c = results
-        for other in (b, c):
-            assert np.array_equal(a.fitness, other.fitness)
-            assert a.overall.to_dict() == other.overall.to_dict()
-            for env in ("A", "B"):
-                assert (
-                    a.per_environment[env].to_dict()
-                    == other.per_environment[env].to_dict()
-                )
+        a, b = results
+        assert np.array_equal(a.fitness, b.fitness)
+        assert a.overall.to_dict() == b.overall.to_dict()
+        for env in ("A", "B"):
+            assert a.per_environment[env].to_dict() == b.per_environment[env].to_dict()
 
 
 class TestReplicationEquivalence:
     @pytest.mark.parametrize("case", ["case1", "case3"])
-    @pytest.mark.parametrize("alt_engine", ALT_ENGINES)
+    @pytest.mark.parametrize("alt_engine", ENGINE_NAMES[1:])
     def test_whole_replication_identical(self, case, alt_engine):
         """The strongest check: an entire GA run (evaluation + evolution)."""
         base = ExperimentConfig.for_case(case, scale="smoke", seed=31)
@@ -212,11 +193,8 @@ class TestReplicationEquivalence:
         bit-identical through a whole replication."""
         base = ExperimentConfig.for_case(case, scale="smoke", seed=13)
         ref = run_replication(base.with_(engine="reference"), 0)
-        fast = run_replication(base.with_(engine="fast"), 0)
         batch = run_replication(base.with_(engine="batch"), 0)
-        assert ref.history.to_dict() == fast.history.to_dict()
         assert ref.history.to_dict() == batch.history.to_dict()
-        assert ref.final_population == fast.final_population
         assert ref.final_population == batch.final_population
 
 
@@ -236,22 +214,14 @@ class TestRandomizedSeedEquivalence:
     def test_fresh_seeds_whole_tournament_identical(self):
         seeds = np.random.SeedSequence().generate_state(self.N_SEEDS)
         for seed in seeds.tolist():
-            ref, fast, batch = build_engines()
+            ref, batch = build_engines()
             participants = list(range(12)) + [16, 17, 18]
             s_ref = run_engine(ref, participants, 12, seed)
-            s_fast = run_engine(fast, participants, 12, seed)
             s_batch = run_engine(batch, participants, 12, seed)
-            assert s_ref.to_dict() == s_fast.to_dict(), f"oracle seed {seed}"
             assert s_ref.to_dict() == s_batch.to_dict(), f"oracle seed {seed}"
-            assert np.array_equal(
-                ref.payoff_matrix(), fast.payoff_matrix()
-            ), f"oracle seed {seed}"
             assert np.array_equal(
                 ref.payoff_matrix(), batch.payoff_matrix()
             ), f"oracle seed {seed}"
-            assert np.array_equal(ref.fitness(), fast.fitness()), (
-                f"oracle seed {seed}"
-            )
             assert np.array_equal(ref.fitness(), batch.fitness()), (
                 f"oracle seed {seed}"
             )
@@ -264,18 +234,15 @@ class TestRandomizedSeedEquivalence:
         )
         seeds = np.random.SeedSequence().generate_state(max(1, self.N_SEEDS // 2))
         for seed in seeds.tolist():
-            ref, fast, batch = build_engines()
+            ref, batch = build_engines()
             participants = list(range(12)) + [16, 17]
             results = [
                 run_engine(
                     engine, participants, 12, seed, exchange=config, shared_rng=True
                 )
-                for engine in (ref, fast, batch)
+                for engine in (ref, batch)
             ]
             assert results[0].to_dict() == results[1].to_dict(), (
-                f"oracle seed {seed}"
-            )
-            assert results[0].to_dict() == results[2].to_dict(), (
                 f"oracle seed {seed}"
             )
             assert np.array_equal(

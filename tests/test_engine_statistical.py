@@ -1,5 +1,5 @@
 """Statistical-equivalence tier: every statistically-equivalent optimisation
-vs the bit-identical trio.
+vs the bit-identical pair.
 
 Two relaxations live under this contract (see ``sim/fused.py`` and
 ``network/provider.py``): the fused engine reproduces the *distributions*
@@ -15,10 +15,10 @@ mobile topologies.  This tier holds both to that claim with the harness in
 * spot checks that the speculation machinery itself is exercised (games do
   replay) and that exact invariants hold regardless of speculation,
 * a pinned-seed guard that the default ``exact`` policy keeps the
-  reference/fast/batch trio bit-identical through the layered refactor.
+  reference/batch pair bit-identical through the layered refactor.
 
-The reference sample comes from the fast engine; the trio is bit-identical
-(``test_engine_equivalence.py``), so any of them defines the same reference
+The reference sample comes from the batch engine; the pair is bit-identical
+(``test_engine_equivalence.py``), so either defines the same reference
 distribution.
 """
 
@@ -64,11 +64,11 @@ APPROX_BUDGET = 240
 
 
 @pytest.fixture(scope="module")
-def fast_ensemble():
-    """Fast-engine (reference) samples/curves on the case-3 smoke config —
+def exact_ensemble():
+    """Batch-engine (reference) samples/curves on the case-3 smoke config —
     case 3 exercises every environment class TE1-TE4."""
     config = ExperimentConfig.for_case("case3", scale="smoke", seed=424243)
-    return collect_engine_samples(config.with_(engine="fast"), N_REPS)
+    return collect_engine_samples(config.with_(engine="batch"), N_REPS)
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +86,15 @@ class TestFusedStatisticalEquivalence:
     Fig.-4-band gates against a bit-identical reference ensemble."""
 
     def test_cooperation_and_fitness_distributions_match(
-        self, fast_ensemble, fused_ensemble
+        self, exact_ensemble, fused_ensemble
     ):
-        fast_samples, fast_curves = fast_ensemble
+        exact_samples, exact_curves = exact_ensemble
         fused_samples, fused_curves = fused_ensemble
         report = compare_samples(
-            fast_samples,
+            exact_samples,
             fused_samples,
             alpha=ALPHA,
-            curves_a=fast_curves,
+            curves_a=exact_curves,
             curves_b=fused_curves,
             min_overlap=0.8,
         )
@@ -108,17 +108,17 @@ class TestFusedStatisticalEquivalence:
                     f"{metric}/{result.name} rejected: p={result.pvalue:.4g}"
                 )
 
-    def test_fig4_style_confidence_bands_overlap(self, fast_ensemble, fused_ensemble):
-        _, fast_curves = fast_ensemble
+    def test_fig4_style_confidence_bands_overlap(self, exact_ensemble, fused_ensemble):
+        _, exact_curves = exact_ensemble
         _, fused_curves = fused_ensemble
-        overlap = confidence_band_overlap(fast_curves, fused_curves)
+        overlap = confidence_band_overlap(exact_curves, fused_curves)
         assert overlap >= 0.8, f"cooperation bands overlap only {overlap:.2f}"
 
-    def test_ensemble_means_close(self, fast_ensemble, fused_ensemble):
-        fast_samples, _ = fast_ensemble
+    def test_ensemble_means_close(self, exact_ensemble, fused_ensemble):
+        exact_samples, _ = exact_ensemble
         fused_samples, _ = fused_ensemble
-        for metric in fast_samples:
-            a, b = fast_samples[metric], fused_samples[metric]
+        for metric in exact_samples:
+            a, b = exact_samples[metric], fused_samples[metric]
             sem = float(
                 np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
             )
@@ -127,26 +127,26 @@ class TestFusedStatisticalEquivalence:
                 f"{metric}: |mean diff| {diff:.4f} > 4*sem {4 * sem:.4f}"
             )
 
-    def test_fused_actually_diverges_from_fast(self, fast_ensemble, fused_ensemble):
+    def test_fused_actually_diverges_from_batch(self, exact_ensemble, fused_ensemble):
         """Vectorized draws, fusion and the phase-ordered GA step consume
         the stream in a different order than the bit-identical engines;
         identical samples would mean the fused path silently wasn't
         exercised."""
-        fast_samples, _ = fast_ensemble
+        exact_samples, _ = exact_ensemble
         fused_samples, _ = fused_ensemble
         assert any(
-            not np.array_equal(fast_samples[m], fused_samples[m])
-            for m in fast_samples
+            not np.array_equal(exact_samples[m], fused_samples[m])
+            for m in exact_samples
         )
 
 
 @pytest.fixture(scope="module")
 def mobile_ensembles():
     """(exact samples/curves, approx samples/curves) on the mobile smoke
-    config — both on the fast engine, so the only varying factor is the
+    config — both on the batch engine, so the only varying factor is the
     route-cache policy."""
     config = ExperimentConfig.for_case(
-        "mobile_waypoint", scale="smoke", seed=90521, engine="fast"
+        "mobile_waypoint", scale="smoke", seed=90521, engine="batch"
     )
     exact_config = config.with_(
         sim=config.sim.with_(mobility=HIGH_MOBILITY)
@@ -202,9 +202,9 @@ class TestApproxRouteCacheStatisticalEquivalence:
         )
 
 
-class TestExactPolicyPinnedTrio:
-    """--route-cache exact (the default) must keep the reference/fast/batch
-    trio bit-identical through the layered route-provider refactor."""
+class TestExactPolicyPinnedPair:
+    """--route-cache exact (the default) must keep the reference/batch
+    pair bit-identical through the layered route-provider refactor."""
 
     def _run(self, engine_name, route_cache):
         config = HIGH_MOBILITY.with_(route_cache=route_cache)
@@ -222,7 +222,7 @@ class TestExactPolicyPinnedTrio:
             oracle.rng.bit_generator.state,
         )
 
-    def test_trio_bit_identical_under_exact_policy(self):
+    def test_pair_bit_identical_under_exact_policy(self):
         results = {
             name: self._run(name, "exact") for name in BIT_IDENTICAL_ENGINES
         }
@@ -235,7 +235,7 @@ class TestExactPolicyPinnedTrio:
 
     def test_pinned_seed_trajectory_is_reproducible(self):
         """Same seeds, two runs: the exact policy is fully deterministic."""
-        assert self._run("fast", "exact") == self._run("fast", "exact")
+        assert self._run("batch", "exact") == self._run("batch", "exact")
 
 
 class TestSpeculationMachinery:
@@ -282,13 +282,13 @@ class TestSpeculationMachinery:
         )
 
     def test_fused_not_bit_identical_but_same_scale(self):
-        """Documents the contract boundary: fused diverges from the trio's
-        trajectories (different draw stream) while landing on the same
+        """Documents the contract boundary: fused diverges from the exact
+        engines' trajectories (different draw stream) while landing on the same
         outcome scale."""
         rng = np.random.default_rng(11)
         strategies = [Strategy.random(rng) for _ in range(20)]
         outcomes = {}
-        for name in ("fast", "fused"):
+        for name in ("batch", "fused"):
             engine = make_engine(name, 20, 4)
             engine.set_strategies(strategies)
             participants = list(range(20)) + engine.selfish_ids(4)
@@ -296,9 +296,9 @@ class TestSpeculationMachinery:
             stats = TournamentStats()
             engine.run_tournament(participants, 30, oracle, stats, None, None)
             outcomes[name] = stats.to_dict()
-        assert outcomes["fast"] != outcomes["fused"]  # trajectories diverge
-        coop_fast = outcomes["fast"]["nn_delivered"]
+        assert outcomes["batch"] != outcomes["fused"]  # trajectories diverge
+        coop_batch = outcomes["batch"]["nn_delivered"]
         coop_fused = outcomes["fused"]["nn_delivered"]
-        assert coop_fast > 0 and coop_fused > 0
+        assert coop_batch > 0 and coop_fused > 0
         # same scale: within a factor of 2 on a 30-round tournament
-        assert 0.5 <= coop_fused / coop_fast <= 2.0
+        assert 0.5 <= coop_fused / coop_batch <= 2.0

@@ -267,7 +267,7 @@ class TestClocking:
         calls = []
         original = oracle.topology.step
         oracle.topology.step = lambda: calls.append(1) or original()
-        engine = make_engine("fast", N, 0)
+        engine = make_engine("batch", N, 0)
         engine.set_strategies([Strategy.all_forward() for _ in range(N)])
         env = environment_with_csn(0, tournament_size=10)
         evaluate_generation(
@@ -284,7 +284,7 @@ class TestClocking:
 class TestEngineIntegration:
     def test_engines_bit_identical_on_mobile_oracle(self):
         stats = {}
-        for engine_name in ("fast", "reference"):
+        for engine_name in ("batch", "reference"):
             oracle = make_oracle(seed=9)
             engine = make_engine(engine_name, N, 0)
             rng = np.random.default_rng(13)
@@ -292,7 +292,7 @@ class TestEngineIntegration:
             s = TournamentStats()
             engine.run_tournament(IDS, 10, oracle, s, None, None)
             stats[engine_name] = (s.to_dict(), engine.fitness().tolist())
-        assert stats["fast"] == stats["reference"]
+        assert stats["batch"] == stats["reference"]
 
 
 SMALL_CASE = EvaluationCase(
@@ -322,21 +322,21 @@ def small_config(engine: str) -> ExperimentConfig:
 
 class TestGARuns:
     def test_replication_deterministic_for_identical_seeds(self):
-        a = run_replication(small_config("fast"), 0)
-        b = run_replication(small_config("fast"), 0)
+        a = run_replication(small_config("batch"), 0)
+        b = run_replication(small_config("batch"), 0)
         assert a.final_population == b.final_population
         assert a.history.to_dict() == b.history.to_dict()
         assert a.final_overall.to_dict() == b.final_overall.to_dict()
 
     def test_small_ga_run_engines_equivalent(self):
         results = {
-            e: run_replication(small_config(e), 0) for e in ("fast", "reference")
+            e: run_replication(small_config(e), 0) for e in ("batch", "reference")
         }
-        f, r = results["fast"], results["reference"]
-        assert f.final_population == r.final_population
-        assert f.history.to_dict() == r.history.to_dict()
+        b, r = results["batch"], results["reference"]
+        assert b.final_population == r.final_population
+        assert b.history.to_dict() == r.history.to_dict()
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("engine", ["batch", "reference"])
     def test_smoke_scale_mobile_case_completes(self, engine):
         """Acceptance: a full smoke-scale GA run with RandomWaypoint mobility
         completes on both engines through MobilePathOracle."""

@@ -1,7 +1,8 @@
 """Seeded property-based tests for reputation-state invariants, across
-random game traces on **all** engines (bit-identical trio + fused).
+random game traces on **all** engines (bit-identical pair + fused; the
+``fast`` name builds batch).
 
-The trio's correctness is pinned trajectory-by-trajectory in
+The pair's correctness is pinned trajectory-by-trajectory in
 ``test_engine_equivalence.py``; the fused engine's only in distribution.
 What every engine must guarantee *exactly*, on any trace, are the
 reputation-accounting invariants this file drives with hypothesis:

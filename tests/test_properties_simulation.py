@@ -12,7 +12,7 @@ from repro.core.strategy import Strategy
 from repro.game.stats import TournamentStats
 from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
-from repro.sim.fast import FastEngine
+from repro.sim.batch import BatchEngine
 from repro.tournament.environment import TournamentEnvironment
 from repro.tournament.evaluation import evaluate_generation
 
@@ -27,9 +27,9 @@ scenario = st.fixed_dictionaries(
 )
 
 
-def run_scenario(params) -> tuple[FastEngine, TournamentStats, int]:
+def run_scenario(params) -> tuple[BatchEngine, TournamentStats, int]:
     rng = np.random.default_rng(params["seed"])
-    engine = FastEngine(params["n_pop"], params["n_csn"])
+    engine = BatchEngine(params["n_pop"], params["n_csn"])
     engine.set_strategies(
         [Strategy.random(rng) for _ in range(params["n_pop"])]
     )
@@ -105,7 +105,7 @@ def test_full_evaluation_invariants(params, plays):
     """evaluate_generation over a random environment keeps all invariants."""
     rng = np.random.default_rng(params["seed"])
     n_pop = max(params["n_pop"], 10)
-    engine = FastEngine(n_pop, params["n_csn"])
+    engine = BatchEngine(n_pop, params["n_csn"])
     engine.set_strategies([Strategy.random(rng) for _ in range(n_pop)])
     env = TournamentEnvironment(
         "P", min(8, n_pop), min(params["n_csn"], min(8, n_pop) - 3)

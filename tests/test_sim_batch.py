@@ -55,6 +55,21 @@ class TestConstruction:
         assert isinstance(engine, BatchEngine)
         assert engine.name == "batch"
 
+    def test_fast_is_an_alias_of_batch(self):
+        """``fast`` names the retired flat-list engine; it now builds batch
+        (bit-identical), so old configs and checkpoints still resolve."""
+        from repro.sim.fast import FastEngine
+
+        assert FastEngine is BatchEngine
+        assert type(make_engine("fast", 6, 2)) is BatchEngine
+
+    def test_factory_builds_reference(self):
+        assert make_engine("reference", 4, 0).name == "reference"
+
+    def test_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_engine("warp", 4, 0)
+
 
 class TestStructOfArrays:
     def test_strategy_matrix_shape_and_dtype(self):
@@ -107,6 +122,17 @@ class TestStructOfArrays:
         assert np.array_equal(out[:, :, 0], engine.ps)
         assert np.array_equal(out[:, :, 1], engine.pf)
 
+    def test_known_matches_matrix(self, rng):
+        """The running aggregates agree with the matrix, CSN rows included."""
+        engine = BatchEngine(8, 2)
+        engine.set_strategies(
+            [Strategy.random(np.random.default_rng(1)) for _ in range(8)]
+        )
+        oracle = RandomPathOracle(rng, SHORTER_PATHS)
+        engine.run_tournament(list(range(10)), 5, oracle, TournamentStats())
+        assert np.array_equal(engine.known, (engine.ps > 0).sum(axis=1))
+        assert np.array_equal(engine.pf_sum, engine.pf.sum(axis=1))
+
 
 class TestGuards:
     def test_exchange_requires_rng(self, rng):
@@ -122,6 +148,28 @@ class TestGuards:
                 ExchangeConfig(enabled=True),
                 None,
             )
+
+    def test_exchange_enabled_widens_knowledge(self):
+        """Gossip must reach the flat state: more known pairs than without."""
+
+        def known_pairs(exchange, rng_seed=3):
+            engine = BatchEngine(10, 0)
+            engine.set_strategies([Strategy.all_forward()] * 10)
+            oracle = RandomPathOracle(np.random.default_rng(rng_seed), SHORTER_PATHS)
+            engine.run_tournament(
+                list(range(10)),
+                1,
+                oracle,
+                TournamentStats(),
+                exchange,
+                np.random.default_rng(rng_seed + 1),
+            )
+            return int((engine.ps > 0).sum())
+
+        gossip = ExchangeConfig(
+            enabled=True, interval=1, fanout=3, positive_only=False
+        )
+        assert known_pairs(gossip) > known_pairs(None)
 
     def test_disabled_exchange_is_fine(self, rng):
         engine = BatchEngine(6, 0)
@@ -180,6 +228,15 @@ class TestFitness:
     def test_zero_events_is_zero_fitness(self):
         engine = BatchEngine(4, 0)
         assert engine.fitness().tolist() == [0.0] * 4
+
+    def test_fitness_zero_for_non_participants(self):
+        engine = BatchEngine(8, 0)
+        engine.set_strategies([Strategy.all_forward()] * 8)
+        oracle = RandomPathOracle(np.random.default_rng(1), SHORTER_PATHS)
+        engine.run_tournament(list(range(4)), 5, oracle, TournamentStats())
+        fitness = engine.fitness()
+        assert (fitness[:4] > 0).all()
+        assert (fitness[4:] == 0).all()
 
     def test_fitness_matches_scalar_formula(self, rng):
         engine = BatchEngine(8, 2)

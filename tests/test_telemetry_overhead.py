@@ -148,10 +148,10 @@ class TestSeamIsPerTournament:
 class TestNoAllocations:
     def test_disabled_tournament_allocates_nothing_from_telemetry(self):
         assert get_telemetry().enabled is False
-        run_tournament("fast", rounds=4)  # warm caches/imports outside the trace
+        run_tournament("batch", rounds=4)  # warm caches/imports outside the trace
         tracemalloc.start()
         try:
-            run_tournament("fast", rounds=12)
+            run_tournament("batch", rounds=12)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
