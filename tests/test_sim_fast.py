@@ -1,4 +1,10 @@
-"""Unit tests specific to the fast engine (construction, guards, state)."""
+"""The ``repro.sim.fast`` alias keeps the retired engine's public surface.
+
+``FastEngine`` is ``BatchEngine`` now, but callers that import it by the old
+name (the frozen benchmark's probes among them) still rely on its
+constructor checks, guards and per-generation state; these tests pin that
+surface through the old name.
+"""
 
 from __future__ import annotations
 
@@ -139,7 +145,8 @@ class TestState:
 
 class TestFactory:
     def test_make_engine_names(self):
-        assert make_engine("fast", 4, 0).name == "fast"
+        # "fast" is an alias: it builds a batch engine, which names itself
+        assert make_engine("fast", 4, 0).name == "batch"
         assert make_engine("reference", 4, 0).name == "reference"
         assert make_engine("fused", 4, 0).name == "fused"
 
