@@ -2,17 +2,24 @@
 """CI fault-tolerance gate: kill a checkpointing run mid-flight, resume it,
 and demand byte-identity with an uninterrupted control run.
 
-Three runs of the same case through the real CLI:
+Four runs of the same case through the real CLI, all in-process
+(``--processes 1``), so ``--replications R`` on the fused engine is one
+stack of ``R`` members and any other engine runs stacks of one:
 
 1. **control** — uninterrupted, no checkpoints;
 2. **victim** — checkpoints on, with ``REPRO_CHECKPOINT_CRASH_AFTER=N`` so
    the process SIGKILLs itself the moment its N-th checkpoint hits disk
    (see ``repro.experiments.checkpoint``) — a real mid-run death, not a
-   mocked one;
-3. **resume** — the same command with ``--resume``, which must pick up from
-   the newest intact checkpoint (generation ``N - 1``) and finish.
+   mocked one.  A stack saves each boundary member by member, so an ``N``
+   that is not a multiple of ``R`` dies between two members' saves of one
+   boundary;
+3. **resume** — the same command with ``--resume``, which must pick up
+   each replication from its own newest intact checkpoint and finish;
+4. **resume at ``--shards 2``** — the same, on a copy of the victim's
+   checkpoints, cut into two stacks: the stack width at resume need not
+   match the victim's.
 
-The resumed run's raw-results JSON must match the control's byte-for-byte
+Each resumed run's raw-results JSON must match the control's byte-for-byte
 once the ``checkpoint`` provenance block (which legitimately differs:
 ``resumed_from_generation``) is dropped.  Any drift — one bit of rng state
 mis-restored, one history row off — fails the gate.
@@ -26,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -40,6 +48,7 @@ def run_case(
     checkpoint_dir: Path | None = None,
     resume: bool = False,
     crash_after: int | None = None,
+    extra: tuple[str, ...] = (),
 ) -> subprocess.CompletedProcess:
     cmd = [
         sys.executable,
@@ -54,12 +63,15 @@ def run_case(
         "--generations",
         str(args.generations),
         "--replications",
-        "1",
+        str(args.replications),
         "--processes",
         "1",
         "--out",
         str(out),
+        *extra,
     ]
+    if args.engine is not None:
+        cmd += ["--engine", args.engine]
     if checkpoint_dir is not None:
         cmd += ["--checkpoint-dir", str(checkpoint_dir)]
     if resume:
@@ -82,6 +94,26 @@ def canonical(path: Path) -> str:
     return json.dumps(data, sort_keys=True, indent=None)
 
 
+def expected_resume(args: argparse.Namespace) -> list[int | None]:
+    """Each replication's newest checkpoint generation once the victim has
+    written ``args.crash_after`` checkpoints: its stacks run in turn, and a
+    stack saves boundary by boundary, member by member."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.replication import stacked_unsupported_reason
+
+    config = ExperimentConfig.for_case(args.case, scale=args.scale)
+    if args.engine is not None:
+        config = config.with_(engine=args.engine)
+    width = args.replications if stacked_unsupported_reason(config) is None else 1
+    expected = []
+    for rep in range(args.replications):
+        stack, member = divmod(rep, width)
+        saves = args.crash_after - stack * width * args.generations
+        newest = (saves - 1 - member) // width
+        expected.append(min(newest, args.generations - 1) if saves > member else None)
+    return expected
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--case", default="case1")
@@ -89,10 +121,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2007)
     parser.add_argument("--generations", type=int, default=6)
     parser.add_argument(
+        "--engine", default=None, help="simulation engine (default: the case's)"
+    )
+    parser.add_argument("--replications", type=int, default=1)
+    parser.add_argument(
         "--crash-after",
         type=int,
         default=3,
-        help="SIGKILL the victim after its N-th checkpoint (must be mid-run)",
+        help="SIGKILL the victim after its N-th checkpoint (must be mid-run:"
+        " a run writes replications x generations checkpoints)",
     )
     parser.add_argument(
         "--workdir",
@@ -101,9 +138,10 @@ def main() -> int:
         help="where runs and checkpoints land (default: a fresh temp dir)",
     )
     args = parser.parse_args()
-    if not 1 <= args.crash_after < args.generations:
+    total = args.replications * args.generations
+    if not 1 <= args.crash_after < total:
         print(
-            f"--crash-after must be in [1, generations), got {args.crash_after}",
+            f"--crash-after must be in [1, {total}), got {args.crash_after}",
             file=sys.stderr,
         )
         return 2
@@ -115,12 +153,12 @@ def main() -> int:
     checkpoints = workdir / "checkpoints"
     print(f"workdir: {workdir}")
 
-    print("\n[1/3] control run (uninterrupted)")
+    print("\n[1/4] control run (uninterrupted)")
     if run_case(args, control_json).returncode != 0:
         print("control run failed", file=sys.stderr)
         return 2
 
-    print("\n[2/3] victim run (crash injection)")
+    print("\n[2/4] victim run (crash injection)")
     victim = run_case(
         args, victim_json, checkpoint_dir=checkpoints, crash_after=args.crash_after
     )
@@ -133,40 +171,48 @@ def main() -> int:
         print("victim wrote results despite dying mid-run", file=sys.stderr)
         return 2
     print(f"victim died as injected (rc={victim.returncode})")
+    sharded_checkpoints = workdir / "checkpoints-shards"
+    shutil.rmtree(sharded_checkpoints, ignore_errors=True)
+    shutil.copytree(checkpoints, sharded_checkpoints)
 
-    print("\n[3/3] resumed run")
-    if (
-        run_case(args, victim_json, checkpoint_dir=checkpoints, resume=True).returncode
-        != 0
-    ):
-        print("resumed run failed", file=sys.stderr)
-        return 2
-
-    resumed_raw = json.loads(victim_json.read_text())
-    provenance = resumed_raw["replications"][0].get("checkpoint") or {}
-    resumed_from = provenance.get("resumed_from_generation")
-    expected = args.crash_after - 1
-    if resumed_from != expected:
+    resumes = [
+        ("[3/4] resumed run", victim_json, checkpoints, ()),
+        (
+            "[4/4] resumed run at --shards 2",
+            workdir / "victim_shards.json",
+            sharded_checkpoints,
+            ("--shards", "2"),
+        ),
+    ]
+    expected = expected_resume(args)
+    for title, out, store, extra in resumes:
+        print(f"\n{title}")
+        if run_case(args, out, store, resume=True, extra=extra).returncode != 0:
+            print("resumed run failed", file=sys.stderr)
+            return 2
+        resumed_from = [
+            (rep.get("checkpoint") or {}).get("resumed_from_generation")
+            for rep in json.loads(out.read_text())["replications"]
+        ]
+        if resumed_from != expected:
+            print(
+                f"expected resume from generations {expected} (checkpoint"
+                f" {args.crash_after} was the fatal one), got {resumed_from}",
+                file=sys.stderr,
+            )
+            return 2
+        if canonical(out) != canonical(control_json):
+            print(
+                "IDENTITY VIOLATION: resumed results differ from the"
+                f" uninterrupted control\n  control: {control_json}\n"
+                f"  resumed: {out}",
+                file=sys.stderr,
+            )
+            return 1
         print(
-            f"expected resume from generation {expected}"
-            f" (checkpoint {args.crash_after} was the fatal one),"
-            f" got {resumed_from!r}",
-            file=sys.stderr,
+            f"OK: resumed run (from generations {resumed_from}) is"
+            " byte-identical to the uninterrupted control"
         )
-        return 2
-
-    if canonical(victim_json) != canonical(control_json):
-        print(
-            "IDENTITY VIOLATION: resumed results differ from the"
-            f" uninterrupted control\n  control: {control_json}\n"
-            f"  resumed: {victim_json}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"\nOK: resumed run (from generation {resumed_from}) is byte-identical"
-        " to the uninterrupted control"
-    )
     return 0
 
 

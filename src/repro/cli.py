@@ -239,9 +239,10 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         default=None,
         help=(
             "run replications as one stack per shard or worker (requires a"
-            " fusing engine, no exchange and no checkpointing; a request that"
-            " cannot be honoured exits 2 with the reason before anything"
-            " runs); bit-identical to unstacked.  Default: auto when eligible"
+            " fusing engine and no exchange; a request that cannot be"
+            " honoured exits 2 with the reason before anything runs);"
+            " bit-identical to unstacked, checkpoints included.  Default:"
+            " auto when eligible"
         ),
     )
     parser.add_argument(

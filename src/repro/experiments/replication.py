@@ -10,16 +10,17 @@ worker count, execution order or which replications share a stack (see
 own generator, oracle, population and statistics; a generation-fusing
 engine evaluates all of them as one block-diagonal pass
 (``FusedEngine(n_replications=W)``), bit-identical, member by member, to
-running each alone.  Every other engine, the reputation exchange and
-checkpointing run stacks of one (:func:`stacked_unsupported_reason`).
+running each alone.  Every other engine and the reputation exchange run
+stacks of one (:func:`stacked_unsupported_reason`).
 :func:`run_replication` is the ``W = 1`` call.
 
 With a ``checkpoint_dir``, the loop snapshots each member's complete state
 at every generation boundary (population, rng, oracle, history, last
-generation's statistics, telemetry registry) through
-:class:`repro.experiments.checkpoint.CheckpointStore`, and — unless
-``resume=False`` — continues from the newest intact checkpoint instead of
-generation 0.  A resumed run is bit-identical to an uninterrupted one.
+generation's statistics; the stack's telemetry registry on its first
+member) through :class:`repro.experiments.checkpoint.CheckpointStore`, and
+— unless ``resume=False`` — continues each member from its own newest
+intact checkpoint instead of generation 0.  A resumed run is bit-identical
+to an uninterrupted one, whatever the stack widths of either.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.ga.history import GenerationRecord, History
 from repro.ga.vector import next_generation_tensor
 from repro.mobility import build_oracle
 from repro.paths.distributions import HOP_MODES
-from repro.paths.oracle import PathOracle, RandomPathOracle
+from repro.paths.oracle import RandomPathOracle
 # not called here (FusedEngine.run_stack plans and stacks, and seatings are
 # drawn through evaluation's import); kept because perfbench's probes patch
 # these module attributes
@@ -117,11 +118,32 @@ class ReplicationResult:
         )
 
 
-def _start_replication(
-    config: ExperimentConfig, replication: int, ga: GeneticAlgorithm
-) -> tuple[np.random.Generator, PathOracle, list]:
-    """A fresh replication's generator, oracle and initial population —
-    the oracle first, then the population, from its own stream."""
+@dataclass
+class _Member:
+    """One stack member's replication index and checkpoint payload
+    (population, rng, oracle, history and, once evaluated, the last
+    generation's statistics); ``resumed_from`` is the restored generation."""
+
+    replication: int
+    state: dict
+    resumed_from: int | None
+
+
+def _member(
+    config: ExperimentConfig,
+    replication: int,
+    ga: GeneticAlgorithm,
+    store: CheckpointStore | None,
+) -> _Member:
+    """The member restored from its newest intact checkpoint in ``store``,
+    else a fresh start: the oracle first, then the population, from the
+    replication's own stream."""
+    restored = store.load_latest(config, replication) if store is not None else None
+    if restored is not None:
+        # the single-blob pickle preserved the rng/oracle object sharing, so
+        # the restored pair consumes the random stream exactly as the
+        # original would have
+        return _Member(replication, restored.state, restored.generation)
     sim = config.sim
     rng = derive_generator(config.seed, (replication,))
     if sim.mobility.enabled:
@@ -130,7 +152,13 @@ def _start_replication(
         oracle = build_oracle(sim.mobility, node_ids, rng)
     else:
         oracle = RandomPathOracle(rng, HOP_MODES[sim.path_mode])
-    return rng, oracle, ga.initial_population(STRATEGY_LENGTH, rng)
+    state = {
+        "population": ga.initial_population(STRATEGY_LENGTH, rng),
+        "rng": rng,
+        "oracle": oracle,
+        "history": History(),
+    }
+    return _Member(replication, state, None)
 
 
 def _generation_record(
@@ -172,20 +200,16 @@ def run_replication(
     return result
 
 
-def stacked_unsupported_reason(
-    config: ExperimentConfig,
-    *,
-    checkpoint_dir: str | Path | None = None,
-) -> str | None:
-    """Why this run's replications cannot share a stack (``None`` when
+def stacked_unsupported_reason(config: ExperimentConfig) -> str | None:
+    """Why this config's replications cannot share a stack (``None`` when
     they can).
 
     A stack of more than one member is one block-diagonal pass
     (``FusedEngine(n_replications=W)``), so it needs a generation-fusing
     engine and no reputation exchange (which forces the fused engine back
-    to per-tournament execution); and checkpoints snapshot one
-    replication.  Telemetry, shards and the worker pool do not matter: a
-    stack records one telemetry session and is one pool task.
+    to per-tournament execution).  Nothing else matters: a stack records
+    one telemetry session, is one pool task whatever the shard count, and
+    checkpoints each member's own state.
     """
     from repro.sim import ENGINES
 
@@ -200,8 +224,6 @@ def stacked_unsupported_reason(
             "the reputation exchange interleaves gossip with each"
             " tournament's round stream, which stacking cannot reorder"
         )
-    if checkpoint_dir is not None:
-        return "checkpointing snapshots per-replication state"
     return None
 
 
@@ -219,11 +241,16 @@ def run_stack(
     statistics and final population describe the same (last evaluated)
     generation.
 
-    With a ``checkpoint_dir`` (stacks of one only), state is persisted
-    every ``checkpoint_every`` generation boundaries (the final boundary
-    always, so a finished run can be reconstituted without re-simulation);
-    ``resume=True`` continues from the newest intact checkpoint.  Resumed
-    trajectories are bit-identical to uninterrupted ones.
+    With a ``checkpoint_dir``, every member's state is persisted every
+    ``checkpoint_every`` generation boundaries (the final boundary always,
+    so a finished run can be reconstituted without re-simulation), and the
+    stack's telemetry snapshot rides on its first member only.
+    ``resume=True`` continues each member from its own newest intact
+    checkpoint: members restored at different generations (a crash
+    between two members' saves of one boundary) run as sub-stacks, one per
+    restored generation, in turn.  Stacked results equal sequential ones,
+    so resumed trajectories are bit-identical to uninterrupted ones at any
+    width.
 
     Returns the members' results, in ``replications`` order, and the
     stack's telemetry export: ``None`` unless the config enables
@@ -237,31 +264,49 @@ def run_stack(
     if not replications:
         raise ValueError("a stack needs at least one replication")
     if len(replications) > 1:
-        reason = stacked_unsupported_reason(config, checkpoint_dir=checkpoint_dir)
+        reason = stacked_unsupported_reason(config)
         if reason is not None:
             raise ValueError(f"replications cannot share a stack: {reason}")
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
+    ga = GeneticAlgorithm(config.ga)
+    substacks: dict[int | None, list[_Member]] = {}
+    for replication in replications:
+        member = _member(config, replication, ga, store if resume else None)
+        substacks.setdefault(member.resumed_from, []).append(member)
+
+    results: list[ReplicationResult] = []
     if not config.telemetry.enabled:
-        return _generation_loop(config, replications, store, checkpoint_every, resume), None
-    t0 = perf_counter()
-    with telemetry_session(config.telemetry) as tel:
-        results = _generation_loop(config, replications, store, checkpoint_every, resume)
-        export = tel.export()
-    export["wall_s"] = perf_counter() - t0
+        for members in substacks.values():
+            results += _generation_loop(config, members, ga, store, checkpoint_every)
+        export = None
+    else:
+        t0 = perf_counter()
+        with telemetry_session(config.telemetry) as tel:
+            for members in substacks.values():
+                # a sub-stack records its own session, so the snapshot its
+                # first member checkpoints counts that sub-stack's work once
+                with telemetry_session(config.telemetry) as sub:
+                    results += _generation_loop(
+                        config, members, ga, store, checkpoint_every
+                    )
+                tel.absorb(sub.export())
+            export = tel.export()
+        export["wall_s"] = perf_counter() - t0
+    results.sort(key=lambda result: replications.index(result.replication))
     return results, export
 
 
 def _generation_loop(
     config: ExperimentConfig,
-    replications: list[int],
+    members: list[_Member],
+    ga: GeneticAlgorithm,
     store: CheckpointStore | None,
     checkpoint_every: int,
-    resume: bool,
 ) -> list[ReplicationResult]:
-    """The one generation loop: start or restore every member, then per
+    """The one generation loop over members that share a start: per
     generation evaluate, record, step the GA and checkpoint."""
     sim = config.sim
-    width = len(replications)
+    width = len(members)
     engine = make_engine(
         config.engine,
         n_population=config.ga.population_size,
@@ -271,7 +316,6 @@ def _generation_loop(
         payoffs=sim.payoffs,
         n_replications=width,
     )
-    ga = GeneticAlgorithm(config.ga)
     # the fused engine pairs with the phase-vectorized GA step — same
     # statistical contract, gated together in the equivalence tier; every
     # other engine keeps the scalar, stream-pinned loop
@@ -280,40 +324,20 @@ def _generation_loop(
     if not tel.enabled:
         tel = None
 
-    # each member's state is its checkpoint payload: population, rng,
-    # oracle, history and the last generation's statistics
-    states: list[dict] = []
-    restored_from: list[int | None] = []
-    for replication in replications:
-        restored = (
-            store.load_latest(config, replication)
-            if store is not None and resume
-            else None
-        )
-        if restored is None:
-            rng, oracle, population = _start_replication(config, replication, ga)
-            states.append(
-                {"population": population, "rng": rng, "oracle": oracle,
-                 "history": History()}
-            )
-            restored_from.append(None)
-            continue
-        # the single-blob pickle preserved the rng/oracle object sharing, so
-        # the restored pair consumes the random stream exactly as the
-        # original would have
-        states.append(restored.state)
-        restored_from.append(restored.generation)
-        if tel is not None and restored.state.get("telemetry_metrics"):
+    states = [member.state for member in members]
+    resumed_from = members[0].resumed_from
+    if tel is not None and resumed_from is not None:
+        for state in states:
             # carry the interrupted run's counters so the resumed session
             # reports whole-logical-run totals (oracle-layer counters ride
             # inside the pickled oracle and are harvested once, at the end)
-            tel.registry.merge(restored.state["telemetry_metrics"])
+            if state.get("telemetry_metrics"):
+                tel.registry.merge(state["telemetry_metrics"])
             tel.count("checkpoint.resumes")
-    # (W, P, L) bits; a stack's members share a start (checkpointed stacks
-    # have one member)
+    # (W, P, L) bits
     populations = np.array([state["population"] for state in states], dtype=np.int8)
     rngs = [state["rng"] for state in states]
-    start_generation = 0 if restored_from[0] is None else restored_from[0] + 1
+    start_generation = 0 if resumed_from is None else resumed_from + 1
 
     checkpoints_written = 0
     for generation in range(start_generation, config.generations):
@@ -367,20 +391,25 @@ def _generation_loop(
             (generation + 1) % checkpoint_every == 0
             or generation == config.generations - 1
         ):
-            for replication, state in zip(replications, states):
-                state["telemetry_metrics"] = tel.snapshot() if tel is not None else None
-                store.save(config, replication, generation, state)
+            for member, state in zip(members, states):
+                # the stack's snapshot rides on its first member only, so a
+                # resume at any width merges each stack's snapshot once
+                first = member is members[0]
+                state["telemetry_metrics"] = (
+                    tel.snapshot() if tel is not None and first else None
+                )
+                store.save(config, member.replication, generation, state)
                 if tel is not None:
                     tel.count("checkpoint.saves")
             checkpoints_written += 1
 
-    if config.telemetry.enabled:
+    if tel is not None:
         for state in states:
             harvest_oracle(tel, state["oracle"])
     results = []
-    for replication, state, resumed in zip(replications, states, restored_from):
+    for member, state in zip(members, states):
         result = ReplicationResult(
-            replication=replication,
+            replication=member.replication,
             history=state["history"],
             final_population=[Strategy(bits).to_int() for bits in state["population"]],
             final_per_env=state["last_per_env"],
@@ -389,7 +418,7 @@ def _generation_loop(
         if store is not None:
             result.checkpoint = {
                 "config_hash": config_hash(config.describe()),
-                "resumed_from_generation": resumed,
+                "resumed_from_generation": member.resumed_from,
                 "checkpoints_written": checkpoints_written,
             }
         results.append(result)

@@ -11,7 +11,8 @@ mode: it cuts the replications into contiguous stacks
 (:func:`repro.parallel.shard.plan_shards`) — one per shard, or one per
 worker when unsharded — or into stacks of one when
 :func:`repro.experiments.replication.stacked_unsupported_reason` names a
-reason.  Each stack is one pool task, a :func:`run_stack` call, run through
+reason (an engine that does not fuse, or the reputation exchange); it reads
+the config only.  Each stack is one pool task, a :func:`run_stack` call, run through
 the work-stealing scheduler (:func:`repro.parallel.shard.sharded_map`,
 in-process at ``processes=1``), which buys recovery from a dead or
 straggling worker.  Every cut yields bit-identical
@@ -20,7 +21,7 @@ straggling worker.  Every cut yields bit-identical
 
 ``checkpoint_dir``/``resume`` thread straight through to ``run_stack``, so
 an interrupted experiment continues from each replication's newest intact
-checkpoint.
+checkpoint, at any stack width: checkpoints never change the cut.
 
 With telemetry enabled in the config, each stack records inside its own
 session (worker processes included) and ships back one picklable export;
@@ -54,7 +55,6 @@ def plan_stacks(
     *,
     processes: int | None = None,
     shards: int | None = None,
-    checkpoint_dir: str | Path | None = None,
     stacked: bool | None = None,
 ) -> tuple[list[list[int]], str]:
     """Cut the replication indices into stacks, each one pool task.
@@ -70,7 +70,7 @@ def plan_stacks(
     if stacked is False:
         reason = "stacking disabled by request"
     else:
-        reason = stacked_unsupported_reason(config, checkpoint_dir=checkpoint_dir)
+        reason = stacked_unsupported_reason(config)
         if stacked and reason is not None:
             raise ValueError(f"stacked evaluation unavailable: {reason}")
     if reason is None:
@@ -135,7 +135,6 @@ def run_experiment(
         config,
         processes=processes,
         shards=shards,
-        checkpoint_dir=checkpoint_dir,
         stacked=stacked,
     )
     ckpt = str(checkpoint_dir) if checkpoint_dir is not None else None
@@ -167,18 +166,10 @@ def run_experiment(
         outs = run_all()
         tel.count("shard.runs", len(stacks))
         tel.count("shard.replications", config.replications)
-        events: list[dict] = list(tel.events)
-        dropped = tel.dropped_events
         for _, export in outs:
-            tel.registry.merge(export["metrics"])
-            events.extend(export["events"])
-            dropped += export["dropped_events"]
-        aggregated = {
-            "metrics": tel.snapshot(),
-            "events": events,
-            "dropped_events": dropped,
-            "wall_s": perf_counter() - t0,
-        }
+            tel.absorb(export)
+        aggregated = tel.export()
+    aggregated["wall_s"] = perf_counter() - t0
     aggregated["stack_width"] = max(len(stack) for stack in stacks)
     aggregated["stack_reason"] = reason
     return ExperimentResult(

@@ -84,23 +84,9 @@ class GeneticAlgorithm:
             elite_order = np.argsort(-fitness, kind="stable")[: cfg.elitism]
             offspring.extend(tuple(population[int(i)]) for i in elite_order)
 
-        # telemetry seam: the instrumented loop consumes the rng in exactly
-        # the same order as the plain one, so enabling telemetry cannot
-        # perturb a pinned trajectory
-        tel = get_telemetry()
-        if not tel.enabled:
-            while len(offspring) < cfg.population_size:
-                i = select_index(cfg.selection, fitness, rng, cfg.tournament_size)
-                j = select_index(cfg.selection, fitness, rng, cfg.tournament_size)
-                parent_a, parent_b = population[i], population[j]
-                if rng.random() < cfg.crossover_rate:
-                    child_a, child_b = one_point_crossover(parent_a, parent_b, rng)
-                else:
-                    child_a, child_b = tuple(parent_a), tuple(parent_b)
-                child = child_a if rng.random() < 0.5 else child_b
-                offspring.append(mutate(child, cfg.mutation_rate, rng))
-            return offspring
-
+        # one loop whether telemetry is on or off: the clock reads consume
+        # no randomness, so enabling telemetry cannot perturb a pinned
+        # trajectory, and the timings are recorded only when it is on
         sel_s = cx_s = mut_s = 0.0
         crossovers = 0
         while len(offspring) < cfg.population_size:
@@ -121,12 +107,14 @@ class GeneticAlgorithm:
             sel_s += t1 - t0
             cx_s += t2 - t1
             mut_s += t3 - t2
-        tel.timer_add("ga.selection_s", sel_s)
-        tel.timer_add("ga.crossover_s", cx_s)
-        tel.timer_add("ga.mutation_s", mut_s)
-        tel.count("ga.generations")
-        tel.count("ga.crossovers", crossovers)
-        tel.set_gauge("ga.diversity", len(set(offspring)) / len(offspring))
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.timer_add("ga.selection_s", sel_s)
+            tel.timer_add("ga.crossover_s", cx_s)
+            tel.timer_add("ga.mutation_s", mut_s)
+            tel.count("ga.generations")
+            tel.count("ga.crossovers", crossovers)
+            tel.set_gauge("ga.diversity", len(set(offspring)) / len(offspring))
         return offspring
 
     def next_generation_vectorized(
@@ -143,12 +131,10 @@ class GeneticAlgorithm:
         trajectories diverge from the scalar loop — the same statistical
         contract as the fused engine that pairs with it.
         """
+        t0 = perf_counter()
+        out = next_generation_matrix(population, fitness, self.config, rng)
         tel = get_telemetry()
-        if not tel.enabled:
-            out = next_generation_matrix(population, fitness, self.config, rng)
-        else:
-            t0 = perf_counter()
-            out = next_generation_matrix(population, fitness, self.config, rng)
+        if tel.enabled:
             tel.timer_add("ga.vector_step_s", perf_counter() - t0)
             tel.count("ga.generations")
             tel.set_gauge(

@@ -150,9 +150,7 @@ def resolve_scenario(payload: Mapping[str, Any]) -> ResolvedScenario:
     if resolved.stacked:
         from repro.experiments.replication import stacked_unsupported_reason
 
-        reason = stacked_unsupported_reason(
-            config, checkpoint_dir=resolved.checkpoint_store
-        )
+        reason = stacked_unsupported_reason(config)
         if reason is not None:
             raise ValueError(
                 f"{resolved.name}: 'run.stacked' cannot be honoured: {reason}"

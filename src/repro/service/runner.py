@@ -11,7 +11,8 @@ moves jobs through ``queued → running → done/failed``:
 * **execution** forces telemetry on (hash-excluded, result-neutral) and
   runs through :func:`repro.scenarios.execute_scenario`, the executor
   every front door shares, with generation-boundary checkpoints in the
-  store's shared checkpoint directory; it writes the schema-validated run
+  store's shared checkpoint directory (a fused job still stacks its
+  replications, as any run does); it writes the schema-validated run
   manifest (the job's status payload — there is no second reporting
   path), then the job persists the canonical result payload.
 * **recover** requeues any job found ``queued`` or ``running`` on startup;
@@ -70,20 +71,6 @@ class JobRunner:
         :class:`ValueError` for an invalid or unresolvable scenario.
         """
         resolved = resolve_scenario(payload)
-        if resolved.stacked:
-            # the job policy (see _execute) always checkpoints, and a
-            # checkpointing run cannot stack: refuse before anything queues
-            from repro.experiments.replication import stacked_unsupported_reason
-
-            reason = stacked_unsupported_reason(
-                resolved.config,
-                checkpoint_dir=resolved.checkpoint_dir or self.store.checkpoint_dir,
-            )
-            if reason is not None:
-                raise ValueError(
-                    f"{resolved.name}: 'run.stacked' cannot be honoured by a"
-                    f" job: {reason}"
-                )
         job_id = resolved.config_hash()
         with self._lock:
             self.counters["submitted"] += 1
@@ -163,9 +150,8 @@ class JobRunner:
             resolved = resolve_scenario(record["scenario"])
             # the job policy: telemetry on (hash-excluded and result-neutral,
             # so every job gets a manifest), checkpoints in the shared store
-            # unless the scenario names one, and always resume.  An explicit
-            # stacked request never gets here: submit refuses it, since a
-            # checkpointing run cannot stack
+            # unless the scenario names one, and always resume.  Checkpoints
+            # do not change the dispatch: a fused job stacks its replications
             resolved = replace(
                 resolved,
                 config=resolved.config.with_(telemetry=TelemetryConfig(enabled=True)),

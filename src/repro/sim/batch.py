@@ -65,6 +65,7 @@ pre-drawn per game in the same order through the :func:`plan_games` fallback
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -210,39 +211,31 @@ class BatchEngine:
         req = [0] * 8
 
         # telemetry seam: one enabled check per tournament; the per-game hot
-        # loop below never touches the recorder (zero-overhead contract)
+        # loop below never touches the recorder (zero-overhead contract), and
+        # the timers wrap the same calls a disabled run makes
         tel = get_telemetry()
         if not tel.enabled:
             tel = None
+        plan_timer = exchange_timer = nullcontext
+        if tel is not None:
+            plan_timer = tel.registry.timer("engine.plan_s").time
+            exchange_timer = tel.registry.timer("engine.exchange_s").time
 
         if do_exchange:
             # gossip draws interleave with oracle draws at round boundaries
             # when both share a generator: plan one round at a time.
-            n_passes = rounds
-            whole_plan = None
+            n_passes, sources = rounds, participants
         else:
             # nothing else consumes the oracle's generator mid-tournament:
             # draw the full schedule in one batch and play it as one pass
-            n_passes = 1
-            if tel is None:
-                whole_plan = plan_games(oracle, participants * rounds, participants)
-            else:
-                with tel.registry.timer("engine.plan_s").time():
-                    whole_plan = plan_games(
-                        oracle, participants * rounds, participants
-                    )
+            n_passes, sources = 1, participants * rounds
 
         for round_no in range(n_passes):
+            with plan_timer():
+                round_plan = plan_games(oracle, sources, participants)
             pass_span = tel.span("round") if tel is not None else None
             if pass_span is not None:
                 pass_span.__enter__()
-            if whole_plan is not None:
-                round_plan = whole_plan
-            elif tel is None:
-                round_plan = plan_games(oracle, participants, participants)
-            else:
-                with tel.registry.timer("engine.plan_s").time():
-                    round_plan = plan_games(oracle, participants, participants)
 
             for source, destination, paths in round_plan:
                 source_selfish = source >= n_pop
@@ -368,15 +361,10 @@ class BatchEngine:
             if pass_span is not None:
                 pass_span.__exit__(None, None, None)
             if do_exchange and (round_no + 1) % exchange.interval == 0:
-                if tel is None:
+                with exchange_timer():
                     exchange_reputation_flat(
                         ps, pf, known, pf_sum, participants, exchange, rng
                     )
-                else:
-                    with tel.registry.timer("engine.exchange_s").time():
-                        exchange_reputation_flat(
-                            ps, pf, known, pf_sum, participants, exchange, rng
-                        )
 
         if tel is not None:
             tel.count("engine.tournaments")

@@ -178,6 +178,12 @@ class Telemetry:
             "dropped_events": self.dropped_events,
         }
 
+    def absorb(self, export: dict) -> None:
+        """Fold another session's :meth:`export` into this one."""
+        self.registry.merge(export["metrics"])
+        self.events.extend(export["events"])
+        self.dropped_events += export["dropped_events"]
+
 
 _active: NullTelemetry | Telemetry = NULL_TELEMETRY
 

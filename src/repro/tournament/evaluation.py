@@ -22,6 +22,7 @@ engine's statistical contract.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -194,15 +195,10 @@ def evaluate_stack(
                 order = rng.permutation(len(participants))
                 participants = [participants[int(i)] for i in order]
                 stats = TournamentStats()
-                if tel is None:
+                with tel.span("tournament") if tel is not None else nullcontext():
                     engine.run_tournament(
                         participants, rounds, oracle, stats, exchange, rng
                     )
-                else:
-                    with tel.span("tournament"):
-                        engine.run_tournament(
-                            participants, rounds, oracle, stats, exchange, rng
-                        )
                 env_stats[0].merge(stats)
                 if on_tournament_end is not None:
                     on_tournament_end()

@@ -349,22 +349,50 @@ class TestOneFrontDoor:
         "argv, reason",
         [
             (["case3", "--engine", "batch"], "does not fuse generations"),
-            (["case1", "--engine", "fused", "--checkpoint-dir", "{tmp}"],
-             "checkpointing"),
-            # a bare --resume checkpoints into the default store
-            (["case1", "--engine", "fused", "--resume"], "checkpointing"),
             (["exchange_core", "--engine", "fused"], "reputation exchange"),
         ],
-        ids=["batch", "checkpoint-dir", "bare-resume", "exchange"],
+        ids=["batch", "exchange"],
     )
-    def test_unhonourable_stack_request_exits_2(self, capsys, tmp_path, argv, reason):
-        argv = [a.replace("{tmp}", str(tmp_path / "ckpt")) for a in argv]
+    def test_unhonourable_stack_request_exits_2(self, capsys, argv, reason):
         code = main(["run-case", *argv, "--scale", "smoke", "--stacked"])
         assert code == 2
         err = capsys.readouterr().err
         assert "'run.stacked' cannot be honoured" in err
         assert reason in err
-        assert not (tmp_path / "ckpt").exists()
+
+    STACKED_FUSED = ["run-case", "case1", "--scale", "smoke", "--engine", "fused",
+                     "--replications", "2", "--processes", "1", "--stacked",
+                     "--telemetry", "--telemetry-dir", "tel"]
+
+    def stack_of(self, capsys, argv: list[str]) -> dict:
+        assert main(argv) == 0
+        capsys.readouterr()
+        return json.loads(Path("tel/case1_smoke_manifest.json").read_text())["run"]
+
+    def test_checkpointing_stack_request_is_honoured(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        run = self.stack_of(
+            capsys, [*self.STACKED_FUSED, "--checkpoint-dir", "ckpt"]
+        )
+        assert (run["stack_width"], run["stack_reason"]) == (2, "none")
+        assert sorted(p.name for p in Path("ckpt").glob("*/rep*")) == [
+            "rep0000", "rep0001"
+        ]
+
+    def test_bare_resume_stack_request_is_honoured(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A bare --resume reads the default store; with nothing there it
+        exits 4 for want of checkpoints, never for the stack request."""
+        monkeypatch.chdir(tmp_path)
+        assert main([*self.STACKED_FUSED, "--resume"]) == 4
+        assert "no checkpoints" in capsys.readouterr().err
+        self.stack_of(capsys, [*self.STACKED_FUSED, "--checkpoint-dir",
+                               "results/checkpoints"])
+        run = self.stack_of(capsys, [*self.STACKED_FUSED, "--resume"])
+        assert (run["stack_width"], run["stack_reason"]) == (2, "none")
 
     def test_unhonourable_stack_request_in_scenario_exits_2(self, capsys):
         code = main(

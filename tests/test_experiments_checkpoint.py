@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import run_replication
+from repro.experiments.runner import run_experiment
+from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.manifest import config_hash
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -247,3 +250,94 @@ class TestCrashInjection:
         loaded = CheckpointStore(tmp_path).load_latest(cfg, 0)
         assert loaded is not None
         assert loaded.generation == 1  # died right after the 2nd checkpoint
+
+
+#: a 4-wide stack at ``--processes 1``: the run-case command whose victim the
+#: stacked crash tests kill (three generations, so twelve checkpoints)
+STACK_ARGV = [
+    "run-case", "case3", "--scale", "smoke", "--engine", "fused",
+    "--replications", "4", "--processes", "1",
+]
+STACK_CONFIG = ExperimentConfig.for_case(
+    "case3", scale="smoke", engine="fused", replications=4
+)
+
+
+def crash_stacked_run(checkpoints: Path, crash_after: int, *extra: str) -> None:
+    """Run STACK_ARGV with checkpoints in a subprocess that SIGKILLs itself
+    after its ``crash_after``-th checkpoint."""
+    env = os.environ.copy()
+    env[CRASH_ENV] = str(crash_after)
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *STACK_ARGV,
+         "--checkpoint-dir", str(checkpoints), *extra],
+        env=env,
+        cwd=checkpoints.parent,
+        capture_output=True,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+
+
+def results_bytes(result) -> str:
+    """The raw results document, checkpoint provenance stripped."""
+    data = result.to_dict()
+    for rep in data["replications"]:
+        rep.pop("checkpoint", None)
+    return json.dumps(data, sort_keys=True)
+
+
+class TestStackedCrashResume:
+    """A checkpointed stack resumes at any width, bit-identically, with its
+    telemetry counted once."""
+
+    @pytest.fixture(scope="class")
+    def mid_boundary(self, tmp_path_factory) -> Path:
+        # checkpoints 1-4 are generation 0's boundary; the crash after the
+        # 6th leaves replications 0-1 at generation 1 and 2-3 at generation 0
+        checkpoints = tmp_path_factory.mktemp("mid") / "checkpoints"
+        crash_stacked_run(checkpoints, 6)
+        return checkpoints
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"shards": 2}, {"stacked": False}],
+        ids=["w4", "shards2", "no-stacked"],
+    )
+    def test_mid_boundary_crash_resumes_byte_equal(
+        self, mid_boundary, tmp_path, options
+    ):
+        checkpoints = shutil.copytree(mid_boundary, tmp_path / "checkpoints")
+        resumed = run_experiment(
+            STACK_CONFIG, processes=1, checkpoint_dir=checkpoints, **options
+        )
+        assert [
+            rep.checkpoint["resumed_from_generation"]
+            for rep in resumed.replications
+        ] == [1, 1, 0, 0]
+        control = run_experiment(STACK_CONFIG, processes=1)
+        assert results_bytes(resumed) == results_bytes(control)
+
+    @pytest.fixture(scope="class")
+    def clean_boundary(self, tmp_path_factory) -> Path:
+        # the 4th checkpoint completes generation 0's boundary
+        checkpoints = tmp_path_factory.mktemp("clean") / "checkpoints"
+        crash_stacked_run(checkpoints, 4, "--telemetry")
+        return checkpoints
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["w4", "w2"])
+    def test_clean_boundary_resume_counts_games_once(
+        self, clean_boundary, tmp_path, shards
+    ):
+        checkpoints = shutil.copytree(clean_boundary, tmp_path / "checkpoints")
+        traced = STACK_CONFIG.with_(telemetry=TelemetryConfig(enabled=True))
+        resumed = run_experiment(
+            traced, processes=1, shards=shards, checkpoint_dir=checkpoints
+        )
+        control = run_experiment(traced, processes=1)
+        assert resumed.telemetry["stack_width"] == (shards and 4 // shards or 4)
+        assert results_bytes(resumed) == results_bytes(control)
+        counters = resumed.telemetry["metrics"]["counters"]
+        expected = control.telemetry["metrics"]["counters"]
+        for name in ("engine.games", "evaluation.games"):
+            assert counters[name] == expected[name], name

@@ -37,6 +37,17 @@ def smoke_payload(**overrides) -> dict:
     return build_scenario_payload("case1", "smoke", overrides=merged)
 
 
+def fused_job(replications: int, **run) -> dict:
+    """A fused smoke job run in-process, so its replications form one
+    stack whatever the core count."""
+    return build_scenario_payload(
+        "case1",
+        "smoke",
+        overrides={"seed": 2007, "engine": "fused", "replications": replications},
+        run={"processes": 1, **run},
+    )
+
+
 class TestResultStore:
     def test_records_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -248,15 +259,19 @@ class TestJobRunnerLifecycle:
         )
 
     def test_manifest_records_the_checkpointed_dispatch(self, tmp_path):
-        # service jobs always checkpoint, which keeps every stack at width 1
-        # even on the fused engine; the manifest says so and why
+        # service jobs always checkpoint, and checkpoints do not change the
+        # dispatch: a fused job stacks its replications, one stack per
+        # worker, and every member checkpoints its own state
         runner = JobRunner(tmp_path)
-        record, _ = runner.submit(smoke_payload(engine="fused", replications=2))
+        record, _ = runner.submit(fused_job(replications=2))
         runner.run_pending()
         record = runner.store.load_record(record["job_id"])
+        assert record["state"] == "done"
         run = runner.store.load_manifest(record)["run"]
-        assert run["stack_width"] == 1
-        assert "checkpoint" in run["stack_reason"]
+        assert run["stack_width"] == 2
+        assert run["stack_reason"] == "none"
+        reps = sorted(p.name for p in runner.store.checkpoint_dir.glob("*/rep*"))
+        assert reps == ["rep0000", "rep0001"]
 
     def test_distinct_scenarios_get_distinct_jobs(self, tmp_path):
         runner = JobRunner(tmp_path)
@@ -291,20 +306,19 @@ class TestJobRunnerLifecycle:
             runner.submit(payload)
         assert runner.store.list_records() == []
 
-    def test_stack_request_on_a_checkpointing_job_is_rejected_at_submit(
-        self, tmp_path
-    ):
-        """A job always checkpoints, and a checkpointing run cannot stack:
-        a fused ``run.stacked: true`` submission is refused before a job
-        exists, instead of queueing a job that can only fail."""
+    def test_stack_request_on_a_checkpointing_job_is_honoured(self, tmp_path):
+        """A job always checkpoints, and a checkpointing run stacks like any
+        other: a fused ``run.stacked: true`` submission queues, runs
+        stacked and finishes."""
         runner = JobRunner(tmp_path)
-        payload = build_scenario_payload(
-            "case1", "smoke", overrides={"engine": "fused"}, run={"stacked": True}
-        )
-        with pytest.raises(ValueError, match="checkpointing"):
-            runner.submit(payload)
-        assert runner.store.list_records() == []
-        assert runner.run_pending() == 0
+        record, created = runner.submit(fused_job(replications=3, stacked=True))
+        assert created
+        assert runner.run_pending() == 1
+        record = runner.store.load_record(record["job_id"])
+        assert record["state"] == "done"
+        run = runner.store.load_manifest(record)["run"]
+        assert run["stack_width"] == 3
+        assert run["stack_reason"] == "none"
 
     def test_failed_job_records_error_and_requeues(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
@@ -448,12 +462,18 @@ class TestServiceEndpoints:
         negative_seed = smoke_payload()
         negative_seed["overrides"]["seed"] = -1
         assert service.submit(negative_seed)[0] == 400
-        stacked_job = build_scenario_payload(
-            "case1", "smoke", overrides={"engine": "fused"}, run={"stacked": True}
+        batch_stacked = build_scenario_payload(
+            "case1", "smoke", overrides={"engine": "batch"}, run={"stacked": True}
         )
-        code, body = service.submit(stacked_job)
-        assert code == 400 and "checkpointing" in body["error"]
+        code, body = service.submit(batch_stacked)
+        assert code == 400 and "does not fuse generations" in body["error"]
         assert runner.store.list_records() == []
+        # a stacked fused job is no garbage: a job checkpoints, and a
+        # checkpointing run stacks
+        code, body = service.submit(fused_job(replications=2, stacked=True))
+        assert code == 201
+        runner.run_pending()
+        assert service.status(body["job_id"])[1]["state"] == "done"
 
     def test_unknown_job_is_404(self, tmp_path):
         service = Service(JobRunner(tmp_path))

@@ -177,10 +177,11 @@ class TestEligibility:
         assert reason is not None and "exchange" in reason
 
     def test_execution_option_reasons(self):
+        # the reason reads the config only: no execution option (a
+        # checkpoint store included) can be passed, let alone refuse
         config = smoke_config("case1", 1)
-        assert "checkpoint" in stacked_unsupported_reason(
-            config, checkpoint_dir="ckpt"
-        )
+        with pytest.raises(TypeError):
+            stacked_unsupported_reason(config, checkpoint_dir="ckpt")
         # a stack is one pool task, whatever the pool or shard count, and
         # telemetry and a single replication are no reason either
         traced = config.with_(telemetry=TelemetryConfig(enabled=True))
@@ -192,8 +193,13 @@ class TestEligibility:
         with pytest.raises(ValueError, match="does not fuse"):
             run_stack(batch, [0, 1])
         run_stack(batch, [1])  # a stack of one runs on any engine
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_stack(smoke_config("case1", 1), [0, 1], checkpoint_dir=tmp_path)
+        # a checkpointing stack runs, and checkpoints change no result
+        config = smoke_config("case1", 1)
+        checkpointed, _ = run_stack(config, [0, 1], checkpoint_dir=tmp_path)
+        assert checkpointed == run_stack(config, [0, 1])[0]
+        assert [r.checkpoint["checkpoints_written"] for r in checkpointed] == [
+            config.generations
+        ] * 2
 
 
 class TestRunnerDispatch:
@@ -220,8 +226,25 @@ class TestRunnerDispatch:
         assert len(run_experiment(config, stacked=True, processes=2).replications) == 2
         with pytest.raises(ValueError, match="stacked evaluation unavailable"):
             run_experiment(config.with_(engine="batch"), stacked=True)
-        with pytest.raises(ValueError, match="stacked evaluation unavailable"):
-            run_experiment(config, stacked=True, checkpoint_dir=tmp_path)
+        # a checkpoint store is no reason either
+        checkpointed = run_experiment(
+            config, stacked=True, processes=1, checkpoint_dir=tmp_path
+        )
+        assert checkpointed.replications == run_experiment(
+            config, processes=1, stacked=False
+        ).replications
+
+    def test_checkpointed_run_stacks(self, stack_widths, tmp_path):
+        # checkpoints never change the cut: one stack of three, and a rerun
+        # reconstitutes every member from its final checkpoint
+        config = smoke_config("case1", 1234, replications=3)
+        first = run_experiment(config, processes=1, checkpoint_dir=tmp_path)
+        again = run_experiment(config, processes=1, checkpoint_dir=tmp_path)
+        assert stack_widths == [3, 3]
+        assert again.replications == first.replications
+        assert [
+            rep.checkpoint["resumed_from_generation"] for rep in again.replications
+        ] == [config.generations - 1] * 3
 
     def test_pool_stacks_per_worker(self):
         config = smoke_config("case3", 7, replications=4).with_(
