@@ -800,19 +800,17 @@ def _interleave_plans(
     one contiguous run of path rows and one of hops in its plan, so the
     weave concatenates whole runs; each game's candidates stay contiguous
     and in candidate order.  With ``id_offsets``, plan ``t``'s node ids
-    (sources, destinations, hops) are shifted by ``id_offsets[t]`` on the
-    way in.
+    (sources, destinations, hops) are shifted by ``id_offsets[t]`` in the
+    woven arrays, so no shifted copy of any plan is made.
     """
-    shifts = list(id_offsets) if id_offsets is not None else [0] * len(plans)
 
     def weave(arrays: list[np.ndarray]) -> np.ndarray:
         # per-game arrays: (rounds, n) per plan -> (rounds, T, n)
         return np.stack([a.reshape(rounds, n) for a in arrays], axis=1).reshape(-1)
 
-    src = weave([p.src + shift for p, shift in zip(plans, shifts)])
-    dst = weave([p.dst + shift for p, shift in zip(plans, shifts)])
+    src = weave([p.src for p in plans])
+    dst = weave([p.dst for p in plans])
     n_paths = weave([p.n_paths for p in plans])
-    hops = [p.hop_nodes + shift for p, shift in zip(plans, shifts)]
     row_cuts = [p.game_path_start[::n] for p in plans]
     hop_cuts = [p.path_start[cuts].tolist() for p, cuts in zip(plans, row_cuts)]
     row_cuts = [cuts.tolist() for cuts in row_cuts]
@@ -822,7 +820,17 @@ def _interleave_plans(
             r0, r1 = row_cuts[t][r], row_cuts[t][r + 1]
             lens.append(plan.path_len[r0:r1])
             cols.append(plan.path_col[r0:r1])
-            runs.append(hops[t][hop_cuts[t][r] : hop_cuts[t][r + 1]])
+            runs.append(plan.hop_nodes[hop_cuts[t][r] : hop_cuts[t][r + 1]])
+    hop_nodes = np.concatenate(runs)
+    if id_offsets is not None:
+        shifts = np.asarray(id_offsets, dtype=np.int64)
+        src.reshape(rounds, len(plans), n)[...] += shifts[:, None]
+        dst.reshape(rounds, len(plans), n)[...] += shifts[:, None]
+        # run k of the weave is plan k % T's: shift it in place
+        pos = 0
+        for k, run in enumerate(runs):
+            hop_nodes[pos : pos + run.size] += shifts[k % len(plans)]
+            pos += run.size
     path_len = np.concatenate(lens)
     n_games = src.size
     return GamePlanArrays(
@@ -835,7 +843,7 @@ def _interleave_plans(
         path_col=np.concatenate(cols),
         path_start=_offsets(path_len),
         path_len=path_len,
-        hop_nodes=np.concatenate(runs),
+        hop_nodes=hop_nodes,
         max_paths=int(n_paths.max()) if n_games else 0,
     )
 
@@ -857,7 +865,7 @@ def stack_replication_plans(
 
     Structurally each replication is "one very wide tournament" of ``S``
     seats, so the weave is exactly :func:`_interleave_plans`, which adds
-    each block offset while it concatenates the hops for its one gather.
+    the block offsets to the woven arrays after its one concatenate.
     """
     if not plans:
         raise ValueError("need at least one replication plan")

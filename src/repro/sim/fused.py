@@ -77,7 +77,7 @@ the invariants that must stay *exact* (counter consistency, conservation,
 The second-hand exchange interleaves gossip with each tournament's round
 stream, which the stacked pass cannot reorder away: with the exchange on,
 ``run_stack`` plays the generation's tournaments one at a time through
-:meth:`FusedEngine.run_tournament`, the ``(1, 1, n, m)`` slate with the
+:meth:`FusedEngine.run_tournament`, the ``(1, 1, n, block)`` slate with the
 gossip step between rounds.  That loop runs one stack member.
 
 Cross-replication stacking
@@ -85,9 +85,15 @@ Cross-replication stacking
 ``FusedEngine(n_replications=R)`` widens the slate one more axis: **R
 independent replications** of the same experiment evaluate as one
 mega-slate — stacked game ``round * (R * T * n) + rep * (T * n) +
-tournament * n + seat`` — against block-diagonal reputation state, one
-``(R * block)``-order matrix whose ``r``-th diagonal block is replication
-``r``'s private state (``block = n_population + max_selfish``).
+tournament * n + seat`` — against block-diagonal reputation state.
+Replication ``r`` owns node ids ``[r * block, (r + 1) * block)`` (``block
+= n_population + max_selfish``) and only ever touches its own
+``block x block`` square, so ``ps``/``pf`` store just those squares, as
+``(R, block, block)``: the state grows with ``R``, not ``R^2``.  The pair
+``(s, j)`` is the cell code ``s * block + j % block`` (the kernel's op
+contract, :mod:`repro.sim.kernels`), and :meth:`FusedEngine.payoff_matrix`
+still shows the whole ``(R * block)``-order matrix, zero off the diagonal
+blocks.
 :func:`repro.experiments.replication.run_stack` drives it at every stack
 width through :meth:`FusedEngine.run_stack` (``run_generation`` is its
 one-member call).  Stacking is *exact* — each replication bit-identical to
@@ -99,7 +105,7 @@ statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
   :func:`repro.paths.vector.stack_replication_plans` shifts each
   replication's node ids into its private block, so no stacked game can
   ever read or write another replication's cells — every kernel op
-  (gather, commit scatter, scalar replay) decomposes block-diagonally.
+  (gather, commit scatter, scalar replay) decomposes block by block.
 * The conflict walk scopes pair codes per ``(replication, tournament)``
   (the plan context's ``pair_off``), reproducing the per-tournament walk
   inside each replication's slate slice.
@@ -107,7 +113,7 @@ statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
   and a replication's pairs only name cells of its own block, so each
   block's caches evolve exactly as they would alone.  Together with the
   conflict walk resetting only the codes it wrote, a round's state work is
-  O(cells the round touches), never O((R * block)^2): stack width costs
+  O(cells the round touches), never O(R * block^2): stack width costs
   nothing per round.
 * Statistics counters are routed per replication (``(R, 9)``/``(R, 4)``
   accumulator rows); float payoff accumulators are per *node* and the
@@ -140,9 +146,10 @@ candidates one contiguous run of segments.  Nothing is padded to the
 plan's longest path, so each cost grows with the real hops and cells a
 round touches:
 
-* **Rating.**  The context keeps one rating cell per plan hop; a round
-  rates its paths' contiguous run of hops with one segmented product
-  (``rate_paths``), left to right per path as the padded row product was.
+* **Rating.**  A round derives the rating cells of its paths' contiguous
+  run of hops (the source's cell base plus each hop id) and rates them
+  with one segmented product (``rate_paths``), left to right per path as
+  the padded row product was.
 * **Decision.**  The chosen paths' hops are gathered back to back and
   ``decide`` votes per hop, then finds each game's first discard per
   segment: ``n_dec`` hops decide, and ``success`` means none discarded.
@@ -247,35 +254,38 @@ class _PlanContext:
     replications (each a ``block``-order diagonal block of the reputation
     matrices) of ``n_tournaments`` tournaments of ``n_seats`` seats, laid
     out round-major — a round's slate is ``R * T * n`` games.  The
-    exchange's per-tournament loop is the ``(1, 1, n, m)`` case and an
-    unstacked generation the ``(1, T, n, m)`` one.
+    exchange's per-tournament loop is the ``(1, 1, n, block)`` case and an
+    unstacked generation the ``(1, T, n, block)`` one.
 
     Per-hop arrays run over the plan's flat hops (``plan.hop_nodes``):
-    ``cells_rate`` is the source's rating cell of each hop, ``is_csn``
-    whether the hop is a selfish seat, and ``level_b`` the fold's trust
-    level of each decided hop.
+    ``is_csn`` whether the hop is a selfish seat and ``level_b`` the
+    fold's trust level of each decided hop.  Rating cells are derived per
+    round (:meth:`rating_cells`) from the hops, the per-game hop count
+    ``game_hops`` and the slate's ``src_base``: the cell code of pair
+    ``(s, j)`` is ``s * block + j % block``, which is ``src_base + j`` for
+    the source ``s`` of a game and any node ``j`` of its replication.
 
-    The conflict walk is scoped per (replication, tournament): a pair
-    ``(obs, subj)`` has the block code ``obs * block + subj``, and
-    ``pair_off[g]`` moves game ``g``'s block codes into its tournament's
-    private ``block^2`` window of ``writer_buf``; ``walk_pos[g]`` is its
-    seat, the "earlier game" order of the walk.
+    The conflict walk is scoped per (replication, tournament): it reads
+    and writes cell codes, and ``pair_off[g]`` moves game ``g``'s codes
+    from its replication's ``block^2`` window into its tournament's
+    private one of ``writer_buf``; ``walk_pos[g]`` is its seat, the
+    "earlier game" order of the walk.
     """
 
     __slots__ = (
         "plan",
         "games_per_round",
-        "m",
         "n_replications",
         "n_tournaments",
         "rep_slate",
         "block",
-        "pg_rel",
-        "cells_rate",
+        "game_hops",
         "is_csn",
         "has_csn",
         "src_sel",
         "src_round",
+        "src_local",
+        "src_base",
         "pair_off",
         "walk_pos",
         "walk_fill",
@@ -297,6 +307,13 @@ class _PlanContext:
         n_seats: int,
         block: int,
     ):
+        # the writer buffer stores seat positions (and the fill, n_seats)
+        # as int16
+        if n_seats > np.iinfo(np.int16).max:
+            raise ValueError(
+                f"the conflict walk stores seat positions as int16:"
+                f" {n_seats} seats do not fit"
+            )
         self.plan = plan
         self.n_replications = n_replications
         self.n_tournaments = n_tournaments
@@ -304,18 +321,9 @@ class _PlanContext:
         self.block = block
         games_per_round = n_replications * self.rep_slate
         self.games_per_round = games_per_round
-        m = n_replications * block
-        self.m = m
         hops = plan.hop_nodes
-        # rating reads: the source's opinion of each candidate-path node
-        # (a game's hops are one contiguous run, so the source repeats per
-        # game)
-        game_hop_start = plan.path_start[plan.game_path_start]
-        self.cells_rate = np.repeat(plan.src * m, np.diff(game_hop_start))
-        self.cells_rate += hops
-        # the game's path rows, relative to its round (for the ratings
-        # scatter; games per round is constant, so a modulo does it)
-        self.pg_rel = plan.path_game % games_per_round
+        # a game's hops are one contiguous run of the plan
+        self.game_hops = np.diff(plan.path_start[plan.game_path_start])
         self.is_csn = csn_lookup[hops]
         # a path holds a selfish hop iff the running CSN count grows over
         # its segment
@@ -325,27 +333,27 @@ class _PlanContext:
         self.has_csn = csn_count[1:] > csn_count[:-1]
         self.src_sel = csn_lookup[plan.src]
         # every round's source order is the participants list, so the
-        # round-constant pieces are hoisted once
-        self.src_round = plan.src[:games_per_round]
+        # round-constant pieces are hoisted once: each source's local id,
+        # and its cell base (the cell code of (s, j) is src_base + j)
+        src = plan.src[:games_per_round]
+        self.src_round = src
+        self.src_local = src % block
+        self.src_base = src * block - (src - self.src_local)
         n_games = plan.n_games
         # conflict-walk scope: tournament t_global = rep * T + t owns the
-        # window [t_global * block^2, (t_global + 1) * block^2); the block
-        # code obs * block + subj of obs = rep * block + o, subj = rep *
-        # block + s lands at o * block + s + pair_off once pair_off absorbs
-        # both rep * block terms
+        # window [t_global * block^2, (t_global + 1) * block^2); a cell
+        # code of replication rep sits in [rep * block^2, (rep + 1) *
+        # block^2), so the move is (t_global - rep) * block^2
         total_t = n_replications * n_tournaments
         t_global = np.repeat(np.arange(total_t, dtype=np.int64), n_seats)
         rep = np.repeat(
             np.arange(n_replications, dtype=np.int64), self.rep_slate
         )
-        self.pair_off = t_global * (block * block) - rep * block * (block + 1)
+        self.pair_off = (t_global - rep) * (block * block)
         self.walk_pos = np.tile(np.arange(n_seats, dtype=np.int64), total_t)
-        # filled once: every walk resets just the codes it wrote (the
-        # +1 slot spills the out-of-range sentinel codes)
+        # filled once: every walk resets just the codes it wrote
         self.walk_fill = n_seats
-        self.writer_buf = np.full(
-            total_t * block * block + 1, n_seats, dtype=np.int64
-        )
+        self.writer_buf = np.full(total_t * block * block, n_seats, dtype=np.int16)
         self.ratings_buf = np.empty(
             (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
         )
@@ -353,22 +361,30 @@ class _PlanContext:
         # and the trust level of every plan hop a kept game decided (a
         # game's re-chosen path owns other hop slots, so nothing is reset)
         self.level_b = np.zeros(hops.size, dtype=np.int8)
-        self.chosen_b = np.zeros(n_games, dtype=np.int64)
-        self.ndec_b = np.zeros(n_games, dtype=np.int64)
+        self.chosen_b = np.zeros(n_games, dtype=np.int32)
+        self.ndec_b = np.zeros(n_games, dtype=np.int32)
         self.success_b = np.zeros(n_games, dtype=bool)
         self.keep_b = np.ones(n_games, dtype=bool)
+
+    @staticmethod
+    def rating_cells(src_base, hops, game_hops):
+        """The (source, hop) cell codes of consecutive games' candidate
+        hops: ``game_hops[i]`` hops of game ``i``, whose source has the
+        cell base ``src_base[i]``."""
+        cells = np.repeat(src_base, game_hops)
+        cells += hops
+        return cells
 
     def conflicted(self, kern, w_codes, w_game, r1, r2, n_dec, rows=None):
         """The conflict walk over a set of slate games (``rows``, ascending
         slate positions; all of them by default): per game, whether one of
         its read pairs ``r1``/``r2`` (``n_dec`` per game) was first written
         (``w_codes``, by game ``w_game``, ascending) by a strictly earlier
-        game of its scope.  Codes are block codes (``obs * block +
-        subj``); ``r1``/``r2`` are consumed.  Every game's writes count,
-        kept or not — exactly the sequential walk's written-set.  Resets
-        just the codes it wrote, so the buffer holds ``walk_fill``
-        everywhere between walks and a walk costs O(writes + reads),
-        however wide the pair space."""
+        game of its scope.  Codes are cell codes; ``r1``/``r2`` are
+        consumed.  Every game's writes count, kept or not — exactly the
+        sequential walk's written-set.  Resets just the codes it wrote, so
+        the buffer holds ``walk_fill`` everywhere between walks and a walk
+        costs O(writes + reads), however wide the pair space."""
         off = self.pair_off if rows is None else self.pair_off[rows]
         pos = self.walk_pos if rows is None else self.walk_pos[rows]
         buf = self.writer_buf
@@ -500,9 +516,12 @@ class FusedEngine:
 
     def _alloc(self) -> None:
         m = self.m
-        # canonical state: same layout as the batch engine, always numpy
-        self.ps = np.zeros((m, m), dtype=np.int64)
-        self.pf = np.zeros((m, m), dtype=np.int64)
+        # replication r only ever touches its own diagonal block, so the
+        # reputation pair holds just those: (R, block, block), addressed
+        # by cell code (:mod:`repro.sim.kernels`)
+        shape = (self.n_replications, self.block, self.block)
+        self.ps = np.zeros(shape, dtype=np.int64)
+        self.pf = np.zeros(shape, dtype=np.int64)
         self.known = np.zeros(m, dtype=np.int64)
         self.pf_sum = np.zeros(m, dtype=np.int64)
         self.send_pay = np.zeros(m, dtype=np.float64)
@@ -644,12 +663,11 @@ class FusedEngine:
                 plans.append(
                     plan_generation_arrays(oracle, member, rounds, on_tournament_end=hook)
                 )
+        plan = stack_replication_plans(plans, rounds, self.block)
+        # the members' own plans are dead once woven into the stack
+        del plans
         self.run_generation_stacked(
-            stack_replication_plans(plans, rounds, self.block),
-            rounds,
-            len(seatings[0]),
-            n_seats,
-            stats,
+            plan, rounds, len(seatings[0]), n_seats, stats
         )
 
     def run_generation_stacked(
@@ -712,7 +730,7 @@ class FusedEngine:
         exchange: ExchangeConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        """One tournament as the ``(1, 1, n, m)`` slate: the exchange's
+        """One tournament as the ``(1, 1, n, block)`` slate: the exchange's
         per-tournament loop, with the gossip step between rounds."""
         do_exchange = exchange is not None and exchange.enabled
         if do_exchange and rng is None:
@@ -736,7 +754,7 @@ class FusedEngine:
             plan = plan_tournament_arrays(
                 oracle, participants * rounds, participants
             )
-            ctx = _PlanContext(plan, self._csn_lookup, 1, 1, n_seats, self.m)
+            ctx = _PlanContext(plan, self._csn_lookup, 1, 1, n_seats, self.block)
 
         def gossip(round_no: int) -> None:
             if (round_no + 1) % exchange.interval == 0:
@@ -869,19 +887,19 @@ class FusedEngine:
         p0 = int(plan.game_path_start[g0])
         p1 = int(plan.game_path_start[g1])
         h0 = int(plan.path_start[p0])
+        h1 = int(plan.path_start[p1])
 
         # -- speculative path ratings from round-start state ----------------
         # the round's candidate paths are one contiguous run of plan hops
-        ratings = kern.rate_paths(
-            ks,
-            ctx.cells_rate[h0 : plan.path_start[p1]],
-            plan.path_start[p0:p1] - h0,
+        cells = ctx.rating_cells(
+            ctx.src_base, plan.hop_nodes[h0:h1], ctx.game_hops[g0:g1]
         )
+        ratings = kern.rate_paths(ks, cells, plan.path_start[p0:p1] - h0)
 
         # -- best path per game (first index wins ties, as the exact engines do)
         buf = ctx.ratings_buf
         buf.fill(-1.0)
-        buf[ctx.pg_rel[p0:p1], plan.path_col[p0:p1]] = ratings
+        buf[plan.path_game[p0:p1] - g0, plan.path_col[p0:p1]] = ratings
         chosen = ctx.chosen_b[g0:g1]
         np.add(plan.game_path_start[g0:g1], buf.argmax(axis=1), out=chosen)
 
@@ -909,9 +927,9 @@ class FusedEngine:
         starts = np.cumsum(lens)
         starts -= lens
         jc = plan.hop_nodes[hop_idx]
-        src = ctx.src_round if rows is None else plan.src[games]
-        cells_dec = jc * ctx.m
-        cells_dec += np.repeat(src, lens)
+        src_local = ctx.src_local if rows is None else ctx.src_local[rows]
+        cells_dec = jc * ctx.block
+        cells_dec += np.repeat(src_local, lens)
         trust, unknown, _fwd, n_dec, success = self._k.decide(
             self._ks, jc, cells_dec, starts
         )
@@ -919,7 +937,9 @@ class FusedEngine:
         # rewritten by whichever pass settles it, or never read (replayed)
         np.copyto(trust, self._default_trust, where=unknown)
         ctx.level_b[hop_idx] = trust
-        keep = self._commit_unconflicted(ctx, rows, src, jc, starts, n_dec, success)
+        keep = self._commit_unconflicted(
+            ctx, rows, jc, cells_dec, starts, n_dec, success
+        )
         if rows is None:
             ctx.ndec_b[games] = n_dec
             ctx.success_b[games] = success
@@ -933,35 +953,40 @@ class FusedEngine:
         return keep
 
     def _commit_unconflicted(
-        self, ctx, rows, src, jc, starts, n_dec, success
+        self, ctx, rows, jc, cells_dec, starts, n_dec, success
     ) -> np.ndarray:
         """Walk speculated games for conflicts and commit the rest.
 
         The games are slate ``rows`` (all of the slate for ``None``) with
-        sources ``src``, chosen-path deciders ``jc`` (game ``i``'s from
-        ``starts[i]``) and outcomes ``n_dec``/``success``.  Returns the
-        per-game keep mask: a game conflicts iff one of its read pairs was
-        (speculatively) written by a strictly earlier game of its scope.
-        Only the kept games' watchdog writes are committed.
+        chosen-path deciders ``jc`` (game ``i``'s from ``starts[i]``),
+        their (decider, source) cells ``cells_dec`` and outcomes
+        ``n_dec``/``success``.  Returns the per-game keep mask: a game
+        conflicts iff one of its read pairs was (speculatively) written by
+        a strictly earlier game of its scope.  Only the kept games'
+        watchdog writes are committed.
         """
-        block = ctx.block
+        if rows is None:
+            src, src_base = ctx.src_round, ctx.src_base
+        else:
+            src, src_base = ctx.src_round[rows], ctx.src_base[rows]
         obs, subj, w_game, w_fwd = watchdog_pairs(src, jc, starts, n_dec, success)
+        w_cells = obs * ctx.block
+        w_cells += subj % ctx.block
         # decision reads (j, s) are exactly the decided cells; rating reads
         # (s, j) cover the decided prefix of the chosen path (staleness on
         # nodes past a drop only perturbs already-tolerated path ratings)
-        decider = jc[segment_index(starts, n_dec)]
-        src_d = src.repeat(n_dec)
+        decided = segment_index(starts, n_dec)
         keep = ~ctx.conflicted(
             self._k,
-            obs * block + subj,
+            w_cells,
             w_game,
-            decider * block + src_d,
-            src_d * block + decider,
+            cells_dec[decided],
+            ctx.rating_cells(src_base, jc[decided], n_dec),
             n_dec,
             rows,
         )
         k_pairs = keep[w_game]
-        pairs = obs[k_pairs] * ctx.m + subj[k_pairs]
+        pairs = w_cells[k_pairs]
         self._k.commit(self._ks, pairs, pairs[w_fwd[k_pairs]])
         return keep
 
@@ -1011,10 +1036,12 @@ class FusedEngine:
         seg -= lens
 
         # -- ratings + best path, against the live matrices ------------------
-        hop_lo = plan.path_start[row_lo]
-        cells = ctx.cells_rate[
-            segment_index(hop_lo, plan.path_start[row_lo + counts] - hop_lo)
-        ]
+        n_hops = ctx.game_hops[g]
+        cells = ctx.rating_cells(
+            ctx.src_base[rel_ids],
+            plan.hop_nodes[segment_index(plan.path_start[row_lo], n_hops)],
+            n_hops,
+        )
         ratings = self._k.rate_paths(self._ks, cells, seg)
         n_sub = len(g)
         buf = ctx.ratings_buf[:n_sub]
@@ -1139,18 +1166,20 @@ class FusedEngine:
         rng: np.random.Generator,
     ) -> None:
         """One gossip step via the shared flat implementation; state is
-        copied back in place so live views stay valid."""
-        ps_l = self.ps.tolist()
-        pf_l = self.pf.tolist()
-        known_l = self.known.tolist()
-        pf_sum_l = self.pf_sum.tolist()
+        copied back in place so live views stay valid.  The exchange runs
+        one replication, so the participants are ids of block 0."""
+        ids = slice(0, self.block)
+        ps_l = self.ps[0].tolist()
+        pf_l = self.pf[0].tolist()
+        known_l = self.known[ids].tolist()
+        pf_sum_l = self.pf_sum[ids].tolist()
         exchange_reputation_flat(
             ps_l, pf_l, known_l, pf_sum_l, participants, exchange, rng
         )
-        self.ps[:] = ps_l
-        self.pf[:] = pf_l
-        self.known[:] = known_l
-        self.pf_sum[:] = pf_sum_l
+        self.ps[0] = ps_l
+        self.pf[0] = pf_l
+        self.known[ids] = known_l
+        self.pf_sum[ids] = pf_sum_l
 
     # -- fitness and introspection ------------------------------------------
 
@@ -1179,8 +1208,11 @@ class FusedEngine:
 
     def payoff_matrix(self) -> np.ndarray:
         """Reputation state as ``(M, M, 2)`` — same layout as the other
-        engines."""
-        out = np.empty((self.m, self.m, 2), dtype=np.int64)
-        out[:, :, 0] = self.ps
-        out[:, :, 1] = self.pf
+        engines: replication ``r``'s state is the ``r``-th diagonal block,
+        every off-diagonal block is zero."""
+        out = np.zeros((self.m, self.m, 2), dtype=np.int64)
+        for r in range(self.n_replications):
+            ids = slice(r * self.block, (r + 1) * self.block)
+            out[ids, ids, 0] = self.ps[r]
+            out[ids, ids, 1] = self.pf[r]
         return out

@@ -9,18 +9,27 @@ commit, and the exact scalar conflict-replay with its watchdog recurrence.
 to the historical inline implementation (pinned by
 ``tests/test_sim_kernels.py``).
 
+The reputation state is block-diagonal: ``R`` stacked replications of
+``block`` ids each (``m = R * block`` node ids; replication ``r`` owns ids
+``[r * block, (r + 1) * block)``), and only a replication's own
+``block x block`` square is ever touched.  So ``ps``/``pf`` are stored as
+``(R, block, block)`` and a (observer ``s``, subject ``j``) pair of one
+replication is the flat *cell code* ``s * block + j % block`` (=
+``r * block^2 + (s % block) * block + j % block``); ``code // block`` is
+the observer id.  An unstacked state is the ``R = 1`` case, where
+``block = m`` and the code is the familiar ``s * m + j``.
+
 The vectorised ops take *ragged* hop runs, the fused plan's layout: the
 hops of several paths back to back in one flat array, plus the start of
 each path's segment (ascending; every segment non-empty).  A round's work
-is O(real hops and cells it touches) — independent of the matrix order
-``m``, which grows with the stack width of a stacked fused engine, and of
-the plan's longest path:
+is O(real hops and cells it touches) — independent of the stack width
+``R`` of a stacked fused engine, and of the plan's longest path:
 
 * ``rate_paths(state, cells, starts)`` returns one rating per segment:
   the left-to-right product of its hops' forwarding rates (``cells`` are
-  the flattened (source, hop) matrix indices; unknown cells rate 0.5).
+  the (source, hop) cell codes; unknown cells rate 0.5).
 * ``decide(state, jc, cells_dec, starts)`` takes one chosen path per game
-  (decider ids ``jc``, their (decider, source) cells ``cells_dec``) and
+  (decider ids ``jc``, their (decider, source) cell codes ``cells_dec``) and
   returns per hop the ``trust`` level, ``unknown`` cell flag and forward
   vote ``fwd``, and per game ``n_dec`` — hops up to and including the
   first discard — and ``success`` (no discard).  Votes past a game's
@@ -31,18 +40,21 @@ Three more op contracts keep the state work O(touched cells):
   buffer holds the walk's fill value everywhere *between* calls: the
   caller fills it once when it allocates it and, after reading the
   result, restores the codes it wrote.  No call re-fills the buffer.
-* ``commit(state, pairs, pf_pairs)`` scatter-adds the pairs (duplicates
-  allowed) into ``ps``/``pf`` and updates the ``known``/``pf_sum`` caches
-  incrementally on the touched rows; afterwards ``known`` equals the
+* ``commit(state, pairs, pf_pairs)`` scatter-adds the pairs (cell codes,
+  duplicates allowed) into ``ps``/``pf`` and updates the
+  ``known``/``pf_sum`` caches incrementally on the touched rows; afterwards ``known`` equals the
   nonzero count of each ``ps`` row and ``pf_sum`` each ``pf`` row sum,
   exactly.
 * ``replay_decide(state, source, paths, req, delivered, csn_free)`` and
   ``watchdog(state, source, deciders, flags, success)`` replay one game
   as plain Python over ``state.views`` — flat memoryviews of the live
   arrays (:class:`ReplayViews`), built once per state bundle — so an
-  element access is a Python number, not a boxed numpy scalar.  Candidate
-  paths arrive as lists of node ids, the counters as writable integer
-  rows (memoryviews or arrays); deciders and flags travel as lists.
+  element access is a Python number, not a boxed numpy scalar.  A game's
+  nodes all lie in its source's block, so the source's row of cells is
+  ``base + node`` with ``base = source * block - off`` (``off`` the
+  block's first id).  Candidate paths arrive as lists of node ids, the
+  counters as writable integer rows (memoryviews or arrays); deciders and
+  flags travel as lists.
 
 The op boundary exists for attribution: :class:`TimedKernel` wraps the
 kernel with per-op telemetry timers (``kernel.decision_s`` /
@@ -76,11 +88,12 @@ class ReplayViews(NamedTuple):
 
     Each view aliases the engine array it was made from, so a write lands
     in place; reading one yields a Python ``int``/``float``/``bool``.
-    Matrix cells are addressed ``observer * m + subject``.
+    Reputation cells are addressed by cell code, ``observer * block +
+    subject % block``.
     """
 
-    m: int
-    ps: memoryview  # (m*m,) int64
+    block: int
+    ps: memoryview  # (R * block * block,) int64
     pf: memoryview
     known: memoryview  # (m,) int64
     pf_sum: memoryview
@@ -106,9 +119,9 @@ class KernelState(NamedTuple):
     views, which :meth:`with_views` makes once per bundle.
     """
 
-    ps: np.ndarray  # (m, m) int64 — packets seen, observer x subject
-    pf: np.ndarray  # (m, m) int64 — packets forwarded
-    ps_flat: np.ndarray  # the (m*m,) views the gather/scatter ops use
+    ps: np.ndarray  # (R, block, block) int64 — packets seen, observer x subject
+    pf: np.ndarray  # (R, block, block) int64 — packets forwarded
+    ps_flat: np.ndarray  # the flat views the ops address by cell code
     pf_flat: np.ndarray
     known: np.ndarray  # (m,) int64 — nonzero ps cells per observer
     pf_sum: np.ndarray  # (m,) int64 — row sums of pf
@@ -136,7 +149,7 @@ class KernelState(NamedTuple):
     def with_views(self) -> "KernelState":
         """This bundle with its :class:`ReplayViews` built."""
         views = ReplayViews(
-            m=self.known.size,
+            block=self.ps.shape[-1],
             ps=memoryview(self.ps_flat),
             pf=memoryview(self.pf_flat),
             known=memoryview(self.known),

@@ -101,13 +101,11 @@ class NumpyKernel:
         fwd = state.strat_flat.take(bit) == 1
 
         # A hop decides only if every earlier hop of its path forwarded:
-        # each game decides through its first discard.  Discards come in
-        # ascending order, so the reversed scatter leaves each game's first
-        # one; ``n`` marks a game without any.
+        # each game decides through its first discard, the smallest hop
+        # position of its segment that discarded; ``n`` marks a game
+        # without any.
         n = jc.size
-        drops = np.flatnonzero(~fwd)
-        first = np.full(starts.size, n, dtype=np.int64)
-        first[np.searchsorted(starts, drops[::-1], side="right") - 1] = drops[::-1]
+        first = np.minimum.reduceat(np.where(fwd, n, np.arange(n)), starts)
         ends = np.empty_like(first)
         ends[:-1] = starts[1:]
         ends[-1:] = n
@@ -129,17 +127,19 @@ class NumpyKernel:
     def commit(self, state, pairs, pf_pairs):
         """Fold accepted observation pairs into the reputation matrices.
 
-        ``pairs`` are flattened (observer, subject) codes of all accepted
+        ``pairs`` are the (observer, subject) cell codes of all accepted
         packets-seen updates, ``pf_pairs`` the forwarded subset; both may
-        repeat codes.  The known/pf_sum caches are updated incrementally
-        over the touched cells only — ``known[row]`` grows by the distinct
-        cells of the row whose ``ps`` was zero before the batch, ``pf_sum``
-        by the forwarded pairs of the row — so a commit costs O(pairs + m),
-        not O(m^2).  All state is integer, so the result equals the dense
-        recompute exactly, whatever the order.
+        repeat codes.  A code's ``// block`` is its observer id.  The
+        known/pf_sum caches are updated incrementally over the touched
+        cells only — ``known[row]`` grows by the distinct cells of the row
+        whose ``ps`` was zero before the batch, ``pf_sum`` by the forwarded
+        pairs of the row — so a commit costs O(pairs + m), not O(state).
+        All state is integer, so the result equals the dense recompute
+        exactly, whatever the order.
         """
         ps_flat, known, pf_sum = state.ps_flat, state.known, state.pf_sum
         m = known.size
+        block = state.ps.shape[-1]
         fresh = pairs[ps_flat.take(pairs) == 0]
         if fresh.size:
             # one survivor per distinct zero cell: scatter-assign a 1-based
@@ -150,10 +150,10 @@ class NumpyKernel:
             ps_flat[fresh] = tag
             crossed = fresh[ps_flat.take(fresh) == tag]
             ps_flat[fresh] = 0
-            known += np.bincount(crossed // m, minlength=m)
+            known += np.bincount(crossed // block, minlength=m)
         np.add.at(ps_flat, pairs, 1)
         np.add.at(state.pf_flat, pf_pairs, 1)
-        pf_sum += np.bincount(pf_pairs // m, minlength=m)
+        pf_sum += np.bincount(pf_pairs // block, minlength=m)
 
     def replay_decide(self, state, source, paths, req, delivered, csn_free):
         """Exact scalar replay of one conflicted game against live state.
@@ -166,14 +166,17 @@ class NumpyKernel:
         success)`` for the watchdog recurrence.
         """
         v = state.views
-        m = v.m
+        block = v.block
         ps = v.ps
         pf = v.pf
         csn = v.csn
         strat = v.strat
         source_selfish = csn[source]
 
-        base = source * m
+        # the game's nodes share the source's block: (s, j) is cell
+        # s * block + j % block
+        local = source % block
+        base = source * block - (source - local)
         best = paths[0]
         best_r = -1.0
         for path in paths:
@@ -205,7 +208,7 @@ class NumpyKernel:
                 req[req_base + 2] += 1
                 success = False
                 break
-            c = j * m + source
+            c = j * block + local
             cell = ps[c]
             if cell == 0:
                 level = state.default_trust
@@ -251,14 +254,15 @@ class NumpyKernel:
         records what each decider did.  On failure the last decider saw
         no downstream behaviour and observes nothing."""
         v = state.views
-        m = v.m
+        block = v.block
         ps = v.ps
         pf = v.pf
         known = v.known
         pf_sum = v.pf_sum
+        off = source - source % block
         n_upd = len(deciders) if success else len(deciders) - 1
         for u in [source, *deciders[:n_upd]]:
-            base = u * m
+            base = u * block - off
             for j, forward in zip(deciders, flags):
                 if j != u:
                     c = base + j

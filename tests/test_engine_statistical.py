@@ -265,8 +265,9 @@ class TestSpeculationMachinery:
         ps, pf = engine.ps, engine.pf
         assert (ps >= 0).all() and (pf >= 0).all()
         assert (pf <= ps).all()
-        assert np.array_equal(engine.known, (ps > 0).sum(axis=1))
-        assert np.array_equal(engine.pf_sum, pf.sum(axis=1))
+        # (R, block, block) state: observer rows per block, in id order
+        assert np.array_equal(engine.known, (ps > 0).sum(-1).reshape(-1))
+        assert np.array_equal(engine.pf_sum, pf.sum(-1).reshape(-1))
         total = stats.nn_originated + stats.csn_originated
         assert total == 25 * 24  # rounds * participants: conservation
         assert int(engine.n_sent.sum()) == total

@@ -179,10 +179,11 @@ class TestStackedPass:
         )
         assert stats.nn_delivered <= stats.nn_originated
         assert stats.csn_delivered <= stats.csn_originated
-        # reputation invariants across the whole stack
+        # reputation invariants across the whole stack; the (R, block,
+        # block) state's observer rows, per block, in id order
         assert (engine.pf <= engine.ps).all()
-        assert np.array_equal(engine.known, (engine.ps > 0).sum(axis=1))
-        assert np.array_equal(engine.pf_sum, engine.pf.sum(axis=1))
+        assert np.array_equal(engine.known, (engine.ps > 0).sum(-1).reshape(-1))
+        assert np.array_equal(engine.pf_sum, engine.pf.sum(-1).reshape(-1))
         assert int(engine.n_sent.sum()) == rounds * n_t * n_seats
 
     def test_speculation_bookkeeping(self):
@@ -383,7 +384,7 @@ class TestRoutePolicyScoping:
 
 class TestTournamentLoop:
     """The per-tournament loop (``run_tournament``, the exchange's path)
-    on its own: the ``(1, 1, n, m)`` slate."""
+    on its own: the ``(1, 1, n, block)`` slate."""
 
     def test_rounds_and_exchange_validation(self):
         engine = build_engine()
@@ -422,8 +423,9 @@ class TestTournamentLoop:
         # non-participants never gained payoffs or observations
         outsiders = [pid for pid in range(20) if pid not in participants]
         assert not engine.n_sent[outsiders].any()
-        assert not engine.ps[outsiders].any()
-        assert not engine.ps[:, outsiders].any()
+        (ps,) = engine.ps  # one replication's (block, block) state
+        assert not ps[outsiders].any()
+        assert not ps[:, outsiders].any()
 
     def test_replay_instrumentation(self):
         engine = build_engine()
@@ -589,8 +591,8 @@ class TestExchangePlumbing:
         config = ExchangeConfig(enabled=True, interval=3, fanout=2)
         stats = TournamentStats()
         engine.run_tournament(participants, 12, oracle, stats, config, rng)
-        assert np.array_equal(engine.known, (engine.ps > 0).sum(axis=1))
-        assert np.array_equal(engine.pf_sum, engine.pf.sum(axis=1))
+        assert np.array_equal(engine.known, (engine.ps > 0).sum(-1).reshape(-1))
+        assert np.array_equal(engine.pf_sum, engine.pf.sum(-1).reshape(-1))
         assert (engine.pf <= engine.ps).all()
 
     def test_disabled_exchange_is_inert(self):
@@ -616,8 +618,9 @@ class TestIntrospection:
         play(engine, rounds=5)
         matrix = engine.payoff_matrix()
         assert matrix.shape == (20, 20, 2)
-        assert np.array_equal(matrix[:, :, 0], engine.ps)
-        assert np.array_equal(matrix[:, :, 1], engine.pf)
+        assert engine.ps.shape == engine.pf.shape == (1, 20, 20)
+        assert np.array_equal(matrix[:, :, 0], engine.ps[0])
+        assert np.array_equal(matrix[:, :, 1], engine.pf[0])
 
     def test_fitness_zero_without_events(self):
         engine = build_engine()

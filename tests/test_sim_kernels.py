@@ -554,6 +554,108 @@ class TestReplayParity:
         assert {0, 1, 2, 3, 4} <= drops, drops
 
 
+def stack_states(states: list[KernelState]) -> KernelState:
+    """The ``(R, block, block)`` state of ``R = len(states)`` replications,
+    replication ``r``'s arrays as its block; the scalar parameters are
+    ``states[0]``'s (the caller makes them shared)."""
+    per_id = {
+        name: np.concatenate([getattr(s, name) for s in states])
+        for name in ARRAY_FIELDS + ("strat_flat", "csn_lookup")
+        if name not in ("ps", "pf")
+    }
+    ps = np.stack([s.ps for s in states])
+    pf = np.stack([s.pf for s in states])
+    return states[0]._replace(
+        ps=ps, pf=pf, ps_flat=ps.reshape(-1), pf_flat=pf.reshape(-1), **per_id
+    )
+
+
+def assert_blocks_equal(stacked: KernelState, states: list[KernelState]) -> None:
+    """Every block of ``stacked`` bitwise equal to its replication's state."""
+    block = states[0].ps.shape[-1]
+    for r, state in enumerate(states):
+        ids = slice(r * block, (r + 1) * block)
+        for name in ARRAY_FIELDS:
+            got = getattr(stacked, name)
+            got = got[r] if name in ("ps", "pf") else got[ids]
+            want = getattr(state, name)
+            assert got.tobytes() == want.tobytes(), (r, name)
+
+
+class TestStackedStateOps:
+    """The state-mutating ops on a stacked ``(R, block, block)`` state
+    equal the same ops run on each replication's own ``R = 1`` state: a
+    replication's pair ``(s, j)`` is cell ``r * block^2`` past its code in
+    its own state, and its node ids ``r * block`` past its own."""
+
+    R, BLOCK, N_CSN = 3, 24, 4
+
+    def states(self, rng):
+        states = [replay_state(rng, self.BLOCK, self.N_CSN) for _ in range(self.R)]
+        shared = {"fwd_pay": states[0].fwd_pay, "disc_pay": states[0].disc_pay}
+        return [s._replace(**shared) for s in states]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_commit_matches_per_replication(self, seed):
+        rng = np.random.default_rng(seed)
+        states = self.states(rng)
+        stacked = stack_states(states)
+        kernel = NumpyKernel()
+        cells = self.BLOCK * self.BLOCK
+        for _ in range(4):
+            pairs, pf_pairs = [], []
+            for r, state in enumerate(states):
+                # a small pool of codes, so most repeat, zero cells included
+                pool = rng.integers(0, cells, size=self.BLOCK)
+                own = rng.choice(pool, size=3 * self.BLOCK)
+                own_pf = forwarded(rng, own)
+                kernel.commit(state, own, own_pf)
+                pairs.append(own + r * cells)
+                pf_pairs.append(own_pf + r * cells)
+            # one interleaved batch over every replication
+            kernel.commit(
+                stacked,
+                rng.permutation(np.concatenate(pairs)),
+                rng.permutation(np.concatenate(pf_pairs)),
+            )
+            assert_blocks_equal(stacked, states)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_replay_and_watchdog_match_per_replication(self, seed):
+        rng = np.random.default_rng(seed)
+        states = [s.with_views() for s in self.states(rng)]
+        stacked = stack_states(states).with_views()
+        kernel = NumpyKernel()
+        own_counters = [
+            [np.zeros(n, dtype=np.int64) for n in (9, 4, 4)] for _ in states
+        ]
+        stacked_counters = [
+            [np.zeros(n, dtype=np.int64) for n in (9, 4, 4)] for _ in states
+        ]
+        for _ in range(300):
+            r = int(rng.integers(0, self.R))
+            source = int(rng.integers(0, self.BLOCK))
+            paths = TestReplayParity.random_game(rng, self.BLOCK, self.N_CSN, source)
+            want = kernel.replay_decide(
+                states[r], source, paths, *own_counters[r]
+            )
+            kernel.watchdog(states[r], source, *want)
+            off = r * self.BLOCK
+            deciders, flags, success = kernel.replay_decide(
+                stacked,
+                source + off,
+                [[node + off for node in path] for path in paths],
+                *stacked_counters[r],
+            )
+            kernel.watchdog(stacked, source + off, deciders, flags, success)
+            assert deciders == [node + off for node in want[0]]
+            assert (flags, success) == (want[1], want[2])
+        assert_blocks_equal(stacked, states)
+        for own, got in zip(own_counters, stacked_counters):
+            for a, b in zip(own, got):
+                np.testing.assert_array_equal(a, b)
+
+
 def padded_rate_paths(state, cells, pad):
     """The padded ``rate_paths`` the ragged op replaced, kept verbatim as
     the oracle: ``(P, hmax)`` cells, padding columns rated 1.0."""
@@ -741,8 +843,12 @@ class TestRoundStateInvariants:
         from repro.sim.fused import FusedEngine
 
         def assert_caches(ps, pf, known, pf_sum):
-            np.testing.assert_array_equal(known, np.count_nonzero(ps, axis=1))
-            np.testing.assert_array_equal(pf_sum, pf.sum(axis=1))
+            # (R, block, block) state: observer rows of every block, in id
+            # order
+            np.testing.assert_array_equal(
+                known, np.count_nonzero(ps, axis=-1).reshape(-1)
+            )
+            np.testing.assert_array_equal(pf_sum, pf.sum(axis=-1).reshape(-1))
 
         class CheckedKernel(NumpyKernel):
             def commit(self, state, pairs, pf_pairs):
@@ -789,7 +895,7 @@ class TestRoundStateInvariants:
 
     def test_exchange_walk_leaves_writer_buffer_filled(self, monkeypatch):
         # the exchange's per-tournament loop walks through the same scoped
-        # path, as the (1, 1, n, m) case
+        # path, as the (1, 1, n, block) case
         passes = self.install_checks(monkeypatch)
         config = ExperimentConfig.for_case(
             "exchange_core", scale="smoke", engine="fused", seed=7,

@@ -360,3 +360,64 @@ class TestEngineValidation:
         fitness = engine.fitness()
         assert fitness.any()
         np.testing.assert_array_equal(engine.fitness_tensor()[0], fitness)
+
+
+class TestBlockState:
+    """Replication ``r`` only ever touches its own diagonal block, so the
+    reputation pair is stored as ``(R, block, block)``: the engine's state
+    grows with ``R``, not ``R^2``."""
+
+    STATE = (
+        "ps", "pf", "known", "pf_sum", "send_pay", "n_sent",
+        "fwd_pay_acc", "n_fwd", "disc_pay_acc", "n_disc",
+    )
+
+    @classmethod
+    def state_bytes(cls, engine) -> int:
+        return sum(getattr(engine, name).nbytes for name in cls.STATE)
+
+    def test_state_bytes_linear_in_replications(self):
+        one = FusedEngine(100, 30)
+        eight = FusedEngine(100, 30, n_replications=8)
+        assert eight.ps.shape == eight.pf.shape == (8, 130, 130)
+        assert self.state_bytes(eight) == 8 * self.state_bytes(one)
+        eight.reset_generation()
+        assert self.state_bytes(eight) == 8 * self.state_bytes(one)
+
+    def test_payoff_matrix_is_block_diagonal(self):
+        n_rep, n_pop = 3, 10
+        rng = np.random.default_rng(4)
+        engine = FusedEngine(n_pop, 2, n_replications=n_rep)
+        engine.set_strategies_tensor(rng.integers(0, 2, size=(n_rep, n_pop, 13)))
+        seatings = [
+            [[int(v) for v in rng.permutation(n_pop)] + [10, 11] for _ in range(2)]
+            for _ in range(n_rep)
+        ]
+        oracles = [
+            RandomPathOracle(np.random.default_rng(5 + r), SHORTER_PATHS)
+            for r in range(n_rep)
+        ]
+        engine.reset_generation()
+        engine.run_stack(
+            seatings, 6, oracles, [TournamentStats() for _ in range(n_rep)]
+        )
+        matrix = engine.payoff_matrix()
+        block = engine.block
+        assert matrix.shape == (n_rep * block, n_rep * block, 2)
+        for r in range(n_rep):
+            rows = slice(r * block, (r + 1) * block)
+            for c in range(n_rep):
+                cols = slice(c * block, (c + 1) * block)
+                if r != c:
+                    assert not matrix[rows, cols].any()
+                    continue
+                assert engine.ps[r].any()
+                np.testing.assert_array_equal(matrix[rows, cols, 0], engine.ps[r])
+                np.testing.assert_array_equal(matrix[rows, cols, 1], engine.pf[r])
+
+    def test_seat_count_must_fit_the_walk_buffer(self):
+        # the conflict walk stores seat positions as int16
+        from repro.sim.fused import _PlanContext
+
+        with pytest.raises(ValueError, match="int16"):
+            _PlanContext(None, np.zeros(4, dtype=bool), 1, 1, 40_000, 4)
