@@ -6,7 +6,7 @@ Four runs of the same case through the real CLI, all in-process
 (``--processes 1``), so ``--replications R`` on the fused engine is one
 stack of ``R`` members and any other engine runs stacks of one:
 
-1. **control** — uninterrupted, no checkpoints;
+1. **control** — uninterrupted, checkpointing into a store of its own;
 2. **victim** — checkpoints on, with ``REPRO_CHECKPOINT_CRASH_AFTER=N`` so
    the process SIGKILLs itself the moment its N-th checkpoint hits disk
    (see ``repro.experiments.checkpoint``) — a real mid-run death, not a
@@ -22,7 +22,10 @@ stack of ``R`` members and any other engine runs stacks of one:
 Each resumed run's raw-results JSON must match the control's byte-for-byte
 once the ``checkpoint`` provenance block (which legitimately differs:
 ``resumed_from_generation``) is dropped.  Any drift — one bit of rng state
-mis-restored, one history row off — fails the gate.
+mis-restored, one history row off — fails the gate.  Every run records
+telemetry, and each resumed run's manifest must report the control's
+``engine.games``, ``evaluation.games`` and ``checkpoint.saves``: a resume
+counts the whole logical run once, whichever generations it re-ran.
 
 Exit codes: 0 success, 1 identity violation, 2 orchestration failure
 (a run that should have died survived, or vice versa).
@@ -45,7 +48,7 @@ CRASH_ENV = "REPRO_CHECKPOINT_CRASH_AFTER"
 def run_case(
     args: argparse.Namespace,
     out: Path,
-    checkpoint_dir: Path | None = None,
+    checkpoint_dir: Path,
     resume: bool = False,
     crash_after: int | None = None,
     extra: tuple[str, ...] = (),
@@ -68,12 +71,15 @@ def run_case(
         "1",
         "--out",
         str(out),
+        "--checkpoint-dir",
+        str(checkpoint_dir),
+        "--telemetry",
+        "--telemetry-dir",
+        str(telemetry_dir(out)),
         *extra,
     ]
     if args.engine is not None:
         cmd += ["--engine", args.engine]
-    if checkpoint_dir is not None:
-        cmd += ["--checkpoint-dir", str(checkpoint_dir)]
     if resume:
         cmd += ["--resume"]
     env = os.environ.copy()
@@ -83,6 +89,22 @@ def run_case(
     injected = f"  [{CRASH_ENV}={crash_after}]" if crash_after else ""
     print(f"$ {' '.join(cmd)}{injected}")
     return subprocess.run(cmd, env=env)
+
+
+def telemetry_dir(out: Path) -> Path:
+    """Where the run writing ``out`` records its telemetry."""
+    return out.with_name(out.stem + "-telemetry")
+
+
+#: the manifest counters a resumed run must report as the control does
+COUNTERS = ("engine.games", "evaluation.games", "checkpoint.saves")
+
+
+def counters(args: argparse.Namespace, out: Path) -> dict[str, float]:
+    """The :data:`COUNTERS` of the manifest of the run that wrote ``out``."""
+    manifest = telemetry_dir(out) / f"{args.case}_{args.scale}_manifest.json"
+    found = json.loads(manifest.read_text())["metrics"]["counters"]
+    return {name: found.get(name, 0) for name in COUNTERS}
 
 
 def canonical(path: Path) -> str:
@@ -154,14 +176,12 @@ def main() -> int:
     print(f"workdir: {workdir}")
 
     print("\n[1/4] control run (uninterrupted)")
-    if run_case(args, control_json).returncode != 0:
+    if run_case(args, control_json, workdir / "control-checkpoints").returncode != 0:
         print("control run failed", file=sys.stderr)
         return 2
 
     print("\n[2/4] victim run (crash injection)")
-    victim = run_case(
-        args, victim_json, checkpoint_dir=checkpoints, crash_after=args.crash_after
-    )
+    victim = run_case(args, victim_json, checkpoints, crash_after=args.crash_after)
     if victim.returncode == 0:
         print(
             "victim run survived — crash injection did not fire", file=sys.stderr
@@ -209,9 +229,18 @@ def main() -> int:
                 file=sys.stderr,
             )
             return 1
+        expected_counters = counters(args, control_json)
+        if counters(args, out) != expected_counters:
+            print(
+                "COUNTER VIOLATION: the resumed manifest reports"
+                f" {counters(args, out)}, the control {expected_counters}",
+                file=sys.stderr,
+            )
+            return 1
         print(
             f"OK: resumed run (from generations {resumed_from}) is"
-            " byte-identical to the uninterrupted control"
+            " byte-identical to the uninterrupted control and reports its"
+            f" {expected_counters}"
         )
     return 0
 

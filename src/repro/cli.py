@@ -239,7 +239,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         default=None,
         help=(
             "run replications as one stack per shard or worker (requires a"
-            " fusing engine and no exchange; a request that cannot be"
+            " fusing engine; a request that cannot be"
             " honoured exits 2 with the reason before anything runs);"
             " bit-identical to unstacked, checkpoints included.  Default:"
             " auto when eligible"

@@ -134,10 +134,6 @@ class ReproductionSession:
             )
         return spec.render(self)
 
-    def render_all(self) -> dict[str, str]:
-        """All artefact reports, in registry order."""
-        return {aid: self.render(aid) for aid in ARTEFACTS}
-
 
 # -- artefact render functions ----------------------------------------------
 

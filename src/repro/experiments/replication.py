@@ -10,8 +10,8 @@ worker count, execution order or which replications share a stack (see
 own generator, oracle, population and statistics; a generation-fusing
 engine evaluates all of them as one block-diagonal pass
 (``FusedEngine(n_replications=W)``), bit-identical, member by member, to
-running each alone.  Every other engine and the reputation exchange run
-stacks of one (:func:`stacked_unsupported_reason`).
+running each alone.  Every other engine runs stacks of one
+(:func:`stacked_unsupported_reason`).
 :func:`run_replication` is the ``W = 1`` call.
 
 With a ``checkpoint_dir``, the loop snapshots each member's complete state
@@ -25,6 +25,7 @@ to an uninterrupted one, whatever the stack widths of either.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -51,7 +52,7 @@ from repro.reputation.trust import TrustTable
 from repro.sim import make_engine
 from repro.telemetry.harvest import harvest_oracle
 from repro.telemetry.manifest import config_hash
-from repro.telemetry.runtime import get_telemetry, telemetry_session
+from repro.telemetry.runtime import Telemetry, get_telemetry, telemetry_session
 from repro.tournament.evaluation import evaluate_stack
 from repro.tournament.scheduler import iter_seatings  # noqa: F401  (probed, as above)
 from repro.utils.rng import derive_generator
@@ -122,11 +123,13 @@ class ReplicationResult:
 class _Member:
     """One stack member's replication index and checkpoint payload
     (population, rng, oracle, history and, once evaluated, the last
-    generation's statistics); ``resumed_from`` is the restored generation."""
+    generation's statistics); ``resumed_from`` is the restored generation,
+    ``counted_through`` the last one a restored snapshot already counts."""
 
     replication: int
     state: dict
     resumed_from: int | None
+    counted_through: int = -1
 
 
 def _member(
@@ -206,10 +209,9 @@ def stacked_unsupported_reason(config: ExperimentConfig) -> str | None:
 
     A stack of more than one member is one block-diagonal pass
     (``FusedEngine(n_replications=W)``), so it needs a generation-fusing
-    engine and no reputation exchange (which forces the fused engine back
-    to per-tournament execution).  Nothing else matters: a stack records
-    one telemetry session, is one pool task whatever the shard count, and
-    checkpoints each member's own state.
+    engine.  Nothing else matters: a stack records one telemetry session,
+    is one pool task whatever the shard count, and checkpoints each
+    member's own state.
     """
     from repro.sim import ENGINES
 
@@ -218,11 +220,6 @@ def stacked_unsupported_reason(config: ExperimentConfig) -> str | None:
         return (
             f"engine {config.engine!r} does not fuse generations"
             " (stacking requires --engine fused)"
-        )
-    if config.sim.exchange.enabled:
-        return (
-            "the reputation exchange interleaves gossip with each"
-            " tournament's round stream, which stacking cannot reorder"
         )
     return None
 
@@ -250,7 +247,8 @@ def run_stack(
     between two members' saves of one boundary) run as sub-stacks, one per
     restored generation, in turn.  Stacked results equal sequential ones,
     so resumed trajectories are bit-identical to uninterrupted ones at any
-    width.
+    width.  Members that lag their stack's snapshot re-run what it counts
+    unrecorded, so resumed telemetry totals equal uninterrupted ones.
 
     Returns the members' results, in ``replications`` order, and the
     stack's telemetry export: ``None`` unless the config enables
@@ -269,29 +267,39 @@ def run_stack(
             raise ValueError(f"replications cannot share a stack: {reason}")
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
     ga = GeneticAlgorithm(config.ga)
-    substacks: dict[int | None, list[_Member]] = {}
-    for replication in replications:
-        member = _member(config, replication, ga, store if resume else None)
-        substacks.setdefault(member.resumed_from, []).append(member)
+    members = [
+        _member(config, replication, ga, store if resume else None)
+        for replication in replications
+    ]
+    traced = config.telemetry.enabled
+    # a member's work is counted by the snapshot of its carrier, the first
+    # member of the stack that saved it; a crash between two members' saves
+    # leaves the carrier a boundary ahead, counting the others' next
+    # generation.  The carrier may resume in another stack: read the store
+    carriers: dict[int, dict] = {}
+    substacks: dict[tuple[int | None, int], list[_Member]] = {}
+    for member in members:
+        carrier = member.state.get("telemetry_carrier")
+        if traced and member.resumed_from is not None:
+            if carrier is not None and carrier not in carriers:
+                checkpoint = store.load_latest(config, carrier)
+                carriers[carrier] = checkpoint.state if checkpoint else {}
+            covers = carriers.get(carrier, {}).get("telemetry_covers") or {}
+            member.counted_through = covers.get(member.replication, -1)
+        key = (member.resumed_from, member.counted_through)
+        substacks.setdefault(key, []).append(member)
 
     results: list[ReplicationResult] = []
-    if not config.telemetry.enabled:
-        for members in substacks.values():
+    t0 = perf_counter()
+    tel = Telemetry(config.telemetry) if traced else None
+    for members in substacks.values():
+        # a sub-stack records its own session, so the snapshot its first
+        # member checkpoints counts that sub-stack's work once
+        with telemetry_session(config.telemetry) if traced else nullcontext() as sub:
             results += _generation_loop(config, members, ga, store, checkpoint_every)
-        export = None
-    else:
-        t0 = perf_counter()
-        with telemetry_session(config.telemetry) as tel:
-            for members in substacks.values():
-                # a sub-stack records its own session, so the snapshot its
-                # first member checkpoints counts that sub-stack's work once
-                with telemetry_session(config.telemetry) as sub:
-                    results += _generation_loop(
-                        config, members, ga, store, checkpoint_every
-                    )
-                tel.absorb(sub.export())
-            export = tel.export()
-        export["wall_s"] = perf_counter() - t0
+        if traced:
+            tel.absorb(sub.export())
+    export = {**tel.export(), "wall_s": perf_counter() - t0} if traced else None
     results.sort(key=lambda result: replications.index(result.replication))
     return results, export
 
@@ -320,20 +328,24 @@ def _generation_loop(
     # statistical contract, gated together in the equivalence tier; every
     # other engine keeps the scalar, stream-pinned loop
     fuses = getattr(engine, "supports_generation_fusion", False)
-    tel = get_telemetry()
-    if not tel.enabled:
-        tel = None
+    live = get_telemetry()
+    if not live.enabled:
+        live = None
 
     states = [member.state for member in members]
     resumed_from = members[0].resumed_from
-    if tel is not None and resumed_from is not None:
+    # what this session's snapshot counts: replication -> last generation
+    covers: dict[int, int] = {}
+    if live is not None and resumed_from is not None:
         for state in states:
             # carry the interrupted run's counters so the resumed session
             # reports whole-logical-run totals (oracle-layer counters ride
             # inside the pickled oracle and are harvested once, at the end)
             if state.get("telemetry_metrics"):
-                tel.registry.merge(state["telemetry_metrics"])
-            tel.count("checkpoint.resumes")
+                live.registry.merge(state["telemetry_metrics"])
+                for rep, gen in (state.get("telemetry_covers") or {}).items():
+                    covers[rep] = max(covers.get(rep, -1), gen)
+            live.count("checkpoint.resumes")
     # (W, P, L) bits
     populations = np.array([state["population"] for state in states], dtype=np.int8)
     rngs = [state["rng"] for state in states]
@@ -341,71 +353,80 @@ def _generation_loop(
 
     checkpoints_written = 0
     for generation in range(start_generation, config.generations):
-        bits = [[tuple(row) for row in pop] for pop in populations.tolist()]
-        strategies = [[Strategy(b) for b in pop] for pop in bits]
-        if fuses:
-            engine.set_strategies_tensor(populations)
-        else:
-            engine.set_strategies(strategies[0])
-        results = evaluate_stack(
-            engine,
-            config.case.environments,
-            rounds=sim.rounds,
-            plays_per_environment=sim.plays_per_environment,
-            oracles=[state["oracle"] for state in states],
-            rngs=rngs,
-            exchange=sim.exchange,
-        )
-        for state, result, member_strategies in zip(states, results, strategies):
-            state["history"].append(
-                _generation_record(
-                    generation,
-                    result.per_environment,
-                    result.overall,
-                    result.fitness,
-                    member_strategies,
-                )
-            )
-            state["last_per_env"] = result.per_environment
-            state["last_overall"] = result.overall
-        if generation < config.generations - 1:
+        # a generation a restored snapshot already counts re-runs into a
+        # dropped session
+        recount = live is not None and generation <= members[0].counted_through
+        tel = None if recount else live
+        with telemetry_session(config.telemetry) if recount else nullcontext():
+            bits = [[tuple(row) for row in pop] for pop in populations.tolist()]
+            strategies = [[Strategy(b) for b in pop] for pop in bits]
             if fuses:
-                t0 = perf_counter()
-                populations = next_generation_tensor(
-                    populations,
-                    np.array([result.fitness for result in results]),
-                    config.ga,
-                    rngs,
-                )
-                if tel is not None:
-                    tel.timer_add("ga.vector_step_s", perf_counter() - t0)
-                    tel.count("ga.generations", width)
+                engine.set_strategies_tensor(populations)
             else:
-                populations = np.array(
-                    [ga.next_generation(bits[0], results[0].fitness, rngs[0])],
-                    dtype=np.int8,
+                engine.set_strategies(strategies[0])
+            results = evaluate_stack(
+                engine,
+                config.case.environments,
+                rounds=sim.rounds,
+                plays_per_environment=sim.plays_per_environment,
+                oracles=[state["oracle"] for state in states],
+                rngs=rngs,
+                exchange=sim.exchange,
+            )
+            for state, result, member_strategies in zip(states, results, strategies):
+                state["history"].append(
+                    _generation_record(
+                        generation,
+                        result.per_environment,
+                        result.overall,
+                        result.fitness,
+                        member_strategies,
+                    )
                 )
-        for state, pop in zip(states, populations.tolist()):
-            state["population"] = [tuple(row) for row in pop]
+                state["last_per_env"] = result.per_environment
+                state["last_overall"] = result.overall
+            if generation < config.generations - 1:
+                if fuses:
+                    t0 = perf_counter()
+                    populations = next_generation_tensor(
+                        populations,
+                        np.array([result.fitness for result in results]),
+                        config.ga,
+                        rngs,
+                    )
+                    if tel is not None:
+                        tel.timer_add("ga.vector_step_s", perf_counter() - t0)
+                        tel.count("ga.generations", width)
+                else:
+                    populations = np.array(
+                        [ga.next_generation(bits[0], results[0].fitness, rngs[0])],
+                        dtype=np.int8,
+                    )
+            for state, pop in zip(states, populations.tolist()):
+                state["population"] = [tuple(row) for row in pop]
         if store is not None and (
             (generation + 1) % checkpoint_every == 0
             or generation == config.generations - 1
         ):
+            if tel is not None:
+                # before the snapshot, which must hold this boundary's saves
+                tel.count("checkpoint.saves", width)
+                covers.update((m.replication, generation) for m in members)
+            traced = live is not None
             for member, state in zip(members, states):
-                # the stack's snapshot rides on its first member only, so a
-                # resume at any width merges each stack's snapshot once
-                first = member is members[0]
-                state["telemetry_metrics"] = (
-                    tel.snapshot() if tel is not None and first else None
-                )
+                # the snapshot rides on the first member (the carrier), so a
+                # resume at any width merges it once; what it counts rides on
+                # all, as the carrier may be a later stack's non-first member
+                carried = traced and member is members[0]
+                state["telemetry_metrics"] = live.snapshot() if carried else None
+                state["telemetry_covers"] = dict(covers) if traced else None
+                state["telemetry_carrier"] = members[0].replication if traced else None
                 store.save(config, member.replication, generation, state)
-                if tel is not None:
-                    tel.count("checkpoint.saves")
             checkpoints_written += 1
 
-    if tel is not None:
+    if live is not None:
         for state in states:
-            harvest_oracle(tel, state["oracle"])
+            harvest_oracle(live, state["oracle"])
     results = []
     for member, state in zip(members, states):
         result = ReplicationResult(
@@ -423,3 +444,4 @@ def _generation_loop(
             }
         results.append(result)
     return results
+

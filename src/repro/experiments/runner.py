@@ -11,8 +11,7 @@ mode: it cuts the replications into contiguous stacks
 (:func:`repro.parallel.shard.plan_shards`) — one per shard, or one per
 worker when unsharded — or into stacks of one when
 :func:`repro.experiments.replication.stacked_unsupported_reason` names a
-reason (an engine that does not fuse, or the reputation exchange); it reads
-the config only.  Each stack is one pool task, a :func:`run_stack` call, run through
+reason (an engine that does not fuse); it reads the config only.  Each stack is one pool task, a :func:`run_stack` call, run through
 the work-stealing scheduler (:func:`repro.parallel.shard.sharded_map`,
 in-process at ``processes=1``), which buys recovery from a dead or
 straggling worker.  Every cut yields bit-identical

@@ -20,8 +20,8 @@ Three implementations of the tournament semantics, registered in
   ``run_stack`` entry point via ``supports_generation_fusion``.  With
   ``n_replications=W`` it evaluates a stack of W replications as one
   block-diagonal pass, each bit-identical to a stack of one
-  (:func:`repro.experiments.replication.run_stack`).  With the reputation
-  exchange on it plays one tournament at a time (``run_tournament``).
+  (:func:`repro.experiments.replication.run_stack`), the reputation
+  exchange's gossip step included.
 
 Fused runs its hot ops through the one numpy kernel in
 :mod:`repro.sim.kernels`, whose op boundary exists for per-op telemetry.

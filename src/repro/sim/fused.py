@@ -74,11 +74,13 @@ against a bit-identical engine over seeded replication ensembles;
 the invariants that must stay *exact* (counter consistency, conservation,
 ``pf <= ps``).
 
-The second-hand exchange interleaves gossip with each tournament's round
-stream, which the stacked pass cannot reorder away: with the exchange on,
-``run_stack`` plays the generation's tournaments one at a time through
-:meth:`FusedEngine.run_tournament`, the ``(1, 1, n, block)`` slate with the
-gossip step between rounds.  That loop runs one stack member.
+The second-hand exchange is a step of the round pass: after every
+``interval``-th round each (replication, tournament) of the slate gossips,
+a replication's tournaments in seating order on its own generator — the
+round lockstep again (sequentially, tournament ``t + 1`` would gossip only
+after tournament ``t`` had played all of its rounds).  The plan is drawn
+first, so gossip draws trail the plan's on a shared generator; the
+bit-identical engines interleave the two at round boundaries.
 
 Cross-replication stacking
 --------------------------
@@ -182,7 +184,7 @@ same layout; only the game loop is speculated.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -253,9 +255,9 @@ class _PlanContext:
     One context serves every round pass: ``n_replications`` stacked
     replications (each a ``block``-order diagonal block of the reputation
     matrices) of ``n_tournaments`` tournaments of ``n_seats`` seats, laid
-    out round-major — a round's slate is ``R * T * n`` games.  The
-    exchange's per-tournament loop is the ``(1, 1, n, block)`` case and an
-    unstacked generation the ``(1, T, n, block)`` one.
+    out round-major — a round's slate is ``R * T * n`` games.
+    :meth:`FusedEngine.run_tournament` is the ``(1, 1, n, block)`` case and
+    an unstacked generation the ``(1, T, n, block)`` one.
 
     Per-hop arrays run over the plan's flat hops (``plan.hop_nodes``):
     ``is_csn`` whether the hop is a selfish seat and ``level_b`` the
@@ -616,9 +618,8 @@ class FusedEngine:
         tournaments — identical bookkeeping to merging per-tournament stats,
         since the accumulators are pure sums.  Each member's plan is drawn
         from its own oracle under :meth:`route_sharing`; the plans are
-        stacked into one mega-slate for :meth:`run_generation_stacked`.
-        With the exchange on, the one member's tournaments run one at a
-        time through :meth:`run_tournament` instead.
+        stacked into one mega-slate for :meth:`run_generation_stacked`,
+        whose gossip draws come from ``rngs[r]``.
         """
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -633,27 +634,6 @@ class FusedEngine:
         tel = get_telemetry()
         if not tel.enabled:
             tel = None
-        if exchange is not None and exchange.enabled:
-            # gossip interleaves with each tournament's round stream; that
-            # ordering cannot be stacked away, so the tournaments run one at
-            # a time, which needs one member on a one-replication engine
-            width = max(len(seatings), self.n_replications)
-            if width != 1:
-                raise ValueError(
-                    "the reputation exchange runs one stack member,"
-                    f" got a stack of width {width}"
-                )
-            (member,), (oracle,), (rng,) = seatings, oracles, rngs
-            if rng is None:
-                raise ValueError("reputation exchange requires an rng")
-            hook = getattr(oracle, "on_tournament_end", None)
-            if tel is not None:
-                tel.count("engine.fused.fallback_tournaments", len(member))
-            for seating in member:
-                self.run_tournament(seating, rounds, oracle, stats[0], exchange, rng)
-                if hook is not None:
-                    hook()
-            return
         plans = []
         for member, oracle in zip(seatings, oracles):
             hook = getattr(oracle, "on_tournament_end", None)
@@ -667,7 +647,7 @@ class FusedEngine:
         # the members' own plans are dead once woven into the stack
         del plans
         self.run_generation_stacked(
-            plan, rounds, len(seatings[0]), n_seats, stats
+            plan, rounds, len(seatings[0]), n_seats, stats, exchange, rngs
         )
 
     def run_generation_stacked(
@@ -677,6 +657,8 @@ class FusedEngine:
         n_tournaments: int,
         n_seats: int,
         stats: Sequence[TournamentStats],
+        exchange: ExchangeConfig | None = None,
+        rngs: Sequence[np.random.Generator | None] = (None,),
     ) -> None:
         """Run one environment's generation for all ``R`` replications.
 
@@ -685,9 +667,9 @@ class FusedEngine:
         :func:`repro.paths.vector.stack_replication_plans` builds from one
         such plan per replication (each ``T = n_tournaments`` tournaments
         of ``n_seats`` seats); ``stats[r]`` receives replication ``r``'s
-        merged counters.  Route sharing and plan drawing stay with the
-        caller — each replication plans against its *own* oracle and rng
-        stream.
+        merged counters, and ``rngs[r]`` its gossip draws.  Route sharing
+        and plan drawing stay with the caller — each replication plans
+        against its *own* oracle and rng stream.
         """
         n_rep = self.n_replications
         if len(stats) != n_rep:
@@ -708,7 +690,9 @@ class FusedEngine:
         ctx = _PlanContext(
             plan, self._csn_lookup, n_rep, n_tournaments, n_seats, self.block
         )
-        req, delivered, csn_free = self._run_rounds(ctx, rounds, tel)
+        req, delivered, csn_free = self._run_rounds(
+            ctx, rounds, tel, exchange, rngs
+        )
         if tel is not None:
             # one per replication per environment pass, so totals line up
             # with what R sequential runs record
@@ -730,11 +714,8 @@ class FusedEngine:
         exchange: ExchangeConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        """One tournament as the ``(1, 1, n, block)`` slate: the exchange's
-        per-tournament loop, with the gossip step between rounds."""
-        do_exchange = exchange is not None and exchange.enabled
-        if do_exchange and rng is None:
-            raise ValueError("reputation exchange requires an rng")
+        """One tournament as the ``(1, 1, n, block)`` slate, gossiping on
+        ``rng`` between rounds when the exchange is on."""
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         participants = list(participants)
@@ -745,24 +726,13 @@ class FusedEngine:
         tel = get_telemetry()
         if not tel.enabled:
             tel = None
-        # The whole tournament is pre-drawn even with the exchange enabled:
-        # gossip draws then trail the oracle draws on a shared generator
-        # instead of interleaving at round boundaries — a stream reordering
-        # the statistical contract tolerates (the bit-identical engines must
-        # plan per round here).
         with timed(tel, "engine.plan_s"):
             plan = plan_tournament_arrays(
                 oracle, participants * rounds, participants
             )
             ctx = _PlanContext(plan, self._csn_lookup, 1, 1, n_seats, self.block)
-
-        def gossip(round_no: int) -> None:
-            if (round_no + 1) % exchange.interval == 0:
-                with timed(tel, "engine.exchange_s"):
-                    self._run_exchange(participants, exchange, rng)
-
         req, delivered, csn_free = self._run_rounds(
-            ctx, rounds, tel, gossip if do_exchange else None
+            ctx, rounds, tel, exchange, [rng]
         )
         self._merge_stats(stats, req[0], delivered[0], csn_free[0])
 
@@ -808,15 +778,19 @@ class FusedEngine:
         ctx: _PlanContext,
         rounds: int,
         tel,
-        after_round: Callable[[int], None] | None = None,
+        exchange: ExchangeConfig | None,
+        rngs: Sequence[np.random.Generator | None],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The round loop over a planned slate, then the end-of-plan fold.
 
         Returns the statistics accumulators ``(req, delivered, csn_free)``
         with one ``(9,)``/``(4,)``/``(4,)`` row per replication of the
-        context.  ``after_round(round_no)`` runs between rounds (the
-        exchange's gossip step).
+        context.  With the exchange on, a gossip step
+        (:meth:`_run_exchange`) follows every ``exchange.interval``-th round.
         """
+        gossip = exchange is not None and exchange.enabled
+        if gossip and any(rng is None for rng in rngs):
+            raise ValueError("reputation exchange requires an rng")
         self._ks = self._kernel_state()
         self._k = (
             self._kernel if tel is None else TimedKernel(self._kernel, tel.registry)
@@ -838,8 +812,9 @@ class FusedEngine:
         for round_no in range(rounds):
             with tel.span("round") if tel is not None else nullcontext():
                 self._process_round(ctx, round_no, counters)
-            if after_round is not None:
-                after_round(round_no)
+            if gossip and (round_no + 1) % exchange.interval == 0:
+                with timed(tel, "engine.exchange_s"):
+                    self._run_exchange(ctx, exchange, rngs)
 
         with timed(tel, "engine.fold_s"):
             self._fold_tournament(ctx, req, delivered, csn_free)
@@ -1161,25 +1136,32 @@ class FusedEngine:
 
     def _run_exchange(
         self,
-        participants: Sequence[int],
+        ctx: _PlanContext,
         exchange: ExchangeConfig,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
     ) -> None:
-        """One gossip step via the shared flat implementation; state is
-        copied back in place so live views stay valid.  The exchange runs
-        one replication, so the participants are ids of block 0."""
-        ids = slice(0, self.block)
-        ps_l = self.ps[0].tolist()
-        pf_l = self.pf[0].tolist()
-        known_l = self.known[ids].tolist()
-        pf_sum_l = self.pf_sum[ids].tolist()
-        exchange_reputation_flat(
-            ps_l, pf_l, known_l, pf_sum_l, participants, exchange, rng
-        )
-        self.ps[0] = ps_l
-        self.pf[0] = pf_l
-        self.known[ids] = known_l
-        self.pf_sum[ids] = pf_sum_l
+        """One gossip step of every (replication, tournament) of the slate:
+        replication ``r``'s tournaments in seating order, on ``rngs[r]``,
+        over its block copied to lists and back in place (live views stay
+        valid)."""
+        # every round's sources are the seatings in order (local ids)
+        seatings = ctx.src_local.reshape(
+            ctx.n_replications, ctx.n_tournaments, -1
+        ).tolist()
+        for r, (tournaments, rng) in enumerate(zip(seatings, rngs, strict=True)):
+            ids = slice(r * self.block, (r + 1) * self.block)
+            ps_l = self.ps[r].tolist()
+            pf_l = self.pf[r].tolist()
+            known_l = self.known[ids].tolist()
+            pf_sum_l = self.pf_sum[ids].tolist()
+            for participants in tournaments:
+                exchange_reputation_flat(
+                    ps_l, pf_l, known_l, pf_sum_l, participants, exchange, rng
+                )
+            self.ps[r] = ps_l
+            self.pf[r] = pf_l
+            self.known[ids] = known_l
+            self.pf_sum[ids] = pf_sum_l
 
     # -- fitness and introspection ------------------------------------------
 

@@ -349,9 +349,8 @@ class TestOneFrontDoor:
         "argv, reason",
         [
             (["case3", "--engine", "batch"], "does not fuse generations"),
-            (["exchange_core", "--engine", "fused"], "reputation exchange"),
         ],
-        ids=["batch", "exchange"],
+        ids=["batch"],
     )
     def test_unhonourable_stack_request_exits_2(self, capsys, argv, reason):
         code = main(["run-case", *argv, "--scale", "smoke", "--stacked"])
@@ -359,6 +358,26 @@ class TestOneFrontDoor:
         err = capsys.readouterr().err
         assert "'run.stacked' cannot be honoured" in err
         assert reason in err
+
+    def test_exchange_stack_request_is_honoured(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run-case", "exchange_core", "--scale", "smoke", "--engine",
+                "fused", "--replications", "3", "--processes", "1"]
+        assert main([*argv, "--stacked", "--telemetry", "--telemetry-dir",
+                     "tel", "--out", "stacked.json"]) == 0
+        # the results document records the telemetry switch, not the cut
+        assert main([*argv, "--no-stacked", "--telemetry", "--telemetry-dir",
+                     "untel", "--out", "unstacked.json"]) == 0
+        capsys.readouterr()
+        run = json.loads(
+            Path("tel/exchange_core_smoke_manifest.json").read_text()
+        )["run"]
+        assert (run["stack_width"], run["stack_reason"]) == (3, "none")
+        assert Path("stacked.json").read_bytes() == Path(
+            "unstacked.json"
+        ).read_bytes()
 
     STACKED_FUSED = ["run-case", "case1", "--scale", "smoke", "--engine", "fused",
                      "--replications", "2", "--processes", "1", "--stacked",

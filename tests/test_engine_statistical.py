@@ -140,6 +140,77 @@ class TestFusedStatisticalEquivalence:
         )
 
 
+def exchange_config(case: str, engine: str) -> ExperimentConfig:
+    """The exchange tier's config, 30 rounds a tournament: at 20 the gate
+    did not tell the exchange from its absence (the control's p >= 0.34),
+    at 30 it does (p <= 0.0052)."""
+    config = ExperimentConfig.for_case(
+        case, scale="smoke", seed=515, generations=5, engine=engine
+    )
+    return config.with_(sim=config.sim.with_(rounds=30))
+
+
+@pytest.fixture(scope="module")
+def exchange_ensembles():
+    """(batch exchange_core, fused exchange_core, fused exchange_off)
+    samples/curves; the last is the power control, 10 replications."""
+    return (
+        collect_engine_samples(exchange_config("exchange_core", "batch"), N_REPS),
+        collect_engine_samples(exchange_config("exchange_core", "fused"), N_REPS),
+        collect_engine_samples(exchange_config("exchange_off", "fused"), 10),
+    )
+
+
+class TestFusedExchangeStatisticalEquivalence:
+    """The fused engine's gossip step runs in the stacked round pass, so
+    every tournament of a generation gossips in round lockstep; the
+    outcome distributions must still match the bit-identical pair's
+    per-tournament gossip, and the gate must have the power to see the
+    exchange at all."""
+
+    def test_distributions_match(self, exchange_ensembles):
+        (batch, batch_curves), (fused, fused_curves), _ = exchange_ensembles
+        report = compare_samples(
+            batch,
+            fused,
+            alpha=ALPHA,
+            curves_a=batch_curves,
+            curves_b=fused_curves,
+            min_overlap=0.8,
+        )
+        assert report.equivalent, (
+            "fused exchange deviates from the reference distribution: "
+            + "; ".join(report.failures())
+        )
+        for metric, results in report.tests.items():
+            for result in results:
+                assert result.pvalue > ALPHA, (
+                    f"{metric}/{result.name} rejected: p={result.pvalue:.4g}"
+                )
+
+    def test_confidence_bands_overlap(self, exchange_ensembles):
+        (_, batch_curves), (_, fused_curves), _ = exchange_ensembles
+        overlap = confidence_band_overlap(batch_curves, fused_curves)
+        assert overlap >= 0.8, f"cooperation bands overlap only {overlap:.2f}"
+
+    def test_gate_rejects_the_exchange_off_control(self, exchange_ensembles):
+        """Fused runs without the exchange must fail the same gate, or
+        passing it says nothing about the gossip step."""
+        (batch, batch_curves), _, (control, control_curves) = exchange_ensembles
+        report = compare_samples(
+            batch,
+            control,
+            alpha=ALPHA,
+            curves_a=batch_curves,
+            curves_b=control_curves,
+            min_overlap=0.8,
+        )
+        assert not report.equivalent
+        assert min(
+            result.pvalue for results in report.tests.values() for result in results
+        ) <= ALPHA
+
+
 @pytest.fixture(scope="module")
 def mobile_ensembles():
     """(exact samples/curves, approx samples/curves) on the mobile smoke

@@ -26,7 +26,7 @@ from repro.experiments.checkpoint import (
     CRASH_ENV,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.replication import run_replication
+from repro.experiments.replication import run_replication, run_stack
 from repro.experiments.runner import run_experiment
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.manifest import config_hash
@@ -164,7 +164,7 @@ class TestResumeBitIdentity:
         "case, engine",
         [
             ("case1", "fast"),
-            # the exchange's per-tournament gossip path
+            # the gossip step of the fused round pass
             ("exchange_core", "fused"),
             ("mobile_waypoint", "batch"),
             # the fused engine's GA step is next_generation_tensor at W = 1
@@ -185,6 +185,23 @@ class TestResumeBitIdentity:
         assert resumed == control
         assert resumed.checkpoint["resumed_from_generation"] == survivor
         assert survivor < cfg.generations - 1  # genuinely resumed mid-run
+
+    def test_stacked_exchange_resume_matches_uninterrupted(self, tmp_path):
+        # a 3-wide stack whose members gossip on their own generators
+        cfg = ExperimentConfig.for_case(
+            "exchange_core", scale="smoke", engine="fused", generations=5
+        )
+        control, _ = run_stack(cfg, [0, 1, 2])
+        interrupted, _ = run_stack(cfg, [0, 1, 2], checkpoint_dir=tmp_path)
+        assert interrupted == control
+        store = CheckpointStore(tmp_path)
+        survivors = [delete_newest_checkpoint(store, cfg, r) for r in range(3)]
+        resumed, _ = run_stack(cfg, [0, 1, 2], checkpoint_dir=tmp_path)
+        assert resumed == control
+        assert [r.checkpoint["resumed_from_generation"] for r in resumed] == (
+            survivors
+        )
+        assert max(survivors) < cfg.generations - 1
 
     def test_stale_layout_checkpoint_starts_fresh(self, tmp_path):
         cfg = ExperimentConfig.for_case("mobile_waypoint", scale="smoke", generations=3)
@@ -296,7 +313,7 @@ class TestStackedCrashResume:
         # checkpoints 1-4 are generation 0's boundary; the crash after the
         # 6th leaves replications 0-1 at generation 1 and 2-3 at generation 0
         checkpoints = tmp_path_factory.mktemp("mid") / "checkpoints"
-        crash_stacked_run(checkpoints, 6)
+        crash_stacked_run(checkpoints, 6, "--telemetry")
         return checkpoints
 
     @pytest.mark.parametrize(
@@ -341,3 +358,31 @@ class TestStackedCrashResume:
         expected = control.telemetry["metrics"]["counters"]
         for name in ("engine.games", "evaluation.games"):
             assert counters[name] == expected[name], name
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["w4", "w2"])
+    @pytest.mark.parametrize("boundary", ["clean_boundary", "mid_boundary"])
+    def test_resume_reports_the_uninterrupted_totals(
+        self, request, tmp_path, boundary, shards
+    ):
+        """The carrier's snapshot holds its boundary's saves, and members
+        that lag it (the mid-boundary crash) re-run the generation it
+        already counts without counting it again."""
+        checkpoints = shutil.copytree(
+            request.getfixturevalue(boundary), tmp_path / "checkpoints"
+        )
+        traced = STACK_CONFIG.with_(telemetry=TelemetryConfig(enabled=True))
+        resumed = run_experiment(
+            traced, processes=1, shards=shards, checkpoint_dir=checkpoints
+        )
+        counters = resumed.telemetry["metrics"]["counters"]
+        # four replications of three case3 smoke generations, 5,600 games
+        # each, and one save per replication per generation
+        assert {
+            name: counters[name]
+            for name in ("engine.games", "evaluation.games", "checkpoint.saves")
+        } == {
+            "engine.games": 67_200,
+            "evaluation.games": 67_200,
+            "checkpoint.saves": 12,
+        }
+        assert counters["checkpoint.resumes"] == 4

@@ -2,8 +2,8 @@
 
 What's pinned here is the engine's own contract — construction and the
 engine protocol, conservation over the stacked pass and the per-tournament
-loop, the reputation invariants, the exchange path's bit-identity to an
-explicit per-seating ``run_tournament`` loop, oracle coverage, hook
+loop, the reputation invariants, the gossip step of the round pass (against
+an explicit gossip and across stack widths), oracle coverage, hook
 clocking, route-policy scoping, the speculation bookkeeping (replays +
 second-chance pass) and the compact watchdog write pairs.  Distributional
 correctness against the exact engines lives in
@@ -28,7 +28,7 @@ from repro.network.provider import ApproxPolicy
 from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
 from repro.paths.oracle import GameSetup, RandomPathOracle, ScriptedPathOracle
-from repro.reputation.exchange import ExchangeConfig
+from repro.reputation.exchange import ExchangeConfig, exchange_reputation_flat
 from repro.sim import BIT_IDENTICAL_ENGINES, ENGINES, make_engine
 from repro.sim.fused import FusedEngine, watchdog_pairs
 from repro.telemetry.config import TelemetryConfig
@@ -246,63 +246,100 @@ class TestStackedPass:
         )
 
 
-class TestExchangeFallback:
-    def test_exchange_is_bit_identical_to_per_seating_loop(self):
-        fused = build_engine()
-        looped = build_engine()
-        seatings = make_seatings(fused, 4)
-        config = ExchangeConfig(enabled=True, interval=3, fanout=2)
+class TestExchange:
+    """The gossip step is part of the round pass: every (replication,
+    tournament) of the slate gossips after each ``interval``-th round."""
 
-        f_stats = TournamentStats()
-        fused.reset_generation()
-        fused.run_generation(
-            seatings,
-            9,
-            RandomPathOracle(np.random.default_rng(5), SHORTER_PATHS),
-            f_stats,
-            config,
-            np.random.default_rng(17),
-        )
+    def test_gossip_step_follows_the_interval_round(self):
+        """With ``interval == rounds`` the one gossip step follows the last
+        round, so it equals the pass without the exchange followed by an
+        explicit gossip of every seating, in seating order, on the
+        generator the plan drew from."""
+        seatings = make_seatings(build_engine(), 4)
+        config = ExchangeConfig(enabled=True, interval=9, fanout=2)
 
-        t_stats = TournamentStats()
-        looped.reset_generation()
-        oracle = RandomPathOracle(np.random.default_rng(5), SHORTER_PATHS)
-        rng = np.random.default_rng(17)
+        def run(exchange):
+            engine = build_engine()
+            rng = np.random.default_rng(17)
+            stats = TournamentStats()
+            engine.reset_generation()
+            engine.run_generation(
+                seatings, 9, RandomPathOracle(rng, SHORTER_PATHS), stats,
+                exchange, rng,
+            )
+            return engine, stats, rng
+
+        gossiped, g_stats, _ = run(config)
+        explicit, e_stats, rng = run(None)
+        ps, pf = explicit.ps[0].tolist(), explicit.pf[0].tolist()
+        known, pf_sum = explicit.known.tolist(), explicit.pf_sum.tolist()
         for seating in seatings:
-            looped.run_tournament(seating, 9, oracle, t_stats, config, rng)
+            exchange_reputation_flat(ps, pf, known, pf_sum, seating, config, rng)
 
-        assert f_stats.to_dict() == t_stats.to_dict()
-        assert np.array_equal(fused.payoff_matrix(), looped.payoff_matrix())
-        assert np.array_equal(fused.fitness(), looped.fitness())
+        assert g_stats.to_dict() == e_stats.to_dict()
+        assert gossiped.ps[0].tolist() == ps
+        assert gossiped.pf[0].tolist() == pf
+        assert gossiped.known.tolist() == known
+        assert gossiped.pf_sum.tolist() == pf_sum
+        assert np.array_equal(gossiped.fitness(), explicit.fitness())
 
-    @pytest.mark.parametrize(
-        "n_replications,n_members",
-        [(2, 2), (1, 2), (2, 1)],
-        ids=["wide-engine-and-stack", "two-members", "wide-engine"],
-    )
-    def test_exchange_refuses_a_wide_stack(self, n_replications, n_members):
-        """The exchange's per-tournament loop runs one stack member on a
-        one-replication engine; a wider engine or stack is refused by
-        name, with the width it got."""
-        engine = FusedEngine(8, 0, n_replications=n_replications)
-        seatings = [[list(range(8))] for _ in range(n_members)]
-        oracles = [
-            RandomPathOracle(np.random.default_rng(s), SHORTER_PATHS)
-            for s in range(n_members)
+    @pytest.mark.parametrize("positive_only", [True, False], ids=["core", "full"])
+    def test_wide_stack_equals_stacks_of_one(self, positive_only):
+        """Each member gossips on its own generator and block, so a stack
+        of two equals two stacks of one, member by member."""
+        config = ExchangeConfig(
+            enabled=True, interval=2, fanout=2, positive_only=positive_only
+        )
+        n_pop, n_csn = 8, 2
+        rng = np.random.default_rng(4)
+        tensor = rng.integers(0, 2, size=(2, n_pop, STRATEGY_LENGTH))
+        seatings = [
+            [[int(v) for v in rng.permutation(n_pop)] + [8, 9] for _ in range(3)]
+            for _ in range(2)
         ]
-        with pytest.raises(
-            ValueError, match="exchange runs one stack member.*width 2"
-        ):
+
+        def run(members):
+            engine = FusedEngine(n_pop, n_csn, n_replications=len(members))
+            engine.set_strategies_tensor(tensor[members])
+            rngs = [np.random.default_rng(10 + r) for r in members]
+            stats = [TournamentStats() for _ in members]
+            engine.reset_generation()
             engine.run_stack(
-                seatings,
-                4,
-                oracles,
-                [TournamentStats() for _ in range(n_members)],
-                ExchangeConfig(enabled=True),
-                [np.random.default_rng(10 + s) for s in range(n_members)],
+                [seatings[r] for r in members],
+                6,
+                [RandomPathOracle(g, SHORTER_PATHS) for g in rngs],
+                stats,
+                config,
+                rngs,
+            )
+            return engine, stats
+
+        wide, wide_stats = run([0, 1])
+        for r in range(2):
+            one, (stats,) = run([r])
+            assert stats.to_dict() == wide_stats[r].to_dict(), f"member {r}"
+            np.testing.assert_array_equal(one.ps[0], wide.ps[r])
+            np.testing.assert_array_equal(one.pf[0], wide.pf[r])
+            np.testing.assert_array_equal(
+                one.fitness_tensor()[0], wide.fitness_tensor()[r]
             )
 
-    def test_fallback_counts_in_telemetry_and_fires_hooks(self):
+    def test_a_member_without_an_rng_is_refused(self):
+        engine = FusedEngine(8, 0, n_replications=2)
+        with pytest.raises(ValueError, match="reputation exchange requires an rng"):
+            engine.run_stack(
+                [[list(range(8))] for _ in range(2)],
+                4,
+                [
+                    RandomPathOracle(np.random.default_rng(s), SHORTER_PATHS)
+                    for s in range(2)
+                ],
+                [TournamentStats() for _ in range(2)],
+                ExchangeConfig(enabled=True),
+                [np.random.default_rng(10), None],
+            )
+
+    def test_exchange_counts_in_telemetry_and_fires_hooks(self):
         engine = build_engine()
         oracle = CountingOracle(np.random.default_rng(2))
         seatings = make_seatings(engine, 3)
@@ -316,9 +353,11 @@ class TestExchangeFallback:
                 ExchangeConfig(enabled=True, interval=2, fanout=1),
                 np.random.default_rng(0),
             )
-            counters = tel.snapshot()["counters"]
-        assert counters["engine.fused.fallback_tournaments"] == 3
-        assert "engine.fused.env_passes" not in counters
+            snap = tel.snapshot()
+        # one stacked pass with a gossip step after rounds 2 and 4
+        assert snap["counters"]["engine.fused.env_passes"] == 1
+        assert snap["counters"]["engine.fused.stacked_tournaments"] == 3
+        assert snap["timers"]["engine.exchange_s"]["count"] == 2
         assert oracle.tournament_ends == 3
 
 
@@ -383,8 +422,8 @@ class TestRoutePolicyScoping:
 
 
 class TestTournamentLoop:
-    """The per-tournament loop (``run_tournament``, the exchange's path)
-    on its own: the ``(1, 1, n, block)`` slate."""
+    """The per-tournament loop (``run_tournament``) on its own: the
+    ``(1, 1, n, block)`` slate."""
 
     def test_rounds_and_exchange_validation(self):
         engine = build_engine()
@@ -477,8 +516,8 @@ class TestTournamentLoop:
 
 class TestTournamentLoopPins:
     """Digests of the per-tournament loop, recorded before ``TurboEngine``
-    was folded into the fused engine: ``run_tournament`` (the exchange's
-    path) keeps every trajectory — with and without gossip, full and
+    was folded into the fused engine: ``run_tournament`` keeps every
+    trajectory — with and without gossip, full and
     subset seatings, both hop distributions — across the merge."""
 
     PINNED = [

@@ -894,14 +894,17 @@ class TestRoundStateInvariants:
         assert passes["commit"] >= passes["round"]
 
     def test_exchange_walk_leaves_writer_buffer_filled(self, monkeypatch):
-        # the exchange's per-tournament loop walks through the same scoped
-        # path, as the (1, 1, n, block) case
+        # the gossip step between round passes writes the reputation state
+        # behind the kernel's back; the next round's check sees whether it
+        # kept the caches, on a stack of two
+        from repro.experiments.replication import run_stack
+
         passes = self.install_checks(monkeypatch)
         config = ExperimentConfig.for_case(
             "exchange_core", scale="smoke", engine="fused", seed=7,
-            generations=1, kernel="numpy",
+            replications=2, generations=1, kernel="numpy",
         )
-        run_replication(config, 0)
+        run_stack(config, range(config.replications))
         assert passes["round"] > 0
         assert passes["commit"] >= passes["round"]
 
@@ -913,7 +916,8 @@ class TestNumpyBitIdentity:
     PINNED = [
         ("fused", "case1", 1234, "5d931f9d1726a965"),
         ("fused", "case3", 1234, "d3e38025ad52b233"),
-        ("fused", "exchange_core", 1234, "2e6ad40dcbdf84a6"),
+        # re-pinned when the gossip step moved into the stacked round pass
+        ("fused", "exchange_core", 1234, "3bfee16c77d2d743"),
         ("fused", "mobile_gauss", 7, "c4af90387c207d1f"),
     ]
 

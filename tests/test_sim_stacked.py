@@ -32,6 +32,7 @@ from repro.parallel.shard import default_processes, plan_shards
 from repro.game.stats import TournamentStats
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
+from repro.reputation.exchange import ExchangeConfig
 from repro.sim.fused import FusedEngine
 from repro.telemetry import write_run_manifest
 from repro.telemetry.config import TelemetryConfig
@@ -88,6 +89,18 @@ class TestBitIdentity:
             sequential = run_replication(config, r)
             assert stacked[r].replication == r
             assert digest(stacked[r]) == digest(sequential), f"rep {r}"
+
+    @pytest.mark.parametrize("case", ["exchange_core", "exchange_full"])
+    def test_exchange_matches_sequential_fused(self, case):
+        # each member gossips on its own generator and block after the
+        # same rounds it would alone
+        config = smoke_config(case, 7)
+        assert config.sim.exchange.enabled
+        stacked = run_stacked(config)
+        for r in range(config.replications):
+            assert digest(stacked[r]) == digest(run_replication(config, r)), (
+                f"rep {r}"
+            )
 
     def test_matches_sequential_fused_at_width_8(self):
         # the reputation commit and the conflict walk cost O(touched
@@ -169,12 +182,13 @@ class TestEligibility:
         reason = stacked_unsupported_reason(config)
         assert reason is not None and fragment in reason
 
-    def test_exchange_is_ineligible(self):
+    def test_exchange_is_eligible(self):
+        # the gossip step is part of the stacked round pass
         config = ExperimentConfig.for_case(
             "exchange_core", scale="smoke", engine="fused", seed=1
         ).with_(replications=2)
-        reason = stacked_unsupported_reason(config)
-        assert reason is not None and "exchange" in reason
+        assert config.sim.exchange.enabled
+        assert stacked_unsupported_reason(config) is None
 
     def test_execution_option_reasons(self):
         # the reason reads the config only: no execution option (a
@@ -385,6 +399,15 @@ class TestBlockState:
         assert self.state_bytes(eight) == 8 * self.state_bytes(one)
 
     def test_payoff_matrix_is_block_diagonal(self):
+        self.check_block_diagonal(None)
+
+    def test_payoff_matrix_stays_block_diagonal_after_gossip(self):
+        self.check_block_diagonal(
+            ExchangeConfig(enabled=True, interval=2, fanout=3, positive_only=False)
+        )
+
+    @staticmethod
+    def check_block_diagonal(exchange):
         n_rep, n_pop = 3, 10
         rng = np.random.default_rng(4)
         engine = FusedEngine(n_pop, 2, n_replications=n_rep)
@@ -399,7 +422,12 @@ class TestBlockState:
         ]
         engine.reset_generation()
         engine.run_stack(
-            seatings, 6, oracles, [TournamentStats() for _ in range(n_rep)]
+            seatings,
+            6,
+            oracles,
+            [TournamentStats() for _ in range(n_rep)],
+            exchange,
+            [oracle.rng for oracle in oracles],
         )
         matrix = engine.payoff_matrix()
         block = engine.block
