@@ -371,15 +371,13 @@ class StaticRouteProvider:
     cached once per epoch (a static topology's epoch moves only via
     ``invalidate_routes``); on top sits a scope-filtered table keyed by the
     current participant set, shared by the sequential and batched draw
-    paths.  ``cache=False`` disables both layers, for benchmarking the raw
-    recomputation cost.
+    paths.
     """
 
     __slots__ = (
         "topology",
         "max_paths",
         "max_hops",
-        "caching",
         "_base",
         "_base_epoch",
         "_scope",
@@ -391,17 +389,10 @@ class StaticRouteProvider:
         "empty_serves",
     )
 
-    def __init__(
-        self,
-        topology,
-        max_paths: int,
-        max_hops: int,
-        cache: bool = True,
-    ):
+    def __init__(self, topology, max_paths: int, max_hops: int):
         self.topology = topology
         self.max_paths = max_paths
         self.max_hops = max_hops
-        self.caching = cache
         self._base: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._base_epoch = getattr(topology, "epoch", 0)
         self._scope: frozenset[int] | None = None
@@ -433,9 +424,6 @@ class StaticRouteProvider:
 
     def base_routes(self, source: int, destination: int) -> list[tuple[int, ...]]:
         """Full-graph routes for the pair (no scope filter)."""
-        if not self.caching:
-            self.cache_misses += 1
-            return self._compute(source, destination)
         key = (source, destination)
         paths = self._base.get(key)
         if paths is None:
@@ -449,12 +437,6 @@ class StaticRouteProvider:
     def routes(self, source: int, destination: int) -> list[tuple[int, ...]]:
         """Scope-filtered routes for the pair (requires a prior rescope)."""
         active = self._scope
-        if not self.caching:
-            base = self.base_routes(source, destination)
-            paths = [p for p in base if all(node in active for node in p)]
-            if not paths:
-                self.empty_serves += 1
-            return paths
         key = (source, destination)
         paths = self._scoped.get(key)
         if paths is None:

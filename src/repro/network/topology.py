@@ -181,9 +181,8 @@ class TopologyPathOracle:
 
     Routing is layered (see :mod:`repro.network.provider`): a
     :class:`StaticRouteProvider` caches per-pair full-graph routes plus a
-    scope-filtered table shared by the sequential and batched draw paths
-    (``cache=False`` disables both, for benchmarking the recomputation
-    cost), and the draw loops come from :mod:`repro.paths.planner`.
+    scope-filtered table shared by the sequential and batched draw paths,
+    and the draw loops come from :mod:`repro.paths.planner`.
     """
 
     def __init__(
@@ -193,16 +192,13 @@ class TopologyPathOracle:
         max_paths: int = 3,
         max_hops: int = 10,
         max_draws: int = 64,
-        cache: bool = True,
     ):
         self.topology = topology
         self.rng = rng
         self.max_paths = max_paths
         self.max_hops = max_hops
         self.max_draws = max_draws
-        self.provider = StaticRouteProvider(
-            topology, max_paths, max_hops, cache=cache
-        )
+        self.provider = StaticRouteProvider(topology, max_paths, max_hops)
 
     def _candidate_paths(self, source: int, destination: int) -> list[tuple[int, ...]]:
         """Full-graph routes for the pair (unscoped; provider-cached)."""

@@ -9,7 +9,7 @@ stream with numpy, so on the random oracle the draw itself is no longer the
 bottleneck of the batch engine.)
 
 The fused engine's contract is *statistical* (distributional), not
-bit-identical, which unlocks a different sampler: draw the whole tournament's
+bit-identical, which unlocks a different sampler: draw a whole generation's
 destinations, hop counts, path counts and intermediate sets as a handful of
 numpy array operations.  Every marginal and joint distribution matches the
 sequential sampler exactly —
@@ -152,19 +152,21 @@ def plan_tournament_arrays(
 ) -> GamePlanArrays:
     """Draw a whole tournament's games into :class:`GamePlanArrays`.
 
-    :class:`RandomPathOracle` gets the native vectorized sampler, and the
-    route-table oracles (``TopologyPathOracle``, ``MobilePathOracle``) the
-    native routed sampler (both distributionally identical,
+    The route-table oracles (``TopologyPathOracle``, ``MobilePathOracle``)
+    get the native routed sampler (distributionally identical,
     stream-divergent — see the module docstring); every other oracle is
-    planned sequentially through :func:`plan_games` and repacked.
+    planned sequentially through :func:`plan_games` and repacked.  The
+    random oracle's native sampler draws whole generations
+    (:func:`plan_generation_arrays`; one tournament is one seating).
     """
     participants = list(participants)
     sources = list(sources)
-    if set(sources) <= set(participants):
-        if isinstance(oracle, RandomPathOracle):
-            return _sample_random_vectorized(oracle, sources, participants)
-        if _is_routed_oracle(oracle) and len(participants) >= 2:
-            return _sample_routed_vectorized(oracle, sources, participants)
+    if (
+        _is_routed_oracle(oracle)
+        and len(participants) >= 2
+        and set(sources) <= set(participants)
+    ):
+        return _sample_routed_vectorized(oracle, sources, participants)
     return _arrays_from_plan(plan_games(oracle, sources, participants))
 
 
@@ -394,8 +396,7 @@ def _slot_cache_for(oracle, provider, m1: int) -> _RoutedSlotCache:
     The cache is only valid for the provider's current scope and the
     topology's current epoch *and* step count (steps between plans can move
     positions — and the never-cache boost/virtual routes — without bumping
-    the epoch); it is also rebuilt when a non-caching provider
-    (``cache=False`` benchmarking) or an accumulation of never-cached
+    the epoch); it is also rebuilt when an accumulation of never-cached
     routes (boosted pairs) has grown it past a sane bound — an append-only
     dedup over fresh list objects would otherwise leak.
     """
@@ -408,7 +409,6 @@ def _slot_cache_for(oracle, provider, m1: int) -> _RoutedSlotCache:
         cache is None
         or cache.m1 != m1
         or cache.scope != scope
-        or not getattr(provider, "caching", True)
         or len(cache.slots) > 4 * m1 * m1
     ):
         cache = _RoutedSlotCache(epoch, steps, scope, m1)
@@ -550,33 +550,6 @@ def _arrays_from_slots(
     )
 
 
-def _sample_random_vectorized(
-    oracle: RandomPathOracle, sources: Sequence[int], participants: list[int]
-) -> GamePlanArrays:
-    """The native vectorized sampler for :class:`RandomPathOracle`."""
-    n = len(participants)
-    if n - 1 < 2:
-        raise ValueError(
-            "need at least 3 participants (source, destination, 1 intermediate)"
-        )
-    parts = np.asarray(participants, dtype=np.int64)
-    src = np.asarray(sources, dtype=np.int64)
-
-    # per-participant "others" pools (participants minus self, order kept),
-    # plus the inverse lookup position-of-id used to swap destinations out
-    off_diag = parts[None, :] != parts[:, None]
-    others = np.broadcast_to(parts, (n, n))[off_diag].reshape(n, n - 1)
-    max_id = int(parts.max())
-    row_of = np.full(max_id + 1, -1, dtype=np.int64)
-    row_of[parts] = np.arange(n, dtype=np.int64)
-    pos_in_others = np.zeros((n, max_id + 1), dtype=np.int64)
-    np.put_along_axis(
-        pos_in_others, others, np.broadcast_to(np.arange(n - 1), (n, n - 1)), axis=1
-    )
-    src_rows = row_of[src]
-    return _random_arrays_core(oracle, src, src_rows, others, pos_in_others)
-
-
 def _random_arrays_core(
     oracle: RandomPathOracle,
     src: np.ndarray,
@@ -584,13 +557,12 @@ def _random_arrays_core(
     others: np.ndarray,
     pos_in_others: np.ndarray,
 ) -> GamePlanArrays:
-    """Shared draw core of the random sampler (single and stacked forms).
+    """The draw core of the random sampler (:func:`_sample_random_stacked`).
 
     ``others`` holds one destination pool per *pool row* (a participant of
     one tournament); ``src_rows[g]`` names game ``g``'s pool row and
     ``pos_in_others`` the id -> column lookup within a row.  Pools from
-    different tournaments are just different rows, which is all the stacked
-    generation sampler needs.
+    different tournaments are just different rows.
     """
     rng = oracle.rng
     n_games = len(src)

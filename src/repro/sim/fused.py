@@ -97,10 +97,11 @@ contract, :mod:`repro.sim.kernels`), and :meth:`FusedEngine.payoff_matrix`
 still shows the whole ``(R * block)``-order matrix, zero off the diagonal
 blocks.
 :func:`repro.experiments.replication.run_stack` drives it at every stack
-width through :meth:`FusedEngine.run_stack` (``run_generation`` is its
-one-member call).  Stacking is *exact* — each replication bit-identical to
-its run in a stack of one, not merely
-statistically equivalent (pinned by ``tests/test_sim_stacked.py``):
+width through :meth:`FusedEngine.run_stack`, the engine's one entry point
+(``run_generation`` is its one-member call, and a single tournament is a
+one-seating generation).  Stacking is *exact* — each replication
+bit-identical to its run in a stack of one, not merely statistically
+equivalent (pinned by ``tests/test_sim_stacked.py``):
 
 * Replications are causally independent by construction: a replication is a
   pure function of ``(config, replication_index)`` with its own rng stream.
@@ -196,7 +197,6 @@ from repro.paths.oracle import PathOracle
 from repro.paths.vector import (
     GamePlanArrays,
     plan_generation_arrays,
-    plan_tournament_arrays,
     segment_index,
     split_hops,
     stack_replication_plans,
@@ -255,9 +255,9 @@ class _PlanContext:
     One context serves every round pass: ``n_replications`` stacked
     replications (each a ``block``-order diagonal block of the reputation
     matrices) of ``n_tournaments`` tournaments of ``n_seats`` seats, laid
-    out round-major — a round's slate is ``R * T * n`` games.
-    :meth:`FusedEngine.run_tournament` is the ``(1, 1, n, block)`` case and
-    an unstacked generation the ``(1, T, n, block)`` one.
+    out round-major — a round's slate is ``R * T * n`` games.  An unstacked
+    generation (:meth:`FusedEngine.run_generation`) is the ``(1, T, n,
+    block)`` case, a single tournament the ``(1, 1, n, block)`` one.
 
     Per-hop arrays run over the plan's flat hops (``plan.hop_nodes``):
     ``is_csn`` whether the hop is a selfish seat and ``level_b`` the
@@ -413,7 +413,8 @@ class FusedEngine:
     name = "fused"
     #: :func:`repro.tournament.evaluation.evaluate_stack` dispatches on
     #: this flag to hand the engine all of an environment's seatings at
-    #: once (:meth:`run_stack`) instead of one tournament at a time.
+    #: once (:meth:`run_stack`); the engine has no per-tournament entry
+    #: point.
     supports_generation_fusion = True
 
     def __init__(
@@ -704,37 +705,6 @@ class FusedEngine:
             )
         for r in range(n_rep):
             self._merge_stats(stats[r], req[r], delivered[r], csn_free[r])
-
-    def run_tournament(
-        self,
-        participants: Sequence[int],
-        rounds: int,
-        oracle: PathOracle,
-        stats: TournamentStats,
-        exchange: ExchangeConfig | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        """One tournament as the ``(1, 1, n, block)`` slate, gossiping on
-        ``rng`` between rounds when the exchange is on."""
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        participants = list(participants)
-        n_seats = len(participants)
-        # telemetry seam: one enabled check per tournament; the speculative
-        # round kernel below never touches the recorder (zero-overhead
-        # contract)
-        tel = get_telemetry()
-        if not tel.enabled:
-            tel = None
-        with timed(tel, "engine.plan_s"):
-            plan = plan_tournament_arrays(
-                oracle, participants * rounds, participants
-            )
-            ctx = _PlanContext(plan, self._csn_lookup, 1, 1, n_seats, self.block)
-        req, delivered, csn_free = self._run_rounds(
-            ctx, rounds, tel, exchange, [rng]
-        )
-        self._merge_stats(stats, req[0], delivered[0], csn_free[0])
 
     # -- generation-scoped route sharing ----------------------------------------
 

@@ -58,11 +58,12 @@ Three more op contracts keep the state work O(touched cells):
 
 The op boundary exists for attribution: :class:`TimedKernel` wraps the
 kernel with per-op telemetry timers (``kernel.decision_s`` /
-``kernel.replay_s`` / ``kernel.watchdog_s`` / ...), which
-``scripts/profile_engine.py`` and the benchmark's layer split read; engines
-only apply it when telemetry is enabled, preserving the zero-overhead
-contract.  ``ExperimentConfig.kernel`` still names the kernel (it is part
-of every ``config_hash``), but both spellings resolve to numpy.
+``kernel.replay_s`` / ``kernel.watchdog_s`` / ...), which the
+benchmark's layer split reads (``perfbench/run.py --trace 1``, the
+``sim.kernel.*`` rows); engines only apply it when telemetry is enabled,
+preserving the zero-overhead contract.  ``ExperimentConfig.kernel`` still
+names the kernel (it is part of every ``config_hash``), but both spellings
+resolve to numpy.
 """
 
 from __future__ import annotations

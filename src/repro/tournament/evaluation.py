@@ -45,7 +45,14 @@ __all__ = [
 
 
 class SimulationEngine(Protocol):
-    """What :func:`evaluate_generation` needs from a simulation engine."""
+    """What :func:`evaluate_generation` needs from a simulation engine.
+
+    A non-fusing engine plays one tournament at a time through
+    ``run_tournament``.  An engine that sets ``supports_generation_fusion``
+    provides ``run_stack`` in its place (all of an environment's seatings
+    for every stack member at once) and ``fitness_tensor`` (one fitness
+    row per member).
+    """
 
     @property
     def population_ids(self) -> Sequence[int]:
@@ -69,7 +76,8 @@ class SimulationEngine(Protocol):
         exchange: ExchangeConfig | None,
         rng: np.random.Generator | None,
     ) -> None:
-        """Run one tournament among ``participants``, updating ``stats``."""
+        """Run one tournament among ``participants``, updating ``stats``
+        (non-fusing engines only)."""
         ...
 
     def fitness(self) -> np.ndarray:

@@ -9,7 +9,7 @@ generation, partitioning the population.
 If at some point fewer than ``P_i`` eligible players remain (possible when
 ``N * L`` is not a multiple of ``P_i``), the seating is topped up with
 uniformly chosen already-complete players — the closest consistent extension
-of the paper's under-specified loop, documented in DESIGN.md.
+of the paper's under-specified loop (DESIGN.md §2.6).
 """
 
 from __future__ import annotations

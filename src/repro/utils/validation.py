@@ -175,10 +175,10 @@ def _mapping(values: Rule) -> Rule:
     return mapping
 
 
-def _numbers(minimum: float | None = None) -> Rule:
-    """Rule: a finite-number tree — a finite number (>= ``minimum`` when
-    given), or string-keyed mappings that bottom out in them."""
-    leaf = _number(minimum, "a number or a nested mapping of numbers")
+def _numbers() -> Rule:
+    """Rule: a finite-number tree — a finite number, or string-keyed
+    mappings that bottom out in them."""
+    leaf = _number(what="a number or a nested mapping of numbers")
 
     def numbers(value: Any, name: str, path: str) -> None:
         (branch if isinstance(value, Mapping) else leaf)(value, name, path)
@@ -283,13 +283,12 @@ _SCENARIO = _Object({
 
 #: One exact-key schema per document kind; :func:`check` reads it.
 SCHEMAS: dict[str, _Object] = {
-    # results/bench_reports/*.json and the repo-root BENCH_ENGINE.json
+    # results/bench_reports/*.json, written by benchmarks/conftest.py
     "bench_report": _Object({
         "bench": _STR,
-        "scale": _either(_STR, _numbers()),
-        # null for a bench that did not time itself; a tree for the
-        # engine ledger's per-oracle/per-engine matrix
-        "wall_s": _optional(_numbers(minimum=0)),
+        "scale": _STR,
+        # null for a bench that did not time itself
+        "wall_s": _optional(_number(minimum=0)),
         "metrics": _mapping(_numbers()),
         "git_sha": _STR,
     }),

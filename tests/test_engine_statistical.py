@@ -49,10 +49,8 @@ N_REPS = int(os.environ.get("REPRO_STAT_REPS", "20"))
 ALPHA = 0.01
 
 #: The per-round-mobility regime the approx policy exists for: topology
-#: stepped every round with zero tolerance (every edge flip counts), at the
-#: same slow waypoint drift as the perf ledger's mobile rows, with the
-#: bench row's aggressive drift budget — the exact configuration whose
-#: >= 2x throughput claim BENCH_ENGINE.json posts.
+#: stepped every round with zero tolerance (every edge flip counts), at a
+#: slow waypoint drift, under an aggressive drift budget.
 HIGH_MOBILITY = MobilityConfig(
     model="waypoint",
     speed_min=0.002,
@@ -320,7 +318,7 @@ class TestSpeculationMachinery:
         participants = list(range(n_pop)) + engine.selfish_ids(n_csn)
         oracle = RandomPathOracle(np.random.default_rng(seed), hop_dist)
         stats = TournamentStats()
-        engine.run_tournament(participants, rounds, oracle, stats, None, None)
+        engine.run_generation([participants], rounds, oracle, stats)
         return engine, stats
 
     @pytest.mark.parametrize("hop_dist", [SHORTER_PATHS, LONGER_PATHS])
@@ -366,7 +364,10 @@ class TestSpeculationMachinery:
             participants = list(range(20)) + engine.selfish_ids(4)
             oracle = RandomPathOracle(np.random.default_rng(3), SHORTER_PATHS)
             stats = TournamentStats()
-            engine.run_tournament(participants, 30, oracle, stats, None, None)
+            if name == "fused":
+                engine.run_generation([participants], 30, oracle, stats)
+            else:
+                engine.run_tournament(participants, 30, oracle, stats, None, None)
             outcomes[name] = stats.to_dict()
         assert outcomes["batch"] != outcomes["fused"]  # trajectories diverge
         coop_batch = outcomes["batch"]["nn_delivered"]

@@ -152,27 +152,27 @@ class TestTopologyPathOracle:
         # at most one topology computation per (source, destination) pair
         assert len(calls) == len(set(calls))
 
-    def test_cache_disabled_recomputes(self):
-        topo = topology()
-        calls = []
-        original = topo.candidate_paths
-        topo.candidate_paths = lambda *a, **k: calls.append(a) or original(*a, **k)
-        oracle = TopologyPathOracle(topo, np.random.default_rng(7), cache=False)
-        participants = list(range(25))
-        for _ in range(50):
-            oracle.draw(0, participants)
-        assert len(calls) > len(set(calls))
+    def test_cache_option_is_gone(self):
+        """Routes are always cached; there is no uncached mode."""
+        with pytest.raises(TypeError, match="cache"):
+            TopologyPathOracle(topology(), np.random.default_rng(7), cache=False)
 
-    def test_cached_and_uncached_draws_identical(self):
-        setups = []
-        for cache in (True, False):
-            topo = topology()
-            oracle = TopologyPathOracle(topo, np.random.default_rng(8), cache=cache)
-            participants = list(range(25))
-            setups.append(
-                [oracle.draw(s, participants) for s in range(25) for _ in range(4)]
-            )
-        assert setups[0] == setups[1]
+    def test_warm_cache_draws_match_cold_oracle(self):
+        """The route cache never changes a draw: an oracle whose table is
+        filled before it draws matches a fresh one on the same seed."""
+        participants = list(range(25))
+        warm = TopologyPathOracle(topology(), np.random.default_rng(8))
+        for source in participants:
+            for destination in participants:
+                if source != destination:
+                    warm.provider.base_routes(source, destination)
+        cold = TopologyPathOracle(topology(), np.random.default_rng(8))
+        draws = [
+            [oracle.draw(s, participants) for s in participants for _ in range(4)]
+            for oracle in (warm, cold)
+        ]
+        assert draws[0] == draws[1]
+        assert warm.provider.route_computes == 25 * 24
 
     def test_paths_filtered_to_active_participants(self):
         topo = topology()
@@ -230,17 +230,18 @@ class TestTopologyDrawTournament:
             assert (game[0], game[1]) == (setup.source, setup.destination)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
-    def test_cache_disabled_bypasses_route_table(self):
-        """cache=False keeps benchmarking semantics on the batched path:
-        every draw recomputes, nothing is served from the scoped table."""
+    def test_repeated_pairs_served_from_route_table(self):
+        """A tournament's repeated (source, destination) pairs are computed
+        once and then served from the provider's tables."""
         topo = topology()
         calls = []
         original = topo.candidate_paths
         topo.candidate_paths = lambda *a, **k: calls.append(a) or original(*a, **k)
-        oracle = TopologyPathOracle(topo, np.random.default_rng(7), cache=False)
+        oracle = TopologyPathOracle(topo, np.random.default_rng(7))
         participants = list(range(25))
         oracle.draw_tournament(participants * 4, participants)
-        assert len(calls) > len(set(calls))  # repeated pairs recompute
+        assert len(calls) == len(set(calls))
+        assert oracle.cache_hits > 0
 
     def test_scope_change_refilters_route_table(self):
         oracle = TopologyPathOracle(topology(), np.random.default_rng(11))

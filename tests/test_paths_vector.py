@@ -14,9 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
+from repro.paths.distributions import (
+    DEFAULT_PATH_COUNTS,
+    LONGER_PATHS,
+    SHORTER_PATHS,
+)
 from repro.paths.oracle import GameSetup, RandomPathOracle, ScriptedPathOracle
-from repro.paths.vector import GamePlanArrays, plan_tournament_arrays
+from repro.paths.vector import (
+    GamePlanArrays,
+    plan_generation_arrays,
+    plan_tournament_arrays,
+)
 
 
 def assert_ragged(plan):
@@ -31,12 +39,10 @@ def assert_ragged(plan):
 
 
 def sample(n_rounds=40, seed=0, participants=None, hop_dist=SHORTER_PATHS):
+    """One random tournament's plan: a one-seating generation."""
     participants = participants or list(range(20))
     oracle = RandomPathOracle(np.random.default_rng(seed), hop_dist)
-    return (
-        plan_tournament_arrays(oracle, participants * n_rounds, participants),
-        participants,
-    )
+    return plan_generation_arrays(oracle, [participants], n_rounds), participants
 
 
 class TestStructure:
@@ -83,7 +89,7 @@ class TestStructure:
     def test_too_small_pool_raises(self):
         oracle = RandomPathOracle(np.random.default_rng(0), SHORTER_PATHS)
         with pytest.raises(ValueError, match="at least 3 participants"):
-            plan_tournament_arrays(oracle, [0, 1], [0, 1])
+            plan_generation_arrays(oracle, [[0, 1]], 1)
 
 
 class TestDistributionalIdentity:
@@ -198,7 +204,7 @@ class TestPlanFallback:
             plan_tournament_arrays(oracle, [0], list(range(5)))
 
     def test_source_outside_participants_uses_fallback(self):
-        """A source not seated in the tournament falls back to the
+        """A source not seated in the tournament is planned through the
         sequential path (the vectorized pool layout assumes seated
         sources); the draw still succeeds."""
         oracle = RandomPathOracle(np.random.default_rng(4), SHORTER_PATHS)
@@ -420,8 +426,6 @@ class TestGenerationPlan:
         ]
 
     def test_round_major_layout_random(self):
-        from repro.paths.vector import plan_generation_arrays
-
         seatings = self.make_seatings()
         rounds, n = 5, len(seatings[0])
         oracle = RandomPathOracle(np.random.default_rng(1), SHORTER_PATHS)
@@ -437,8 +441,6 @@ class TestGenerationPlan:
     def test_cross_tournament_pool_isolation(self):
         """Each game draws destinations and intermediates from its *own*
         tournament's seating only — stacked pools never mix."""
-        from repro.paths.vector import plan_generation_arrays
-
         rng = np.random.default_rng(7)
         # seatings over disjoint id ranges make any pool mixing visible
         seatings = [
@@ -458,32 +460,64 @@ class TestGenerationPlan:
                 assert src not in path and dst not in path
                 assert len(set(path)) == len(path)
 
-    def test_stacked_random_matches_single_distributions(self):
-        """The stacked sampler's hop/path-count laws match the
-        single-tournament sampler's (same draw core, same laws)."""
-        from repro.paths.vector import plan_generation_arrays
+    def stacked_random_plan(self, hop_dist):
+        """Six 30-seat tournaments over 30 rounds: 5400 games."""
+        seatings = self.make_seatings(n_tournaments=6, n=30, seed=13)
+        oracle = RandomPathOracle(np.random.default_rng(31), hop_dist)
+        plan = plan_generation_arrays(oracle, seatings, 30)
+        first_len = plan.path_len[plan.game_path_start[:-1]]
+        return plan, first_len + 1  # a path of h hops has h - 1 intermediates
 
-        participants = list(range(20))
-        oracle_single = RandomPathOracle(np.random.default_rng(11), SHORTER_PATHS)
-        single = plan_tournament_arrays(
-            oracle_single, participants * 30, participants
+    @staticmethod
+    def assert_law(observed, n, pmf, what):
+        """Each category's frequency within 4 binomial sigma (+ slack)."""
+        for value, p in pmf.items():
+            sigma = np.sqrt(max(p, 1 / n) * (1 - min(p, 0.99)) / n)
+            freq = observed.get(value, 0) / n
+            assert abs(freq - p) < 4 * sigma + 0.005, f"{what} {value}: {freq} vs {p}"
+        assert set(observed) <= {v for v, p in pmf.items() if p > 0}, what
+
+    @pytest.mark.parametrize(
+        "hop_dist", [SHORTER_PATHS, LONGER_PATHS], ids=["shorter", "longer"]
+    )
+    def test_stacked_random_follows_the_hop_law(self, hop_dist):
+        """The one random sampler draws Table 2's hop law; every candidate
+        path of a game has the game's hop count."""
+        plan, hops = self.stacked_random_plan(hop_dist)
+        game_of_path = plan.path_game
+        assert (plan.path_len + 1 == hops[game_of_path]).all()
+        values, counts = np.unique(hops, return_counts=True)
+        pmf = dict(zip(hop_dist.dist.values, hop_dist.dist.probabilities))
+        self.assert_law(
+            dict(zip(values.tolist(), counts.tolist())), plan.n_games, pmf, "hops"
         )
-        oracle_stacked = RandomPathOracle(np.random.default_rng(11), SHORTER_PATHS)
-        stacked = plan_generation_arrays(
-            oracle_stacked, [participants] * 6, 5
-        )
-        assert stacked.n_games == single.n_games
-        for plan_arr in (single, stacked):
-            assert (plan_arr.n_paths >= 1).all()
-        # pooled hop-length histogram: loose bound, same law
-        h1 = np.bincount(single.path_len, minlength=8)[:8] / single.path_len.size
-        h2 = np.bincount(stacked.path_len, minlength=8)[:8] / stacked.path_len.size
-        assert np.abs(h1 - h2).max() < 0.08
+
+    @pytest.mark.parametrize(
+        "hop_dist", [SHORTER_PATHS, LONGER_PATHS], ids=["shorter", "longer"]
+    )
+    def test_stacked_random_follows_the_count_law(self, hop_dist):
+        """Per Table 3 hop range, the number of candidate paths follows
+        that range's law (9-10 hops reuse the 7-8 row)."""
+        plan, hops = self.stacked_random_plan(hop_dist)
+        checked = 0
+        for lo, hi in ((2, 3), (4, 6), (7, 8), (9, 10)):
+            games = (hops >= lo) & (hops <= hi)
+            n = int(games.sum())
+            if n < 500:  # too few games in this range to test its law
+                continue
+            dist = DEFAULT_PATH_COUNTS.distribution_for(lo)
+            values, counts = np.unique(plan.n_paths[games], return_counts=True)
+            self.assert_law(
+                dict(zip(values.tolist(), counts.tolist())),
+                n,
+                dict(zip(dist.values, dist.probabilities)),
+                f"paths at {lo}-{hi} hops",
+            )
+            checked += 1
+        assert checked >= 2
 
     @pytest.mark.parametrize("kind", ["random", "mobile"])
     def test_hook_fires_once_per_tournament(self, kind):
-        from repro.paths.vector import plan_generation_arrays
-
         if kind == "random":
             oracle = RandomPathOracle(np.random.default_rng(1), SHORTER_PATHS)
         else:
@@ -497,8 +531,6 @@ class TestGenerationPlan:
         assert plan.n_games == 3 * 4 * 12
 
     def test_routed_interleave_matches_round_major_layout(self):
-        from repro.paths.vector import plan_generation_arrays
-
         oracle = make_topology_oracle(seed=3)
         seatings = self.make_seatings(n_tournaments=2, n=12, seed=9)
         rounds = 4
@@ -518,8 +550,6 @@ class TestGenerationPlan:
         assert_ragged(plan)
 
     def test_validation(self):
-        from repro.paths.vector import plan_generation_arrays
-
         oracle = RandomPathOracle(np.random.default_rng(1), SHORTER_PATHS)
         with pytest.raises(ValueError, match="at least one seating"):
             plan_generation_arrays(oracle, [], 3)
@@ -575,20 +605,17 @@ def scripted_oracle(seed, seatings, rounds):
 
 
 def tournament(oracle, n, rounds):
-    participants = list(range(n))
-    plan = plan_tournament_arrays(oracle, participants * rounds, participants)
-    return plan, [oracle]
+    """One tournament of ``n`` seats: a one-seating generation."""
+    return generation(oracle, [list(range(n))], rounds)
 
 
 def generation(oracle, seatings, rounds):
-    from repro.paths.vector import plan_generation_arrays
-
     return plan_generation_arrays(oracle, seatings, rounds), [oracle]
 
 
 def stack(make_oracle, n_reps, seatings, rounds, block):
     """``n_reps`` replications, each planned on its own oracle, stacked."""
-    from repro.paths.vector import plan_generation_arrays, stack_replication_plans
+    from repro.paths.vector import stack_replication_plans
 
     oracles = [make_oracle(r) for r in range(n_reps)]
     plans = [plan_generation_arrays(o, seatings, rounds) for o in oracles]

@@ -74,6 +74,15 @@ def build(engine_name, params):
     return engine, oracle, participants
 
 
+def play(engine, participants, rounds, oracle, stats, exchange=None, rng=None):
+    """One tournament: ``run_tournament``, or a one-seating generation on
+    a fusing engine (which has no per-tournament entry point)."""
+    if getattr(engine, "supports_generation_fusion", False):
+        engine.run_generation([participants], rounds, oracle, stats, exchange, rng)
+    else:
+        engine.run_tournament(participants, rounds, oracle, stats, exchange, rng)
+
+
 def reputation_state(engine):
     matrix = engine.payoff_matrix()
     return matrix[:, :, 0], matrix[:, :, 1]
@@ -104,9 +113,7 @@ class TestReputationInvariants:
     def test_counters_sane_and_aggregates_consistent(self, engine_name, params):
         engine, oracle, participants = build(engine_name, params)
         stats = TournamentStats()
-        engine.run_tournament(
-            participants, params["rounds"], oracle, stats, None, None
-        )
+        play(engine, participants, params["rounds"], oracle, stats)
         ps, pf = reputation_state(engine)
         assert (ps >= 0).all() and (pf >= 0).all()
         assert (pf <= ps).all(), "forwarded counts exceed observations"
@@ -120,13 +127,9 @@ class TestReputationInvariants:
     @given(params=scenario)
     def test_counters_monotone_across_tournaments(self, engine_name, params):
         engine, oracle, participants = build(engine_name, params)
-        engine.run_tournament(
-            participants, params["rounds"], oracle, TournamentStats(), None, None
-        )
+        play(engine, participants, params["rounds"], oracle, TournamentStats())
         ps1, pf1 = reputation_state(engine)
-        engine.run_tournament(
-            participants, params["rounds"], oracle, TournamentStats(), None, None
-        )
+        play(engine, participants, params["rounds"], oracle, TournamentStats())
         ps2, pf2 = reputation_state(engine)
         assert (ps2 >= ps1).all(), "ps decreased between tournaments"
         assert (pf2 >= pf1).all(), "pf decreased between tournaments"
@@ -143,15 +146,19 @@ class TestExchangeInvariants:
         engine, oracle, participants = build(engine_name, params)
         config = ExchangeConfig(enabled=True, **xparams)
         rng = np.random.default_rng(params["seed"] + 1)
-        engine.run_tournament(
-            participants, params["rounds"], oracle, TournamentStats(), None, None
-        )
+        play(engine, participants, params["rounds"], oracle, TournamentStats())
         ps1, pf1 = reputation_state(engine)
         rate1 = np.divide(
             pf1, ps1, out=np.zeros(ps1.shape), where=ps1 > 0
         )
-        engine.run_tournament(
-            participants, params["rounds"], oracle, TournamentStats(), config, rng
+        play(
+            engine,
+            participants,
+            params["rounds"],
+            oracle,
+            TournamentStats(),
+            config,
+            rng,
         )
         ps2, pf2 = reputation_state(engine)
         # gossip (and play) only ever adds observations

@@ -258,16 +258,6 @@ class TestDriftBudgetBoundary:
 
 
 class TestStaticProviderModes:
-    def test_uncached_mode_recomputes_and_filters(self):
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
-        provider = StaticRouteProvider(topo, 3, 10, cache=False)
-        provider.rescope(IDS)
-        a = provider.routes(0, 5)
-        misses = provider.cache_misses
-        b = provider.routes(0, 5)
-        assert a == b
-        assert provider.cache_misses > misses
-
     def test_scoped_routes_filter_to_participants(self):
         topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
         provider = StaticRouteProvider(topo, 3, 10)
@@ -277,6 +267,41 @@ class TestStaticProviderModes:
         for destination in scope[1:]:
             for path in provider.routes(0, destination):
                 assert set(path) <= active
+
+    def test_cache_option_is_gone(self):
+        """The static provider always caches; there is no uncached mode."""
+        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
+        with pytest.raises(TypeError, match="cache"):
+            StaticRouteProvider(topo, 3, 10, cache=False)
+
+    def test_repeated_routes_are_served_from_cache(self):
+        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
+        provider = StaticRouteProvider(topo, 3, 10)
+        provider.rescope(IDS)
+        a = provider.routes(0, 5)
+        hits, misses = provider.cache_info
+        computes = provider.route_computes
+        b = provider.routes(0, 5)
+        assert a == b
+        assert provider.cache_info == (hits + 1, misses)
+        assert provider.route_computes == computes
+
+    def test_rescope_refilters_from_the_base_table(self):
+        """A narrower scope refilters the cached full-graph routes: no new
+        topology search, and every served route stays inside the scope."""
+        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
+        provider = StaticRouteProvider(topo, 3, 10)
+        provider.rescope(IDS)
+        full = {d: provider.routes(0, d) for d in IDS[1:]}
+        computes = provider.route_computes
+        scope = IDS[::2]
+        provider.rescope(scope)
+        for destination in scope[1:]:
+            narrow = provider.routes(0, destination)
+            assert narrow == [
+                p for p in full[destination] if set(p) <= set(scope)
+            ]
+        assert provider.route_computes == computes
 
     def test_oracle_uses_provider(self):
         topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))

@@ -1,8 +1,8 @@
 """Unit tests for the fused engine's mechanics.
 
 What's pinned here is the engine's own contract — construction and the
-engine protocol, conservation over the stacked pass and the per-tournament
-loop, the reputation invariants, the gossip step of the round pass (against
+engine protocol, conservation over the stacked pass and over one-seating
+generations, the reputation invariants, the gossip step of the round pass (against
 an explicit gossip and across stack widths), oracle coverage, hook
 clocking, route-policy scoping, the speculation bookkeeping (replays +
 second-chance pass) and the compact watchdog write pairs.  Distributional
@@ -43,14 +43,14 @@ def build_engine(n_pop=16, n_csn=4, seed=7):
 
 
 def play(engine, rounds=12, seed=3, participants=None):
-    """One tournament through the per-tournament loop."""
+    """One tournament: a one-seating generation."""
     if participants is None:
         participants = list(range(engine.n_population)) + engine.selfish_ids(
             engine.max_selfish
         )
     oracle = RandomPathOracle(np.random.default_rng(seed), SHORTER_PATHS)
     stats = TournamentStats()
-    engine.run_tournament(participants, rounds, oracle, stats, None, None)
+    engine.run_generation([participants], rounds, oracle, stats)
     return stats, participants
 
 
@@ -123,6 +123,18 @@ class TestConstruction:
 
         with pytest.raises(ValueError, match="4 trust levels"):
             FusedEngine(4, 0, trust_table=TrustTable(bounds=(0.5,)))
+
+    def test_run_stack_is_the_one_entry_point(self, monkeypatch):
+        """There is no per-tournament method; ``run_generation`` is the
+        one-member ``run_stack``."""
+        assert not hasattr(FusedEngine, "run_tournament")
+        engine = build_engine()
+        calls = []
+        monkeypatch.setattr(engine, "run_stack", lambda *a: calls.append(a))
+        oracle = RandomPathOracle(np.random.default_rng(1), SHORTER_PATHS)
+        stats = TournamentStats()
+        engine.run_generation([[0, 1, 2]], 4, oracle, stats)
+        assert calls == [([[[0, 1, 2]]], 4, [oracle], [stats], None, [None])]
 
     def test_generation_fusion_flag(self):
         # evaluate_generation dispatches on this flag; only fused sets it
@@ -199,9 +211,10 @@ class TestStackedPass:
         assert engine2._replayed_games == engine._replayed_games
 
     def test_matches_per_tournament_workload(self):
-        """The stacked pass and the per-tournament loop play the same
-        structural workload (same games, same path-choice counts); outcome
-        totals differ only within the statistical contract."""
+        """The stacked pass and one-seating passes, one per tournament,
+        play the same structural workload (same games, same path-choice
+        counts); outcome totals differ only within the statistical
+        contract."""
         fused = build_engine()
         looped = build_engine()
         f_stats, seatings = run_generation(fused, n_tournaments=5, rounds=8)
@@ -209,7 +222,7 @@ class TestStackedPass:
         t_stats = TournamentStats()
         looped.reset_generation()
         for seating in seatings:
-            looped.run_tournament(seating, 8, oracle, t_stats, None, None)
+            looped.run_generation([seating], 8, oracle, t_stats)
         f, t = f_stats.to_dict(), t_stats.to_dict()
         assert f["nn_originated"] == t["nn_originated"]
         assert f["csn_originated"] == t["csn_originated"]
@@ -422,23 +435,8 @@ class TestRoutePolicyScoping:
 
 
 class TestTournamentLoop:
-    """The per-tournament loop (``run_tournament``) on its own: the
+    """One tournament on its own, as a one-seating generation: the
     ``(1, 1, n, block)`` slate."""
-
-    def test_rounds_and_exchange_validation(self):
-        engine = build_engine()
-        oracle = RandomPathOracle(np.random.default_rng(0), SHORTER_PATHS)
-        with pytest.raises(ValueError, match="rounds must be >= 1"):
-            engine.run_tournament([0, 1, 2], 0, oracle, TournamentStats(), None, None)
-        with pytest.raises(ValueError, match="requires an rng"):
-            engine.run_tournament(
-                [0, 1, 2],
-                2,
-                oracle,
-                TournamentStats(),
-                ExchangeConfig(enabled=True),
-                None,
-            )
 
     def test_conservation_and_reset(self):
         engine = build_engine()
@@ -515,10 +513,11 @@ class TestTournamentLoop:
 
 
 class TestTournamentLoopPins:
-    """Digests of the per-tournament loop, recorded before ``TurboEngine``
-    was folded into the fused engine: ``run_tournament`` keeps every
-    trajectory — with and without gossip, full and
-    subset seatings, both hop distributions — across the merge."""
+    """Digests of one tournament at a time, recorded before ``TurboEngine``
+    was folded into the fused engine and kept by the one-seating
+    generation that replaced the per-tournament entry point: every
+    trajectory — with and without gossip, full and subset seatings, both
+    hop distributions — holds across both changes."""
 
     PINNED = [
         # (n_pop, n_csn, seated, rounds, seed, longer, gossip, digest)
@@ -553,7 +552,7 @@ class TestTournamentLoopPins:
             seating = [
                 int(v) for v in rng.permutation(n_pop)[:seated]
             ] + engine.selfish_ids(n_csn)
-            engine.run_tournament(seating, rounds, oracle, stats, exchange, rng)
+            engine.run_generation([seating], rounds, oracle, stats, exchange, rng)
         blob = json.dumps(
             [
                 engine.payoff_matrix().tolist(),
@@ -595,7 +594,7 @@ class TestOracleCoverage:
         rng = np.random.default_rng(1)
         engine.set_strategies([Strategy.random(rng) for _ in range(5)])
         stats = TournamentStats()
-        engine.run_tournament(list(range(5)), 2, oracle, stats, None, None)
+        engine.run_generation([list(range(5))], 2, oracle, stats)
         assert oracle.remaining == 0
         assert stats.nn_originated == 10
 
@@ -605,7 +604,7 @@ class TestOracleCoverage:
         oracle = TopologyPathOracle(topology, rng)
         engine = build_engine(16, 4)
         stats = TournamentStats()
-        engine.run_tournament(list(range(20)), 8, oracle, stats, None, None)
+        engine.run_generation([list(range(20))], 8, oracle, stats)
         assert stats.nn_originated + stats.csn_originated == 8 * 20
 
     def test_mobile_oracle(self):
@@ -615,7 +614,7 @@ class TestOracleCoverage:
         )
         engine = build_engine(16, 4)
         stats = TournamentStats()
-        engine.run_tournament(list(range(20)), 6, oracle, stats, None, None)
+        engine.run_generation([list(range(20))], 6, oracle, stats)
         assert stats.nn_originated + stats.csn_originated == 6 * 20
 
 
@@ -629,7 +628,7 @@ class TestExchangePlumbing:
         participants = list(range(16)) + engine.selfish_ids(4)
         config = ExchangeConfig(enabled=True, interval=3, fanout=2)
         stats = TournamentStats()
-        engine.run_tournament(participants, 12, oracle, stats, config, rng)
+        engine.run_generation([participants], 12, oracle, stats, config, rng)
         assert np.array_equal(engine.known, (engine.ps > 0).sum(-1).reshape(-1))
         assert np.array_equal(engine.pf_sum, engine.pf.sum(-1).reshape(-1))
         assert (engine.pf <= engine.ps).all()
@@ -639,8 +638,8 @@ class TestExchangePlumbing:
         sa, _ = play(a, rounds=8, seed=13)
         oracle = RandomPathOracle(np.random.default_rng(13), SHORTER_PATHS)
         sb = TournamentStats()
-        b.run_tournament(
-            list(range(16)) + b.selfish_ids(4),
+        b.run_generation(
+            [list(range(16)) + b.selfish_ids(4)],
             8,
             oracle,
             sb,

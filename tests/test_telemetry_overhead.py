@@ -4,9 +4,7 @@ Instrumented code may touch the telemetry runtime O(1) times per
 *tournament seam* (one ``get_telemetry()`` + one ``enabled`` read), never
 per round or per game, and a disabled run must allocate nothing from the
 telemetry package.  These tests install a counting recorder as the
-process-global singleton and run real engines against it; the wall-clock
-side of the same contract is gated by
-``benchmarks/bench_telemetry_overhead.py`` against the perf ledger.
+process-global singleton and run real engines against it.
 """
 
 from __future__ import annotations
@@ -75,7 +73,13 @@ def run_tournament(engine_name: str, rounds: int) -> None:
     engine.set_strategies([Strategy.random(rng) for _ in range(N_NORMAL)])
     participants = list(range(N_NORMAL)) + engine.selfish_ids(N_CSN)
     oracle = RandomPathOracle(np.random.default_rng(1), SHORTER_PATHS)
-    engine.run_tournament(participants, rounds, oracle, TournamentStats(), None, None)
+    if getattr(engine, "supports_generation_fusion", False):
+        # a fusing engine's one tournament is a one-seating generation
+        engine.run_generation([participants], rounds, oracle, TournamentStats())
+    else:
+        engine.run_tournament(
+            participants, rounds, oracle, TournamentStats(), None, None
+        )
 
 
 class TestSeamIsPerTournament:

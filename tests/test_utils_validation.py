@@ -278,7 +278,7 @@ def _scenario() -> dict:
 VALID = {
     "bench_report": lambda: {
         "bench": "probe",
-        "scale": {"seats": 50},
+        "scale": "smoke",
         "wall_s": 0.5,
         "metrics": {"games": 10, "nested": {"a": 0.5}},
         "git_sha": "abc1234",
