@@ -2,7 +2,7 @@
 
 The paper models maximal mobility (random intermediates every packet).  Here
 the same game runs on a fixed geometric topology — e.g. sensors bolted to a
-field — using the networkx-backed oracle.  Because neighbours recur,
+field — using the unit-disk topology oracle.  Because neighbours recur,
 reputation about the few local relays accumulates quickly and selfish relays
 are identified much faster than under random pairing.
 

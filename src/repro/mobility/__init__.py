@@ -8,7 +8,8 @@ static unit-disk graph).  This package fills the continuum in between:
   :class:`GaussMarkov` node movement, plus :class:`NodeChurn` (nodes leave
   and rejoin), all deterministic under a shared ``np.random.Generator``;
 * :mod:`repro.mobility.dynamic` — :class:`DynamicTopology`, a unit-disk
-  graph repaired incrementally as nodes move, versioned by ``epoch``;
+  graph (a bool adjacency matrix) repaired incrementally as nodes move,
+  versioned by ``epoch``;
 * :mod:`repro.mobility.oracle` — :class:`MobilePathOracle`, a caching path
   oracle (invalidated on epoch change) that keeps the engine-facing
   :class:`repro.paths.oracle.PathOracle` contract, so both simulation

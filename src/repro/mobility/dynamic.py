@@ -1,30 +1,37 @@
 """Time-varying unit-disk topology driven by a mobility model.
 
 :class:`DynamicTopology` owns the authoritative node positions and the
-derived :mod:`networkx` graph.  ``step()`` advances positions through the
-mobility model and repairs the graph *incrementally*: only nodes that moved
-more than ``tolerance`` since their edges were last computed (or whose churn
-state flipped) have their incident edges rebuilt — an O(moved x n) update
-instead of the O(n^2) full rebuild, done as one vectorised distance scan
-that keeps the edge insertion sequence (see :meth:`_rebuild_edges`).
+derived adjacency: one ``(n, n)`` bool matrix in topology-index space
+(row/column ``i`` is ``node_ids[i]``; 10 KB at n = 100).  ``step()``
+advances positions through the mobility model and repairs the matrix
+*incrementally*: only nodes that moved more than ``tolerance`` since their
+edges were last computed (or whose churn state flipped) have their rows and
+columns recomputed — an O(moved x n) update instead of the O(n^2) full
+rebuild, done as one vectorised distance scan whose result is compared
+cell by cell with the old rows (see :meth:`_rebuild_edges`).
 
-``epoch`` is the edge-set version number: it increments only when the edge
-set actually changes, so consumers like
+``epoch`` is the edge-set version number: it increments only when a cell
+actually changed, so consumers like
 :class:`repro.mobility.oracle.MobilePathOracle` can cache route computations
 and pay nothing while the network is effectively static (waypoint pauses,
 sub-tolerance drift).  With a nonzero tolerance, edge lengths are accurate to
 within ``2 * tolerance`` — the documented fidelity/speed trade-off.
+
+Route search reads the matrix through a per-epoch
+:class:`repro.network.ksp.PathSearch` snapshot in cyclic neighbour order
+(ascending topology index from the node's own index, wrapping around), so
+route ties depend only on the current edge set, never on the order the
+edges were repaired in, and no node is every neighbour's first choice.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.mobility.models import MobilityModel
-from repro.network.ksp import PathSearch
+from repro.network.ksp import PathSearch, is_connected, reachable
 
 __all__ = ["DynamicTopology"]
 
@@ -57,7 +64,6 @@ class DynamicTopology:
         self.radio_range = float(radio_range)
         self.node_ids = ids
         self._index = {nid: i for i, nid in enumerate(ids)}
-        self._id_array = np.array(ids)
         self.model = model
         self.rng = rng
         self.dt = float(dt)
@@ -68,6 +74,9 @@ class DynamicTopology:
         #: *position*-dependent (virtual/boost routes) can invalidate on it
         self.steps = 0
         self.boost_count = 0  # emergency power boosts (isolated sources)
+        #: sources bridged out of a component with no routable destination
+        #: (see :meth:`rescue_route`)
+        self.rescues = 0
         #: cumulative edge churn across epoch rebuilds
         self.edges_added = 0
         self.edges_removed = 0
@@ -80,8 +89,10 @@ class DynamicTopology:
         for _ in range(max_reset_attempts):
             self._pos = np.array(model.reset(len(ids), rng), dtype=float)
             self._active = self._current_active()
-            self.graph = self._full_build()
-            if not require_connected_start or nx.is_connected(self.graph):
+            #: the current edge set as an (n, n) bool matrix in index space;
+            #: edited in place by ``step()`` (snapshot it to keep an epoch)
+            self.adjacency = self._full_build()
+            if not require_connected_start or is_connected(self.adjacency):
                 break
         else:
             raise RuntimeError(
@@ -95,10 +106,10 @@ class DynamicTopology:
         self._search_epoch = -1
 
     def path_search(self) -> PathSearch:
-        """The native route-search snapshot of the current epoch's graph.
+        """The native route-search snapshot of the current epoch's adjacency.
 
         Rebuilt only when ``epoch`` changes (the edge set really moved);
-        queries never mutate the graph, so the snapshot stays valid for the
+        queries never mutate the adjacency, so the snapshot stays valid for the
         whole epoch — including around virtual-edge and power-boost queries,
         which ride in as query-time extra edges instead of graph edits.
         """
@@ -112,7 +123,7 @@ class DynamicTopology:
                     p + old.deviations_pruned,
                     t + old.build_s,
                 )
-            self._search = PathSearch(self.graph)
+            self._search = PathSearch(self.adjacency, self.node_ids, cyclic=True)
             self._search_epoch = self.epoch
         return self._search
 
@@ -134,10 +145,16 @@ class DynamicTopology:
         """Ids of nodes currently present (all, unless churn is active)."""
         return [nid for nid, a in zip(self.node_ids, self._active) if a]
 
+    def neighbors(self, node_id: int) -> list[int]:
+        """Ids of the node's current neighbours, in ascending index order."""
+        ids = self.node_ids
+        row = self.adjacency[self._index[node_id]]
+        return [ids[j] for j in np.flatnonzero(row).tolist()]
+
     def degree_stats(self) -> tuple[float, int, int]:
         """(mean, min, max) node degree — useful for choosing radio_range."""
-        degrees = [d for _, d in self.graph.degree()]
-        return float(np.mean(degrees)), int(min(degrees)), int(max(degrees))
+        degrees = self.adjacency.sum(axis=1)
+        return float(degrees.mean()), int(degrees.min()), int(degrees.max())
 
     def is_active(self, node_id: int) -> bool:
         """Whether the node is currently present (always True without churn)."""
@@ -171,7 +188,7 @@ class DynamicTopology:
         search = self.path_search()
         if restrict_to is not None and search.covers_all(restrict_to):
             restrict_to = None  # scope covers the graph: restriction no-op
-        if self._scoped_degree(source, extras, restrict_to) == 0:
+        if not self._reaches_scope(search, i, extras, restrict_to):
             # emergency power boost: a source with no reachable peer in
             # scope raises transmit power until its nearest participating
             # node hears it
@@ -184,20 +201,95 @@ class DynamicTopology:
             source, destination, max_paths, max_hops, restrict_to, extras
         )
 
-    def _scoped_degree(
+    def _reaches_scope(
         self,
-        source: int,
+        search: PathSearch,
+        i: int,
         extras: Sequence[tuple[int, int]],
         restrict_to: frozenset[int] | None,
-    ) -> int:
-        """Degree of ``source`` within scope, extra edges included — what
-        ``graph.subgraph(restrict_to).degree(source)`` saw when virtual
-        edges were temporarily materialised."""
+    ) -> bool:
+        """Whether node index ``i`` has a neighbour within scope, extra
+        edges included — a nonzero degree in the scope-induced subgraph
+        with the query's virtual edges added."""
+        nbrs = search.neighbors[i]
         if restrict_to is None:
-            return len(self.graph.adj[source]) + len(extras)
-        degree = sum(1 for w in self.graph.adj[source] if w in restrict_to)
-        degree += sum(1 for _, b in extras if b in restrict_to)
-        return degree
+            return bool(nbrs or extras)
+        ids = self.node_ids
+        return any(ids[j] in restrict_to for j in nbrs) or any(
+            b in restrict_to for _, b in extras
+        )
+
+    def rescue_route(
+        self,
+        source: int,
+        max_paths: int,
+        max_hops: int,
+        scope: frozenset[int],
+    ) -> tuple[int, list[tuple[int, ...]]] | None:
+        """A route for ``source`` once every destination draw failed.
+
+        The last resort of destination sampling, in two steps that read
+        positions and consume no random draws:
+
+        * search the live topology for the participants of the source's own
+          component, nearest first — the draws can miss a lone routable
+          destination, and a route cache under the ``approx`` policy can
+          keep serving a stale "no route" for a drift budget;
+        * failing that (a source in a two-node component has a neighbour,
+          so it gets no power boost, and no destination with an
+          intermediate), raise the source's transmit power until it
+          reaches the nearest active participant outside its component —
+          the long-range bridge link Danoy et al. use to join partitions
+          (arXiv 0707.3030) — and play towards that peer's nearest
+          in-scope neighbour.
+
+        Returns ``(destination, routes)``, or ``None`` when neither finds a
+        route.  The routes are never cached: the search bypasses the cache,
+        and the bridge is position-dependent.
+        """
+        i = self._index[source]
+        ids = self.node_ids
+        extras: list[tuple[int, int]] = (
+            [] if self._active[i] else self._virtual_edges(i)
+        )
+        in_scope = np.fromiter(
+            (nid in scope for nid in ids), dtype=bool, count=len(ids)
+        )
+        allowed = in_scope & self._active
+        start = np.zeros(len(ids), dtype=bool)
+        start[i] = True
+        for _, b in extras:
+            start[self._index[b]] = True
+        component = reachable(self.adjacency, start, allowed)
+        d2 = np.sum((self._pos - self._pos[i]) ** 2, axis=1)
+        inside = np.flatnonzero(component & allowed)
+        for j in inside[np.argsort(d2[inside], kind="stable")].tolist():
+            if j == i:
+                continue
+            paths = self.candidate_paths(source, ids[j], max_paths, max_hops, scope)
+            if paths:
+                self.rescues += 1
+                return ids[j], paths
+        search = self.path_search()
+        outside = np.flatnonzero(allowed & ~component)
+        for b in outside[np.argsort(d2[outside], kind="stable")].tolist():
+            peers = np.flatnonzero(self.adjacency[b] & allowed)
+            if peers.size == 0:
+                continue
+            from_b = np.sum((self._pos[peers] - self._pos[b]) ** 2, axis=1)
+            destination = ids[int(peers[np.argmin(from_b)])]
+            paths = search.intermediate_paths(
+                source,
+                destination,
+                max_paths,
+                max_hops,
+                scope,
+                extras + [(source, ids[b])],
+            )
+            if paths:
+                self.rescues += 1
+                return destination, paths
+        return None
 
     def _nearest_peer(
         self, i: int, restrict_to: frozenset[int] | None
@@ -226,8 +318,8 @@ class DynamicTopology:
     # -- dynamics --------------------------------------------------------------
 
     def step(self) -> bool:
-        """Advance positions one step; repair the graph; return whether the
-        edge set changed (in which case ``epoch`` was incremented)."""
+        """Advance positions one step; repair the adjacency; return whether
+        the edge set changed (in which case ``epoch`` was incremented)."""
         self.steps += 1
         self._pos = np.array(
             self.model.step(self._pos, self.dt, self.rng), dtype=float
@@ -257,42 +349,24 @@ class DynamicTopology:
         self._all_active = bool(active.all())
         return active
 
-    def _full_build(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self.node_ids)
+    def _full_build(self) -> np.ndarray:
         d2 = np.sum((self._pos[:, None, :] - self._pos[None, :, :]) ** 2, axis=-1)
         adjacent = (
             (d2 <= self.radio_range**2)
             & self._active[:, None]
             & self._active[None, :]
         )
-        ids = self.node_ids
-        rows, cols = np.nonzero(np.triu(adjacent, k=1))
-        graph.add_edges_from((ids[i], ids[j]) for i, j in zip(rows, cols))
-        return graph
+        np.fill_diagonal(adjacent, False)
+        return adjacent
 
     def _rebuild_edges(self, dirty: np.ndarray) -> bool:
-        """Recompute the incident edges of the ``dirty`` node indices.
+        """Recompute the rows and columns of the ``dirty`` node indices.
 
-        Returns whether the graph's edge set changed.
-
-        Insertion-sequence contract: ``new_edges`` receives its edges in
-        row-major scan order — dirty rows in ``dirty`` order, each row's
-        in-range columns ascending, self-pairs dropped — exactly the
-        sequence a per-row ``set.add`` loop would feed it.  The set iterates
-        in hash-slot order, and the insertion sequence decides which of two
-        colliding edges takes the earlier slot; that order is the order of
-        ``added``, hence of each node's adjacency, which is the route-search
-        tie order.  Do not reorder it.  ``old_edges`` is only tested for
-        membership and equality, so its order is free.
+        Returns whether any cell changed.  One distance scan gives the dirty
+        rows' new cells; the row diff against the old cells yields the edge
+        churn.  An edge between two dirty nodes shows in both of their
+        rows, so the dirty-by-dirty block of each diff counts half.
         """
-        ids = self.node_ids
-        adj = self.graph._adj
-        old_edges = {
-            (a, b) if a < b else (b, a)
-            for a in [ids[i] for i in dirty.tolist()]
-            for b in adj[a]
-        }
         pos = self._pos
         dx = pos[dirty, 0, None] - pos[None, :, 0]
         dy = pos[dirty, 1, None] - pos[None, :, 1]
@@ -301,18 +375,15 @@ class DynamicTopology:
             & self._active[dirty, None]
             & self._active[None, :]
         )
-        rows, cols = np.nonzero(within)  # row-major: the contract's order
-        heads = dirty[rows]
-        keep = cols != heads
-        a = self._id_array[heads[keep]]
-        b = self._id_array[cols[keep]]
-        new_edges = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-        if new_edges == old_edges:
+        within[np.arange(dirty.size), dirty] = False
+        adjacency = self.adjacency
+        old = adjacency[dirty]
+        if np.array_equal(within, old):
             return False
-        removed = old_edges - new_edges
-        added = new_edges - old_edges
-        self.graph.remove_edges_from(removed)
-        self.graph.add_edges_from(added)
-        self.edges_removed += len(removed)
-        self.edges_added += len(added)
+        added = within & ~old
+        removed = old & ~within
+        self.edges_added += int(added.sum()) - int(added[:, dirty].sum()) // 2
+        self.edges_removed += int(removed.sum()) - int(removed[:, dirty].sum()) // 2
+        adjacency[dirty, :] = within
+        adjacency[:, dirty] = within.T
         return True

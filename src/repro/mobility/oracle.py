@@ -102,7 +102,7 @@ class MobilePathOracle:
         provider.rescope(participants)
         provider.sync()
         destination, paths = draw_setup(
-            self.rng, source, others, provider.routes, self.max_draws
+            self.rng, source, others, provider.routes, self.max_draws, provider.rescue
         )
         return GameSetup(
             source=source, destination=destination, paths=tuple(paths)
@@ -146,6 +146,7 @@ class MobilePathOracle:
             provider.routes,
             self.max_draws,
             tick=tick,
+            rescue=provider.rescue,
         )
 
     # -- topology clocking -----------------------------------------------------

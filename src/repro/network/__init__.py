@@ -6,13 +6,17 @@ The paper chooses intermediates uniformly at random, explicitly to simulate
 unit square with a fixed radio range, candidate routes extracted from the
 resulting unit-disk graph as the first ``max_paths`` shortest simple paths.
 
-Route search runs on :class:`repro.network.ksp.PathSearch`, a native
-K-shortest-paths engine over int adjacency arrays whose output (path sets
-*and* order) is pinned identical to ``networkx.shortest_simple_paths`` by
-``tests/test_ksp.py`` — networkx stays as the reference implementation, out
-of the hot loop.  Plugging the :class:`TopologyPathOracle` into any engine
-turns the paper's abstract game into a static-topology simulation — an
-extension ablated in ``benchmarks/bench_topology_extension.py``.
+Both topologies (this static one and the mobile
+:class:`repro.mobility.DynamicTopology`) keep their edge set as one
+``(n, n)`` bool adjacency matrix in topology-index space.  Route search runs
+on :class:`repro.network.ksp.PathSearch`, a native K-shortest-paths engine
+over that matrix; route ties follow ascending index order here and its
+cyclic rotation on the mobile topology.  networkx is not a runtime
+dependency: ``tests/test_ksp.py`` pins the engine against
+``networkx.shortest_simple_paths`` (a ``dev`` extra).  Plugging the
+:class:`TopologyPathOracle` into any engine turns the paper's abstract game
+into a static-topology simulation — an extension ablated in
+``benchmarks/bench_topology_extension.py``.
 
 :mod:`repro.network.provider` is the route-provider layer shared with the
 mobility subsystem: per-pair route caches over any epoch-versioned topology

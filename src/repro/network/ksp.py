@@ -1,61 +1,63 @@
-"""Native K-shortest-paths engine — no networkx in the route hot loop.
+"""Native K-shortest-paths engine over an index-space adjacency matrix.
 
-:class:`PathSearch` is a frozen snapshot of a :mod:`networkx` graph compiled
-to int-indexed adjacency (per-node neighbour lists for the scalar loops, read
-straight from the graph's adjacency dicts, plus the same adjacency in CSR
-layout, ``indptr``/``indices``, for the vectorised sweep).  One snapshot is
-built per topology epoch, so its construction and hop-field sweep are the
-fixed cost of every epoch (:attr:`PathSearch.build_s`).  On top of it sit
+:class:`PathSearch` is a frozen snapshot of a topology's ``(n, n)`` bool
+adjacency matrix, compiled to per-node neighbour lists for the scalar loops
+read off the matrix's row-major nonzeros (CSR rows); the BFS hop-field
+sweep multiplies the matrix itself.  One snapshot is built per
+topology epoch, so its construction and hop-field sweep are the fixed cost
+of every epoch (:attr:`PathSearch.build_s`).  On top of it sit
 
 * all-pairs BFS hop-distance fields (one level-sweep for every destination
   at once, each level a float32 BLAS product), used to reject
   unreachable/too-far queries in O(1) and to prune Yen spur searches that
   cannot fit under ``max_hops``, and
 * a Yen/deviation-style enumeration of shortest simple paths that replicates
-  ``networkx.shortest_simple_paths`` **exactly** — same path sets, same
-  order, including ties.
+  ``networkx.shortest_simple_paths`` **exactly** for a graph whose
+  adjacency iterates in the same order — same path sets, same order,
+  including ties.
 
-Order fidelity is a hard requirement, not a nicety: the path oracles feed
-these routes into tournaments whose trajectories are pinned bit-for-bit
-across three engines, and the equivalence suite (``tests/test_ksp.py``) pins
-the native enumeration against networkx on randomised geometric graphs.
-Networkx breaks ties by (path length, heap insertion order), and insertion
-order flows from its bidirectional-BFS meet order, which in turn flows from
-adjacency *iteration* order.  The snapshot therefore records neighbours in
-``graph.adj`` iteration order, and :meth:`_shortest` is a faithful port of
-``networkx.algorithms.simple_paths._bidirectional_pred_succ`` for undirected
-graphs (alternating smallest-fringe level expansion, first meet wins).
+Neighbour order is a function of the edge set alone: ascending topology
+index (the row-major order ``np.nonzero`` yields; the static topology's
+order), or the cyclic rotation of it that the mobile topology uses (see
+:class:`PathSearch`).  Route ties break on it — the Yen port follows
+networkx's bidirectional-BFS meet order, which flows from adjacency
+iteration order — so it is what pins every routed trajectory.
+:meth:`_shortest` is a faithful port of
+``networkx.algorithms.simple_paths._bidirectional_pred_succ`` for
+undirected graphs (alternating smallest-fringe level expansion, first meet
+wins); ``tests/test_ksp.py`` pins the port against networkx (a ``dev``
+dependency, used only by the tests) on randomised geometric graphs.
 
 Two query-time features mirror how the mobility subsystem uses subgraphs:
 
-* ``scope`` — restrict the search to a node subset, like
-  ``graph.subgraph(scope)`` (scoped adjacency keeps the base iteration
-  order);
-* ``extra_edges`` — edges appended for this query only, like temporarily
-  ``add_edges_from``-ing them (appended neighbours iterate *after* the base
-  ones, exactly as a dict-backed networkx graph would).  Hop-field pruning
-  is disabled when extra edges are present, since they can shorten routes
+* ``scope`` — restrict the search to a node subset, like an induced
+  subgraph (scoped adjacency keeps the base iteration order);
+* ``extra_edges`` — edges appended for this query only (appended
+  neighbours iterate *after* the base ones, as they would in a
+  dict-backed graph after ``add_edges_from``).  Hop-field pruning is
+  disabled when extra edges are present, since they can shorten routes
   and would invalidate the lower bound.
 
-The truncation contract matches
-:func:`repro.network.topology.shortest_intermediate_paths`: enumeration in
-increasing length, stop past ``max_hops``, optionally skip direct-neighbour
-routes, cap at ``max_paths``.  Candidates that cannot fit under ``max_hops``
-are never buffered — they could only pop after every eligible path, where
-the consumer stops anyway.
+The truncation contract of :meth:`PathSearch.intermediate_paths`:
+enumeration in increasing length, stop past ``max_hops``, skip
+direct-neighbour routes, cap at ``max_paths``.  Candidates that cannot fit
+under ``max_hops`` are never buffered — they could only pop after every
+eligible path, where the consumer stops anyway.
+
+:func:`reachable` and :func:`is_connected` are the connectivity
+primitives the topologies share (connected placement, and the component
+read of the mobile rescue).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
 from time import perf_counter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
-import networkx as nx
 import numpy as np
 
-__all__ = ["PathSearch", "UNREACHABLE"]
+__all__ = ["PathSearch", "UNREACHABLE", "is_connected", "reachable"]
 
 #: Hop-field sentinel for "no route": larger than any real hop count, small
 #: enough that ``(i - 1) + UNREACHABLE`` never overflows anything.
@@ -63,20 +65,33 @@ UNREACHABLE = 1 << 30
 
 
 class PathSearch:
-    """K-shortest simple paths over a frozen int-indexed graph snapshot.
+    """K-shortest simple paths over a frozen adjacency-matrix snapshot.
 
-    Build one per topology epoch (the snapshot does not track later graph
-    mutations); queries are read-only and never touch the source graph.
+    ``adjacency`` is a symmetric ``(n, n)`` bool matrix with a false
+    diagonal; row/column ``i`` is the node ``node_ids[i]`` (default
+    ``0..n-1``).  The snapshot copies it, so later edits to the caller's
+    matrix are not seen: build one per topology epoch.  Queries are
+    read-only.
+
+    Each node's neighbours iterate in ascending index order, or with
+    ``cyclic`` in ascending order starting after the node's own index and
+    wrapping around (node 5 of 8 walks 6, 7, 0, ...).  The cyclic order
+    singles out no node: under ascending order the lowest indices are every
+    node's first choice among equal-length routes, so they become relay
+    hubs — on the mobile smoke case that raised final cooperation by 7-9
+    pp against the retired hash-slot order (30 replications on each of
+    three seeds, KS/MWU p <= 0.004), where the cyclic order is not
+    rejected (``tests/test_mobility_order_tier.py``).
     """
 
     __slots__ = (
         "node_ids",
         "index",
-        "indptr",
-        "indices",
+        "adjacency",
         "neighbors",
-        "neighbor_sets",
         "identity_ids",
+        "_sets",
+        "_dist",
         "_dist_rows",
         "_dist_bound",
         "_dist_complete",
@@ -88,34 +103,45 @@ class PathSearch:
         "build_s",
     )
 
-    def __init__(self, graph: nx.Graph):
+    def __init__(
+        self,
+        adjacency: np.ndarray,
+        node_ids: Sequence[int] | None = None,
+        cyclic: bool = False,
+    ):
         start = perf_counter()
-        ids = list(graph)
-        n = len(ids)
+        adjacency = np.array(adjacency, dtype=bool)
+        n = adjacency.shape[0]
+        ids = list(range(n)) if node_ids is None else list(node_ids)
+        if adjacency.shape != (n, n) or len(ids) != n:
+            raise ValueError(
+                f"adjacency must be ({len(ids)}, {len(ids)}), got {adjacency.shape}"
+            )
         self.node_ids = ids
         self.index = {nid: i for i, nid in enumerate(ids)}
         #: ids == indices (nodes are 0..n-1 in order) — true for every
         #: topology this repo builds; lets queries skip id translation
         self.identity_ids = ids == list(range(n))
-        # neighbours in graph.adj iteration order (the order networkx's own
-        # BFS would visit them in — load-bearing for tie order), read from
-        # the raw adjacency dicts rather than through the AtlasView layers
-        adj = graph._adj
-        if self.identity_ids:
-            neighbors = [list(adj[nid]) for nid in ids]
+        self.adjacency = adjacency
+        # CSR rows from the row-major nonzeros: each row's neighbours ascend
+        rows, cols = np.nonzero(adjacency)
+        counts = np.bincount(rows, minlength=n)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        flat = cols.tolist()
+        if cyclic:
+            # each row splits after its neighbours below the node
+            split = np.bincount(rows[cols < rows], minlength=n).tolist()
+            neighbors = []
+            for i in range(n):
+                row = flat[bounds[i] : bounds[i + 1]]
+                k = split[i]
+                neighbors.append(row[k:] + row[:k])
         else:
-            index = self.index
-            neighbors = [[index[w] for w in adj[nid]] for nid in ids]
+            neighbors = [flat[bounds[i] : bounds[i + 1]] for i in range(n)]
         self.neighbors = neighbors
-        self.neighbor_sets = [set(nbrs) for nbrs in neighbors]
-        # the same adjacency in CSR layout, for the hop-field sweep
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum([len(nbrs) for nbrs in neighbors], out=indptr[1:])
-        self.indptr = indptr
-        self.indices = np.fromiter(
-            chain.from_iterable(neighbors), dtype=np.intp, count=int(indptr[-1])
-        )
-        self._dist_rows: list[list[int]] | None = None
+        self._sets: list[set[int] | None] = [None] * n
+        self._dist: np.ndarray | None = None
+        self._dist_rows: dict[int, list[int]] = {}
         self._dist_bound = -1
         self._dist_complete = False
         self._mask_scope: Collection[int] | None = None
@@ -134,6 +160,14 @@ class PathSearch:
     def __len__(self) -> int:
         return len(self.node_ids)
 
+    def neighbor_set(self, i: int) -> set[int]:
+        """Node index ``i``'s neighbours as a set, built on first use (an
+        epoch's queries touch a few nodes' sets, not all of them)."""
+        found = self._sets[i]
+        if found is None:
+            found = self._sets[i] = set(self.neighbors[i])
+        return found
+
     # -- hop-distance fields ---------------------------------------------------
 
     def hop_fields(self, bound: int | None = None) -> list[list[int]]:
@@ -150,15 +184,30 @@ class PathSearch:
         graph is undirected, so rows double as distance fields *from* every
         source.
         """
-        if self._dist_rows is None or (
+        return self._field(bound).tolist()
+
+    def hop_distance(self, source: int, target: int) -> int:
+        """BFS hop distance between two node ids (:data:`UNREACHABLE` if none)."""
+        return int(self._field(None)[self.index[target], self.index[source]])
+
+    def _hop_row(self, target: int, bound: int) -> list[int]:
+        """One row of :meth:`hop_fields` as a list, converted on first use:
+        an epoch's queries read a few targets' rows, not all of them."""
+        field = self._field(bound)
+        row = self._dist_rows.get(target)
+        if row is None:
+            row = self._dist_rows[target] = field[target].tolist()
+        return row
+
+    def _field(self, bound: int | None) -> np.ndarray:
+        if self._dist is None or (
             not self._dist_complete
             and (bound is None or bound > self._dist_bound)
         ):
             start = perf_counter()
             self.bfs_builds += 1
             n = len(self.node_ids)
-            adj = np.zeros((n, n), dtype=np.float32)
-            adj[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = 1
+            adj = self.adjacency.astype(np.float32)
             dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
             np.fill_diagonal(dist, 0)
             reached = np.eye(n, dtype=bool)
@@ -174,13 +223,10 @@ class PathSearch:
             else:
                 self._dist_complete = True
             self._dist_bound = hops
-            self._dist_rows = dist.tolist()
+            self._dist = dist
+            self._dist_rows = {}
             self.build_s += perf_counter() - start
-        return self._dist_rows
-
-    def hop_distance(self, source: int, target: int) -> int:
-        """BFS hop distance between two node ids (:data:`UNREACHABLE` if none)."""
-        return self.hop_fields()[self.index[target]][self.index[source]]
+        return self._dist
 
     # -- public queries --------------------------------------------------------
 
@@ -195,11 +241,9 @@ class PathSearch:
     ) -> list[tuple[int, ...]]:
         """Up to ``max_paths`` shortest simple routes as intermediate tuples.
 
-        Drop-in equivalent of
-        :func:`repro.network.topology.shortest_intermediate_paths` run over
-        this snapshot (optionally scoped / with query-time extra edges):
-        direct-neighbour routes are skipped, enumeration stops past
-        ``max_hops``, and unknown endpoints yield ``[]``.
+        Optionally scoped / with query-time extra edges: direct-neighbour
+        routes are skipped, enumeration stops past ``max_hops``, and unknown
+        endpoints yield ``[]``.
         """
         if max_paths < 1:
             return []
@@ -310,7 +354,7 @@ class PathSearch:
         dist_to_t: list[int] | None = None
         if xadj is None:
             # sound lower bound: scoping/ignoring only lengthens routes
-            dist_to_t = self.hop_fields(max_hops)[t]
+            dist_to_t = self._hop_row(t, max_hops)
             if dist_to_t[s] > max_hops:
                 return out
         shortest = self._shortest
@@ -323,7 +367,6 @@ class PathSearch:
         prev: list[int] | None = None
         prev_dev = 1
         neighbors = self.neighbors
-        nbr_sets = self.neighbor_sets
         while True:
             if prev is None:
                 # closed-form distance-1/2 shortcuts: with no filters the
@@ -333,7 +376,7 @@ class PathSearch:
                 if d0 == 1:
                     path = [s, t]
                 elif d0 == 2:
-                    s_nbrs = nbr_sets[s]
+                    s_nbrs = self.neighbor_set(s)
                     path = None
                     for w in neighbors[t]:
                         if w in s_nbrs:
@@ -566,18 +609,31 @@ class PathSearch:
         return head + path
 
 
-def reference_simple_paths(
-    graph: nx.Graph, source: int, destination: int, max_hops: int
-) -> Iterable[list[int]]:
-    """Networkx ground truth for :meth:`PathSearch.simple_paths` (tests).
+def reachable(
+    adjacency: np.ndarray, start: np.ndarray, allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """Bool mask of the nodes reachable from the ``start`` mask.
 
-    Yields ``nx.shortest_simple_paths`` output truncated at ``max_hops`` the
-    way the repo's consumers truncate it: stop at the first too-long path.
+    A level-synchronous BFS over the ``(n, n)`` bool adjacency: each level
+    is one row gather and an ``any`` over the frontier's rows.  With
+    ``allowed``, only allowed nodes are entered (the start nodes are always
+    in the result), which is the component read of an induced subgraph.
     """
-    try:
-        for path in nx.shortest_simple_paths(graph, source, destination):
-            if len(path) - 1 > max_hops:
-                break
-            yield path
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return
+    seen = np.array(start, dtype=bool)
+    frontier = seen
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        if allowed is not None:
+            frontier &= allowed
+        seen |= frontier
+    return seen
+
+
+def is_connected(adjacency: np.ndarray) -> bool:
+    """Whether the graph of a bool adjacency matrix is one component."""
+    n = adjacency.shape[0]
+    if n == 0:
+        return False
+    start = np.zeros(n, dtype=bool)
+    start[0] = True
+    return bool(reachable(adjacency, start).all())

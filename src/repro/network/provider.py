@@ -321,30 +321,47 @@ class RouteProvider:
     ) -> list[tuple[int, ...]]:
         """The cached routes that still exist edge-for-edge, order kept.
 
-        Pure adjacency lookups on the live graph (~100 ns per edge), no
-        search.  Edges only ever join active nodes, so churned-out
-        intermediates and destinations fail the check automatically.  Empty
-        entries are never revalidated (the caller guards): "no route" must
-        be recomputed once stale, or a transiently-partitioned pair would
-        stay unroutable forever.
+        Pure set lookups in the current epoch's neighbour sets, no search.
+        Edges only ever join active nodes, so churned-out intermediates and
+        destinations fail the check automatically.  Empty entries are never
+        revalidated (the caller guards): "no route" must be recomputed once
+        stale, or a transiently-partitioned pair would stay unroutable
+        forever.
         """
-        graph = self.topology.graph
-        # the raw dict-of-dicts: ``in`` on nx's AtlasView is a Python-level
-        # Mapping call, ~5x the plain dict lookup this hot check needs
-        adj = getattr(graph, "_adj", None) or graph.adj
+        search = self.topology.path_search()
+        nbrs = search.neighbor_set
+        if not search.identity_ids:
+            index = search.index
+            source, destination = index[source], index[destination]
+            walks = [tuple(index[v] for v in path) for path in paths]
+        else:
+            walks = paths
         survivors = []
-        for path in paths:
+        for path, walk in zip(paths, walks):
             prev = source
-            for node in path:
-                if node not in adj[prev]:
+            for node in walk:
+                if node not in nbrs(prev):
                     break
                 prev = node
             else:
-                if destination in adj[prev]:
+                if destination in nbrs(prev):
                     survivors.append(path)
         if len(survivors) == len(paths):
             return paths  # keep the original object (vector-sampler dedup)
         return survivors
+
+    def rescue(self, source: int) -> tuple[int, list[tuple[int, ...]]] | None:
+        """The topology's rescue route for a source whose draws all failed.
+
+        Timed as route search; the result is never cached (the bridge link
+        is position-dependent).
+        """
+        start = perf_counter()
+        found = self.topology.rescue_route(
+            source, self.max_paths, self.max_hops, self._scope
+        )
+        self.search_s += perf_counter() - start
+        return found
 
     def _compute(self, source: int, destination: int) -> list[tuple[int, ...]]:
         start = perf_counter()

@@ -6,10 +6,11 @@ omni-directional antenna with the same range, as §3.1 assumes).  Candidate
 routes between a source and a destination are the first ``max_paths``
 shortest simple paths in hop count, capped at ``max_hops``.
 
-Route search runs on the native :class:`repro.network.ksp.PathSearch` engine
-(path sets and order pinned identical to ``nx.shortest_simple_paths`` by
-``tests/test_ksp.py``); :func:`shortest_intermediate_paths` remains the
-networkx reference implementation that suite compares against.
+The edge set is one ``(n, n)`` bool adjacency matrix in topology-index
+space (the substrate the mobile :class:`repro.mobility.DynamicTopology`
+shares), and route search runs on the native
+:class:`repro.network.ksp.PathSearch` engine over it, with neighbours in
+ascending index order.
 
 The oracle keeps the engine contract of :class:`repro.paths.oracle.PathOracle`
 (destination + candidate paths per game), so every simulation engine can run
@@ -23,48 +24,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
-from repro.network.ksp import PathSearch
+from repro.network.ksp import PathSearch, is_connected
 from repro.network.provider import StaticRouteProvider
 from repro.paths.oracle import GameSetup, PlannedGame
 from repro.paths.planner import draw_setup, plan_round
 
-__all__ = [
-    "GeometricTopology",
-    "TopologyPathOracle",
-    "shortest_intermediate_paths",
-]
-
-
-def shortest_intermediate_paths(
-    graph: nx.Graph, source: int, destination: int, max_paths: int, max_hops: int
-) -> list[tuple[int, ...]]:
-    """Up to ``max_paths`` shortest simple routes as intermediate tuples.
-
-    Routes longer than ``max_hops`` hops are discarded; direct neighbour
-    routes (no intermediate) are skipped since the game needs at least one
-    forwarding decision.  Shared by the static :class:`GeometricTopology` and
-    the mobility subsystem's ``DynamicTopology``.
-    """
-    paths: list[tuple[int, ...]] = []
-    if max_paths < 1:
-        return paths
-    try:
-        # NetworkXNoPath/NodeNotFound surface lazily, on first iteration
-        for node_path in nx.shortest_simple_paths(graph, source, destination):
-            hops = len(node_path) - 1
-            if hops > max_hops:
-                break  # generator yields by increasing length
-            if hops < 2:
-                continue  # destination in direct range: no game to play
-            paths.append(tuple(node_path[1:-1]))
-            if len(paths) == max_paths:
-                break
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return paths
-    return paths
+__all__ = ["GeometricTopology", "TopologyPathOracle"]
 
 
 class GeometricTopology:
@@ -89,8 +56,8 @@ class GeometricTopology:
         self.node_ids = ids
         for _ in range(max_placement_attempts):
             positions = {nid: tuple(rng.random(2)) for nid in ids}
-            graph = self._build_graph(positions)
-            if not require_connected or nx.is_connected(graph):
+            adjacency = self._build_adjacency(positions)
+            if not require_connected or is_connected(adjacency):
                 break
         else:
             raise RuntimeError(
@@ -98,39 +65,35 @@ class GeometricTopology:
                 f" {max_placement_attempts} attempts; increase radio_range"
             )
         self.positions = positions
-        self.graph = graph
+        #: the edge set as an (n, n) bool matrix, row/column ``i`` being
+        #: ``node_ids[i]``; an edit must be followed by
+        #: :meth:`invalidate_routes`
+        self.adjacency = adjacency
         #: edge-set version (TopologyProvider contract).  Static by design,
         #: so it only moves when :meth:`invalidate_routes` announces an
         #: external graph edit — letting route providers drop their caches.
         self.epoch = 0
         self._search: PathSearch | None = None
-        self._search_edges = -1
         #: (bfs_builds, queries, deviations_pruned, build_s) from retired
         #: snapshots, folded before a rebuild so search counters survive
         #: invalidation
         self._ksp_retired = (0, 0, 0, 0.0)
 
     def path_search(self) -> PathSearch:
-        """The native route-search snapshot of the current graph.
+        """The native route-search snapshot of the current adjacency.
 
-        Built lazily; the graph is static by design, so the snapshot lives
-        for the topology's lifetime.  An edge-count guard catches the
-        common accidental rewire, but an *equal-count* rewire is invisible
-        to it — code that mutates ``self.graph`` must call
-        :meth:`invalidate_routes` afterwards.
+        Built lazily; the topology is static by design, so the snapshot
+        lives until :meth:`invalidate_routes` announces an edit of
+        ``self.adjacency``.
         """
-        n_edges = self.graph.number_of_edges()
-        if self._search is None or self._search_edges != n_edges:
-            self._retire_search()
-            self._search = PathSearch(self.graph)
-            self._search_edges = n_edges
+        if self._search is None:
+            self._search = PathSearch(self.adjacency, self.node_ids)
         return self._search
 
     def invalidate_routes(self) -> None:
-        """Drop the route-search snapshot after an external graph edit."""
+        """Drop the route-search snapshot after an edit of the adjacency."""
         self._retire_search()
         self._search = None
-        self._search_edges = -1
         self.epoch += 1
 
     def _retire_search(self) -> None:
@@ -144,23 +107,24 @@ class GeometricTopology:
                 t + old.build_s,
             )
 
-    def _build_graph(self, positions: dict[int, tuple[float, float]]) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(positions)
-        ids = list(positions)
-        limit_sq = self.radio_range**2
-        for i, a in enumerate(ids):
-            xa, ya = positions[a]
-            for b in ids[i + 1 :]:
-                xb, yb = positions[b]
-                if (xa - xb) ** 2 + (ya - yb) ** 2 <= limit_sq:
-                    graph.add_edge(a, b)
-        return graph
+    def _build_adjacency(self, positions: dict[int, tuple[float, float]]) -> np.ndarray:
+        xy = np.array(list(positions.values()), dtype=float)
+        dx = xy[:, 0, None] - xy[None, :, 0]
+        dy = xy[:, 1, None] - xy[None, :, 1]
+        adjacency = dx**2 + dy**2 <= self.radio_range**2
+        np.fill_diagonal(adjacency, False)
+        return adjacency
+
+    def neighbors(self, node_id: int) -> list[int]:
+        """Ids of the node's neighbours, in ascending index order."""
+        ids = self.node_ids
+        row = self.adjacency[ids.index(node_id)]
+        return [ids[j] for j in np.flatnonzero(row).tolist()]
 
     def degree_stats(self) -> tuple[float, int, int]:
         """(mean, min, max) node degree — useful for choosing radio_range."""
-        degrees = [d for _, d in self.graph.degree()]
-        return float(np.mean(degrees)), int(min(degrees)), int(max(degrees))
+        degrees = self.adjacency.sum(axis=1)
+        return float(degrees.mean()), int(degrees.min()), int(degrees.max())
 
     def candidate_paths(
         self, source: int, destination: int, max_paths: int, max_hops: int

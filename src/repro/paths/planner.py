@@ -7,7 +7,8 @@ topology and mobile oracles:
 
 * :func:`draw_setup` — the sequential rejection-sampling destination draw
   (uniform over the source's others, redrawn while the drawn pair has no
-  route, capped at ``max_draws``);
+  route, capped at ``max_draws``, then an optional named rescue — the
+  mobile topology's bridge out of a dead-end component);
 * :func:`plan_round` — the batched form: one :data:`PlannedGame` per
   source, **stream-identical** to calling :func:`draw_setup` per source
   (same RNG methods, same arguments, same order), with an optional ``tick``
@@ -35,10 +36,22 @@ import numpy as np
 
 from repro.paths.oracle import PlannedGame, plan_games
 
-__all__ = ["draw_setup", "plan_round", "plan_games"]
+__all__ = ["draw_setup", "no_route_error", "plan_round", "plan_games"]
 
 #: Route lookup: (source, destination) -> candidate paths (possibly empty).
 RouteFn = Callable[[int, int], Sequence[Sequence[int]]]
+
+#: Last resort once every draw failed: source -> (destination, paths), or
+#: ``None`` when even the rescue finds no route.
+RescueFn = Callable[[int], "tuple[int, Sequence[Sequence[int]]] | None"]
+
+
+def no_route_error(source: int, max_draws: int) -> RuntimeError:
+    """The one failure of routed sampling: no draw and no rescue routed."""
+    return RuntimeError(
+        f"no routable destination found for source {source} after"
+        f" {max_draws} draws; topology too sparse for this game"
+    )
 
 
 def draw_setup(
@@ -47,12 +60,16 @@ def draw_setup(
     others: Sequence[int],
     routes: RouteFn,
     max_draws: int,
+    rescue: RescueFn | None = None,
 ) -> tuple[int, Sequence[Sequence[int]]]:
     """Draw one game's (destination, paths) by rejection sampling.
 
     The destination is uniform over ``others``; a drawn destination with no
-    route is rejected and redrawn, up to ``max_draws`` attempts before
-    giving up with a descriptive error.
+    route is rejected and redrawn, up to ``max_draws`` attempts.  Then
+    ``rescue`` (when given) names the game, and only if it finds no route
+    either does the draw fail with a descriptive error.  The rescue runs
+    after the last draw and consumes no draws itself, so a run that never
+    needs it is unchanged by its presence.
     """
     integers = rng.integers
     n_others = len(others)
@@ -61,10 +78,11 @@ def draw_setup(
         paths = routes(source, destination)
         if paths:
             return destination, paths
-    raise RuntimeError(
-        f"no routable destination found for source {source} after"
-        f" {max_draws} draws; topology too sparse for this game"
-    )
+    if rescue is not None:
+        found = rescue(source)
+        if found is not None:
+            return found
+    raise no_route_error(source, max_draws)
 
 
 def plan_round(
@@ -74,6 +92,7 @@ def plan_round(
     routes: RouteFn,
     max_draws: int,
     tick: Callable[[], None] | None = None,
+    rescue: RescueFn | None = None,
 ) -> list[PlannedGame]:
     """Draw a whole round's (or tournament's) games in one batch.
 
@@ -98,5 +117,5 @@ def plan_round(
             raise ValueError("need at least one potential destination")
         if tick is not None:
             tick()
-        append((source, *draw_setup(rng, source, others, routes, max_draws)))
+        append((source, *draw_setup(rng, source, others, routes, max_draws, rescue)))
     return plan

@@ -40,7 +40,8 @@ pair per topology window through the oracle's route provider, and the
 plan is packed with pair-level dedup — each distinct candidate-path set is
 packed once and games gather its rows by index.  Per-game distributions are
 identical to the sequential rejection sampler (uniform over the source's
-others, conditioned on routability within ``max_draws`` attempts), and the
+others, conditioned on routability within ``max_draws`` attempts, then
+the provider's rescue for a source whose draws all failed), and the
 draw-count-clocked topology stepping of the mobile oracle fires at exactly
 the same draw counts (window boundaries), but the shared generator is
 consumed in a different order — the same statistical relaxation as the
@@ -75,6 +76,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.paths.oracle import PathOracle, RandomPathOracle, plan_games
+from repro.paths.planner import no_route_error
 
 __all__ = [
     "GamePlanArrays",
@@ -496,16 +498,38 @@ def _sample_routed_vectorized(
             unresolved = unresolved[~ok]
             cache.rejects += unresolved.size
         if unresolved.size:
-            raise RuntimeError(
-                f"no routable destination found for source"
-                f" {int(src[unresolved[0]])} after {max_draws} draws;"
-                f" topology too sparse for this game"
-            )
+            _rescue_games(provider, src, unresolved, dst, game_slot, cache, max_draws)
         g0 += size
     if final_draws is not None:
         oracle._draws_since_step = final_draws
 
     return _arrays_from_slots(src, dst, game_slot, cache)
+
+
+def _rescue_games(
+    provider,
+    src: np.ndarray,
+    games: np.ndarray,
+    dst: np.ndarray,
+    game_slot: np.ndarray,
+    cache: _RoutedSlotCache,
+    max_draws: int,
+) -> None:
+    """Name the games whose draws all failed through the provider's rescue,
+    as the sequential :func:`repro.paths.planner.draw_setup` does; fail
+    like it when there is no rescue or it finds no route.  A rescued route
+    gets its own slot and never enters ``route_slot`` (it is
+    position-dependent, like the provider's never-cached routes)."""
+    rescue = getattr(provider, "rescue", None)
+    for g in games.tolist():
+        source = int(src[g])
+        found = rescue(source) if rescue is not None else None
+        if found is None:
+            raise no_route_error(source, max_draws)
+        destination, paths = found
+        dst[g] = destination
+        game_slot[g] = len(cache.slots)
+        cache.slots.append(paths)
 
 
 def _arrays_from_slots(

@@ -70,6 +70,9 @@ def _harvest_topology(tel, topology) -> None:
     boosts = getattr(topology, "boost_count", None)
     if boosts is not None:
         tel.count("mobility.emergency_boosts", boosts)
+    rescues = getattr(topology, "rescues", None)
+    if rescues is not None:
+        tel.count("mobility.rescues", rescues)
     added = getattr(topology, "edges_added", None)
     if added is not None:
         tel.count("mobility.edges_added", added)

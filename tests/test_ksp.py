@@ -6,6 +6,12 @@ path sets, same order (ties included), same ``max_hops``/``max_paths``
 truncation — across randomized geometric graphs and the edge cases the
 oracles hit (disconnected components, direct-neighbour-only connectivity,
 empty results, scoped subgraphs, query-time virtual edges).
+
+The randomized geometric graphs are built with neighbours in ascending
+index order, the canonical order, so they run through the runtime
+constructor as is; the hand-built edge cases (cycles, relabelled ids)
+iterate in other orders and run through :func:`search_of`, which walks the
+graph's own order — the Yen port must match networkx under any order.
 """
 
 from __future__ import annotations
@@ -16,8 +22,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.network.ksp import UNREACHABLE, PathSearch, reference_simple_paths
-from repro.network.topology import shortest_intermediate_paths
+from repro.network.ksp import UNREACHABLE, PathSearch, is_connected, reachable
+from tests.reference_routes import (
+    adjacency_of,
+    reference_simple_paths,
+    search_of,
+    shortest_intermediate_paths,
+)
 
 
 def geometric_graph(seed: int, n: int | None = None, radius: float | None = None):
@@ -36,13 +47,89 @@ def geometric_graph(seed: int, n: int | None = None, radius: float | None = None
     return graph, rng
 
 
+def canonical_search(graph: nx.Graph) -> PathSearch:
+    """The runtime constructor over the graph's adjacency matrix."""
+    return PathSearch(*adjacency_of(graph))
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_neighbours_ascend_and_match_the_matrix(self, seed):
+        graph, _ = geometric_graph(seed)
+        adjacency, ids = adjacency_of(graph)
+        search = PathSearch(adjacency, ids)
+        for i, nbrs in enumerate(search.neighbors):
+            assert nbrs == np.flatnonzero(adjacency[i]).tolist()
+            assert search.neighbor_set(i) == set(nbrs)
+        # the geometric graphs below are built in the canonical order
+        assert [list(graph.adj[v]) for v in graph] == search.neighbors
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cyclic_order_starts_after_the_node(self, seed):
+        graph, _ = geometric_graph(seed)
+        adjacency, ids = adjacency_of(graph)
+        n = len(ids)
+        plain = PathSearch(adjacency, ids)
+        search = PathSearch(adjacency, ids, cyclic=True)
+        for i, nbrs in enumerate(search.neighbors):
+            assert nbrs == sorted(plain.neighbors[i], key=lambda j: (j - i) % n)
+            assert search.neighbor_set(i) == plain.neighbor_set(i)
+
+    def test_cyclic_order_is_rotation_invariant(self):
+        """Relabelling node i as i + c (mod n) relabels every route the same
+        way: the cyclic order favours no index."""
+        graph, rng = geometric_graph(21, n=24)
+        adjacency, _ = adjacency_of(graph)
+        shift = 7
+        perm = (np.arange(24) + shift) % 24  # old index -> new index
+        rotated = np.zeros_like(adjacency)
+        rotated[np.ix_(perm, perm)] = adjacency
+        a = PathSearch(adjacency, cyclic=True)
+        b = PathSearch(rotated, cyclic=True)
+        for _ in range(20):
+            s, t = (int(x) for x in rng.choice(24, size=2, replace=False))
+            want = [
+                tuple(int(perm[v]) for v in p)
+                for p in a.intermediate_paths(s, t, 4, 8)
+            ]
+            assert b.intermediate_paths(int(perm[s]), int(perm[t]), 4, 8) == want
+
+    def test_snapshot_ignores_later_edits(self):
+        adjacency, ids = adjacency_of(nx.path_graph(4))
+        search = PathSearch(adjacency, ids)
+        adjacency[0, 3] = adjacency[3, 0] = True
+        assert search.neighbors[0] == [1]
+        assert search.hop_distance(0, 3) == 3
+
+    def test_shape_must_match_the_ids(self):
+        with pytest.raises(ValueError, match="adjacency"):
+            PathSearch(np.zeros((3, 3), dtype=bool), [0, 1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_connectivity_matches_networkx(self, seed):
+        graph, rng = geometric_graph(seed, n=30, radius=0.2)
+        adjacency, ids = adjacency_of(graph)
+        assert is_connected(adjacency) == nx.is_connected(graph)
+        start = np.zeros(len(ids), dtype=bool)
+        start[0] = True
+        assert set(np.flatnonzero(reachable(adjacency, start)).tolist()) == (
+            nx.node_connected_component(graph, 0)
+        )
+        allowed = rng.random(len(ids)) < 0.7
+        within = reachable(adjacency, start, allowed)
+        sub = graph.subgraph([v for v in ids if allowed[v]] + [0])
+        assert set(np.flatnonzero(within).tolist()) == (
+            nx.node_connected_component(sub, 0)
+        )
+
+
 class TestRandomizedEquivalence:
     """~100 seeded random geometric graphs, native vs networkx."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_simple_paths_match_networkx_order(self, seed):
         graph, rng = geometric_graph(seed)
-        search = PathSearch(graph)
+        search = canonical_search(graph)
         n = graph.number_of_nodes()
         for _ in range(6):
             s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
@@ -58,7 +145,7 @@ class TestRandomizedEquivalence:
     def test_intermediate_paths_match_reference(self, seed):
         """Same truncation semantics as shortest_intermediate_paths."""
         graph, rng = geometric_graph(seed)
-        search = PathSearch(graph)
+        search = canonical_search(graph)
         n = graph.number_of_nodes()
         for _ in range(6):
             s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
@@ -76,7 +163,7 @@ class TestRandomizedEquivalence:
     def test_scoped_and_virtual_edges_match_networkx(self, seed):
         """Scope == nx subgraph; extra_edges == temporary add_edges_from."""
         graph, rng = geometric_graph(seed, n=25)
-        search = PathSearch(graph)
+        search = canonical_search(graph)
         nodes = list(graph)
         for trial in range(8):
             scope = frozenset(
@@ -106,7 +193,7 @@ class TestEdgeCases:
     def test_disconnected_components_yield_nothing(self):
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (1, 2), (3, 4), (4, 5)])
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.intermediate_paths(0, 4, 3, 10) == []
         assert search.simple_paths(0, 4, 10) == []
         assert search.hop_distance(0, 4) == UNREACHABLE
@@ -115,20 +202,20 @@ class TestEdgeCases:
         """Two nodes joined only by the direct edge: no game to play."""
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (1, 2)])
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.intermediate_paths(0, 1, 3, 10) == []
         # but the raw enumeration still reports the direct route
         assert search.simple_paths(0, 1, 10) == [[0, 1]]
 
     def test_unknown_endpoints_are_empty(self):
         graph = nx.path_graph(4)
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.intermediate_paths(0, 99, 3, 10) == []
         assert search.intermediate_paths(99, 0, 3, 10) == []
 
     def test_nonpositive_max_paths_is_empty(self):
         graph = nx.cycle_graph(5)
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.intermediate_paths(0, 2, 0, 10) == []
 
     def test_max_hops_truncation_matches_break_semantics(self):
@@ -137,7 +224,7 @@ class TestEdgeCases:
         graph = nx.Graph()
         nx.add_path(graph, [0, 1, 2])
         nx.add_path(graph, [0, 3, 4, 5, 6, 2])
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.intermediate_paths(0, 2, 5, max_hops=2) == [(1,)]
         assert search.intermediate_paths(0, 2, 5, max_hops=5) == [
             (1,),
@@ -146,13 +233,13 @@ class TestEdgeCases:
 
     def test_source_equals_target_matches_networkx(self):
         graph = nx.cycle_graph(6)
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.simple_paths(2, 2, 10) == [[2]]
         assert search.intermediate_paths(2, 2, 3, 10) == []
 
     def test_cycle_graph_two_routes(self):
         graph = nx.cycle_graph(7)
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.simple_paths(0, 3, 10) == [
             [0, 1, 2, 3],
             [0, 6, 5, 4, 3],
@@ -166,7 +253,7 @@ def hop_field_cases():
         for seed in (11, 12, 13, 14)
     ]
     sparse, _ = geometric_graph(5, n=40, radius=0.12)
-    assert not nx.is_connected(sparse)
+    assert not is_connected(adjacency_of(sparse)[0])
     cases.append(pytest.param(sparse, id="disconnected"))
     graph, _ = geometric_graph(11, n=30)
     # ids that are not 0..n-1 (and not in ascending order)
@@ -181,7 +268,7 @@ class TestHopFields:
     @pytest.mark.parametrize("graph", hop_field_cases())
     @pytest.mark.parametrize("bound", [None, *range(1, MAX_HOPS + 1)])
     def test_distances_match_networkx_bfs(self, graph, bound):
-        search = PathSearch(graph)
+        search = search_of(graph)
         rows = search.hop_fields(bound)
         index = search.index
         for s in graph:
@@ -194,7 +281,7 @@ class TestHopFields:
 
     def test_bounded_field_extends_on_demand(self):
         graph = nx.path_graph(9)
-        search = PathSearch(graph)
+        search = search_of(graph)
         rows = search.hop_fields(bound=3)
         assert rows[0][3] == 3
         assert rows[0][8] == UNREACHABLE  # beyond the sweep bound
@@ -202,7 +289,7 @@ class TestHopFields:
         assert rows[0][8] == 8
 
     def test_bfs_builds_count_every_sweep(self):
-        search = PathSearch(nx.path_graph(9))
+        search = search_of(nx.path_graph(9))
         assert search.bfs_builds == 0
         counts = []
         for bound in (3, 2, 3, 8, None, None, 12):
@@ -216,7 +303,7 @@ class TestHopFields:
 
     def test_snapshot_times_its_builds(self):
         graph, _ = geometric_graph(11, n=30)
-        search = PathSearch(graph)
+        search = canonical_search(graph)
         built = search.build_s
         assert built > 0
         search.hop_fields(4)
@@ -228,7 +315,7 @@ class TestHopFields:
 
     def test_covers_all_detects_full_scope(self):
         graph = nx.cycle_graph(5)
-        search = PathSearch(graph)
+        search = search_of(graph)
         assert search.covers_all(frozenset(range(5)))
         assert search.covers_all(frozenset(range(9)))  # supersets count
         assert not search.covers_all(frozenset(range(4)))

@@ -1,14 +1,15 @@
-"""Unit tests for DynamicTopology (incremental graph repair, epochs, churn)."""
+"""Unit tests for DynamicTopology (incremental adjacency repair, epochs,
+churn, the canonical neighbour order)."""
 
 from __future__ import annotations
 
 import itertools
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.mobility import DynamicTopology, GaussMarkov, NodeChurn, RandomWaypoint
+from repro.network.ksp import is_connected
 
 N = 20
 RADIO = 0.45
@@ -21,22 +22,26 @@ def make_topology(model=None, radio=RADIO, seed=0, n=N, **kwargs):
     )
 
 
-def rebuilt_from_scratch(topo) -> nx.Graph:
-    """The graph a full O(n^2) rebuild would produce from current state."""
-    graph = nx.Graph()
-    graph.add_nodes_from(topo.node_ids)
+def rebuilt_from_scratch(topo) -> np.ndarray:
+    """The adjacency a full O(n^2) rebuild would produce from current
+    positions, pair by pair."""
+    n = len(topo.node_ids)
+    adjacency = np.zeros((n, n), dtype=bool)
     pos = topo.position_array()
     active = [topo.is_active(nid) for nid in topo.node_ids]
-    for a, b in itertools.combinations(range(len(pos)), 2):
+    for a, b in itertools.combinations(range(n), 2):
         if not (active[a] and active[b]):
             continue
         if ((pos[a] - pos[b]) ** 2).sum() <= topo.radio_range**2:
-            graph.add_edge(topo.node_ids[a], topo.node_ids[b])
-    return graph
+            adjacency[a, b] = adjacency[b, a] = True
+    return adjacency
 
 
-def edge_set(graph) -> set[frozenset]:
-    return {frozenset(e) for e in graph.edges}
+def edge_set(topo) -> set[frozenset]:
+    """The topology's edges as id pairs."""
+    ids = topo.node_ids
+    rows, cols = np.nonzero(np.triu(topo.adjacency, k=1))
+    return {frozenset((ids[i], ids[j])) for i, j in zip(rows, cols)}
 
 
 class TestConstruction:
@@ -53,7 +58,7 @@ class TestConstruction:
             DynamicTopology([0, 1, 2], 0.5, model, rng, tolerance=-0.1)
 
     def test_starts_connected(self):
-        assert nx.is_connected(make_topology().graph)
+        assert is_connected(make_topology().adjacency)
 
     def test_sparse_start_fails_loudly(self):
         with pytest.raises(RuntimeError, match="radio_range"):
@@ -63,7 +68,8 @@ class TestConstruction:
         topo = make_topology(
             radio=0.1, n=15, seed=2, require_connected_start=False
         )
-        assert len(topo.graph) == 15  # built without raising
+        assert topo.adjacency.shape == (15, 15)  # built without raising
+        assert not is_connected(topo.adjacency)
 
     def test_positions_dict_keyed_by_id(self):
         topo = make_topology()
@@ -85,7 +91,7 @@ class TestIncrementalRepair:
         topo = make_topology(model_factory())
         for _ in range(40):
             topo.step()
-            assert edge_set(topo.graph) == edge_set(rebuilt_from_scratch(topo))
+            assert np.array_equal(topo.adjacency, rebuilt_from_scratch(topo))
 
     def test_step_reports_edge_changes(self):
         topo = make_topology(RandomWaypoint(0.1, 0.2, pause_time=0.0))
@@ -94,48 +100,14 @@ class TestIncrementalRepair:
         assert topo.epoch > 0
 
 
-class ReferenceRepair(DynamicTopology):
-    """The per-row ``set.add`` repair loop the vectorised repair replaced.
+class TestCanonicalOrder:
+    """Route ties break on each node's neighbour order, so it must be a
+    function of the edge set alone — never the record of which edges were
+    repaired when: after every step the edge set equals a pair-by-pair
+    rebuild of the nodes whose anchors moved, ``neighbors()`` ascends by
+    index, and route search walks the cyclic order (ascending from the
+    node's own index, wrapping around)."""
 
-    Kept as the order oracle: route search breaks ties on each node's
-    adjacency iteration order, which the repair's edge insertion sequence
-    fixes — a sorted edge-set comparison cannot see it.
-    """
-
-    def _rebuild_edges(self, dirty):
-        ids = self.node_ids
-        adj = self.graph.adj
-        old_edges = {
-            (a, b) if a < b else (b, a)
-            for i in dirty.tolist()
-            for a in (ids[i],)
-            for b in adj[a]
-        }
-        d2 = np.sum((self._pos[dirty, None, :] - self._pos[None, :, :]) ** 2, axis=-1)
-        within = (
-            (d2 <= self.radio_range**2)
-            & self._active[dirty, None]
-            & self._active[None, :]
-        )
-        new_edges = set()
-        for row, i in enumerate(dirty.tolist()):
-            a = ids[i]
-            for j in np.flatnonzero(within[row]).tolist():
-                if j != i:
-                    b = ids[j]
-                    new_edges.add((a, b) if a < b else (b, a))
-        if new_edges == old_edges:
-            return False
-        removed = old_edges - new_edges
-        added = new_edges - old_edges
-        self.graph.remove_edges_from(removed)
-        self.graph.add_edges_from(added)
-        self.edges_removed += len(removed)
-        self.edges_added += len(added)
-        return True
-
-
-class TestAdjacencyOrder:
     @pytest.mark.parametrize(
         ("model_factory", "ids", "tolerance"),
         [
@@ -148,27 +120,71 @@ class TestAdjacencyOrder:
         ],
         ids=["waypoint", "gauss-markov", "churn", "tolerance", "relabelled"],
     )
-    def test_repair_keeps_every_adjacency_order(self, model_factory, ids, tolerance):
-        topos = [
-            cls(
-                list(ids),
-                RADIO,
-                model_factory(),
-                np.random.default_rng(3),
-                tolerance=tolerance,
-            )
-            for cls in (DynamicTopology, ReferenceRepair)
-        ]
+    def test_every_step_is_canonical(self, model_factory, ids, tolerance):
+        topo = DynamicTopology(
+            list(ids),
+            RADIO,
+            model_factory(),
+            np.random.default_rng(3),
+            tolerance=tolerance,
+        )
+        index = {nid: i for i, nid in enumerate(topo.node_ids)}
+        expected = rebuilt_from_scratch(topo)
         changes = 0
         for _ in range(40):
-            changed = [topo.step() for topo in topos]
-            assert changed[0] == changed[1]
-            changes += changed[0]
-            got, want = (
-                [list(topo.graph.adj[v]) for v in topo.node_ids] for topo in topos
+            anchor = topo._anchor.copy()
+            anchor_active = topo._anchor_active.copy()
+            before = edge_set(topo)
+            epoch = topo.epoch
+            changed = topo.step()
+            # the nodes re-anchored by this step get their pairs recomputed
+            # from the current positions; every other pair keeps its cell
+            dirty = np.flatnonzero(
+                np.any(topo._anchor != anchor, axis=1)
+                | (topo._anchor_active != anchor_active)
             )
-            assert got == want
+            expected = rebuilt_rows(topo, expected, dirty)
+            assert np.array_equal(topo.adjacency, expected)
+            if tolerance == 0.0:
+                assert np.array_equal(topo.adjacency, rebuilt_from_scratch(topo))
+            moved = edge_set(topo) != before
+            assert changed == moved
+            assert topo.epoch == epoch + moved
+            changes += changed
+            search = topo.path_search()
+            n = len(topo.node_ids)
+            for nid in topo.node_ids:
+                i = index[nid]
+                got = [index[w] for w in topo.neighbors(nid)]
+                assert got == sorted(got)
+                cyclic = sorted(got, key=lambda j: (j - i) % n)
+                assert search.neighbors[i] == cyclic
         assert changes > 0
+
+    def test_churn_counts_match_the_edge_set_diff(self):
+        topo = make_topology(NodeChurn(RandomWaypoint(0.02, 0.08), 0.15, 0.5))
+        for _ in range(30):
+            before = edge_set(topo)
+            added, removed = topo.edges_added, topo.edges_removed
+            topo.step()
+            after = edge_set(topo)
+            assert topo.edges_added - added == len(after - before)
+            assert topo.edges_removed - removed == len(before - after)
+
+
+def rebuilt_rows(topo, adjacency: np.ndarray, dirty) -> np.ndarray:
+    """``adjacency`` with every pair touching a ``dirty`` index recomputed,
+    pair by pair, from the current positions and activity."""
+    adjacency = adjacency.copy()
+    pos = topo.position_array()
+    active = [topo.is_active(nid) for nid in topo.node_ids]
+    for a in dirty.tolist():
+        for b in range(len(pos)):
+            if a == b:
+                continue
+            within = bool(((pos[a] - pos[b]) ** 2).sum() <= topo.radio_range**2)
+            adjacency[a, b] = adjacency[b, a] = within and active[a] and active[b]
+    return adjacency
 
 
 class TestEpochs:
@@ -181,19 +197,19 @@ class TestEpochs:
     def test_epoch_counts_edge_set_changes_only(self):
         """Movement below tolerance leaves the edge set (and epoch) alone."""
         topo = make_topology(RandomWaypoint(0.001, 0.002), tolerance=1.5)
-        before = edge_set(topo.graph)
+        before = edge_set(topo)
         for _ in range(10):
             topo.step()
         assert topo.epoch == 0
-        assert edge_set(topo.graph) == before
+        assert edge_set(topo) == before
 
     def test_churn_flip_advances_epoch(self):
         topo = make_topology(NodeChurn(RandomWaypoint(0.0, 0.0), 1.0, 1.0))
         assert topo.step() is True  # everyone left: all edges dropped
         assert topo.epoch == 1
-        assert topo.graph.number_of_edges() == 0
+        assert not topo.adjacency.any()
         assert topo.step() is True  # everyone returned
-        assert edge_set(topo.graph) == edge_set(rebuilt_from_scratch(topo))
+        assert np.array_equal(topo.adjacency, rebuilt_from_scratch(topo))
 
 
 class TestChurnInGraph:
@@ -204,7 +220,7 @@ class TestChurnInGraph:
         away = [nid for nid in topo.node_ids if not topo.is_active(nid)]
         assert away, "seed should produce at least one absent node"
         for nid in away:
-            assert topo.graph.degree(nid) == 0
+            assert topo.neighbors(nid) == []
         assert set(topo.active_ids()) == set(topo.node_ids) - set(away)
 
     def test_inactive_source_still_routes_virtually(self):
@@ -213,7 +229,7 @@ class TestChurnInGraph:
             topo.step()
         away = [nid for nid in topo.node_ids if not topo.is_active(nid)]
         source = away[0]
-        edges_before = edge_set(topo.graph)
+        edges_before = edge_set(topo)
         found = any(
             topo.candidate_paths(source, dest, 3, 10)
             for dest in topo.active_ids()
@@ -222,7 +238,7 @@ class TestChurnInGraph:
         for path in topo.candidate_paths(source, topo.active_ids()[0], 3, 10):
             assert all(topo.is_active(node) for node in path)
         # the virtual re-link is transient: the graph is untouched afterwards
-        assert edge_set(topo.graph) == edges_before
+        assert edge_set(topo) == edges_before
 
 
 class TestScopedRouting:
@@ -237,10 +253,10 @@ class TestScopedRouting:
         """A source with no in-scope neighbour is virtually attached to its
         nearest participating node rather than failing outright."""
         topo = make_topology()
-        neighbours = set(topo.graph[0])
+        neighbours = set(topo.neighbors(0))
         scope = frozenset(set(topo.node_ids) - neighbours)
         assert 0 in scope
-        edges_before = edge_set(topo.graph)
+        edges_before = edge_set(topo)
         boosts_before = topo.boost_count
         found = any(
             topo.candidate_paths(0, dest, 3, 10, restrict_to=scope)
@@ -248,7 +264,7 @@ class TestScopedRouting:
         )
         assert found
         assert topo.boost_count > boosts_before
-        assert edge_set(topo.graph) == edges_before
+        assert edge_set(topo) == edges_before
 
     def test_no_boost_when_source_has_scope_neighbours(self):
         topo = make_topology()
@@ -264,9 +280,7 @@ class TestDeterminism:
             history = []
             for _ in range(30):
                 topo.step()
-                history.append(
-                    (topo.epoch, tuple(sorted(map(tuple, topo.graph.edges))))
-                )
+                history.append((topo.epoch, topo.adjacency.tobytes()))
             return history
 
         assert evolve(5) == evolve(5)

@@ -125,7 +125,7 @@ def isolated_scope_oracle(seed=11):
     topo = DynamicTopology(
         IDS, 0.45, model, np.random.default_rng(seed)
     )
-    neighbours = set(topo.graph[0])
+    neighbours = set(topo.neighbors(0))
     scope = [n for n in IDS if n not in neighbours]
     oracle = MobilePathOracle(topo, np.random.default_rng(seed + 1))
     return oracle, scope, neighbours

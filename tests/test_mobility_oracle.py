@@ -58,7 +58,7 @@ class TestDraw:
         oracle = make_oracle()
         # two adjacent participants only: every route needs an intermediate,
         # none is in scope, and the emergency boost cannot mint one either
-        neighbour = next(iter(oracle.topology.graph[0]))
+        neighbour = oracle.topology.neighbors(0)[0]
         with pytest.raises(RuntimeError, match="no routable destination"):
             oracle.draw(0, [0, neighbour])
 
@@ -117,7 +117,7 @@ class TestCaching:
         positions that can drift without an epoch change: never cache them."""
         oracle = make_oracle(speed=(0.0, 0.0), step_every=10**9)
         topo = oracle.topology
-        neighbours = set(topo.graph[0])
+        neighbours = set(topo.neighbors(0))
         scope = [n for n in IDS if n not in neighbours]
         assert 0 in scope
         oracle._rescope(scope)
@@ -363,3 +363,119 @@ class TestFactory:
     def test_build_oracle_rejects_none_model(self):
         with pytest.raises(ValueError, match="RandomPathOracle"):
             build_oracle(MobilityConfig(), IDS, np.random.default_rng(0))
+
+
+class FixedPositions:
+    """A mobility model that never moves its nodes, or that jumps them to
+    ``then`` on its first step."""
+
+    def __init__(self, xy, then=None):
+        self.xy = np.asarray(xy, dtype=float)
+        self.then = self.xy if then is None else np.asarray(then, dtype=float)
+
+    def reset(self, n_nodes, rng):
+        return self.xy.copy()
+
+    def step(self, positions, dt, rng):
+        return self.then.copy()
+
+
+#: nodes 0 and 1 form a two-node component in the corner; 2..7 a chain far
+#: away, with 2 nearest the pair.  Node 0 has a neighbour, so it gets no
+#: power boost, and no destination offers it a route with an intermediate.
+TWO_NODE_XY = [(0.05, 0.05), (0.15, 0.05)] + [(0.5 + 0.1 * k, 0.5) for k in range(6)]
+
+
+def two_node_oracle(max_draws=16, xy=TWO_NODE_XY, then=None, **kwargs):
+    topo = DynamicTopology(
+        list(range(len(xy))),
+        0.12,
+        FixedPositions(xy, then),
+        np.random.default_rng(0),
+        require_connected_start=False,
+    )
+    return MobilePathOracle(
+        topo, np.random.default_rng(1), max_draws=max_draws, **kwargs
+    )
+
+
+class TestRescue:
+    """A source in a two-node component: every draw fails, and the rescue
+    bridges it to the nearest participant outside the component (node 2),
+    playing towards that peer's nearest neighbour (node 3)."""
+
+    def test_sequential_sampler_is_rescued(self):
+        oracle = two_node_oracle()
+        setup = oracle.draw(0, list(range(8)))
+        assert (setup.destination, setup.paths) == (3, ((2,),))
+        assert oracle.topology.rescues == 1
+        # the rescue fires after the last draw and draws nothing itself
+        control = np.random.default_rng(1)
+        for _ in range(oracle.max_draws):
+            control.integers(7)
+        assert oracle.rng.bit_generator.state == control.bit_generator.state
+
+    def test_batched_sampler_is_rescued(self):
+        oracle = two_node_oracle()
+        plan = oracle.draw_tournament([0, 4], list(range(8)))
+        assert plan[0] == (0, 3, [(2,)])
+        assert plan[1][0] == 4
+        assert oracle.topology.rescues == 1
+
+    def test_vectorised_sampler_is_rescued(self):
+        from repro.paths.vector import plan_tournament_arrays
+
+        oracle = two_node_oracle()
+        plan = plan_tournament_arrays(oracle, [0, 4, 0], list(range(8)))
+        assert plan.dst.tolist()[0::2] == [3, 3]
+        assert plan.paths_of(0) == [[2]] and plan.paths_of(2) == [[2]]
+        assert oracle.topology.rescues == 2
+
+    def test_rescue_is_counted_in_telemetry(self):
+        from repro.telemetry.config import TelemetryConfig
+        from repro.telemetry.harvest import harvest_oracle
+        from repro.telemetry.runtime import telemetry_session
+
+        oracle = two_node_oracle()
+        oracle.draw(0, list(range(8)))
+        with telemetry_session(TelemetryConfig(enabled=True, events=False)) as tel:
+            harvest_oracle(tel, oracle)
+            counters = tel.snapshot()["counters"]
+        assert counters["mobility.rescues"] == 1
+
+    def test_a_missed_destination_in_the_component_comes_first(self):
+        """With a third node on the corner chain, node 0 can reach node 2
+        through node 1; draws that all miss it are rescued by the live
+        search of the component, not by a bridge."""
+        xy = TWO_NODE_XY[:2] + [(0.25, 0.05)] + TWO_NODE_XY[2:]
+        oracle = two_node_oracle(max_draws=2, xy=xy)
+        participants = list(range(len(xy)))
+        control = np.random.default_rng(1)
+        missed = [participants[1:][int(control.integers(8))] for _ in range(2)]
+        assert 2 not in missed  # both draws miss the one routable destination
+        setup = oracle.draw(0, participants)
+        assert (setup.destination, setup.paths) == (2, ((1,),))
+        assert oracle.topology.rescues == 1
+
+    def test_stale_no_route_entries_are_searched_past(self):
+        """Under ``approx`` a cached "no route" is served for a drift
+        budget: after the pair joins the chain, every draw still reads
+        empty, and the rescue's live search finds the route."""
+        joined = [(0.5, 0.6), (0.6, 0.6)] + TWO_NODE_XY[2:]
+        oracle = two_node_oracle(
+            then=joined, route_cache="approx", drift_budget=8, step_every=10**9
+        )
+        participants = list(range(8))
+        oracle.provider.rescope(participants)
+        assert not any(oracle.provider.routes(0, d) for d in participants[1:])
+        oracle.advance_epoch()
+        assert oracle.topology.epoch == 1
+        setup = oracle.draw(0, participants)
+        assert setup.paths and oracle.topology.rescues == 1
+        assert oracle.provider.stale_hits > 0
+
+    def test_no_participant_outside_the_component_still_fails(self):
+        oracle = two_node_oracle()
+        with pytest.raises(RuntimeError, match="no routable destination"):
+            oracle.draw(0, [0, 1])
+        assert oracle.topology.rescues == 0

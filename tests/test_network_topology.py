@@ -8,12 +8,9 @@ import pytest
 
 from repro.core.strategy import Strategy
 from repro.game.stats import TournamentStats
-from repro.network.topology import (
-    GeometricTopology,
-    TopologyPathOracle,
-    shortest_intermediate_paths,
-)
+from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.sim.reference import ReferenceEngine
+from tests.reference_routes import graph_of, shortest_intermediate_paths
 
 
 def topology(n=25, radio=0.4, seed=0, **kwargs):
@@ -24,10 +21,8 @@ def topology(n=25, radio=0.4, seed=0, **kwargs):
 
 class TestGeometricTopology:
     def test_connected_by_construction(self):
-        import networkx as nx
-
         topo = topology()
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(graph_of(topo.adjacency))
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -47,7 +42,7 @@ class TestGeometricTopology:
 
     def test_edges_respect_radio_range(self):
         topo = topology()
-        for a, b in topo.graph.edges:
+        for a, b in graph_of(topo.adjacency).edges:
             (xa, ya), (xb, yb) = topo.positions[a], topo.positions[b]
             assert (xa - xb) ** 2 + (ya - yb) ** 2 <= topo.radio_range**2 + 1e-12
 
@@ -75,11 +70,11 @@ class TestGeometricTopology:
     def test_disconnected_topology_allowed_when_not_required(self):
         """require_connected=False accepts whatever placement comes out."""
         topo = topology(n=40, radio=0.08, seed=1, require_connected=False)
-        assert not nx.is_connected(topo.graph)
+        assert not nx.is_connected(graph_of(topo.adjacency))
 
     def test_no_route_between_components(self):
         topo = topology(n=40, radio=0.08, seed=1, require_connected=False)
-        components = list(nx.connected_components(topo.graph))
+        components = list(nx.connected_components(graph_of(topo.adjacency)))
         assert len(components) >= 2
         a = next(iter(components[0]))
         b = next(iter(components[1]))
@@ -127,13 +122,13 @@ class TestTopologyPathOracle:
         path is filtered out and the oracle fails loudly after max_draws."""
         topo = topology()
         oracle = TopologyPathOracle(topo, np.random.default_rng(5), max_draws=8)
-        neighbour = next(iter(topo.graph[0]))
+        neighbour = topo.neighbors(0)[0]
         with pytest.raises(RuntimeError, match="after 8 draws"):
             oracle.draw(0, [0, neighbour])
 
     def test_draw_fails_across_disconnected_components(self):
         topo = topology(n=40, radio=0.08, seed=1, require_connected=False)
-        components = sorted(nx.connected_components(topo.graph), key=len)
+        components = sorted(nx.connected_components(graph_of(topo.adjacency)), key=len)
         source = next(iter(components[0]))  # smallest (often isolated) node
         others = [n for n in topo.node_ids if n not in components[0]]
         oracle = TopologyPathOracle(topo, np.random.default_rng(6), max_draws=16)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,21 @@ SUBPACKAGES = [
 
 
 class TestImports:
+    @pytest.mark.parametrize(
+        "module", ["repro.cli", "repro.experiments.runner", "repro.service.runner"]
+    )
+    def test_networkx_stays_out_of_the_runtime(self, module):
+        """networkx is a dev dependency (the route-search reference in the
+        tests); importing a front door must not load it.  A fresh
+        interpreter, since this test process may hold it already."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = f"import sys, {module}; sys.exit('networkx' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}
+        )
+        assert done.returncode == 0, f"importing {module} loads networkx"
+
     @pytest.mark.parametrize("module", SUBPACKAGES)
     def test_subpackage_imports(self, module):
         importlib.import_module(module)
