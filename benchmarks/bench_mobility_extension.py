@@ -1,12 +1,13 @@
 """Extension bench: cooperation vs node speed on a mobile topology.
 
-The paper's random oracle is the infinite-mobility limit and the static
-geometric topology the zero-mobility limit; the mobility subsystem sweeps
-the regime in between.  As node speed rises, neighbourhoods churn faster,
-reputation about specific relays goes stale sooner, and selfish relays are
-punished more slowly — this bench quantifies that with a population of
-altruists and constantly selfish relays at several waypoint speeds, plus the
-two limit regimes for reference.
+The paper's random oracle is the infinite-mobility limit and the same
+unit-disk topology at speed 0 the zero-mobility limit; the mobility
+subsystem sweeps the regime in between.  As node speed rises,
+neighbourhoods churn faster, reputation about specific relays goes stale
+sooner, and selfish relays are punished more slowly — this bench
+quantifies that with a population of altruists and constantly selfish
+relays at several waypoint speeds, plus the two limit regimes for
+reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.core.node import AlwaysForwardPlayer, ConstantlySelfishPlayer
 from repro.core.payoff import PayoffConfig
 from repro.game.stats import TournamentStats
 from repro.mobility import MobilityConfig, build_oracle
-from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
 from repro.reputation.activity import ActivityClassifier
@@ -52,6 +52,7 @@ def play(oracle) -> TournamentStats:
 
 
 def make_mobile_oracle(speed: float, seed: int = 6):
+    """Waypoint speeds uniform in [0.5, 1.5] x ``speed``; static at 0."""
     config = MobilityConfig(
         model="waypoint",
         speed_min=0.5 * speed,
@@ -61,14 +62,6 @@ def make_mobile_oracle(speed: float, seed: int = 6):
     )
     ids = list(range(N_NORMAL + N_CSN))
     return build_oracle(config, ids, np.random.default_rng(seed))
-
-
-def make_static_oracle(seed: int = 6) -> TopologyPathOracle:
-    ids = list(range(N_NORMAL + N_CSN))
-    topo = GeometricTopology(
-        ids, radio_range=RADIO_RANGE, rng=np.random.default_rng(seed)
-    )
-    return TopologyPathOracle(topo, np.random.default_rng(seed + 1))
 
 
 def test_mobility_tournament_kernel(benchmark):
@@ -84,7 +77,11 @@ def test_mobility_tournament_kernel(benchmark):
 def test_mobility_extension_report(session):
     rows = []
 
-    def add_row(label, stats, cache_line="-"):
+    def add_row(label, stats, oracle=None):
+        cache_line = "-"
+        if oracle is not None:
+            hits, misses = oracle.provider.cache_info
+            cache_line = f"{hits}/{hits + misses} hits"
         rows.append(
             [
                 label,
@@ -94,20 +91,15 @@ def test_mobility_extension_report(session):
             ]
         )
 
-    static_stats = play(make_static_oracle())
-    add_row("static topology (speed 0)", static_stats)
+    static = make_mobile_oracle(0.0)
+    static_stats = play(static)
+    add_row("static topology (speed 0)", static_stats, static)
     speed_coops = []
     for speed in SPEEDS:
         oracle = make_mobile_oracle(speed)
         stats = play(oracle)
         speed_coops.append(stats.cooperation_level)
-        hits, misses = oracle.cache_info
-        total = hits + misses
-        add_row(
-            f"waypoint, speed {speed:g}/round",
-            stats,
-            f"{hits}/{total} hits",
-        )
+        add_row(f"waypoint, speed {speed:g}/round", stats, oracle)
     random_stats = play(RandomPathOracle(np.random.default_rng(8), SHORTER_PATHS))
     add_row("random pairing (paper, speed ~inf)", random_stats)
 

@@ -1,9 +1,10 @@
 """Extension bench: static geometric topology vs the paper's random pairing.
 
 The paper's oracle models maximal mobility (fresh random intermediates every
-game).  The geometric oracle pins nodes in the unit square, so the same
-neighbours recur — reputation accumulates about far fewer, more relevant
-nodes.  Reports delivery rates for both regimes over identical populations.
+game).  The routed oracle at speed 0 pins nodes in the unit square, so the
+same neighbours recur — reputation accumulates about far fewer, more
+relevant nodes.  Reports delivery rates for both regimes over identical
+populations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from repro.core.node import AlwaysForwardPlayer, ConstantlySelfishPlayer
 from repro.core.payoff import PayoffConfig
 from repro.game.stats import TournamentStats
-from repro.network.topology import GeometricTopology, TopologyPathOracle
+from repro.mobility import MobilePathOracle, MobilityConfig, build_oracle
 from repro.paths.distributions import SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
 from repro.reputation.activity import ActivityClassifier
@@ -45,10 +46,13 @@ def play(oracle) -> TournamentStats:
     )
 
 
-def make_topology_oracle(seed: int = 6) -> TopologyPathOracle:
+def make_topology_oracle(seed: int = 6) -> MobilePathOracle:
+    """A static unit-disk network: the waypoint model at speed 0."""
+    config = MobilityConfig(
+        model="waypoint", speed_min=0.0, speed_max=0.0, radio_range=0.42
+    )
     ids = list(range(N_NORMAL + N_CSN))
-    topo = GeometricTopology(ids, radio_range=0.42, rng=np.random.default_rng(seed))
-    return TopologyPathOracle(topo, np.random.default_rng(seed + 1))
+    return build_oracle(config, ids, np.random.default_rng(seed))
 
 
 def test_topology_tournament_kernel(benchmark):

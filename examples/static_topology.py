@@ -2,9 +2,10 @@
 
 The paper models maximal mobility (random intermediates every packet).  Here
 the same game runs on a fixed geometric topology — e.g. sensors bolted to a
-field — using the unit-disk topology oracle.  Because neighbours recur,
-reputation about the few local relays accumulates quickly and selfish relays
-are identified much faster than under random pairing.
+field — using the routed unit-disk oracle with nodes that never move (a
+waypoint model at speed 0).  Because neighbours recur, reputation about the
+few local relays accumulates quickly and selfish relays are identified much
+faster than under random pairing.
 
 Run:
     python examples/static_topology.py
@@ -17,13 +18,14 @@ import numpy as np
 from repro import (
     AlwaysForwardPlayer,
     ConstantlySelfishPlayer,
+    MobilityConfig,
     PayoffConfig,
     RandomPathOracle,
     SHORTER_PATHS,
     TrustTable,
 )
 from repro.game.stats import TournamentStats
-from repro.network.topology import GeometricTopology, TopologyPathOracle
+from repro.mobility import build_oracle
 from repro.reputation.activity import ActivityClassifier
 from repro.tournament.runner import run_tournament
 from repro.utils.tables import format_table
@@ -54,15 +56,17 @@ def play(oracle) -> TournamentStats:
 
 
 def main() -> None:
-    rng = np.random.default_rng(7)
-    topology = GeometricTopology(list(range(N_NODES)), RADIO_RANGE, rng)
-    mean_deg, min_deg, max_deg = topology.degree_stats()
+    config = MobilityConfig(
+        model="waypoint", speed_min=0.0, speed_max=0.0, radio_range=RADIO_RANGE
+    )
+    oracle = build_oracle(config, list(range(N_NODES)), np.random.default_rng(7))
+    mean_deg, min_deg, max_deg = oracle.topology.degree_stats()
     print(
         f"placed {N_NODES} nodes (radio range {RADIO_RANGE});"
         f" degree mean/min/max = {mean_deg:.1f}/{min_deg}/{max_deg}"
     )
 
-    topo_stats = play(TopologyPathOracle(topology, np.random.default_rng(8)))
+    topo_stats = play(oracle)
     rand_stats = play(RandomPathOracle(np.random.default_rng(9), SHORTER_PATHS))
 
     rows = [

@@ -59,7 +59,6 @@ from repro.network.provider import (
     CachePolicy,
     ExactPolicy,
     RouteProvider,
-    StaticRouteProvider,
     make_cache_policy,
 )
 from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
@@ -103,7 +102,6 @@ __all__ = [
     "MobilePathOracle",
     # route providers (cache policies)
     "RouteProvider",
-    "StaticRouteProvider",
     "CachePolicy",
     "ExactPolicy",
     "ApproxPolicy",

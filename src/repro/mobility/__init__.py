@@ -1,8 +1,10 @@
 """Mobility subsystem: dynamic topologies for the ad hoc network game.
 
 The paper's oracle models *maximal* mobility (fresh random intermediates
-every packet, §4.1) and :mod:`repro.network` models *zero* mobility (a
-static unit-disk graph).  This package fills the continuum in between:
+every packet, §4.1).  This package covers the rest of the range, down to
+*zero* mobility: a static unit-disk graph is a waypoint model at speed 0
+(``MobilityConfig(model="waypoint", speed_min=0.0, speed_max=0.0)``),
+whose edge set, hence epoch and route cache, never changes.
 
 * :mod:`repro.mobility.models` — :class:`RandomWaypoint` and
   :class:`GaussMarkov` node movement, plus :class:`NodeChurn` (nodes leave

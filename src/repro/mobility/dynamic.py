@@ -123,7 +123,7 @@ class DynamicTopology:
                     p + old.deviations_pruned,
                     t + old.build_s,
                 )
-            self._search = PathSearch(self.adjacency, self.node_ids, cyclic=True)
+            self._search = PathSearch(self.adjacency, self.node_ids)
             self._search_epoch = self.epoch
         return self._search
 
@@ -131,7 +131,7 @@ class DynamicTopology:
 
     @property
     def positions(self) -> dict[int, tuple[float, float]]:
-        """Current positions keyed by node id (GeometricTopology-compatible)."""
+        """Current positions keyed by node id."""
         return {
             nid: (float(x), float(y))
             for nid, (x, y) in zip(self.node_ids, self._pos)
@@ -233,8 +233,7 @@ class DynamicTopology:
 
         * search the live topology for the participants of the source's own
           component, nearest first — the draws can miss a lone routable
-          destination, and a route cache under the ``approx`` policy can
-          keep serving a stale "no route" for a drift budget;
+          destination;
         * failing that (a source in a two-node component has a neighbour,
           so it gets no power boost, and no destination with an
           intermediate), raise the source's transmit power until it

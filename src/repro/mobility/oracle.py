@@ -1,11 +1,11 @@
 """Path oracle over a :class:`DynamicTopology` — a thin draw layer.
 
 :class:`MobilePathOracle` keeps the :class:`repro.paths.oracle.PathOracle`
-contract, so every simulation engine runs on a moving network unmodified.
-Since the layered refactor it is a *composition* of the three oracle
-layers rather than a monolith:
+contract, so every simulation engine runs on a routed network unmodified:
+a moving one, or a static one (a waypoint model at speed 0, whose epoch
+never moves).  It is a *composition* of the three oracle layers:
 
-* the **topology provider** is the :class:`DynamicTopology` (epoch-versioned
+* the **topology** is the :class:`DynamicTopology` (epoch-versioned
   adjacency, stepped by the oracle's clock);
 * the **route provider** is a :class:`repro.network.provider.RouteProvider`
   computing routes on the subgraph induced by the current participants,
@@ -145,8 +145,8 @@ class MobilePathOracle:
             participants,
             provider.routes,
             self.max_draws,
-            tick=tick,
-            rescue=provider.rescue,
+            provider.rescue,
+            tick,
         )
 
     # -- topology clocking -----------------------------------------------------
@@ -167,39 +167,3 @@ class MobilePathOracle:
     def advance_epoch(self) -> None:
         """Step the topology once, explicitly (external/manual clocking)."""
         self._step_topology()
-
-    # -- route-provider delegates (back-compat introspection surface) ----------
-
-    @property
-    def route_cache(self) -> str:
-        """The active cache policy's selector name (``exact``/``approx``)."""
-        return self.provider.policy.name
-
-    def _rescope(self, participants: Sequence[int]) -> None:
-        self.provider.rescope(participants)
-
-    def _candidate_paths(
-        self, source: int, destination: int
-    ) -> list[tuple[int, ...]]:
-        return self.provider.routes(source, destination)
-
-    @property
-    def _cache(self) -> dict:
-        return self.provider._cache
-
-    @property
-    def _scope(self) -> frozenset[int]:
-        return self.provider.scope
-
-    @property
-    def cache_hits(self) -> int:
-        return self.provider.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.provider.cache_misses
-
-    @property
-    def cache_info(self) -> tuple[int, int]:
-        """(hits, misses) of the per-pair route cache."""
-        return self.provider.cache_info

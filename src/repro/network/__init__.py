@@ -1,26 +1,24 @@
-"""Geometric-topology extension (low-mobility networks).
+"""Route search and route caching for the routed (unit-disk) oracle.
 
 The paper chooses intermediates uniformly at random, explicitly to simulate
 "a network with a high mobility level, in which topology changes very fast"
-(§4.1).  This package provides the complementary regime: nodes placed in the
-unit square with a fixed radio range, candidate routes extracted from the
-resulting unit-disk graph as the first ``max_paths`` shortest simple paths.
+(§4.1).  The routed regime is the opposite end: nodes in the unit square
+with a fixed radio range, candidate routes taken from the resulting
+unit-disk graph as the first ``max_paths`` shortest simple paths.  The
+topology itself is :class:`repro.mobility.DynamicTopology`; a static
+network is that topology at speed 0 (``MobilityConfig(model="waypoint",
+speed_min=0.0, speed_max=0.0)``), whose epoch never moves, so its route
+cache never expires.
 
-Both topologies (this static one and the mobile
-:class:`repro.mobility.DynamicTopology`) keep their edge set as one
-``(n, n)`` bool adjacency matrix in topology-index space.  Route search runs
-on :class:`repro.network.ksp.PathSearch`, a native K-shortest-paths engine
-over that matrix; route ties follow ascending index order here and its
-cyclic rotation on the mobile topology.  networkx is not a runtime
-dependency: ``tests/test_ksp.py`` pins the engine against
-``networkx.shortest_simple_paths`` (a ``dev`` extra).  Plugging the
-:class:`TopologyPathOracle` into any engine turns the paper's abstract game
-into a static-topology simulation — an extension ablated in
-``benchmarks/bench_topology_extension.py``.
-
-:mod:`repro.network.provider` is the route-provider layer shared with the
-mobility subsystem: per-pair route caches over any epoch-versioned topology
-provider, with pluggable ``exact``/``approx`` cache policies.
+* :mod:`repro.network.ksp` — :class:`PathSearch`, a native
+  K-shortest-paths engine over the topology's ``(n, n)`` bool adjacency
+  matrix.  Route ties follow the cyclic neighbour order (ascending index
+  from the node's own, wrapping around).  networkx is not a runtime
+  dependency: ``tests/test_ksp.py`` pins the engine against
+  ``networkx.shortest_simple_paths`` (a ``dev`` extra).
+* :mod:`repro.network.provider` — :class:`RouteProvider`, the per-pair
+  route cache over the epoch-versioned topology, with pluggable
+  ``exact``/``approx`` cache policies.
 """
 
 from repro.network.ksp import PathSearch
@@ -30,19 +28,12 @@ from repro.network.provider import (
     CachePolicy,
     ExactPolicy,
     RouteProvider,
-    StaticRouteProvider,
-    TopologyProvider,
     make_cache_policy,
 )
-from repro.network.topology import GeometricTopology, TopologyPathOracle
 
 __all__ = [
-    "GeometricTopology",
     "PathSearch",
-    "TopologyPathOracle",
-    "TopologyProvider",
     "RouteProvider",
-    "StaticRouteProvider",
     "CachePolicy",
     "ExactPolicy",
     "ApproxPolicy",

@@ -16,9 +16,8 @@ of every epoch (:attr:`PathSearch.build_s`).  On top of it sit
   adjacency iterates in the same order — same path sets, same order,
   including ties.
 
-Neighbour order is a function of the edge set alone: ascending topology
-index (the row-major order ``np.nonzero`` yields; the static topology's
-order), or the cyclic rotation of it that the mobile topology uses (see
+Neighbour order is a function of the edge set alone: the cyclic order,
+ascending topology index starting after the node's own (see
 :class:`PathSearch`).  Route ties break on it — the Yen port follows
 networkx's bidirectional-BFS meet order, which flows from adjacency
 iteration order — so it is what pins every routed trajectory.
@@ -44,9 +43,9 @@ direct-neighbour routes, cap at ``max_paths``.  Candidates that cannot fit
 under ``max_hops`` are never buffered — they could only pop after every
 eligible path, where the consumer stops anyway.
 
-:func:`reachable` and :func:`is_connected` are the connectivity
-primitives the topologies share (connected placement, and the component
-read of the mobile rescue).
+:func:`reachable` and :func:`is_connected` are the topology's
+connectivity primitives (connected placement, and the component read of
+the rescue).
 """
 
 from __future__ import annotations
@@ -73,15 +72,15 @@ class PathSearch:
     matrix are not seen: build one per topology epoch.  Queries are
     read-only.
 
-    Each node's neighbours iterate in ascending index order, or with
-    ``cyclic`` in ascending order starting after the node's own index and
-    wrapping around (node 5 of 8 walks 6, 7, 0, ...).  The cyclic order
-    singles out no node: under ascending order the lowest indices are every
-    node's first choice among equal-length routes, so they become relay
-    hubs — on the mobile smoke case that raised final cooperation by 7-9
-    pp against the retired hash-slot order (30 replications on each of
-    three seeds, KS/MWU p <= 0.004), where the cyclic order is not
-    rejected (``tests/test_mobility_order_tier.py``).
+    Each node's neighbours iterate in the cyclic order: ascending index
+    starting after the node's own and wrapping around (node 5 of 8 walks
+    6, 7, 0, ...).  The cyclic order singles out no node: under plain
+    ascending order the lowest indices are every node's first choice among
+    equal-length routes, so they become relay hubs — on the mobile smoke
+    case that raised final cooperation by 7-9 pp against the retired
+    hash-slot order (30 replications on each of three seeds, KS/MWU
+    p <= 0.004), where the cyclic order is not rejected
+    (``tests/test_mobility_order_tier.py``).
     """
 
     __slots__ = (
@@ -107,7 +106,6 @@ class PathSearch:
         self,
         adjacency: np.ndarray,
         node_ids: Sequence[int] | None = None,
-        cyclic: bool = False,
     ):
         start = perf_counter()
         adjacency = np.array(adjacency, dtype=bool)
@@ -123,21 +121,18 @@ class PathSearch:
         #: topology this repo builds; lets queries skip id translation
         self.identity_ids = ids == list(range(n))
         self.adjacency = adjacency
-        # CSR rows from the row-major nonzeros: each row's neighbours ascend
+        # CSR rows from the row-major nonzeros (each row's neighbours
+        # ascend), each rotated to start after its node's own index
         rows, cols = np.nonzero(adjacency)
         counts = np.bincount(rows, minlength=n)
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         flat = cols.tolist()
-        if cyclic:
-            # each row splits after its neighbours below the node
-            split = np.bincount(rows[cols < rows], minlength=n).tolist()
-            neighbors = []
-            for i in range(n):
-                row = flat[bounds[i] : bounds[i + 1]]
-                k = split[i]
-                neighbors.append(row[k:] + row[:k])
-        else:
-            neighbors = [flat[bounds[i] : bounds[i + 1]] for i in range(n)]
+        split = np.bincount(rows[cols < rows], minlength=n).tolist()
+        neighbors = []
+        for i in range(n):
+            row = flat[bounds[i] : bounds[i + 1]]
+            k = split[i]
+            neighbors.append(row[k:] + row[:k])
         self.neighbors = neighbors
         self._sets: list[set[int] | None] = [None] * n
         self._dist: np.ndarray | None = None

@@ -2,16 +2,12 @@
 
 This module is the middle layer of the oracle stack's three-layer split:
 
-* **topology provider** (bottom) — anything matching
-  :class:`TopologyProvider`: an epoch-versioned source of adjacency
-  snapshots and route computations.  ``repro.network.topology
-  .GeometricTopology`` (static, epoch frozen at 0 unless explicitly
-  invalidated) and ``repro.mobility.dynamic.DynamicTopology`` (epoch
-  incremented whenever the edge set changes) both satisfy it.
-* **route provider** (this module) — :class:`RouteProvider` /
-  :class:`StaticRouteProvider`: per-(source, destination) route caches with
-  a pluggable :class:`CachePolicy` deciding how stale a cached route may be
-  served.
+* **topology** (bottom) — :class:`repro.mobility.dynamic.DynamicTopology`:
+  an epoch-versioned adjacency (the epoch moves whenever the edge set
+  changes; at speed 0 it never does) plus route search over it.
+* **route provider** (this module) — :class:`RouteProvider`:
+  per-(source, destination) route caches with a pluggable
+  :class:`CachePolicy` deciding how stale a cached route may be served.
 * **draw planner** (top) — :mod:`repro.paths.planner` /
   :mod:`repro.paths.vector`: destination rejection sampling and batched or
   vectorized tournament planning over the provider's routes.
@@ -26,8 +22,10 @@ since the route was computed, then **revalidates lazily**: a
 stale-beyond-budget entry first gets a cheap edge-existence recheck against
 the live graph — surviving routes are re-stamped and served (they exist on
 the *current* topology, merely possibly under-offering alternatives), and a
-full route search runs only when every cached route actually broke.
-Serving slightly-stale routes under a drift bound is the standard answer to
+full route search runs only when every cached route actually broke.  An
+empty entry ("no route") is served only in the epoch it was computed in:
+once the topology moves, the pair's components may have merged, and a
+stale "no route" would keep rejecting its draws.  Serving slightly-stale routes under a drift bound is the standard answer to
 per-step route recomputation in dynamic-network GA work (arXiv:1107.1943);
 the resulting trajectories are *statistically equivalent*, not
 bit-identical, and are held to that claim by
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 __all__ = [
     "ROUTE_CACHE_POLICIES",
@@ -50,31 +48,11 @@ __all__ = [
     "ExactPolicy",
     "ApproxPolicy",
     "make_cache_policy",
-    "TopologyProvider",
     "RouteProvider",
-    "StaticRouteProvider",
 ]
 
 #: Recognised route-cache policy names (the ``--route-cache`` choices).
 ROUTE_CACHE_POLICIES = ("exact", "approx")
-
-
-@runtime_checkable
-class TopologyProvider(Protocol):
-    """The bottom layer: epoch-versioned adjacency + route computation.
-
-    ``epoch`` must change whenever the edge set changes (and may stay put
-    across position drift that leaves edges intact); ``candidate_paths``
-    must be a pure function of the current epoch's graph (plus, for dynamic
-    topologies, the node positions behind virtual/boost edges — which is
-    exactly why those routes are never cached).
-    """
-
-    epoch: int
-
-    def candidate_paths(
-        self, source: int, destination: int, max_paths: int, max_hops: int
-    ) -> list[tuple[int, ...]]: ...
 
 
 @dataclass(frozen=True)
@@ -122,7 +100,7 @@ def make_cache_policy(name: str, drift_budget: int = 8) -> CachePolicy:
 
 
 class RouteProvider:
-    """Routes over a *dynamic* topology, computed on the scope subgraph.
+    """Routes over the topology, computed on the scope-induced subgraph.
 
     The provider owns everything :class:`repro.mobility.MobilePathOracle`
     used to fold into its draw path: the participant-scope tracking, the
@@ -277,18 +255,20 @@ class RouteProvider:
         epoch = topology.epoch
         entry = self._cache.get(key)
         if entry is not None:
-            if entry[1] >= self._min_epoch:
+            cached, stamp = entry
+            # "no route" is served only in the epoch it was computed in
+            if stamp >= self._min_epoch and (cached or stamp == epoch):
                 self.cache_hits += 1
-                if entry[1] < epoch:
+                if stamp < epoch:
                     self.stale_hits += 1
-                    age = epoch - entry[1]
+                    age = epoch - stamp
                     ages = self.drift_age_counts
                     ages[age] = ages.get(age, 0) + 1
-                if not entry[0]:
+                if not cached:
                     self.empty_serves += 1
-                return entry[0]
-            if self._revalidate and entry[0]:
-                survivors = self._surviving(source, destination, entry[0])
+                return cached
+            if self._revalidate and cached:
+                survivors = self._surviving(source, destination, cached)
                 if survivors:
                     # the surviving routes exist on the *current* graph: the
                     # entry is current-consistent again, merely under-offering
@@ -298,7 +278,7 @@ class RouteProvider:
                     self._cache[key] = (survivors, epoch)
                     self.cache_hits += 1
                     self.revalidations += 1
-                    age = epoch - entry[1]
+                    age = epoch - stamp
                     ages = self.drift_age_counts
                     ages[age] = ages.get(age, 0) + 1
                     return survivors
@@ -324,9 +304,9 @@ class RouteProvider:
         Pure set lookups in the current epoch's neighbour sets, no search.
         Edges only ever join active nodes, so churned-out intermediates and
         destinations fail the check automatically.  Empty entries are never
-        revalidated (the caller guards): "no route" must be recomputed once
-        stale, or a transiently-partitioned pair would stay unroutable
-        forever.
+        revalidated (the caller guards): "no route" is recomputed once its
+        epoch has passed, or a transiently-partitioned pair would stay
+        unroutable.
         """
         search = self.topology.path_search()
         nbrs = search.neighbor_set
@@ -375,108 +355,4 @@ class RouteProvider:
     @property
     def cache_info(self) -> tuple[int, int]:
         """(hits, misses) of the per-pair route cache."""
-        return self.cache_hits, self.cache_misses
-
-
-class StaticRouteProvider:
-    """Routes over a *static* topology: full-graph routes filtered to scope.
-
-    Unlike :class:`RouteProvider` this does not search the scope-induced
-    subgraph — the historical (and pinned-bit-identical) semantics of the
-    static oracle are "routes exist on the full graph; a route is usable if
-    every intermediate is a participant".  The base per-pair routes are
-    cached once per epoch (a static topology's epoch moves only via
-    ``invalidate_routes``); on top sits a scope-filtered table keyed by the
-    current participant set, shared by the sequential and batched draw
-    paths.
-    """
-
-    __slots__ = (
-        "topology",
-        "max_paths",
-        "max_hops",
-        "_base",
-        "_base_epoch",
-        "_scope",
-        "_scoped",
-        "cache_hits",
-        "cache_misses",
-        "search_s",
-        "route_computes",
-        "empty_serves",
-    )
-
-    def __init__(self, topology, max_paths: int, max_hops: int):
-        self.topology = topology
-        self.max_paths = max_paths
-        self.max_hops = max_hops
-        self._base: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._base_epoch = getattr(topology, "epoch", 0)
-        self._scope: frozenset[int] | None = None
-        self._scoped: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.search_s = 0.0
-        self.route_computes = 0
-        self.empty_serves = 0
-
-    @property
-    def scope(self) -> frozenset[int] | None:
-        """The participant set the scoped table is filtered against."""
-        return self._scope
-
-    def sync(self) -> None:
-        """Drop everything if the topology was explicitly invalidated."""
-        epoch = getattr(self.topology, "epoch", 0)
-        if epoch != self._base_epoch:
-            self._base_epoch = epoch
-            self._base.clear()
-            self._scoped.clear()
-
-    def rescope(self, participants: Sequence[int]) -> None:
-        scope = frozenset(participants)
-        if scope != self._scope:
-            self._scope = scope
-            self._scoped.clear()
-
-    def base_routes(self, source: int, destination: int) -> list[tuple[int, ...]]:
-        """Full-graph routes for the pair (no scope filter)."""
-        key = (source, destination)
-        paths = self._base.get(key)
-        if paths is None:
-            self.cache_misses += 1
-            paths = self._compute(source, destination)
-            self._base[key] = paths
-        else:
-            self.cache_hits += 1
-        return paths
-
-    def routes(self, source: int, destination: int) -> list[tuple[int, ...]]:
-        """Scope-filtered routes for the pair (requires a prior rescope)."""
-        active = self._scope
-        key = (source, destination)
-        paths = self._scoped.get(key)
-        if paths is None:
-            base = self.base_routes(source, destination)
-            paths = [p for p in base if all(node in active for node in p)]
-            self._scoped[key] = paths
-        else:
-            # keep cache_info meaningful for scoped-table hits too
-            self.cache_hits += 1
-        if not paths:
-            self.empty_serves += 1
-        return paths
-
-    def _compute(self, source: int, destination: int) -> list[tuple[int, ...]]:
-        start = perf_counter()
-        paths = self.topology.candidate_paths(
-            source, destination, self.max_paths, self.max_hops
-        )
-        self.search_s += perf_counter() - start
-        self.route_computes += 1
-        return paths
-
-    @property
-    def cache_info(self) -> tuple[int, int]:
-        """(hits, misses) across the base and scoped route tables."""
         return self.cache_hits, self.cache_misses

@@ -9,8 +9,8 @@ streams and produce bit-identical trajectories — the property exploited by
 
 Oracles also underpin testing: :class:`ScriptedPathOracle` replays a fixed
 schedule so unit tests can script exact scenarios (e.g. the paper's Fig. 1a
-example), and :mod:`repro.network.topology` provides a geometric-topology
-oracle as a low-mobility extension.
+example), and :class:`repro.mobility.MobilePathOracle` routes over a
+unit-disk topology, static at speed 0, as a low-mobility extension.
 """
 
 from __future__ import annotations
@@ -446,8 +446,8 @@ def plan_games(
     """Pre-draw one round's games from any oracle, in source order.
 
     Uses the oracle's batched ``draw_tournament`` when it has one (all
-    production oracles do: :class:`RandomPathOracle`,
-    ``TopologyPathOracle``, ``MobilePathOracle`` — each pinned
+    production oracles do: :class:`RandomPathOracle` and
+    ``MobilePathOracle``, each pinned
     stream-identical to its per-game ``draw``), otherwise falls back to
     per-game :meth:`draw` calls in the same order.  Both modes are stream-
     and state-identical to an engine drawing each

@@ -1,18 +1,17 @@
 """Draw-planner layer: destination sampling over a route provider.
 
-Top layer of the oracle stack's three-layer split (topology provider →
-route provider → draw planner; see :mod:`repro.network.provider`).  The
-planner owns the *draw semantics* that used to be duplicated between the
-topology and mobile oracles:
+Top layer of the oracle stack's three-layer split (topology → route
+provider → draw planner; see :mod:`repro.network.provider`).  The planner
+owns the *draw semantics* of the routed oracle:
 
 * :func:`draw_setup` — the sequential rejection-sampling destination draw
   (uniform over the source's others, redrawn while the drawn pair has no
-  route, capped at ``max_draws``, then an optional named rescue — the
-  mobile topology's bridge out of a dead-end component);
+  route, capped at ``max_draws``, then the named rescue — the topology's
+  bridge out of a dead-end component);
 * :func:`plan_round` — the batched form: one :data:`PlannedGame` per
   source, **stream-identical** to calling :func:`draw_setup` per source
-  (same RNG methods, same arguments, same order), with an optional ``tick``
-  hook fired once per game for draw-count-clocked topology stepping.
+  (same RNG methods, same arguments, same order), with a ``tick`` hook
+  fired once per game for draw-count-clocked topology stepping.
 
 The vectorized face of this layer lives in :mod:`repro.paths.vector`
 (whole-tournament draws packed into ``GamePlanArrays`` for the fused
@@ -23,9 +22,8 @@ Both run the one rejection loop in :func:`draw_setup`, which consumes
 ``others[int(rng.integers(len(others)))]`` per attempt and nothing else, so
 an engine interleaving sequential and batched drawing on a shared generator
 cannot change a trajectory.  That property is what keeps the
-reference/batch pair bit-identical through this refactor, and it is
-pinned by the stream-identity suites in ``tests/test_network_topology.py``
-and ``tests/test_mobility_oracle.py``.
+reference/batch pair bit-identical, and it is pinned by the
+stream-identity suite in ``tests/test_mobility_oracle.py``.
 """
 
 from __future__ import annotations
@@ -60,16 +58,16 @@ def draw_setup(
     others: Sequence[int],
     routes: RouteFn,
     max_draws: int,
-    rescue: RescueFn | None = None,
+    rescue: RescueFn,
 ) -> tuple[int, Sequence[Sequence[int]]]:
     """Draw one game's (destination, paths) by rejection sampling.
 
     The destination is uniform over ``others``; a drawn destination with no
     route is rejected and redrawn, up to ``max_draws`` attempts.  Then
-    ``rescue`` (when given) names the game, and only if it finds no route
-    either does the draw fail with a descriptive error.  The rescue runs
-    after the last draw and consumes no draws itself, so a run that never
-    needs it is unchanged by its presence.
+    ``rescue`` names the game, and only if it finds no route either does
+    the draw fail with a descriptive error.  The rescue runs after the last
+    draw and consumes no draws itself, so a run that never needs it is
+    unchanged by its presence.
     """
     integers = rng.integers
     n_others = len(others)
@@ -78,10 +76,9 @@ def draw_setup(
         paths = routes(source, destination)
         if paths:
             return destination, paths
-    if rescue is not None:
-        found = rescue(source)
-        if found is not None:
-            return found
+    found = rescue(source)
+    if found is not None:
+        return found
     raise no_route_error(source, max_draws)
 
 
@@ -91,15 +88,15 @@ def plan_round(
     participants: Sequence[int],
     routes: RouteFn,
     max_draws: int,
-    tick: Callable[[], None] | None = None,
-    rescue: RescueFn | None = None,
+    rescue: RescueFn,
+    tick: Callable[[], None],
 ) -> list[PlannedGame]:
     """Draw a whole round's (or tournament's) games in one batch.
 
     Calls :func:`draw_setup` once per source, so the two share one
     rejection loop and one failure site; the batched form only removes
     per-game overhead (cached ``others`` pools, no ``GameSetup``
-    construction).  ``tick``, when given, fires once per game *before* its
+    construction).  ``tick`` fires once per game *before* its
     destination draws — the hook draw-count-clocked topologies use to step
     (and possibly consume the shared generator) at exactly the same draw
     counts as the sequential form.
@@ -115,7 +112,6 @@ def plan_round(
             others_cache[source] = others
         if not others:
             raise ValueError("need at least one potential destination")
-        if tick is not None:
-            tick()
+        tick()
         append((source, *draw_setup(rng, source, others, routes, max_draws, rescue)))
     return plan

@@ -32,7 +32,8 @@ distribution is identical.  ``tests/test_paths_vector.py`` pins the
 distributional match; ``tests/test_engine_statistical.py`` pins the
 downstream claim.
 
-The route-table oracles (topology, mobile) get a second native sampler,
+The routed oracle (:class:`repro.mobility.MobilePathOracle`, static at
+speed 0) gets a second native sampler,
 :func:`_sample_routed_vectorized`: destinations are rejection-sampled in
 vectorized waves (one ``integers`` batch per wave instead of one call per
 attempt), routability is resolved once per *distinct* (source, destination)
@@ -154,9 +155,9 @@ def plan_tournament_arrays(
 ) -> GamePlanArrays:
     """Draw a whole tournament's games into :class:`GamePlanArrays`.
 
-    The route-table oracles (``TopologyPathOracle``, ``MobilePathOracle``)
-    get the native routed sampler (distributionally identical,
-    stream-divergent — see the module docstring); every other oracle is
+    The routed oracle (``MobilePathOracle``) gets the native routed sampler
+    (distributionally identical, stream-divergent — see the module
+    docstring); every other oracle is
     planned sequentially through :func:`plan_games` and repacked.  The
     random oracle's native sampler draws whole generations
     (:func:`plan_generation_arrays`; one tournament is one seating).
@@ -173,13 +174,12 @@ def plan_tournament_arrays(
 
 
 def _is_routed_oracle(oracle) -> bool:
-    """Whether the oracle is one of the route-provider-backed kinds."""
-    # imported lazily: paths is a lower layer than network/mobility, so the
-    # dispatch must not pull them into the import chain of this module
+    """Whether the oracle is the route-provider-backed one."""
+    # imported lazily: paths is a lower layer than mobility, so the
+    # dispatch must not pull it into the import chain of this module
     from repro.mobility.oracle import MobilePathOracle
-    from repro.network.topology import TopologyPathOracle
 
-    return isinstance(oracle, (TopologyPathOracle, MobilePathOracle))
+    return isinstance(oracle, MobilePathOracle)
 
 
 def _arrays_from_plan(plan) -> GamePlanArrays:
@@ -230,19 +230,16 @@ def _arrays_from_plan(plan) -> GamePlanArrays:
 
 def _step_windows(
     oracle, n_games: int, n_participants: int
-) -> tuple[list[tuple[bool, int]], int | None]:
+) -> tuple[list[tuple[bool, int]], int]:
     """Split the plan into maximal game ranges with no topology step inside.
 
     Returns ``(windows, final_draw_count)`` where each window is
     ``(step_before, size)`` — the topology steps once before every window
     flagged ``step_before``, replicating the draw-count-clocked schedule of
-    the sequential mobile draw exactly — and ``final_draw_count`` is the
-    oracle's ``_draws_since_step`` after all draws (``None`` for oracles
-    without a clock).
+    the sequential draw exactly — and ``final_draw_count`` is the oracle's
+    ``_draws_since_step`` after all draws.
     """
-    step_every = getattr(oracle, "step_every", None)
-    if step_every is None:
-        return [(False, n_games)], None
+    step_every = oracle.step_every
     threshold = n_participants if step_every == "round" else step_every
     since = oracle._draws_since_step
     if not isinstance(threshold, int):
@@ -265,7 +262,7 @@ class _RoutedSlotCache:
     """Persistent pair -> candidate-path-set resolution for one oracle.
 
     Lives across :func:`plan_tournament_arrays` calls (attached to the
-    oracle as ``_vector_cache``), so a static or slowly-changing topology
+    oracle as ``_vector_cache``), so a stationary or slowly-changing topology
     resolves each (source, destination) pair through the route provider
     once per epoch instead of once per tournament.  ``route_slot`` is a
     dense pair-code lookup (-2 unknown, -1 no route, >= 0 a slot index);
@@ -340,7 +337,7 @@ class _RoutedSlotCache:
         Slot ``i`` owns rows ``row_start[i]:row_start[i + 1]``, row ``p``
         the hops ``hops[hop_start[p]:hop_start[p + 1]]``.  Incremental:
         only slots appended since the last call are packed, so a stable
-        slot population (static topology, warm caches) pays nothing here.
+        slot population (stationary topology, warm caches) pays nothing here.
         """
         slots = self.slots
         n_slots = len(slots)
@@ -406,7 +403,7 @@ def _slot_cache_for(oracle, provider, m1: int) -> _RoutedSlotCache:
     cache: _RoutedSlotCache | None = getattr(oracle, "_vector_cache", None)
     topology = oracle.topology
     epoch = topology.epoch
-    steps = getattr(topology, "steps", 0)
+    steps = topology.steps
     if (
         cache is None
         or cache.m1 != m1
@@ -423,7 +420,7 @@ def _slot_cache_for(oracle, provider, m1: int) -> _RoutedSlotCache:
 def _sample_routed_vectorized(
     oracle, sources: list[int], participants: list[int]
 ) -> GamePlanArrays:
-    """The native vectorized sampler for the route-table oracles.
+    """The native vectorized sampler for the routed oracle.
 
     Destinations are drawn in vectorized rejection waves per topology
     window; routability is resolved once per distinct (source, destination)
@@ -465,7 +462,7 @@ def _sample_routed_vectorized(
     for step_before, size in windows:
         if step_before:
             oracle._step_topology()
-            cache.invalidate(topology.epoch, getattr(topology, "steps", 0))
+            cache.invalidate(topology.epoch, topology.steps)
         unresolved = np.arange(g0, g0 + size)
         for _ in range(max_draws):
             if unresolved.size == 0:
@@ -500,8 +497,7 @@ def _sample_routed_vectorized(
         if unresolved.size:
             _rescue_games(provider, src, unresolved, dst, game_slot, cache, max_draws)
         g0 += size
-    if final_draws is not None:
-        oracle._draws_since_step = final_draws
+    oracle._draws_since_step = final_draws
 
     return _arrays_from_slots(src, dst, game_slot, cache)
 
@@ -517,13 +513,12 @@ def _rescue_games(
 ) -> None:
     """Name the games whose draws all failed through the provider's rescue,
     as the sequential :func:`repro.paths.planner.draw_setup` does; fail
-    like it when there is no rescue or it finds no route.  A rescued route
-    gets its own slot and never enters ``route_slot`` (it is
-    position-dependent, like the provider's never-cached routes)."""
-    rescue = getattr(provider, "rescue", None)
+    like it when the rescue finds no route.  A rescued route gets its own
+    slot and never enters ``route_slot`` (it is position-dependent, like the
+    provider's never-cached routes)."""
     for g in games.tolist():
         source = int(src[g])
-        found = rescue(source) if rescue is not None else None
+        found = provider.rescue(source)
         if found is None:
             raise no_route_error(source, max_draws)
         destination, paths = found

@@ -54,13 +54,13 @@ Invariants shared with the other engines (enforced by
   one generator and gossip draws interleave at round boundaries.
 
 Works with all path oracles, and every production oracle supplies a native
-batched fast path: ``RandomPathOracle.draw_tournament`` (the word-stream decoder),
-``TopologyPathOracle.draw_tournament`` (scope-filtered route table over the
-native K-shortest-paths engine) and ``MobilePathOracle.draw_tournament``
-(stream-identical stepping + route cache) — each pinned stream-identical to
-its per-game ``draw``.  Oracles without one (e.g. scripted test oracles) are
-pre-drawn per game in the same order through the :func:`plan_games` fallback
-(their draws depend only on their own state, never on game outcomes).
+batched fast path: ``RandomPathOracle.draw_tournament`` (the word-stream
+decoder) and ``MobilePathOracle.draw_tournament`` (stream-identical
+stepping + route cache over the native K-shortest-paths engine) — each
+pinned stream-identical to its per-game ``draw``.  Oracles without one
+(e.g. scripted test oracles) are pre-drawn per game in the same order
+through the :func:`plan_games` fallback (their draws depend only on their
+own state, never on game outcomes).
 """
 
 from __future__ import annotations

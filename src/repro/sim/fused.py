@@ -725,9 +725,8 @@ class FusedEngine:
         as the approx cache policy the statistical tier already gates on
         mobile scenarios.  The oracle's own policy is back in place on
         exit, also when planning raises.  A no-op for oracles without a
-        swappable dynamic provider (random and static topology oracles)
-        and for approx providers, which already share more aggressively
-        than the generation scope would.
+        route provider (random, scripted) and for approx providers, which
+        already share more aggressively than the generation scope would.
         """
         provider = getattr(oracle, "provider", None)
         set_policy = getattr(provider, "set_policy", None)

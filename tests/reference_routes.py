@@ -1,9 +1,9 @@
 """networkx references for the native route substrate (test-only).
 
-networkx is a ``dev`` dependency: the runtime keeps every topology as an
-``(n, n)`` bool adjacency matrix, with neighbours in ascending index order
-(static topology) or its cyclic rotation (mobile topology), and these
-helpers are what the tests hold it against.
+networkx is a ``dev`` dependency: the runtime keeps the topology as an
+``(n, n)`` bool adjacency matrix, with neighbours in the cyclic order
+(ascending index from the node's own, wrapping around), and these helpers
+are what the tests hold it against.
 
 * :func:`reference_simple_paths` / :func:`shortest_intermediate_paths` —
   ``nx.shortest_simple_paths`` truncated the way the repo's consumers
@@ -11,6 +11,8 @@ helpers are what the tests hold it against.
 * :func:`search_of` — a :class:`PathSearch` over a networkx graph that
   walks neighbours in the graph's own adjacency order, so the Yen port can
   be compared with networkx on any graph, canonical order or not;
+* :func:`ascend` — a :class:`PathSearch` walking plain ascending index
+  order, the order of a graph built by :func:`graph_of`;
 * :class:`HashOrderTopology` — the mobile topology as it was before the
   canonical order: an ``nx.Graph`` repaired through Python edge sets, whose
   neighbour order (hence route tie order) follows the sets' hash-slot
@@ -94,6 +96,12 @@ def follow_graph_order(search: PathSearch, graph: nx.Graph) -> PathSearch:
     return search
 
 
+def ascend(search: PathSearch) -> PathSearch:
+    """Make ``search`` walk neighbours in plain ascending index order."""
+    search.neighbors = [sorted(nbrs) for nbrs in search.neighbors]
+    return search
+
+
 def search_of(graph: nx.Graph) -> PathSearch:
     """A :class:`PathSearch` of ``graph`` in the graph's own neighbour order."""
     adjacency, ids = adjacency_of(graph)
@@ -150,6 +158,4 @@ class AscendingOrderTopology(DynamicTopology):
     def path_search(self) -> PathSearch:
         fresh = self._search is None or self._search_epoch != self.epoch
         search = super().path_search()
-        if fresh:
-            search.neighbors = [sorted(nbrs) for nbrs in search.neighbors]
-        return search
+        return ascend(search) if fresh else search

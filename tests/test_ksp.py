@@ -8,10 +8,12 @@ oracles hit (disconnected components, direct-neighbour-only connectivity,
 empty results, scoped subgraphs, query-time virtual edges).
 
 The randomized geometric graphs are built with neighbours in ascending
-index order, the canonical order, so they run through the runtime
-constructor as is; the hand-built edge cases (cycles, relabelled ids)
-iterate in other orders and run through :func:`search_of`, which walks the
-graph's own order — the Yen port must match networkx under any order.
+index order, so they run through the runtime constructor with its rows
+sorted back from the cyclic order to ascending on the test side
+(:func:`tests.reference_routes.ascend`); the hand-built edge cases (cycles,
+relabelled ids) iterate in other orders and run through :func:`search_of`,
+which walks the graph's own order — the Yen port must match networkx under
+any order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from repro.network.ksp import UNREACHABLE, PathSearch, is_connected, reachable
 from tests.reference_routes import (
     adjacency_of,
+    ascend,
     reference_simple_paths,
     search_of,
     shortest_intermediate_paths,
@@ -48,20 +51,22 @@ def geometric_graph(seed: int, n: int | None = None, radius: float | None = None
 
 
 def canonical_search(graph: nx.Graph) -> PathSearch:
-    """The runtime constructor over the graph's adjacency matrix."""
-    return PathSearch(*adjacency_of(graph))
+    """The runtime constructor over the graph's adjacency matrix, walking
+    the graph's (ascending) neighbour order."""
+    return ascend(PathSearch(*adjacency_of(graph)))
 
 
 class TestCanonicalOrder:
     @pytest.mark.parametrize("seed", range(5))
     def test_neighbours_ascend_and_match_the_matrix(self, seed):
+        """The test-side sort gives the suite's searches ascending rows."""
         graph, _ = geometric_graph(seed)
         adjacency, ids = adjacency_of(graph)
-        search = PathSearch(adjacency, ids)
+        search = canonical_search(graph)
         for i, nbrs in enumerate(search.neighbors):
             assert nbrs == np.flatnonzero(adjacency[i]).tolist()
             assert search.neighbor_set(i) == set(nbrs)
-        # the geometric graphs below are built in the canonical order
+        # the geometric graphs below are built in ascending order
         assert [list(graph.adj[v]) for v in graph] == search.neighbors
 
     @pytest.mark.parametrize("seed", range(5))
@@ -69,11 +74,11 @@ class TestCanonicalOrder:
         graph, _ = geometric_graph(seed)
         adjacency, ids = adjacency_of(graph)
         n = len(ids)
-        plain = PathSearch(adjacency, ids)
-        search = PathSearch(adjacency, ids, cyclic=True)
+        search = PathSearch(adjacency, ids)
         for i, nbrs in enumerate(search.neighbors):
-            assert nbrs == sorted(plain.neighbors[i], key=lambda j: (j - i) % n)
-            assert search.neighbor_set(i) == plain.neighbor_set(i)
+            row = np.flatnonzero(adjacency[i]).tolist()
+            assert nbrs == sorted(row, key=lambda j: (j - i) % n)
+            assert search.neighbor_set(i) == set(row)
 
     def test_cyclic_order_is_rotation_invariant(self):
         """Relabelling node i as i + c (mod n) relabels every route the same
@@ -84,8 +89,8 @@ class TestCanonicalOrder:
         perm = (np.arange(24) + shift) % 24  # old index -> new index
         rotated = np.zeros_like(adjacency)
         rotated[np.ix_(perm, perm)] = adjacency
-        a = PathSearch(adjacency, cyclic=True)
-        b = PathSearch(rotated, cyclic=True)
+        a = PathSearch(adjacency)
+        b = PathSearch(rotated)
         for _ in range(20):
             s, t = (int(x) for x in rng.choice(24, size=2, replace=False))
             want = [
@@ -319,3 +324,30 @@ class TestHopFields:
         assert search.covers_all(frozenset(range(5)))
         assert search.covers_all(frozenset(range(9)))  # supersets count
         assert not search.covers_all(frozenset(range(4)))
+
+
+class TestShortestIntermediatePaths:
+    def test_collects_max_paths_despite_skipped_candidates(self):
+        """The generator is consumed until enough valid routes are found —
+        no fixed slice can truncate the collection early."""
+        graph = nx.complete_graph(10)
+        # 8 two-hop routes exist between any pair; the 1-hop direct route is
+        # skipped; ask for more than the old islice cap would have visited
+        paths = shortest_intermediate_paths(graph, 0, 1, max_paths=8, max_hops=2)
+        assert len(paths) == 8
+        assert all(len(p) == 1 for p in paths)
+
+    def test_max_hops_bounds_route_length(self):
+        graph = nx.path_graph(8)  # 0-1-2-...-7
+        assert shortest_intermediate_paths(graph, 0, 7, 3, max_hops=6) == []
+        assert shortest_intermediate_paths(graph, 0, 7, 3, max_hops=7) == [
+            (1, 2, 3, 4, 5, 6)
+        ]
+
+    def test_missing_node_yields_no_paths(self):
+        graph = nx.path_graph(4)
+        assert shortest_intermediate_paths(graph, 0, 99, 3, 10) == []
+
+    def test_nonpositive_max_paths(self):
+        graph = nx.complete_graph(4)
+        assert shortest_intermediate_paths(graph, 0, 1, 0, 10) == []

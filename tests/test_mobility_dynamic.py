@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 from repro.mobility import DynamicTopology, GaussMarkov, NodeChurn, RandomWaypoint
-from repro.network.ksp import is_connected
+from repro.network.ksp import is_connected, reachable
 
 N = 20
 RADIO = 0.45
+
+#: a moving network, and the static one (the same model at speed 0)
+SPEEDS = {
+    "moving": lambda: RandomWaypoint(0.01, 0.06, pause_time=1.0),
+    "speed0": lambda: RandomWaypoint(0.0, 0.0),
+}
 
 
 def make_topology(model=None, radio=RADIO, seed=0, n=N, **kwargs):
@@ -57,19 +63,39 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DynamicTopology([0, 1, 2], 0.5, model, rng, tolerance=-0.1)
 
-    def test_starts_connected(self):
-        assert is_connected(make_topology().adjacency)
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_starts_connected(self, speed):
+        assert is_connected(make_topology(SPEEDS[speed]()).adjacency)
 
-    def test_sparse_start_fails_loudly(self):
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_sparse_start_fails_loudly(self, speed):
         with pytest.raises(RuntimeError, match="radio_range"):
-            make_topology(radio=0.02, n=40, max_reset_attempts=3)
+            make_topology(SPEEDS[speed](), radio=0.02, n=40, max_reset_attempts=3)
 
-    def test_disconnected_start_allowed_when_not_required(self):
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_disconnected_start_allowed_when_not_required(self, speed):
         topo = make_topology(
-            radio=0.1, n=15, seed=2, require_connected_start=False
+            SPEEDS[speed](), radio=0.1, n=15, seed=2, require_connected_start=False
         )
         assert topo.adjacency.shape == (15, 15)  # built without raising
         assert not is_connected(topo.adjacency)
+        # no route joins two components (a source with a neighbour gets no
+        # power boost)
+        source = next(nid for nid in topo.node_ids if topo.neighbors(nid))
+        start = np.zeros(15, dtype=bool)
+        start[source] = True
+        outside = np.flatnonzero(~reachable(topo.adjacency, start)).tolist()
+        assert outside
+        for other in outside:
+            assert topo.candidate_paths(source, other, 3, 10) == []
+
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_degree_stats(self, speed):
+        topo = make_topology(SPEEDS[speed]())
+        mean, lo, hi = topo.degree_stats()
+        degrees = topo.adjacency.sum(axis=1)
+        assert (mean, lo, hi) == (degrees.mean(), degrees.min(), degrees.max())
+        assert 1 <= lo <= mean <= hi
 
     def test_positions_dict_keyed_by_id(self):
         topo = make_topology()
@@ -85,6 +111,7 @@ class TestIncrementalRepair:
             lambda: RandomWaypoint(0.01, 0.06, pause_time=1.0),
             lambda: GaussMarkov(0.04),
             lambda: NodeChurn(RandomWaypoint(0.02, 0.08), 0.15, 0.5),
+            SPEEDS["speed0"],
         ],
     )
     def test_matches_full_rebuild_after_many_steps(self, model_factory):
@@ -242,12 +269,16 @@ class TestChurnInGraph:
 
 
 class TestScopedRouting:
-    def test_paths_restricted_to_scope(self):
-        topo = make_topology()
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_paths_restricted_to_scope(self, speed):
+        topo = make_topology(SPEEDS[speed]())
         scope = frozenset(range(0, N, 2))
         for dest in sorted(scope - {0}):
-            for path in topo.candidate_paths(0, dest, 3, 10, restrict_to=scope):
+            paths = topo.candidate_paths(0, dest, 2, 10, restrict_to=scope)
+            assert len(paths) <= 2
+            for path in paths:
                 assert set(path) <= scope
+                assert 0 not in path and dest not in path
 
     def test_emergency_boost_attaches_isolated_source(self):
         """A source with no in-scope neighbour is virtually attached to its
@@ -274,9 +305,10 @@ class TestScopedRouting:
 
 
 class TestDeterminism:
-    def test_same_seed_identical_graph_evolution(self):
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_same_seed_identical_graph_evolution(self, speed):
         def evolve(seed):
-            topo = make_topology(seed=seed)
+            topo = make_topology(SPEEDS[speed](), seed=seed)
             history = []
             for _ in range(30):
                 topo.step()

@@ -82,7 +82,7 @@ class TestBuildTopologyAndOracle:
         config = MobilityConfig(model="waypoint", radio_range=0.5)
         oracle = build_oracle(config, IDS, np.random.default_rng(0))
         assert isinstance(oracle, MobilePathOracle)
-        assert oracle.route_cache == "exact"
+        assert oracle.provider.policy.name == "exact"
         assert isinstance(oracle.provider.policy, ExactPolicy)
         assert oracle.provider.policy.budget == 0
 
@@ -94,7 +94,7 @@ class TestBuildTopologyAndOracle:
             drift_budget=17,
         )
         oracle = build_oracle(config, IDS, np.random.default_rng(0))
-        assert oracle.route_cache == "approx"
+        assert oracle.provider.policy.name == "approx"
         assert isinstance(oracle.provider.policy, ApproxPolicy)
         assert oracle.provider.policy.budget == 17
 
@@ -172,7 +172,7 @@ class TestEmergencyNearestPeerAttach:
         oracle, scope, _ = isolated_scope_oracle()
         for _ in range(10):
             oracle.draw(0, scope)
-        assert all(pair[0] != 0 for pair in oracle._cache)
+        assert all(pair[0] != 0 for pair in oracle.provider._cache)
 
     def test_unroutable_when_no_peer_in_scope(self):
         oracle, _, _ = isolated_scope_oracle()

@@ -2,7 +2,9 @@
 
 The acceptance-critical properties live here: both engines complete a
 smoke-scale GA run through the mobile oracle with bit-identical results,
-and identical seeds give identical experiments.
+and identical seeds give identical experiments.  The static network is the
+same oracle at speed 0, so the draw, stream-identity and engine cases run
+on both.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ N = 20
 RADIO = 0.45
 IDS = list(range(N))
 
+#: waypoint speed ranges: the default moving network and the static one
+SPEEDS = {"moving": (0.01, 0.06), "speed0": (0.0, 0.0)}
+
 
 def make_oracle(speed=(0.01, 0.06), seed=0, **kwargs) -> MobilePathOracle:
     model = RandomWaypoint(*speed, pause_time=1.0)
@@ -38,15 +43,17 @@ def make_oracle(speed=(0.01, 0.06), seed=0, **kwargs) -> MobilePathOracle:
 
 
 class TestDraw:
-    def test_valid_setup(self):
-        oracle = make_oracle()
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_valid_setup(self, speed):
+        oracle = make_oracle(SPEEDS[speed])
         setup = oracle.draw(0, IDS)
         assert setup.source == 0
         assert setup.destination in IDS and setup.destination != 0
         assert setup.paths
 
-    def test_paths_restricted_to_participants(self):
-        oracle = make_oracle()
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_paths_restricted_to_participants(self, speed):
+        oracle = make_oracle(SPEEDS[speed])
         scope = IDS[::2]
         for _ in range(30):
             setup = oracle.draw(0, scope)
@@ -54,13 +61,16 @@ class TestDraw:
             for path in setup.paths:
                 assert set(path) <= set(scope)
 
-    def test_unroutable_raises_descriptively(self):
-        oracle = make_oracle()
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_unroutable_raises_descriptively(self, speed):
+        oracle = make_oracle(SPEEDS[speed], max_draws=8)
         # two adjacent participants only: every route needs an intermediate,
         # none is in scope, and the emergency boost cannot mint one either
         neighbour = oracle.topology.neighbors(0)[0]
         with pytest.raises(RuntimeError, match="no routable destination"):
             oracle.draw(0, [0, neighbour])
+        # every draw was rejected before the rescue failed too
+        assert oracle.provider.empty_serves >= oracle.max_draws
 
     def test_step_every_validation(self):
         with pytest.raises(ValueError):
@@ -74,11 +84,11 @@ class TestCaching:
         oracle = make_oracle(speed=(0.0, 0.0), step_every=10**9)
         oracle.draw(0, IDS)
         # repeat queries for a pair computed in the first draw: all hits
-        source, destination = next(iter(oracle._cache))
-        _, misses = oracle.cache_info
-        first = oracle._candidate_paths(source, destination)
-        assert oracle._candidate_paths(source, destination) == first
-        hits2, misses2 = oracle.cache_info
+        source, destination = next(iter(oracle.provider._cache))
+        _, misses = oracle.provider.cache_info
+        first = oracle.provider.routes(source, destination)
+        assert oracle.provider.routes(source, destination) == first
+        hits2, misses2 = oracle.provider.cache_info
         assert misses2 == misses
         assert hits2 >= 2
 
@@ -87,29 +97,75 @@ class TestCaching:
         for _ in range(40):
             for source in IDS:
                 oracle.draw(source, IDS)
-        hits, misses = oracle.cache_info
+        hits, misses = oracle.provider.cache_info
         assert misses <= N * (N - 1)
         assert hits > misses  # the static network is overwhelmingly cached
+
+    def test_speed0_network_routes_each_pair_once(self):
+        """The static network: over 5 tournaments of 3 rounds the topology
+        steps between rounds, but its epoch stays 0, so the exact cache
+        never expires and every distinct drawn pair is searched once."""
+        oracle = build_oracle(
+            MobilityConfig(
+                model="waypoint", speed_min=0.0, speed_max=0.0, radio_range=RADIO
+            ),
+            IDS,
+            np.random.default_rng(3),
+        )
+        topo = oracle.topology
+        drawn = []
+        candidate_paths = topo.candidate_paths
+
+        def search(source, destination, *rest):
+            drawn.append((source, destination))
+            return candidate_paths(source, destination, *rest)
+
+        topo.candidate_paths = search
+        for _ in range(5):
+            oracle.draw_tournament(IDS * 3, IDS)
+            oracle.on_tournament_end()
+        assert topo.epoch == 0
+        assert topo.steps == 5 * 3 - 1  # between every two of the 15 rounds
+        assert oracle.provider.route_computes == len(set(drawn)) == len(drawn)
+        assert oracle.provider.cache_hits > 0  # repeated pairs served cached
+
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_warm_cache_draws_match_cold_oracle(self, speed):
+        """The route cache never changes a draw: an oracle whose cache is
+        filled before it draws matches a fresh one on the same seed."""
+        warm = make_oracle(SPEEDS[speed], seed=8)
+        warm.provider.rescope(IDS)
+        for source in IDS:
+            for destination in IDS:
+                if source != destination:
+                    warm.provider.routes(source, destination)
+        assert warm.provider.route_computes == N * (N - 1)
+        cold = make_oracle(SPEEDS[speed], seed=8)
+        draws = [
+            [oracle.draw(s, IDS) for s in IDS for _ in range(4)]
+            for oracle in (warm, cold)
+        ]
+        assert draws[0] == draws[1]
 
     def test_epoch_change_invalidates(self):
         oracle = make_oracle(speed=(0.05, 0.1), step_every=10**9)
         for source in IDS:
             oracle.draw(source, IDS)
-        _, misses1 = oracle.cache_info
+        _, misses1 = oracle.provider.cache_info
         epoch = oracle.topology.epoch
         oracle.advance_epoch()
         assert oracle.topology.epoch > epoch
         for source in IDS:
             oracle.draw(source, IDS)
-        _, misses2 = oracle.cache_info
+        _, misses2 = oracle.provider.cache_info
         assert misses2 > misses1
 
     def test_participant_change_invalidates(self):
         oracle = make_oracle(speed=(0.0, 0.0), step_every=10**9)
         oracle.draw(0, IDS)
-        _, misses1 = oracle.cache_info
+        _, misses1 = oracle.provider.cache_info
         oracle.draw(0, IDS[:15])  # smaller scope: cached routes unusable
-        _, misses2 = oracle.cache_info
+        _, misses2 = oracle.provider.cache_info
         assert misses2 > misses1
 
     def test_boosted_routes_are_not_cached(self):
@@ -120,23 +176,23 @@ class TestCaching:
         neighbours = set(topo.neighbors(0))
         scope = [n for n in IDS if n not in neighbours]
         assert 0 in scope
-        oracle._rescope(scope)
+        oracle.provider.rescope(scope)
         destination = next(d for d in scope if d != 0)
-        first = oracle._candidate_paths(0, destination)
+        first = oracle.provider.routes(0, destination)
         if not first:  # isolated destination: pick one the boost can reach
             destination = next(
-                d for d in scope if d != 0 and oracle._candidate_paths(0, d)
+                d for d in scope if d != 0 and oracle.provider.routes(0, d)
             )
         assert topo.boost_count > 0
-        assert (0, destination) not in oracle._cache
+        assert (0, destination) not in oracle.provider._cache
 
     def test_same_participant_object_is_free(self):
         oracle = make_oracle(speed=(0.0, 0.0), step_every=10**9)
         participants = list(IDS)
         oracle.draw(0, participants)
-        scope = oracle._scope
+        scope = oracle.provider.scope
         oracle.draw(1, participants)
-        assert oracle._scope is scope
+        assert oracle.provider.scope is scope
 
     def test_in_place_churn_of_same_list_is_detected(self):
         """Regression: mutating the *same* participants list in place (node
@@ -145,7 +201,7 @@ class TestCaching:
         oracle = make_oracle(speed=(0.0, 0.0), step_every=10**9)
         participants = list(IDS)
         oracle.draw(0, participants)
-        cached_pairs = set(oracle._cache)
+        cached_pairs = set(oracle.provider._cache)
         assert cached_pairs  # the draw populated the cache
         departed = participants[-1]
         participants.remove(departed)  # same list object, node churned out
@@ -154,7 +210,7 @@ class TestCaching:
             assert setup.destination != departed
             for path in setup.paths:
                 assert departed not in path
-        assert departed not in oracle._scope
+        assert departed not in oracle.provider.scope
 
     def test_in_place_swap_same_length_and_sum_is_detected(self):
         """The detection is an exact contents comparison, so even a
@@ -163,16 +219,16 @@ class TestCaching:
         oracle = make_oracle(speed=(0.0, 0.0), step_every=10**9)
         participants = list(IDS[:15])
         oracle.draw(0, participants)
-        scope_before = oracle._scope
+        scope_before = oracle.provider.scope
         # replace the pair (13, 14) with (11, 16): same list length, same
         # id sum — undetectable by a (len, sum) fingerprint
         participants.remove(13)
         participants.remove(14)
         participants.extend([11, 16])
         oracle.draw(0, participants)
-        assert oracle._scope != scope_before
-        assert 16 in oracle._scope
-        assert 14 not in oracle._scope
+        assert oracle.provider.scope != scope_before
+        assert 16 in oracle.provider.scope
+        assert 14 not in oracle.provider.scope
 
 
 class TestDrawTournament:
@@ -180,12 +236,18 @@ class TestDrawTournament:
     including the draw-count-clocked topology stepping, which shares the
     random stream with the draws themselves."""
 
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    @pytest.mark.parametrize("scope", ["full", "sparse"])
     @pytest.mark.parametrize("step_every", ["round", "tournament", 7])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_stream_identical_to_sequential_draws(self, step_every, seed):
-        batched = make_oracle(seed=seed, step_every=step_every)
-        sequential = make_oracle(seed=seed, step_every=step_every)
-        participants = list(IDS)
+    def test_stream_identical_to_sequential_draws(
+        self, step_every, seed, scope, speed
+    ):
+        """A sparse scope forces rejection redraws: both modes must burn
+        the same destination draws on them."""
+        batched = make_oracle(SPEEDS[speed], seed=seed, step_every=step_every)
+        sequential = make_oracle(SPEEDS[speed], seed=seed, step_every=step_every)
+        participants = list(IDS) if scope == "full" else IDS[::2]
         sources = participants * 3  # three rounds
         plan = batched.draw_tournament(sources, participants)
         assert len(plan) == len(sources)
@@ -282,10 +344,11 @@ class TestClocking:
 
 
 class TestEngineIntegration:
-    def test_engines_bit_identical_on_mobile_oracle(self):
+    @pytest.mark.parametrize("speed", sorted(SPEEDS))
+    def test_engines_bit_identical_on_mobile_oracle(self, speed):
         stats = {}
         for engine_name in ("batch", "reference"):
-            oracle = make_oracle(seed=9)
+            oracle = make_oracle(SPEEDS[speed], seed=9)
             engine = make_engine(engine_name, N, 0)
             rng = np.random.default_rng(13)
             engine.set_strategies([Strategy.random(rng) for _ in range(N)])
@@ -457,22 +520,24 @@ class TestRescue:
         assert (setup.destination, setup.paths) == (2, ((1,),))
         assert oracle.topology.rescues == 1
 
-    def test_stale_no_route_entries_are_searched_past(self):
-        """Under ``approx`` a cached "no route" is served for a drift
-        budget: after the pair joins the chain, every draw still reads
-        empty, and the rescue's live search finds the route."""
+    def test_no_route_entries_expire_with_their_epoch(self):
+        """Under ``approx`` a cached route is served for a drift budget, but
+        a cached "no route" only in its own epoch: once the pair joins the
+        chain, the next epoch recomputes it and the draw needs no rescue."""
         joined = [(0.5, 0.6), (0.6, 0.6)] + TWO_NODE_XY[2:]
         oracle = two_node_oracle(
             then=joined, route_cache="approx", drift_budget=8, step_every=10**9
         )
         participants = list(range(8))
-        oracle.provider.rescope(participants)
-        assert not any(oracle.provider.routes(0, d) for d in participants[1:])
+        provider = oracle.provider
+        provider.rescope(participants)
+        assert not any(provider.routes(0, d) for d in participants[1:])
         oracle.advance_epoch()
         assert oracle.topology.epoch == 1
+        assert any(provider.routes(0, d) for d in participants[1:])
         setup = oracle.draw(0, participants)
-        assert setup.paths and oracle.topology.rescues == 1
-        assert oracle.provider.stale_hits > 0
+        assert setup.paths and oracle.topology.rescues == 0
+        assert provider.stale_hits == 0
 
     def test_no_participant_outside_the_component_still_fails(self):
         oracle = two_node_oracle()

@@ -216,14 +216,17 @@ class TestPlanFallback:
                 assert 99 not in path
 
 
-# -- native routed sampler (topology/mobile oracles) --------------------------
+# -- native routed sampler (static and mobile networks) -----------------------
 
 
 def make_topology_oracle(seed=0, n=20, radio=0.45):
-    from repro.network.topology import GeometricTopology, TopologyPathOracle
+    """The static network: the routed oracle at speed 0."""
+    from repro.mobility import MobilityConfig, build_oracle
 
-    rng = np.random.default_rng(seed)
-    return TopologyPathOracle(GeometricTopology(range(n), radio, rng=rng), rng)
+    config = MobilityConfig(
+        model="waypoint", speed_min=0.0, speed_max=0.0, radio_range=radio
+    )
+    return build_oracle(config, range(n), np.random.default_rng(seed))
 
 
 def make_mobile_oracle(seed=0, n=20, radio=0.45, **kwargs):
@@ -285,14 +288,6 @@ class TestRoutedSamplerStructure:
         for g in range(plan.n_games):
             expected = twin.provider.routes(int(plan.src[g]), int(plan.dst[g]))
             assert plan.paths_of(g) == [list(p) for p in expected]
-
-    def test_source_outside_participants_uses_fallback(self):
-        oracle = make_topology_oracle(seed=5)
-        participants = list(range(1, 20))
-        # source 0 is not a participant: the sequential fallback must serve
-        plan = plan_tournament_arrays(oracle, [0] * 4, participants)
-        assert plan.n_games == 4
-        assert set(plan.src.tolist()) == {0}
 
 
 class TestRoutedSamplerDistribution:
@@ -389,10 +384,11 @@ class TestRoutedSamplerClocking:
         cache = oracle._vector_cache
         plan_tournament_arrays(oracle, participants * 3, participants)
         assert oracle._vector_cache is cache  # reused, not rebuilt
-        oracle.topology.invalidate_routes()
-        oracle.provider.sync()
+        assert oracle.topology.epoch == 0
+        oracle.topology.epoch += 1  # an edge-set change, as a step makes it
         plan_tournament_arrays(oracle, participants * 3, participants)
-        assert oracle._vector_cache.epoch == oracle.topology.epoch
+        assert oracle._vector_cache is cache
+        assert cache.epoch == oracle.topology.epoch
 
     def test_slot_cache_invalidated_by_epochless_steps(self):
         """A topology step that moves positions without changing the edge
@@ -668,10 +664,12 @@ class TestPlanContentPins:
         "random_generation": "ac0eff9244b6661d",
         "random_stack_r1": "bd2415ee576d140c",
         "random_stack_r3": "c3f07df671fa2ebd",
-        "topology_tournament": "4a33022fd4b1713d",
-        "topology_generation": "a0f499a3cdfcaaae",
-        "topology_stack_r1": "0725db518a6f10fc",
-        "topology_stack_r3": "ba624d1a1fedb4b1",
+        # re-pinned for the static network as the routed oracle at speed 0
+        # (routes searched among the participants, cyclic tie order)
+        "topology_tournament": "a0c04a174e8731d3",
+        "topology_generation": "70adaaa65bf67036",
+        "topology_stack_r1": "4ec64b9b88269be9",
+        "topology_stack_r3": "91e7625060d3f9de",
         # re-pinned for the canonical (cyclic) neighbour order;
         # the retired hash-order repair still gives 9ee23c96fb474c12 and
         # 106bdff16fab3ac3 (tests/test_mobility_order_tier.py)

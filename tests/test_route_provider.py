@@ -1,4 +1,4 @@
-"""Tests for the route-provider layer (cache policies, providers).
+"""Tests for the route-provider layer (cache policies, the provider).
 
 The drift-budget boundary case is acceptance-critical: ``approx`` with a
 budget of 0 must be bit-identical to ``exact`` — same served routes, same
@@ -20,11 +20,8 @@ from repro.network.provider import (
     CachePolicy,
     ExactPolicy,
     RouteProvider,
-    StaticRouteProvider,
-    TopologyProvider,
     make_cache_policy,
 )
-from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.sim import BIT_IDENTICAL_ENGINES, make_engine
 
 N = 20
@@ -70,35 +67,6 @@ class TestCachePolicies:
             ApproxPolicy(-1)
         with pytest.raises(ValueError, match="drift budget"):
             CachePolicy(name="custom", budget=-3)
-
-
-class TestTopologyProviderProtocol:
-    def test_both_topologies_satisfy_the_protocol(self):
-        static = GeometricTopology(IDS, RADIO, np.random.default_rng(0))
-        dynamic = make_topology()
-        for topo in (static, dynamic):
-            assert isinstance(topo, TopologyProvider)
-            assert isinstance(topo.epoch, int)
-
-    def test_static_epoch_moves_only_on_invalidation(self):
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(0))
-        assert topo.epoch == 0
-        topo.invalidate_routes()
-        assert topo.epoch == 1
-
-    def test_static_provider_drops_caches_on_invalidation(self):
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(0))
-        provider = StaticRouteProvider(topo, 3, 10)
-        provider.rescope(IDS)
-        provider.routes(0, IDS[-1])
-        assert provider.cache_misses > 0
-        topo.adjacency[0, -1] = topo.adjacency[-1, 0] = True
-        topo.invalidate_routes()
-        provider.sync()
-        misses = provider.cache_misses
-        provider.rescope(IDS)
-        provider.routes(0, IDS[-1])
-        assert provider.cache_misses > misses  # recomputed, not served stale
 
 
 class TestRouteProviderPolicies:
@@ -204,6 +172,38 @@ class TestRouteProviderPolicies:
         for path in served:
             assert path != first[0] or 0 in topo.neighbors(intermediate)
 
+    def test_approx_recomputes_no_route_after_its_epoch(self):
+        """A cached "no route" is served only in its own epoch: under
+        ``ApproxPolicy(8)`` a pair with no route at epoch e gains one at
+        e + 1, when its components merge."""
+
+        class Jump:  # nodes 0 and 1 sit apart, then join the chain
+            def reset(self, n_nodes, rng):
+                xy = [(0.05, 0.05), (0.15, 0.05)]
+                return np.array(xy + [(0.5 + 0.1 * k, 0.5) for k in range(6)])
+
+            def step(self, positions, dt, rng):
+                joined = np.array(positions, copy=True)
+                joined[:2] = [(0.5, 0.6), (0.6, 0.6)]
+                return joined
+
+        topo = DynamicTopology(
+            list(range(8)),
+            0.12,
+            Jump(),
+            np.random.default_rng(0),
+            require_connected_start=False,
+        )
+        provider = RouteProvider(topo, 3, 10, ApproxPolicy(8))
+        provider.rescope(range(8))
+        provider.sync()
+        assert provider.routes(0, 4) == []
+        assert topo.step() and topo.epoch == 1
+        provider.sync()
+        assert provider.routes(0, 4)
+        assert provider.stale_hits == 0
+        assert provider.route_computes == 2
+
     def test_search_time_is_accounted(self):
         topo = make_topology()
         provider = self._provider(topo, ExactPolicy())
@@ -255,57 +255,3 @@ class TestDriftBudgetBoundary:
             engine.run_tournament(IDS, 8, oracle, s, None, None)
             stats[route_cache] = (s.to_dict(), engine.fitness().tolist())
         assert stats["exact"] == stats["approx"]
-
-
-class TestStaticProviderModes:
-    def test_scoped_routes_filter_to_participants(self):
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
-        provider = StaticRouteProvider(topo, 3, 10)
-        scope = IDS[::2]
-        provider.rescope(scope)
-        active = set(scope)
-        for destination in scope[1:]:
-            for path in provider.routes(0, destination):
-                assert set(path) <= active
-
-    def test_cache_option_is_gone(self):
-        """The static provider always caches; there is no uncached mode."""
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
-        with pytest.raises(TypeError, match="cache"):
-            StaticRouteProvider(topo, 3, 10, cache=False)
-
-    def test_repeated_routes_are_served_from_cache(self):
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
-        provider = StaticRouteProvider(topo, 3, 10)
-        provider.rescope(IDS)
-        a = provider.routes(0, 5)
-        hits, misses = provider.cache_info
-        computes = provider.route_computes
-        b = provider.routes(0, 5)
-        assert a == b
-        assert provider.cache_info == (hits + 1, misses)
-        assert provider.route_computes == computes
-
-    def test_rescope_refilters_from_the_base_table(self):
-        """A narrower scope refilters the cached full-graph routes: no new
-        topology search, and every served route stays inside the scope."""
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
-        provider = StaticRouteProvider(topo, 3, 10)
-        provider.rescope(IDS)
-        full = {d: provider.routes(0, d) for d in IDS[1:]}
-        computes = provider.route_computes
-        scope = IDS[::2]
-        provider.rescope(scope)
-        for destination in scope[1:]:
-            narrow = provider.routes(0, destination)
-            assert narrow == [
-                p for p in full[destination] if set(p) <= set(scope)
-            ]
-        assert provider.route_computes == computes
-
-    def test_oracle_uses_provider(self):
-        topo = GeometricTopology(IDS, RADIO, np.random.default_rng(2))
-        oracle = TopologyPathOracle(topo, np.random.default_rng(3))
-        assert isinstance(oracle.provider, StaticRouteProvider)
-        oracle.draw(0, IDS)
-        assert oracle.cache_info == oracle.provider.cache_info

@@ -25,7 +25,6 @@ from repro.core.strategy import STRATEGY_LENGTH, Strategy
 from repro.game.stats import TournamentStats
 from repro.mobility import build_oracle
 from repro.network.provider import ApproxPolicy
-from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
 from repro.paths.oracle import GameSetup, RandomPathOracle, ScriptedPathOracle
 from repro.reputation.exchange import ExchangeConfig, exchange_reputation_flat
@@ -599,9 +598,15 @@ class TestOracleCoverage:
         assert stats.nn_originated == 10
 
     def test_topology_oracle(self):
+        """The static network: the routed oracle at speed 0."""
         rng = np.random.default_rng(2)
-        topology = GeometricTopology(range(20), radio_range=0.5, rng=rng)
-        oracle = TopologyPathOracle(topology, rng)
+        oracle = build_oracle(
+            MobilityConfig(
+                model="waypoint", speed_min=0.0, speed_max=0.0, radio_range=0.5
+            ),
+            range(20),
+            rng,
+        )
         engine = build_engine(16, 4)
         stats = TournamentStats()
         engine.run_generation([list(range(20))], 8, oracle, stats)
