@@ -16,9 +16,11 @@ never moves).  It is a *composition* of the three oracle layers:
   ``drift_budget`` epochs, revalidating lazily; statistically equivalent,
   gated by ``tests/test_engine_statistical.py``);
 * the **draw planner** is :mod:`repro.paths.planner` (sequential and
-  batched rejection-sampling destination draws) plus the vectorized
-  whole-tournament sampler in :mod:`repro.paths.vector` used by the fused
-  engine.
+  batched rejection-sampling destination draws).  Every engine draws
+  through it: the fused engine packs this oracle's
+  :meth:`~MobilePathOracle.draw_tournament` plans into arrays and has no
+  sampler of its own, so the topology clock below is read and written
+  only here.
 
 Topology stepping is clocked in one of three ways (``step_every``):
 

@@ -8,9 +8,9 @@ This module is the middle layer of the oracle stack's three-layer split:
 * **route provider** (this module) — :class:`RouteProvider`:
   per-(source, destination) route caches with a pluggable
   :class:`CachePolicy` deciding how stale a cached route may be served.
-* **draw planner** (top) — :mod:`repro.paths.planner` /
-  :mod:`repro.paths.vector`: destination rejection sampling and batched or
-  vectorized tournament planning over the provider's routes.
+* **draw planner** (top) — :mod:`repro.paths.planner`: destination
+  rejection sampling, per game or batched per tournament, over the
+  provider's routes; it is the only caller of :meth:`RouteProvider.routes`.
 
 Cache policies
 --------------
@@ -326,8 +326,6 @@ class RouteProvider:
             else:
                 if destination in nbrs(prev):
                     survivors.append(path)
-        if len(survivors) == len(paths):
-            return paths  # keep the original object (vector-sampler dedup)
         return survivors
 
     def rescue(self, source: int) -> tuple[int, list[tuple[int, ...]]] | None:

@@ -13,17 +13,21 @@ owns the *draw semantics* of the routed oracle:
   (same RNG methods, same arguments, same order), with a ``tick`` hook
   fired once per game for draw-count-clocked topology stepping.
 
-The vectorized face of this layer lives in :mod:`repro.paths.vector`
-(whole-tournament draws packed into ``GamePlanArrays`` for the fused
-engine); :func:`repro.paths.oracle.plan_games` is the oracle-generic
-dispatch that picks an oracle's batched path when it has one.
+:func:`repro.paths.oracle.plan_games` is the oracle-generic dispatch that
+picks an oracle's batched path when it has one, and every engine plans
+routed games through it: ``reference`` and ``batch`` per round or
+tournament, ``fused`` per tournament of its stacked plan
+(:func:`repro.paths.vector.plan_generation_arrays` only packs the result
+into ``GamePlanArrays``).  There is no second routed sampler.
 
-Both run the one rejection loop in :func:`draw_setup`, which consumes
+Both forms run the one rejection loop in :func:`draw_setup`, which consumes
 ``others[int(rng.integers(len(others)))]`` per attempt and nothing else, so
 an engine interleaving sequential and batched drawing on a shared generator
 cannot change a trajectory.  That property is what keeps the
 reference/batch pair bit-identical, and it is pinned by the
-stream-identity suite in ``tests/test_mobility_oracle.py``.
+stream-identity suite in ``tests/test_mobility_oracle.py``.  It is also the
+only place a routed draw fails, and the only caller of the provider's
+``routes``, so each empty serve the provider counts is one rejected draw.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from repro.paths.oracle import PlannedGame, plan_games
 
-__all__ = ["draw_setup", "no_route_error", "plan_round", "plan_games"]
+__all__ = ["draw_setup", "plan_round", "plan_games"]
 
 #: Route lookup: (source, destination) -> candidate paths (possibly empty).
 RouteFn = Callable[[int, int], Sequence[Sequence[int]]]
@@ -42,14 +46,6 @@ RouteFn = Callable[[int, int], Sequence[Sequence[int]]]
 #: Last resort once every draw failed: source -> (destination, paths), or
 #: ``None`` when even the rescue finds no route.
 RescueFn = Callable[[int], "tuple[int, Sequence[Sequence[int]]] | None"]
-
-
-def no_route_error(source: int, max_draws: int) -> RuntimeError:
-    """The one failure of routed sampling: no draw and no rescue routed."""
-    return RuntimeError(
-        f"no routable destination found for source {source} after"
-        f" {max_draws} draws; topology too sparse for this game"
-    )
 
 
 def draw_setup(
@@ -79,7 +75,10 @@ def draw_setup(
     found = rescue(source)
     if found is not None:
         return found
-    raise no_route_error(source, max_draws)
+    raise RuntimeError(
+        f"no routable destination found for source {source} after"
+        f" {max_draws} draws; topology too sparse for this game"
+    )
 
 
 def plan_round(

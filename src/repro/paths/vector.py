@@ -32,33 +32,21 @@ distribution is identical.  ``tests/test_paths_vector.py`` pins the
 distributional match; ``tests/test_engine_statistical.py`` pins the
 downstream claim.
 
-The routed oracle (:class:`repro.mobility.MobilePathOracle`, static at
-speed 0) gets a second native sampler,
-:func:`_sample_routed_vectorized`: destinations are rejection-sampled in
-vectorized waves (one ``integers`` batch per wave instead of one call per
-attempt), routability is resolved once per *distinct* (source, destination)
-pair per topology window through the oracle's route provider, and the
-plan is packed with pair-level dedup — each distinct candidate-path set is
-packed once and games gather its rows by index.  Per-game distributions are
-identical to the sequential rejection sampler (uniform over the source's
-others, conditioned on routability within ``max_draws`` attempts, then
-the provider's rescue for a source whose draws all failed), and the
-draw-count-clocked topology stepping of the mobile oracle fires at exactly
-the same draw counts (window boundaries), but the shared generator is
-consumed in a different order — the same statistical relaxation as the
-random sampler above.  ``tests/test_paths_vector.py`` pins the
-distributional match and the step schedule.
-
-Oracles without a vectorized sampler (scripted, third-party) are planned
-through :func:`repro.paths.oracle.plan_games` and packed into the same
-:class:`GamePlanArrays` layout.
+Every other oracle — the routed :class:`repro.mobility.MobilePathOracle`
+(static at speed 0), scripted and third-party ones — is planned through its
+own stream-identical :func:`repro.paths.oracle.plan_games` draws and packed
+into the same :class:`GamePlanArrays` layout.  On the routed oracle that is
+the one rejection loop of :func:`repro.paths.planner.draw_setup`: the fused
+plan consumes the generator, steps the topology and calls the rescue
+exactly as the per-game draws do, so only the random oracle's plan is
+stream-divergent.  The draw loop is not the routed cost — route search is.
 
 :func:`plan_generation_arrays` stacks *all* tournaments of a generation
 into one round-major plan for the fused engine: the random oracle draws
 every tournament's games through one core call over per-tournament pools,
-while routed/fallback oracles are planned tournament by tournament (so the
-topology clock and slot cache advance exactly as the sequential generation
-loop drives them) and interleaved into the stacked layout.
+while every other oracle is planned tournament by tournament (so its
+topology clock advances exactly as the sequential generation loop drives
+it) and interleaved into the stacked layout.
 
 Every plan is *ragged*: candidate paths are CSR segments of one flat array
 of real hops (:class:`GamePlanArrays`), never rows padded to the plan's
@@ -77,7 +65,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.paths.oracle import PathOracle, RandomPathOracle, plan_games
-from repro.paths.planner import no_route_error
 
 __all__ = [
     "GamePlanArrays",
@@ -155,31 +142,12 @@ def plan_tournament_arrays(
 ) -> GamePlanArrays:
     """Draw a whole tournament's games into :class:`GamePlanArrays`.
 
-    The routed oracle (``MobilePathOracle``) gets the native routed sampler
-    (distributionally identical, stream-divergent — see the module
-    docstring); every other oracle is
-    planned sequentially through :func:`plan_games` and repacked.  The
-    random oracle's native sampler draws whole generations
-    (:func:`plan_generation_arrays`; one tournament is one seating).
+    The games are the oracle's own stream-identical :func:`plan_games`
+    draws, repacked; the random oracle's native sampler draws whole
+    generations (:func:`plan_generation_arrays`; one tournament is one
+    seating).
     """
-    participants = list(participants)
-    sources = list(sources)
-    if (
-        _is_routed_oracle(oracle)
-        and len(participants) >= 2
-        and set(sources) <= set(participants)
-    ):
-        return _sample_routed_vectorized(oracle, sources, participants)
     return _arrays_from_plan(plan_games(oracle, sources, participants))
-
-
-def _is_routed_oracle(oracle) -> bool:
-    """Whether the oracle is the route-provider-backed one."""
-    # imported lazily: paths is a lower layer than mobility, so the
-    # dispatch must not pull it into the import chain of this module
-    from repro.mobility.oracle import MobilePathOracle
-
-    return isinstance(oracle, MobilePathOracle)
 
 
 def _arrays_from_plan(plan) -> GamePlanArrays:
@@ -224,347 +192,6 @@ def _arrays_from_plan(plan) -> GamePlanArrays:
         path_start=path_start,
         path_len=path_len,
         hop_nodes=hop_nodes,
-        max_paths=int(n_paths.max()) if n_games else 0,
-    )
-
-
-def _step_windows(
-    oracle, n_games: int, n_participants: int
-) -> tuple[list[tuple[bool, int]], int]:
-    """Split the plan into maximal game ranges with no topology step inside.
-
-    Returns ``(windows, final_draw_count)`` where each window is
-    ``(step_before, size)`` — the topology steps once before every window
-    flagged ``step_before``, replicating the draw-count-clocked schedule of
-    the sequential draw exactly — and ``final_draw_count`` is the oracle's
-    ``_draws_since_step`` after all draws.
-    """
-    step_every = oracle.step_every
-    threshold = n_participants if step_every == "round" else step_every
-    since = oracle._draws_since_step
-    if not isinstance(threshold, int):
-        # "tournament" mode: stepping is hook-driven, the counter still runs
-        return [(False, n_games)], since + n_games
-    windows: list[tuple[bool, int]] = []
-    remaining = n_games
-    while remaining > 0:
-        step_before = since >= threshold
-        if step_before:
-            since = 0
-        size = min(threshold - since, remaining)
-        windows.append((step_before, size))
-        since += size
-        remaining -= size
-    return windows, since
-
-
-class _RoutedSlotCache:
-    """Persistent pair -> candidate-path-set resolution for one oracle.
-
-    Lives across :func:`plan_tournament_arrays` calls (attached to the
-    oracle as ``_vector_cache``), so a stationary or slowly-changing topology
-    resolves each (source, destination) pair through the route provider
-    once per epoch instead of once per tournament.  ``route_slot`` is a
-    dense pair-code lookup (-2 unknown, -1 no route, >= 0 a slot index);
-    ``slots`` is append-only, which keeps ``id()``-keyed dedup safe (every
-    keyed object stays alive in ``slots``) and lets the packed slot arrays
-    be reused verbatim while no new slot appeared.
-    """
-
-    __slots__ = (
-        "epoch",
-        "steps",
-        "scope",
-        "m1",
-        "route_slot",
-        "slots",
-        "slot_of_obj",
-        "packed_count",
-        "n_rows",
-        "n_hops",
-        "_n_paths",
-        "_row_start",
-        "_hop_start",
-        "_hops",
-        "_path_len",
-        "resolves",
-        "rejects",
-        "invalidations",
-    )
-
-    def __init__(self, epoch: int, steps: int, scope, m1: int):
-        self.epoch = epoch
-        self.steps = steps
-        self.scope = scope
-        self.m1 = m1
-        #: pair codes resolved through the route provider (cache fills)
-        self.resolves = 0
-        #: rejection-sampling retries: drawn candidates with no route
-        self.rejects = 0
-        #: topology-window invalidations (route_slot wiped, dedup kept)
-        self.invalidations = 0
-        self.route_slot = np.full(m1 * m1, -2, dtype=np.int64)
-        self.slots: list[Sequence[Sequence[int]]] = []
-        self.slot_of_obj: dict[int, int] = {}
-        # packed arrays grow append-only with amortized-doubling capacity;
-        # the first packed_count slots / n_rows rows / n_hops hops are valid
-        self.packed_count = 0
-        self.n_rows = 0
-        self.n_hops = 0
-        self._n_paths = np.empty(64, dtype=np.int64)
-        self._row_start = np.zeros(65, dtype=np.int64)
-        self._hop_start = np.zeros(257, dtype=np.int64)
-        self._hops = np.empty(1024, dtype=np.int64)
-        self._path_len = np.empty(256, dtype=np.int64)
-
-    def invalidate(self, epoch: int, steps: int) -> None:
-        """Unknown all pairs (new topology window); keep the slot dedup.
-
-        Keyed on ``steps``, not just ``epoch``: a step that leaves the edge
-        set (and epoch) intact can still move positions, and the provider's
-        never-cache routes (churned-out sources, emergency boosts) are
-        position-dependent — their pair resolutions must not outlive any
-        step, exactly as the provider recomputes them on every call.
-        """
-        self.epoch = epoch
-        self.steps = steps
-        self.route_slot.fill(-2)
-        self.invalidations += 1
-
-    def packed_slots(self) -> tuple:
-        """(n_paths, row_start, hop_start, hops, path_len) over all slots.
-
-        Slot ``i`` owns rows ``row_start[i]:row_start[i + 1]``, row ``p``
-        the hops ``hops[hop_start[p]:hop_start[p + 1]]``.  Incremental:
-        only slots appended since the last call are packed, so a stable
-        slot population (stationary topology, warm caches) pays nothing here.
-        """
-        slots = self.slots
-        n_slots = len(slots)
-        if self.packed_count < n_slots:
-            new = [slots[i] for i in range(self.packed_count, n_slots)]
-            new_rows = sum(len(paths) for paths in new)
-            new_hops = sum(len(p) for paths in new for p in paths)
-            self._reserve(n_slots, self.n_rows + new_rows, self.n_hops + new_hops)
-            row = self.n_rows
-            hop = self.n_hops
-            hops_buf = self._hops
-            for i, paths in enumerate(new, self.packed_count):
-                self._n_paths[i] = len(paths)
-                self._row_start[i + 1] = row + len(paths)
-                for path in paths:
-                    k = len(path)
-                    self._path_len[row] = k
-                    hops_buf[hop : hop + k] = path
-                    hop += k
-                    row += 1
-                    self._hop_start[row] = hop
-            self.packed_count = n_slots
-            self.n_rows = row
-            self.n_hops = hop
-        return (
-            self._n_paths[:n_slots],
-            self._row_start[: n_slots + 1],
-            self._hop_start[: self.n_rows + 1],
-            self._hops[: self.n_hops],
-            self._path_len[: self.n_rows],
-        )
-
-    def _reserve(self, n_slots: int, n_rows: int, n_hops: int) -> None:
-        """Grow the packed buffers (doubling) to hold the new slots/rows/hops."""
-        self._n_paths = _grown(self._n_paths, n_slots)
-        self._row_start = _grown(self._row_start, n_slots + 1)
-        self._path_len = _grown(self._path_len, n_rows)
-        self._hop_start = _grown(self._hop_start, n_rows + 1)
-        self._hops = _grown(self._hops, n_hops)
-
-
-def _grown(buf: np.ndarray, size: int) -> np.ndarray:
-    """``buf`` if it holds ``size`` items, else a copy with doubled capacity
-    (at least ``size``) and the old contents in front."""
-    if size <= buf.shape[0]:
-        return buf
-    out = np.zeros(max(2 * buf.shape[0], size), dtype=buf.dtype)
-    out[: buf.shape[0]] = buf
-    return out
-
-
-def _slot_cache_for(oracle, provider, m1: int) -> _RoutedSlotCache:
-    """The oracle's persistent slot cache, (re)built when stale.
-
-    The cache is only valid for the provider's current scope and the
-    topology's current epoch *and* step count (steps between plans can move
-    positions — and the never-cache boost/virtual routes — without bumping
-    the epoch); it is also rebuilt when an accumulation of never-cached
-    routes (boosted pairs) has grown it past a sane bound — an append-only
-    dedup over fresh list objects would otherwise leak.
-    """
-    scope = provider.scope
-    cache: _RoutedSlotCache | None = getattr(oracle, "_vector_cache", None)
-    topology = oracle.topology
-    epoch = topology.epoch
-    steps = topology.steps
-    if (
-        cache is None
-        or cache.m1 != m1
-        or cache.scope != scope
-        or len(cache.slots) > 4 * m1 * m1
-    ):
-        cache = _RoutedSlotCache(epoch, steps, scope, m1)
-        oracle._vector_cache = cache
-    elif cache.epoch != epoch or cache.steps != steps:
-        cache.invalidate(epoch, steps)
-    return cache
-
-
-def _sample_routed_vectorized(
-    oracle, sources: list[int], participants: list[int]
-) -> GamePlanArrays:
-    """The native vectorized sampler for the routed oracle.
-
-    Destinations are drawn in vectorized rejection waves per topology
-    window; routability is resolved once per distinct (source, destination)
-    pair per epoch through the oracle's route provider (which applies its
-    cache policy), and packing dedups identical candidate-path sets.
-    """
-    rng = oracle.rng
-    provider = oracle.provider
-    routes = provider.routes
-    max_draws = oracle.max_draws
-    n = len(participants)
-    parts = np.asarray(participants, dtype=np.int64)
-    src = np.asarray(sources, dtype=np.int64)
-    n_games = len(src)
-
-    # per-participant "others" pools and the id -> row lookup, exactly as
-    # the random sampler builds them
-    off_diag = parts[None, :] != parts[:, None]
-    others = np.broadcast_to(parts, (n, n))[off_diag].reshape(n, n - 1)
-    max_id = int(parts.max())
-    row_of = np.full(max_id + 1, -1, dtype=np.int64)
-    row_of[parts] = np.arange(n, dtype=np.int64)
-    src_rows = row_of[src]
-
-    provider.rescope(participants)
-    provider.sync()
-    windows, final_draws = _step_windows(oracle, n_games, n)
-
-    m1 = max_id + 1
-    cache = _slot_cache_for(oracle, provider, m1)
-    route_slot = cache.route_slot
-    slots = cache.slots
-    slot_of_obj = cache.slot_of_obj
-    dst = np.empty(n_games, dtype=np.int64)
-    game_slot = np.empty(n_games, dtype=np.int64)
-
-    g0 = 0
-    topology = oracle.topology
-    for step_before, size in windows:
-        if step_before:
-            oracle._step_topology()
-            cache.invalidate(topology.epoch, topology.steps)
-        unresolved = np.arange(g0, g0 + size)
-        for _ in range(max_draws):
-            if unresolved.size == 0:
-                break
-            draws = rng.integers(n - 1, size=unresolved.size)
-            cand = others[src_rows[unresolved], draws]
-            codes = src[unresolved] * m1 + cand
-            status = route_slot[codes]
-            unknown = codes[status == -2]
-            if unknown.size:
-                unique_codes = np.unique(unknown).tolist()
-                cache.resolves += len(unique_codes)
-                for code in unique_codes:
-                    s, d = divmod(code, m1)
-                    paths = routes(s, d)
-                    if paths:
-                        slot = slot_of_obj.get(id(paths))
-                        if slot is None:
-                            slot = len(slots)
-                            slots.append(paths)
-                            slot_of_obj[id(paths)] = slot
-                        route_slot[code] = slot
-                    else:
-                        route_slot[code] = -1
-                status = route_slot[codes]
-            ok = status >= 0
-            hit = unresolved[ok]
-            dst[hit] = cand[ok]
-            game_slot[hit] = status[ok]
-            unresolved = unresolved[~ok]
-            cache.rejects += unresolved.size
-        if unresolved.size:
-            _rescue_games(provider, src, unresolved, dst, game_slot, cache, max_draws)
-        g0 += size
-    oracle._draws_since_step = final_draws
-
-    return _arrays_from_slots(src, dst, game_slot, cache)
-
-
-def _rescue_games(
-    provider,
-    src: np.ndarray,
-    games: np.ndarray,
-    dst: np.ndarray,
-    game_slot: np.ndarray,
-    cache: _RoutedSlotCache,
-    max_draws: int,
-) -> None:
-    """Name the games whose draws all failed through the provider's rescue,
-    as the sequential :func:`repro.paths.planner.draw_setup` does; fail
-    like it when the rescue finds no route.  A rescued route gets its own
-    slot and never enters ``route_slot`` (it is position-dependent, like the
-    provider's never-cached routes)."""
-    for g in games.tolist():
-        source = int(src[g])
-        found = provider.rescue(source)
-        if found is None:
-            raise no_route_error(source, max_draws)
-        destination, paths = found
-        dst[g] = destination
-        game_slot[g] = len(cache.slots)
-        cache.slots.append(paths)
-
-
-def _arrays_from_slots(
-    src: np.ndarray,
-    dst: np.ndarray,
-    game_slot: np.ndarray,
-    cache: _RoutedSlotCache,
-) -> GamePlanArrays:
-    """Pack a slot-deduped routed plan into :class:`GamePlanArrays`.
-
-    The per-path Python work is proportional to the number of *distinct*
-    candidate-path sets (and amortizes to zero while the slot cache is
-    stable): each slot is packed once, and every game gathers its rows and
-    its one contiguous run of hops by index.
-    """
-    n_games = len(src)
-    slot_n_paths, slot_row_start, slot_hop_start, slot_hops, slot_path_len = (
-        cache.packed_slots()
-    )
-    n_paths = slot_n_paths[game_slot] if n_games else np.zeros(0, dtype=np.int64)
-    game_path_start = _offsets(n_paths)
-    total = int(game_path_start[-1])
-    path_game = np.repeat(np.arange(n_games, dtype=np.int64), n_paths)
-    path_col = np.arange(total, dtype=np.int64) - game_path_start[path_game]
-    first_row = slot_row_start[game_slot]
-    path_len = slot_path_len[first_row[path_game] + path_col]
-    # a slot's rows, hence its hops, are contiguous in the cache
-    hop_lo = slot_hop_start[first_row]
-    game_hops = slot_hop_start[slot_row_start[game_slot + 1]] - hop_lo
-    return GamePlanArrays(
-        n_games=n_games,
-        src=src,
-        dst=dst,
-        n_paths=n_paths,
-        game_path_start=game_path_start,
-        path_game=path_game,
-        path_col=path_col,
-        path_start=_offsets(path_len),
-        path_len=path_len,
-        hop_nodes=slot_hops[segment_index(hop_lo, game_hops)],
         max_paths=int(n_paths.max()) if n_games else 0,
     )
 
@@ -705,13 +332,13 @@ def plan_generation_arrays(
     rounds, exactly like a single tournament's plan).
 
     :class:`RandomPathOracle` gets a natively stacked sampler (one draw
-    core call over every tournament's pools at once).  Route-table and
-    fallback oracles are planned per tournament — in seating order, so the
-    topology clock, route provider scope and slot cache advance exactly as
-    the sequential generation loop drives them — and interleaved into the
-    stacked layout; ``on_tournament_end``, when given, fires after each
-    tournament's plan (the per-tournament topology clocking hook that
-    ``evaluate_stack`` owns on the unfused path).
+    core call over every tournament's pools at once).  Every other oracle
+    is planned per tournament through :func:`plan_tournament_arrays` — in
+    seating order, so the topology clock and route provider scope advance
+    exactly as the sequential generation loop drives them — and
+    interleaved into the stacked layout; ``on_tournament_end``, when
+    given, fires after each tournament's plan (the per-tournament topology
+    clocking hook that ``evaluate_stack`` owns on the unfused path).
     """
     seatings = [list(s) for s in seatings]
     if not seatings:

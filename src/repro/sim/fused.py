@@ -5,10 +5,14 @@ contract: ``fused`` is **statistically equivalent** to the reference
 trajectory distribution, not bit-identical to any single trajectory.  The
 relaxation buys back the costs that bound the bit-identical engines:
 
-* **Game setups** are drawn for the whole generation in a handful of numpy
-  operations (:func:`repro.paths.vector.plan_generation_arrays`) instead of
-  per-game RNG calls — distributionally identical to the sequential sampler,
-  but consuming the generator in a different order, so trajectories diverge.
+* **Game setups** are drawn for the whole generation before any game is
+  played (:func:`repro.paths.vector.plan_generation_arrays`).  On the random
+  oracle that is a handful of numpy operations instead of per-game RNG
+  calls — distributionally identical to the sequential sampler, but
+  consuming the generator in a different order, so trajectories diverge.
+  Every other oracle, the routed one included, is planned per tournament
+  through its own ``draw_tournament``: those plans are stream-identical to
+  the per-game draws, rejected draws and rescues included.
 * **The game loop** is vectorized per round.  The bit-identical engines must
   play a round's games sequentially because game ``g``'s watchdog updates
   feed game ``g + 1``'s path ratings and forwarding decisions.  This engine
@@ -24,8 +28,8 @@ relaxation buys back the costs that bound the bit-identical engines:
 * **Tournaments** of one generation run as one stacked pass: every per-round
   pass covers a *slate* — round ``r`` of every stacked tournament at once
   (``T * n`` games; a table-5 round alone is 50 games, so per-op numpy
-  dispatch would dominate) — sharing one plan, one set of route tables /
-  ``_RoutedSlotCache`` slots and the generation's reputation state.  Within
+  dispatch would dominate) — sharing one plan, one set of route tables
+  and the generation's reputation state.  Within
   a generation the reputation matrices persist across tournaments
   (``reset_generation`` fires once per generation), and tournaments are
   causally coupled only through them, so the round-major slate is a
@@ -64,6 +68,12 @@ which are the entire statistical relaxation:
   generation's topology epochs under zero-budget lazy revalidation
   (:meth:`FusedEngine.route_sharing`), a relaxation of route *preference*,
   not existence — the class of the approx cache policy.
+
+The plan adds no relaxation of its own on a routed oracle: each
+tournament's routed plan is stream-identical to the per-game draws (the
+same destinations, rejected draws, rescues and topology steps), and
+route-table sharing changes only which of a pair's routes it serves.  The
+random oracle's plan keeps its stream-order relaxation (above).
 
 All of them perturb *which* of two near-equivalent micro-outcomes occurs,
 never the distributions the paper reports (cooperation level, fitness,
@@ -176,10 +186,10 @@ round touches:
   order, so its weighted ``bincount`` sums add in the order the sequential
   and padded passes did.
 
-Every path oracle is supported: random and route-table oracles have native
-vectorized samplers, and every other oracle (scripted, third-party) is
-planned through the sequential :func:`plan_games` path and packed into the
-same layout; only the game loop is speculated.
+Every path oracle is supported: the random oracle has a native vectorized
+sampler, and every other oracle (routed, scripted, third-party) is planned
+through the sequential :func:`plan_games` path and packed into the same
+layout; only the game loop is speculated.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ telemetry calls.  Harvesting copies them into the registry **once per
 replication**, after the run — so enabling telemetry changes nothing about
 how the layers execute.
 
-All reads are ``getattr``-defensive: every oracle flavour (random, static
-topology, mobile) exposes a different subset, and scripted test oracles
-expose none.  Harvested values land in *counters* (not gauges) so that
-per-replication snapshots sum correctly when merged experiment-wide.
+Layer reads are ``getattr``-defensive: the random oracle has no route
+provider or topology, and scripted test oracles expose nothing.  Harvested
+values land in *counters* (not gauges) so that per-replication snapshots
+sum correctly when merged experiment-wide.
 """
 
 from __future__ import annotations
@@ -34,30 +34,24 @@ def harvest_oracle(tel, oracle) -> None:
     step_s = getattr(oracle, "step_s", None)
     if step_s is not None:
         tel.count("mobility.step_s", float(step_s))
-    cache = getattr(oracle, "_vector_cache", None)
-    if cache is not None:
-        _harvest_slot_cache(tel, cache)
 
 
 def _harvest_provider(tel, provider) -> None:
-    policy = getattr(provider, "policy", None)
-    name = policy.name if policy is not None else "static"
-    prefix = f"route.{name}"
+    policy = provider.policy
+    prefix = f"route.{policy.name}"
     tel.count(f"{prefix}.cache_hits", provider.cache_hits)
     tel.count(f"{prefix}.cache_misses", provider.cache_misses)
-    tel.count(f"{prefix}.route_computes", getattr(provider, "route_computes", 0))
-    tel.count(f"{prefix}.empty_serves", getattr(provider, "empty_serves", 0))
+    tel.count(f"{prefix}.route_computes", provider.route_computes)
+    tel.count(f"{prefix}.empty_serves", provider.empty_serves)
     tel.count(f"{prefix}.search_s", float(provider.search_s))
-    stale = getattr(provider, "stale_hits", None)
-    if stale is not None:
-        tel.count(f"{prefix}.stale_serves", stale)
-        tel.count(f"{prefix}.revalidations", provider.revalidations)
-    if policy is not None:
-        tel.set_gauge("route.drift_budget", policy.budget)
-    ages = getattr(provider, "drift_age_counts", None)
-    if ages:
-        for age, n in ages.items():
-            tel.observe("route.drift_age", age, n, bounds=DRIFT_AGE_BUCKETS)
+    tel.count(f"{prefix}.stale_serves", provider.stale_hits)
+    tel.count(f"{prefix}.revalidations", provider.revalidations)
+    tel.set_gauge("route.drift_budget", policy.budget)
+    for age, n in provider.drift_age_counts.items():
+        tel.observe("route.drift_age", age, n, bounds=DRIFT_AGE_BUCKETS)
+    # the draw loop (repro.paths.planner.draw_setup) is the only caller of
+    # ``routes``, on every engine: each empty serve is one rejected draw
+    tel.count("paths.rejected_draws", provider.empty_serves)
 
 
 def _harvest_topology(tel, topology) -> None:
@@ -99,10 +93,3 @@ def _harvest_ksp(tel, topology) -> None:
         tel.count("ksp.queries", queries)
         tel.count("ksp.yen_deviations_pruned", pruned)
         tel.count("ksp.snapshot_s", float(build_s))
-
-
-def _harvest_slot_cache(tel, cache) -> None:
-    tel.count("paths.slot_resolves", getattr(cache, "resolves", 0))
-    tel.count("paths.rejected_draws", getattr(cache, "rejects", 0))
-    tel.count("paths.slot_invalidations", getattr(cache, "invalidations", 0))
-    tel.set_gauge("paths.slot_count", len(cache.slots))

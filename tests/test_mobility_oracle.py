@@ -486,6 +486,7 @@ class TestRescue:
         assert oracle.topology.rescues == 1
 
     def test_vectorised_sampler_is_rescued(self):
+        """The fused engine's plan arrays carry the draw loop's rescues."""
         from repro.paths.vector import plan_tournament_arrays
 
         oracle = two_node_oracle()
@@ -544,3 +545,62 @@ class TestRescue:
         with pytest.raises(RuntimeError, match="no routable destination"):
             oracle.draw(0, [0, 1])
         assert oracle.topology.rescues == 0
+
+
+class CountingRng:
+    """A generator proxy that counts the draw loop's ``integers`` calls:
+    one per destination attempt, accepted or rejected."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.attempts = 0
+
+    def integers(self, *args, **kwargs):
+        self.attempts += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestRejectedDraws:
+    """``paths.rejected_draws`` counts every rejected destination draw, on
+    the bit-identical and the fused engine alike: each engine plans routed
+    games through the one draw loop, whose empty serves are its rejects."""
+
+    @pytest.mark.parametrize("engine_name", ["batch", "fused"])
+    def test_counted_on_every_engine(self, engine_name):
+        from repro.telemetry.config import TelemetryConfig
+        from repro.telemetry.harvest import harvest_oracle
+        from repro.telemetry.runtime import telemetry_session
+
+        n, rounds = 16, 4
+        participants = list(range(n))
+        # too sparse to stay connected: draws are rejected, sources rescued
+        topo = DynamicTopology(
+            participants,
+            0.25,
+            RandomWaypoint(0.025, 0.05, pause_time=0.0),
+            np.random.default_rng(5),
+            require_connected_start=False,
+        )
+        rng = CountingRng(np.random.default_rng(6))
+        oracle = MobilePathOracle(topo, rng)
+        engine = make_engine(engine_name, n, 0)
+        engine.set_strategies(
+            [Strategy.random(np.random.default_rng(k)) for k in range(n)]
+        )
+        stats = TournamentStats()
+        if engine_name == "fused":
+            engine.run_generation([participants], rounds, oracle, stats)
+        else:
+            engine.run_tournament(participants, rounds, oracle, stats, None, None)
+        with telemetry_session(TelemetryConfig(enabled=True, events=False)) as tel:
+            harvest_oracle(tel, oracle)
+            counters = tel.snapshot()["counters"]
+        # a game is one accepted draw, or max_draws rejected ones and a rescue
+        accepted = n * rounds - topo.rescues
+        assert topo.rescues > 0
+        assert counters["paths.rejected_draws"] == rng.attempts - accepted
+        assert counters["paths.rejected_draws"] == oracle.provider.empty_serves
+        assert counters["paths.rejected_draws"] > 0

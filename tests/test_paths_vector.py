@@ -5,8 +5,8 @@ with the sequential :meth:`RandomPathOracle.draw`: same destination law,
 same hop/path-count laws, same uniform ordered-subset law per path.  These
 tests pin the structural guarantees exactly and the distributions
 statistically (chi-squared-style bounds loose enough to never flake, tight
-enough to catch a wrong law), plus the packing fallback for oracles without
-a vectorized path.
+enough to catch a wrong law), plus the packing of every other oracle's own
+draws: a routed plan must equal the per-game draws exactly.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class TestPlanFallback:
                 assert 99 not in path
 
 
-# -- native routed sampler (static and mobile networks) -----------------------
+# -- routed plans (static and mobile networks) --------------------------------
 
 
 def make_topology_oracle(seed=0, n=20, radio=0.45):
@@ -291,28 +291,6 @@ class TestRoutedSamplerStructure:
 
 
 class TestRoutedSamplerDistribution:
-    def test_destination_law_matches_sequential(self):
-        """Destinations are uniform over the routable others, as rejection
-        sampling produces — KS-compared against the sequential planner on a
-        twin oracle."""
-        from repro.analysis.equivalence import ks_2samp
-        from repro.paths.oracle import plan_games
-
-        participants = list(range(20))
-        vec_oracle = make_topology_oracle(seed=11)
-        seq_oracle = make_topology_oracle(seed=11)
-        vec_dsts: list[float] = []
-        seq_dsts: list[float] = []
-        for _ in range(12):
-            plan = plan_tournament_arrays(
-                vec_oracle, participants * 3, participants
-            )
-            vec_dsts.extend(plan.dst.tolist())
-            seq = plan_games(seq_oracle, participants * 3, participants)
-            seq_dsts.extend(d for _, d, _ in seq)
-        result = ks_2samp(vec_dsts, seq_dsts)
-        assert result.pvalue > 0.01, f"destination law diverges: {result}"
-
     def test_per_source_destinations_cover_routable_set(self):
         oracle = make_topology_oracle(seed=2)
         participants = list(range(20))
@@ -330,81 +308,69 @@ class TestRoutedSamplerDistribution:
         assert reached == routable
 
 
-class TestRoutedSamplerClocking:
-    """The mobile oracle's draw-count-clocked stepping must fire at exactly
-    the sequential draw counts (window boundaries)."""
+def make_sparse_oracle(seed=5, n=16, radio=0.25, **kwargs):
+    """A fast-moving network too sparse to stay connected: many drawn
+    pairs have no route, and some sources have no routable destination at
+    all, so both rejected draws and rescues occur."""
+    from repro.mobility import DynamicTopology, MobilePathOracle, RandomWaypoint
 
+    topo = DynamicTopology(
+        list(range(n)),
+        radio,
+        RandomWaypoint(0.025, 0.05, pause_time=0.0),
+        np.random.default_rng(seed),
+        require_connected_start=False,
+    )
+    return MobilePathOracle(topo, np.random.default_rng(seed + 1), **kwargs)
+
+
+class TestRoutedPlanIsTheDrawLoop:
+    """The fused engine's routed plan is the oracle's own draw loop: a
+    generation plan equals the per-game :meth:`draw` sequence of a twin
+    oracle driven through the sequential generation loop, game for game
+    (destinations, paths, generator state), and steps the topology at the
+    same draw counts, rejected draws and rescues included, under every
+    clock and across plans that end mid-window."""
+
+    @pytest.mark.parametrize("n_tournaments", [1, 2])
     @pytest.mark.parametrize("step_every", ["round", 7, "tournament"])
-    def test_step_counts_match_sequential(self, step_every):
-        participants = list(range(20))
-        sources = participants * 3
-        counts = {}
-        for mode in ("vector", "sequential"):
-            oracle = make_mobile_oracle(seed=4, step_every=step_every)
-            calls = []
-            original = oracle.topology.step
-            oracle.topology.step = lambda: calls.append(1) or original()
-            if mode == "vector":
-                plan_tournament_arrays(oracle, sources, participants)
-            else:
-                for source in sources:
-                    oracle.draw(source, participants)
-            counts[mode] = (len(calls), oracle._draws_since_step)
-        assert counts["vector"] == counts["sequential"]
-
-    def test_partial_window_bookkeeping_carries_over(self):
-        """A plan that ends mid-window leaves the draw counter exactly where
-        the sequential draws would."""
-        participants = list(range(20))
-        vec = make_mobile_oracle(seed=6, step_every=7)
-        seq = make_mobile_oracle(seed=6, step_every=7)
-        plan_tournament_arrays(vec, participants[:10], participants)
-        for source in participants[:10]:
-            seq.draw(source, participants)
-        assert vec._draws_since_step == seq._draws_since_step
-        # and a follow-up plan keeps stepping on the shared schedule
-        calls = []
-        original = vec.topology.step
-        vec.topology.step = lambda: calls.append(1) or original()
-        plan_tournament_arrays(vec, participants[:10], participants)
-        calls_vec = len(calls)
-        calls2 = []
-        original2 = seq.topology.step
-        seq.topology.step = lambda: calls2.append(1) or original2()
-        for source in participants[:10]:
-            seq.draw(source, participants)
-        assert calls_vec == len(calls2)
-
-    def test_slot_cache_reused_across_tournaments(self):
-        """The persistent pair->slot cache must survive static tournaments
-        and be invalidated by epoch changes."""
-        oracle = make_topology_oracle(seed=9)
-        participants = list(range(20))
-        plan_tournament_arrays(oracle, participants * 3, participants)
-        cache = oracle._vector_cache
-        plan_tournament_arrays(oracle, participants * 3, participants)
-        assert oracle._vector_cache is cache  # reused, not rebuilt
-        assert oracle.topology.epoch == 0
-        oracle.topology.epoch += 1  # an edge-set change, as a step makes it
-        plan_tournament_arrays(oracle, participants * 3, participants)
-        assert oracle._vector_cache is cache
-        assert cache.epoch == oracle.topology.epoch
-
-    def test_slot_cache_invalidated_by_epochless_steps(self):
-        """A topology step that moves positions without changing the edge
-        set (no epoch bump) must still drop the pair resolutions — the
-        provider's never-cache boost/virtual routes are position-dependent."""
-        oracle = make_mobile_oracle(seed=8, step_every="tournament")
-        participants = list(range(20))
-        plan_tournament_arrays(oracle, participants * 2, participants)
-        cache = oracle._vector_cache
-        known_before = int((cache.route_slot != -2).sum())
-        assert known_before > 0
-        # an epoch-preserving "step": positions logically moved, edges kept
-        oracle.topology.steps += 1
-        plan_tournament_arrays(oracle, participants * 2, participants)
-        assert oracle._vector_cache is cache  # reused container...
-        assert cache.steps == oracle.topology.steps  # ...but re-keyed
+    def test_plan_equals_per_game_draws(self, step_every, n_tournaments):
+        n, rounds = 16, 3
+        seatings = pin_seatings(n_tournaments, n, seed=1)
+        planned = make_sparse_oracle(step_every=step_every)
+        drawn = make_sparse_oracle(step_every=step_every)
+        for _ in range(2):  # 48 draws a tournament: plan 2 starts mid-window
+            plan = plan_generation_arrays(
+                planned, seatings, rounds, planned.on_tournament_end
+            )
+            per_tournament = []
+            for seating in seatings:
+                per_tournament.append(
+                    [drawn.draw(s, seating) for s in seating * rounds]
+                )
+                drawn.on_tournament_end()
+            # the plan is round-major across the generation's tournaments
+            setups = [
+                games[r * n + k]
+                for r in range(rounds)
+                for games in per_tournament
+                for k in range(n)
+            ]
+            assert plan.src.tolist() == [g.source for g in setups]
+            assert plan.dst.tolist() == [g.destination for g in setups]
+            assert [plan.paths_of(g) for g in range(plan.n_games)] == [
+                [list(p) for p in g.paths] for g in setups
+            ]
+            assert planned.topology.steps == drawn.topology.steps
+            assert (
+                planned.rng.bit_generator.state == drawn.rng.bit_generator.state
+            )
+        assert planned.topology.steps > 0
+        # the set-up exercises what the contract is about
+        assert planned.provider.empty_serves > 0
+        assert planned.topology.rescues > 0
+        assert planned.provider.empty_serves == drawn.provider.empty_serves
+        assert planned.topology.rescues == drawn.topology.rescues
 
 
 # -- stacked generation planner (fused engine) --------------------------------
