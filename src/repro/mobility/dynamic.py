@@ -17,16 +17,20 @@ and pay nothing while the network is effectively static (waypoint pauses,
 sub-tolerance drift).  With a nonzero tolerance, edge lengths are accurate to
 within ``2 * tolerance`` — the documented fidelity/speed trade-off.
 
-Route search reads the matrix through a per-epoch
-:class:`repro.network.ksp.PathSearch` snapshot in cyclic neighbour order
-(ascending topology index from the node's own index, wrapping around), so
-route ties depend only on the current edge set, never on the order the
-edges were repaired in, and no node is every neighbour's first choice.
+Route search reads the matrix through a :class:`repro.network.ksp.PathSearch`
+snapshot built once per (epoch, scope): a routed tournament searches only
+among its participants, so the snapshot is of the subgraph their ids
+induce, and the nodes outside it cost a search nothing.  Neighbours
+iterate in cyclic order (ascending topology index from the node's own
+index, wrapping around), so route ties depend only on the current edge
+set, never on the order the edges were repaired in, and no node is every
+neighbour's first choice; the induced snapshot keeps the kept nodes in
+ascending order, so it breaks every tie as the full graph would.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -104,28 +108,50 @@ class DynamicTopology:
         self._anchor_active = self._active.copy()
         self._search: PathSearch | None = None
         self._search_epoch = -1
+        self._search_scope: frozenset[int] | None = None
 
-    def path_search(self) -> PathSearch:
-        """The native route-search snapshot of the current epoch's adjacency.
+    def path_search(self, scope: Collection[int] | None = None) -> PathSearch:
+        """The route-search snapshot of the current epoch's graph, induced by
+        the node ids in ``scope`` (the whole graph when ``None``).
 
-        Rebuilt only when ``epoch`` changes (the edge set really moved);
-        queries never mutate the adjacency, so the snapshot stays valid for the
-        whole epoch — including around virtual-edge and power-boost queries,
+        Rebuilt only when ``epoch`` changes (the edge set really moved) or
+        the scope's contents do — compared by value, so a set edited in
+        place is seen; ids outside the topology are ignored.  Queries never
+        mutate the adjacency, so the snapshot stays valid for the whole
+        epoch — including around virtual-edge and power-boost queries,
         which ride in as query-time extra edges instead of graph edits.
         """
-        if self._search is None or self._search_epoch != self.epoch:
-            old = self._search
-            if old is not None:
+        if scope is not None and not isinstance(scope, frozenset):
+            scope = frozenset(scope)  # the memo compares contents
+        search = self._search
+        if (
+            search is None
+            or self._search_epoch != self.epoch
+            or (scope is not self._search_scope and scope != self._search_scope)
+        ):
+            if search is not None:
                 b, q, p, t = self._ksp_retired
                 self._ksp_retired = (
-                    b + old.bfs_builds,
-                    q + old.queries,
-                    p + old.deviations_pruned,
-                    t + old.build_s,
+                    b + search.bfs_builds,
+                    q + search.queries,
+                    p + search.deviations_pruned,
+                    t + search.build_s,
                 )
-            self._search = PathSearch(self.adjacency, self.node_ids)
+            # ascending, so the index map is monotone and every node's
+            # cyclic neighbour order is the full graph's among the kept
+            ids, index = self.node_ids, self._index
+            keep = (
+                range(len(ids))
+                if scope is None
+                else sorted(index[nid] for nid in scope if nid in index)
+            )
+            search = PathSearch(
+                self.adjacency[np.ix_(keep, keep)], [ids[j] for j in keep]
+            )
+            self._search = search
             self._search_epoch = self.epoch
-        return self._search
+            self._search_scope = scope
+        return search
 
     # -- state access ----------------------------------------------------------
 
@@ -174,7 +200,9 @@ class DynamicTopology:
 
         ``restrict_to`` routes over the subgraph induced by the given node
         ids (e.g. the current tournament's participants — routes are
-        discovered among nodes actually taking part in the network).
+        discovered among nodes actually taking part in the network), on
+        that subgraph's own snapshot (:meth:`path_search`).  A virtual or
+        boost edge to a node outside it is dropped.
 
         A churned-out node keeps originating packets (its radio is on while
         it transmits), so an inactive *source* is virtually re-linked to its
@@ -185,10 +213,8 @@ class DynamicTopology:
         extras: list[tuple[int, int]] = (
             [] if self._active[i] else self._virtual_edges(i)
         )
-        search = self.path_search()
-        if restrict_to is not None and search.covers_all(restrict_to):
-            restrict_to = None  # scope covers the graph: restriction no-op
-        if not self._reaches_scope(search, i, extras, restrict_to):
+        search = self.path_search(restrict_to)
+        if not self._reaches_scope(search, i, extras):
             # emergency power boost: a source with no reachable peer in
             # scope raises transmit power until its nearest participating
             # node hears it
@@ -198,26 +224,23 @@ class DynamicTopology:
             self.boost_count += 1
             extras = extras + [(source, attach)]
         return search.intermediate_paths(
-            source, destination, max_paths, max_hops, restrict_to, extras
+            source, destination, max_paths, max_hops, extras
         )
 
     def _reaches_scope(
-        self,
-        search: PathSearch,
-        i: int,
-        extras: Sequence[tuple[int, int]],
-        restrict_to: frozenset[int] | None,
+        self, search: PathSearch, i: int, extras: Sequence[tuple[int, int]]
     ) -> bool:
-        """Whether node index ``i`` has a neighbour within scope, extra
-        edges included — a nonzero degree in the scope-induced subgraph
-        with the query's virtual edges added."""
-        nbrs = search.neighbors[i]
-        if restrict_to is None:
-            return bool(nbrs or extras)
-        ids = self.node_ids
-        return any(ids[j] in restrict_to for j in nbrs) or any(
-            b in restrict_to for _, b in extras
-        )
+        """Whether node index ``i`` has a neighbour in the scoped snapshot
+        ``search``, or an extra edge into it — a nonzero degree in the
+        scope-induced subgraph with the query's virtual edges added."""
+        index = search.index
+        k = index.get(self.node_ids[i])
+        if k is not None:
+            linked = bool(search.neighbors[k])
+        else:  # a source outside the scope: its live links into it
+            keep = [self._index[nid] for nid in search.node_ids]
+            linked = bool(self.adjacency[i, keep].any())
+        return linked or any(b in index for _, b in extras)
 
     def rescue_route(
         self,
@@ -269,7 +292,7 @@ class DynamicTopology:
             if paths:
                 self.rescues += 1
                 return ids[j], paths
-        search = self.path_search()
+        search = self.path_search(scope)
         outside = np.flatnonzero(allowed & ~component)
         for b in outside[np.argsort(d2[outside], kind="stable")].tolist():
             peers = np.flatnonzero(self.adjacency[b] & allowed)
@@ -278,12 +301,7 @@ class DynamicTopology:
             from_b = np.sum((self._pos[peers] - self._pos[b]) ** 2, axis=1)
             destination = ids[int(peers[np.argmin(from_b)])]
             paths = search.intermediate_paths(
-                source,
-                destination,
-                max_paths,
-                max_hops,
-                scope,
-                extras + [(source, ids[b])],
+                source, destination, max_paths, max_hops, extras + [(source, ids[b])]
             )
             if paths:
                 self.rescues += 1

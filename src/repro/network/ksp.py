@@ -27,15 +27,21 @@ undirected graphs (alternating smallest-fringe level expansion, first meet
 wins); ``tests/test_ksp.py`` pins the port against networkx (a ``dev``
 dependency, used only by the tests) on randomised geometric graphs.
 
-Two query-time features mirror how the mobility subsystem uses subgraphs:
+A snapshot is always of the graph its queries route on: a search
+restricted to a node subset runs on a snapshot of the induced subgraph
+(``PathSearch(adjacency[np.ix_(keep, keep)], ids[keep])`` with ``keep``
+ascending, see :meth:`repro.mobility.DynamicTopology.path_search`).  The
+index map is monotone, so every node's cyclic neighbour order, and with
+it every route tie, is the one the full graph gives among the kept
+nodes; the hop field and the distance-1/2 closed forms are those of the
+subgraph.  One query-time feature remains:
 
-* ``scope`` — restrict the search to a node subset, like an induced
-  subgraph (scoped adjacency keeps the base iteration order);
 * ``extra_edges`` — edges appended for this query only (appended
   neighbours iterate *after* the base ones, as they would in a
-  dict-backed graph after ``add_edges_from``).  Hop-field pruning is
-  disabled when extra edges are present, since they can shorten routes
-  and would invalidate the lower bound.
+  dict-backed graph after ``add_edges_from``); an edge with an endpoint
+  outside the snapshot is dropped.  Hop-field pruning is disabled when
+  extra edges are present, since they can shorten routes and would
+  invalidate the lower bound.
 
 The truncation contract of :meth:`PathSearch.intermediate_paths`:
 enumeration in increasing length, stop past ``max_hops``, skip
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,8 +75,8 @@ class PathSearch:
     ``adjacency`` is a symmetric ``(n, n)`` bool matrix with a false
     diagonal; row/column ``i`` is the node ``node_ids[i]`` (default
     ``0..n-1``).  The snapshot copies it, so later edits to the caller's
-    matrix are not seen: build one per topology epoch.  Queries are
-    read-only.
+    matrix are not seen: build one per topology epoch and route scope.
+    Queries are read-only.
 
     Each node's neighbours iterate in the cyclic order: ascending index
     starting after the node's own and wrapping around (node 5 of 8 walks
@@ -94,8 +100,6 @@ class PathSearch:
         "_dist_rows",
         "_dist_bound",
         "_dist_complete",
-        "_mask_scope",
-        "_mask",
         "bfs_builds",
         "queries",
         "deviations_pruned",
@@ -139,8 +143,6 @@ class PathSearch:
         self._dist_rows: dict[int, list[int]] = {}
         self._dist_bound = -1
         self._dist_complete = False
-        self._mask_scope: Collection[int] | None = None
-        self._mask: bytearray | None = None
         #: hop-field sweeps run (each is a float32 matmul per BFS level)
         self.bfs_builds = 0
         #: top-level path enumerations served by this snapshot
@@ -231,14 +233,13 @@ class PathSearch:
         destination: int,
         max_paths: int,
         max_hops: int,
-        scope: Collection[int] | None = None,
         extra_edges: Sequence[tuple[int, int]] = (),
     ) -> list[tuple[int, ...]]:
         """Up to ``max_paths`` shortest simple routes as intermediate tuples.
 
-        Optionally scoped / with query-time extra edges: direct-neighbour
-        routes are skipped, enumeration stops past ``max_hops``, and unknown
-        endpoints yield ``[]``.
+        Optionally with query-time extra edges: direct-neighbour routes are
+        skipped, enumeration stops past ``max_hops``, and endpoints outside
+        the snapshot yield ``[]``.
         """
         if max_paths < 1:
             return []
@@ -246,7 +247,6 @@ class PathSearch:
             source,
             destination,
             max_hops,
-            scope,
             extra_edges,
             max_paths,
             collect_short=False,
@@ -262,7 +262,6 @@ class PathSearch:
         destination: int,
         max_hops: int,
         limit: int | None = None,
-        scope: Collection[int] | None = None,
         extra_edges: Sequence[tuple[int, int]] = (),
     ) -> list[list[int]]:
         """Full node-id paths in ``nx.shortest_simple_paths`` order.
@@ -275,49 +274,18 @@ class PathSearch:
         if want < 1:
             return []
         paths = self._simple_paths(
-            source, destination, max_hops, scope, extra_edges, want, True
+            source, destination, max_hops, extra_edges, want, True
         )
         ids = self.node_ids
         return [[ids[i] for i in p] for p in paths]
 
-    def covers_all(self, scope: Collection[int]) -> bool:
-        """Whether ``scope`` includes every node (restriction is a no-op).
-
-        Shares the memoised scope mask, so for a stable scope object the
-        check is two identity comparisons.
-        """
-        return self._scope_mask(scope) is None
-
     # -- core ------------------------------------------------------------------
-
-    def _scope_mask(self, scope: Collection[int]) -> bytearray | None:
-        """``scope`` as a per-index byte mask; ``None`` when unrestricted.
-
-        Memoises the last scope *object*: oracles pass the same frozenset
-        for every draw of a tournament, making the common case free.
-        """
-        if scope is self._mask_scope:
-            return self._mask
-        index = self.index
-        mask: bytearray | None = bytearray(len(self.node_ids))
-        covered = 0
-        for nid in scope:
-            i = index.get(nid)
-            if i is not None:
-                mask[i] = 1  # type: ignore[index]
-                covered += 1
-        if covered == len(self.node_ids):
-            mask = None  # scope covers the whole graph: skip the filter
-        self._mask_scope = scope
-        self._mask = mask
-        return mask
 
     def _simple_paths(
         self,
         source: int,
         destination: int,
         max_hops: int,
-        scope: Collection[int] | None,
         extra_edges: Sequence[tuple[int, int]],
         want: int,
         collect_short: bool,
@@ -334,21 +302,21 @@ class PathSearch:
             if source not in index or destination not in index:
                 return out
             s, t = index[source], index[destination]
-        mask = self._scope_mask(scope) if scope is not None else None
-        if mask is not None and not (mask[s] and mask[t]):
-            return out
         xadj: dict[int, list[int]] | None = None
         if extra_edges:
             index = self.index
-            xadj = {}
             for a_id, b_id in extra_edges:
-                a, b = index[a_id], index[b_id]
+                a, b = index.get(a_id), index.get(b_id)
+                if a is None or b is None:
+                    continue  # leaves the snapshot's graph: dropped
+                if xadj is None:
+                    xadj = {}
                 xadj.setdefault(a, []).append(b)
                 xadj.setdefault(b, []).append(a)
         max_len = max_hops + 1  # node count of a max_hops-hop path
         dist_to_t: list[int] | None = None
         if xadj is None:
-            # sound lower bound: scoping/ignoring only lengthens routes
+            # sound lower bound: ignoring nodes/edges only lengthens routes
             dist_to_t = self._hop_row(t, max_hops)
             if dist_to_t[s] > max_hops:
                 return out
@@ -367,7 +335,7 @@ class PathSearch:
                 # closed-form distance-1/2 shortcuts: with no filters the
                 # bidirectional search provably returns the direct edge /
                 # first common neighbour in adjacency order — skip the BFS
-                d0 = dist_to_t[s] if (dist_to_t is not None and mask is None) else 0
+                d0 = dist_to_t[s] if dist_to_t is not None else 0
                 if d0 == 1:
                     path = [s, t]
                 elif d0 == 2:
@@ -378,7 +346,7 @@ class PathSearch:
                             path = [s, w, t]
                             break
                 else:
-                    path = shortest(s, t, mask, xadj, None, None, n)
+                    path = shortest(s, t, xadj, None, None, n)
                 if path is not None and len(path) <= max_len:
                     key = tuple(path)
                     heappush(heap, (len(path), counter, path, key, 1))
@@ -448,11 +416,11 @@ class PathSearch:
                         # (or blocked node) breaks the shortcut's premise
                         spur = None
                         direct = False
-                        if mask is None and d == 1:
+                        if d == 1:
                             if head * n + t not in ig_edges:
                                 spur = [head, t]
                                 direct = True
-                        elif mask is None and d == 2:
+                        elif d == 2:
                             hn = head * n
                             tn = t * n
                             level = {
@@ -470,9 +438,7 @@ class PathSearch:
                                     direct = True
                                     break
                         if not direct:
-                            spur = shortest(
-                                head, t, mask, xadj, blocked, ig_edges, n
-                            )
+                            spur = shortest(head, t, xadj, blocked, ig_edges, n)
                         if spur is not None:
                             full = prev[: i - 1] + spur
                             if len(full) <= max_len:
@@ -502,7 +468,6 @@ class PathSearch:
         self,
         s: int,
         t: int,
-        mask: bytearray | None,
         xadj: dict[int, list[int]] | None,
         blocked: bytearray | None,
         ig_edges: set[int] | None,
@@ -512,7 +477,7 @@ class PathSearch:
         ``_bidirectional_pred_succ`` (undirected), ``None`` when no path.
 
         The alternating smallest-fringe expansion, in-loop meet check and
-        filter stack (scope, then ignored nodes, then ignored edges — all
+        filter stack (ignored nodes, then ignored edges — both
         order-preserving predicates over the recorded adjacency order) are
         kept exactly, so the returned path matches networkx even among
         equal-length alternatives.  ``blocked`` is the ignored-node set as a
@@ -525,9 +490,9 @@ class PathSearch:
             return [s]
         neighbors = self.neighbors
         # the filter set is constant for the whole search: pick one of three
-        # specialised discovery loops (plain / ignores-only / fully general)
+        # specialised discovery loops (plain / ignores-only / extra edges)
         # once, instead of re-testing per neighbour
-        plain = mask is None and xadj is None
+        plain = xadj is None
         # -2 unseen, -1 chain terminator, else predecessor/successor index
         pred = [-2] * n
         succ = [-2] * n
@@ -565,14 +530,12 @@ class PathSearch:
                             if other[w] != -2:
                                 meet = w
                                 break
-                else:  # scoped subgraph and/or query-time extra edges
+                else:  # query-time extra edges
                     nbrs = neighbors[v]
-                    if xadj is not None and v in xadj:
+                    if v in xadj:
                         nbrs = nbrs + xadj[v]
                     vn = v * n
                     for w in nbrs:
-                        if mask is not None and not mask[w]:
-                            continue
                         if blocked is not None and blocked[w]:
                             continue
                         if ig_edges is not None and vn + w in ig_edges:

@@ -4,7 +4,8 @@ This module is the middle layer of the oracle stack's three-layer split:
 
 * **topology** (bottom) — :class:`repro.mobility.dynamic.DynamicTopology`:
   an epoch-versioned adjacency (the epoch moves whenever the edge set
-  changes; at speed 0 it never does) plus route search over it.
+  changes; at speed 0 it never does) plus route search over it, on one
+  snapshot per (epoch, scope) of the subgraph the scope induces.
 * **route provider** (this module) — :class:`RouteProvider`:
   per-(source, destination) route caches with a pluggable
   :class:`CachePolicy` deciding how stale a cached route may be served.
@@ -101,6 +102,10 @@ def make_cache_policy(name: str, drift_budget: int = 8) -> CachePolicy:
 
 class RouteProvider:
     """Routes over the topology, computed on the scope-induced subgraph.
+
+    The scope is the current tournament's participant set; every search
+    and revalidation reads the topology's snapshot of the subgraph it
+    induces (:meth:`repro.mobility.DynamicTopology.path_search`).
 
     The provider owns everything :class:`repro.mobility.MobilePathOracle`
     used to fold into its draw path: the participant-scope tracking, the
@@ -301,14 +306,15 @@ class RouteProvider:
     ) -> list[tuple[int, ...]]:
         """The cached routes that still exist edge-for-edge, order kept.
 
-        Pure set lookups in the current epoch's neighbour sets, no search.
-        Edges only ever join active nodes, so churned-out intermediates and
-        destinations fail the check automatically.  Empty entries are never
-        revalidated (the caller guards): "no route" is recomputed once its
-        epoch has passed, or a transiently-partitioned pair would stay
-        unroutable.
+        Pure set lookups in the neighbour sets of the current epoch's
+        scoped snapshot — the one route search runs on, so no second
+        snapshot is built.  Edges only ever join active nodes, so
+        churned-out intermediates and destinations fail the check
+        automatically.  Empty entries are never revalidated (the caller
+        guards): "no route" is recomputed once its epoch has passed, or a
+        transiently-partitioned pair would stay unroutable.
         """
-        search = self.topology.path_search()
+        search = self.topology.path_search(self._scope)
         nbrs = search.neighbor_set
         if not search.identity_ids:
             index = search.index

@@ -55,34 +55,26 @@ def _harvest_provider(tel, provider) -> None:
 
 
 def _harvest_topology(tel, topology) -> None:
-    epoch = getattr(topology, "epoch", None)
-    if epoch is not None:
-        tel.count("mobility.epoch_bumps", epoch)
-    steps = getattr(topology, "steps", None)
-    if steps is not None:
-        tel.count("mobility.steps", steps)
-    boosts = getattr(topology, "boost_count", None)
-    if boosts is not None:
-        tel.count("mobility.emergency_boosts", boosts)
-    rescues = getattr(topology, "rescues", None)
-    if rescues is not None:
-        tel.count("mobility.rescues", rescues)
-    added = getattr(topology, "edges_added", None)
-    if added is not None:
-        tel.count("mobility.edges_added", added)
-        tel.count("mobility.edges_removed", topology.edges_removed)
+    tel.count("mobility.epoch_bumps", topology.epoch)
+    tel.count("mobility.steps", topology.steps)
+    tel.count("mobility.emergency_boosts", topology.boost_count)
+    tel.count("mobility.rescues", topology.rescues)
+    tel.count("mobility.edges_added", topology.edges_added)
+    tel.count("mobility.edges_removed", topology.edges_removed)
     _harvest_ksp(tel, topology)
 
 
 def _harvest_ksp(tel, topology) -> None:
-    """Route-search counters: live snapshot + counts retired on rebuild.
+    """Route-search counters: the live snapshot plus the counts of every
+    snapshot retired by an epoch or scope change (a scoped run builds no
+    other kind).
 
-    ``ksp.snapshot_s`` is the fixed per-epoch cost — snapshot builds and
-    hop-field sweeps — apart from path enumeration; the provider's
-    ``route.<policy>.search_s`` times both together.
+    ``ksp.snapshot_s`` is the fixed per-(epoch, scope) cost — snapshot
+    builds and hop-field sweeps — apart from path enumeration; the
+    provider's ``route.<policy>.search_s`` times both together.
     """
-    builds, queries, pruned, build_s = getattr(topology, "_ksp_retired", (0, 0, 0, 0.0))
-    search = getattr(topology, "_search", None)
+    builds, queries, pruned, build_s = topology._ksp_retired
+    search = topology._search
     if search is not None:
         builds += search.bfs_builds
         queries += search.queries

@@ -13,12 +13,16 @@ are what the tests hold it against.
   be compared with networkx on any graph, canonical order or not;
 * :func:`ascend` — a :class:`PathSearch` walking plain ascending index
   order, the order of a graph built by :func:`graph_of`;
+* :func:`cyclic_graph` — an ``nx.Graph`` walking the runtime's cyclic
+  order, the reference of the mobile topology's scoped route search;
 * :class:`HashOrderTopology` — the mobile topology as it was before the
   canonical order: an ``nx.Graph`` repaired through Python edge sets, whose
   neighbour order (hence route tie order) follows the sets' hash-slot
   order.  The statistical tier in ``tests/test_mobility_order_tier.py``
   runs it against :class:`DynamicTopology` to show the order change moved
-  no outcome distribution;
+  no outcome distribution.  Its scoped snapshots walk the graph's order
+  with the nodes outside the scope left out, as the retired scope mask
+  filtered them;
 * :class:`AscendingOrderTopology` — the mobile topology with plain
   ascending tie order, the order that tier rejects.
 """
@@ -88,11 +92,31 @@ def graph_of(adjacency: np.ndarray, ids=None) -> nx.Graph:
     return graph
 
 
+def cyclic_graph(adjacency: np.ndarray, ids=None) -> nx.Graph:
+    """An ``nx.Graph`` of a bool adjacency matrix whose neighbours iterate
+    in the cyclic order (ascending index from the node's own, wrapping
+    around) — the runtime's order, so networkx breaks route ties as the
+    runtime does.  Edges added later iterate after these, as query-time
+    extra edges do."""
+    graph = graph_of(adjacency, ids)
+    ids = list(graph)
+    n = len(ids)
+    for i, u in enumerate(ids):
+        row = graph._adj[u]
+        order = sorted(np.flatnonzero(adjacency[i]).tolist(), key=lambda j: (j - i) % n)
+        graph._adj[u] = {ids[j]: row[ids[j]] for j in order}
+    return graph
+
+
 def follow_graph_order(search: PathSearch, graph: nx.Graph) -> PathSearch:
-    """Make ``search`` walk neighbours in ``graph``'s adjacency order."""
+    """Make ``search`` walk neighbours in ``graph``'s adjacency order; a
+    snapshot of an induced subgraph walks that order with the nodes
+    outside it left out, as ``graph.subgraph`` iterates."""
     index = search.index
     adj = graph.adj
-    search.neighbors = [[index[w] for w in adj[nid]] for nid in search.node_ids]
+    search.neighbors = [
+        [index[w] for w in adj[nid] if w in index] for nid in search.node_ids
+    ]
     return search
 
 
@@ -123,10 +147,10 @@ class HashOrderTopology(DynamicTopology):
         super().__init__(*args, **kwargs)
         self.graph = graph_of(self.adjacency, self.node_ids)
 
-    def path_search(self) -> PathSearch:
-        fresh = self._search is None or self._search_epoch != self.epoch
-        search = super().path_search()
-        if fresh:
+    def path_search(self, scope=None) -> PathSearch:
+        old = self._search
+        search = super().path_search(scope)
+        if search is not old:
             follow_graph_order(search, self.graph)
         return search
 
@@ -155,7 +179,7 @@ class AscendingOrderTopology(DynamicTopology):
     ascending index order instead of the cyclic order — the order that
     makes the lowest indices every node's first relay choice."""
 
-    def path_search(self) -> PathSearch:
-        fresh = self._search is None or self._search_epoch != self.epoch
-        search = super().path_search()
-        return ascend(search) if fresh else search
+    def path_search(self, scope=None) -> PathSearch:
+        old = self._search
+        search = super().path_search(scope)
+        return search if search is old else ascend(search)

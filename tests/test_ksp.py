@@ -5,7 +5,8 @@ in every route hot loop, so its output must match networkx *exactly* — same
 path sets, same order (ties included), same ``max_hops``/``max_paths``
 truncation — across randomized geometric graphs and the edge cases the
 oracles hit (disconnected components, direct-neighbour-only connectivity,
-empty results, scoped subgraphs, query-time virtual edges).
+empty results, snapshots of scope-induced subgraphs, query-time virtual
+edges).
 
 The randomized geometric graphs are built with neighbours in ascending
 index order, so they run through the runtime constructor with its rows
@@ -166,18 +167,21 @@ class TestRandomizedEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_scoped_and_virtual_edges_match_networkx(self, seed):
-        """Scope == nx subgraph; extra_edges == temporary add_edges_from."""
+        """A snapshot of the scope-induced subgraph == nx subgraph;
+        extra_edges == temporary add_edges_from, and an extra edge that
+        leaves the scope is dropped."""
         graph, rng = geometric_graph(seed, n=25)
-        search = canonical_search(graph)
+        adjacency, _ = adjacency_of(graph)
         nodes = list(graph)
         for trial in range(8):
-            scope = frozenset(
-                int(x) for x in rng.choice(25, size=18, replace=False)
-            )
-            s, t = sorted(scope)[0], sorted(scope)[-1]
-            extra = [(s, sorted(scope)[len(scope) // 2])]
-            extra = [(a, b) for a, b in extra if not graph.has_edge(a, b)]
-            graph.add_edges_from(extra)
+            keep = sorted(int(x) for x in rng.choice(25, size=18, replace=False))
+            scope = frozenset(keep)
+            search = ascend(PathSearch(adjacency[np.ix_(keep, keep)], keep))
+            s, t = keep[0], keep[-1]
+            inside = [(s, keep[len(keep) // 2])]
+            inside = [(a, b) for a, b in inside if not graph.has_edge(a, b)]
+            leaving = [(s, min(set(nodes) - scope)), (max(set(nodes) - scope), t)]
+            graph.add_edges_from(inside)
             try:
                 expected = [
                     tuple(p)
@@ -186,12 +190,27 @@ class TestRandomizedEquivalence:
                     )
                 ]
             finally:
-                graph.remove_edges_from(extra)
-            got = search.intermediate_paths(
-                s, t, 4, 8, scope=scope, extra_edges=extra
-            )
+                graph.remove_edges_from(inside)
+            got = search.intermediate_paths(s, t, 4, 8, extra_edges=inside + leaving)
             assert got == expected
+            # an endpoint outside the snapshot has no route
+            assert search.intermediate_paths(s, leaving[0][1], 4, 8) == []
         assert nodes == list(graph)  # the emulation restored the graph
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_induced_snapshot_keeps_the_cyclic_order(self, seed):
+        """Dropping nodes keeps every kept node's cyclic neighbour order: an
+        ascending index map is monotone, so the induced snapshot breaks
+        each route tie as the full graph does."""
+        graph, rng = geometric_graph(seed, n=25)
+        adjacency, _ = adjacency_of(graph)
+        full = PathSearch(adjacency)
+        keep = sorted(int(x) for x in rng.choice(25, size=18, replace=False))
+        scoped = PathSearch(adjacency[np.ix_(keep, keep)], keep)
+        for k, i in enumerate(keep):
+            assert [keep[j] for j in scoped.neighbors[k]] == [
+                j for j in full.neighbors[i] if j in scoped.index
+            ]
 
 
 class TestEdgeCases:
@@ -317,13 +336,6 @@ class TestHopFields:
         search.hop_fields(3)  # served from the cached field: no new sweep
         search.intermediate_paths(0, 7, 3, 4)
         assert search.build_s == swept
-
-    def test_covers_all_detects_full_scope(self):
-        graph = nx.cycle_graph(5)
-        search = search_of(graph)
-        assert search.covers_all(frozenset(range(5)))
-        assert search.covers_all(frozenset(range(9)))  # supersets count
-        assert not search.covers_all(frozenset(range(4)))
 
 
 class TestShortestIntermediatePaths:

@@ -1,5 +1,5 @@
 """Unit tests for DynamicTopology (incremental adjacency repair, epochs,
-churn, the canonical neighbour order)."""
+churn, the canonical neighbour order, scoped route-search snapshots)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 
 from repro.mobility import DynamicTopology, GaussMarkov, NodeChurn, RandomWaypoint
 from repro.network.ksp import is_connected, reachable
+from tests.reference_routes import cyclic_graph, shortest_intermediate_paths
 
 N = 20
 RADIO = 0.45
@@ -302,6 +303,120 @@ class TestScopedRouting:
         scope = frozenset(topo.node_ids)
         topo.candidate_paths(0, N - 1, 3, 10, restrict_to=scope)
         assert topo.boost_count == 0
+
+
+def reference_candidate_paths(topo, source, destination, max_paths, max_hops, scope):
+    """``(routes, boosted)`` of a scoped ``candidate_paths`` call, from
+    networkx on the scope-induced subgraph of the cyclic-order graph.
+
+    An inactive source is re-linked to its in-range active nodes; a source
+    with no neighbour in scope (those links included) is power-boosted to
+    its nearest active in-scope node — the rule read off the live graph and
+    positions, as the full-graph search with a scope filter read it."""
+    ids = topo.node_ids
+    i = ids.index(source)
+    pos = topo.position_array()
+    d2 = ((pos - pos[i]) ** 2).sum(axis=1)
+    active = [topo.is_active(nid) for nid in ids]
+    extras = []
+    if not active[i]:
+        extras = [
+            (source, ids[j])
+            for j in range(len(ids))
+            if j != i and active[j] and d2[j] <= topo.radio_range**2
+        ]
+    linked = any(ids[j] in scope for j in np.flatnonzero(topo.adjacency[i]))
+    boosted = 0
+    if not (linked or any(b in scope for _, b in extras)):
+        peers = [j for j in range(len(ids)) if j != i and active[j] and ids[j] in scope]
+        if not peers:
+            return [], 0
+        extras.append((source, ids[min(peers, key=lambda j: d2[j])]))
+        boosted = 1
+    graph = cyclic_graph(topo.adjacency, ids)
+    graph.add_edges_from(extras)
+    routes = shortest_intermediate_paths(
+        graph.subgraph(scope), source, destination, max_paths, max_hops
+    )
+    return routes, boosted
+
+
+class TestScopedSnapshot:
+    """A scoped search runs on one snapshot of the subgraph the scope
+    induces, built once per (epoch, scope contents)."""
+
+    def test_candidate_paths_match_networkx_under_churn(self):
+        n = 24
+        topo = make_topology(
+            NodeChurn(RandomWaypoint(0.02, 0.08), 0.15, 0.5), radio=0.35, n=n
+        )
+        rng = np.random.default_rng(11)
+        seen = {"routed": 0, "virtual": 0, "boost": 0, "outside": 0}
+        for _ in range(25):
+            topo.step()
+            scope = frozenset(rng.choice(n, size=14, replace=False).tolist())
+            for _ in range(8):
+                s, t = rng.choice(n, size=2, replace=False).tolist()
+                want, boosted = reference_candidate_paths(topo, s, t, 3, 6, scope)
+                before = topo.boost_count
+                assert topo.candidate_paths(s, t, 3, 6, scope) == want
+                assert topo.boost_count - before == boosted
+                seen["routed"] += bool(want)
+                seen["virtual"] += not topo.is_active(s)
+                seen["boost"] += boosted
+                seen["outside"] += not {s, t} <= scope
+        assert all(seen.values()), seen
+
+    def test_full_scope_is_the_full_graph(self):
+        """A scope covering every node (a superset counts) snapshots the
+        whole graph; a smaller one leaves the rest out."""
+        topo = make_topology()
+        full = topo.path_search()
+        for scope in (frozenset(range(N)), frozenset(range(N + 5))):
+            search = topo.path_search(scope)
+            assert search.node_ids == full.node_ids
+            assert search.neighbors == full.neighbors
+        assert topo.path_search(frozenset(range(N - 1))).node_ids == list(range(N - 1))
+
+    def test_rebuilt_exactly_on_an_epoch_or_scope_change(self):
+        topo = make_topology(RandomWaypoint(0.005, 0.01), tolerance=0.05)
+        scope = frozenset(range(0, N, 2))
+        search = topo.path_search(scope)
+        assert topo.path_search(scope) is search
+        assert topo.path_search(set(scope)) is search  # equal contents
+        moves = stays = 0
+        for _ in range(40):
+            epoch = topo.epoch
+            topo.step()
+            fresh = topo.path_search(scope)
+            assert (fresh is not search) == (topo.epoch != epoch)
+            moves += fresh is not search
+            stays += fresh is search
+            search = fresh
+        assert moves and stays
+        other = topo.path_search(frozenset(range(1, N, 2)))
+        assert other is not search
+        assert topo.path_search(frozenset(range(1, N, 2))) is other
+        assert topo.path_search(scope) is not other
+
+    def test_scope_edited_in_place_is_seen(self):
+        """The path 0-1-2-3 plus 0-4-3: a scope set that gains node 4 in
+        place routes over it from then on."""
+        topo = DynamicTopology(
+            list(range(5)),
+            RADIO,
+            RandomWaypoint(0.0, 0.0),
+            np.random.default_rng(0),
+            require_connected_start=False,
+        )
+        topo.adjacency[:] = False
+        for a, b in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)]:
+            topo.adjacency[a, b] = topo.adjacency[b, a] = True
+        scope = {0, 1, 2, 3}
+        assert topo.candidate_paths(0, 3, 3, 5, scope) == [(1, 2)]
+        scope.add(4)
+        assert topo.candidate_paths(0, 3, 3, 5, scope) == [(4,), (1, 2)]
+        assert topo.candidate_paths(0, 3, 3, 5, {0, 1, 2, 3, 4}) == [(4,), (1, 2)]
 
 
 class TestDeterminism:
